@@ -112,15 +112,6 @@ class SpinorialFrame:
     def signature(self) -> Signature:
         return self.u.signature
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpinorialFrame):
-            return NotImplemented
-        # +-u are distinct spinorial frames even though they share vectors.
-        return self.u.u.approx_eq(other.u.u, 1e-12)
-
-    def __hash__(self):
-        return hash(self.u.u)
-
 
 def spinorial_frame_of(u: Rotor) -> SpinorialFrame:
     """Frame reached from the fiducial one by u: b_i = u^{-1} E_i u."""

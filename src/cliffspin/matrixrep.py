@@ -182,7 +182,8 @@ class GammaRep:
     f_matrix: np.ndarray
 
 
-def standard_gammas() -> GammaRep:
+@lru_cache(maxsize=1)
+def _build_standard_gammas() -> GammaRep:
     g0 = np.diag([1, 1, -1, -1]).astype(complex)
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -195,7 +196,15 @@ def standard_gammas() -> GammaRep:
     g1, g2, g3 = off(s1), off(s2), off(s3)
     ident = np.eye(4, dtype=complex)
     f = 0.5 * (ident + g0) @ (0.5 * (ident + 1j * g1 @ g2))
+    for m in (g0, g1, g2, g3, f):
+        m.flags.writeable = False
     return GammaRep(gammas=(g0, g1, g2, g3), f_matrix=f)
+
+
+def standard_gammas() -> GammaRep:
+    """The Dirac-representation gamma matrices and the ideal projector f,
+    built on first use and shared: the arrays are read-only."""
+    return _build_standard_gammas()
 
 
 def complex_idempotent_f() -> Multivector:

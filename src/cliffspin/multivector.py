@@ -4,6 +4,13 @@ Basis blades are encoded as bitmasks: bit i set means the generator e_{i+1}
 is a factor, with factors kept in ascending index order.  The first p
 generators square to +1, the remaining q square to -1.
 
+Every blade product goes through one sign rule.  e_a e_b = s * e_{a^b}, where
+s is the parity of the swaps that sort b's factors past a's, times -1 for
+each shared factor that squares to -1.  Both parities are linear in b's bits,
+so for fixed a, s = (-1)^popcount(b & w) for one weight mask w.
+``_reorder_sign(p, n, a)`` caches that row of signs over all 2^n blades b,
+one row per left blade, and every product reads its signs from these rows.
+
 The scalar product implemented here is the grade-wise Gram-determinant
 pairing, equal to the scalar part of (reversion(a) * b).  Note that this
 convention differs by a sign, on some grades, from the product used in parts
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 MAX_DIM = 12
 
@@ -58,37 +65,21 @@ class Signature:
         return tuple(1 if i < self.p else -1 for i in range(self.n))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @lru_cache(maxsize=None)
-def _reorder_sign(a: int, b: int) -> int:
-    # Number of transpositions needed to interleave the ascending factor
-    # list of b into that of a; counts pairs (i in a, j in b) with i > j.
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
-@lru_cache(maxsize=None)
-def _metric_sign(p: int, a_and_b: int) -> int:
-    sign = 1
-    for i in _bits(a_and_b):
-        if i >= p:
-            sign = -sign
-    return sign
-
-
-def blade_geometric(sig: Signature, a: int, b: int) -> tuple[int, int]:
-    """Product of two basis blades: returns (result mask, sign)."""
-    return a ^ b, _reorder_sign(a, b) * _metric_sign(sig.p, a & b)
+def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
+    """Signs of e_a e_b in Cl(p, n - p) for every blade b, indexed by b."""
+    # Bit j of w is the sign parity that factor j of b contributes: one swap
+    # per factor of a above j, plus one if j is in a and squares to -1.
+    w = a >> p << p
+    rest = a
+    while rest:
+        low = rest & -rest
+        w ^= low - 1
+        rest ^= low
+    row = [1]
+    for j in range(n):
+        row = row + ([-s for s in row] if w >> j & 1 else row)
+    return tuple(row)
 
 
 _REV_SIGN = (1, 1, -1, -1)  # (-1)^{k(k-1)/2} by k mod 4
@@ -289,73 +280,52 @@ class Multivector:
 # -- products ---------------------------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
+    """Sum of sign * ca * cb e_{ma^mb} over the term pairs of a and b, or
+    over only the pairs (ma, mb) for which keep(ma, mb) holds."""
     a._check_sig(b)
     sig = a.signature
-    p = sig.p
+    p, n = sig.p, sig.n
     out: dict[int, complex] = {}
+    b_terms = b._terms.items()
     for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
-            sign = _reorder_sign(ma, mb) * _metric_sign(p, ma & mb)
-            m = ma ^ mb
-            out[m] = out.get(m, 0) + sign * ca * cb
+        row = _reorder_sign(p, n, ma)
+        for mb, cb in b_terms:
+            if keep is None or keep(ma, mb):
+                m = ma ^ mb
+                out[m] = out.get(m, 0) + row[mb] * ca * cb
     return Multivector(sig, out)
 
 
+def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+    return _product(a, b)
+
+
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    a._check_sig(b)
-    out: dict[int, complex] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
-            if ma & mb:
-                continue
-            m = ma | mb
-            out[m] = out.get(m, 0) + _reorder_sign(ma, mb) * ca * cb
-    return Multivector(a.signature, out)
+    return _product(a, b, lambda ma, mb: not ma & mb)
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     """a _| b: grade-lowering part, nonzero blade-wise only when a's factors
     all occur in b."""
-    a._check_sig(b)
-    sig = a.signature
-    out: dict[int, complex] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
-            if ma & ~mb:
-                continue
-            sign = _reorder_sign(ma, mb) * _metric_sign(sig.p, ma & mb)
-            m = ma ^ mb
-            out[m] = out.get(m, 0) + sign * ca * cb
-    return Multivector(sig, out)
+    return _product(a, b, lambda ma, mb: not ma & ~mb)
 
 
 def right_contraction(a: Multivector, b: Multivector) -> Multivector:
     """a |_ b: nonzero blade-wise only when b's factors all occur in a."""
-    a._check_sig(b)
-    sig = a.signature
-    out: dict[int, complex] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
-            if mb & ~ma:
-                continue
-            sign = _reorder_sign(ma, mb) * _metric_sign(sig.p, ma & mb)
-            m = ma ^ mb
-            out[m] = out.get(m, 0) + sign * ca * cb
-    return Multivector(sig, out)
+    return _product(a, b, lambda ma, mb: not mb & ~ma)
 
 
 def scalar_product(a: Multivector, b: Multivector) -> complex:
     """Grade-wise Gram-determinant pairing; equals <reversion(a) b>_0."""
     a._check_sig(b)
-    sig = a.signature
+    p, n = a.signature.p, a.signature.n
     total = 0j
     for m, ca in a._terms.items():
         cb = b._terms.get(m)
         if cb is None:
             continue
-        k = m.bit_count()
-        sign = _REV_SIGN[k % 4] * _reorder_sign(m, m) * _metric_sign(sig.p, m)
+        sign = _REV_SIGN[m.bit_count() % 4] * _reorder_sign(p, n, m)[m]
         total += sign * ca * cb
     if a.real and b.real:
         return total.real
@@ -433,16 +403,13 @@ def exp_bivector(f: Multivector) -> Multivector:
 def _left_mult_matrix(a: Multivector):
     import numpy as np
 
-    n = a.signature.n
-    dim = 1 << n
-    dtype = float if a.real else complex
-    mat = np.zeros((dim, dim), dtype=dtype)
-    p = a.signature.p
-    for mb in range(dim):
-        for ma, ca in a._terms.items():
-            sign = _reorder_sign(ma, mb) * _metric_sign(p, ma & mb)
-            val = sign * ca
-            mat[ma ^ mb, mb] += val.real if a.real else val
+    sig = a.signature
+    cols = np.arange(1 << sig.n)
+    mat = np.zeros((cols.size, cols.size), dtype=float if a.real else complex)
+    for ma, ca in a._terms.items():
+        # Column mb of term ma is a single entry, in row ma ^ mb.
+        signs = np.array(_reorder_sign(sig.p, sig.n, ma))
+        mat[cols ^ ma, cols] += signs * (ca.real if a.real else ca)
     return mat
 
 

@@ -27,6 +27,7 @@ from .multivector import (
     geometric_product,
     hodge_dual,
     reversion,
+    right_contraction,
     scalar_product,
 )
 
@@ -140,12 +141,17 @@ def dhs_from_as(a: ASRep) -> DHSRep:
 # -- bilinear covariants --------------------------------------------------------
 
 
+def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
+    """(sigma, omega) from psi reversion(psi) = sigma + omega g5."""
+    agg = geometric_product(psi, psit)
+    # The grade-4 part is omega * g5, and g5 = -e1e2e3e4.
+    return agg.scalar_part().real, -agg.coeff(0b1111).real
+
+
 def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
     psi = d.psi
     psit = reversion(psi)
-    agg = geometric_product(psi, psit)
-    sigma = agg.scalar_part().real
-    omega = -agg.coeff(0b1111).real  # grade-4 part is omega * g5, g5 = -e1e2e3e4
+    sigma, omega = _sigma_omega(psi, psit)
     g0 = gamma_upper(d.frame, 0)
     g1 = gamma_upper(d.frame, 1)
     g2 = gamma_upper(d.frame, 2)
@@ -157,25 +163,11 @@ def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
 
 
 def is_regular(d: DHSRep) -> bool:
-    agg = geometric_product(d.psi, reversion(d.psi))
-    sigma = agg.scalar_part().real
-    omega = -agg.coeff(0b1111).real
+    sigma, omega = _sigma_omega(d.psi, reversion(d.psi))
     return sigma * sigma + omega * omega > REGULARITY_EPS2
 
 
 # -- identity suite over the covariants ------------------------------------------
-
-
-def _lc(a, b):  # a _| b
-    from .multivector import left_contraction
-
-    return left_contraction(a, b)
-
-
-def _rc(a, b):  # a |_ b
-    from .multivector import right_contraction
-
-    return right_contraction(a, b)
 
 
 def _rel(lhs: Multivector, rhs: Multivector) -> float:
@@ -201,13 +193,13 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
         J ^ K, -geometric_product(om + sig * g5, S)
     )
 
-    res["(*S)|_J = -sigma K"] = _rel(_rc(starS, J), -sig * K)
-    res["(*S)|_K = -sigma J"] = _rel(_rc(starS, K), -sig * J)
+    res["(*S)|_J = -sigma K"] = _rel(right_contraction(starS, J), -sig * K)
+    res["(*S)|_K = -sigma J"] = _rel(right_contraction(starS, K), -sig * J)
     res["S.S = sigma^2 - omega^2"] = abs(
         complex(scalar_product(S, S)).real - (sig**2 - om**2)
     ) / max(1.0, sig**2 + om**2)
-    res["S|_J = omega K"] = _rel(_rc(S, J), om * K)
-    res["S|_K = omega J"] = _rel(_rc(S, K), om * J)
+    res["S|_J = omega K"] = _rel(right_contraction(S, J), om * K)
+    res["S|_K = omega J"] = _rel(right_contraction(S, K), om * J)
     res["(*S).S = 2 sigma omega"] = abs(
         complex(scalar_product(starS, S)).real - 2 * sig * om
     ) / max(1.0, sig**2 + om**2)
@@ -275,8 +267,8 @@ def _variant_lhs(c: BilinearCovariants) -> dict[str, Multivector]:
     starS = hodge_dual(c.S)
     return {
         "J^K": c.J ^ c.K,
-        "S|_J": _rc(c.S, c.J),
-        "S|_K": _rc(c.S, c.K),
+        "S|_J": right_contraction(c.S, c.J),
+        "S|_K": right_contraction(c.S, c.K),
         "(*S).S": Multivector.scalar(SIG13, scalar_product(starS, c.S)),
         "J S": geometric_product(c.J, c.S),
         "S J": geometric_product(c.S, c.J),
@@ -321,9 +313,7 @@ def exp_beta_gamma5(beta: float) -> Multivector:
 
 
 def canonical_decompose(d: DHSRep) -> CanonicalFactors:
-    agg = geometric_product(d.psi, reversion(d.psi))
-    sigma = agg.scalar_part().real
-    omega = -agg.coeff(0b1111).real
+    sigma, omega = _sigma_omega(d.psi, reversion(d.psi))
     s2 = sigma * sigma + omega * omega
     if s2 <= REGULARITY_EPS2:
         raise SingularSpinorError(

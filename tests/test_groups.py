@@ -138,6 +138,16 @@ def test_frame_action_basics():
         assert (a - b).max_abs() == 0.0  # same vector frame
 
 
+def test_frame_eq_and_hash_are_exact():
+    u = exp_bivector(Multivector(SIG13, {0b0110: 0.7, 0b0011: 0.2}))
+    a = spinorial_frame_of(Rotor(u))
+    b = spinorial_frame_of(Rotor(u))
+    assert a == b and hash(a) == hash(b)
+    nudged = spinorial_frame_of(Rotor(u + Multivector.scalar(SIG13, 1e-14)))
+    assert a != nudged
+    assert spinorial_frame_of(-Rotor(u)) != a
+
+
 def test_frame_action_composition():
     f = fiducial_spinorial_frame(SIG13)
     a = random_rotor(SIG13, rng)

@@ -22,6 +22,7 @@ from cliffspin import (
     scalar_product,
     wedge,
 )
+from cliffspin.multivector import _left_mult_matrix, _reorder_sign
 
 rng = np.random.default_rng(0)
 
@@ -76,7 +77,7 @@ def word_to_mv(sig, word):
     return out
 
 
-@pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (3, 0), (0, 3)])
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (3, 0), (0, 3), (4, 1), (0, 5)])
 def test_product_matches_word_oracle(p, q):
     sig = Signature(p, q)
     squares = sig.squares
@@ -86,11 +87,12 @@ def test_product_matches_word_oracle(p, q):
     words = [()]
     for k in (1, 2, 3):
         words += list(itertools.product(indices, repeat=k))
+    mvs = {w: word_to_mv(sig, w) for w in words}
     for wa in words:
         for wb in words:
             sign, reduced = word_product(wa, wb, squares)
             expected = sign * word_to_mv(sig, reduced)
-            got = geometric_product(word_to_mv(sig, wa), word_to_mv(sig, wb))
+            got = geometric_product(mvs[wa], mvs[wb])
             assert (got - expected).max_abs() == 0.0, (wa, wb)
 
 
@@ -437,6 +439,23 @@ def test_inverse_general_path():
     )
     xi = inverse(x)
     assert (geometric_product(x, xi) - 1).max_abs() < 1e-12
+
+
+def test_left_mult_matrix_matches_product_exactly():
+    # Dyadic coefficients keep every sum exact, whatever order numpy adds in.
+    sig = Signature(3, 2)
+    a = Multivector(sig, {m: (m % 7 - 3) / 8 for m in range(1 << sig.n)})
+    b = Multivector(sig, {m: (m % 5 - 2) / 4 for m in range(1 << sig.n)})
+    got = _left_mult_matrix(a) @ np.array(b.coefficients()).real
+    assert got.tolist() == [c.real for c in geometric_product(a, b).coefficients()]
+
+
+def test_sign_cache_holds_one_row_per_left_blade():
+    sig = Signature(3, 3)
+    dense = Multivector(sig, {m: 1.0 + m % 3 for m in range(1 << sig.n)})
+    _reorder_sign.cache_clear()
+    geometric_product(dense, dense)
+    assert _reorder_sign.cache_info().currsize <= 1 << sig.n
 
 
 def test_idempotent_not_invertible():

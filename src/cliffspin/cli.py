@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 when a verification residual exceeds tolerance,
-2 on usage errors.
+2 on usage or domain errors (bad input, a non-invertible element, an
+unreadable file), reported as one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dirac import (
     matrix_dirac_residual,
     planewave_solution,
 )
-from .expressions import ExpressionError, evaluate_source
+from .expressions import evaluate_source
 from .groups import random_rotor
 from .matrixrep import matrix_of, s_of_rotor, standard_gammas
 from .multivector import Multivector, Signature, geometric_product
@@ -170,6 +171,8 @@ def cmd_verify_rep(args) -> int:
 def cmd_decompose(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or "psi" not in data:
+        raise ValueError(f"{args.infile}: expected a JSON object with a 'psi' entry")
     psi = from_json_dict(data["psi"])
     frame = fiducial_spinorial_frame(SIG13)
     if "rotor" in data:
@@ -190,11 +193,7 @@ def cmd_eval(args) -> int:
     except (ValueError, TypeError):
         print(f"bad signature {args.sig!r}; expected P,Q", file=sys.stderr)
         return 2
-    try:
-        result = evaluate_source(args.expr, sig)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = evaluate_source(args.expr, sig)
     if args.json:
         print(json.dumps(to_json_dict(result)))
     else:
@@ -272,7 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # Domain errors; exit 1 stays reserved for failed verifications.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

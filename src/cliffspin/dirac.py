@@ -44,9 +44,10 @@ def zero_potential() -> ConstantPotential:
     return ConstantPotential(Multivector.zero(SIG13), 0.0)
 
 
-def _coordinate_gamma_upper(mu: int) -> Multivector:
-    v = Multivector.generator(SIG13, mu + 1)
-    return v if mu == 0 else -v
+# The coordinate coframe gamma^mu: g^0 = e1, g^i = -e_{i+1}.
+_COORDINATE_COFRAME = tuple(
+    Multivector.generator(SIG13, mu + 1) * (1.0 if mu == 0 else -1.0) for mu in range(4)
+)
 
 
 @dataclass(frozen=True)
@@ -85,18 +86,28 @@ class PlaneWaveDHSF:
         rot = math.cos(theta) - self.energy_sign * math.sin(theta) * B
         return geometric_product(self.psi0, rot)
 
-    def partial(self, mu: int, x: Sequence[float]) -> Multivector:
-        p_lower = ETA[mu] * self.p.coeff(1 << mu).real
-        return -self.energy_sign * p_lower * geometric_product(
-            self.evaluate(x), self.phase_bivector
-        )
+    def partials(self, x: Sequence[float]) -> list[Multivector]:
+        """[d_0 psi, ..., d_3 psi] at x: d_mu psi = -s p_mu psi(x) B, with
+        psi(x) B built once for all four indices."""
+        psi_b = geometric_product(self.evaluate(x), self.phase_bivector)
+        return [
+            -self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) * psi_b
+            for mu in range(4)
+        ]
 
 
-def spin_dirac_apply(field: PlaneWaveDHSF, x: Sequence[float]) -> Multivector:
-    """Analytic D psi = gamma^mu d_mu psi at x."""
+def spin_dirac_apply(
+    field: PlaneWaveDHSF,
+    x: Sequence[float],
+    coframe: Sequence[Multivector] | None = None,
+) -> Multivector:
+    """Analytic D psi = gamma^mu d_mu psi at x, with the coordinate coframe
+    gamma^mu unless another coframe is given."""
+    if coframe is None:
+        coframe = _COORDINATE_COFRAME
     out = Multivector.zero(SIG13)
-    for mu in range(4):
-        out = out + geometric_product(_coordinate_gamma_upper(mu), field.partial(mu, x))
+    for g, d_psi in zip(coframe, field.partials(x)):
+        out = out + geometric_product(g, d_psi)
     return out
 
 
@@ -108,13 +119,13 @@ def spin_dirac_apply_fd(
     """Independent central-finite-difference evaluation of D psi."""
     out = Multivector.zero(SIG13)
     x = list(x)
-    for mu in range(4):
+    for mu, g in enumerate(_COORDINATE_COFRAME):
         xp = list(x)
         xm = list(x)
         xp[mu] += h
         xm[mu] -= h
         diff = (psi_func(xp) - psi_func(xm)) * (1.0 / (2.0 * h))
-        out = out + geometric_product(_coordinate_gamma_upper(mu), diff)
+        out = out + geometric_product(g, diff)
     return out
 
 
@@ -129,14 +140,11 @@ def dhe_residual(
     g0.  With left_rotor=s the derivative operator uses the transformed
     coframe s gamma^mu s^{-1} (active left gauge)."""
     psi = field.evaluate(x)
-    if left_rotor is None:
-        dpsi = spin_dirac_apply(field, x)
-    else:
+    coframe = None
+    if left_rotor is not None:
         s, sinv = left_rotor.u, left_rotor.inverse_mv()
-        dpsi = Multivector.zero(SIG13)
-        for mu in range(4):
-            g = geometric_product(geometric_product(s, _coordinate_gamma_upper(mu)), sinv)
-            dpsi = dpsi + geometric_product(g, field.partial(mu, x))
+        coframe = [geometric_product(geometric_product(s, g), sinv) for g in _COORDINATE_COFRAME]
+    dpsi = spin_dirac_apply(field, x, coframe)
     g0 = gamma_lower(field.frame, 0)
     g21 = field.phase_bivector
     res = geometric_product(dpsi, g21) - m * geometric_product(psi, g0)
@@ -202,10 +210,8 @@ def asf_residual(
     proj = asf_projector(field.frame)
     phi = geometric_product(field.evaluate(x), proj)
     dphi = Multivector.zero(SIG13)
-    for mu in range(4):
-        dphi = dphi + geometric_product(
-            _coordinate_gamma_upper(mu), geometric_product(field.partial(mu, x), proj)
-        )
+    for g, d_psi in zip(_COORDINATE_COFRAME, field.partials(x)):
+        dphi = dphi + geometric_product(g, geometric_product(d_psi, proj))
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:
         res = res + pot.q_charge * geometric_product(pot.A, phi)

@@ -10,7 +10,10 @@ Grammar (whitespace-insensitive, left-associative):
 Precedence: unary > '*' > (wedge, contractions, dot) > (+, -).
 Functions: rev, inv, gradeinv, conj, dual, grade<k>.
 Blades: e1..en; for signature (1,3) the aliases g0..g3 map to e1..e4.
-Unicode operator forms are accepted on input.
+Unicode operator forms are accepted on input.  Parentheses, function calls
+and negations nest at most MAX_DEPTH levels, and the parsed tree has at most
+MAX_DEPTH operator nodes on any path (a chain like e1+e1+...+e1 is one level
+deeper per operator); deeper input raises ExpressionError.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .multivector import (
     scalar_product,
     wedge,
 )
+
+
+MAX_DEPTH = 100
 
 
 class ExpressionError(ValueError):
@@ -137,6 +143,17 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
+        self.depth = 0
+
+    def nested(self, at: int, parse):
+        """parse() one nesting level deeper, refusing to pass MAX_DEPTH."""
+        if self.depth >= MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", at)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -186,10 +203,10 @@ class _Parser:
         kind, value, at = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Unary("neg", self.parse_unary())
+            return Unary("neg", self.nested(at, self.parse_unary))
         if kind == "op" and value == "(":
             self.advance()
-            node = self.parse_sum()
+            node = self.nested(at, self.parse_sum)
             self.expect_op(")")
             return node
         if kind == "num":
@@ -204,7 +221,7 @@ class _Parser:
         assert kind == "name"
         if name in _FUNCS or (name.startswith("grade") and name[5:].isdigit()):
             self.expect_op("(")
-            node = self.parse_sum()
+            node = self.nested(at, self.parse_sum)
             self.expect_op(")")
             return Unary(name, node)
         if name.startswith("e") and name[1:].isdigit():
@@ -224,12 +241,26 @@ class _Parser:
         raise ExpressionError(f"unknown name {name!r}", at)
 
 
+def _tree_depth(node) -> int:
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Unary):
+            stack.append((node.arg, depth + 1))
+        elif isinstance(node, Binary):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
 def parse(source: str, sig: Signature):
     parser = _Parser(tokenize(source), sig)
     node = parser.parse_sum()
     kind, _, at = parser.peek()
     if kind != "end":
         raise ExpressionError("trailing input", at)
+    if _tree_depth(node) > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
     return node
 
 

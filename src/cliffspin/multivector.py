@@ -11,6 +11,14 @@ so for fixed a, s = (-1)^popcount(b & w) for one weight mask w.
 ``_reorder_sign(p, n, a)`` caches that row of signs over all 2^n blades b,
 one row per left blade, and every product reads its signs from these rows.
 
+Results that this module builds itself (products, sums, scalings, grade
+parts, involutions) skip the validating ``Multivector.__init__``: they go
+through ``Multivector._own``, which trusts that their masks are in range and
+their values already complex, but still drops zero terms and rejects
+non-finite coefficients.  Only the public constructor runs ``__init__``, so
+a tracer that counts ``__init__`` calls counts public constructions, not all
+the multivectors built.
+
 The scalar product implemented here is the grade-wise Gram-determinant
 pairing, equal to the scalar part of (reversion(a) * b).  Note that this
 convention differs by a sign, on some grades, from the product used in parts
@@ -19,6 +27,7 @@ of the geometric-algebra literature (e.g. Hestenes' X * Y = <XY>_0).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -112,6 +121,28 @@ class Multivector:
                 break
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "real", is_real)
+
+    @classmethod
+    def _own(cls, signature: Signature, terms: dict[int, complex]) -> "Multivector":
+        """Trusted constructor for dicts built in this module: masks in range,
+        values complex.  Stores 0 + c as __init__ does, so no part is -0.0."""
+        clean = {m: 0 + c for m, c in terms.items() if c}
+        values = clean.values()
+        # A sum of finite terms can overflow, so a non-finite sum is only a
+        # hint; each term is checked before rejecting.
+        if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
+            raise ValueError("non-finite coefficient")
+        is_real = True
+        for c in values:
+            if c.imag != 0.0:
+                is_real = False
+                break
+        self = object.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "signature", signature)
+        _set(self, "_terms", clean)
+        _set(self, "real", is_real)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Multivector is immutable")
@@ -214,12 +245,12 @@ class Multivector:
         out = dict(self._terms)
         for m, c in other._terms.items():
             out[m] = out.get(m, 0) + c
-        return Multivector(self.signature, out)
+        return Multivector._own(self.signature, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.signature, {m: -c for m, c in self._terms.items()})
+        return Multivector._own(self.signature, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -233,7 +264,8 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Multivector(self.signature, {m: c * other for m, c in self._terms.items()})
+            s = complex(other)
+            return Multivector._own(self.signature, {m: c * s for m, c in self._terms.items()})
         if not isinstance(other, Multivector):
             return NotImplemented
         return geometric_product(self, other)
@@ -259,12 +291,12 @@ class Multivector:
         return grade_part(self, k)
 
     def even(self) -> "Multivector":
-        return Multivector(
+        return Multivector._own(
             self.signature, {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0}
         )
 
     def odd(self) -> "Multivector":
-        return Multivector(
+        return Multivector._own(
             self.signature, {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1}
         )
 
@@ -272,7 +304,7 @@ class Multivector:
         return reversion(self)
 
     def prune(self, tol: float) -> "Multivector":
-        return Multivector(
+        return Multivector._own(
             self.signature, {m: c for m, c in self._terms.items() if abs(c) > tol}
         )
 
@@ -294,7 +326,7 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
             if keep is None or keep(ma, mb):
                 m = ma ^ mb
                 out[m] = out.get(m, 0) + row[mb] * ca * cb
-    return Multivector(sig, out)
+    return Multivector._own(sig, out)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -335,20 +367,20 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
 def grade_part(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= a.signature.n:
         raise ValueError(f"grade {k} out of range 0..{a.signature.n}")
-    return Multivector(a.signature, {m: c for m, c in a._terms.items() if m.bit_count() == k})
+    return Multivector._own(a.signature, {m: c for m, c in a._terms.items() if m.bit_count() == k})
 
 
 # -- involutions ------------------------------------------------------------
 
 
 def grade_involution(a: Multivector) -> Multivector:
-    return Multivector(
+    return Multivector._own(
         a.signature, {m: _GI_SIGN[m.bit_count() % 2] * c for m, c in a._terms.items()}
     )
 
 
 def reversion(a: Multivector) -> Multivector:
-    return Multivector(
+    return Multivector._own(
         a.signature, {m: _REV_SIGN[m.bit_count() % 4] * c for m, c in a._terms.items()}
     )
 
@@ -359,6 +391,10 @@ def conjugation(a: Multivector) -> Multivector:
 
 # -- spacetime Hodge dual ----------------------------------------------------
 
+# The Cl(1,3) volume element g5 = g^0 g^1 g^2 g^3 of the upper-index
+# coordinate coframe: e1 (-e2)(-e3)(-e4) = -e1e2e3e4.
+G5 = Multivector(Signature(1, 3), {0b1111: -1.0})
+
 
 def hodge_dual(a: Multivector) -> Multivector:
     """*C = reversion(C) g5, fixed to the signature (1,3) volume element
@@ -366,9 +402,7 @@ def hodge_dual(a: Multivector) -> Multivector:
     sig = a.signature
     if (sig.p, sig.q) != (1, 3):
         raise SignatureMismatchError("hodge_dual is defined for signature (1,3) only")
-    # g^0 g^1 g^2 g^3 = e1 (-e2)(-e3)(-e4) = -e1e2e3e4
-    vol = Multivector(sig, {0b1111: -1.0})
-    return geometric_product(reversion(a), vol)
+    return geometric_product(reversion(a), G5)
 
 
 # -- exponential and inverse -------------------------------------------------

@@ -144,17 +144,20 @@ def to_json(mv: Multivector) -> str:
 
 
 def from_json_dict(data: dict) -> Multivector:
-    p, q = data["signature"]
-    sig = Signature(int(p), int(q))
-    terms: dict[int, complex] = {}
-    for term in data["terms"]:
-        mask = 0
-        for idx in term["blades"]:
-            bit = 1 << (int(idx) - 1)
-            if bit & mask:
-                raise MultivectorParseError(f"repeated generator index {idx}")
-            mask |= bit
-        terms[mask] = terms.get(mask, 0) + complex(term.get("re", 0.0), term.get("im", 0.0))
+    try:
+        p, q = data["signature"]
+        sig = Signature(int(p), int(q))
+        terms: dict[int, complex] = {}
+        for term in data["terms"]:
+            mask = 0
+            for idx in term["blades"]:
+                bit = 1 << (int(idx) - 1)
+                if bit & mask:
+                    raise MultivectorParseError(f"repeated generator index {idx}")
+                mask |= bit
+            terms[mask] = terms.get(mask, 0) + complex(term.get("re", 0.0), term.get("im", 0.0))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None
     return Multivector(sig, terms)
 
 

@@ -22,6 +22,7 @@ from .groups import (
     rotor_between,
 )
 from .multivector import (
+    G5,
     Multivector,
     Signature,
     geometric_product,
@@ -34,8 +35,6 @@ from .multivector import (
 SIG13 = Signature(1, 3)
 REGULARITY_EPS2 = 1e-20
 
-_G5 = Multivector(SIG13, {0b1111: -1.0})  # g^0 g^1 g^2 g^3
-
 
 class SingularSpinorError(ArithmeticError):
     pass
@@ -46,7 +45,7 @@ class SpinorValueError(ValueError):
 
 
 def gamma5() -> Multivector:
-    return _G5
+    return G5
 
 
 def gamma_lower(frame: SpinorialFrame, mu: int) -> Multivector:
@@ -180,7 +179,7 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
     how the ambiguous ones were settled)."""
     sig, om = c.sigma, c.omega
     J, S, K = c.J, c.S, c.K
-    g5 = _G5
+    g5 = G5
     one = Multivector.scalar(SIG13, 1.0)
     starS = hodge_dual(S)
     JJ = complex(scalar_product(J, J)).real
@@ -232,7 +231,7 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
 def _variant_candidates(c: BilinearCovariants) -> dict[str, dict[str, Multivector]]:
     sig, om = c.sigma, c.omega
     J, S, K = c.J, c.S, c.K
-    g5 = _G5
+    g5 = G5
     starS = hodge_dual(S)
 
     def combos(target: Multivector) -> dict[str, Multivector]:
@@ -309,7 +308,7 @@ def fierz_variant_report(trials: int, seed: int) -> dict[str, dict]:
 
 def exp_beta_gamma5(beta: float) -> Multivector:
     """e^{beta g5} = cos(beta) + sin(beta) g5, since g5^2 = -1."""
-    return math.cos(beta) + math.sin(beta) * _G5
+    return math.cos(beta) + math.sin(beta) * G5
 
 
 def canonical_decompose(d: DHSRep) -> CanonicalFactors:

@@ -149,3 +149,46 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def assert_domain_error(code, out, err, needle):
+    # Exit 2 with one "error: ..." line and no traceback; exit 1 is kept for
+    # a residual above tolerance.
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_eval_non_invertible_is_domain_error(capsys):
+    assert_domain_error(*run(capsys, "eval", "--sig", "1,3", "inv(1+e1)"), "singular")
+
+
+def test_eval_grade_out_of_range_is_domain_error(capsys):
+    assert_domain_error(*run(capsys, "eval", "--sig", "1,3", "grade9(e1)"), "grade 9")
+
+
+def test_eval_deep_nesting_is_domain_error(capsys):
+    expr = "(" * 2000 + "e1" + ")" * 2000
+    assert_domain_error(*run(capsys, "eval", "--sig", "1,3", expr), "nested deeper")
+
+
+def test_eval_long_operator_chain_is_domain_error(capsys):
+    expr = "+".join(["e1"] * 2000)
+    assert_domain_error(*run(capsys, "eval", "--sig", "1,3", expr), "nested deeper")
+
+
+def test_decompose_missing_file_is_domain_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-file.json"
+    assert_domain_error(*run(capsys, "decompose", "--in", str(missing)), "No such file")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"psi": 3', "[1]", '{"x": 1}', '{"psi": {"signature": [1, 3]}}'],
+)
+def test_decompose_malformed_file_is_domain_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert_domain_error(*run(capsys, "decompose", "--in", str(path)), "")

@@ -284,3 +284,101 @@ def test_gauge_requires_connected_group():
 
     with pytest.raises(NotARotorError):
         right_gauge(field, Rotor(2.0 * Multivector.scalar(SIG13, 1.0)))
+
+
+# -- one psi(x) B per point: exact agreement with a per-index reference -------------------
+#
+# The reference rebuilds psi(x) and psi(x) B once per derivative index mu, as the
+# residuals did before partials(x) shared one psi(x) B.  The shared form computes
+# the same floating-point expressions, so every coefficient must be equal.
+
+ETA = (1.0, -1.0, -1.0, -1.0)
+
+
+def coordinate_coframe():
+    return [gen(1), -gen(2), -gen(3), -gen(4)]
+
+
+def reference_partial(field, mu, x):
+    p_lower = ETA[mu] * field.p.coeff(1 << mu).real
+    return -field.energy_sign * p_lower * geometric_product(
+        field.evaluate(x), field.phase_bivector
+    )
+
+
+def reference_dirac(field, x, coframe):
+    out = Multivector.zero(SIG13)
+    for mu in range(4):
+        out = out + geometric_product(coframe[mu], reference_partial(field, mu, x))
+    return out
+
+
+def reference_dhe(field, pot, m, x, left_rotor=None):
+    coframe = coordinate_coframe()
+    if left_rotor is not None:
+        s, sinv = left_rotor.u, left_rotor.inverse_mv()
+        coframe = [geometric_product(geometric_product(s, g), sinv) for g in coframe]
+    psi = field.evaluate(x)
+    dpsi = reference_dirac(field, x, coframe)
+    res = geometric_product(dpsi, field.phase_bivector) - m * geometric_product(
+        psi, gamma_lower(field.frame, 0)
+    )
+    if pot is not None and pot.q_charge != 0.0:
+        res = res + pot.q_charge * geometric_product(pot.A, psi)
+    return res
+
+
+def reference_asf(field, pot, m, x):
+    from cliffspin.dirac import asf_projector
+
+    proj = asf_projector(field.frame)
+    phi = geometric_product(field.evaluate(x), proj)
+    dphi = Multivector.zero(SIG13)
+    for mu, g in enumerate(coordinate_coframe()):
+        dphi = dphi + geometric_product(g, geometric_product(reference_partial(field, mu, x), proj))
+    res = dphi - m * geometric_product(phi, gamma5())
+    if pot is not None and pot.q_charge != 0.0:
+        res = res + pot.q_charge * geometric_product(pot.A, phi)
+    return res
+
+
+def exactness_systems():
+    """(label, field, potential, left rotor) for plain, charged and gauged fields."""
+    local = np.random.default_rng(2024)
+    pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7)
+    out = []
+    for sign in (1, -1):
+        plain = planewave_solution(1.3, (0.4, -0.7, 0.2), sign=sign)
+        charged = planewave_solution(0.8, (-0.3, 0.1, 0.6), sign=sign, pot=pot)
+        out.append((f"plain{sign:+d}", plain, None, None))
+        out.append((f"charged{sign:+d}", charged, pot, None))
+        s = random_rotor(SIG13, local)
+        out.append((f"right{sign:+d}", right_gauge(plain, s), None, None))
+        for label, moved in (("left", left_gauge(charged, s, pot)), ("both", both_gauge(charged, s, pot))):
+            out.append((f"{label}{sign:+d}", moved.field, moved.pot, moved.left_rotor))
+    return out
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_shared_partials_match_per_index_reference_exactly(label, field, pot, left_rotor):
+    local = np.random.default_rng(7)
+    m = field.m * 1.05  # off shell, so the residuals carry nonzero digits
+    for _ in range(3):
+        x = [float(v) for v in local.uniform(-5, 5, size=4)]
+        assert field.partials(x) == [reference_partial(field, mu, x) for mu in range(4)]
+        assert spin_dirac_apply(field, x) == reference_dirac(field, x, coordinate_coframe())
+        assert dhe_residual(field, pot, m, x) == reference_dhe(field, pot, m, x)
+        assert dhe_residual(field, pot, m, x, left_rotor=left_rotor) == reference_dhe(
+            field, pot, m, x, left_rotor
+        )
+        assert asf_residual(field, pot, m, x) == reference_asf(field, pot, m, x)
+        assert not dhe_residual(field, pot, m, x).is_zero()
+
+
+def test_spin_dirac_apply_coframe_argument():
+    field = planewave_solution(1.1, (0.2, 0.3, -0.4))
+    x = [0.5, -1.0, 2.0, 0.25]
+    assert spin_dirac_apply(field, x, coordinate_coframe()) == spin_dirac_apply(field, x)
+    # D is linear in the coframe: doubling every gamma^mu doubles D psi.
+    doubled = [2.0 * g for g in coordinate_coframe()]
+    assert spin_dirac_apply(field, x, doubled) == 2.0 * spin_dirac_apply(field, x)

@@ -9,6 +9,7 @@ from cliffspin import (
     reversion,
 )
 from cliffspin.expressions import (
+    MAX_DEPTH,
     Binary,
     Blade,
     ExpressionError,
@@ -124,6 +125,26 @@ def test_unbalanced_parens():
 def test_unknown_function():
     with pytest.raises(ExpressionError):
         parse("frobnicate(e1)", SIG13)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: "(" * k + "e1" + ")" * k,
+        lambda k: "rev(" * k + "e1" + ")" * k,
+        lambda k: "-" * k + "e1",
+        lambda k: "+".join(["e1"] * (k + 1)),
+    ],
+    ids=["parens", "calls", "negations", "chain"],
+)
+def test_nesting_depth_limit(build):
+    # MAX_DEPTH levels parse; one more is an ExpressionError, not a
+    # RecursionError from the parser or the evaluator.
+    assert evaluate_source(build(MAX_DEPTH), SIG13).max_abs() > 0
+    with pytest.raises(ExpressionError, match="nested deeper"):
+        parse(build(MAX_DEPTH + 1), SIG13)
+    with pytest.raises(ExpressionError, match="nested deeper"):
+        parse(build(2000), SIG13)
 
 
 def test_noninvertible_reported():

@@ -475,3 +475,100 @@ def test_norm_examples():
     for _ in range(10):
         u = exp_bivector(random_mv(SIG13, rng, grades={2}))
         assert abs(norm_N(u) - 1.0) < 1e-12
+
+
+# -- trusted constructor: internal results match the validating constructor --------------
+
+
+def random_operand(sig, rng, complex_coeffs):
+    """Sparse operand with dyadic and random coefficients, so that some
+    products cancel exactly and leave zeros for the constructor to drop."""
+    terms = {}
+    for mask in range(1 << sig.n):
+        if rng.random() < 0.4:
+            continue
+        c = float(rng.integers(-2, 3)) / 2 if rng.random() < 0.5 else float(rng.uniform(-1, 1))
+        if complex_coeffs:
+            c = complex(c, float(rng.integers(-2, 3)) / 2)
+        terms[mask] = c
+    return Multivector(sig, terms)
+
+
+def bits(mv):
+    return {m: (c.real.hex(), c.imag.hex()) for m, c in mv.terms.items()}
+
+
+def internal_results(a, b):
+    return {
+        "product": geometric_product(a, b),
+        "wedge": wedge(a, b),
+        "left_contraction": left_contraction(a, b),
+        "right_contraction": right_contraction(a, b),
+        "sum": a + b,
+        "difference": a - b,
+        "cancelled": a - a,
+        "negation": -a,
+        "scaled": a * -0.75,
+        "scaled_imaginary": a * 1j,
+        "reversion": reversion(a),
+        "grade_involution": grade_involution(a),
+        "conjugation": conjugation(a),
+        "grade_2": grade_part(a, 2),
+        "even": a.even(),
+        "odd": a.odd(),
+        "pruned": a.prune(0.5),
+    }
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (4, 1), (0, 5), (3, 3)])
+@pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+def test_internal_results_match_public_constructor(p, q, complex_coeffs):
+    sig = Signature(p, q)
+    local = np.random.default_rng(p * 10 + q + 100 * complex_coeffs)
+    for _ in range(6):
+        a = random_operand(sig, local, complex_coeffs)
+        b = random_operand(sig, local, complex_coeffs and bool(local.random() < 0.5))
+        for name, result in internal_results(a, b).items():
+            rebuilt = Multivector(sig, result.terms)
+            assert result == rebuilt, name
+            assert result.real == rebuilt.real, name
+            # Same bits too: no -0.0 part survives where __init__ would store +0.0.
+            assert bits(result) == bits(rebuilt), name
+            assert all(c != 0 for c in result.terms.values()), name
+            assert all(type(c) is complex for c in result.terms.values()), name
+
+
+def test_exact_cancellation_leaves_no_terms():
+    e1 = gen(SIG13, 1)
+    # (1 + e1)(1 - e1) = 1 - e1 e1 = 0 with e1^2 = +1
+    product = geometric_product(1 + e1, 1 - e1)
+    assert product.is_zero() and product.terms == {}
+    assert product.real
+
+
+def test_trusted_path_rejects_non_finite_coefficients():
+    big = Multivector.generator(SIG13, 1) * 1e200
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        geometric_product(big, big)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        big * 1e200
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        big * 1e108 + big * 1e108
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        gen(SIG13, 2) * math.nan
+
+
+def test_trusted_path_accepts_terms_whose_sum_overflows():
+    # Every coefficient is finite though their sum is not.
+    a = Multivector(SIG13, {1: 1e308, 2: 1e308, 4: -1e308 * 1j})
+    for result in (a * 1.0, -a, reversion(a), a.even() + a.odd(), a + 0.0):
+        assert result == a or result == -a
+        assert all(math.isfinite(abs(c)) for c in result.terms.values())
+
+
+def test_numpy_scalars_are_stored_as_python_complex():
+    e1 = gen(SIG13, 1)
+    for s in (np.float64(2), np.int64(2), np.complex128(2), np.float32(2)):
+        for scaled in (e1 * s, s * e1):
+            assert scaled == 2 * e1
+            assert all(type(c) is complex for c in scaled.terms.values())

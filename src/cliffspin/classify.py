@@ -9,6 +9,7 @@ use exact equality.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,38 +97,27 @@ def classify(p: int, q: int) -> MatrixAlgebraDescriptor:
 # -- ideal machinery ----------------------------------------------------------
 
 
-def _dense_real(mv: Multivector) -> np.ndarray:
-    dim = 1 << mv.signature.n
-    v = np.zeros(dim)
-    for mask, c in mv.terms.items():
-        v[mask] = c.real
-    return v
-
-
-class _RealSpan:
-    """Incremental Gaussian elimination over R with a pivot tolerance."""
-
-    def __init__(self, dim: int, tol: float = 1e-9):
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-        self.tol = tol
-
-    def try_add(self, v: np.ndarray) -> bool:
-        w = v.astype(float).copy()
-        for row, piv in zip(self.rows, self.pivots):
+def _real_independent(images: Iterable[Multivector], tol: float = 1e-9) -> list[Multivector]:
+    """The images, in order, that are not in the real span of the images kept
+    before them: incremental Gaussian elimination on the real parts of the
+    coefficients, pivoting on the largest entry, with a pivot tolerance."""
+    rows: list[np.ndarray] = []
+    pivots: list[int] = []
+    kept: list[Multivector] = []
+    for img in images:
+        if img.is_zero():
+            continue
+        w = np.array(img.coefficients(), dtype=complex).real
+        for row, piv in zip(rows, pivots):
             if w[piv] != 0.0:
                 w = w - row * w[piv]
         idx = int(np.argmax(np.abs(w)))
-        if abs(w[idx]) <= self.tol:
-            return False
-        w = w / w[idx]
-        self.rows.append(w)
-        self.pivots.append(idx)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+        if abs(w[idx]) <= tol:
+            continue
+        rows.append(w / w[idx])
+        pivots.append(idx)
+        kept.append(img)
+    return kept
 
 
 def is_idempotent(e: Multivector) -> bool:
@@ -140,29 +130,13 @@ def ideal_basis(e: Multivector) -> list[Multivector]:
     if not is_idempotent(e):
         raise ValueError("ideal_basis requires an idempotent")
     sig = e.signature
-    dim = 1 << sig.n
-    span = _RealSpan(dim)
-    basis: list[Multivector] = []
-    for mask in range(dim):
-        img = geometric_product(Multivector.from_mask(sig, mask), e)
-        if img.is_zero():
-            continue
-        if span.try_add(_dense_real(img)):
-            basis.append(img)
-    return basis
+    return _real_independent(
+        geometric_product(Multivector.from_mask(sig, mask), e) for mask in range(1 << sig.n)
+    )
 
 
 def ideal_real_dim(e: Multivector) -> int:
-    if not is_idempotent(e):
-        raise ValueError("ideal_real_dim requires an idempotent")
-    sig = e.signature
-    dim = 1 << sig.n
-    span = _RealSpan(dim)
-    for mask in range(dim):
-        img = geometric_product(Multivector.from_mask(sig, mask), e)
-        if not img.is_zero():
-            span.try_add(_dense_real(img))
-    return span.rank
+    return len(ideal_basis(e))
 
 
 def ideal_dim_over_K(e: Multivector) -> int:
@@ -177,26 +151,15 @@ def ideal_dim_over_K(e: Multivector) -> int:
     return real_dim // base_dim
 
 
-def _subalgebra_basis(e: Multivector) -> list[Multivector]:
-    """Real basis of e Cl(p,q) e."""
-    sig = e.signature
-    dim = 1 << sig.n
-    span = _RealSpan(dim)
-    basis: list[Multivector] = []
-    for mask in range(dim):
-        img = geometric_product(geometric_product(e, Multivector.from_mask(sig, mask)), e)
-        if img.is_zero():
-            continue
-        if span.try_add(_dense_real(img)):
-            basis.append(img)
-    return basis
-
-
 def division_ring_of(e: Multivector) -> str:
     """Identify e Cl(p,q) e as R, C, or H by real dimension and structure."""
     if not is_idempotent(e):
         raise ValueError("division_ring_of requires an idempotent")
-    basis = _subalgebra_basis(e)
+    sig = e.signature
+    basis = _real_independent(
+        geometric_product(geometric_product(e, Multivector.from_mask(sig, mask)), e)
+        for mask in range(1 << sig.n)
+    )
     d = len(basis)
     if d == 1:
         return "R"
@@ -205,9 +168,8 @@ def division_ring_of(e: Multivector) -> str:
         w = next(b for b in basis if not b.approx_eq(e, 1e-12))
         # Solve w^2 = alpha*e + beta*w for the structure constants.
         w2 = geometric_product(w, w)
-        ve, vw, vw2 = _dense_real(e), _dense_real(w), _dense_real(w2)
-        A = np.stack([ve, vw], axis=1)
-        coeffs, *_ = np.linalg.lstsq(A, vw2, rcond=None)
+        A = np.array([e.coefficients(), w.coefficients()]).real.T
+        coeffs, *_ = np.linalg.lstsq(A, np.array(w2.coefficients()).real, rcond=None)
         alpha, beta = coeffs
         t = w - (beta / 2) * e
         lam = alpha + beta * beta / 4  # t^2 = lam * e

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a multivector expression")
     p.add_argument("--sig", required=True, help="signature as P,Q")
-    p.add_argument("expr")
+    p.add_argument("expr", nargs="?")
     p.add_argument("--json", action="store_true")
     add_ascii(p)
     p.set_defaults(func=cmd_eval)
@@ -270,7 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if args.command == "eval" and args.expr is None and len(extras) == 1:
+        # argparse sets aside an expression that starts with '-', such as
+        # -e1, as an unknown option; a word that starts with '--' stays one.
+        if not extras[0].startswith("--"):
+            args.expr, extras = extras[0], []
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.command == "eval" and args.expr is None:
+        parser.error("the following arguments are required: expr")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

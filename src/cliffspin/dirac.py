@@ -89,11 +89,23 @@ class PlaneWaveDHSF:
     def partials(self, x: Sequence[float]) -> list[Multivector]:
         """[d_0 psi, ..., d_3 psi] at x: d_mu psi = -s p_mu psi(x) B, with
         psi(x) B built once for all four indices."""
-        psi_b = geometric_product(self.evaluate(x), self.phase_bivector)
+        return self._partials_of(self.evaluate(x))
+
+    def _partials_of(self, psi: Multivector) -> list[Multivector]:
+        psi_b = geometric_product(psi, self.phase_bivector)
         return [
             -self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) * psi_b
             for mu in range(4)
         ]
+
+
+def _apply_coframe(
+    coframe: Sequence[Multivector] | None, partials: list[Multivector]
+) -> Multivector:
+    out = Multivector.zero(SIG13)
+    for g, d_psi in zip(_COORDINATE_COFRAME if coframe is None else coframe, partials):
+        out = out + geometric_product(g, d_psi)
+    return out
 
 
 def spin_dirac_apply(
@@ -103,12 +115,7 @@ def spin_dirac_apply(
 ) -> Multivector:
     """Analytic D psi = gamma^mu d_mu psi at x, with the coordinate coframe
     gamma^mu unless another coframe is given."""
-    if coframe is None:
-        coframe = _COORDINATE_COFRAME
-    out = Multivector.zero(SIG13)
-    for g, d_psi in zip(coframe, field.partials(x)):
-        out = out + geometric_product(g, d_psi)
-    return out
+    return _apply_coframe(coframe, field.partials(x))
 
 
 def spin_dirac_apply_fd(
@@ -144,7 +151,7 @@ def dhe_residual(
     if left_rotor is not None:
         s, sinv = left_rotor.u, left_rotor.inverse_mv()
         coframe = [geometric_product(geometric_product(s, g), sinv) for g in _COORDINATE_COFRAME]
-    dpsi = spin_dirac_apply(field, x, coframe)
+    dpsi = _apply_coframe(coframe, field._partials_of(psi))
     g0 = gamma_lower(field.frame, 0)
     g21 = field.phase_bivector
     res = geometric_product(dpsi, g21) - m * geometric_product(psi, g0)
@@ -208,9 +215,10 @@ def asf_residual(
 ) -> Multivector:
     """D Phi - m Phi g5 + q A Phi at x, with Phi = psi e e'."""
     proj = asf_projector(field.frame)
-    phi = geometric_product(field.evaluate(x), proj)
+    psi = field.evaluate(x)
+    phi = geometric_product(psi, proj)
     dphi = Multivector.zero(SIG13)
-    for g, d_psi in zip(_COORDINATE_COFRAME, field.partials(x)):
+    for g, d_psi in zip(_COORDINATE_COFRAME, field._partials_of(psi)):
         dphi = dphi + geometric_product(g, geometric_product(d_psi, proj))
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:

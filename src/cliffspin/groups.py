@@ -218,10 +218,6 @@ def frame_right_action(a: Rotor, f: SpinorialFrame) -> SpinorialFrame:
     return SpinorialFrame(Rotor(geometric_product(f.u.u, a.u)), VectorFrame(new_vectors))
 
 
-def vector_frame_of(f: SpinorialFrame) -> VectorFrame:
-    return f.frame
-
-
 # -- rotor constructions --------------------------------------------------------
 
 

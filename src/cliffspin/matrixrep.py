@@ -3,8 +3,9 @@ imaginary unit, the even embedding of Cl(1,3), a spin basis for the minimal
 ideal, the induced 4x4 complex matrix representation, and covariant
 column-spinor equivalence.
 
-The matrix tables are solved once with exact rational arithmetic, so the
-generator matrices come out with exact integer/unit entries.
+The matrices of the four generators E_mu are solved once with exact
+rational arithmetic, so they come out with exact +-1 and +-i entries; the
+matrix of every other blade is the ordered product of generator matrices.
 """
 
 from __future__ import annotations
@@ -132,34 +133,40 @@ def _exact_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[
 
 
 def _dense_fractions(mv: Multivector) -> list[Fraction]:
-    out = [Fraction(0)] * 32
-    for mask, c in mv.terms.items():
-        if c.imag != 0.0:
-            raise RepresentationError("expected a real Cl(4,1) element")
-        out[mask] = Fraction(c.real)
-    return out
+    coeffs = mv.coefficients()
+    if any(c.imag for c in coeffs):
+        raise RepresentationError("expected a real Cl(4,1) element")
+    return [Fraction(c.real) for c in coeffs]
 
 
 @lru_cache(maxsize=1)
 def _blade_matrices() -> dict[int, np.ndarray]:
-    """4x4 complex matrix of each Cl(1,3) basis blade in the spin basis,
-    solved exactly: x f_j = sum_i f_i (c_ij with i mapped to the machine
-    imaginary unit)."""
+    """4x4 complex matrix of each Cl(1,3) basis blade in the spin basis.
+
+    Only the generators are solved, exactly: E_mu f_j = sum_i f_i c_ij with
+    i mapped to the machine imaginary unit.  Their matrices are monomial with
+    entries +-1 and +-i, so the ordered products that give the other blades
+    are exact as well."""
     r41 = build_r41()
     basis = _spin_basis()
     columns = []
     for f in basis:
         columns.append(_dense_fractions(f))
         columns.append(_dense_fractions(geometric_product(r41.i, f)))
-    tables: dict[int, np.ndarray] = {}
-    for mask in range(16):
-        y = _embedded_blade(mask)
+    gens = []
+    for E in r41.E:
         M = np.zeros((4, 4), dtype=complex)
         for j, fj in enumerate(basis):
-            target = _dense_fractions(geometric_product(y, fj))
-            sol = _exact_solve(columns, target)
+            sol = _exact_solve(columns, _dense_fractions(geometric_product(E, fj)))
             for i4 in range(4):
                 M[i4, j] = float(sol[2 * i4]) + 1j * float(sol[2 * i4 + 1])
+        gens.append(M)
+    tables: dict[int, np.ndarray] = {}
+    for mask in range(16):
+        M = np.eye(4, dtype=complex)
+        for mu in range(4):
+            if mask >> mu & 1:
+                M = M @ gens[mu]
         tables[mask] = M
     return tables
 

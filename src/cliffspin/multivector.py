@@ -206,7 +206,10 @@ class Multivector:
 
     def coefficients(self) -> "list[complex]":
         """Dense coefficient list over all 2^n blades in mask order."""
-        return [self._terms.get(m, 0j) for m in range(1 << self.signature.n)]
+        dense = [0j] * (1 << self.signature.n)
+        for mask, c in self._terms.items():
+            dense[mask] = c
+        return dense
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -371,13 +371,8 @@ def mother_spinor_expand(phi: ASRep) -> list[tuple[float, float]]:
     for s in basis:
         columns.append(s)
         columns.append(geometric_product(unit, s))
-    A = np.zeros((16, 8))
-    for j, col in enumerate(columns):
-        for mask, cf in col.terms.items():
-            A[mask, j] = cf.real
-    rhs = np.zeros(16)
-    for mask, cf in phi.element.terms.items():
-        rhs[mask] = cf.real
+    A = np.array([col.coefficients() for col in columns]).real.T
+    rhs = np.array(phi.element.coefficients()).real
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     resid = A @ sol - rhs
     if np.max(np.abs(resid)) > 1e-9 * max(1.0, np.max(np.abs(rhs))):
@@ -410,6 +405,7 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
     beta = math.atan2(c.omega, c.sigma) + 0.0
     g0 = gamma_upper(frame, 0)
     g1 = gamma_upper(frame, 1)
+    g2 = gamma_upper(frame, 2)
     g3 = gamma_upper(frame, 3)
     v0 = (1.0 / rho) * c.J
     R0 = rotor_between(v0, g0)
@@ -417,14 +413,14 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
     w3 = geometric_product(
         geometric_product(R0.inverse_mv(), (1.0 / rho) * c.K), R0.u
     ).grade(1)
-    dot = complex(scalar_product(w3, g3)).real
-    if 1.0 - dot > 1e-8:
+    # For unit spacelike vectors 1 - w.g runs from 0 (antipodal) to 2 (equal).
+    if 1.0 - complex(scalar_product(w3, g3)).real >= 1.0:
         R1 = rotor_between(w3, g3)
     else:
-        # w3 is (nearly) antipodal to g3: go through g1 in two steps.
-        Ra = rotor_between(g1, g3)
-        Rb = rotor_between(w3, g1)
-        R1 = Rb * Ra
+        # w3 is in the far hemisphere from g3, where the one-plane rotor loses
+        # digits as w3 nears -g3: go through the nearer of g1 and g2.
+        gk = max((g1, g2), key=lambda g: 1.0 - complex(scalar_product(w3, g)).real)
+        R1 = rotor_between(w3, gk) * rotor_between(gk, g3)
     R = R0 * R1
     psi = geometric_product(rho**0.5 * exp_beta_gamma5(beta / 2), R.u)
     return DHSRep(frame, psi)

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffspin import (
     Multivector,
@@ -180,3 +183,55 @@ def test_ideal_basis_members_stay_in_ideal():
 def test_ideal_basis_rejects_non_idempotent():
     with pytest.raises(ValueError):
         ideal_basis(Multivector.generator(SIG13, 1))
+
+
+# -- the real-span helper -----------------------------------------------------------------
+
+_BASE_RING = {"R": ("R", 1), "R+R": ("R", 1), "C": ("C", 2), "H": ("H", 4), "H+H": ("H", 4)}
+SMALL_SIGNATURES = [(p, n - p) for n in range(7) for p in range(n + 1)]
+
+
+def minimal_ideal_real_dim(p, q):
+    """Real dimension of a minimal left ideal: K^m for Cl(p,q) = K(m) or K(m) + K(m)."""
+    desc = classify(p, q)
+    return _BASE_RING[desc.ring][1] * desc.m
+
+
+def real_rank(mvs):
+    """Rank over R by SVD, independent of the greedy span helper."""
+    return int(np.linalg.matrix_rank(np.array([x.coefficients() for x in mvs]).real))
+
+
+def blade_images(e):
+    sig = e.signature
+    return [geometric_product(Multivector.from_mask(sig, m), e) for m in range(1 << sig.n)]
+
+
+@pytest.mark.parametrize("p,q", SMALL_SIGNATURES)
+def test_searched_idempotents_span_minimal_ideals(p, q):
+    for seed in (None, 1, 2, 3):
+        desc = find_primitive_idempotent(p, q, seed)
+        e = desc.idempotent
+        assert ideal_real_dim(e) == minimal_ideal_real_dim(p, q) == real_rank(blade_images(e))
+        assert desc.division_ring == _BASE_RING[classify(p, q).ring][0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.sampled_from(SMALL_SIGNATURES), st.integers(0, 2**31 - 1))
+def test_seeded_search_spans_minimal_ideal(pq, seed):
+    desc = find_primitive_idempotent(*pq, seed=seed)
+    assert ideal_real_dim(desc.idempotent) == minimal_ideal_real_dim(*pq)
+    assert len(desc.ideal_basis) == ideal_real_dim(desc.idempotent)
+
+
+def test_ideal_basis_keeps_first_independent_images_in_mask_order():
+    e = find_primitive_idempotent(1, 3).idempotent
+    images = blade_images(e)
+    basis = ideal_basis(e)
+    kept = [images.index(b) for b in basis]
+    assert kept == sorted(kept)
+    # Every skipped image lies in the span of the basis members kept before it.
+    for m, img in enumerate(images):
+        before = [b for b, k in zip(basis, kept) if k < m]
+        if m not in kept:
+            assert real_rank([*before, img]) == len(before)

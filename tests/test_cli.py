@@ -139,6 +139,33 @@ def test_eval_bad_expression(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("expr", ["-e1", "-2*e1", "-e1^e2"])
+def test_eval_expression_with_leading_minus(capsys, expr):
+    dashed = run(capsys, "eval", "--sig", "1,3", "--", expr)
+    assert run(capsys, "eval", "--sig", "1,3", expr) == dashed
+    assert run(capsys, "eval", "--sig", "1,3", expr, "--json")[1] == run(
+        capsys, "eval", "--sig", "1,3", "--json", "--", expr
+    )[1]
+    assert dashed[0] == 0 and dashed[1].strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sig", "1,3", "--bogus"],
+        ["eval", "--sig", "1,3", "e1", "--bogus"],
+        ["eval", "--sig", "1,3", "-e1", "-e2"],
+        ["eval", "--sig", "1,3"],
+        ["classify", "--p", "1", "--q", "3", "-e1"],
+    ],
+)
+def test_eval_unknown_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

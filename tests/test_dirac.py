@@ -375,6 +375,27 @@ def test_shared_partials_match_per_index_reference_exactly(label, field, pot, le
         assert not dhe_residual(field, pot, m, x).is_zero()
 
 
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_each_residual_evaluates_psi_once(label, field, pot, left_rotor, monkeypatch):
+    calls = []
+    evaluate = PlaneWaveDHSF.evaluate
+
+    def counting_evaluate(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PlaneWaveDHSF, "evaluate", counting_evaluate)
+    x = [0.3, -1.2, 2.5, 0.7]
+    for residual in (
+        lambda: dhe_residual(field, pot, field.m, x),
+        lambda: dhe_residual(field, pot, field.m, x, left_rotor=left_rotor),
+        lambda: asf_residual(field, pot, field.m, x),
+    ):
+        calls.clear()
+        residual()
+        assert len(calls) == 1
+
+
 def test_spin_dirac_apply_coframe_argument():
     field = planewave_solution(1.1, (0.2, 0.3, -0.4))
     x = [0.5, -1.0, 2.0, 0.25]

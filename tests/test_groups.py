@@ -24,7 +24,6 @@ from cliffspin import (
     rotor_between,
     spinorial_frame_of,
     twisted_adjoint,
-    vector_frame_of,
 )
 from cliffspin.groups import NotARotorError, random_bivector
 
@@ -134,7 +133,7 @@ def test_frame_action_basics():
     minus = Rotor(Multivector.scalar(SIG13, -1.0))
     flipped = frame_right_action(minus, f)
     assert flipped != f  # distinct spinorial frames
-    for a, b in zip(vector_frame_of(flipped).vectors, vector_frame_of(f).vectors):
+    for a, b in zip(flipped.frame.vectors, f.frame.vectors):
         assert (a - b).max_abs() == 0.0  # same vector frame
 
 
@@ -164,7 +163,7 @@ def test_frame_action_equivariance():
     a = random_rotor(SIG13, rng)
     moved = frame_right_action(a, f)
     ainv = a.inverse_mv()
-    for got, old in zip(vector_frame_of(moved).vectors, vector_frame_of(f).vectors):
+    for got, old in zip(moved.frame.vectors, f.frame.vectors):
         expected = geometric_product(geometric_product(ainv, old), a.u)
         assert (got - expected).max_abs() < 1e-9
 

@@ -19,7 +19,15 @@ from cliffspin import (
     spinorial_frame_of,
     standard_gammas,
 )
-from cliffspin.matrixrep import RepresentationError, _blade_matrices, build_r41
+from cliffspin.matrixrep import (
+    RepresentationError,
+    _blade_matrices,
+    _dense_fractions,
+    _embedded_blade,
+    _exact_solve,
+    _spin_basis,
+    build_r41,
+)
 
 rng = np.random.default_rng(7)
 
@@ -234,3 +242,52 @@ def test_minimal_ideal_dimensions_agree():
             cols.append(matrix_of(x)[:, 0])
     rank = np.linalg.matrix_rank(np.stack(cols, axis=0))
     assert rank == 4
+
+
+# -- exactness of the generator-product tables -----------------------------------------
+
+
+def solved_blade_matrix(mask):
+    """Oracle: the matrix of one Cl(1,3) blade solved exactly, column by column."""
+    r41 = build_r41()
+    basis = _spin_basis()
+    columns = []
+    for f in basis:
+        columns.append(_dense_fractions(f))
+        columns.append(_dense_fractions(geometric_product(r41.i, f)))
+    M = np.zeros((4, 4), dtype=complex)
+    for j, fj in enumerate(basis):
+        sol = _exact_solve(columns, _dense_fractions(geometric_product(_embedded_blade(mask), fj)))
+        for i in range(4):
+            M[i, j] = float(sol[2 * i]) + 1j * float(sol[2 * i + 1])
+    return M
+
+
+def test_blade_tables_equal_per_blade_exact_solve_bytewise():
+    tables = _blade_matrices()
+    assert sorted(tables) == list(range(16))
+    for mask in range(16):
+        assert tables[mask].tobytes() == solved_blade_matrix(mask).tobytes(), mask
+
+
+def test_blade_tables_solve_only_the_generators(monkeypatch):
+    import cliffspin.matrixrep as mr
+
+    calls = []
+    real_solve = mr._exact_solve
+
+    def counting_solve(*args):
+        calls.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(mr, "_exact_solve", counting_solve)
+    fresh = mr._blade_matrices.__wrapped__()
+    assert len(calls) == 16  # four generators, four spin-basis columns each
+    assert all(np.array_equal(fresh[m], _blade_matrices()[m]) for m in range(16))
+
+
+def test_matrix_of_is_exactly_multiplicative_on_blades():
+    for a in range(16):
+        for b in range(16):
+            x, y = Multivector.from_mask(SIG13, a), Multivector.from_mask(SIG13, b)
+            assert np.array_equal(matrix_of(x) @ matrix_of(y), matrix_of(geometric_product(x, y)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffspin import (
     Multivector,
@@ -187,6 +189,27 @@ def test_geometric_associativity_random_dense():
         rhs = geometric_product(geometric_product(a, b), c)
         scale = max(1.0, lhs.max_abs())
         assert (lhs - rhs).max_abs() <= 1e-12 * scale
+
+
+@st.composite
+def integer_triples(draw):
+    """Three multivectors of one signature with n <= 6 and small Gaussian-integer
+    coefficients, so every product and sum is exact in double precision."""
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    terms = st.dictionaries(st.integers(0, (1 << n) - 1), coeff, max_size=1 << n)
+    return [Multivector(sig, draw(terms)) for _ in range(3)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(integer_triples())
+def test_geometric_associativity_exact_on_integer_operands(triple):
+    a, b, c = triple
+    assert geometric_product(a, geometric_product(b, c)) == geometric_product(
+        geometric_product(a, b), c
+    )
 
 
 def test_vector_splits_into_contraction_plus_wedge():

@@ -310,6 +310,31 @@ def test_recover_antipodal_direction():
     assert (c2.S - c.S).max_abs() < 1e-8
 
 
+def covariant_gap(got, want):
+    def rel(x, y):
+        return (x - y).max_abs() / max(1.0, y.max_abs())
+
+    return max(
+        abs(got.sigma - want.sigma) / max(1.0, abs(want.sigma)),
+        abs(got.omega - want.omega) / max(1.0, abs(want.omega)),
+        rel(got.J, want.J),
+        rel(got.S, want.S),
+        rel(got.K, want.K),
+    )
+
+
+def test_recover_keeps_digits_in_random_frames():
+    # A one-plane rotor that turns K's rest-frame direction onto g3 from the
+    # far hemisphere loses digits; seed 11 reaches such a spinor early.
+    local = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(300):
+        frame = spinorial_frame_of(random_rotor(SIG13, local))
+        c = bilinear_covariants(random_regular_spinor(local, frame))
+        worst = max(worst, covariant_gap(bilinear_covariants(recover_from_covariants(c, frame)), c))
+    assert worst < 1e-13
+
+
 def test_recovery_phase_freedom():
     # recovered representative differs from the source by a right phase factor
     d = random_regular_spinor(rng)

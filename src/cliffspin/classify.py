@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,7 +108,9 @@ def _real_independent(images: Iterable[Multivector], tol: float = 1e-9) -> list[
     for img in images:
         if img.is_zero():
             continue
-        w = np.array(img.coefficients(), dtype=complex).real
+        w = np.zeros(1 << img.signature.n)
+        for mask, c in img.terms.items():
+            w[mask] = c.real
         for row, piv in zip(rows, pivots):
             if w[piv] != 0.0:
                 w = w - row * w[piv]
@@ -129,9 +132,19 @@ def ideal_basis(e: Multivector) -> list[Multivector]:
     the images (blade * e) in ascending mask order."""
     if not is_idempotent(e):
         raise ValueError("ideal_basis requires an idempotent")
+    return list(_ideal_basis(e))
+
+
+@lru_cache(maxsize=1)
+def _ideal_basis(e: Multivector) -> tuple[Multivector, ...]:
+    # One entry suffices: find_primitive_idempotent stops right after the
+    # rank probe (ideal_real_dim) that accepts its idempotent, so the basis
+    # it then asks for is the one that probe has just spanned.
     sig = e.signature
-    return _real_independent(
-        geometric_product(Multivector.from_mask(sig, mask), e) for mask in range(1 << sig.n)
+    return tuple(
+        _real_independent(
+            geometric_product(Multivector.from_mask(sig, mask), e) for mask in range(1 << sig.n)
+        )
     )
 
 

@@ -119,9 +119,7 @@ def cmd_planewave(args) -> int:
         r1 = dhe_residual(field, pot, args.mass, x).max_abs()
         r2 = asf_residual(field, pot, args.mass, x).max_abs()
         r3 = float(np.max(np.abs(matrix_dirac_residual(field, pot, args.mass, x))))
-        # The ideal-form equation is validated at zero potential only; its
-        # charge coupling term holds in a different (dual-rotated) form.
-        worst = max(worst, r1, r3) if args.charge else max(worst, r1, r2, r3)
+        worst = max(worst, r1, r2, r3)
         print(f"{x[0]:.6f},{x[1]:.6f},{x[2]:.6f},{x[3]:.6f},{r1:.3e},{r2:.3e},{r3:.3e}")
     cov = bilinear_covariants(DHSRep(field.frame, field.psi0))
     print()

@@ -2,19 +2,18 @@
 of Minkowski spacetime (natural units, metric +---):
 
   operator form:   D psi g2 g1 - m psi g0 + q A psi = 0
-  ideal form:      D Phi - m Phi g5 + q A Phi = 0,  Phi = psi e e'
+  ideal form:      D Phi - m Phi g5 + q A Phi g5 = 0,  Phi = psi e e'
   matrix form:     gamma^mu (i d_mu + q A_mu) Psi - m Psi = 0
 
 with D = gamma^mu d_mu built from the coordinate coframe.  Plane-wave fields
-carry analytic derivatives; a central-finite-difference evaluator exists as
-an independent cross-check.
+carry analytic derivatives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,24 +117,6 @@ def spin_dirac_apply(
     return _apply_coframe(coframe, field.partials(x))
 
 
-def spin_dirac_apply_fd(
-    psi_func: Callable[[Sequence[float]], Multivector],
-    x: Sequence[float],
-    h: float = 1e-5,
-) -> Multivector:
-    """Independent central-finite-difference evaluation of D psi."""
-    out = Multivector.zero(SIG13)
-    x = list(x)
-    for mu, g in enumerate(_COORDINATE_COFRAME):
-        xp = list(x)
-        xm = list(x)
-        xp[mu] += h
-        xm[mu] -= h
-        diff = (psi_func(xp) - psi_func(xm)) * (1.0 / (2.0 * h))
-        out = out + geometric_product(g, diff)
-    return out
-
-
 def dhe_residual(
     field: PlaneWaveDHSF,
     pot: ConstantPotential | None,
@@ -213,7 +194,21 @@ def asf_residual(
     m: float,
     x: Sequence[float],
 ) -> Multivector:
-    """D Phi - m Phi g5 + q A Phi at x, with Phi = psi e e'."""
+    """D Phi - m Phi g5 + q A Phi g5 at x, with Phi = psi e e' and g5 the
+    volume element gamma5() = g^0 g^1 g^2 g^3 = -g0 g1 g2 g3.
+
+    The form is the operator form right-multiplied by e e' and then by g5,
+    so this residual is dhe_residual(...) e e' g5.  With e = (1 + g0)/2 and
+    e' = (1 + g3 g0)/2 from the frame's own vectors:
+      g0 e = e, so psi g0 e e' = Phi;
+      (g3 g0)^2 = 1 and g3 g0 commutes with e', so Phi g3 g0 = Phi;
+      g2 g1 commutes with g0 and with g3 g0, so
+        psi g2 g1 e e' = Phi g2 g1 = Phi g3 g0 g2 g1 = Phi g0 g1 g2 g3 = -Phi g5;
+      D acts from the left, so (D psi) g2 g1 e e' = -(D Phi) g5.
+    The operator form times e e' reads -(D Phi) g5 - m Phi + q A Phi = 0.
+    Right-multiplying by g5, with g5^2 = -1, gives the form above, in which
+    the mass term and the charge term both carry the right factor g5.
+    """
     proj = asf_projector(field.frame)
     psi = field.evaluate(x)
     phi = geometric_product(psi, proj)
@@ -222,7 +217,7 @@ def asf_residual(
         dphi = dphi + geometric_product(g, geometric_product(d_psi, proj))
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:
-        res = res + pot.q_charge * geometric_product(pot.A, phi)
+        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), gamma5())
     return res
 
 

@@ -411,10 +411,69 @@ def hodge_dual(a: Multivector) -> Multivector:
 # -- exponential and inverse -------------------------------------------------
 
 
+def _cosh_sinhc(x: float) -> tuple[float, float]:
+    """(cosh sqrt(x), sinh sqrt(x) / sqrt(x)), continued to cos and sin for
+    x < 0; both are 1 at x = 0."""
+    if x > 0:
+        r = math.sqrt(x)
+        return math.cosh(r), math.sinh(r) / r
+    if x < 0:
+        r = math.sqrt(-x)
+        return math.cos(r), math.sin(r) / r
+    return 1.0, 1.0
+
+
 def exp_bivector(f: Multivector) -> Multivector:
-    """exp of a pure bivector via scaling-and-squaring plus power series."""
+    """exp of a pure bivector F.
+
+    For real F with n <= 4, F^2 = alpha + beta I, where I is the unit
+    pseudoscalar (beta = 0 for n <= 3) and, for n = 4, I commutes with F.
+    Then exp F is closed-form in C(x) = cosh sqrt(x) and S(x) = sinh sqrt(x)
+    / sqrt(x):
+      n <= 3:         C(alpha) + S(alpha) F;
+      n = 4, I^2 = -1: cosh z + (sinh z / z) F with z^2 = alpha + beta i and
+                      i read as I (both functions are even in z);
+      n = 4, I^2 = +1: (C(alpha +- beta) + S(alpha +- beta) F) on the
+                      central idempotents (1 +- I)/2.
+    Complex F and n >= 5 use scaling-and-squaring of the power series.  A
+    result too large for a float raises ValueError.
+    """
     if f.grades() - {2}:
         raise ValueError("exp_bivector requires a pure grade-2 argument")
+    sig = f.signature
+    n = sig.n
+    if n > 4 or not f.real:
+        return _exp_series(f)
+    f2 = geometric_product(f, f)
+    alpha = f2.scalar_part().real
+    try:
+        if n < 4:
+            c, s = _cosh_sinhc(alpha)
+            return Multivector._own(sig, {0: complex(c), **{m: s * v for m, v in f._terms.items()}})
+        pseudo = (1 << n) - 1
+        row = _reorder_sign(sig.p, n, pseudo)
+        beta = f2.coeff(pseudo).real
+        if row[pseudo] < 0:
+            z = cmath.sqrt(complex(alpha, beta))
+            ch = cmath.cosh(z)
+            sh = cmath.sinh(z) / z if z else 1 + 0j
+            c0, c1, s0, s1 = ch.real, ch.imag, sh.real, sh.imag
+        else:
+            cp, sp = _cosh_sinhc(alpha + beta)
+            cm, sm = _cosh_sinhc(alpha - beta)
+            c0, c1, s0, s1 = (cp + cm) / 2, (cp - cm) / 2, (sp + sm) / 2, (sp - sm) / 2
+    except OverflowError as exc:
+        raise ValueError(f"non-finite coefficient in exp_bivector (|F| = {f.norm():.3g})") from exc
+    # exp F = c0 + c1 I + s0 F + s1 I F, with I e_m = row[m] e_{pseudo ^ m}.
+    out = {0: complex(c0), pseudo: complex(c1)}
+    for m, v in f._terms.items():
+        out[m] = out.get(m, 0) + s0 * v
+        out[pseudo ^ m] = out.get(pseudo ^ m, 0) + s1 * row[m] * v
+    return Multivector._own(sig, out)
+
+
+def _exp_series(f: Multivector) -> Multivector:
+    """exp of a pure bivector via scaling-and-squaring plus power series."""
     sig = f.signature
     scale = f.norm()
     k = 0

@@ -30,12 +30,12 @@ from cliffspin import (
     random_rotor,
     reversion,
     spin_dirac_apply,
-    spin_dirac_apply_fd,
     spinorial_frame_of,
     standard_gammas,
 )
 from cliffspin.classify import _RING_REAL_DIM, is_idempotent
 from cliffspin.spinors import DHSRep, gamma_upper
+from finite_difference import spin_dirac_apply_fd
 
 SIG13 = Signature(1, 3)
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,25 @@ def test_ideal_basis_keeps_first_independent_images_in_mask_order():
         before = [b for b, k in zip(basis, kept) if k < m]
         if m not in kept:
             assert real_rank([*before, img]) == len(before)
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 2), (4, 3)])
+def test_search_reuses_the_accepting_probes_ideal_basis(pq, monkeypatch):
+    """After the rank probe (ideal_real_dim) that accepts the last factor, the
+    search runs the span helper once more, for the division ring: the ideal
+    basis it returns is the one that probe spanned."""
+    classify_module = importlib.import_module("cliffspin.classify")
+    events = []
+    span, probe = classify_module._real_independent, classify_module.ideal_real_dim
+    monkeypatch.setattr(
+        classify_module, "_real_independent", lambda images: events.append("span") or span(images)
+    )
+    monkeypatch.setattr(
+        classify_module, "ideal_real_dim", lambda e: events.append("probe") or probe(e)
+    )
+    classify_module._ideal_basis.cache_clear()
+    desc = find_primitive_idempotent(*pq, seed=1)
+    last_probe = len(events) - 1 - events[::-1].index("probe")
+    assert events[last_probe:] == ["probe", "span", "span"]
+    assert desc.ideal_basis == ideal_basis(desc.idempotent)
+    assert desc.ideal_basis is not ideal_basis(desc.idempotent)

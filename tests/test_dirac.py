@@ -23,11 +23,11 @@ from cliffspin import (
     right_gauge,
     scalar_product,
     spin_dirac_apply,
-    spin_dirac_apply_fd,
     zero_potential,
 )
 from cliffspin.dirac import DiracError
 from cliffspin.spinors import DHSRep, gamma5, gamma_lower
+from finite_difference import spin_dirac_apply_fd
 
 rng = np.random.default_rng(4)
 
@@ -170,6 +170,43 @@ def test_constant_potential_solutions():
             assert max(r1, r3) < 1e-9
         # without the potential term the same field misses the shell
         assert dhe_residual(field, None, 1.2, [1.0, 0.5, -0.2, 0.3]).max_abs() > 1e-3
+
+
+def test_three_forms_agree_over_charge_potential_sign_and_momentum():
+    """On shell every form vanishes to 1e-13 of the equation's scale, with or
+    without a constant potential.  Off shell the ideal-form residual is the
+    operator-form residual times e e' g5, which is how the ideal form is
+    derived."""
+    from cliffspin.dirac import asf_projector
+
+    local = np.random.default_rng(61)
+    potentials = [
+        Multivector(SIG13, {1 << mu: float(local.uniform(-1, 1)) for mu in range(4)})
+        for _ in range(2)
+    ]
+    for q in (-1.5, -0.4, 0.0, 0.7, 2.0):
+        for A in potentials:
+            pot = ConstantPotential(A, q)
+            for sign in (1, -1):
+                for momentum in ((0.0, 0.0, 0.0), (0.3, -1.2, 0.5), (2.5, 0.1, -1.7)):
+                    m = 0.9
+                    field = planewave_solution(m, momentum, sign=sign, pot=pot)
+                    amp = max(1.0, field.psi0.max_abs())
+                    scale = amp * (m + sum(map(abs, momentum)) + abs(q) * A.max_abs())
+                    x = [float(v) for v in local.uniform(-5, 5, size=4)]
+                    residuals = (
+                        dhe_residual(field, pot, m, x).max_abs(),
+                        asf_residual(field, pot, m, x).max_abs(),
+                        float(np.max(np.abs(matrix_dirac_residual(field, pot, m, x)))),
+                    )
+                    assert max(residuals) <= 1e-13 * scale, (q, sign, momentum, residuals)
+                    off = dhe_residual(field, pot, 1.1 * m, x)
+                    projected = geometric_product(
+                        geometric_product(off, asf_projector(field.frame)), gamma5()
+                    )
+                    ideal = asf_residual(field, pot, 1.1 * m, x)
+                    assert ideal.max_abs() > 1e-3 * scale
+                    assert (ideal - projected).max_abs() <= 1e-13 * scale
 
 
 def test_zero_potential_helper():
@@ -338,7 +375,7 @@ def reference_asf(field, pot, m, x):
         dphi = dphi + geometric_product(g, geometric_product(reference_partial(field, mu, x), proj))
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:
-        res = res + pot.q_charge * geometric_product(pot.A, phi)
+        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), gamma5())
     return res
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cliffspin import (
     Multivector,
     NonInvertibleError,
+    Rotor,
     Signature,
     SignatureMismatchError,
     conjugation,
@@ -24,7 +25,8 @@ from cliffspin import (
     scalar_product,
     wedge,
 )
-from cliffspin.multivector import _left_mult_matrix, _reorder_sign
+from cliffspin import multivector as mv_module
+from cliffspin.multivector import _exp_series, _left_mult_matrix, _reorder_sign
 
 rng = np.random.default_rng(0)
 
@@ -441,6 +443,85 @@ def test_exp_gives_unit_rotors():
 def test_exp_rejects_non_bivector():
     with pytest.raises(ValueError):
         exp_bivector(gen(SIG13, 1))
+
+
+# -- closed-form exponential (n <= 4) against the power series ---------------------
+
+SMALL_SIGNATURES = [Signature(p, n - p) for n in range(5) for p in range(n + 1)]
+
+
+def bivector_masks(sig):
+    return [m for m in range(1 << sig.n) if m.bit_count() == 2]
+
+
+@st.composite
+def moderate_bivectors(draw):
+    """A real bivector in any signature with n <= 4, with norm 1e-6 to 4."""
+    sig = draw(st.sampled_from(SMALL_SIGNATURES))
+    masks = bivector_masks(sig)
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    raw = [draw(unit) for _ in masks]
+    size = math.sqrt(sum(c * c for c in raw))
+    norm = 10.0 ** draw(st.floats(-6.0, math.log10(4.0)))
+    return Multivector(sig, {m: norm * c / size for m, c in zip(masks, raw)} if size else {})
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(moderate_bivectors())
+def test_exp_closed_form_matches_series(f):
+    got = exp_bivector(f)
+    want = _exp_series(f)
+    assert (got - want).max_abs() <= 1e-13 * want.max_abs()
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGNATURES, ids=str)
+def test_exp_of_zero_is_one_in_every_small_signature(sig):
+    assert exp_bivector(Multivector.zero(sig)) == Multivector.scalar(sig, 1.0)
+
+
+@pytest.mark.parametrize("sig", [s for s in SMALL_SIGNATURES if s.n >= 2], ids=str)
+def test_exp_of_simple_bivector_is_cos_sin_or_cosh_sinh(sig):
+    """exp(theta B) for a unit blade B: cos theta + sin theta B when B^2 = -1
+    (a rotation), cosh theta + sinh theta B when B^2 = +1 (a boost), with no
+    other term and each coefficient within one rounding."""
+    theta = 0.83
+    for mask in bivector_masks(sig):
+        square = _reorder_sign(sig.p, sig.n, mask)[mask]
+        cos, sin = (math.cos, math.sin) if square < 0 else (math.cosh, math.sinh)
+        u = exp_bivector(Multivector.from_mask(sig, mask, theta))
+        assert set(u.terms) == {0, mask}
+        assert u.scalar_part() == pytest.approx(cos(theta), rel=2.3e-16, abs=0)
+        assert u.coeff(mask) == pytest.approx(sin(theta), rel=2.3e-16, abs=0)
+
+
+def test_exp_huge_rotation_is_a_unit_rotor():
+    u = exp_bivector(Multivector(SIG13, {0b0110: 1e6}))
+    assert (geometric_product(u, reversion(u)) - 1).max_abs() < 1e-15
+    assert Rotor(u).u == u
+    assert u.scalar_part() == pytest.approx(math.cos(1e6), abs=1e-15)
+
+
+def test_exp_huge_boost_is_a_domain_error():
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        exp_bivector(Multivector(SIG13, {0b0011: 1e6}))
+
+
+def test_exp_series_serves_only_n_above_four_and_complex_input(monkeypatch):
+    calls = []
+
+    def counting_series(f):
+        calls.append(f)
+        return _exp_series(f)
+
+    monkeypatch.setattr(mv_module, "_exp_series", counting_series)
+    for sig in SMALL_SIGNATURES:
+        exp_bivector(Multivector(sig, {m: 0.3 for m in bivector_masks(sig)}))
+    assert calls == []
+    five = Multivector(Signature(1, 4), {0b00011: 0.4, 0b11000: -0.7})
+    complex_f = Multivector(SIG13, {0b0110: 0.5j})
+    for f in (five, complex_f):
+        assert exp_bivector(f) == _exp_series(f)
+    assert calls == [five, complex_f]
 
 
 def test_inverse_generators():

@@ -68,26 +68,35 @@ class MultivectorParseError(ValueError):
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level +/- (outside parentheses, not part of an exponent)."""
+    """Split on top-level +/- (outside parentheses, not part of an exponent),
+    in one pass that visits only the characters + - ( )."""
     terms: list[tuple[int, str]] = []
     sign = 1
     buf: list[str] = []
+    filled = False  # buf holds a non-whitespace character
     depth = 0
-    prev = ""
-    for ch in text:
+    pos = 0
+    for match in re.finditer(r"[-+()]", text):
+        i = match.start()
+        run = text[pos:i]
+        buf.append(run)
+        filled = filled or (run != "" and not run.isspace())
+        ch = text[i]
+        pos = i + 1
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and prev not in "eE" and buf != [] and "".join(buf).strip():
-            terms.append((sign, "".join(buf)))
-            sign = 1 if ch == "+" else -1
-            buf = []
-        elif ch in "+-" and depth == 0 and not "".join(buf).strip():
+        if ch in "()" or depth != 0 or (filled and text[i - 1] in "eE"):
+            buf.append(ch)
+            filled = True
+        elif not filled:
             sign *= 1 if ch == "+" else -1
         else:
-            buf.append(ch)
-        prev = ch
+            terms.append((sign, "".join(buf)))
+            sign = 1 if ch == "+" else -1
+            buf, filled = [], False
+    buf.append(text[pos:])
     terms.append((sign, "".join(buf)))
     return terms
 

@@ -161,9 +161,16 @@ def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
     return BilinearCovariants(sigma=sigma, omega=omega, J=J.grade(1), S=S.grade(2), K=K.grade(1))
 
 
+def _regular(sigma: float, omega: float, scale2: float) -> bool:
+    """Whether sigma^2 + omega^2 = rho^2 is nonzero relative to scale2, a
+    squared scale of order rho^2: |psi|^4 for a spinor psi, |J|^2 for its
+    covariants.  A uniform rescaling of psi keeps the verdict."""
+    return sigma * sigma + omega * omega > REGULARITY_EPS2 * scale2
+
+
 def is_regular(d: DHSRep) -> bool:
     sigma, omega = _sigma_omega(d.psi, reversion(d.psi))
-    return sigma * sigma + omega * omega > REGULARITY_EPS2
+    return _regular(sigma, omega, d.psi.norm() ** 4)
 
 
 # -- identity suite over the covariants ------------------------------------------
@@ -174,9 +181,9 @@ def _rel(lhs: Multivector, rhs: Multivector) -> float:
 
 
 def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
-    """Max-abs relative residuals of the quadratic covariant identities, in
-    the numerically resolved sign conventions (see fierz_variant_report for
-    how the ambiguous ones were settled)."""
+    """Max-abs relative residuals of the quadratic covariant identities.
+    tests/test_fierz_proof.py proves each one, in the form stated here, as
+    an exact polynomial identity in the coefficients of a generic spinor."""
     sig, om = c.sigma, c.omega
     J, S, K = c.J, c.S, c.K
     g5 = G5
@@ -218,89 +225,9 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
     res["S^2 = omega^2 - sigma^2 - 2 sigma omega g5"] = _rel(
         geometric_product(S, S), (om**2 - sig**2) * one - (2 * sig * om) * g5
     )
-    if abs(JJ) > 1e-12:
-        ksk = geometric_product(geometric_product(K, S), K)
-        res["S (K S K) = (J.J)^2"] = _rel(geometric_product(S, ksk), (JJ**2) * one)
-    else:
-        res["S (K S K) = (J.J)^2"] = float("nan")
+    ksk = geometric_product(geometric_product(K, S), K)
+    res["S (K S K) = (J.J)^2"] = _rel(geometric_product(S, ksk), (JJ**2) * one)
     return res
-
-
-# Candidate right-hand sides for the identities whose printed sources are
-# internally inconsistent; each is resolved by exhaustive numeric trial.
-def _variant_candidates(c: BilinearCovariants) -> dict[str, dict[str, Multivector]]:
-    sig, om = c.sigma, c.omega
-    J, S, K = c.J, c.S, c.K
-    g5 = G5
-    starS = hodge_dual(S)
-
-    def combos(target: Multivector) -> dict[str, Multivector]:
-        out = {}
-        for s1, n1 in ((1, "+"), (-1, "-")):
-            for s2, n2 in ((1, "+"), (-1, "-")):
-                out[f"{n1}(omega {n2} sigma g5) X"] = s1 * geometric_product(
-                    om + s2 * sig * g5, target
-                )
-                out[f"{n1}(sigma {n2} omega g5) X"] = s1 * geometric_product(
-                    sig + s2 * om * g5, target
-                )
-        return out
-
-    one = Multivector.scalar(SIG13, 1.0)
-    return {
-        "J^K": combos(S),
-        "S|_J": {"+omega K": om * K, "-omega K": -om * K},
-        "S|_K": {"+omega J": om * J, "-omega J": -om * J},
-        "(*S).S": {
-            "+2 sigma omega": (2 * sig * om) * one,
-            "-2 sigma omega": (-2 * sig * om) * one,
-        },
-        "J S": combos(K),
-        "S J": combos(K),
-        "K S": combos(J),
-        "S K": combos(J),
-    }
-
-
-def _variant_lhs(c: BilinearCovariants) -> dict[str, Multivector]:
-    starS = hodge_dual(c.S)
-    return {
-        "J^K": c.J ^ c.K,
-        "S|_J": right_contraction(c.S, c.J),
-        "S|_K": right_contraction(c.S, c.K),
-        "(*S).S": Multivector.scalar(SIG13, scalar_product(starS, c.S)),
-        "J S": geometric_product(c.J, c.S),
-        "S J": geometric_product(c.S, c.J),
-        "K S": geometric_product(c.K, c.S),
-        "S K": geometric_product(c.S, c.K),
-    }
-
-
-def fierz_variant_report(trials: int, seed: int) -> dict[str, dict]:
-    """For each sign-ambiguous identity, the max relative residual of every
-    candidate right-hand side over random regular spinors, plus the unique
-    candidate that holds identically."""
-    rng = np.random.default_rng(seed)
-    worst: dict[str, dict[str, float]] = {}
-    for _ in range(trials):
-        d = random_regular_spinor(rng)
-        c = bilinear_covariants(d)
-        lhs = _variant_lhs(c)
-        cands = _variant_candidates(c)
-        for name in cands:
-            bucket = worst.setdefault(name, {})
-            for vname, rhs in cands[name].items():
-                r = _rel(lhs[name], rhs)
-                bucket[vname] = max(bucket.get(vname, 0.0), r)
-    report: dict[str, dict] = {}
-    for name, bucket in worst.items():
-        chosen = min(bucket, key=bucket.get)
-        report[name] = {
-            "residuals": bucket,
-            "resolved": chosen,
-            "resolved_residual": bucket[chosen],
-        }
-    return report
 
 
 # -- canonical decomposition -----------------------------------------------------
@@ -313,12 +240,11 @@ def exp_beta_gamma5(beta: float) -> Multivector:
 
 def canonical_decompose(d: DHSRep) -> CanonicalFactors:
     sigma, omega = _sigma_omega(d.psi, reversion(d.psi))
-    s2 = sigma * sigma + omega * omega
-    if s2 <= REGULARITY_EPS2:
+    if not _regular(sigma, omega, d.psi.norm() ** 4):
         raise SingularSpinorError(
             "psi * reversion(psi) = 0: singular spinor, no canonical decomposition"
         )
-    rho = math.sqrt(s2)
+    rho = math.sqrt(sigma * sigma + omega * omega)
     beta = math.atan2(omega, sigma) + 0.0
     factor = rho ** -0.5 * exp_beta_gamma5(-beta / 2)
     R = Rotor(geometric_product(factor, d.psi))
@@ -398,10 +324,9 @@ def mother_spinor_assemble(
 def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHSRep:
     """Some psi' whose covariants equal c; unique up to a right phase factor
     e^{g2 g1 phi}.  Requires regular covariants."""
-    s2 = c.sigma**2 + c.omega**2
-    if s2 <= REGULARITY_EPS2:
+    if not _regular(c.sigma, c.omega, c.J.norm() ** 2):
         raise SingularSpinorError("recovery unsupported for singular covariants")
-    rho = math.sqrt(s2)
+    rho = math.sqrt(c.sigma**2 + c.omega**2)
     beta = math.atan2(c.omega, c.sigma) + 0.0
     g0 = gamma_upper(frame, 0)
     g1 = gamma_upper(frame, 1)

@@ -16,7 +16,6 @@ from cliffspin import (
     classify,
     dhe_residual,
     fierz_residuals,
-    fierz_variant_report,
     find_primitive_idempotent,
     asf_residual,
     geometric_product,
@@ -120,10 +119,6 @@ def test_acceptance_identity_suite():
         for name, r in res.items():
             assert not math.isnan(r), name
             assert r <= 1e-9, (name, r)
-    rep_a = fierz_variant_report(100, seed=0)
-    rep_b = fierz_variant_report(100, seed=1)
-    for name in rep_a:
-        assert rep_a[name]["resolved"] == rep_b[name]["resolved"], name
     assert time.monotonic() - start < 5.0
 
 

@@ -71,3 +71,15 @@ def test_json_dict_round_trip_other_signature():
     back = from_json_dict(to_json_dict(mv))
     assert back.signature == sig
     assert (back - mv).max_abs() == 0.0
+
+
+def test_parse_round_trip_text_is_exact_on_dense_cl34():
+    sig = Signature(3, 4)
+    local = np.random.default_rng(8)
+    scales = 10.0 ** local.integers(-9, 9, size=128)
+    terms = {m: float(local.uniform(-2, 2) * scales[m]) for m in range(128)}
+    terms.update({0: 1e-05, 0b11: 1 + 2j, 0b101: -2.5e-07 - 3e20j, 0b1111111: -(1 - 1e-12j)})
+    mv = Multivector(sig, terms)
+    text = format_multivector(mv)
+    assert "e-" in text and "e+" in text and "j)" in text
+    assert parse_multivector(text, sig) == mv

@@ -15,7 +15,6 @@ from cliffspin import (
     dhs_from_as,
     fiducial_spinorial_frame,
     fierz_residuals,
-    fierz_variant_report,
     geometric_product,
     mother_spinor_assemble,
     mother_spinor_expand,
@@ -124,12 +123,16 @@ def test_covariants_scaling_law():
     assert (c.J - expected_J.grade(1)).max_abs() < 1e-12
 
 
-def test_singular_spinor_detected():
+def singular_psi():
     # (1 + e1e4)(1 + e3e2)/2 has psi * reversion(psi) = 0 exactly
-    psi = geometric_product(
+    return geometric_product(
         (1 + geometric_product(gen(1), gen(4))) * 0.5,
         1 + geometric_product(gen(3), gen(2)),
     )
+
+
+def test_singular_spinor_detected():
+    psi = singular_psi()
     assert not psi.is_zero()
     d = DHSRep(FID, psi)
     assert not is_regular(d)
@@ -190,22 +193,30 @@ def test_explicit_quadratic_invariants():
     assert abs(scalar_product(hodge_dual(c.S), c.S) - 2 * c.sigma * c.omega) < 1e-10
 
 
-def test_variant_resolution_stable_across_seeds():
-    rep_a = fierz_variant_report(50, seed=0)
-    rep_b = fierz_variant_report(50, seed=99)
-    assert set(rep_a) == set(rep_b)
-    for name in rep_a:
-        assert rep_a[name]["resolved"] == rep_b[name]["resolved"], name
-        assert rep_a[name]["resolved_residual"] <= 1e-9
-        assert rep_b[name]["resolved_residual"] <= 1e-9
+def test_identity_suite_holds_on_singular_spinor():
+    # J.J = 0 here, and every identity, S (K S K) = (J.J)^2 included, still
+    # holds (tests/test_fierz_proof.py proves them for every spinor).
+    res = fierz_residuals(bilinear_covariants(DHSRep(FID, singular_psi())))
+    assert len(res) == 16
+    for name, r in res.items():
+        assert math.isfinite(r) and r <= 1e-12, (name, r)
 
 
-def test_variant_resolution_is_strict():
-    # the resolved candidate is the only one that holds; runners-up fail badly
-    rep = fierz_variant_report(50, seed=3)
-    for name, info in rep.items():
-        others = [r for v, r in info["residuals"].items() if v != info["resolved"]]
-        assert min(others) > 1e-3, name
+def test_regularity_is_scale_relative():
+    d = random_regular_spinor(np.random.default_rng(5))
+    tiny = DHSRep(FID, 1e-6 * d.psi)
+    assert is_regular(tiny)
+    f = canonical_decompose(tiny)
+    assert abs(f.rho / canonical_decompose(d).rho - 1e-12) < 1e-21
+    back = canonical_reconstruct(f, FID)
+    assert (back.psi - tiny.psi).max_abs() < 1e-12 * tiny.psi.max_abs()
+    c = bilinear_covariants(tiny)
+    rec = bilinear_covariants(recover_from_covariants(c, FID))
+    assert abs(rec.sigma - c.sigma) + abs(rec.omega - c.omega) < 1e-9 * f.rho
+    singular = DHSRep(FID, 1e-6 * singular_psi())
+    assert not is_regular(singular)
+    with pytest.raises(SingularSpinorError):
+        canonical_decompose(singular)
 
 
 # -- canonical decomposition -----------------------------------------------------------

@@ -256,6 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i, word in enumerate(argv[:-1]):
+        # argparse reads a value that starts with '-', such as the -1,3 of a
+        # bad signature, as an option; joined to its flag it stays the value.
+        if word == "--sig" and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"--sig={argv[i + 1]}"]
+            break
     args, extras = parser.parse_known_args(argv)
     if args.command == "eval" and args.expr is None and len(extras) == 1:
         # argparse sets aside an expression that starts with '-', such as

@@ -11,6 +11,21 @@ so for fixed a, s = (-1)^popcount(b & w) for one weight mask w.
 ``_reorder_sign(p, n, a)`` caches that row of signs over all 2^n blades b,
 one row per left blade, and every product reads its signs from these rows.
 
+The geometric product, the wedge and both contractions share one kernel,
+``_product``.  For n <= 4 it runs generated straight-line code: on the
+second sight of a key pattern (p, n, left keys in order, right keys in
+order, filter), ``_generate_kernel`` compiles the dict loop of
+``_product_loop`` for that pattern into one dict literal.  Each output
+blade's sum keeps the loop's term order, written +a_i*b_j or -a_i*b_j for
+sign +1 or -1, and the blades keep the loop's first-appearance order.  The
+only difference from the loop is where a zero gets its sign, which
+``Multivector._own`` normalises, so every result is bit-identical to the
+loop's, key order included.  The cache is budgeted by the number of term
+pairs its kernels cover (2^16), and the set of patterns seen once is
+bounded too.  Past the budget, and for every n >= 5, where kernels grow to
+thousands of pairs and many patterns never repeat, the loop serves.  The
+loop is the tests' oracle for the kernels.
+
 Results that this module builds itself (products, sums, scalings, grade
 parts, involutions) skip the validating ``Multivector.__init__``: they go
 through ``Multivector._own``, which trusts that their masks are in range and
@@ -29,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -315,21 +331,110 @@ class Multivector:
 # -- products ---------------------------------------------------------------
 
 
-def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
-    """Sum of sign * ca * cb e_{ma^mb} over the term pairs of a and b, or
+def _product_loop(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, complex]:
+    """Sum of sign * ca * cb e_{ma^mb} over the term pairs of at and bt, or
     over only the pairs (ma, mb) for which keep(ma, mb) holds."""
-    a._check_sig(b)
-    sig = a.signature
-    p, n = sig.p, sig.n
     out: dict[int, complex] = {}
-    b_terms = b._terms.items()
-    for ma, ca in a._terms.items():
+    b_terms = bt.items()
+    for ma, ca in at.items():
         row = _reorder_sign(p, n, ma)
         for mb, cb in b_terms:
             if keep is None or keep(ma, mb):
                 m = ma ^ mb
                 out[m] = out.get(m, 0) + row[mb] * ca * cb
-    return Multivector._own(sig, out)
+    return out
+
+
+def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
+    """Compile _product_loop for one key pattern into straight-line code.
+
+    Each output blade's sum lists its terms in the loop's order, and the
+    blades appear in the loop's first-appearance order.  The source holds
+    only integer masks and positional names a<i>, b<j>."""
+    sums: dict[int, list[str]] = {}
+    for i, ma in enumerate(a_keys):
+        row = _reorder_sign(p, n, ma)
+        for j, mb in enumerate(b_keys):
+            if keep is None or keep(ma, mb):
+                sign = "+" if row[mb] > 0 else "-"
+                sums.setdefault(ma ^ mb, []).append(f"{sign}a{i}*b{j}")
+    body = ", ".join(f"{m}: {''.join(terms).lstrip('+')}" for m, terms in sums.items())
+    a_names = "".join(f"a{i}, " for i in range(len(a_keys)))
+    b_names = "".join(f"b{j}, " for j in range(len(b_keys)))
+    source = f"def kernel(a, b):\n    {a_names}= a\n    {b_names}= b\n    return {{{body}}}\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
+class _KernelCache:
+    """Generated product kernels by (p, n, left keys, right keys, filter).
+
+    A pattern is compiled on its second sight.  Each kernel costs the number
+    of term pairs it covers, and compiling stops once the costs reach
+    pair_budget; the set of patterns seen once is cleared when it reaches
+    seen_limit.  Patterns left out are served by _product_loop."""
+
+    def __init__(self, pair_budget: int = 1 << 16, seen_limit: int = 1 << 12):
+        self.kernels: dict[tuple, object] = {}
+        self.pairs = 0
+        self.pair_budget = pair_budget
+        self.seen: set[tuple] = set()
+        self.seen_limit = seen_limit
+        self._lock = threading.Lock()
+
+    def compile_on_repeat(self, key: tuple):
+        """The kernel for a key missing from self.kernels, or None while the
+        loop should serve it: on its first sight, or with no budget left."""
+        cost = len(key[2]) * len(key[3])
+        if self.pairs + cost > self.pair_budget:
+            return None
+        if key not in self.seen:
+            if len(self.seen) >= self.seen_limit:
+                self.seen.clear()
+            self.seen.add(key)
+            return None
+        with self._lock:
+            kernel = self.kernels.get(key)
+            if kernel is None and self.pairs + cost <= self.pair_budget:
+                kernel = self.kernels[key] = _generate_kernel(*key)
+                self.pairs += cost
+            self.seen.discard(key)
+        return kernel
+
+
+# Kernels serve n <= 4, where an operand has at most 16 terms.  Larger
+# algebras meet many one-off patterns, and compiling a kernel of up to 16384
+# pairs (n = 7) costs more memory than the pair budget suggests.
+_KERNEL_MAX_N = 4
+_KERNELS = _KernelCache()
+
+
+def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
+    """_product_loop of a and b, through a generated kernel when one serves
+    their key pattern (n <= 4, neither operand zero)."""
+    a._check_sig(b)
+    sig = a.signature
+    p, n = sig.p, sig.n
+    at, bt = a._terms, b._terms
+    if n <= _KERNEL_MAX_N and at and bt:
+        key = (p, n, tuple(at), tuple(bt), keep)
+        kernel = _KERNELS.kernels.get(key) or _KERNELS.compile_on_repeat(key)
+        if kernel is not None:
+            return Multivector._own(sig, kernel(at.values(), bt.values()))
+    return Multivector._own(sig, _product_loop(p, n, at, bt, keep))
+
+
+def _outer(ma: int, mb: int) -> bool:
+    return not ma & mb
+
+
+def _left_inner(ma: int, mb: int) -> bool:
+    return not ma & ~mb
+
+
+def _right_inner(ma: int, mb: int) -> bool:
+    return not mb & ~ma
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -337,18 +442,18 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    return _product(a, b, lambda ma, mb: not ma & mb)
+    return _product(a, b, _outer)
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     """a _| b: grade-lowering part, nonzero blade-wise only when a's factors
     all occur in b."""
-    return _product(a, b, lambda ma, mb: not ma & ~mb)
+    return _product(a, b, _left_inner)
 
 
 def right_contraction(a: Multivector, b: Multivector) -> Multivector:
     """a |_ b: nonzero blade-wise only when b's factors all occur in a."""
-    return _product(a, b, lambda ma, mb: not mb & ~ma)
+    return _product(a, b, _right_inner)
 
 
 def scalar_product(a: Multivector, b: Multivector) -> complex:

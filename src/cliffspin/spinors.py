@@ -87,8 +87,10 @@ class ASRep:
     def __post_init__(self) -> None:
         if self.element.signature != SIG13 or self.frame.signature != SIG13:
             raise SpinorValueError("algebraic spinors live in Cl(1,3)")
+        # Relative to the element's own size, so a uniform rescaling of the
+        # element keeps the verdict.
         e = frame_idempotent(self.frame)
-        scale = max(1.0, self.element.max_abs())
+        scale = self.element.max_abs()
         if (geometric_product(self.element, e) - self.element).max_abs() > 1e-9 * scale:
             raise SpinorValueError("element is not in the frame's left ideal")
 
@@ -102,7 +104,9 @@ class BilinearCovariants:
     K: Multivector
 
     def __post_init__(self) -> None:
-        scale = max(1.0, self.J.max_abs() ** 2)
+        # Relative to the covariants' own squared scale, so a uniform
+        # rescaling of the spinor keeps the verdict.
+        scale = max(self.J.max_abs() ** 2, self.sigma**2 + self.omega**2)
         if abs(scalar_product(self.J, self.J) - (self.sigma**2 + self.omega**2)) > 1e-6 * scale:
             raise SpinorValueError("J.J != sigma^2 + omega^2; not covariants of a spinor")
         if abs(scalar_product(self.J, self.K)) > 1e-6 * scale:

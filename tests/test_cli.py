@@ -132,6 +132,13 @@ def test_eval_bad_signature(capsys):
     assert_domain_error(*run(capsys, "eval", "--sig", "1,20", "e1"), "exceeds cap 12")
 
 
+def test_eval_negative_signature_is_domain_error(capsys):
+    for argv in (["--sig", "-1,3", "e1"], ["e1", "--sig", "-1,3"], ["--sig", "1,-3", "e1"]):
+        assert_domain_error(
+            *run(capsys, "eval", *argv), "error: signature counts must be non-negative"
+        )
+
+
 def test_eval_bad_expression(capsys):
     code, _, err = run(capsys, "eval", "--sig", "1,3", "e1 +")
     assert code == 2

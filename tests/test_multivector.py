@@ -676,3 +676,92 @@ def test_numpy_scalars_are_stored_as_python_complex():
         for scaled in (e1 * s, s * e1):
             assert scaled == 2 * e1
             assert all(type(c) is complex for c in scaled.terms.values())
+
+
+# -- generated product kernels: bit-identical to the dict loop ---------------------------
+
+PRODUCTS = {
+    geometric_product: None,
+    wedge: mv_module._outer,
+    left_contraction: mv_module._left_inner,
+    right_contraction: mv_module._right_inner,
+}
+
+
+def ordered_bits(mv):
+    """Coefficient bits in insertion order, so key order counts too."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in mv._terms.items()]
+
+
+def loop_product(a, b, keep):
+    sig = a.signature
+    return Multivector._own(sig, mv_module._product_loop(sig.p, sig.n, a._terms, b._terms, keep))
+
+
+def shuffled_operand(sig, rng, size, complex_coeffs):
+    """size terms on random blades in random key order, with dyadic values
+    among them so that some output blades cancel exactly."""
+    masks = rng.permutation(1 << sig.n)[:size]
+    terms = {}
+    for m in masks:
+        c = float(rng.integers(-2, 3)) / 2 if rng.random() < 0.3 else float(rng.normal())
+        if complex_coeffs:
+            c = complex(c, float(rng.normal()))
+        terms[int(m)] = c if c else 0.5
+    return Multivector(sig, terms)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(p, n - p) for n in range(5) for p in range(n + 1)], ids=lambda v: str(v)
+)
+@pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+def test_kernels_match_the_dict_loop_bit_for_bit(monkeypatch, p, q, complex_coeffs):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    sig = Signature(p, q)
+    local = np.random.default_rng([p, q, complex_coeffs])
+    dim = 1 << sig.n
+    for size in range(1, dim + 1):
+        a = shuffled_operand(sig, local, size, complex_coeffs)
+        b = shuffled_operand(sig, local, int(local.integers(1, dim + 1)), complex_coeffs)
+        for product, keep in PRODUCTS.items():
+            want = ordered_bits(loop_product(a, b, keep))
+            key = (sig.p, sig.n, tuple(a._terms), tuple(b._terms), keep)
+            # The first call runs the loop; the second compiles; the third reuses.
+            for call in range(3):
+                assert ordered_bits(product(a, b)) == want, (product.__name__, call)
+                assert (key in cache.kernels) == (call > 0)
+    assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.kernels)
+
+
+def test_kernel_cache_holds_to_its_pair_budget(monkeypatch):
+    cache = mv_module._KernelCache(pair_budget=2000, seen_limit=64)
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    local = np.random.default_rng(3)
+    sig = SIG13
+    for _ in range(150):
+        # Dense and near-dense operands in random key order: 150 new patterns
+        # of up to 256 pairs each, many times what the budget holds.
+        a = shuffled_operand(sig, local, int(local.integers(8, 17)), False)
+        b = shuffled_operand(sig, local, int(local.integers(8, 17)), True)
+        for product, keep in PRODUCTS.items():
+            want = ordered_bits(loop_product(a, b, keep))
+            for _ in range(2):
+                assert ordered_bits(product(a, b)) == want
+        assert cache.pairs <= cache.pair_budget
+        assert len(cache.seen) <= cache.seen_limit
+    assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.kernels)
+    assert 0 < len(cache.kernels) < 150
+
+
+def test_products_above_four_dimensions_never_enter_the_kernel_cache(monkeypatch):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    local = np.random.default_rng(4)
+    for sig in (Signature(5, 0), Signature(3, 2), Signature(1, 5)):
+        a = shuffled_operand(sig, local, 6, False)
+        b = shuffled_operand(sig, local, 5, True)
+        for product in PRODUCTS:
+            for _ in range(3):
+                product(a, b)
+    assert cache.kernels == {} and cache.seen == set() and cache.pairs == 0

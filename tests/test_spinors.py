@@ -26,10 +26,13 @@ from cliffspin import (
     spinorial_frame_of,
 )
 from cliffspin.spinors import (
+    ASRep,
+    BilinearCovariants,
     DHSRep,
     SingularSpinorError,
     SpinorValueError,
     exp_beta_gamma5,
+    frame_idempotent,
     gamma5,
     gamma_upper,
     is_regular,
@@ -217,6 +220,24 @@ def test_regularity_is_scale_relative():
     assert not is_regular(singular)
     with pytest.raises(SingularSpinorError):
         canonical_decompose(singular)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_covariant_and_ideal_checks_are_scale_relative(scale):
+    d = DHSRep(FID, scale * random_regular_spinor(np.random.default_rng(6)).psi)
+    c = bilinear_covariants(d)
+    BilinearCovariants(c.sigma, c.omega, c.J, c.S, c.K)
+    # J and K swapped: J.J = -(sigma^2 + omega^2) and J.K = 0, at any scale.
+    with pytest.raises(SpinorValueError, match="J.J"):
+        BilinearCovariants(c.sigma, c.omega, c.K, c.S, c.J)
+    # A timelike K makes J.K != 0 while J.J still holds.
+    with pytest.raises(SpinorValueError, match="J.K"):
+        BilinearCovariants(c.sigma, c.omega, c.J, c.S, c.J)
+    # J is of order scale^2: below 1e-9 at scale 1e-6, yet not in the ideal.
+    ASRep(FID, as_from_dhs(d).element)
+    ASRep(FID, geometric_product(c.J, frame_idempotent(FID)))
+    with pytest.raises(SpinorValueError, match="left ideal"):
+        ASRep(FID, c.J)
 
 
 # -- canonical decomposition -----------------------------------------------------------

@@ -4,12 +4,20 @@ primitive idempotents, minimal left ideals, and their division rings.
 All idempotent coefficients produced here are dyadic rationals (+-2^-k),
 which are exact in double precision, so idempotency and orthogonality checks
 use exact equality.
+
+The ideal machinery spans images of the blades: blade_m e for the left ideal
+Cl(p,q)e and e blade_m e for its division ring.  ``_image_rows`` builds them
+as dense real rows straight from the signature's int8 sign table, in blocks
+of rows, and ``_real_independent``, the one span helper, returns the indices
+of the rows it keeps.  Only the kept images are then built as multivectors,
+through ``geometric_product``, so the bases are the products' to the bit.
+The search reads blade squares and commutation from the same table.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,6 +26,7 @@ import numpy as np
 from .multivector import (
     Multivector,
     Signature,
+    _sign_table,
     geometric_product,
 )
 
@@ -98,28 +107,57 @@ def classify(p: int, q: int) -> MatrixAlgebraDescriptor:
 # -- ideal machinery ----------------------------------------------------------
 
 
-def _real_independent(images: Iterable[Multivector], tol: float = 1e-9) -> list[Multivector]:
-    """The images, in order, that are not in the real span of the images kept
-    before them: incremental Gaussian elimination on the real parts of the
-    coefficients, pivoting on the largest entry, with a pivot tolerance."""
-    rows: list[np.ndarray] = []
+# Entries per block of _image_rows: each of its temporaries holds at most
+# 2^19 numbers (4 MiB of floats).
+_IMAGE_BLOCK_ENTRIES = 1 << 19
+
+
+def _image_rows(e: Multivector, sandwich: bool = False) -> Iterator[np.ndarray]:
+    """Real coefficient rows of blade_m e, or of e blade_m e when sandwich is
+    set, for every mask m in ascending order, built in blocks of rows from
+    the sign table.  blade_m e_j = sign[m, j] e_{m^j} is a single term, so
+    the blade_m e rows are the products' coefficients exactly; the sandwich
+    rows add their terms in another order, which is exact for dyadic e."""
+    sig = e.signature
+    table = _sign_table(sig.p, sig.n)
+    size = 1 << sig.n
+    masks = np.fromiter(e._terms, np.intp, len(e._terms))
+    coeffs = np.fromiter(e._terms.values(), complex, masks.size)
+    if e.real:
+        coeffs = coeffs.real
+    terms_per_row = masks.size ** 2 if sandwich else masks.size
+    step = max(1, _IMAGE_BLOCK_ENTRIES // max(size, terms_per_row))
+    for start in range(0, size, step):
+        blades = np.arange(start, min(start + step, size))[:, None]
+        # blade_m e = sum over the terms j of e: sign[m, j] e_j e_{m^j}.
+        cols, vals = blades ^ masks, table[blades, masks] * coeffs
+        if sandwich:
+            # e x = sum over the terms k of e and c of x: sign[k, c] e_k x_c e_{k^c}.
+            c = cols[:, :, None]
+            cols, vals = c ^ masks, table[masks, c] * coeffs * vals[:, :, None]
+        rows = np.zeros((blades.size, size), dtype=vals.dtype)
+        at = np.arange(blades.size)[:, None]
+        np.add.at(rows, (at, cols.reshape(blades.size, -1)), vals.reshape(blades.size, -1))
+        yield from rows.real
+
+
+def _real_independent(rows: Iterable[np.ndarray], tol: float = 1e-9) -> list[int]:
+    """Indices of the rows, in order, that are not in the real span of the
+    rows kept before them: incremental Gaussian elimination, pivoting on the
+    largest entry, with a pivot tolerance."""
+    basis: list[np.ndarray] = []
     pivots: list[int] = []
-    kept: list[Multivector] = []
-    for img in images:
-        if img.is_zero():
-            continue
-        w = np.zeros(1 << img.signature.n)
-        for mask, c in img.terms.items():
-            w[mask] = c.real
-        for row, piv in zip(rows, pivots):
+    kept: list[int] = []
+    for i, w in enumerate(rows):
+        for row, piv in zip(basis, pivots):
             if w[piv] != 0.0:
                 w = w - row * w[piv]
         idx = int(np.argmax(np.abs(w)))
         if abs(w[idx]) <= tol:
             continue
-        rows.append(w / w[idx])
+        basis.append(w / w[idx])
         pivots.append(idx)
-        kept.append(img)
+        kept.append(i)
     return kept
 
 
@@ -127,29 +165,31 @@ def is_idempotent(e: Multivector) -> bool:
     return geometric_product(e, e) == e
 
 
+def _require_idempotent(e: Multivector, caller: str) -> None:
+    if not is_idempotent(e):
+        raise ValueError(f"{caller} requires an idempotent")
+
+
 def ideal_basis(e: Multivector) -> list[Multivector]:
     """Basis of the left ideal Cl(p,q)e over the reals, picked greedily from
     the images (blade * e) in ascending mask order."""
-    if not is_idempotent(e):
-        raise ValueError("ideal_basis requires an idempotent")
-    return list(_ideal_basis(e))
+    _require_idempotent(e, "ideal_basis")
+    sig = e.signature
+    return [geometric_product(Multivector.from_mask(sig, m), e) for m in _ideal_basis(e)]
 
 
 @lru_cache(maxsize=1)
-def _ideal_basis(e: Multivector) -> tuple[Multivector, ...]:
+def _ideal_basis(e: Multivector) -> tuple[int, ...]:
+    """The masks m whose images blade_m e form ideal_basis(e)."""
     # One entry suffices: find_primitive_idempotent stops right after the
     # rank probe (ideal_real_dim) that accepts its idempotent, so the basis
     # it then asks for is the one that probe has just spanned.
-    sig = e.signature
-    return tuple(
-        _real_independent(
-            geometric_product(Multivector.from_mask(sig, mask), e) for mask in range(1 << sig.n)
-        )
-    )
+    return tuple(_real_independent(_image_rows(e)))
 
 
 def ideal_real_dim(e: Multivector) -> int:
-    return len(ideal_basis(e))
+    _require_idempotent(e, "ideal_real_dim")
+    return len(_ideal_basis(e))
 
 
 def ideal_dim_over_K(e: Multivector) -> int:
@@ -166,17 +206,16 @@ def ideal_dim_over_K(e: Multivector) -> int:
 
 def division_ring_of(e: Multivector) -> str:
     """Identify e Cl(p,q) e as R, C, or H by real dimension and structure."""
-    if not is_idempotent(e):
-        raise ValueError("division_ring_of requires an idempotent")
+    _require_idempotent(e, "division_ring_of")
     sig = e.signature
-    basis = _real_independent(
-        geometric_product(geometric_product(e, Multivector.from_mask(sig, mask)), e)
-        for mask in range(1 << sig.n)
-    )
-    d = len(basis)
+    kept = _real_independent(_image_rows(e, sandwich=True))
+    d = len(kept)
     if d == 1:
         return "R"
     if d == 2:
+        basis = [
+            geometric_product(geometric_product(e, Multivector.from_mask(sig, m)), e) for m in kept
+        ]
         # Split off the trace direction: find t with t^2 = lambda * e.
         w = next(b for b in basis if not b.approx_eq(e, 1e-12))
         # Solve w^2 = alpha*e + beta*w for the structure constants.
@@ -201,14 +240,9 @@ def is_primitive(e: Multivector) -> bool:
 
 def _commuting_square_plus_blades(sig: Signature) -> list[int]:
     """Canonical blade masks with square +1, ascending grade then mask."""
-    out = []
-    one = Multivector.scalar(sig, 1.0)
-    for mask in range(1, 1 << sig.n):
-        b = Multivector.from_mask(sig, mask)
-        if geometric_product(b, b) == one:
-            out.append(mask)
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    squares = np.diagonal(_sign_table(sig.p, sig.n))
+    masks = (np.flatnonzero(squares[1:] == 1) + 1).tolist()
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealDescriptor:
@@ -230,15 +264,18 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         rng = random.Random(seed)
         rng.shuffle(candidates)
 
+    signs = _sign_table(p, sig.n)
     e = Multivector.scalar(sig, 1.0)
     chosen: list[Multivector] = []
+    chosen_masks: list[int] = []
     current_dim = 1 << sig.n
     for mask in candidates:
         if len(chosen) == target_k:
             break
-        b = Multivector.from_mask(sig, mask)
-        if any(geometric_product(b, c) != geometric_product(c, b) for c in chosen):
+        # Blades b and c commute when e_b e_c and e_c e_b have one sign.
+        if any(signs[mask, c] != signs[c, mask] for c in chosen_masks):
             continue
+        b = Multivector.from_mask(sig, mask)
         cand = geometric_product(e, (1 + b) * 0.5)
         if cand.is_zero() or not is_idempotent(cand):
             continue
@@ -247,6 +284,7 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
             continue
         e = cand
         chosen.append(b)
+        chosen_masks.append(mask)
         current_dim = new_dim
     if len(chosen) != target_k:
         raise ClassificationError(

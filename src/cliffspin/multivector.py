@@ -7,27 +7,38 @@ generators square to +1, the remaining q square to -1.
 Every blade product goes through one sign rule.  e_a e_b = s * e_{a^b}, where
 s is the parity of the swaps that sort b's factors past a's, times -1 for
 each shared factor that squares to -1.  Both parities are linear in b's bits,
-so for fixed a, s = (-1)^popcount(b & w) for one weight mask w.
-``_reorder_sign(p, n, a)`` caches that row of signs over all 2^n blades b,
-one row per left blade, and every product reads its signs from these rows.
+so for fixed a, s = (-1)^popcount(b & w) for one weight mask w
+(``_sign_weight``).  Two caches hold the signs that mask gives:
+``_reorder_sign(p, n, a)``, one row of Python ints over all 2^n blades b per
+left blade a, and ``_sign_table(p, n)``, every row of one signature as an
+int8 array (16 MiB at n = 12, where all rows as tuples take 128 MiB).
 
 The geometric product, the wedge and both contractions share one kernel,
-``_product``.  For n <= 4 it runs generated straight-line code: on the
-first sight of a key pattern (p, n, left keys in order, right keys in
-order, filter), ``_generate_kernel`` compiles the dict loop of
-``_product_loop`` for that pattern into one dict literal.  Each output
-blade's sum keeps the loop's term order, written +a_i*b_j or -a_i*b_j for
-sign +1 or -1, and the blades keep the loop's first-appearance order.  The
-only difference from the loop is where a zero gets its sign, which
-``Multivector._own`` normalises, so every result is bit-identical to the
-loop's, key order included.  The cache is budgeted by the number of term
-pairs its kernels cover (2^16).  Cl(1,3) work repeats its patterns: in the
-perfbench spinor-suite and dirac-planewave workloads (seeds 1-3) at most 7
-of 275 to 563 patterns occur only once, spending at most 592 pairs of the
-budget, and over 99.6 % of the n <= 4 product calls meet a pattern seen
-before.  Past the budget, and for every n >= 5, where kernels grow to
-thousands of pairs and many patterns never repeat, the loop serves.  The
-loop is the tests' oracle for the kernels.
+``_product``, with three paths.  Each gives the same bits and key order as
+the dict loop ``_product_loop``, which is the tests' oracle.
+
+- n <= 4: generated straight-line code.  On the first sight of a key pattern
+  (p, n, left keys in order, right keys in order, filter),
+  ``_generate_kernel`` compiles the loop for that pattern into one dict
+  literal.  Each output blade's sum keeps the loop's term order, written
+  +a_i*b_j or -a_i*b_j for sign +1 or -1, and the blades keep the loop's
+  first-appearance order.  The only difference from the loop is where a zero
+  gets its sign, which ``Multivector._own`` normalises.  The cache is
+  budgeted by the number of term pairs its kernels cover (2^16).  Cl(1,3)
+  work repeats its patterns: in the perfbench spinor-suite and
+  dirac-planewave workloads (seeds 1-3) at most 7 of 275 to 563 patterns
+  occur only once, spending at most 592 pairs of the budget, and over 99.6 %
+  of the n <= 4 product calls meet a pattern seen before.  For n >= 5,
+  kernels grow to thousands of pairs and many patterns never repeat.
+- n >= 5, both operands real, at least ``_ARRAY_MIN_PAIRS`` term pairs:
+  ``_product_array`` reads the signs from the table and computes each pair's
+  sign * (x * y) as a float array, with the filter as a mask.  ``np.add.at``
+  adds each output blade's terms one at a time in the loop's pair order, never
+  pairwise, and the blades are emitted in the order of their first pair.
+  Complex operands stay on the loop: numpy's complex multiply differs from
+  Python's in the last bit on 44 % of random normal pairs, so its sums would
+  not be the loop's.
+- Otherwise, and once the kernel budget is spent: the loop itself.
 
 Results that this module builds itself (products, sums, scalings, grade
 parts, involutions) skip the validating ``Multivector.__init__``: they go
@@ -51,6 +62,8 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
+
+import numpy as np
 
 MAX_DIM = 12
 
@@ -93,9 +106,9 @@ class Signature:
         return tuple(1 if i < self.p else -1 for i in range(self.n))
 
 
-@lru_cache(maxsize=None)
-def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
-    """Signs of e_a e_b in Cl(p, n - p) for every blade b, indexed by b."""
+def _sign_weight(p: int, a: int) -> int:
+    """The weight mask w of left blade a in Cl(p, q):
+    e_a e_b = (-1)^popcount(b & w) e_{a^b} for every blade b."""
     # Bit j of w is the sign parity that factor j of b contributes: one swap
     # per factor of a above j, plus one if j is in a and squares to -1.
     w = a >> p << p
@@ -104,10 +117,36 @@ def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
         low = rest & -rest
         w ^= low - 1
         rest ^= low
+    return w
+
+
+@lru_cache(maxsize=None)
+def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
+    """Signs of e_a e_b in Cl(p, n - p) for every blade b, indexed by b."""
+    w = _sign_weight(p, a)
     row = [1]
     for j in range(n):
         row = row + ([-s for s in row] if w >> j & 1 else row)
     return tuple(row)
+
+
+# Eight tables hold a five-signature sweep such as perfbench's algebra-sweep,
+# and at most 128 MiB even if all eight are n = 12.
+@lru_cache(maxsize=8)
+def _sign_table(p: int, n: int) -> np.ndarray:
+    """Read-only int8 signs of e_a e_b in Cl(p, n - p) at [a, b]: the rows of
+    _reorder_sign for every left blade a, one byte per sign (16 MiB at
+    n = 12), built by the same doubling over the bits of each weight mask."""
+    size = 1 << n
+    weights = np.array([_sign_weight(p, a) for a in range(size)])
+    table = np.empty((size, size), dtype=np.int8)
+    table[:, 0] = 1
+    for j in range(n):
+        # Column b + 2^j (b < 2^j) is column b times (-1)^(bit j of w).
+        flip = (1 - 2 * (weights >> j & 1)).astype(np.int8)
+        np.multiply(table[:, : 1 << j], flip[:, None], out=table[:, 1 << j : 2 << j])
+    table.flags.writeable = False
+    return table
 
 
 _REV_SIGN = (1, 1, -1, -1)  # (-1)^{k(k-1)/2} by k mod 4
@@ -405,31 +444,80 @@ _KERNEL_PAIR_BUDGET = 1 << 16
 _KERNELS = _KernelCache()
 
 
+# Real products with n >= 5 and at least this many term pairs run on the sign
+# table.  Below it numpy's fixed cost per call exceeds the loop's cost per
+# pair: with timeit on n = 5..7 operands the two paths break even at about
+# 100-160 pairs.
+_ARRAY_MIN_PAIRS = 128
+# Term pairs per block of left terms on the table path: each temporary of a
+# block holds at most 1 MiB.
+_ARRAY_BLOCK_PAIRS = 1 << 17
+
+
+def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, complex]:
+    """_product_loop of two real operands, computed on the sign table.
+
+    Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
+    and np.add.at adds the contributions to each output blade one at a time
+    in the loop's pair order, so every sum is the loop's to the bit.  The
+    blades come out in the order of their first kept pair, as the loop
+    inserts them.  Left terms go in blocks of _ARRAY_BLOCK_PAIRS pairs."""
+    table = _sign_table(p, n)
+    ma = np.fromiter(at, np.intp, len(at))
+    mb = np.fromiter(bt, np.intp, len(bt))
+    xa = np.fromiter(at.values(), complex, len(at)).real
+    xb = np.fromiter(bt.values(), complex, len(bt)).real
+    sums = np.zeros(1 << n)
+    first = np.full(1 << n, ma.size * mb.size)  # position of each blade's first pair
+    keys = []
+    step = max(1, _ARRAY_BLOCK_PAIRS // mb.size)
+    for start in range(0, ma.size, step):
+        a = ma[start : start + step, None]
+        blades = a ^ mb
+        values = table[a, mb] * (xa[start : start + step, None] * xb)
+        order = np.arange(start * mb.size, start * mb.size + blades.size).reshape(blades.shape)
+        if keep is None:
+            blades, values, order = blades.ravel(), values.ravel(), order.ravel()
+        else:
+            kept = keep(a, mb)
+            blades, values, order = blades[kept], values[kept], order[kept]
+        np.add.at(sums, blades, values)
+        np.minimum.at(first, blades, order)
+        keys.append(blades[first[blades] == order])
+    keys = np.concatenate(keys)
+    return dict(zip(keys.tolist(), sums[keys].astype(complex).tolist()))
+
+
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """_product_loop of a and b, through a generated kernel when one serves
-    their key pattern (n <= 4, neither operand zero)."""
+    their key pattern (n <= 4, neither operand zero), or on the sign table
+    for real operands with n >= 5 and _ARRAY_MIN_PAIRS term pairs or more."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
     at, bt = a._terms, b._terms
-    if n <= _KERNEL_MAX_N and at and bt:
-        key = (p, n, tuple(at), tuple(bt), keep)
-        kernel = _KERNELS.kernels.get(key) or _KERNELS.compile(key)
-        if kernel is not None:
-            return Multivector._own(sig, kernel(at.values(), bt.values()))
+    if n <= _KERNEL_MAX_N:
+        if at and bt:
+            key = (p, n, tuple(at), tuple(bt), keep)
+            kernel = _KERNELS.kernels.get(key) or _KERNELS.compile(key)
+            if kernel is not None:
+                return Multivector._own(sig, kernel(at.values(), bt.values()))
+    elif a.real and b.real and len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
+        return Multivector._own(sig, _product_array(p, n, at, bt, keep))
     return Multivector._own(sig, _product_loop(p, n, at, bt, keep))
 
 
-def _outer(ma: int, mb: int) -> bool:
-    return not ma & mb
+# The filters also take arrays of masks, as _product_array calls them.
+def _outer(ma, mb):
+    return ma & mb == 0
 
 
-def _left_inner(ma: int, mb: int) -> bool:
-    return not ma & ~mb
+def _left_inner(ma, mb):
+    return ma & ~mb == 0
 
 
-def _right_inner(ma: int, mb: int) -> bool:
-    return not mb & ~ma
+def _right_inner(ma, mb):
+    return mb & ~ma == 0
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -596,31 +684,32 @@ def _exp_series(f: Multivector) -> Multivector:
     return result
 
 
-def _left_mult_matrix(a: Multivector):
-    import numpy as np
-
+def _left_mult_matrix(a: Multivector) -> np.ndarray:
+    """The 2^n x 2^n matrix of x -> a x on dense coefficient vectors."""
     sig = a.signature
+    table = _sign_table(sig.p, sig.n)
     cols = np.arange(1 << sig.n)
     mat = np.zeros((cols.size, cols.size), dtype=float if a.real else complex)
     for ma, ca in a._terms.items():
         # Column mb of term ma is a single entry, in row ma ^ mb.
-        signs = np.array(_reorder_sign(sig.p, sig.n, ma))
-        mat[cols ^ ma, cols] += signs * (ca.real if a.real else ca)
+        mat[cols ^ ma, cols] += table[ma] * (ca.real if a.real else ca)
     return mat
 
 
 def inverse(a: Multivector) -> Multivector:
     """a^{-1} with a fast path when a * reversion(a) is a nonzero scalar and
-    a general path via the 2^n x 2^n left-multiplication linear system."""
-    import numpy as np
-
+    a general path via the 2^n x 2^n left-multiplication linear system.
+    The fast path's zero test is relative to |a|^2, the size of a *
+    reversion(a), so it serves a scaled element as it serves the unscaled."""
     sig = a.signature
     if a.is_zero():
         raise NonInvertibleError("zero element has no inverse")
     ar = reversion(a)
     s = geometric_product(a, ar)
     s0 = s.scalar_part()
-    if abs(s0) > 1e-14 and (s - Multivector.scalar(sig, s0)).max_abs() <= 1e-14 * abs(s0):
+    if abs(s0) > 1e-14 * a.norm() ** 2 and (
+        (s - Multivector.scalar(sig, s0)).max_abs() <= 1e-14 * abs(s0)
+    ):
         cand = ar * (1.0 / s0)
         if geometric_product(a, cand).approx_eq(Multivector.scalar(sig, 1.0), 1e-12):
             return cand

@@ -259,3 +259,68 @@ def test_search_reuses_the_accepting_probes_ideal_basis(pq, monkeypatch):
     assert events[last_probe:] == ["probe", "span", "span"]
     assert desc.ideal_basis == ideal_basis(desc.idempotent)
     assert desc.ideal_basis is not ideal_basis(desc.idempotent)
+
+
+# -- ideal images from the sign table: the same bases as images built by products ----------
+
+SIGNATURES_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
+
+
+def product_rows(e, sandwich=False):
+    """The rows _image_rows gives, built from products instead of the sign table."""
+    sig = e.signature
+    left = e if sandwich else Multivector.scalar(sig, 1.0)
+    for m in range(1 << sig.n):
+        image = geometric_product(geometric_product(left, Multivector.from_mask(sig, m)), e)
+        yield np.array(image.coefficients()).real
+
+
+def ideal_outputs(e):
+    classify_module = importlib.import_module("cliffspin.classify")
+    classify_module._ideal_basis.cache_clear()
+    basis = ideal_basis(e)
+    return (
+        [list(b._terms.items()) for b in basis],
+        ideal_real_dim(e),
+        division_ring_of(e),
+    )
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES_TO_7)
+def test_table_built_ideals_match_product_built_ideals(p, q, monkeypatch):
+    classify_module = importlib.import_module("cliffspin.classify")
+    for seed in (None, 1, 2, 3):
+        e = find_primitive_idempotent(p, q, seed).idempotent
+        got = ideal_outputs(e)
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_module, "_image_rows", product_rows)
+            want = ideal_outputs(e)
+        assert got == want, seed
+        # The blade images themselves: the basis is the kept images, in mask order.
+        images = blade_images(e)
+        assert got[0] == [list(images[m]._terms.items()) for m in classify_module._ideal_basis(e)]
+    classify_module._ideal_basis.cache_clear()
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES_TO_7)
+def test_square_plus_blades_read_from_the_sign_table(p, q):
+    classify_module = importlib.import_module("cliffspin.classify")
+    sig = Signature(p, q)
+    one = Multivector.scalar(sig, 1.0)
+    squares = [
+        m for m in range(1, 1 << sig.n)
+        if geometric_product(Multivector.from_mask(sig, m), Multivector.from_mask(sig, m)) == one
+    ]
+    want = sorted(squares, key=lambda m: (m.bit_count(), m))
+    got = classify_module._commuting_square_plus_blades(sig)
+    assert got == want and all(type(m) is int for m in got)
+
+
+def test_image_rows_match_products_in_small_blocks(monkeypatch):
+    classify_module = importlib.import_module("cliffspin.classify")
+    e = find_primitive_idempotent(4, 3, seed=2).idempotent
+    want = [list(product_rows(e, s)) for s in (False, True)]
+    monkeypatch.setattr(classify_module, "_IMAGE_BLOCK_ENTRIES", 300)
+    got = [list(classify_module._image_rows(e, s)) for s in (False, True)]
+    for rows, expected in zip(got, want):
+        assert np.array_equal(np.array(rows), np.array(expected))

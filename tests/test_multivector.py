@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -765,3 +768,145 @@ def test_products_above_four_dimensions_never_enter_the_kernel_cache(monkeypatch
             for _ in range(3):
                 product(a, b)
     assert cache.kernels == {} and cache.pairs == 0
+
+
+# -- the sign table: one int8 table per signature serves real products for n >= 5 ------------
+
+SIGNATURES_5_TO_8 = [(p, n - p) for n in range(5, 9) for p in range(n + 1)]
+
+
+def table_product(a, b, keep):
+    sig = a.signature
+    return Multivector._own(sig, mv_module._product_array(sig.p, sig.n, a._terms, b._terms, keep))
+
+
+def drawn_operand(sig, local, kind, dyadic):
+    """A real operand with one term, a few terms or all 2^n terms, in random
+    key order, with dyadic coefficients (k/8) or normal ones."""
+    dim = 1 << sig.n
+    size = {"single": 1, "sparse": int(local.integers(2, 12)), "dense": dim}[kind]
+    terms = {}
+    for m in local.permutation(dim)[:size]:
+        c = float(local.integers(-8, 9)) / 8 if dyadic else float(local.normal())
+        terms[int(m)] = c if c else 0.25
+    return Multivector(sig, terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    st.sampled_from(SIGNATURES_5_TO_8),
+    st.sampled_from(["single", "sparse", "dense"]),
+    st.sampled_from(["single", "sparse", "dense"]),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic, seed):
+    sig = Signature(*pq)
+    local = np.random.default_rng(seed)
+    a = drawn_operand(sig, local, kind_a, dyadic)
+    b = drawn_operand(sig, local, kind_b, dyadic)
+    for product, keep in PRODUCTS.items():
+        want = loop_product(a, b, keep)
+        # Values and key order, from the table path and from the public product.
+        assert list(table_product(a, b, keep)._terms.items()) == list(want._terms.items())
+        assert list(product(a, b)._terms.items()) == list(want._terms.items())
+    if dyadic:
+        # Every sum of dyadic products is exact, in whatever order it is added.
+        exact = _left_mult_matrix(a) @ np.array(b.coefficients()).real
+        assert table_product(a, b, None) == Multivector(sig, dict(enumerate(exact.tolist())))
+
+
+@pytest.mark.parametrize("pq", [(3, 2), (0, 7), (4, 4)])
+def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
+    monkeypatch.setattr(mv_module, "_ARRAY_BLOCK_PAIRS", 97)
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    for kinds in (("dense", "dense"), ("sparse", "dense"), ("dense", "single")):
+        a, b = (drawn_operand(sig, local, kind, False) for kind in kinds)
+        for keep in PRODUCTS.values():
+            want = list(loop_product(a, b, keep)._terms.items())
+            assert list(table_product(a, b, keep)._terms.items()) == want
+
+
+def test_only_large_real_products_above_four_dimensions_take_the_table_path(monkeypatch):
+    calls = []
+    table = mv_module._product_array
+    monkeypatch.setattr(
+        mv_module, "_product_array", lambda *args: calls.append(args[:2]) or table(*args)
+    )
+    local = np.random.default_rng(7)
+    sig = Signature(3, 3)
+    dense = drawn_operand(sig, local, "dense", False)
+    single = drawn_operand(sig, local, "single", False)
+    geometric_product(dense, dense)
+    geometric_product(single, dense)  # 64 pairs: below the threshold
+    geometric_product(random_mv(SIG13, local), random_mv(SIG13, local))
+    assert calls == [(3, 6)]
+    assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64
+
+
+@pytest.mark.parametrize("pq", [(5, 0), (2, 4), (3, 4)])
+def test_complex_products_never_take_the_table_path(monkeypatch, pq):
+    # numpy's complex multiply can differ from Python's in the last bit.
+    def refuse(*args):
+        raise AssertionError("complex operands reached the table path")
+
+    monkeypatch.setattr(mv_module, "_product_array", refuse)
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    real = drawn_operand(sig, local, "dense", False)
+    imaginary = real * 1j + drawn_operand(sig, local, "dense", True)
+    for a, b in ((imaginary, real), (real, imaginary), (imaginary, imaginary)):
+        for product, keep in PRODUCTS.items():
+            assert list(product(a, b)._terms.items()) == list(loop_product(a, b, keep)._terms.items())
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_sign_table_rows_are_the_sign_rule_rows(n):
+    for p in range(n + 1):
+        table = mv_module._sign_table(p, n)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert all(tuple(table[a].tolist()) == _reorder_sign(p, n, a) for a in range(1 << n))
+    _reorder_sign.cache_clear()
+
+
+def test_dense_real_products_build_no_sign_rows():
+    # A fresh interpreter: the rows of _reorder_sign are Python-int tuples,
+    # 128 MiB for all of Cl(6,6), where its int8 sign table holds 16 MiB.
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "import cliffspin as cs\n"
+        "from cliffspin.multivector import _reorder_sign\n"
+        "local = np.random.default_rng(0)\n"
+        "def dense(sig):\n"
+        "    return cs.Multivector(sig, dict(enumerate(local.uniform(-1, 1, 1 << sig.n).tolist())))\n"
+        "a, b = dense(cs.Signature(5, 5)), dense(cs.Signature(5, 5))\n"
+        "cs.geometric_product(a, b)\n"
+        "rows = _reorder_sign.cache_info().currsize\n"
+        "c, d = dense(cs.Signature(6, 6)), dense(cs.Signature(6, 6))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "cs.geometric_product(c, d)\n"
+        "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(rows, grew / 1024, _reorder_sign.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    rows, grew_mib, rows_after = out.stdout.split()
+    assert int(rows) == 0 and int(rows_after) == 0
+    assert float(grew_mib) <= 32
+
+
+def test_inverse_fast_path_test_is_relative_to_scale(monkeypatch):
+    def refuse(a):
+        raise AssertionError("took the general path")
+
+    monkeypatch.setattr(mv_module, "_left_mult_matrix", refuse)
+    sig = Signature(4, 3)
+    for scale in (1e-8, 1.0, 1e8):
+        for i in (1, 5):
+            a = gen(sig, i) * scale
+            assert (geometric_product(a, inverse(a)) - 1).max_abs() < 1e-12

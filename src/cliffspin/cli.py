@@ -50,10 +50,6 @@ from .spinors import (
 ISO = "≅"
 
 
-def _print_mv(mv: Multivector, ascii_only: bool) -> str:
-    return format_multivector(mv, ascii_only=ascii_only)
-
-
 def cmd_classify(args) -> int:
     desc = classify(args.p, args.q)
     iso = "~=" if args.ascii else ISO
@@ -66,7 +62,7 @@ def cmd_classify(args) -> int:
 
 def cmd_idempotent(args) -> int:
     desc = find_primitive_idempotent(args.p, args.q, seed=args.seed)
-    print(f"idempotent: {_print_mv(desc.idempotent, args.ascii)}")
+    print(f"idempotent: {format_multivector(desc.idempotent)}")
     print(f"factors (k): {desc.k_factors}")
     print(f"ideal real dimension: {ideal_real_dim(desc.idempotent)}")
     print(f"ideal dimension over K: {ideal_dim_over_K(desc.idempotent)}")
@@ -169,7 +165,7 @@ def cmd_decompose(args) -> int:
     factors = canonical_decompose(DHSRep(frame, psi))
     print(f"rho: {factors.rho!r}")
     print(f"beta: {factors.beta!r}")
-    print(f"R: {_print_mv(factors.R.u, args.ascii)}")
+    print(f"R: {format_multivector(factors.R.u)}")
     return 0
 
 
@@ -183,7 +179,7 @@ def cmd_eval(args) -> int:
     if args.json:
         print(json.dumps(to_json_dict(result)))
     else:
-        print(_print_mv(result, args.ascii))
+        print(format_multivector(result))
     return 0
 
 

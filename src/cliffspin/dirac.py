@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import Rotor, SpinorialFrame, fiducial_spinorial_frame, frame_right_action, is_spin_e
+from .groups import (
+    Rotor,
+    SpinorialFrame,
+    fiducial_spinorial_frame,
+    frame_right_action,
+    is_spin_e,
+    rotor_between,
+)
 from .matrixrep import matrix_of, standard_gammas
 from .multivector import Multivector, Signature, geometric_product, scalar_product
 from .spinors import SIG13, gamma5, gamma_lower, gamma_upper
@@ -160,8 +167,6 @@ def planewave_solution(
     pi = Multivector(SIG13, {1: p0, 2: p1, 4: p2, 8: p3})
     v = (1.0 / m) * pi
     g0 = gamma_lower(frame, 0)
-    from .groups import rotor_between
-
     R = rotor_between(v, g0)
     if sign == 1:
         psi0 = R.u
@@ -212,9 +217,7 @@ def asf_residual(
     proj = asf_projector(field.frame)
     psi = field.evaluate(x)
     phi = geometric_product(psi, proj)
-    dphi = Multivector.zero(SIG13)
-    for g, d_psi in zip(_COORDINATE_COFRAME, field._partials_of(psi)):
-        dphi = dphi + geometric_product(g, geometric_product(d_psi, proj))
+    dphi = _apply_coframe(None, [geometric_product(d, proj) for d in field._partials_of(psi)])
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:
         res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), gamma5())

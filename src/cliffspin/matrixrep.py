@@ -1,17 +1,17 @@
 """The representation bridge: Cl(4,1) with a central pseudoscalar playing the
-imaginary unit, the even embedding of Cl(1,3), a spin basis for the minimal
-ideal, the induced 4x4 complex matrix representation, and covariant
-column-spinor equivalence.
+imaginary unit, the even embedding of Cl(1,3), the 4x4 complex matrix
+representation induced by a minimal ideal, and covariant column-spinor
+equivalence.
 
-The matrices of the four generators E_mu are solved once with exact
-rational arithmetic, so they come out with exact +-1 and +-i entries; the
-matrix of every other blade is the ordered product of generator matrices.
-"""
+The ideal is that of f = (1 + E_0)/2 (1 + i E_1 E_2)/2 in Cl(4,1), with the
+spin basis f_1 = f, f_2 = -E_1 E_3 f, f_3 = E_3 E_0 f, f_4 = E_1 E_0 f.  On
+it the four generators E_mu act by the standard Dirac matrices, which have
+exact +-1 and +-i entries; the matrix of every other blade is the ordered
+product of generator matrices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -82,85 +82,11 @@ def embed_j(x: Multivector) -> Multivector:
 
 
 @lru_cache(maxsize=1)
-def _spin_basis() -> tuple[Multivector, Multivector, Multivector, Multivector]:
-    r41 = build_r41()
-    E, i = r41.E, r41.i
-    f = geometric_product(
-        (1 + E[0]) * 0.5,
-        (1 + geometric_product(i, geometric_product(E[1], E[2]))) * 0.5,
-    )
-    f1 = f
-    f2 = -geometric_product(geometric_product(E[1], E[3]), f)
-    f3 = geometric_product(geometric_product(E[3], E[0]), f)
-    f4 = geometric_product(geometric_product(E[1], E[0]), f)
-    return f1, f2, f3, f4
-
-
-def _exact_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """Solve sum_j c_j * columns[j] = target exactly; raises if inconsistent."""
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[j][r] for j in range(ncols)] + [target[r]] for r in range(nrows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            pivots.append(-1)
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(row)
-        row += 1
-    sol = [Fraction(0)] * ncols
-    for col in range(ncols):
-        if pivots[col] >= 0:
-            sol[col] = aug[pivots[col]][-1]
-    for r in range(row, nrows):
-        if aug[r][-1] != 0:
-            raise RepresentationError("target vector is outside the spin-basis span")
-    # Consistency of the solved rows.
-    for r in range(nrows):
-        acc = sum(columns[j][r] * sol[j] for j in range(ncols))
-        if acc != target[r]:
-            raise RepresentationError("exact solve failed consistency check")
-    return sol
-
-
-def _dense_fractions(mv: Multivector) -> list[Fraction]:
-    coeffs = mv.coefficients()
-    if any(c.imag for c in coeffs):
-        raise RepresentationError("expected a real Cl(4,1) element")
-    return [Fraction(c.real) for c in coeffs]
-
-
-@lru_cache(maxsize=1)
 def _blade_matrices() -> dict[int, np.ndarray]:
-    """4x4 complex matrix of each Cl(1,3) basis blade in the spin basis.
-
-    Only the generators are solved, exactly: E_mu f_j = sum_i f_i c_ij with
-    i mapped to the machine imaginary unit.  Their matrices are monomial with
-    entries +-1 and +-i, so the ordered products that give the other blades
-    are exact as well."""
-    r41 = build_r41()
-    basis = _spin_basis()
-    columns = []
-    for f in basis:
-        columns.append(_dense_fractions(f))
-        columns.append(_dense_fractions(geometric_product(r41.i, f)))
-    gens = []
-    for E in r41.E:
-        M = np.zeros((4, 4), dtype=complex)
-        for j, fj in enumerate(basis):
-            sol = _exact_solve(columns, _dense_fractions(geometric_product(E, fj)))
-            for i4 in range(4):
-                M[i4, j] = float(sol[2 * i4]) + 1j * float(sol[2 * i4 + 1])
-        gens.append(M)
+    """4x4 complex matrix of each Cl(1,3) basis blade: the ordered product of
+    the Dirac matrices of its generators.  The Dirac matrices are monomial,
+    so every product is exact."""
+    gens = standard_gammas().gammas
     tables: dict[int, np.ndarray] = {}
     for mask in range(16):
         M = np.eye(4, dtype=complex)
@@ -172,8 +98,8 @@ def _blade_matrices() -> dict[int, np.ndarray]:
 
 
 def matrix_of(x: Multivector) -> np.ndarray:
-    """Left-regular representation of Cl(1,3) (real or complexified) on the
-    spin basis: a 4x4 complex matrix; an algebra homomorphism."""
+    """Representation of Cl(1,3) (real or complexified) on the spin basis of
+    the ideal: a 4x4 complex matrix; an algebra homomorphism."""
     if x.signature != SIG13:
         raise RepresentationError("matrix_of expects a Cl(1,3) element")
     tables = _blade_matrices()

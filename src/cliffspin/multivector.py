@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,6 +165,10 @@ class Multivector:
         limit = 1 << signature.n
         is_real = True
         for mask, coeff in (terms or {}).items():
+            try:
+                mask = operator.index(mask)
+            except TypeError:
+                raise ValueError(f"blade mask {mask!r} is not an integer") from None
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} invalid for n={signature.n}")
             c = complex(coeff)

@@ -33,7 +33,7 @@ def _blade_name(mask: int) -> str:
     return "^".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def format_multivector(mv: Multivector, ascii_only: bool = False) -> str:
+def format_multivector(mv: Multivector) -> str:
     if mv.is_zero():
         return "0"
     parts: list[str] = []
@@ -160,7 +160,10 @@ def from_json_dict(data: dict) -> Multivector:
         for term in data["terms"]:
             mask = 0
             for idx in term["blades"]:
-                bit = 1 << (int(idx) - 1)
+                idx = int(idx)
+                if not 1 <= idx <= sig.n:
+                    raise MultivectorParseError(f"generator e{idx} out of range for n={sig.n}")
+                bit = 1 << (idx - 1)
                 if bit & mask:
                     raise MultivectorParseError(f"repeated generator index {idx}")
                 mask |= bit

@@ -225,3 +225,12 @@ def test_decompose_malformed_file_is_domain_error(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert_domain_error(*run(capsys, "decompose", "--in", str(path)), "")
+
+
+@pytest.mark.parametrize("idx", [0, 10**8])
+def test_decompose_blade_index_out_of_range_is_domain_error(capsys, tmp_path, idx):
+    psi = {"signature": [1, 3], "terms": [{"blades": [idx], "re": 1.0, "im": 0.0}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"psi": psi}))
+    needle = f"error: generator e{idx} out of range for n=4\n"
+    assert_domain_error(*run(capsys, "decompose", "--in", str(path)), needle)

@@ -22,10 +22,7 @@ from cliffspin import (
 from cliffspin.matrixrep import (
     RepresentationError,
     _blade_matrices,
-    _dense_fractions,
     _embedded_blade,
-    _exact_solve,
-    _spin_basis,
     build_r41,
 )
 
@@ -247,43 +244,40 @@ def test_minimal_ideal_dimensions_agree():
 # -- exactness of the generator-product tables -----------------------------------------
 
 
-def solved_blade_matrix(mask):
-    """Oracle: the matrix of one Cl(1,3) blade solved exactly, column by column."""
+def spin_basis():
+    """f_1..f_4 of the ideal of f = (1 + E_0)/2 (1 + i E_1 E_2)/2 in Cl(4,1)."""
     r41 = build_r41()
-    basis = _spin_basis()
-    columns = []
-    for f in basis:
-        columns.append(_dense_fractions(f))
-        columns.append(_dense_fractions(geometric_product(r41.i, f)))
-    M = np.zeros((4, 4), dtype=complex)
-    for j, fj in enumerate(basis):
-        sol = _exact_solve(columns, _dense_fractions(geometric_product(_embedded_blade(mask), fj)))
-        for i in range(4):
-            M[i, j] = float(sol[2 * i]) + 1j * float(sol[2 * i + 1])
-    return M
+    E, i = r41.E, r41.i
+    e12 = geometric_product(E[1], E[2])
+    f = geometric_product((1 + E[0]) * 0.5, (1 + geometric_product(i, e12)) * 0.5)
+    return (
+        f,
+        -geometric_product(geometric_product(E[1], E[3]), f),
+        geometric_product(geometric_product(E[3], E[0]), f),
+        geometric_product(geometric_product(E[1], E[0]), f),
+    )
 
 
-def test_blade_tables_equal_per_blade_exact_solve_bytewise():
+def test_blade_tables_are_the_action_on_the_spin_basis():
+    # E_m f_j = sum_k f_k M_kj with i read as the Cl(4,1) pseudoscalar, exactly
+    # for all 16 blades; {f_j, i f_j} is real-independent, so M is the only
+    # solution and the tables are the representation the ideal induces.
+    r41 = build_r41()
+    basis = spin_basis()
+    i_basis = [geometric_product(r41.i, f) for f in basis]
     tables = _blade_matrices()
     assert sorted(tables) == list(range(16))
     for mask in range(16):
-        assert tables[mask].tobytes() == solved_blade_matrix(mask).tobytes(), mask
-
-
-def test_blade_tables_solve_only_the_generators(monkeypatch):
-    import cliffspin.matrixrep as mr
-
-    calls = []
-    real_solve = mr._exact_solve
-
-    def counting_solve(*args):
-        calls.append(args)
-        return real_solve(*args)
-
-    monkeypatch.setattr(mr, "_exact_solve", counting_solve)
-    fresh = mr._blade_matrices.__wrapped__()
-    assert len(calls) == 16  # four generators, four spin-basis columns each
-    assert all(np.array_equal(fresh[m], _blade_matrices()[m]) for m in range(16))
+        M = tables[mask]
+        for j, fj in enumerate(basis):
+            want = Multivector.zero(Signature(4, 1))
+            for k in range(4):
+                want = want + M[k, j].real * basis[k] + M[k, j].imag * i_basis[k]
+            assert geometric_product(_embedded_blade(mask), fj) == want, (mask, j)
+    columns = (*basis, *i_basis)
+    assert all(f.real for f in columns)
+    dense = np.array([[c.real for c in f.coefficients()] for f in columns])
+    assert np.linalg.matrix_rank(dense) == 8
 
 
 def test_matrix_of_is_exactly_multiplicative_on_blades():

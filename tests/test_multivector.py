@@ -16,6 +16,7 @@ from cliffspin import (
     SignatureMismatchError,
     conjugation,
     exp_bivector,
+    format_multivector,
     geometric_product,
     grade_involution,
     grade_part,
@@ -26,6 +27,7 @@ from cliffspin import (
     reversion,
     right_contraction,
     scalar_product,
+    to_json,
     wedge,
 )
 from cliffspin import multivector as mv_module
@@ -142,6 +144,18 @@ def test_dimension_cap():
 def test_zero_terms_pruned():
     mv = Multivector(SIG13, {0: 1.0, 1: 0.0})
     assert set(mv.terms) == {0}
+
+
+def test_masks_are_stored_as_ints():
+    mv = Multivector(SIG13, {np.int64(3): 1.0, True: 2.0})
+    assert [type(m) for m in mv.terms] == [int, int]
+    assert mv == Multivector(SIG13, {3: 1.0, 1: 2.0})
+    assert repr(mv) == "<Cl(1,3) 2 e1 + e1^e2>"
+    assert format_multivector(mv) == "2 e1 + e1^e2"
+    assert '"blades": [1, 2]' in to_json(mv)
+    for mask in (3.0, "3", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Multivector(SIG13, {mask: 1.0})
 
 
 # -- wedge ---------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffspin import (
     Multivector,
@@ -54,6 +56,17 @@ def test_parse_errors():
         parse_multivector("spam", SIG13)
 
 
+@pytest.mark.parametrize("idx", [0, -1, 5, 10**8])
+def test_json_blade_index_out_of_range(idx):
+    data = {"signature": [1, 3], "terms": [{"blades": [1, idx], "re": 1.0}]}
+    with pytest.raises(MultivectorParseError) as info:
+        from_json_dict(data)
+    assert str(info.value) == f"generator e{idx} out of range for n=4"
+    if idx >= 0:
+        with pytest.raises(MultivectorParseError, match=f"^{info.value}$"):
+            parse_multivector(f"e1^e{idx}", SIG13)
+
+
 def test_json_round_trip():
     for _ in range(20):
         mv = random_mv(SIG13, complex_coeffs=True)
@@ -83,3 +96,28 @@ def test_parse_round_trip_text_is_exact_on_dense_cl34():
     text = format_multivector(mv)
     assert "e-" in text and "e+" in text and "j)" in text
     assert parse_multivector(text, sig) == mv
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_multivectors(draw):
+    p = draw(st.integers(0, 6))
+    sig = Signature(p, draw(st.integers(0, 6 - p)))
+    coeffs = st.one_of(FINITE, st.builds(complex, FINITE, FINITE))
+    return Multivector(
+        sig, draw(st.dictionaries(st.integers(0, (1 << sig.n) - 1), coeffs, max_size=8))
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(sparse_multivectors())
+def test_json_round_trip_property(mv):
+    assert from_json(to_json(mv)) == mv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(sparse_multivectors())
+def test_text_round_trip_property(mv):
+    assert parse_multivector(format_multivector(mv), mv.signature) == mv

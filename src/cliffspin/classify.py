@@ -5,13 +5,13 @@ All idempotent coefficients produced here are dyadic rationals (+-2^-k),
 which are exact in double precision, so idempotency and orthogonality checks
 use exact equality.
 
-The ideal machinery spans images of the blades: blade_m e for the left ideal
-Cl(p,q)e and e blade_m e for its division ring.  ``_image_rows`` builds them
-as dense real rows straight from the signature's int8 sign table, in blocks
-of rows, and ``_real_independent``, the one span helper, returns the indices
-of the rows it keeps.  Only the kept images are then built as multivectors,
-through ``geometric_product``, so the bases are the products' to the bit.
-The search reads blade squares and commutation from the same table.
+Ranks are traces of projections: dim Cl(p,q)e = 2^n <e>_0 and dim e Cl(p,q)e
+= 2^n (e_0^2 + [n odd] I^2 e_I^2), as only the centre survives the sum over
+the blades.  When supp(e) is a XOR-subgroup H with |H| <e>_0 = 1, as for every
+search idempotent, the images blade_m e of a coset of H are +- one another, so
+``ideal_basis`` keeps the coset minima in ascending order, the greedy span's
+own pick.  Other idempotents keep the span: ``_image_rows`` builds the rows
+from the int8 sign table and ``_real_independent`` reduces them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,12 +111,10 @@ def classify(p: int, q: int) -> MatrixAlgebraDescriptor:
 _IMAGE_BLOCK_ENTRIES = 1 << 19
 
 
-def _image_rows(e: Multivector, sandwich: bool = False) -> Iterator[np.ndarray]:
-    """Real coefficient rows of blade_m e, or of e blade_m e when sandwich is
-    set, for every mask m in ascending order, built in blocks of rows from
-    the sign table.  blade_m e_j = sign[m, j] e_{m^j} is a single term, so
-    the blade_m e rows are the products' coefficients exactly; the sandwich
-    rows add their terms in another order, which is exact for dyadic e."""
+def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
+    """Real coefficient rows of blade_m e for every mask m in ascending order,
+    in blocks from the sign table: blade_m e_j = sign[m, j] e_{m^j} is a
+    single term, so the rows are the products' coefficients exactly."""
     sig = e.signature
     table = _sign_table(sig.p, sig.n)
     size = 1 << sig.n
@@ -125,19 +122,12 @@ def _image_rows(e: Multivector, sandwich: bool = False) -> Iterator[np.ndarray]:
     coeffs = np.fromiter(e._terms.values(), complex, masks.size)
     if e.real:
         coeffs = coeffs.real
-    terms_per_row = masks.size ** 2 if sandwich else masks.size
-    step = max(1, _IMAGE_BLOCK_ENTRIES // max(size, terms_per_row))
+    step = max(1, _IMAGE_BLOCK_ENTRIES // size)
     for start in range(0, size, step):
         blades = np.arange(start, min(start + step, size))[:, None]
         # blade_m e = sum over the terms j of e: sign[m, j] e_j e_{m^j}.
-        cols, vals = blades ^ masks, table[blades, masks] * coeffs
-        if sandwich:
-            # e x = sum over the terms k of e and c of x: sign[k, c] e_k x_c e_{k^c}.
-            c = cols[:, :, None]
-            cols, vals = c ^ masks, table[masks, c] * coeffs * vals[:, :, None]
-        rows = np.zeros((blades.size, size), dtype=vals.dtype)
-        at = np.arange(blades.size)[:, None]
-        np.add.at(rows, (at, cols.reshape(blades.size, -1)), vals.reshape(blades.size, -1))
+        rows = np.zeros((blades.size, size), dtype=coeffs.dtype)
+        rows[np.arange(blades.size)[:, None], blades ^ masks] = table[blades, masks] * coeffs
         yield from rows.real
 
 
@@ -161,6 +151,31 @@ def _real_independent(rows: Iterable[np.ndarray], tol: float = 1e-9) -> list[int
     return kept
 
 
+def _coset_minima(e: Multivector) -> list[int] | None:
+    """The least mask of each coset m ^ H, in ascending order, when e is real
+    and its support is a XOR-subgroup H with |H| <e>_0 = 1; None otherwise."""
+    # An echelon basis of the support's span (distinct top bits, descending):
+    # clearing its top bits takes a mask to the least mask of its coset.
+    basis: list[int] = []
+    for m in e._terms:
+        for b in basis:
+            m = min(m, m ^ b)
+        if m:
+            basis = sorted([*basis, m], reverse=True)
+    if not e.real or len(e._terms) != 1 << len(basis) or e.scalar_part() * len(e._terms) != 1:
+        return None
+    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
+    return [m for m in range(1 << e.signature.n) if not m & pivots]
+
+
+def _trace_dim(sig: Signature, diagonal_mean: float, what: str) -> int:
+    """The trace 2^n * diagonal_mean of a projection on Cl(p,q): its rank."""
+    trace = diagonal_mean * (1 << sig.n)
+    if not trace.is_integer():
+        raise ClassificationError(f"{what}: trace {trace!r} is not an integer")
+    return int(trace)
+
+
 def is_idempotent(e: Multivector) -> bool:
     return geometric_product(e, e) == e
 
@@ -171,25 +186,20 @@ def _require_idempotent(e: Multivector, caller: str) -> None:
 
 
 def ideal_basis(e: Multivector) -> list[Multivector]:
-    """Basis of the left ideal Cl(p,q)e over the reals, picked greedily from
-    the images (blade * e) in ascending mask order."""
+    """Basis of Cl(p,q)e over the reals: the images blade * e that a greedy
+    span keeps in ascending mask order."""
     _require_idempotent(e, "ideal_basis")
+    masks = _coset_minima(e) or _real_independent(_image_rows(e))
     sig = e.signature
-    return [geometric_product(Multivector.from_mask(sig, m), e) for m in _ideal_basis(e)]
-
-
-@lru_cache(maxsize=1)
-def _ideal_basis(e: Multivector) -> tuple[int, ...]:
-    """The masks m whose images blade_m e form ideal_basis(e)."""
-    # One entry suffices: find_primitive_idempotent stops right after the
-    # rank probe (ideal_real_dim) that accepts its idempotent, so the basis
-    # it then asks for is the one that probe has just spanned.
-    return tuple(_real_independent(_image_rows(e)))
+    return [geometric_product(Multivector.from_mask(sig, m), e) for m in masks]
 
 
 def ideal_real_dim(e: Multivector) -> int:
+    """dim Cl(p,q)e over the reals: 2^n <e>_0 for a real e, else spanned."""
     _require_idempotent(e, "ideal_real_dim")
-    return len(_ideal_basis(e))
+    if not e.real:
+        return len(_real_independent(_image_rows(e)))
+    return _trace_dim(e.signature, e.scalar_part().real, "ideal_real_dim")
 
 
 def ideal_dim_over_K(e: Multivector) -> int:
@@ -205,32 +215,24 @@ def ideal_dim_over_K(e: Multivector) -> int:
 
 
 def division_ring_of(e: Multivector) -> str:
-    """Identify e Cl(p,q) e as R, C, or H by real dimension and structure."""
+    """Identify e Cl(p,q) e, for a real idempotent e, as R, C, or H by its
+    real dimension 2^n (e_0^2 + [n odd] I^2 e_I^2) and, at dimension 2, by
+    the square of w = e I e = I e, which is I^2 e."""
     _require_idempotent(e, "division_ring_of")
+    if not e.real:
+        raise ClassificationError("division_ring_of requires a real idempotent")
     sig = e.signature
-    kept = _real_independent(_image_rows(e, sandwich=True))
-    d = len(kept)
-    if d == 1:
-        return "R"
-    if d == 2:
-        basis = [
-            geometric_product(geometric_product(e, Multivector.from_mask(sig, m)), e) for m in kept
-        ]
-        # Split off the trace direction: find t with t^2 = lambda * e.
-        w = next(b for b in basis if not b.approx_eq(e, 1e-12))
-        # Solve w^2 = alpha*e + beta*w for the structure constants.
-        w2 = geometric_product(w, w)
-        A = np.array([e.coefficients(), w.coefficients()]).real.T
-        coeffs, *_ = np.linalg.lstsq(A, np.array(w2.coefficients()).real, rcond=None)
-        alpha, beta = coeffs
-        t = w - (beta / 2) * e
-        lam = alpha + beta * beta / 4  # t^2 = lam * e
-        if lam < -1e-12:
-            return "C"
+    # I^2 is (-1)^(n(n-1)/2) from reordering, times the q squares -1.
+    i_square = (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q)
+    central = e.scalar_part().real ** 2
+    if sig.n % 2:
+        central += i_square * e.coeff((1 << sig.n) - 1).real ** 2
+    d = _trace_dim(sig, central, "division_ring_of")
+    if d == 2 and i_square == 1:
         raise ClassificationError("2-dimensional eCle is split, not a division ring")
-    if d == 4:
-        return "H"
-    raise ClassificationError(f"eCl(p,q)e has unexpected real dimension {d}")
+    if d not in (1, 2, 4):
+        raise ClassificationError(f"eCl(p,q)e has unexpected real dimension {d}")
+    return {1: "R", 2: "C", 4: "H"}[d]
 
 
 def is_primitive(e: Multivector) -> bool:
@@ -253,16 +255,13 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
     then mask); an integer seed deterministically shuffles the order.
     """
     sig = Signature(p, q)
-    desc = classify(p, q)
     target_k = idempotent_factor_count(p, q)
-    target_real_dim = (1 << sig.n) >> target_k if target_k >= 0 else None
     if target_k < 0:
         raise ClassificationError("negative factor count; bookkeeping failed")
 
     candidates = _commuting_square_plus_blades(sig)
     if seed is not None:
-        rng = random.Random(seed)
-        rng.shuffle(candidates)
+        random.Random(seed).shuffle(candidates)
 
     signs = _sign_table(p, sig.n)
     e = Multivector.scalar(sig, 1.0)
@@ -290,13 +289,11 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         raise ClassificationError(
             f"idempotent search for Cl({p},{q}) stalled at {len(chosen)} of {target_k} factors"
         )
-    ring = division_ring_of(e)
-    basis = ideal_basis(e)
     return IdealDescriptor(
         idempotent=e,
-        ideal_basis=basis,
+        ideal_basis=ideal_basis(e),
         k_factors=target_k,
-        division_ring=ring,
+        division_ring=division_ring_of(e),
         factors=chosen,
         nonsimple_summand=not is_simple(p, q),
     )

@@ -191,20 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ascii(p):
-        p.add_argument("--ascii", action="store_true", help="ASCII-only output")
+    def add_noop_ascii(p):
+        # Only classify prints non-ASCII text.  The other commands accept
+        # --ascii, so that scripts keep working, but leave it out of --help.
+        p.add_argument("--ascii", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("classify", help="matrix-algebra classification of Cl(p,q)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    add_ascii(p)
+    p.add_argument("--ascii", action="store_true", help="ASCII-only output")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("idempotent", help="primitive idempotent and minimal ideal data")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    add_ascii(p)
+    add_noop_ascii(p)
     p.set_defaults(func=cmd_idempotent)
 
     p = sub.add_parser("fierz", help="verify the covariant identity suite")
@@ -237,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="canonical decomposition of a spinor JSON file")
     p.add_argument("--in", dest="infile", required=True)
-    add_ascii(p)
+    add_noop_ascii(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("eval", help="evaluate a multivector expression")
     p.add_argument("--sig", required=True, help="signature as P,Q")
     p.add_argument("expr", nargs="?")
     p.add_argument("--json", action="store_true")
-    add_ascii(p)
+    add_noop_ascii(p)
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -152,15 +152,22 @@ def to_json(mv: Multivector) -> str:
     return json.dumps(to_json_dict(mv))
 
 
+def _json_int(value, what: str) -> int:
+    # JSON integers load as int; 1.9, 2.0, "2" and true are not indices.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MultivectorParseError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def from_json_dict(data: dict) -> Multivector:
     try:
         p, q = data["signature"]
-        sig = Signature(int(p), int(q))
+        sig = Signature(_json_int(p, "signature count"), _json_int(q, "signature count"))
         terms: dict[int, complex] = {}
         for term in data["terms"]:
             mask = 0
             for idx in term["blades"]:
-                idx = int(idx)
+                idx = _json_int(idx, "blade index")
                 if not 1 <= idx <= sig.n:
                     raise MultivectorParseError(f"generator e{idx} out of range for n={sig.n}")
                 bit = 1 << (idx - 1)

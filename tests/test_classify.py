@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cliffspin import (
     orthogonal_idempotent_expansion,
     radon_hurwitz,
 )
-from cliffspin.classify import ideal_real_dim, is_idempotent
+from cliffspin.classify import ClassificationError, ideal_real_dim, is_idempotent
 
 SIG13 = Signature(1, 3)
 
@@ -240,34 +241,31 @@ def test_ideal_basis_keeps_first_independent_images_in_mask_order():
 
 
 @pytest.mark.parametrize("pq", [(1, 3), (3, 2), (4, 3)])
-def test_search_reuses_the_accepting_probes_ideal_basis(pq, monkeypatch):
-    """After the rank probe (ideal_real_dim) that accepts the last factor, the
-    search runs the span helper once more, for the division ring: the ideal
-    basis it returns is the one that probe spanned."""
+def test_search_runs_no_span_elimination(pq, monkeypatch):
+    """The search's rank probes, ideal basis and division ring are closed
+    forms: the span helper is never called."""
     classify_module = importlib.import_module("cliffspin.classify")
     events = []
     span, probe = classify_module._real_independent, classify_module.ideal_real_dim
     monkeypatch.setattr(
-        classify_module, "_real_independent", lambda images: events.append("span") or span(images)
+        classify_module, "_real_independent", lambda rows: events.append("span") or span(rows)
     )
     monkeypatch.setattr(
         classify_module, "ideal_real_dim", lambda e: events.append("probe") or probe(e)
     )
-    classify_module._ideal_basis.cache_clear()
     desc = find_primitive_idempotent(*pq, seed=1)
-    last_probe = len(events) - 1 - events[::-1].index("probe")
-    assert events[last_probe:] == ["probe", "span", "span"]
+    assert "probe" in events and "span" not in events
     assert desc.ideal_basis == ideal_basis(desc.idempotent)
-    assert desc.ideal_basis is not ideal_basis(desc.idempotent)
 
 
-# -- ideal images from the sign table: the same bases as images built by products ----------
+# -- the closed forms against the greedy span they replace ---------------------------------
 
 SIGNATURES_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
 
 
 def product_rows(e, sandwich=False):
-    """The rows _image_rows gives, built from products instead of the sign table."""
+    """Real coefficient rows of blade_m e, or of e blade_m e when sandwich is
+    set, for every mask m in ascending order, built by products."""
     sig = e.signature
     left = e if sandwich else Multivector.scalar(sig, 1.0)
     for m in range(1 << sig.n):
@@ -275,31 +273,99 @@ def product_rows(e, sandwich=False):
         yield np.array(image.coefficients()).real
 
 
-def ideal_outputs(e):
+def greedy_independent(rows, tol=1e-9):
+    """Indices of the rows, in order, that are not in the real span of the
+    rows kept before them: incremental Gaussian elimination, pivoting on the
+    largest entry, with a pivot tolerance."""
+    basis, pivots, kept = [], [], []
+    for i, w in enumerate(rows):
+        for row, piv in zip(basis, pivots):
+            if w[piv] != 0.0:
+                w = w - row * w[piv]
+        idx = int(np.argmax(np.abs(w)))
+        if abs(w[idx]) <= tol:
+            continue
+        basis.append(w / w[idx])
+        pivots.append(idx)
+        kept.append(i)
+    return kept
+
+
+def oracle_division_ring(e):
+    """e Cl e spanned by its images e blade_m e; at real dimension 2 the
+    structure constants of w^2 = alpha e + beta w tell C from R + R."""
+    sig = e.signature
+    kept = greedy_independent(product_rows(e, sandwich=True))
+    if len(kept) == 2:
+        basis = [
+            geometric_product(geometric_product(e, Multivector.from_mask(sig, m)), e) for m in kept
+        ]
+        w = next(b for b in basis if not b.approx_eq(e, 1e-12))
+        A = np.array([e.coefficients(), w.coefficients()]).real.T
+        w2 = np.array(geometric_product(w, w).coefficients()).real
+        (alpha, beta), *_ = np.linalg.lstsq(A, w2, rcond=None)
+        return "C" if alpha + beta * beta / 4 < -1e-12 else "split"
+    return {1: "R", 4: "H"}.get(len(kept), f"dimension {len(kept)}")
+
+
+def span_outputs(e):
+    """The ideal basis masks and terms, dimension and division ring that the
+    greedy span of the blade images gives."""
+    masks = greedy_independent(product_rows(e))
+    images = blade_images(e)
+    terms = [list(images[m]._terms.items()) for m in masks]
+    return masks, terms, len(masks), oracle_division_ring(e)
+
+
+def closed_form_outputs(e):
     classify_module = importlib.import_module("cliffspin.classify")
-    classify_module._ideal_basis.cache_clear()
     basis = ideal_basis(e)
-    return (
-        [list(b._terms.items()) for b in basis],
-        ideal_real_dim(e),
-        division_ring_of(e),
-    )
+    masks = classify_module._coset_minima(e)
+    return masks, [list(b._terms.items()) for b in basis], ideal_real_dim(e), division_ring_of(e)
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES_TO_7)
+def test_closed_forms_match_the_greedy_span(p, q):
+    for seed in (None, 1, 2, 3):
+        e = find_primitive_idempotent(p, q, seed).idempotent
+        assert closed_form_outputs(e) == span_outputs(e), seed
+
+
+def off_subgroup_idempotent(e):
+    """e + e x (1 - e) for the first blade x that changes e: the conjugate
+    (1 - u) e (1 + u) of e by 1 + u with u = e x (1 - e), u^2 = 0.  Its
+    coefficients stay dyadic, and its support is no subgroup H with
+    |H| <e>_0 = 1.  None when every such u is zero."""
+    sig = e.signature
+    rest = Multivector.scalar(sig, 1.0) - e
+    for m in range(1, 1 << sig.n):
+        u = geometric_product(geometric_product(e, Multivector.from_mask(sig, m)), rest)
+        if not u.is_zero():
+            return e + u
+    return None
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES_TO_7)
 def test_table_built_ideals_match_product_built_ideals(p, q, monkeypatch):
+    """Off the subgroup case ideal_basis spans the sign table's rows; its
+    basis is the one the product-built rows give, and so are the closed-form
+    dimension and ring."""
     classify_module = importlib.import_module("cliffspin.classify")
-    for seed in (None, 1, 2, 3):
-        e = find_primitive_idempotent(p, q, seed).idempotent
-        got = ideal_outputs(e)
-        with monkeypatch.context() as patch:
-            patch.setattr(classify_module, "_image_rows", product_rows)
-            want = ideal_outputs(e)
-        assert got == want, seed
-        # The blade images themselves: the basis is the kept images, in mask order.
-        images = blade_images(e)
-        assert got[0] == [list(images[m]._terms.items()) for m in classify_module._ideal_basis(e)]
-    classify_module._ideal_basis.cache_clear()
+    e = off_subgroup_idempotent(find_primitive_idempotent(p, q).idempotent)
+    if e is None:
+        # A division algebra, or a sum of two, has no nilpotents.
+        assert classify(p, q).m == 1
+        return
+    assert is_idempotent(e) and classify_module._coset_minima(e) is None
+    calls = []
+    span = classify_module._real_independent
+    monkeypatch.setattr(
+        classify_module, "_real_independent", lambda rows: calls.append(1) or span(rows)
+    )
+    got = [list(b._terms.items()) for b in ideal_basis(e)]
+    assert calls
+    masks, terms, dim, ring = span_outputs(e)
+    assert (got, ideal_real_dim(e), division_ring_of(e)) == (terms, dim, ring)
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES_TO_7)
@@ -318,9 +384,38 @@ def test_square_plus_blades_read_from_the_sign_table(p, q):
 
 def test_image_rows_match_products_in_small_blocks(monkeypatch):
     classify_module = importlib.import_module("cliffspin.classify")
-    e = find_primitive_idempotent(4, 3, seed=2).idempotent
-    want = [list(product_rows(e, s)) for s in (False, True)]
+    e = off_subgroup_idempotent(find_primitive_idempotent(4, 3, seed=2).idempotent)
+    want = list(product_rows(e))
     monkeypatch.setattr(classify_module, "_IMAGE_BLOCK_ENTRIES", 300)
-    got = [list(classify_module._image_rows(e, s)) for s in (False, True)]
-    for rows, expected in zip(got, want):
-        assert np.array_equal(np.array(rows), np.array(expected))
+    got = list(classify_module._image_rows(e))
+    assert np.array_equal(np.array(got), np.array(want))
+
+
+def test_non_real_idempotents_keep_the_span():
+    e = (1 + 1j * Multivector.generator(SIG13, 2)) * 0.5
+    assert is_idempotent(e)
+    assert ideal_real_dim(e) == len(ideal_basis(e)) == 16
+    with pytest.raises(ClassificationError, match="real idempotent"):
+        division_ring_of(e)
+
+
+def test_trace_that_is_not_an_integer_is_rejected():
+    classify_module = importlib.import_module("cliffspin.classify")
+    assert classify_module._trace_dim(SIG13, 0.5, "probe") == 8
+    with pytest.raises(ClassificationError, match="not an integer"):
+        classify_module._trace_dim(SIG13, 0.3, "probe")
+
+
+def test_cl66_search_is_small():
+    """One Cl(6,6) search: the closed forms keep its traced peak well under
+    the 64 MiB the first span probe alone held."""
+    classify_module = importlib.import_module("cliffspin.classify")
+    classify_module._sign_table.cache_clear()
+    tracemalloc.start()
+    try:
+        desc = find_primitive_idempotent(6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert desc.division_ring == "R" and len(desc.ideal_basis) == 64
+    assert peak < 32 * 2**20

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cliffspin import Multivector, Signature, geometric_product, to_json_dict
-from cliffspin.cli import main
+from cliffspin.cli import build_parser, main
 
 SIG13 = Signature(1, 3)
 
@@ -33,6 +33,27 @@ def test_idempotent_output(capsys):
     assert "division ring: H" in out
     assert "ideal real dimension: 8" in out
     assert "ideal dimension over K: 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["idempotent", "--p", "1", "--q", "3"],
+        ["decompose", "--in", "x.json"],
+        ["eval", "--sig", "1,3", "e1"],
+    ],
+)
+def test_noop_ascii_flag_is_accepted_but_hidden(capsys, argv):
+    assert build_parser().parse_args([*argv, "--ascii"]).ascii
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert "--ascii" not in capsys.readouterr().out
+
+
+def test_classify_ascii_flag_is_listed(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    assert "--ascii" in capsys.readouterr().out
 
 
 def test_fierz_smoke(capsys):

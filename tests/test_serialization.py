@@ -67,6 +67,17 @@ def test_json_blade_index_out_of_range(idx):
             parse_multivector(f"e1^e{idx}", SIG13)
 
 
+@pytest.mark.parametrize(
+    "signature,blades",
+    [([1, 3], [1.9]), ([1, 3], ["2"]), ([1, 3], [True]), ([1, 3], [2.0]),
+     ([1.7, 3], [1]), (["1", 3], [1]), ([1, False], [1])],
+)
+def test_json_reads_only_integers(signature, blades):
+    data = {"signature": signature, "terms": [{"blades": blades, "re": 1.0}]}
+    with pytest.raises(MultivectorParseError, match="is not an integer"):
+        from_json_dict(data)
+
+
 def test_json_round_trip():
     for _ in range(20):
         mv = random_mv(SIG13, complex_coeffs=True)

@@ -189,6 +189,10 @@ def ideal_basis(e: Multivector) -> list[Multivector]:
     """Basis of Cl(p,q)e over the reals: the images blade * e that a greedy
     span keeps in ascending mask order."""
     _require_idempotent(e, "ideal_basis")
+    return _ideal_basis(e)
+
+
+def _ideal_basis(e: Multivector) -> list[Multivector]:
     masks = _coset_minima(e) or _real_independent(_image_rows(e))
     sig = e.signature
     return [geometric_product(Multivector.from_mask(sig, m), e) for m in masks]
@@ -219,6 +223,10 @@ def division_ring_of(e: Multivector) -> str:
     real dimension 2^n (e_0^2 + [n odd] I^2 e_I^2) and, at dimension 2, by
     the square of w = e I e = I e, which is I^2 e."""
     _require_idempotent(e, "division_ring_of")
+    return _division_ring(e)
+
+
+def _division_ring(e: Multivector) -> str:
     if not e.real:
         raise ClassificationError("division_ring_of requires a real idempotent")
     sig = e.signature
@@ -276,9 +284,12 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
             continue
         b = Multivector.from_mask(sig, mask)
         cand = geometric_product(e, (1 + b) * 0.5)
-        if cand.is_zero() or not is_idempotent(cand):
+        if cand.is_zero():
             continue
-        new_dim = ideal_real_dim(cand)
+        try:
+            new_dim = ideal_real_dim(cand)  # checks cand * cand == cand once
+        except ValueError:  # not an idempotent
+            continue
         if new_dim * 2 != current_dim:
             continue
         e = cand
@@ -291,9 +302,10 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         )
     return IdealDescriptor(
         idempotent=e,
-        ideal_basis=ideal_basis(e),
+        # e is the last candidate that ideal_real_dim checked, or 1.
+        ideal_basis=_ideal_basis(e),
         k_factors=target_k,
-        division_ring=division_ring_of(e),
+        division_ring=_division_ring(e),
         factors=chosen,
         nonsimple_summand=not is_simple(p, q),
     )

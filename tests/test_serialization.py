@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +133,309 @@ def test_json_round_trip_property(mv):
 @given(sparse_multivectors())
 def test_text_round_trip_property(mv):
     assert parse_multivector(format_multivector(mv), mv.signature) == mv
+
+
+def test_json_signature_of_wrong_length_is_malformed():
+    malformed = r"^malformed multivector JSON \(ValueError"
+    for signature in ([1, 3, 5], [4], []):
+        with pytest.raises(MultivectorParseError, match=malformed):
+            from_json_dict({"signature": signature, "terms": []})
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [True, False])
+def test_json_reads_only_numbers(part, value):
+    data = {"signature": [1, 3], "terms": [{"blades": [1], "re": 1.0, part: value}]}
+    message = f"^coefficient part {part}={value} is not a number$"
+    with pytest.raises(MultivectorParseError, match=message):
+        from_json_dict(data)
+
+
+def test_to_json_dict_returns_fresh_lists():
+    mv = random_mv(Signature(2, 2), complex_coeffs=True)
+    first, second = to_json_dict(mv), to_json_dict(mv)
+    assert first == second
+    for a, b in zip(first["terms"], second["terms"]):
+        assert a["blades"] is not b["blades"]
+    first["signature"].append(9)
+    for term in first["terms"]:
+        term["blades"].append(99)
+    assert to_json_dict(mv) == second
+    assert from_json_dict(second) == mv
+
+
+# -- the readers and writers before the per-n tables, kept as oracles ------------
+
+
+def _old_format_number(x: float) -> str:
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def _old_format_coeff(c: complex) -> str:
+    if c.imag == 0.0:
+        return _old_format_number(c.real)
+    return "(" + _old_format_number(c.real) + ("+" if c.imag >= 0 else "-") + _old_format_number(
+        abs(c.imag)
+    ) + "j)"
+
+
+def _old_blade_name(mask: int) -> str:
+    return "^".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _old_format_multivector(mv: Multivector) -> str:
+    if mv.is_zero():
+        return "0"
+    parts: list[str] = []
+    for mask in sorted(mv.terms, key=lambda m: (m.bit_count(), m)):
+        c = mv.coeff(mask)
+        if c.imag == 0.0 and c.real < 0:
+            sign, body = "-", _old_format_coeff(-c)
+        else:
+            sign, body = "+", _old_format_coeff(c)
+        if mask:
+            if body == "1":
+                body = _old_blade_name(mask)
+            else:
+                body = body + " " + _old_blade_name(mask)
+        if not parts:
+            parts.append(body if sign == "+" else "-" + body)
+        else:
+            parts.append(sign + " " + body)
+    return " ".join(parts)
+
+
+def _old_to_json_dict(mv: Multivector) -> dict:
+    return {
+        "signature": [mv.signature.p, mv.signature.q],
+        "terms": [
+            {
+                "blades": [i + 1 for i in range(mask.bit_length()) if mask >> i & 1],
+                "re": mv.coeff(mask).real,
+                "im": mv.coeff(mask).imag,
+            }
+            for mask in sorted(mv.terms, key=lambda m: (m.bit_count(), m))
+        ],
+    }
+
+
+_OLD_TERM_RE = re.compile(
+    r"""^\s*
+    (?:(?P<coeff>\([^)]*\)|[0-9.][0-9.eE+-]*)\s*)?
+    (?P<blades>e\d+(?:\s*\^\s*e\d+)*)?\s*$""",
+    re.VERBOSE,
+)
+
+
+def _old_split_terms(text: str) -> list[tuple[int, str]]:
+    terms: list[tuple[int, str]] = []
+    sign = 1
+    buf: list[str] = []
+    filled = False
+    depth = 0
+    pos = 0
+    for match in re.finditer(r"[-+()]", text):
+        i = match.start()
+        run = text[pos:i]
+        buf.append(run)
+        filled = filled or (run != "" and not run.isspace())
+        ch = text[i]
+        pos = i + 1
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "()" or depth != 0 or (filled and text[i - 1] in "eE"):
+            buf.append(ch)
+            filled = True
+        elif not filled:
+            sign *= 1 if ch == "+" else -1
+        else:
+            terms.append((sign, "".join(buf)))
+            sign = 1 if ch == "+" else -1
+            buf, filled = [], False
+    buf.append(text[pos:])
+    terms.append((sign, "".join(buf)))
+    return terms
+
+
+def _old_json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MultivectorParseError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _old_parse_multivector(text: str, sig: Signature) -> Multivector:
+    text = text.strip()
+    if not text:
+        raise MultivectorParseError("empty multivector text")
+    if text == "0":
+        return Multivector.zero(sig)
+    terms: dict[int, complex] = {}
+    for sign, chunk in _old_split_terms(text):
+        m = _OLD_TERM_RE.match(chunk)
+        if not m or (m.group("coeff") is None and m.group("blades") is None):
+            raise MultivectorParseError(f"bad term: {chunk!r}")
+        coeff_src = m.group("coeff")
+        if coeff_src is None:
+            coeff = 1.0 + 0j
+        else:
+            try:
+                coeff = complex(coeff_src.strip("()").replace(" ", ""))
+            except ValueError as exc:
+                raise MultivectorParseError(f"bad coefficient: {coeff_src!r}") from exc
+        mask = 0
+        if m.group("blades"):
+            for name in m.group("blades").replace(" ", "").split("^"):
+                idx = int(name[1:])
+                if not 1 <= idx <= sig.n:
+                    raise MultivectorParseError(f"generator e{idx} out of range for n={sig.n}")
+                bit = 1 << (idx - 1)
+                if mask & bit:
+                    raise MultivectorParseError(f"repeated generator e{idx}")
+                mask |= bit
+        terms[mask] = terms.get(mask, 0) + sign * coeff
+    return Multivector(sig, terms)
+
+
+def _old_from_json_dict(data: dict) -> Multivector:
+    try:
+        p, q = data["signature"]
+        sig = Signature(
+            _old_json_int(p, "signature count"),
+            _old_json_int(q, "signature count"),
+        )
+        terms: dict[int, complex] = {}
+        for term in data["terms"]:
+            mask = 0
+            for idx in term["blades"]:
+                idx = _old_json_int(idx, "blade index")
+                if not 1 <= idx <= sig.n:
+                    raise MultivectorParseError(f"generator e{idx} out of range for n={sig.n}")
+                bit = 1 << (idx - 1)
+                if bit & mask:
+                    raise MultivectorParseError(f"repeated generator index {idx}")
+                mask |= bit
+            terms[mask] = terms.get(mask, 0) + complex(term.get("re", 0.0), term.get("im", 0.0))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None
+    return Multivector(sig, terms)
+
+
+def _outcome(read, *args):
+    """A reader's result as its exact (mask, real.hex(), imag.hex()) list in
+    key order, or its exception's type and message."""
+    try:
+        mv = read(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return mv.signature, [(m, c.real.hex(), c.imag.hex()) for m, c in mv._terms.items()]
+
+
+TEXT_ALPHABET = "e0123456789^.+-()jE "
+
+
+@st.composite
+def edited_texts(draw):
+    """A written multivector with a few characters replaced, inserted or deleted."""
+    text = list(format_multivector(draw(sparse_multivectors())))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        char = draw(st.sampled_from(TEXT_ALPHABET))
+        if op == "insert":
+            text.insert(at, char)
+        elif text and at < len(text):
+            if op == "replace":
+                text[at] = char
+            else:
+                del text[at]
+    return "".join(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(st.one_of(st.text(TEXT_ALPHABET, max_size=40), edited_texts()), st.integers(0, 6))
+def test_parse_matches_old_reader(text, n):
+    sig = Signature(n // 2, n - n // 2)
+    assert _outcome(parse_multivector, text, sig) == _outcome(_old_parse_multivector, text, sig)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2e1", "1e5e1", "inf e1", "E1", "e1 ^ e3", "e1\t^e3", "e3^e1", "e01", "1 + e1^e1", "(1+2j)e2",
+     "-(1+2j) e2", "- -e1", "1e999 e1", "(1e+999+0j)", "1.5e-07 e1 - (0.5-2e+20j) e2^e3", ".5 e1"],
+)
+def test_parse_traps_match_old_reader(text):
+    sig = Signature(1, 3)
+    assert _outcome(parse_multivector, text, sig) == _outcome(_old_parse_multivector, text, sig)
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(-2, 8),
+    st.booleans(),
+    st.sampled_from([1.0, 2.0, 1.5, -0.0]),
+    st.just("2"),
+    st.none(),
+)
+
+
+@st.composite
+def json_terms(draw):
+    term = {}
+    if draw(st.integers(0, 9)):
+        term["blades"] = draw(st.lists(JSON_SCALARS, max_size=4) | JSON_SCALARS)
+    for part in ("re", "im"):
+        if draw(st.booleans()):
+            term[part] = draw(JSON_SCALARS | st.floats(allow_nan=False, allow_infinity=False))
+    return term
+
+
+@st.composite
+def json_dicts(draw):
+    data = {}
+    if draw(st.integers(0, 9)):
+        data["signature"] = draw(st.lists(JSON_SCALARS, max_size=3) | JSON_SCALARS)
+    if draw(st.integers(0, 9)):
+        data["terms"] = draw(st.lists(json_terms(), max_size=4))
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(json_dicts() | sparse_multivectors().map(to_json_dict))
+def test_from_json_dict_matches_old_reader(data):
+    new, old = _outcome(from_json_dict, data), _outcome(_old_from_json_dict, data)
+    if new == old:
+        return
+    # The two rejections the old reader lacked: a signature of the wrong
+    # length, which it let through as a bare unpacking error, and boolean
+    # coefficients, which it read as 0 and 1.
+    if old[0] is ValueError and "values to unpack" in old[1]:
+        wrapped = f"malformed multivector JSON (ValueError({old[1]!r}))"
+        assert new == (MultivectorParseError, wrapped)
+    else:
+        assert new[0] is MultivectorParseError and new[1].endswith("is not a number")
+        assert any(
+            type(term.get(part)) is bool for term in data["terms"] for part in ("re", "im")
+        )
+
+
+@pytest.mark.parametrize(
+    "sig,density",
+    [(Signature(4, 3), 1.0), (Signature(6, 6), 0.01)],
+    ids=["cl43-dense", "cl66-sparse"],
+)
+def test_writers_are_byte_identical_to_old_writers(sig, density):
+    local = np.random.default_rng(12)
+    masks = np.flatnonzero(local.random(1 << sig.n) < density).tolist()
+    scales = 10.0 ** local.integers(-20, 20, size=len(masks))
+    values = local.uniform(-2, 2, size=(len(masks), 2)) * scales[:, None]
+    # Every third coefficient is real.
+    terms = {
+        m: complex(x, y if i % 3 else 0.0) for i, (m, (x, y)) in enumerate(zip(masks, values))
+    }
+    terms.update({0: -3.0, masks[-1]: 1.0, masks[len(masks) // 2]: 2.5e15 - 1j})
+    for mv in (Multivector(sig, terms), Multivector(sig, {m: -c for m, c in terms.items()})):
+        assert format_multivector(mv) == _old_format_multivector(mv)
+        assert to_json(mv) == json.dumps(_old_to_json_dict(mv))

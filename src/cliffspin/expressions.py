@@ -1,19 +1,19 @@
 """A small expression language over multivectors.
 
-Grammar (whitespace-insensitive, left-associative):
+Binary operators, loosest first; every level is left-associative:
 
-    sum      := product (('+' | '-') product)*
-    product  := factor (('^' | '_|' | '|_' | '.') factor)*
-    factor   := unary ('*' unary)*
-    unary    := '-' unary | func '(' sum ')' | '(' sum ')' | NUMBER | BLADE
+    + -          sum, difference
+    ^ _| |_ .    wedge, left and right contraction, scalar product
+    *            geometric product
 
-Precedence: unary > '*' > (wedge, contractions, dot) > (+, -).
-Functions: rev, inv, gradeinv, conj, dual, grade<k>.
-Blades: e1..en; for signature (1,3) the aliases g0..g3 map to e1..e4.
-Unicode operator forms are accepted on input.  Parentheses, function calls
-and negations nest at most MAX_DEPTH levels, and the parsed tree has at most
-MAX_DEPTH operator nodes on any path (a chain like e1+e1+...+e1 is one level
-deeper per operator); deeper input raises ExpressionError.
+Unary minus and function calls bind tighter than all of them.  Functions:
+rev, inv, gradeinv, conj, dual, grade<k>.  Input may write ^ _| |_ . as
+∧ ⌟ ⌞ ·.  Blades: e1..en; for signature (1,3) the aliases g0..g3 map to
+e1..e4.  A number starts with a digit, so '.5' is '.' then 5 and 'e1.5' is
+e1 . 5.  Parentheses, function calls and negations nest at most MAX_DEPTH
+levels, and the parsed tree has at most MAX_DEPTH operator nodes on any path
+(a chain like e1+e1+...+e1 is one level deeper per operator); deeper input
+raises ExpressionError.
 """
 
 from __future__ import annotations
@@ -61,22 +61,47 @@ class Blade:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # 'neg', 'rev', 'inv', 'gradeinv', 'conj', 'dual', or 'grade<k>'
+    op: str  # a key of _UNARY, or 'grade<k>'
     arg: object
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # '+', '-', '*', '^', '_|', '|_', '.'
+    op: str  # a key of _BINARY
     left: object
     right: object
 
 
-# -- lexer ------------------------------------------------------------------------
+# -- operators -------------------------------------------------------------------
 
-_MULTI_OPS = ("_|", "|_")
+# Each table entry looks its function up in this module's globals when it is
+# called, so a wrapper installed there later (as perfbench/layertrace.py does)
+# sees every call.
+_BINARY = {
+    "+": lambda a, b, sig: a + b,
+    "-": lambda a, b, sig: a - b,
+    "*": lambda a, b, sig: geometric_product(a, b),
+    "^": lambda a, b, sig: wedge(a, b),
+    "_|": lambda a, b, sig: left_contraction(a, b),
+    "|_": lambda a, b, sig: right_contraction(a, b),
+    ".": lambda a, b, sig: Multivector.scalar(sig, scalar_product(a, b)),
+}
+# Binary precedence levels, loosest first; every level is left-associative.
+_LEVELS = (("+", "-"), ("^", "_|", "|_", "."), ("*",))
+# 'neg' is unary minus; every other key is also a function name.
+_UNARY = {
+    "neg": lambda a: -a,
+    "rev": lambda a: reversion(a),
+    "inv": lambda a: inverse(a),
+    "gradeinv": lambda a: grade_involution(a),
+    "conj": lambda a: conjugation(a),
+    "dual": lambda a: hodge_dual(a),
+}
 _UNICODE_OPS = {"∧": "^", "⌟": "_|", "⌞": "|_", "·": "."}
-_SINGLE_OPS = "+-*^.()"
+_UNICODE_OF = {ascii: uni for uni, ascii in _UNICODE_OPS.items()}
+
+
+# -- lexer ------------------------------------------------------------------------
 
 
 def tokenize(src: str) -> list[tuple[str, object, int]]:
@@ -85,25 +110,14 @@ def tokenize(src: str) -> list[tuple[str, object, int]]:
     n = len(src)
     while i < n:
         ch = src[i]
+        text = src[i : i + 2] if src[i : i + 2] in _BINARY else ch
+        op = _UNICODE_OPS.get(text, text)
+        j = i + len(text)  # the end of the token, unless a number or a name
         if ch.isspace():
-            i += 1
-            continue
-        if ch in _UNICODE_OPS:
-            tokens.append(("op", _UNICODE_OPS[ch], i))
-            i += 1
-            continue
-        if src.startswith("_|", i) or src.startswith("|_", i):
-            tokens.append(("op", src[i : i + 2], i))
-            i += 2
-            continue
-        if ch in _SINGLE_OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and src[i + 1].isdigit()
-        ):
-            j = i
+            pass
+        elif op in _BINARY or op in "()":
+            tokens.append(("op", op, i))
+        elif ch.isdigit():
             while j < n and (src[j].isdigit() or src[j] == "."):
                 j += 1
             if j < n and src[j] in "eE" and j + 1 < n and (
@@ -117,26 +131,18 @@ def tokenize(src: str) -> list[tuple[str, object, int]]:
             except ValueError:
                 raise ExpressionError(f"bad number {src[i:j]!r}", i) from None
             tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                if src.startswith("_|", j):
-                    break
+        elif ch.isalpha():
+            while j < n and (src[j].isalnum() or src[j] == "_") and src[j : j + 2] not in _BINARY:
                 j += 1
             tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
+        else:
+            raise ExpressionError(f"unexpected character {ch!r}", i)
+        i = j
     tokens.append(("end", None, n))
     return tokens
 
 
 # -- parser ------------------------------------------------------------------------
-
-_FUNCS = {"rev", "inv", "gradeinv", "conj", "dual"}
-
 
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], sig: Signature):
@@ -169,35 +175,19 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}", at)
         self.advance()
 
-    def parse_sum(self):
-        node = self.parse_product()
+    def parse_binary(self, level: int = 0):
+        """Parse one level of _LEVELS, whose operands are the next level or,
+        below the last, unary terms.  The operand call is written out, not
+        wrapped, so each nesting level costs one Python frame per level."""
+        ops, tighter = _LEVELS[level], level + 1
+        last = tighter == len(_LEVELS)
+        node = self.parse_unary() if last else self.parse_binary(tighter)
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                node = Binary(value, node, self.parse_product())
-            else:
+            if kind != "op" or value not in ops:
                 return node
-
-    def parse_product(self):
-        node = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("^", "_|", "|_", "."):
-                self.advance()
-                node = Binary(value, node, self.parse_factor())
-            else:
-                return node
-
-    def parse_factor(self):
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                node = Binary("*", node, self.parse_unary())
-            else:
-                return node
+            self.advance()
+            node = Binary(value, node, self.parse_unary() if last else self.parse_binary(tighter))
 
     def parse_unary(self):
         kind, value, at = self.peek()
@@ -206,7 +196,7 @@ class _Parser:
             return Unary("neg", self.nested(at, self.parse_unary))
         if kind == "op" and value == "(":
             self.advance()
-            node = self.nested(at, self.parse_sum)
+            node = self.nested(at, self.parse_binary)
             self.expect_op(")")
             return node
         if kind == "num":
@@ -219,9 +209,9 @@ class _Parser:
     def parse_name(self):
         kind, name, at = self.advance()
         assert kind == "name"
-        if name in _FUNCS or (name.startswith("grade") and name[5:].isdigit()):
+        if (name in _UNARY and name != "neg") or (name.startswith("grade") and name[5:].isdigit()):
             self.expect_op("(")
-            node = self.nested(at, self.parse_sum)
+            node = self.nested(at, self.parse_binary)
             self.expect_op(")")
             return Unary(name, node)
         if name.startswith("e") and name[1:].isdigit():
@@ -255,7 +245,7 @@ def _tree_depth(node) -> int:
 
 def parse(source: str, sig: Signature):
     parser = _Parser(tokenize(source), sig)
-    node = parser.parse_sum()
+    node = parser.parse_binary()
     kind, _, at = parser.peek()
     if kind != "end":
         raise ExpressionError("trailing input", at)
@@ -274,39 +264,17 @@ def evaluate(node, sig: Signature) -> Multivector:
         return Multivector.generator(sig, node.index)
     if isinstance(node, Unary):
         arg = evaluate(node.arg, sig)
-        if node.op == "neg":
-            return -arg
-        if node.op == "rev":
-            return reversion(arg)
-        if node.op == "inv":
-            return inverse(arg)
-        if node.op == "gradeinv":
-            return grade_involution(arg)
-        if node.op == "conj":
-            return conjugation(arg)
-        if node.op == "dual":
-            return hodge_dual(arg)
+        if node.op in _UNARY:
+            return _UNARY[node.op](arg)
         if node.op.startswith("grade"):
             return grade_part(arg, int(node.op[5:]))
         raise ExpressionError(f"unknown unary op {node.op!r}", 0)
     if isinstance(node, Binary):
         left = evaluate(node.left, sig)
         right = evaluate(node.right, sig)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return geometric_product(left, right)
-        if node.op == "^":
-            return wedge(left, right)
-        if node.op == "_|":
-            return left_contraction(left, right)
-        if node.op == "|_":
-            return right_contraction(left, right)
-        if node.op == ".":
-            return Multivector.scalar(sig, scalar_product(left, right))
-        raise ExpressionError(f"unknown binary op {node.op!r}", 0)
+        if node.op not in _BINARY:
+            raise ExpressionError(f"unknown binary op {node.op!r}", 0)
+        return _BINARY[node.op](left, right, sig)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -318,11 +286,6 @@ def evaluate_source(source: str, sig: Signature) -> Multivector:
 
 
 def ast_to_text(node, ascii_only: bool = True) -> str:
-    wedge_s = "^" if ascii_only else "∧"
-    lc_s = "_|" if ascii_only else "⌟"
-    rc_s = "|_" if ascii_only else "⌞"
-    dot_s = "." if ascii_only else "·"
-    op_map = {"^": wedge_s, "_|": lc_s, "|_": rc_s, ".": dot_s}
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Blade):
@@ -332,6 +295,6 @@ def ast_to_text(node, ascii_only: bool = True) -> str:
             return f"-({ast_to_text(node.arg, ascii_only)})"
         return f"{node.op}({ast_to_text(node.arg, ascii_only)})"
     if isinstance(node, Binary):
-        op = op_map.get(node.op, node.op)
+        op = node.op if ascii_only else _UNICODE_OF.get(node.op, node.op)
         return f"({ast_to_text(node.left, ascii_only)} {op} {ast_to_text(node.right, ascii_only)})"
     raise TypeError(f"not an AST node: {node!r}")

@@ -229,14 +229,16 @@ class Multivector:
 
     @classmethod
     def blade(cls, sig: Signature, indices: Iterable[int], coeff: complex = 1.0) -> "Multivector":
-        """Product of distinct generators given by 1-based ascending indices."""
-        mask = 0
+        """coeff times the product of distinct generators, given by 1-based
+        indices in any order; each swap that sorts them flips the sign."""
+        mask, swaps = 0, 0
         for i in indices:
             bit = 1 << (i - 1)
             if mask & bit:
                 raise ValueError("repeated generator index in blade")
+            swaps += (mask >> i).bit_count()  # earlier generators above e_i
             mask |= bit
-        return cls(sig, {mask: coeff})
+        return cls(sig, {mask: -coeff if swaps & 1 else coeff})
 
     @classmethod
     def from_mask(cls, sig: Signature, mask: int, coeff: complex = 1.0) -> "Multivector":
@@ -619,28 +621,33 @@ def _cosh_sinhc(x: float) -> tuple[float, float]:
 def exp_bivector(f: Multivector) -> Multivector:
     """exp of a pure bivector F.
 
-    For real F with n <= 4, F^2 = alpha + beta I, where I is the unit
-    pseudoscalar (beta = 0 for n <= 3) and, for n = 4, I commutes with F.
-    Then exp F is closed-form in C(x) = cosh sqrt(x) and S(x) = sinh sqrt(x)
-    / sqrt(x):
-      n <= 3:         C(alpha) + S(alpha) F;
+    For real F, exp F is closed-form in C(x) = cosh sqrt(x) and S(x) =
+    sinh sqrt(x) / sqrt(x) whenever F^2 = alpha + beta I, with I the unit
+    pseudoscalar:
+      F^2 exactly the scalar alpha (every F with n <= 3, and every single
+                      blade at any n): C(alpha) + S(alpha) F;
       n = 4, I^2 = -1: cosh z + (sinh z / z) F with z^2 = alpha + beta i and
-                      i read as I (both functions are even in z);
+                      i read as I (I commutes with F; both functions are even
+                      in z);
       n = 4, I^2 = +1: (C(alpha +- beta) + S(alpha +- beta) F) on the
                       central idempotents (1 +- I)/2.
-    Complex F and n >= 5 use scaling-and-squaring of the power series.  A
-    result too large for a float raises ValueError.
+    Complex F, and F with n >= 5 whose square is not a scalar, use
+    scaling-and-squaring of the power series.  A result too large for a
+    float raises ValueError.
     """
     if f.grades() - {2}:
         raise ValueError("exp_bivector requires a pure grade-2 argument")
+    if not f.real:
+        return _exp_series(f)
     sig = f.signature
     n = sig.n
-    if n > 4 or not f.real:
-        return _exp_series(f)
     f2 = geometric_product(f, f)
+    scalar_square = f2._terms.keys() <= {0}
+    if n > 4 and not scalar_square:
+        return _exp_series(f)
     alpha = f2.scalar_part().real
     try:
-        if n < 4:
+        if scalar_square:
             c, s = _cosh_sinhc(alpha)
             return Multivector._own(sig, {0: complex(c), **{m: s * v for m, v in f._terms.items()}})
         pseudo = (1 << n) - 1

@@ -6,6 +6,10 @@ Complex coefficients are written in parentheses, e.g. `(1+2j) e1`.
 
 JSON schema: {"signature": [p, q], "terms": [{"blades": [1, 3], "re": 2.0, "im": 0.0}]}
 
+The writers list generators in ascending order.  The readers take them in any
+order and read a blade as their product: `e3^e1` and `"blades": [3, 1]` are
+-e1^e3, the sign of the swaps that sort them.
+
 Both writers and both readers work from one table set per dimension n
 (``_tables``), built on first use and cached for every n up to MAX_DIM.  It
 holds, for each blade mask, its rank in the canonical order (ascending grade,
@@ -138,9 +142,10 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
     return terms
 
 
-def _text_mask(blades: str, n: int) -> int:
-    """The mask of a blade as `e<i>^e<j>...` text, checked index by index."""
-    mask = 0
+def _text_mask(blades: str, n: int) -> tuple[int, bool]:
+    """The mask of a blade as `e<i>^e<j>...` text, checked index by index,
+    and whether sorting its generators takes an odd number of swaps."""
+    mask, swaps = 0, 0
     for name in blades.replace(" ", "").split("^"):
         idx = int(name[1:])
         if not 1 <= idx <= n:
@@ -148,8 +153,9 @@ def _text_mask(blades: str, n: int) -> int:
         bit = 1 << (idx - 1)
         if mask & bit:
             raise MultivectorParseError(f"repeated generator e{idx}")
+        swaps += (mask >> idx).bit_count()  # earlier generators above e<idx>
         mask |= bit
-    return mask
+    return mask, bool(swaps & 1)
 
 
 def _parse_canonical(text: str, tables: _Tables) -> dict[int, complex] | None:
@@ -191,8 +197,8 @@ def _parse_terms(text: str, n: int) -> dict[int, complex]:
                 coeff = complex(coeff_src.strip("()").replace(" ", ""))
             except ValueError as exc:
                 raise MultivectorParseError(f"bad coefficient: {coeff_src!r}") from exc
-        mask = _text_mask(m.group("blades"), n) if m.group("blades") else 0
-        terms[mask] = terms.get(mask, 0) + sign * coeff
+        mask, odd = _text_mask(m.group("blades"), n) if m.group("blades") else (0, False)
+        terms[mask] = terms.get(mask, 0) + (-sign if odd else sign) * coeff
     return terms
 
 
@@ -232,9 +238,10 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_mask(blades, n: int) -> int:
-    """The mask of a JSON index list, checked index by index."""
-    mask = 0
+def _json_mask(blades, n: int) -> tuple[int, bool]:
+    """The mask of a JSON index list, checked index by index, and whether
+    sorting its generators takes an odd number of swaps."""
+    mask, swaps = 0, 0
     for idx in blades:
         idx = _json_int(idx, "blade index")
         if not 1 <= idx <= n:
@@ -242,8 +249,9 @@ def _json_mask(blades, n: int) -> int:
         bit = 1 << (idx - 1)
         if bit & mask:
             raise MultivectorParseError(f"repeated generator index {idx}")
+        swaps += (mask >> idx).bit_count()  # earlier generators above e<idx>
         mask |= bit
-    return mask
+    return mask, bool(swaps & 1)
 
 
 def _json_coeff(term) -> complex:
@@ -266,13 +274,15 @@ def from_json_dict(data: dict) -> Multivector:
         terms: dict[int, complex] = {}
         for term in data["terms"]:
             blades = term["blades"]
-            # Only a list of exact ints may hit: True and 1.0 hash as 1.
-            mask = None
+            # Only a list of exact ints may hit: True and 1.0 hash as 1.  The
+            # table holds ascending lists alone, which need no swap.
+            mask, odd = None, False
             if type(blades) is list and countOf(map(type, blades), int) == len(blades):
                 mask = by_indices.get(tuple(blades))
             if mask is None:
-                mask = _json_mask(blades, sig.n)
-            terms[mask] = terms.get(mask, 0) + _json_coeff(term)
+                mask, odd = _json_mask(blades, sig.n)
+            coeff = _json_coeff(term)
+            terms[mask] = terms.get(mask, 0) + (-coeff if odd else coeff)
     except (KeyError, TypeError, AttributeError) as exc:
         raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None
     return Multivector._own(sig, terms)

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffspin import (
     Multivector,
     Signature,
+    conjugation,
     geometric_product,
+    grade_involution,
+    grade_part,
     hodge_dual,
+    inverse,
+    left_contraction,
     reversion,
+    right_contraction,
+    scalar_product,
+    wedge,
 )
 from cliffspin.expressions import (
     MAX_DEPTH,
@@ -87,8 +97,6 @@ def test_dual_and_grade_functions():
 def test_precedence():
     # '*' binds tighter than '^': a^b*c parses as a^(b*c)
     got = evaluate_source("e1^e2*e3", SIG13)
-    from cliffspin import wedge
-
     want = wedge(gen(SIG13, 1), geometric_product(gen(SIG13, 2), gen(SIG13, 3)))
     assert got == want
     # unary minus binds tightest
@@ -189,3 +197,326 @@ def test_round_trip_unicode_printing():
         text = ast_to_text(tree, ascii_only=False)
         back = parse(text, SIG13)
         assert back == tree
+
+
+# -- the lexer, parser and evaluator before the operator tables, kept as oracles ----------
+#
+# Unchanged apart from the names, including the number branch for a leading
+# '.', which never ran: '.' is taken as an operator first.
+
+_OLD_UNICODE_OPS = {"∧": "^", "⌟": "_|", "⌞": "|_", "·": "."}
+_OLD_SINGLE_OPS = "+-*^.()"
+
+
+def _old_tokenize(src: str) -> list[tuple[str, object, int]]:
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OLD_UNICODE_OPS:
+            tokens.append(("op", _OLD_UNICODE_OPS[ch], i))
+            i += 1
+            continue
+        if src.startswith("_|", i) or src.startswith("|_", i):
+            tokens.append(("op", src[i : i + 2], i))
+            i += 2
+            continue
+        if ch in _OLD_SINGLE_OPS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or (
+            ch == "." and i + 1 < n and src[i + 1].isdigit()
+        ):
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE" and j + 1 < n and (
+                src[j + 1].isdigit() or (src[j + 1] in "+-" and j + 2 < n and src[j + 2].isdigit())
+            ):
+                j += 2
+                while j < n and src[j].isdigit():
+                    j += 1
+            try:
+                value = float(src[i:j])
+            except ValueError:
+                raise ExpressionError(f"bad number {src[i:j]!r}", i) from None
+            tokens.append(("num", value, i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                if src.startswith("_|", j):
+                    break
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+_OLD_FUNCS = {"rev", "inv", "gradeinv", "conj", "dual"}
+
+
+class _OldParser:
+    def __init__(self, tokens: list[tuple[str, object, int]], sig: Signature):
+        self.tokens = tokens
+        self.pos = 0
+        self.sig = sig
+        self.depth = 0
+
+    def nested(self, at: int, parse):
+        """parse() one nesting level deeper, refusing to pass MAX_DEPTH."""
+        if self.depth >= MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", at)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, value, at = self.peek()
+        if kind != "op" or value != op:
+            raise ExpressionError(f"expected {op!r}", at)
+        self.advance()
+
+    def parse_sum(self):
+        node = self.parse_product()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("+", "-"):
+                self.advance()
+                node = Binary(value, node, self.parse_product())
+            else:
+                return node
+
+    def parse_product(self):
+        node = self.parse_factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("^", "_|", "|_", "."):
+                self.advance()
+                node = Binary(value, node, self.parse_factor())
+            else:
+                return node
+
+    def parse_factor(self):
+        node = self.parse_unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.advance()
+                node = Binary("*", node, self.parse_unary())
+            else:
+                return node
+
+    def parse_unary(self):
+        kind, value, at = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Unary("neg", self.nested(at, self.parse_unary))
+        if kind == "op" and value == "(":
+            self.advance()
+            node = self.nested(at, self.parse_sum)
+            self.expect_op(")")
+            return node
+        if kind == "num":
+            self.advance()
+            return Num(float(value))
+        if kind == "name":
+            return self.parse_name()
+        raise ExpressionError("expected a value", at)
+
+    def parse_name(self):
+        kind, name, at = self.advance()
+        assert kind == "name"
+        if name in _OLD_FUNCS or (name.startswith("grade") and name[5:].isdigit()):
+            self.expect_op("(")
+            node = self.nested(at, self.parse_sum)
+            self.expect_op(")")
+            return Unary(name, node)
+        if name.startswith("e") and name[1:].isdigit():
+            idx = int(name[1:])
+            if not 1 <= idx <= self.sig.n:
+                raise ExpressionError(f"generator {name} out of range for n={self.sig.n}", at)
+            return Blade(idx)
+        if (
+            name.startswith("g")
+            and name[1:].isdigit()
+            and (self.sig.p, self.sig.q) == (1, 3)
+        ):
+            idx = int(name[1:])
+            if not 0 <= idx <= 3:
+                raise ExpressionError(f"alias {name} out of range 0..3", at)
+            return Blade(idx + 1)
+        raise ExpressionError(f"unknown name {name!r}", at)
+
+
+def _old_tree_depth(node) -> int:
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Unary):
+            stack.append((node.arg, depth + 1))
+        elif isinstance(node, Binary):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
+def _old_parse(source: str, sig: Signature):
+    parser = _OldParser(_old_tokenize(source), sig)
+    node = parser.parse_sum()
+    kind, _, at = parser.peek()
+    if kind != "end":
+        raise ExpressionError("trailing input", at)
+    if _old_tree_depth(node) > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
+    return node
+
+
+def _old_evaluate(node, sig: Signature) -> Multivector:
+    if isinstance(node, Num):
+        return Multivector.scalar(sig, node.value)
+    if isinstance(node, Blade):
+        return Multivector.generator(sig, node.index)
+    if isinstance(node, Unary):
+        arg = _old_evaluate(node.arg, sig)
+        if node.op == "neg":
+            return -arg
+        if node.op == "rev":
+            return reversion(arg)
+        if node.op == "inv":
+            return inverse(arg)
+        if node.op == "gradeinv":
+            return grade_involution(arg)
+        if node.op == "conj":
+            return conjugation(arg)
+        if node.op == "dual":
+            return hodge_dual(arg)
+        if node.op.startswith("grade"):
+            return grade_part(arg, int(node.op[5:]))
+        raise ExpressionError(f"unknown unary op {node.op!r}", 0)
+    if isinstance(node, Binary):
+        left = _old_evaluate(node.left, sig)
+        right = _old_evaluate(node.right, sig)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return geometric_product(left, right)
+        if node.op == "^":
+            return wedge(left, right)
+        if node.op == "_|":
+            return left_contraction(left, right)
+        if node.op == "|_":
+            return right_contraction(left, right)
+        if node.op == ".":
+            return Multivector.scalar(sig, scalar_product(left, right))
+        raise ExpressionError(f"unknown binary op {node.op!r}", 0)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _parse_outcome(parse_fn, text, sig):
+    """The AST, or the exception's type and message (column included)."""
+    try:
+        return parse_fn(text, sig)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def _value_outcome(evaluate_fn, tree, sig):
+    """The value's exact (mask, real.hex(), imag.hex()) list, or the exception's type and message."""
+    try:
+        value = evaluate_fn(tree, sig)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in value.terms.items()]
+
+
+PIECES = [*"eg0123456789.+-*^_|()∧⌟⌞·", "rev", "grade", "inv", " "]
+
+def _loose_text(node, rng) -> str:
+    """ast_to_text's ASCII form with each binary node's parentheses kept or
+    dropped at random, so that precedence and associativity decide the parse."""
+    if isinstance(node, Unary):
+        arg = _loose_text(node.arg, rng)
+        return f"-({arg})" if node.op == "neg" else f"{node.op}({arg})"
+    if isinstance(node, Binary):
+        text = f"{_loose_text(node.left, rng)} {node.op} {_loose_text(node.right, rng)}"
+        return f"({text})" if rng.random() < 0.5 else text
+    return ast_to_text(node)
+
+
+@st.composite
+def edited_printed_asts(draw):
+    """A random AST printed in ASCII, in Unicode, or with parentheses dropped,
+    with a few pieces replaced, inserted or deleted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = random_ast(rng, 4)
+    style = draw(st.sampled_from(["ascii", "unicode", "loose"]))
+    if style == "loose":
+        text = list(_loose_text(tree, rng))
+    else:
+        text = list(ast_to_text(tree, ascii_only=style == "ascii"))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        piece = draw(st.sampled_from(PIECES))
+        if op == "insert":
+            text.insert(at, piece)
+        elif text and at < len(text):
+            if op == "replace":
+                text[at] = piece
+            else:
+                del text[at]
+    return "".join(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@given(
+    st.lists(st.sampled_from(PIECES), max_size=30).map("".join) | edited_printed_asts(),
+    st.sampled_from([SIG13, SIG20]),
+)
+def test_parser_matches_old_parser(text, sig):
+    tree = _parse_outcome(parse, text, sig)
+    assert tree == _parse_outcome(_old_parse, text, sig)
+    if not isinstance(tree, tuple):
+        assert _value_outcome(evaluate, tree, sig) == _value_outcome(_old_evaluate, tree, sig)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["e1.5", ".5", "1.5", "1..5", "2e1", "2e+1", "2e", "1e-", "e1_|e2", "e1 _| e2", "e1|_e2", "e1_ |e2",
+     "e1|e2", "e1_e2", "a_|b", "neg(e1)", "grade(e1)", "grade2(e1)", "gradeinv(e1)", "g4", "g0 ⌟ g1",
+     "rev e1", "((e1)", "e1 e2", "", "   ", "e1 +", "- - e1", "e1··e2", "²", "e1²", "e1^e2*e3",
+     "e1*e2^e3", "e1 + e2^e3*e4 - e1.e2", "1 - 2 - 3", "e1_|e2|_e3", "-e1*e2", "e1 ∧ e2 · e3*e4"],
+)
+@pytest.mark.parametrize("sig", [SIG13, SIG20], ids=str)
+def test_pinned_inputs_match_old_parser(text, sig):
+    assert _parse_outcome(parse, text, sig) == _parse_outcome(_old_parse, text, sig)
+
+
+def test_a_number_starts_with_a_digit():
+    # '.' is the scalar product wherever it stands, so '.5' has no left operand
+    # and 'e1.5' is e1 . 5.
+    assert parse("e1.5", SIG13) == Binary(".", Blade(1), Num(5.0))
+    with pytest.raises(ExpressionError, match="expected a value .at column 1."):
+        parse(".5", SIG13)

@@ -16,6 +16,7 @@ The identities are those of P. Lounesto, Clifford Algebras and Spinors
 (2nd ed.), ch. 12, and J. P. Crawford, J. Math. Phys. 26, 1439 (1985).
 """
 
+import os
 import subprocess
 import sys
 
@@ -199,4 +200,6 @@ def test_evaluator_matches_bilinear_covariants():
 
 def test_package_import_does_not_load_sympy():
     code = "import sys, cliffspin; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # The child does not inherit pytest's own path to src/.
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -462,7 +462,7 @@ def test_exp_rejects_non_bivector():
         exp_bivector(gen(SIG13, 1))
 
 
-# -- closed-form exponential (n <= 4) against the power series ---------------------
+# -- closed-form exponential (n <= 4, and single blades at any n) -------------------
 
 SMALL_SIGNATURES = [Signature(p, n - p) for n in range(5) for p in range(n + 1)]
 
@@ -496,7 +496,11 @@ def test_exp_of_zero_is_one_in_every_small_signature(sig):
     assert exp_bivector(Multivector.zero(sig)) == Multivector.scalar(sig, 1.0)
 
 
-@pytest.mark.parametrize("sig", [s for s in SMALL_SIGNATURES if s.n >= 2], ids=str)
+@pytest.mark.parametrize(
+    "sig",
+    [s for s in SMALL_SIGNATURES if s.n >= 2] + [Signature(4, 1), Signature(3, 3), Signature(1, 5)],
+    ids=str,
+)
 def test_exp_of_simple_bivector_is_cos_sin_or_cosh_sinh(sig):
     """exp(theta B) for a unit blade B: cos theta + sin theta B when B^2 = -1
     (a rotation), cosh theta + sinh theta B when B^2 = +1 (a boost), with no
@@ -539,6 +543,18 @@ def test_exp_series_serves_only_n_above_four_and_complex_input(monkeypatch):
     for f in (five, complex_f):
         assert exp_bivector(f) == _exp_series(f)
     assert calls == [five, complex_f]
+
+
+def test_exp_huge_rotation_above_four_dimensions_is_a_unit_rotor():
+    """A single blade squares to an exact scalar at any n, so its exponential
+    is cos + sin B, a unit rotor even at angle 1e6."""
+    theta = 1e6
+    u = exp_bivector(Multivector(Signature(4, 1), {0b0110: theta}))
+    assert (geometric_product(u, reversion(u)) - 1).max_abs() < 1e-15
+    assert Rotor(u).u == u
+    assert set(u.terms) == {0, 0b0110}
+    assert u.scalar_part() == pytest.approx(math.cos(theta), rel=2.3e-16, abs=0)
+    assert u.coeff(0b0110) == pytest.approx(math.sin(theta), rel=2.3e-16, abs=0)
 
 
 def test_inverse_generators():
@@ -924,3 +940,72 @@ def test_inverse_fast_path_test_is_relative_to_scale(monkeypatch):
         for i in (1, 5):
             a = gen(sig, i) * scale
             assert (geometric_product(a, inverse(a)) - 1).max_abs() < 1e-12
+
+
+# -- algebraic laws over random signatures ------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def law_operands(draw):
+    """Three operands of one random signature with n <= 6, each with one
+    term, a few terms or all 2^n, real or complex, at its own scale."""
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(local.integers(1, 7))
+    p = int(local.integers(0, n + 1))
+    sig = Signature(p, n - p)
+    operands = []
+    for _ in range(3):
+        size = min(int(local.choice([1, local.integers(2, 9), 1 << n])), 1 << n)
+        masks = local.permutation(1 << n)[:size].tolist()
+        values = local.normal(size=size) * 10.0 ** local.integers(-8, 9)
+        if local.random() < 0.5:
+            values = values + 1j * local.normal(size=size) * 10.0 ** local.integers(-8, 9)
+        operands.append(Multivector(sig, dict(zip(masks, values.tolist()))))
+    return operands
+
+
+def l1(mv):
+    return sum(abs(c) for c in mv.terms.values())
+
+
+def law_bound(sig, x, y):
+    """A scale-relative bound on the rounding of a product of x and y: each
+    output coefficient sums at most 2^n products, each at most l1(x) l1(y)
+    in all; the factor 8 covers the complex multiply and the sums on both
+    sides of the law."""
+    return 2 ** (sig.n + 3) * EPS * l1(x) * l1(y)
+
+
+FOUR_PRODUCTS = [geometric_product, wedge, left_contraction, right_contraction]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(law_operands())
+def test_all_four_products_distribute_over_sums(operands):
+    a, b, c = operands
+    sig = a.signature
+    for product in FOUR_PRODUCTS:
+        left = product(a, b + c) - (product(a, b) + product(a, c))
+        assert left.max_abs() <= law_bound(sig, a, b + c) + law_bound(sig, a, b) + law_bound(sig, a, c)
+        right = product(a + b, c) - (product(a, c) + product(b, c))
+        assert right.max_abs() <= law_bound(sig, a + b, c) + law_bound(sig, a, c) + law_bound(sig, b, c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(law_operands())
+def test_reversion_is_an_anti_automorphism(operands):
+    """rev(a b) = rev(b) rev(a), and likewise for the wedge; reversion swaps
+    the left and right contractions."""
+    a, b, _ = operands
+    ra, rb = reversion(a), reversion(b)
+    mirrored = {
+        geometric_product: geometric_product,
+        wedge: wedge,
+        left_contraction: right_contraction,
+        right_contraction: left_contraction,
+    }
+    for product, mirror in mirrored.items():
+        gap = reversion(product(a, b)) - mirror(rb, ra)
+        assert gap.max_abs() <= law_bound(a.signature, a, b)

@@ -18,6 +18,7 @@ raises ExpressionError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .multivector import (
@@ -287,6 +288,9 @@ def evaluate_source(source: str, sig: Signature) -> Multivector:
 
 def ast_to_text(node, ascii_only: bool = True) -> str:
     if isinstance(node, Num):
+        # These print as text that parses to another tree, or to none.
+        if not math.isfinite(node.value) or math.copysign(1.0, node.value) < 0:
+            raise ExpressionError(f"number {node.value!r} has no source text", 0)
         return repr(node.value)
     if isinstance(node, Blade):
         return f"e{node.index}"

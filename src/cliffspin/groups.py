@@ -58,7 +58,11 @@ class Rotor:
         return Rotor(geometric_product(self.u, other.u))
 
     def __neg__(self) -> "Rotor":
-        return Rotor(-self.u)
+        # Negation is exact, so (-u)(-u~) is u u~ to the bit: the check
+        # this rotor passed holds for its negative too.
+        neg = object.__new__(Rotor)
+        object.__setattr__(neg, "u", -self.u)
+        return neg
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ left blade a, and ``_sign_table(p, n)``, every row of one signature as an
 int8 array (16 MiB at n = 12, where all rows as tuples take 128 MiB).
 
 The geometric product, the wedge and both contractions share one kernel,
-``_product``, with three paths.  Each gives the same bits and key order as
-the dict loop ``_product_loop``, which is the tests' oracle.
+``_product``, with four paths, tried in this order.  Each gives the same bits
+and key order as the dict loop ``_product_loop``, which is the tests' oracle.
 
-- n <= 4: generated straight-line code.  On the first sight of a key pattern
-  (p, n, left keys in order, right keys in order, filter),
+- Kernels, n <= 4: generated straight-line code.  On the first sight of a key
+  pattern (p, n, left keys in order, right keys in order, filter),
   ``_generate_kernel`` compiles the loop for that pattern into one dict
   literal.  Each output blade's sum keeps the loop's term order, written
   +a_i*b_j or -a_i*b_j for sign +1 or -1, and the blades keep the loop's
@@ -30,15 +30,27 @@ the dict loop ``_product_loop``, which is the tests' oracle.
   occur only once, spending at most 592 pairs of the budget, and over 99.6 %
   of the n <= 4 product calls meet a pattern seen before.  For n >= 5,
   kernels grow to thousands of pairs and many patterns never repeat.
-- n >= 5, both operands real, at least ``_ARRAY_MIN_PAIRS`` term pairs:
-  ``_product_array`` reads the signs from the table and computes each pair's
-  sign * (x * y) as a float array, with the filter as a mask.  ``np.add.at``
-  adds each output blade's terms one at a time in the loop's pair order, never
+- Plans, n >= 5, both operands real, ``_ARRAY_MIN_PAIRS`` to
+  ``_PLAN_MAX_PAIRS`` term pairs: ``_product_plan`` looks the key pattern up
+  in an LRU cache of index plans, built from the sign table.  A plan lists
+  the output blades in the loop's first-appearance order and holds one
+  K x M gather index whose column m names blade m's pairs in the loop's
+  order, padded at the end; it indexes [x*y, -(x*y), 0.0], so each pair's
+  sign is folded into its index.  A call is one outer product, one gather
+  and one sum over axis 0, which numpy adds row by row, so each blade's sum
+  is the loop's; a plan with a single column, which numpy would add
+  pairwise, is summed in Python.  Plans are index arrays, not generated code, and the cache
+  evicts the least recently used once they pass ``_PLAN_ENTRY_BUDGET`` index
+  entries: n >= 5 patterns turn over with every operation.
+- The blocked array path, the same operands above ``_PLAN_MAX_PAIRS`` pairs:
+  ``_product_array`` computes each pair's sign * (x * y) as a float array,
+  with the filter as a mask, in blocks of left terms.  ``np.add.at`` adds
+  each output blade's terms one at a time in the loop's pair order, never
   pairwise, and the blades are emitted in the order of their first pair.
-  Complex operands stay on the loop: numpy's complex multiply differs from
-  Python's in the last bit on 44 % of random normal pairs, so its sums would
-  not be the loop's.
-- Otherwise, and once the kernel budget is spent: the loop itself.
+- Otherwise, and once the kernel budget is spent: the loop itself.  Complex
+  operands stay on it: numpy's complex multiply differs from Python's in the
+  last bit on 44 % of random normal pairs, so its sums would not be the
+  loop's.
 
 Results that this module builds itself (products, sums, scalings, grade
 parts, involutions) skip the validating ``Multivector.__init__``: they go
@@ -60,8 +72,9 @@ import cmath
 import math
 import operator
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -495,10 +508,87 @@ def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, c
     return dict(zip(keys.tolist(), sums[keys].astype(complex).tolist()))
 
 
+def _build_plan(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
+    """The index plan of _product_loop for one key pattern: the output
+    blades in the loop's first-appearance order, and a K x M int32 gather
+    index into [x*y, -(x*y), 0.0], x*y being the P pairs' products in loop
+    order.  Column m lists blade m's kept pairs in loop order, each as its
+    pair index k, or k + P where its sign is -1, padded at the end with 2P."""
+    table = _sign_table(p, n)
+    pairs = len(a_keys) * len(b_keys)
+    columns: dict[int, list[int]] = {}
+    k = 0
+    for ma in a_keys:
+        signs = table[ma].tolist()
+        for mb in b_keys:
+            if keep is None or keep(ma, mb):
+                columns.setdefault(ma ^ mb, []).append(k if signs[mb] > 0 else k + pairs)
+            k += 1
+    if not columns:
+        return [], np.empty((0, 0), np.int32)
+    pad = [2 * pairs] * max(map(len, columns.values()))
+    gather = np.array([col + pad[len(col) :] for col in columns.values()], np.int32)
+    return list(columns), np.ascontiguousarray(gather.T)
+
+
+class _PlanCache:
+    """Index plans by (p, n, left keys, right keys, filter), least recently
+    used first out once their gather indices hold more than
+    _PLAN_ENTRY_BUDGET entries, padding included."""
+
+    def __init__(self):
+        self.plans: OrderedDict[tuple, tuple] = OrderedDict()
+        self.entries = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple):
+        with self._lock:
+            plan = self.plans.get(key)
+            if plan is not None:
+                self.plans.move_to_end(key)
+                return plan
+        plan = _build_plan(*key)
+        size = plan[1].size
+        with self._lock:
+            if key not in self.plans and size <= _PLAN_ENTRY_BUDGET:
+                self.plans[key] = plan
+                self.entries += size
+                while self.entries > _PLAN_ENTRY_BUDGET:
+                    self.entries -= self.plans.popitem(last=False)[1][1].size
+        return plan
+
+
+# Plans serve up to dense Cl(4,3) (2^14 pairs, a 128 x 128 index); larger
+# patterns take _product_array.  The budget of 2^18 int32 entries is 1 MiB;
+# algebra-sweep keeps at most about 92000 in use.
+_PLAN_MAX_PAIRS = 1 << 14
+_PLAN_ENTRY_BUDGET = 1 << 18
+_PLANS = _PlanCache()
+
+
+def _product_plan(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, complex]:
+    """_product_loop of two real operands through the cached plan of their
+    key pattern: one outer product, one gather and one sum over axis 0."""
+    blades, gather = _PLANS.get((p, n, tuple(at), tuple(bt), keep))
+    xa = np.fromiter(at.values(), complex, len(at)).real
+    xb = np.fromiter(bt.values(), complex, len(bt)).real
+    pairs = xa.size * xb.size
+    source = np.empty(2 * pairs + 1)
+    np.multiply.outer(xa, xb, out=source[:pairs].reshape(xa.size, xb.size))
+    np.negative(source[:pairs], out=source[pairs:-1])
+    source[-1] = 0.0
+    values = source.take(gather)
+    if len(blades) == 1:
+        # numpy adds a single column pairwise; the loop adds in order.
+        return {blades[0]: complex(reduce(operator.add, values[:, 0].tolist()))}
+    return dict(zip(blades, values.sum(axis=0).astype(complex).tolist()))
+
+
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """_product_loop of a and b, through a generated kernel when one serves
-    their key pattern (n <= 4, neither operand zero), or on the sign table
-    for real operands with n >= 5 and _ARRAY_MIN_PAIRS term pairs or more."""
+    their key pattern (n <= 4, neither operand zero), or for real operands
+    with n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, through a cached
+    plan up to _PLAN_MAX_PAIRS pairs and on the blocked sign table above."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
@@ -510,7 +600,8 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
             if kernel is not None:
                 return Multivector._own(sig, kernel(at.values(), bt.values()))
     elif a.real and b.real and len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
-        return Multivector._own(sig, _product_array(p, n, at, bt, keep))
+        path = _product_plan if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _product_array
+        return Multivector._own(sig, path(p, n, at, bt, keep))
     return Multivector._own(sig, _product_loop(p, n, at, bt, keep))
 
 
@@ -699,12 +790,15 @@ def _exp_series(f: Multivector) -> Multivector:
 def _left_mult_matrix(a: Multivector) -> np.ndarray:
     """The 2^n x 2^n matrix of x -> a x on dense coefficient vectors."""
     sig = a.signature
-    table = _sign_table(sig.p, sig.n)
     cols = np.arange(1 << sig.n)
-    mat = np.zeros((cols.size, cols.size), dtype=float if a.real else complex)
-    for ma, ca in a._terms.items():
-        # Column mb of term ma is a single entry, in row ma ^ mb.
-        mat[cols ^ ma, cols] += table[ma] * (ca.real if a.real else ca)
+    x = np.array(a.coefficients())
+    x = x.real if a.real else x
+    # Entry (r, c) is the one term ma = r ^ c, times the sign of e_ma e_c;
+    # adding 0.0 stores no -0.0.
+    terms = cols[:, None] ^ cols
+    mat = x[terms]
+    mat *= _sign_table(sig.p, sig.n)[terms, cols]
+    mat += 0.0
     return mat
 
 
@@ -733,7 +827,7 @@ def inverse(a: Multivector) -> Multivector:
         sol = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError("singular element (zero divisor)") from exc
-    cand = Multivector(sig, {m: sol[m] for m in range(dim) if sol[m] != 0})
+    cand = Multivector(sig, {m: c for m, c in enumerate(sol.tolist()) if c != 0})
     residual = (geometric_product(a, cand) - Multivector.scalar(sig, 1.0)).max_abs()
     if residual > 1e-9 * max(1.0, a.max_abs() * cand.max_abs()):
         raise NonInvertibleError(f"singular element (inverse residual {residual:.3g})")

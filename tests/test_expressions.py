@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,20 @@ def test_round_trip_500_random_asts():
         a = evaluate(tree, SIG13)
         b = evaluate(back, SIG13)
         assert (a - b).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("value", [-1.0, -0.0, -2.5e-300, math.inf, -math.inf, math.nan])
+def test_numbers_without_source_text_are_refused(value):
+    # repr(-1.0) parses to Unary('neg', Num(1.0)), and 'inf' or 'nan' to a
+    # name; printing one of them would break the round trip silently.
+    for tree in (Num(value), Binary("+", Blade(1), Num(value)), Unary("rev", Num(value))):
+        with pytest.raises(ExpressionError, match=f"number {value!r} has no source text"):
+            ast_to_text(tree)
+
+
+def test_non_negative_finite_numbers_round_trip():
+    for value in (0.0, 5e-324, 1.5, 2.0**70, 1.7976931348623157e308):
+        assert parse(ast_to_text(Num(value)), SIG13) == Num(value)
 
 
 def test_round_trip_unicode_printing():

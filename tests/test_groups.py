@@ -209,3 +209,21 @@ def test_random_rotor_properties():
         u = random_rotor(SIG13, rng)
         assert all(g % 2 == 0 for g in u.u.grades())
         assert abs(complex(norm_N(u.u)) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (4, 1), (3, 3)])
+def test_negated_rotor_skips_the_check_it_already_passed(monkeypatch, pq):
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    for _ in range(5):
+        u = Rotor(exp_bivector(random_bivector(sig, local)))
+        # Negation is exact, so (-u)(-u~) is u u~ to the bit, key order included.
+        uut = geometric_product(u.u, reversion(u.u))
+        neg_uut = geometric_product(-u.u, reversion(-u.u))
+        assert [(m, c.real.hex(), c.imag.hex()) for m, c in neg_uut.terms.items()] == [
+            (m, c.real.hex(), c.imag.hex()) for m, c in uut.terms.items()
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(Rotor, "__post_init__", lambda self: pytest.fail("re-ran the rotor check"))
+            minus = -u
+        assert isinstance(minus, Rotor) and minus.u == -u.u and -minus == u

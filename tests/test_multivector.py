@@ -810,6 +810,20 @@ def table_product(a, b, keep):
     return Multivector._own(sig, mv_module._product_array(sig.p, sig.n, a._terms, b._terms, keep))
 
 
+def plan_product(a, b, keep):
+    sig = a.signature
+    return Multivector._own(sig, mv_module._product_plan(sig.p, sig.n, a._terms, b._terms, keep))
+
+
+def plan_key(a, b, keep):
+    return (a.signature.p, a.signature.n, tuple(a._terms), tuple(b._terms), keep)
+
+
+def cache_holds_its_entries(cache):
+    assert cache.entries == sum(gather.size for _, gather in cache.plans.values())
+    assert cache.entries <= mv_module._PLAN_ENTRY_BUDGET
+
+
 def drawn_operand(sig, local, kind, dyadic):
     """A real operand with one term, a few terms or all 2^n terms, in random
     key order, with dyadic coefficients (k/8) or normal ones."""
@@ -822,7 +836,7 @@ def drawn_operand(sig, local, kind, dyadic):
     return Multivector(sig, terms)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(
     st.sampled_from(SIGNATURES_5_TO_8),
     st.sampled_from(["single", "sparse", "dense"]),
@@ -835,11 +849,19 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
     local = np.random.default_rng(seed)
     a = drawn_operand(sig, local, kind_a, dyadic)
     b = drawn_operand(sig, local, kind_b, dyadic)
-    for product, keep in PRODUCTS.items():
-        want = loop_product(a, b, keep)
-        # Values and key order, from the table path and from the public product.
-        assert list(table_product(a, b, keep)._terms.items()) == list(want._terms.items())
-        assert list(product(a, b)._terms.items()) == list(want._terms.items())
+    cache = mv_module._PlanCache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mv_module, "_PLANS", cache)
+        for product, keep in PRODUCTS.items():
+            want = ordered_bits(loop_product(a, b, keep))
+            # Values and key order: from the blocked path, from the plan path
+            # as it builds its plan and as it reads it back, and from the
+            # public product.
+            assert ordered_bits(table_product(a, b, keep)) == want
+            for call in range(2):
+                assert ordered_bits(plan_product(a, b, keep)) == want, (product.__name__, call)
+            assert ordered_bits(product(a, b)) == want
+        cache_holds_its_entries(cache)
     if dyadic:
         # Every sum of dyadic products is exact, in whatever order it is added.
         exact = _left_mult_matrix(a) @ np.array(b.coefficients()).real
@@ -860,10 +882,10 @@ def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
 
 def test_only_large_real_products_above_four_dimensions_take_the_table_path(monkeypatch):
     calls = []
-    table = mv_module._product_array
-    monkeypatch.setattr(
-        mv_module, "_product_array", lambda *args: calls.append(args[:2]) or table(*args)
-    )
+    for name in ("_product_plan", "_product_array"):
+        path = getattr(mv_module, name)
+        record = lambda *args, name=name, path=path: calls.append((name, *args[:2])) or path(*args)
+        monkeypatch.setattr(mv_module, name, record)
     local = np.random.default_rng(7)
     sig = Signature(3, 3)
     dense = drawn_operand(sig, local, "dense", False)
@@ -871,8 +893,10 @@ def test_only_large_real_products_above_four_dimensions_take_the_table_path(monk
     geometric_product(dense, dense)
     geometric_product(single, dense)  # 64 pairs: below the threshold
     geometric_product(random_mv(SIG13, local), random_mv(SIG13, local))
-    assert calls == [(3, 6)]
-    assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64
+    big = drawn_operand(Signature(4, 4), local, "dense", False)
+    geometric_product(big, big)  # 2^16 pairs: above the plan cap
+    assert calls == [("_product_plan", 3, 6), ("_product_array", 4, 8)]
+    assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64 <= mv_module._PLAN_MAX_PAIRS < 256 * 256
 
 
 @pytest.mark.parametrize("pq", [(5, 0), (2, 4), (3, 4)])
@@ -882,6 +906,7 @@ def test_complex_products_never_take_the_table_path(monkeypatch, pq):
         raise AssertionError("complex operands reached the table path")
 
     monkeypatch.setattr(mv_module, "_product_array", refuse)
+    monkeypatch.setattr(mv_module, "_product_plan", refuse)
     sig = Signature(*pq)
     local = np.random.default_rng(list(pq))
     real = drawn_operand(sig, local, "dense", False)
@@ -901,7 +926,8 @@ def test_sign_table_rows_are_the_sign_rule_rows(n):
 
 
 def test_dense_real_products_build_no_sign_rows():
-    # A fresh interpreter: the rows of _reorder_sign are Python-int tuples,
+    # A fresh interpreter: neither the plans nor the blocked path read the
+    # rows of _reorder_sign, which are Python-int tuples,
     # 128 MiB for all of Cl(6,6), where its int8 sign table holds 16 MiB.
     script = (
         "import resource\n"
@@ -913,6 +939,8 @@ def test_dense_real_products_build_no_sign_rows():
         "    return cs.Multivector(sig, dict(enumerate(local.uniform(-1, 1, 1 << sig.n).tolist())))\n"
         "a, b = dense(cs.Signature(5, 5)), dense(cs.Signature(5, 5))\n"
         "cs.geometric_product(a, b)\n"
+        "e = dense(cs.Signature(4, 3))\n"
+        "cs.geometric_product(e, e), cs.wedge(e, e)\n"
         "rows = _reorder_sign.cache_info().currsize\n"
         "c, d = dense(cs.Signature(6, 6)), dense(cs.Signature(6, 6))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
@@ -940,6 +968,130 @@ def test_inverse_fast_path_test_is_relative_to_scale(monkeypatch):
         for i in (1, 5):
             a = gen(sig, i) * scale
             assert (geometric_product(a, inverse(a)) - 1).max_abs() < 1e-12
+
+
+# -- index plans: cached gathers serve real n >= 5 products up to dense Cl(4,3) ------------
+
+
+@pytest.mark.parametrize("pq", [(4, 3), (2, 5), (4, 4)])
+def test_plan_path_adds_a_single_output_blade_in_loop_order(monkeypatch, pq):
+    """a _| b of two operands on the same grade-k blades keeps only the pairs
+    with equal blades, so every pair lands on the scalar: one K x 1 column.
+    numpy adds one column pairwise, which the loop does not."""
+    monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
+    sig = Signature(*pq)
+    grade = sig.n // 2
+    local = np.random.default_rng(list(pq))
+    masks = [m for m in range(1 << sig.n) if m.bit_count() == grade]
+    for _ in range(40):
+        order = local.permutation(masks).tolist()
+        values = local.normal(size=len(masks)) * 10.0 ** local.integers(-3, 4, len(masks))
+        a = Multivector(sig, dict(zip(order, values.tolist())))
+        b = Multivector(sig, dict(zip(masks, local.normal(size=len(masks)).tolist())))
+        blades, gather = mv_module._build_plan(*plan_key(a, b, mv_module._left_inner))
+        assert blades == [0] and gather.shape == (len(masks), 1)
+        want = ordered_bits(loop_product(a, b, mv_module._left_inner))
+        assert ordered_bits(left_contraction(a, b)) == want
+        assert ordered_bits(plan_product(a, b, mv_module._left_inner)) == want
+
+
+@pytest.mark.parametrize("pq", [(5, 0), (3, 3), (4, 3)])
+def test_plan_path_reports_overflow_as_the_loop_does(monkeypatch, pq):
+    monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    big = drawn_operand(sig, local, "dense", False) * 1e200
+    for product, keep in PRODUCTS.items():
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            loop_product(big, big, keep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                product(big, big)
+
+
+def test_plan_cache_evicts_to_its_entry_budget_and_rebuilds_the_same_bits(monkeypatch):
+    cache = mv_module._PlanCache()
+    monkeypatch.setattr(mv_module, "_PLANS", cache)
+    monkeypatch.setattr(mv_module, "_PLAN_ENTRY_BUDGET", 5000)
+    local = np.random.default_rng(11)
+    seen = []
+    for _ in range(30):
+        sig = Signature(*SIGNATURES_5_TO_8[int(local.integers(6, 21))])  # n = 6..7
+        a = drawn_operand(sig, local, "sparse", False)
+        b = drawn_operand(sig, local, "dense", False)
+        for product, keep in PRODUCTS.items():
+            want = ordered_bits(loop_product(a, b, keep))
+            assert ordered_bits(product(a, b)) == want
+            seen.append((a, b, keep, want))
+            cache_holds_its_entries(cache)
+    evicted = [case for case in seen if plan_key(*case[:3]) not in cache.plans]
+    assert evicted and cache.plans
+    for a, b, keep, want in evicted:
+        assert ordered_bits(plan_product(a, b, keep)) == want
+        cache_holds_its_entries(cache)
+    # Most recently used last, and a hit moves its plan to the end.
+    first = next(iter(cache.plans))
+    cache.get(first)
+    assert list(cache.plans)[-1] == first
+
+
+@pytest.mark.parametrize("pq", [(3, 2), (4, 3)])
+def test_plan_with_no_kept_pair_gives_zero(pq):
+    # Every blade holds e1, so no pair is disjoint and the wedge keeps none.
+    sig = Signature(*pq)
+    a = Multivector(sig, {m: 1.0 + m for m in range(1, 1 << sig.n, 2)})
+    assert mv_module._build_plan(*plan_key(a, a, mv_module._outer))[0] == []
+    assert wedge(a, a).is_zero() and loop_product(a, a, mv_module._outer).is_zero()
+    assert not geometric_product(a, a).is_zero()
+
+
+def test_plan_larger_than_the_budget_is_used_but_not_kept(monkeypatch):
+    cache = mv_module._PlanCache()
+    monkeypatch.setattr(mv_module, "_PLANS", cache)
+    monkeypatch.setattr(mv_module, "_PLAN_ENTRY_BUDGET", 100)
+    local = np.random.default_rng(12)
+    sig = Signature(3, 2)
+    a, b = (drawn_operand(sig, local, "dense", False) for _ in range(2))
+    assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
+    assert cache.plans == {} and cache.entries == 0
+
+
+def old_left_mult_matrix(a):
+    """_left_mult_matrix as one fancy-index update per term, kept as the oracle."""
+    sig = a.signature
+    table = mv_module._sign_table(sig.p, sig.n)
+    cols = np.arange(1 << sig.n)
+    mat = np.zeros((cols.size, cols.size), dtype=float if a.real else complex)
+    for ma, ca in a._terms.items():
+        mat[cols ^ ma, cols] += table[ma] * (ca.real if a.real else ca)
+    return mat
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (1, 3), (0, 4), (3, 2), (2, 4), (4, 3)])
+def test_left_mult_matrix_is_the_old_update_loop_byte_for_byte(pq):
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    for kind in ("single", "sparse", "dense"):
+        real = drawn_operand(sig, local, kind, False)
+        imaginary = real * 1j + drawn_operand(sig, local, kind, True) * (1 - 0.5j)
+        for a in (real, -real, imaginary, -imaginary):
+            got, want = _left_mult_matrix(a), old_left_mult_matrix(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_inverse_reads_the_solution_as_the_old_readout():
+    sig = Signature(4, 3)
+    local = np.random.default_rng(13)
+    for _ in range(3):
+        real = drawn_operand(sig, local, "dense", False)
+        for a in (real, real * (0.5 + 1j)):
+            mat = old_left_mult_matrix(a)
+            rhs = np.zeros(len(mat), dtype=mat.dtype)
+            rhs[0] = 1.0
+            sol = np.linalg.solve(mat, rhs)
+            want = Multivector(sig, {m: sol[m] for m in range(len(mat)) if sol[m] != 0})
+            assert ordered_bits(inverse(a)) == ordered_bits(want)
 
 
 # -- algebraic laws over random signatures ------------------------------------------------

@@ -129,6 +129,8 @@ def tokenize(src: str) -> list[tuple[str, object, int]]:
                     j += 1
             try:
                 value = float(src[i:j])
+                if not math.isfinite(value):  # too large for a float
+                    raise ValueError
             except ValueError:
                 raise ExpressionError(f"bad number {src[i:j]!r}", i) from None
             tokens.append(("num", value, i))

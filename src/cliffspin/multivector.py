@@ -18,13 +18,17 @@ The geometric product, the wedge and both contractions share one kernel,
 and key order as the dict loop ``_product_loop``, which is the tests' oracle.
 
 - Kernels, n <= 4: generated straight-line code.  On the first sight of a key
-  pattern (p, n, left keys in order, right keys in order, filter),
-  ``_generate_kernel`` compiles the loop for that pattern into one dict
-  literal.  Each output blade's sum keeps the loop's term order, written
-  +a_i*b_j or -a_i*b_j for sign +1 or -1, and the blades keep the loop's
-  first-appearance order.  The only difference from the loop is where a zero
-  gets its sign, which ``Multivector._own`` normalises.  The cache is
-  budgeted by the number of term pairs its kernels cover (2^16).  Cl(1,3)
+  pattern (p, n, left keys in order, right keys in order, filter, both
+  operands real), ``_generate_kernel`` compiles the loop for that pattern
+  into one dict literal.  Each output blade's sum keeps the loop's term
+  order, written +a_i*b_j or -a_i*b_j for sign +1 or -1, and the blades keep
+  the loop's first-appearance order.  The real variant multiplies the float
+  real parts and returns float sums, which are the loop's real parts to the
+  bit; the complex variant multiplies the stored complexes.  The only
+  difference from the loop is where a zero gets its sign, which the builders
+  below normalise.  A pattern met with real and with complex operands
+  compiles two kernels, each charged to the cache's budget of term pairs
+  covered (2^16).  Cl(1,3)
   work repeats its patterns: in the perfbench spinor-suite and
   dirac-planewave workloads (seeds 1-3) at most 7 of 275 to 563 patterns
   occur only once, spending at most 592 pairs of the budget, and over 99.6 %
@@ -52,13 +56,32 @@ and key order as the dict loop ``_product_loop``, which is the tests' oracle.
   last bit on 44 % of random normal pairs, so its sums would not be the
   loop's.
 
-Results that this module builds itself (products, sums, scalings, grade
-parts, involutions) skip the validating ``Multivector.__init__``: they go
-through ``Multivector._own``, which trusts that their masks are in range and
-their values already complex, but still drops zero terms and rejects
-non-finite coefficients.  Only the public constructor runs ``__init__``, so
-a tracer that counts ``__init__`` calls counts public constructions, not all
-the multivectors built.
+Results that this module builds itself skip the validating
+``Multivector.__init__`` and go through one of three builders, each told
+what its caller already knows, so that no result is re-walked to find it
+out.  All three store what ``__init__`` would: nonzero finite complex values
+with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
+
+- ``_own(sig, terms, real=None)``: complex values from the loop, the complex
+  kernels, sums and scalings.  It stores 0 + c, drops zeros and rejects a
+  non-finite value, and scans for ``real`` unless the caller passes it: a
+  sum, a scaling by a real number or a loop product of real operands is
+  real.
+- ``_own_real(sig, sums)``: float sums from the real kernels, the plans and
+  the blocked path.  It stores 0j + v, which is 0 + complex(v, 0.0) to the
+  bit, drops zeros and rejects a non-finite value after one finiteness test
+  of the float sum; ``real`` is True.
+- ``_trusted(sig, terms, real)``: no checks, for results that are clean by
+  construction.  Negation, ``reversion`` and ``grade_involution`` store
+  0j - c or c, which equal 0 + (-1 * c) and 0 + (1 * c) to the bit on a
+  stored value, and keep the operand's ``real``.  ``grade_part``, ``even``,
+  ``odd`` and ``prune`` keep some of the stored values; they are real if
+  the operand is, and scanned otherwise, since a subset of a complex
+  operand can be real.
+
+Only the public constructor runs ``__init__``, so a tracer that counts
+``__init__`` calls counts public constructions, not all the multivectors
+built.
 
 The scalar product implemented here is the grade-wise Gram-determinant
 pairing, equal to the scalar part of (reversion(a) * b).  Note that this
@@ -164,7 +187,14 @@ def _sign_table(p: int, n: int) -> np.ndarray:
 
 
 _REV_SIGN = (1, 1, -1, -1)  # (-1)^{k(k-1)/2} by k mod 4
-_GI_SIGN = (1, -1)  # (-1)^k by k mod 2
+
+
+def _all_real(values) -> bool:
+    """Whether no value has a nonzero imaginary part."""
+    for c in values:
+        if c.imag != 0.0:
+            return False
+    return True
 
 
 class Multivector:
@@ -176,7 +206,6 @@ class Multivector:
         object.__setattr__(self, "signature", signature)
         clean: dict[int, complex] = {}
         limit = 1 << signature.n
-        is_real = True
         for mask, coeff in (terms or {}).items():
             try:
                 mask = operator.index(mask)
@@ -191,33 +220,44 @@ class Multivector:
                 clean[mask] = clean.get(mask, 0) + c
                 if clean[mask] == 0:
                     del clean[mask]
-        for c in clean.values():
-            if c.imag != 0.0:
-                is_real = False
-                break
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "real", is_real)
+        object.__setattr__(self, "real", _all_real(clean.values()))
 
     @classmethod
-    def _own(cls, signature: Signature, terms: dict[int, complex]) -> "Multivector":
-        """Trusted constructor for dicts built in this module: masks in range,
-        values complex.  Stores 0 + c as __init__ does, so no part is -0.0."""
+    def _own(
+        cls, signature: Signature, terms: dict[int, complex], real: bool | None = None
+    ) -> "Multivector":
+        """Builder for complex values computed in this module: masks in range.
+        Stores 0 + c as __init__ does, so no part is -0.0, drops zeros and
+        rejects non-finite values.  A caller that knows the result is real
+        passes real=True, and the scan for an imaginary part is skipped."""
         clean = {m: 0 + c for m, c in terms.items() if c}
         values = clean.values()
         # A sum of finite terms can overflow, so a non-finite sum is only a
         # hint; each term is checked before rejecting.
         if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
             raise ValueError("non-finite coefficient")
-        is_real = True
-        for c in values:
-            if c.imag != 0.0:
-                is_real = False
-                break
+        return cls._trusted(signature, clean, _all_real(values) if real is None else real)
+
+    @classmethod
+    def _own_real(cls, signature: Signature, sums: dict[int, float]) -> "Multivector":
+        """Builder for the float sums of a real computation, whose complex
+        counterparts have zero imaginary parts: each nonzero v is stored as
+        0j + v, which is 0 + complex(v, 0.0) to the bit."""
+        values = sums.values()
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise ValueError("non-finite coefficient")
+        return cls._trusted(signature, {m: 0j + v for m, v in sums.items() if v}, True)
+
+    @classmethod
+    def _trusted(cls, signature: Signature, terms: dict[int, complex], real: bool) -> "Multivector":
+        """No checks: terms must already be stored values, nonzero and finite
+        complex numbers with no -0.0 part, and real their realness."""
         self = object.__new__(cls)
         _set = object.__setattr__
         _set(self, "signature", signature)
-        _set(self, "_terms", clean)
-        _set(self, "real", is_real)
+        _set(self, "_terms", terms)
+        _set(self, "real", real)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -326,12 +366,14 @@ class Multivector:
         out = dict(self._terms)
         for m, c in other._terms.items():
             out[m] = out.get(m, 0) + c
-        return Multivector._own(self.signature, out)
+        return Multivector._own(self.signature, out, True if self.real and other.real else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector._own(self.signature, {m: -c for m, c in self._terms.items()})
+        # 0j - c is 0 + (-c) to the bit, and a stored c has no -0.0 part.
+        terms = {m: 0j - c for m, c in self._terms.items()}
+        return Multivector._trusted(self.signature, terms, self.real)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -346,7 +388,10 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             s = complex(other)
-            return Multivector._own(self.signature, {m: c * s for m, c in self._terms.items()})
+            # (x + 0j)(y + 0j) has a zero imaginary part.
+            real = True if self.real and not s.imag else None
+            terms = {m: c * s for m, c in self._terms.items()}
+            return Multivector._own(self.signature, terms, real)
         if not isinstance(other, Multivector):
             return NotImplemented
         return geometric_product(self, other)
@@ -372,22 +417,22 @@ class Multivector:
         return grade_part(self, k)
 
     def even(self) -> "Multivector":
-        return Multivector._own(
-            self.signature, {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0}
-        )
+        return _subset(self, {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0})
 
     def odd(self) -> "Multivector":
-        return Multivector._own(
-            self.signature, {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1}
-        )
+        return _subset(self, {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1})
 
     def rev(self) -> "Multivector":
         return reversion(self)
 
     def prune(self, tol: float) -> "Multivector":
-        return Multivector._own(
-            self.signature, {m: c for m, c in self._terms.items() if abs(c) > tol}
-        )
+        return _subset(self, {m: c for m, c in self._terms.items() if abs(c) > tol})
+
+
+def _subset(a: Multivector, terms: dict[int, complex]) -> Multivector:
+    """Some of a's stored terms: clean as they are, real if a is, and
+    scanned otherwise, since a subset of a complex operand can be real."""
+    return Multivector._trusted(a.signature, terms, a.real or _all_real(terms.values()))
 
 
 # -- products ---------------------------------------------------------------
@@ -407,12 +452,15 @@ def _product_loop(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, co
     return out
 
 
-def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
+def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep, real: bool):
     """Compile _product_loop for one key pattern into straight-line code.
 
     Each output blade's sum lists its terms in the loop's order, and the
     blades appear in the loop's first-appearance order.  The source holds
-    only integer masks and positional names a<i>, b<j>."""
+    only integer masks and positional names a<i>, b<j>.  The real variant
+    multiplies the real parts of the terms: a product of two complexes with
+    zero imaginary parts has real part exactly a*b, and complex sums add
+    their real parts alone, so its float sums are the loop's real parts."""
     sums: dict[int, list[str]] = {}
     for i, ma in enumerate(a_keys):
         row = _reorder_sign(p, n, ma)
@@ -421,16 +469,26 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
                 sign = "+" if row[mb] > 0 else "-"
                 sums.setdefault(ma ^ mb, []).append(f"{sign}a{i}*b{j}")
     body = ", ".join(f"{m}: {''.join(terms).lstrip('+')}" for m, terms in sums.items())
-    a_names = "".join(f"a{i}, " for i in range(len(a_keys)))
-    b_names = "".join(f"b{j}, " for j in range(len(b_keys)))
-    source = f"def kernel(a, b):\n    {a_names}= a\n    {b_names}= b\n    return {{{body}}}\n"
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["kernel"]
+    a_names = [f"a{i}" for i in range(len(a_keys))]
+    b_names = [f"b{j}" for j in range(len(b_keys))]
+    lines = [f"{', '.join(a_names)}, = a", f"{', '.join(b_names)}, = b"]
+    if real:
+        lines += [f"{x} = {x}.real" for x in a_names + b_names]
+    source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
+    source += f"    return {{{body}}}\n"
+    local: dict = {}
+    exec(source, _KERNEL_GLOBALS, local)
+    return local["kernel"]
+
+
+# The globals of every kernel: one dict for all, since no kernel reads a
+# global name (a dict per kernel took about 160 bytes).
+_KERNEL_GLOBALS: dict = {}
 
 
 class _KernelCache:
-    """Generated product kernels by (p, n, left keys, right keys, filter).
+    """Generated product kernels by (p, n, left keys, right keys, filter,
+    both operands real).
 
     A pattern is compiled on its first sight.  Each kernel costs the number
     of term pairs it covers, and compiling stops once the costs would pass
@@ -473,9 +531,16 @@ _ARRAY_MIN_PAIRS = 128
 # block holds at most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
 
+# The array paths report overflow as the loop does, by the ValueError of
+# Multivector._own_real alone, so numpy's overflow and invalid-value warnings
+# are off inside them.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
-def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, complex]:
-    """_product_loop of two real operands, computed on the sign table.
+
+@_quiet_overflow
+def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
+    """The real parts of _product_loop of two real operands, computed on the
+    sign table.
 
     Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
     and np.add.at adds the contributions to each output blade one at a time
@@ -505,7 +570,7 @@ def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, c
         np.minimum.at(first, blades, order)
         keys.append(blades[first[blades] == order])
     keys = np.concatenate(keys)
-    return dict(zip(keys.tolist(), sums[keys].astype(complex).tolist()))
+    return dict(zip(keys.tolist(), sums[keys].tolist()))
 
 
 def _build_plan(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
@@ -566,9 +631,11 @@ _PLAN_ENTRY_BUDGET = 1 << 18
 _PLANS = _PlanCache()
 
 
-def _product_plan(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, complex]:
-    """_product_loop of two real operands through the cached plan of their
-    key pattern: one outer product, one gather and one sum over axis 0."""
+@_quiet_overflow
+def _product_plan(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
+    """The real parts of _product_loop of two real operands, through the
+    cached plan of their key pattern: one outer product, one gather and one
+    sum over axis 0."""
     blades, gather = _PLANS.get((p, n, tuple(at), tuple(bt), keep))
     xa = np.fromiter(at.values(), complex, len(at)).real
     xb = np.fromiter(bt.values(), complex, len(bt)).real
@@ -580,8 +647,8 @@ def _product_plan(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, co
     values = source.take(gather)
     if len(blades) == 1:
         # numpy adds a single column pairwise; the loop adds in order.
-        return {blades[0]: complex(reduce(operator.add, values[:, 0].tolist()))}
-    return dict(zip(blades, values.sum(axis=0).astype(complex).tolist()))
+        return {blades[0]: reduce(operator.add, values[:, 0].tolist())}
+    return dict(zip(blades, values.sum(axis=0).tolist()))
 
 
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
@@ -593,16 +660,19 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     sig = a.signature
     p, n = sig.p, sig.n
     at, bt = a._terms, b._terms
+    real = a.real and b.real
     if n <= _KERNEL_MAX_N:
         if at and bt:
-            key = (p, n, tuple(at), tuple(bt), keep)
+            key = (p, n, tuple(at), tuple(bt), keep, real)
             kernel = _KERNELS.kernels.get(key) or _KERNELS.compile(key)
             if kernel is not None:
+                if real:
+                    return Multivector._own_real(sig, kernel(at.values(), bt.values()))
                 return Multivector._own(sig, kernel(at.values(), bt.values()))
-    elif a.real and b.real and len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
+    elif real and len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
         path = _product_plan if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _product_array
-        return Multivector._own(sig, path(p, n, at, bt, keep))
-    return Multivector._own(sig, _product_loop(p, n, at, bt, keep))
+        return Multivector._own_real(sig, path(p, n, at, bt, keep))
+    return Multivector._own(sig, _product_loop(p, n, at, bt, keep), True if real else None)
 
 
 # The filters also take arrays of masks, as _product_array calls them.
@@ -656,22 +726,27 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
 def grade_part(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= a.signature.n:
         raise ValueError(f"grade {k} out of range 0..{a.signature.n}")
-    return Multivector._own(a.signature, {m: c for m, c in a._terms.items() if m.bit_count() == k})
+    return _subset(a, {m: c for m, c in a._terms.items() if m.bit_count() == k})
 
 
 # -- involutions ------------------------------------------------------------
 
 
+# Sign flips are written 0j - c, which is 0 + (-1 * c) to the bit, and sign +1
+# keeps the stored c, which is 0 + (1 * c) to the bit: a stored c is finite,
+# nonzero and has no -0.0 part.
+
+
 def grade_involution(a: Multivector) -> Multivector:
-    return Multivector._own(
-        a.signature, {m: _GI_SIGN[m.bit_count() % 2] * c for m, c in a._terms.items()}
-    )
+    """(-1)^k on grade k."""
+    terms = {m: 0j - c if m.bit_count() & 1 else c for m, c in a._terms.items()}
+    return Multivector._trusted(a.signature, terms, a.real)
 
 
 def reversion(a: Multivector) -> Multivector:
-    return Multivector._own(
-        a.signature, {m: _REV_SIGN[m.bit_count() % 4] * c for m, c in a._terms.items()}
-    )
+    """(-1)^(k(k-1)/2) on grade k: negative where k mod 4 is 2 or 3."""
+    terms = {m: 0j - c if m.bit_count() & 2 else c for m, c in a._terms.items()}
+    return Multivector._trusted(a.signature, terms, a.real)
 
 
 def conjugation(a: Multivector) -> Multivector:

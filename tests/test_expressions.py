@@ -125,6 +125,15 @@ def test_error_positions():
     assert "column 4" in str(info.value)
 
 
+def test_a_number_too_large_for_a_float_is_a_bad_number():
+    for text, literal, column in (("1e400 + e1", "1e400", 1), ("e1 + 2 * 9.5e999", "9.5e999", 10)):
+        with pytest.raises(ExpressionError) as info:
+            parse(text, SIG13)
+        assert str(info.value) == f"bad number '{literal}' (at column {column})"
+        assert info.value.pos == column - 1
+    assert parse("1e308 + e1", SIG13) == Binary("+", Num(1e308), Blade(1))
+
+
 def test_unbalanced_parens():
     with pytest.raises(ExpressionError):
         parse("(e1 + e2", SIG13)

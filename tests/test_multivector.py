@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -759,7 +760,7 @@ def test_kernels_match_the_dict_loop_bit_for_bit(monkeypatch, p, q, complex_coef
         b = shuffled_operand(sig, local, int(local.integers(1, dim + 1)), complex_coeffs)
         for product, keep in PRODUCTS.items():
             want = ordered_bits(loop_product(a, b, keep))
-            key = (sig.p, sig.n, tuple(a._terms), tuple(b._terms), keep)
+            key = (sig.p, sig.n, tuple(a._terms), tuple(b._terms), keep, not complex_coeffs)
             # The first call compiles the pattern; the next two reuse its kernel.
             for call in range(3):
                 assert ordered_bits(product(a, b)) == want, (product.__name__, call)
@@ -800,6 +801,56 @@ def test_products_above_four_dimensions_never_enter_the_kernel_cache(monkeypatch
     assert cache.kernels == {} and cache.pairs == 0
 
 
+def test_real_and_complex_operands_compile_distinct_kernels(monkeypatch):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    local = np.random.default_rng(5)
+    a = shuffled_operand(SIG13, local, 6, False)
+    b = shuffled_operand(SIG13, local, 5, False)
+    # The same keys in the same order, with imaginary parts.
+    ai = Multivector(SIG13, {m: c + 0.5j for m, c in a._terms.items()})
+    bi = Multivector(SIG13, {m: c - 0.25j for m, c in b._terms.items()})
+    pattern = (SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms))
+    for x, y in ((a, b), (ai, b), (a, bi), (ai, bi)):
+        for product, keep in PRODUCTS.items():
+            assert ordered_bits(product(x, y)) == ordered_bits(loop_product(x, y, keep))
+    # One kernel per filter and realness: any complex operand takes the
+    # complex kernel, and each kernel is charged its 30 pairs.
+    want = {(*pattern, keep, real) for keep in PRODUCTS.values() for real in (True, False)}
+    assert set(cache.kernels) == want
+    assert cache.pairs == 8 * 30
+
+
+def test_kernel_budget_charges_each_realness_of_a_pattern(monkeypatch):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    monkeypatch.setattr(mv_module, "_KERNEL_PAIR_BUDGET", 30)
+    local = np.random.default_rng(6)
+    a = shuffled_operand(SIG13, local, 6, False)
+    b = shuffled_operand(SIG13, local, 5, False)
+    ai = Multivector(SIG13, {m: c + 0.5j for m, c in a._terms.items()})
+    assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
+    # The real kernel spent the budget, so the complex pattern takes the loop.
+    assert ordered_bits(geometric_product(ai, b)) == ordered_bits(loop_product(ai, b, None))
+    assert list(cache.kernels) == [(SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms), None, True)]
+    assert cache.pairs == 30
+
+
+def test_real_kernels_report_overflow_as_the_loop_does(monkeypatch):
+    monkeypatch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
+    big = Multivector(SIG13, {1: 1e200, 2: -3e200, 6: 2e200})
+    for product, keep in PRODUCTS.items():
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            loop_product(big, big, keep)
+        for _ in range(2):  # compiling, then the cached kernel
+            with pytest.raises(ValueError, match="^non-finite coefficient$"):
+                product(big, big)
+    # Finite terms whose float sum overflows are kept, as the loop keeps them.
+    huge = Multivector(SIG13, {1: 1e308, 2: 1e308, 4: 1e308})
+    one = Multivector.scalar(SIG13, 1.0)
+    assert ordered_bits(geometric_product(huge, one)) == ordered_bits(huge)
+
+
 # -- the sign table: one int8 table per signature serves real products for n >= 5 ------------
 
 SIGNATURES_5_TO_8 = [(p, n - p) for n in range(5, 9) for p in range(n + 1)]
@@ -807,12 +858,14 @@ SIGNATURES_5_TO_8 = [(p, n - p) for n in range(5, 9) for p in range(n + 1)]
 
 def table_product(a, b, keep):
     sig = a.signature
-    return Multivector._own(sig, mv_module._product_array(sig.p, sig.n, a._terms, b._terms, keep))
+    sums = mv_module._product_array(sig.p, sig.n, a._terms, b._terms, keep)
+    return Multivector._own_real(sig, sums)
 
 
 def plan_product(a, b, keep):
     sig = a.signature
-    return Multivector._own(sig, mv_module._product_plan(sig.p, sig.n, a._terms, b._terms, keep))
+    sums = mv_module._product_plan(sig.p, sig.n, a._terms, b._terms, keep)
+    return Multivector._own_real(sig, sums)
 
 
 def plan_key(a, b, keep):
@@ -1161,3 +1214,130 @@ def test_reversion_is_an_anti_automorphism(operands):
     for product, mirror in mirrored.items():
         gap = reversion(product(a, b)) - mirror(rb, ra)
         assert gap.max_abs() <= law_bound(a.signature, a, b)
+
+
+
+def test_real_products_above_four_dimensions_overflow_without_numpy_warnings(monkeypatch):
+    """The plan and blocked paths raise the loop's ValueError alone."""
+    local = np.random.default_rng(14)
+    sig = Signature(3, 2)
+    big = drawn_operand(sig, local, "dense", False) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for plan_max in (mv_module._PLAN_MAX_PAIRS, 0):  # the plan path, then the blocked path
+            monkeypatch.setattr(mv_module, "_PLAN_MAX_PAIRS", plan_max)
+            for product in PRODUCTS:
+                with pytest.raises(ValueError, match="^non-finite coefficient$"):
+                    product(big, big)
+
+
+# -- builders: each result is what the validating constructor stores ---------------------
+
+
+@st.composite
+def builder_operands(draw):
+    """Two operands of one random signature with n <= 6, each real or
+    complex, with one term, a few terms or all 2^n in random key order.
+    Dyadic values among them make sums and products cancel exactly, and
+    tiny or huge scales make products underflow to +-0.0 or overflow."""
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(local.integers(0, 7))
+    p = int(local.integers(0, n + 1))
+    sig = Signature(p, n - p)
+    operands = []
+    for _ in range(2):
+        size = min(int(local.choice([1, local.integers(2, 9), 1 << n])), 1 << n)
+        masks = local.permutation(1 << n)[:size].tolist()
+        dyadic = local.integers(-2, 3, size) / 2
+        values = np.where(local.random(size) < 0.4, dyadic, local.normal(size=size))
+        values = values * 10.0 ** float(local.choice([0, 0, 0, -170, -300, 160]))
+        if local.random() < 0.5:
+            imaginary = np.where(local.random(size) < 0.4, dyadic, local.normal(size=size))
+            values = values + 1j * imaginary
+        operands.append(Multivector(sig, dict(zip(masks, values.tolist()))))
+    return operands
+
+
+def validated(sig, make_terms):
+    """Multivector(sig, terms) of the terms a builder used to pass to the
+    validating path, or the error it raises."""
+    try:
+        return Multivector(sig, make_terms())
+    except ValueError as exc:
+        return exc
+
+
+def outcome(build):
+    try:
+        result = build()
+    except ValueError as exc:
+        return exc
+    # Clean as __init__ stores terms: complex, nonzero, finite, no -0.0 part,
+    # and real exactly when no imaginary part is nonzero.
+    for c in result._terms.values():
+        assert type(c) is complex and c != 0 and math.isfinite(abs(c))
+        assert math.copysign(1.0, c.real) == 1.0 or c.real != 0
+        assert math.copysign(1.0, c.imag) == 1.0 or c.imag != 0
+    assert result.real == all(c.imag == 0 for c in result._terms.values())
+    return result
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception):
+        return isinstance(got, ValueError) and str(got) == str(want)
+    return (
+        isinstance(got, Multivector)
+        and ordered_bits(got) == ordered_bits(want)
+        and got.real == want.real
+    )
+
+
+def old_sum(a, b):
+    out = dict(a._terms)
+    for m, c in b._terms.items():
+        out[m] = out.get(m, 0) + c
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(builder_operands())
+def test_builders_store_what_the_validating_constructor_stores(operands):
+    a, b = operands
+    sig = a.signature
+    p, n = sig.p, sig.n
+    at, bt = a._terms, b._terms
+    k = int(sum(at) % (n + 1))
+    cases = {
+        "negation": (lambda: -a, lambda: {m: -c for m, c in at.items()}),
+        "reversion": (
+            lambda: reversion(a),
+            lambda: {m: (1, 1, -1, -1)[m.bit_count() % 4] * c for m, c in at.items()},
+        ),
+        "grade_involution": (
+            lambda: grade_involution(a),
+            lambda: {m: (-1) ** m.bit_count() * c for m, c in at.items()},
+        ),
+        "sum": (lambda: a + b, lambda: old_sum(a, b)),
+        "difference": (
+            lambda: a - b,
+            lambda: old_sum(a, Multivector(sig, {m: -c for m, c in bt.items()})),
+        ),
+        "grade_part": (
+            lambda: grade_part(a, k),
+            lambda: {m: c for m, c in at.items() if m.bit_count() == k},
+        ),
+        "even": (lambda: a.even(), lambda: {m: c for m, c in at.items() if m.bit_count() % 2 == 0}),
+        "odd": (lambda: a.odd(), lambda: {m: c for m, c in at.items() if m.bit_count() % 2 == 1}),
+        "pruned": (lambda: a.prune(0.5), lambda: {m: c for m, c in at.items() if abs(c) > 0.5}),
+        "scaled": (lambda: a * -0.75, lambda: {m: c * complex(-0.75) for m, c in at.items()}),
+    }
+    for product, keep in PRODUCTS.items():
+        cases[product.__name__] = (
+            lambda product=product: product(a, b),
+            lambda keep=keep: mv_module._product_loop(p, n, at, bt, keep),
+        )
+    for name, (build, old_terms) in cases.items():
+        got = outcome(build)
+        assert same_outcome(got, validated(sig, old_terms)), name
+        if isinstance(got, Multivector):
+            assert same_outcome(got, Multivector(sig, got._terms)), name

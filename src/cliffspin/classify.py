@@ -272,7 +272,7 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         random.Random(seed).shuffle(candidates)
 
     signs = _sign_table(p, sig.n)
-    e = Multivector.scalar(sig, 1.0)
+    e = Multivector.one(sig)
     chosen: list[Multivector] = []
     chosen_masks: list[int] = []
     current_dim = 1 << sig.n
@@ -315,7 +315,7 @@ def orthogonal_idempotent_expansion(desc: IdealDescriptor) -> list[Multivector]:
     """All 2^k sign choices of prod (1 +- e_alpha)/2: pairwise orthogonal
     idempotents summing to 1, exactly in dyadic arithmetic."""
     sig = desc.idempotent.signature
-    result = [Multivector.scalar(sig, 1.0)]
+    result = [Multivector.one(sig)]
     for b in desc.factors:
         nxt = []
         for acc in result:

@@ -12,7 +12,9 @@ carry analytic derivatives.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .groups import (
     rotor_between,
 )
 from .matrixrep import matrix_of, standard_gammas
-from .multivector import Multivector, Signature, geometric_product, scalar_product
+from .multivector import Multivector, Signature, geometric_product
 from .spinors import SIG13, gamma5, gamma_lower, gamma_upper
 
 ETA = (1.0, -1.0, -1.0, -1.0)
@@ -59,7 +61,12 @@ _COORDINATE_COFRAME = tuple(
 @dataclass(frozen=True)
 class PlaneWaveDHSF:
     """psi(x) = psi0 * exp(-energy_sign * B * (p.x)) with B the frame's
-    g2 g1 phase bivector (B^2 = -1)."""
+    g2 g1 phase bivector (B^2 = -1).
+
+    The fields are frozen, so what depends on them alone is computed on
+    first use and kept with the field: ``phase_bivector`` B and
+    ``projector``, the ideal-form projector e e' of the frame.  A field made
+    by ``dataclasses.replace`` or a gauge map computes its own."""
 
     frame: SpinorialFrame
     psi0: Multivector
@@ -75,15 +82,29 @@ class PlaneWaveDHSF:
         if any(g % 2 for g in self.psi0.grades()):
             raise DiracError("amplitude must be even")
 
-    @property
+    @cached_property
     def phase_bivector(self) -> Multivector:
+        """B = g2 g1 of the field's frame."""
         return geometric_product(gamma_lower(self.frame, 2), gamma_lower(self.frame, 1))
 
+    @cached_property
+    def projector(self) -> Multivector:
+        """asf_projector(frame), the e e' of the ideal form."""
+        return asf_projector(self.frame)
+
     def phase_at(self, x: Sequence[float]) -> float:
-        xvec = Multivector(
-            SIG13, {1 << mu: float(x[mu]) for mu in range(4) if x[mu] != 0.0}
-        )
-        return complex(scalar_product(self.p, xvec)).real
+        """p.x = sum of eta_mu p^mu x^mu, summed over p's terms in their
+        order and over nonzero x^mu only, from 0.0: the real part of
+        scalar_product(p, x) to the bit.  A non-finite x^mu raises."""
+        xs = [float(x[mu]) for mu in range(4)]
+        if not all(map(math.isfinite, xs)):
+            raise ValueError("non-finite coefficient")
+        theta = 0.0
+        for mask, c in self.p._terms.items():
+            mu = mask.bit_length() - 1
+            if xs[mu] != 0.0:
+                theta += ETA[mu] * c.real * xs[mu]
+        return theta
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         theta = self.phase_at(x)
@@ -108,10 +129,8 @@ class PlaneWaveDHSF:
 def _apply_coframe(
     coframe: Sequence[Multivector] | None, partials: list[Multivector]
 ) -> Multivector:
-    out = Multivector.zero(SIG13)
-    for g, d_psi in zip(_COORDINATE_COFRAME if coframe is None else coframe, partials):
-        out = out + geometric_product(g, d_psi)
-    return out
+    gammas = _COORDINATE_COFRAME if coframe is None else coframe
+    return reduce(operator.add, (geometric_product(g, d) for g, d in zip(gammas, partials)))
 
 
 def spin_dirac_apply(
@@ -214,7 +233,7 @@ def asf_residual(
     Right-multiplying by g5, with g5^2 = -1, gives the form above, in which
     the mass term and the charge term both carry the right factor g5.
     """
-    proj = asf_projector(field.frame)
+    proj = field.projector
     psi = field.evaluate(x)
     phi = geometric_product(psi, proj)
     dphi = _apply_coframe(None, [geometric_product(d, proj) for d in field._partials_of(psi)])

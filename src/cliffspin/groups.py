@@ -76,12 +76,14 @@ class VectorFrame:
         squares = sig.squares
         if len(self.vectors) != sig.n:
             raise FrameError(f"frame needs {sig.n} vectors, got {len(self.vectors)}")
+        # |v.w| <= |v| |w|, so the test is relative to each pair's own size.
+        norms = [v.norm() for v in self.vectors]
         for i, v in enumerate(self.vectors):
             if v.grades() - {1}:
                 raise FrameError("frame members must be grade-1")
             for j, w in enumerate(self.vectors):
                 want = squares[i] if i == j else 0.0
-                if abs(scalar_product(v, w) - want) > 1e-9:
+                if abs(scalar_product(v, w) - want) > 1e-9 * norms[i] * norms[j]:
                     raise FrameError("frame is not g-orthonormal")
 
     @property
@@ -107,9 +109,12 @@ class SpinorialFrame:
     def __post_init__(self) -> None:
         sig = self.u.signature
         uinv = self.u.inverse_mv()
+        # u b u^-1 sums terms of size up to |u|^2 |b|, so its rounding error
+        # scales with that.
+        scale = 1e-8 * self.u.u.norm() ** 2
         for i, b in enumerate(self.frame.vectors):
             image = geometric_product(geometric_product(self.u.u, b), uinv)
-            if (image - Multivector.generator(sig, i + 1)).max_abs() > 1e-8:
+            if (image - Multivector.generator(sig, i + 1)).max_abs() > scale * b.norm():
                 raise FrameError("frame does not match u b u^{-1} = fiducial")
 
     @property
@@ -131,7 +136,7 @@ def spinorial_frame_of(u: Rotor) -> SpinorialFrame:
 
 
 def fiducial_spinorial_frame(sig: Signature) -> SpinorialFrame:
-    return SpinorialFrame(Rotor(Multivector.scalar(sig, 1.0)), fiducial_frame(sig))
+    return SpinorialFrame(Rotor(Multivector.one(sig)), fiducial_frame(sig))
 
 
 # -- actions ------------------------------------------------------------------
@@ -247,13 +252,13 @@ def random_bivector(sig: Signature, rng: np.random.Generator, scale: float = 1.0
     """Bivector with components uniform in [-1,1]; components on blades with
     square +1 (boost planes) are halved to keep exponentials tame."""
     terms: dict[int, complex] = {}
-    one = Multivector.scalar(sig, 1.0)
     for i in range(sig.n):
         for j in range(i + 1, sig.n):
             mask = (1 << i) | (1 << j)
-            b = Multivector.from_mask(sig, mask)
             c = float(rng.uniform(-1.0, 1.0)) * scale
-            if geometric_product(b, b) == one:
+            # (e_i e_j)^2 = -e_i^2 e_j^2 is +1 when one square is +1 (i < p)
+            # and the other -1.
+            if i < sig.p <= j:
                 c *= 0.5
             terms[mask] = c
     return Multivector(sig, terms)

@@ -59,7 +59,7 @@ def build_r41() -> R41:
 @lru_cache(maxsize=None)
 def _embedded_blade(mask13: int) -> Multivector:
     r41 = build_r41()
-    out = Multivector.scalar(SIG41, 1.0)
+    out = Multivector.one(SIG41)
     for mu in range(4):
         if mask13 >> mu & 1:
             out = geometric_product(out, r41.E[mu])

@@ -11,7 +11,12 @@ so for fixed a, s = (-1)^popcount(b & w) for one weight mask w
 (``_sign_weight``).  Two caches hold the signs that mask gives:
 ``_reorder_sign(p, n, a)``, one row of Python ints over all 2^n blades b per
 left blade a, and ``_sign_table(p, n)``, every row of one signature as an
-int8 array (16 MiB at n = 12, where all rows as tuples take 128 MiB).
+int8 array (16 MiB at n = 12, where all rows as tuples take 128 MiB).  The
+rows serve only ``_product_loop`` and ``_generate_kernel``; the table serves
+the plans, the blocked path, ``_left_mult_matrix`` and ``classify``.
+``scalar_product`` reads each sign in closed form, (-1)^popcount(m >> p)
+for reversion(e_m) e_m, and ``exp_bivector`` reads the pseudoscalar's signs
+as parities of its weight mask, so neither builds a row.
 
 The geometric product, the wedge and both contractions share one kernel,
 ``_product``, with four paths, tried in this order.  Each gives the same bits
@@ -79,9 +84,21 @@ with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
   the operand is, and scanned otherwise, since a subset of a complex
   operand can be real.
 
-Only the public constructor runs ``__init__``, so a tracer that counts
-``__init__`` calls counts public constructions, not all the multivectors
-built.
+``Signature(p, q)`` with int counts returns one shared instance per pair,
+so the signature tests of every product and sum (``_check_sig``,
+``__eq__``) are identity tests in nearly every call, with the dataclass
+``__eq__`` behind them.  Each signature holds its scalar 1 and generators,
+built once through ``__init__`` on first use and shared from then on:
+``Multivector.one`` and ``Multivector.generator`` return them, and
+``Multivector.zero`` is a trusted empty value.  A Python number in ``+``
+and ``-`` is added as its coefficient, with no scalar multivector.
+
+So ``__init__`` runs where numbers enter: the public constructors
+``Multivector(sig, terms)``, ``scalar``, ``blade`` and ``from_mask``
+validate, as do the few values the package builds from outside numbers
+(``inverse``'s solved coefficients, a random bivector, a plane wave's
+momentum).  A tracer that counts ``__init__`` calls counts those, not all
+the multivectors built.
 
 The scalar product implemented here is the grade-wise Gram-determinant
 pairing, equal to the scalar part of (reversion(a) * b).  Note that this
@@ -97,7 +114,7 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -105,6 +122,10 @@ import numpy as np
 MAX_DIM = 12
 
 Scalar = complex  # coefficients are stored as machine complex numbers
+
+
+# The shared Signature of each (p, q) with int counts.
+_SIGNATURES: dict[tuple[int, int], "Signature"] = {}
 
 
 class SignatureMismatchError(ValueError):
@@ -117,16 +138,42 @@ class NonInvertibleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Signature:
-    """The pair (p, q) fixing the metric diag(+1 x p, -1 x q)."""
+    """The pair (p, q) fixing the metric diag(+1 x p, -1 x q).
+
+    Signature(p, q) with int p and q returns one shared instance per (p, q),
+    so equal signatures are nearly always the same object; other argument
+    types (bool, numpy integers, subclasses) build an equal instance of
+    their own, and invalid counts raise before anything is shared."""
 
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
+    def __new__(cls, p: int, q: int) -> "Signature":
+        if p < 0 or q < 0:
             raise ValueError("signature counts must be non-negative")
-        if self.p + self.q > MAX_DIM:
-            raise ValueError(f"dimension {self.p + self.q} exceeds cap {MAX_DIM}")
+        if p + q > MAX_DIM:
+            raise ValueError(f"dimension {p + q} exceeds cap {MAX_DIM}")
+        # Keyed on exact int values only: True == 1, and the dataclass
+        # __init__, which runs again on a shared instance, would store it.
+        shared = cls is Signature and type(p) is int and type(q) is int
+        if shared and (self := _SIGNATURES.get((p, q))) is not None:
+            return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        return _SIGNATURES.setdefault((p, q), self) if shared else self
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __new__, which returns the shared
+        # instance; no state is written back into it.
+        return type(self), (self.p, self.q)
+
+    @cached_property
+    def _constants(self) -> "tuple[Multivector, tuple[Multivector, ...]]":
+        """The scalar 1 and the generators e_1..e_n, built once per instance
+        through the validating constructor."""
+        one = Multivector(self, {0: 1.0})
+        return one, tuple(Multivector(self, {1 << i: 1.0}) for i in range(self.n))
 
     @property
     def n(self) -> int:
@@ -184,9 +231,6 @@ def _sign_table(p: int, n: int) -> np.ndarray:
         np.multiply(table[:, : 1 << j], flip[:, None], out=table[:, 1 << j : 2 << j])
     table.flags.writeable = False
     return table
-
-
-_REV_SIGN = (1, 1, -1, -1)  # (-1)^{k(k-1)/2} by k mod 4
 
 
 def _all_real(values) -> bool:
@@ -271,14 +315,19 @@ class Multivector:
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig, {})
+        return cls._trusted(sig, {}, True)
+
+    @classmethod
+    def one(cls, sig: Signature) -> "Multivector":
+        """The scalar 1, shared per signature."""
+        return sig._constants[0]
 
     @classmethod
     def generator(cls, sig: Signature, index: int) -> "Multivector":
-        """Basis vector e_index with 1-based index."""
+        """Basis vector e_index with 1-based index, shared per signature."""
         if not 1 <= index <= sig.n:
             raise ValueError(f"generator index {index} out of range 1..{sig.n}")
-        return cls(sig, {1 << (index - 1): 1.0})
+        return sig._constants[1][index - 1]
 
     @classmethod
     def blade(cls, sig: Signature, indices: Iterable[int], coeff: complex = 1.0) -> "Multivector":
@@ -335,7 +384,8 @@ class Multivector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.signature == other.signature and self._terms == other._terms
+        a, b = self.signature, other.signature
+        return (a is b or a == b) and self._terms == other._terms
 
     def __hash__(self):
         return hash((self.signature, frozenset(self._terms.items())))
@@ -351,7 +401,7 @@ class Multivector:
     # -- linear structure --------------------------------------------------
 
     def _check_sig(self, other: "Multivector") -> None:
-        if self.signature != other.signature:
+        if self.signature is not other.signature and self.signature != other.signature:
             raise SignatureMismatchError(
                 f"Cl({self.signature.p},{self.signature.q}) vs "
                 f"Cl({other.signature.p},{other.signature.q})"
@@ -359,7 +409,7 @@ class Multivector:
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = Multivector.scalar(self.signature, other)
+            return self._add_scalar(complex(other))
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_sig(other)
@@ -370,6 +420,14 @@ class Multivector:
 
     __radd__ = __add__
 
+    def _add_scalar(self, c: complex) -> "Multivector":
+        """self + c for a number c: the sum with the scalar multivector of c,
+        to the bit.  _own stores 0 + (s + c), so a -0.0 part of c changes
+        nothing; it drops a zero sum and rejects a non-finite one."""
+        out = dict(self._terms)
+        out[0] = out.get(0, 0) + c
+        return Multivector._own(self.signature, out, True if self.real and not c.imag else None)
+
     def __neg__(self):
         # 0j - c is 0 + (-c) to the bit, and a stored c has no -0.0 part.
         terms = {m: 0j - c for m, c in self._terms.items()}
@@ -377,7 +435,7 @@ class Multivector:
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = Multivector.scalar(self.signature, other)
+            return self._add_scalar(-complex(other))
         if not isinstance(other, Multivector):
             return NotImplemented
         return self + (-other)
@@ -710,13 +768,14 @@ def right_contraction(a: Multivector, b: Multivector) -> Multivector:
 def scalar_product(a: Multivector, b: Multivector) -> complex:
     """Grade-wise Gram-determinant pairing; equals <reversion(a) b>_0."""
     a._check_sig(b)
-    p, n = a.signature.p, a.signature.n
+    p = a.signature.p
     total = 0j
     for m, ca in a._terms.items():
         cb = b._terms.get(m)
         if cb is None:
             continue
-        sign = _REV_SIGN[m.bit_count() % 4] * _reorder_sign(p, n, m)[m]
+        # reversion(e_m) e_m is the product of m's generator squares.
+        sign = -1 if (m >> p).bit_count() & 1 else 1
         total += sign * ca * cb
     if a.real and b.real:
         return total.real
@@ -817,9 +876,9 @@ def exp_bivector(f: Multivector) -> Multivector:
             c, s = _cosh_sinhc(alpha)
             return Multivector._own(sig, {0: complex(c), **{m: s * v for m, v in f._terms.items()}})
         pseudo = (1 << n) - 1
-        row = _reorder_sign(sig.p, n, pseudo)
+        w = _sign_weight(sig.p, pseudo)
         beta = f2.coeff(pseudo).real
-        if row[pseudo] < 0:
+        if (pseudo & w).bit_count() & 1:
             z = cmath.sqrt(complex(alpha, beta))
             ch = cmath.cosh(z)
             sh = cmath.sinh(z) / z if z else 1 + 0j
@@ -830,11 +889,12 @@ def exp_bivector(f: Multivector) -> Multivector:
             c0, c1, s0, s1 = (cp + cm) / 2, (cp - cm) / 2, (sp + sm) / 2, (sp - sm) / 2
     except OverflowError as exc:
         raise ValueError(f"non-finite coefficient in exp_bivector (|F| = {f.norm():.3g})") from exc
-    # exp F = c0 + c1 I + s0 F + s1 I F, with I e_m = row[m] e_{pseudo ^ m}.
+    # exp F = c0 + c1 I + s0 F + s1 I F, with I e_m = sign e_{pseudo ^ m}.
     out = {0: complex(c0), pseudo: complex(c1)}
     for m, v in f._terms.items():
         out[m] = out.get(m, 0) + s0 * v
-        out[pseudo ^ m] = out.get(pseudo ^ m, 0) + s1 * row[m] * v
+        sign = -1 if (m & w).bit_count() & 1 else 1
+        out[pseudo ^ m] = out.get(pseudo ^ m, 0) + s1 * sign * v
     return Multivector._own(sig, out)
 
 
@@ -846,8 +906,7 @@ def _exp_series(f: Multivector) -> Multivector:
     if scale > 0.5:
         k = max(0, math.ceil(math.log2(scale / 0.5)))
     x = f * (0.5 ** k if k else 1.0)
-    result = Multivector.scalar(sig, 1.0)
-    term = Multivector.scalar(sig, 1.0)
+    result = term = Multivector.one(sig)
     j = 0
     while True:
         j += 1
@@ -889,10 +948,10 @@ def inverse(a: Multivector) -> Multivector:
     s = geometric_product(a, ar)
     s0 = s.scalar_part()
     if abs(s0) > 1e-14 * a.norm() ** 2 and (
-        (s - Multivector.scalar(sig, s0)).max_abs() <= 1e-14 * abs(s0)
+        (s - s0).max_abs() <= 1e-14 * abs(s0)
     ):
         cand = ar * (1.0 / s0)
-        if geometric_product(a, cand).approx_eq(Multivector.scalar(sig, 1.0), 1e-12):
+        if geometric_product(a, cand).approx_eq(Multivector.one(sig), 1e-12):
             return cand
     mat = _left_mult_matrix(a)
     dim = 1 << sig.n
@@ -903,7 +962,7 @@ def inverse(a: Multivector) -> Multivector:
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError("singular element (zero divisor)") from exc
     cand = Multivector(sig, {m: c for m, c in enumerate(sol.tolist()) if c != 0})
-    residual = (geometric_product(a, cand) - Multivector.scalar(sig, 1.0)).max_abs()
+    residual = (geometric_product(a, cand) - Multivector.one(sig)).max_abs()
     if residual > 1e-9 * max(1.0, a.max_abs() * cand.max_abs()):
         raise NonInvertibleError(f"singular element (inverse residual {residual:.3g})")
     return cand

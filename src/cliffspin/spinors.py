@@ -191,7 +191,7 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
     sig, om = c.sigma, c.omega
     J, S, K = c.J, c.S, c.K
     g5 = G5
-    one = Multivector.scalar(SIG13, 1.0)
+    one = Multivector.one(SIG13)
     starS = hodge_dual(S)
     JJ = complex(scalar_product(J, J)).real
     res: dict[str, float] = {}

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffspin import (
     ConstantPotential,
@@ -23,9 +26,10 @@ from cliffspin import (
     right_gauge,
     scalar_product,
     spin_dirac_apply,
+    spinorial_frame_of,
     zero_potential,
 )
-from cliffspin.dirac import DiracError
+from cliffspin.dirac import DiracError, asf_projector
 from cliffspin.spinors import DHSRep, gamma5, gamma_lower
 from finite_difference import spin_dirac_apply_fd
 
@@ -177,8 +181,6 @@ def test_three_forms_agree_over_charge_potential_sign_and_momentum():
     without a constant potential.  Off shell the ideal-form residual is the
     operator-form residual times e e' g5, which is how the ideal form is
     derived."""
-    from cliffspin.dirac import asf_projector
-
     local = np.random.default_rng(61)
     potentials = [
         Multivector(SIG13, {1 << mu: float(local.uniform(-1, 1)) for mu in range(4)})
@@ -366,8 +368,6 @@ def reference_dhe(field, pot, m, x, left_rotor=None):
 
 
 def reference_asf(field, pot, m, x):
-    from cliffspin.dirac import asf_projector
-
     proj = asf_projector(field.frame)
     phi = geometric_product(field.evaluate(x), proj)
     dphi = Multivector.zero(SIG13)
@@ -440,3 +440,130 @@ def test_spin_dirac_apply_coframe_argument():
     # D is linear in the coframe: doubling every gamma^mu doubles D psi.
     doubled = [2.0 * g for g in coordinate_coframe()]
     assert spin_dirac_apply(field, x, doubled) == 2.0 * spin_dirac_apply(field, x)
+
+
+# -- per-field values: computed once, equal to the old per-point formulas ----------------
+
+
+def old_phase_at(field, x):
+    """The parent's phase: a validated vector x and scalar_product(p, x)."""
+    xvec = Multivector(SIG13, {1 << mu: float(x[mu]) for mu in range(4) if x[mu] != 0.0})
+    return complex(scalar_product(field.p, xvec)).real
+
+
+def old_phase_bivector(field):
+    return geometric_product(gamma_lower(field.frame, 2), gamma_lower(field.frame, 1))
+
+
+def old_projector(frame):
+    """The parent's asf_projector, whose 1 + v built Multivector.scalar(1)."""
+    one = Multivector.scalar(SIG13, 1.0)
+    g0, g3 = gamma_lower(frame, 0), gamma_lower(frame, 3)
+    e = (g0 + one) * 0.5
+    ep = (geometric_product(g3, g0) + one) * 0.5
+    return geometric_product(e, ep)
+
+
+def bits(mv):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in mv._terms.items()], mv.real
+
+
+def phase_outcome(phase, field, x):
+    try:
+        return phase(field, x).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def phase_cases(draw):
+    """A field (on shell, charged, gauged, or hand-made with p in any key
+    order, complex or huge) and points whose coordinates are often 0, -0.0,
+    tiny, huge or not finite."""
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plain", "charged", "right", "left", "p order", "complex p", "huge p"]))
+    m = float(local.uniform(0.3, 3.0))
+    momentum = [float(v) for v in local.normal(size=3) * 10.0 ** local.integers(-3, 3)]
+    sign = int(local.choice([1, -1]))
+    pot = ConstantPotential(Multivector(SIG13, {1 << mu: float(local.normal()) for mu in range(4)}), 0.6)
+    field = planewave_solution(m, momentum, sign=sign, pot=pot if kind in ("charged", "left") else None)
+    s = random_rotor(SIG13, local)
+    if kind == "right":
+        field = right_gauge(field, s)
+    elif kind == "left":
+        field = left_gauge(field, s, pot).field
+    elif kind != "plain" and kind != "charged":
+        masks = [int(v) for v in local.permutation([1, 2, 4, 8])[: int(local.integers(1, 5))]]
+        values = local.normal(size=len(masks))
+        if kind == "complex p":
+            values = values + 1j * local.normal(size=len(masks))
+        elif kind == "huge p":
+            values = values * 1e300
+        p = Multivector(SIG13, dict(zip(masks, values.tolist())))
+        field = PlaneWaveDHSF(frame=spinorial_frame_of(s), psi0=s.u, p=p, m=m, energy_sign=sign)
+    special = [0.0, -0.0, 0, 5e-324, -1e-310, 1e300, math.inf, math.nan]
+    points = []
+    for _ in range(4):
+        x = [float(v) for v in local.uniform(-5, 5, size=4)]
+        for mu in range(4):
+            if local.random() < 0.3:
+                x[mu] = special[int(local.integers(0, len(special) - 2 if local.random() < 0.8 else len(special)))]
+        points.append(x)
+    return field, points
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(phase_cases())
+def test_per_field_values_match_the_old_per_point_formulas(case):
+    field, points = case
+    assert bits(field.phase_bivector) == bits(old_phase_bivector(field))
+    assert field.phase_bivector is field.phase_bivector
+    assert bits(field.projector) == bits(old_projector(field.frame))
+    assert bits(asf_projector(field.frame)) == bits(old_projector(field.frame))
+    assert field.projector is field.projector
+    for x in points:
+        want = phase_outcome(old_phase_at, field, x)
+        assert phase_outcome(PlaneWaveDHSF.phase_at, field, x) == want
+        if not all(map(math.isfinite, x)):
+            assert want == "non-finite coefficient"
+
+
+def test_per_field_values_are_not_shared_between_fields():
+    field = planewave_solution(1.2, (0.3, -0.5, 0.1))
+    s = random_rotor(SIG13, np.random.default_rng(12))
+    moved = right_gauge(field, s)
+    replaced = dataclasses.replace(field, frame=moved.frame)
+    for other in (moved, replaced):
+        assert other.phase_bivector == old_phase_bivector(other) != field.phase_bivector
+        assert other.projector == old_projector(other.frame) != field.projector
+
+
+# -- validation happens once: residuals at a new point construct nothing validated -----
+
+
+@pytest.fixture
+def validated_constructions(monkeypatch):
+    """The arguments of every Multivector.__init__ call from here on."""
+    calls = []
+    init = Multivector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    return calls
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_residuals_at_a_new_point_construct_no_validated_multivector(
+    label, field, pot, left_rotor, validated_constructions
+):
+    for x in ([0.3, -1.2, 2.5, 0.7], [0.0, 4.0, -0.0, 1e-3]):
+        dhe_residual(field, pot, field.m * 1.05, x)
+        dhe_residual(field, pot, field.m, x, left_rotor=left_rotor)
+        asf_residual(field, pot, field.m, x)
+        matrix_dirac_residual(field, pot, field.m, x)
+    assert validated_constructions == []
+    planewave_solution(field.m, (0.1, 0.2, 0.3))  # builds its momentum through __init__
+    assert len(validated_constructions) == 1

@@ -30,7 +30,7 @@ from cliffspin import (
     fiducial_spinorial_frame,
     fierz_residuals,
 )
-from cliffspin.multivector import _REV_SIGN, G5, _reorder_sign
+from cliffspin.multivector import G5, _reorder_sign
 from cliffspin.spinors import SIG13, gamma_upper
 
 P, N = SIG13.p, SIG13.n
@@ -70,7 +70,8 @@ def add(x, y, s=1):
 
 
 def reversion(x):
-    return {m: _REV_SIGN[m.bit_count() % 4] * c for m, c in x.items()}
+    """Negative where the grade mod 4 is 2 or 3, as multivector.reversion."""
+    return {m: -c if m.bit_count() & 2 else c for m, c in x.items()}
 
 
 def grade(x, k):
@@ -82,7 +83,7 @@ def scalar_product(x, y):
     total = 0
     for m, c in x.items():
         if m in y:
-            total += _REV_SIGN[m.bit_count() % 4] * _reorder_sign(P, N, m)[m] * c * y[m]
+            total += (-1 if (m >> P).bit_count() & 1 else 1) * c * y[m]
     return total
 
 

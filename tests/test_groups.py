@@ -25,7 +25,7 @@ from cliffspin import (
     spinorial_frame_of,
     twisted_adjoint,
 )
-from cliffspin.groups import NotARotorError, random_bivector
+from cliffspin.groups import FrameError, NotARotorError, SpinorialFrame, VectorFrame, random_bivector
 
 rng = np.random.default_rng(1)
 
@@ -227,3 +227,57 @@ def test_negated_rotor_skips_the_check_it_already_passed(monkeypatch, pq):
             patch.setattr(Rotor, "__post_init__", lambda self: pytest.fail("re-ran the rotor check"))
             minus = -u
         assert isinstance(minus, Rotor) and minus.u == -u.u and -minus == u
+
+
+# -- frame checks relative to their inputs ----------------------------------------------
+
+
+# Unit boost directions, one with a rotation mixed in.
+BOOST_PLANES = [{0b0011: 1.0}, {0b0101: 0.6, 0b1001: 0.8}, {0b1001: -0.8, 0b0101: 0.6}, {0b0011: 1.0, 0b0110: 0.4}]
+
+
+@pytest.mark.parametrize("rapidity", [6.0, 8.0, 10.0, 12.0, 14.0])
+@pytest.mark.parametrize("plane", BOOST_PLANES, ids=str)
+def test_large_boosts_give_valid_frames(rapidity, plane):
+    """The frame of a rapidity-14 boost has components near 6e5; its
+    orthonormality holds to 1e-16 of |v||w| but only to 1e-4 absolutely."""
+    u = Rotor(exp_bivector(Multivector(SIG13, {m: rapidity / 2 * c for m, c in plane.items()})))
+    f = spinorial_frame_of(u)
+    assert f.u is u
+    assert frame_right_action(u, fiducial_spinorial_frame(SIG13)) == SpinorialFrame(u, f.frame)
+    assert (adjoint(u, f.frame[0]) - gen(SIG13, 1)).max_abs() <= 1e-8 * f.frame[0].norm() ** 2
+
+
+def test_relative_frame_checks_still_reject_wrong_frames():
+    """At unit scale the checks reject what the absolute ones rejected; in a
+    rapidity-10 frame (|b_0| near 1.5e4) they reject errors large against
+    |v||w| and |u|^2 |b|."""
+    fid = fiducial_frame(SIG13).vectors
+    with pytest.raises(FrameError, match="g-orthonormal"):
+        VectorFrame((fid[0] * (1 + 1e-9),) + fid[1:])
+    with pytest.raises(FrameError, match="fiducial"):
+        SpinorialFrame(Rotor(exp_bivector(Multivector(SIG13, {0b110: 1e-8}))), fiducial_frame(SIG13))
+    u = Rotor(exp_bivector(Multivector(SIG13, {0b11: 5.0, 0b110: 0.3})))
+    vectors = spinorial_frame_of(u).frame.vectors  # raised FrameError before
+    with pytest.raises(FrameError, match="g-orthonormal"):
+        VectorFrame((vectors[0] * 1.5,) + vectors[1:])
+    with pytest.raises(FrameError, match="g-orthonormal"):
+        VectorFrame((vectors[0] + 1e-3 * vectors[3],) + vectors[1:])
+    turned = Rotor(exp_bivector(Multivector(SIG13, {0b11: 5.0, 0b110: 0.3, 0b1100: 1e-3})))
+    with pytest.raises(FrameError, match="fiducial"):
+        SpinorialFrame(turned, VectorFrame(vectors))
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 1), (2, 2), (0, 4), (4, 1), (2, 4)])
+def test_random_bivector_halves_the_planes_whose_square_is_plus_one(pq):
+    sig = Signature(*pq)
+    one = Multivector.one(sig)
+    got, old = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        want = {}
+        for i in range(sig.n):
+            for j in range(i + 1, sig.n):
+                b = Multivector.from_mask(sig, (1 << i) | (1 << j))
+                c = float(old.uniform(-1.0, 1.0)) * 0.7
+                want[(1 << i) | (1 << j)] = c * 0.5 if geometric_product(b, b) == one else c
+        assert random_bivector(sig, got, 0.7).terms == Multivector(sig, want).terms

@@ -1,5 +1,9 @@
+import cmath
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -157,6 +161,87 @@ def test_masks_are_stored_as_ints():
     for mask in (3.0, "3", None):
         with pytest.raises(ValueError, match="is not an integer"):
             Multivector(SIG13, {mask: 1.0})
+
+
+# -- one Signature per (p, q); constants shared per signature ------------------
+
+
+def test_signature_is_shared_per_int_pair():
+    assert Signature(1, 3) is SIG13
+    assert Signature(p=1, q=3) is SIG13
+    assert Signature(3, 1) is not SIG13 and Signature(3, 1) != SIG13
+    assert SIG13 == Signature(1, 3) and hash(SIG13) == hash(Signature(1, 3))
+    assert {SIG13: "x"}[Signature(1, 3)] == "x"
+    assert repr(SIG13) == "Signature(p=1, q=3)"
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.copy, copy.deepcopy, dataclasses.replace]
+    + [lambda s, k=k: pickle.loads(pickle.dumps(s, protocol=k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_signature_copies_are_the_shared_instance(copy_of):
+    assert copy_of(SIG13) is SIG13
+    assert copy_of(Signature(0, 0)) is Signature(0, 0)
+    # A copy writes nothing back into the shared instance.
+    assert type(SIG13.p) is int and (SIG13.p, SIG13.q) == (1, 3)
+
+
+def test_signature_replace_gives_the_shared_instance_of_its_pair():
+    assert dataclasses.replace(SIG13, q=2) is Signature(1, 2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(SIG13, p=-1)
+    assert (SIG13.p, SIG13.q) == (1, 3)
+
+
+@pytest.mark.parametrize("pq", [(-1, 3), (2, -1), (7, 6), (13, 0)])
+def test_invalid_signatures_raise_and_are_never_shared(pq):
+    with pytest.raises(ValueError):
+        Signature(*pq)
+    assert pq not in mv_module._SIGNATURES
+
+
+def test_non_int_counts_build_an_equal_signature_of_their_own():
+    for p in (True, np.int64(1)):
+        odd = Signature(p, 3)
+        assert odd is not SIG13
+        assert odd == SIG13 and hash(odd) == hash(SIG13)
+        # The shared Cl(1,3) keeps its int count, as do its constants.
+        assert type(SIG13.p) is int and type(Signature(1, 3).p) is int
+        assert repr(Multivector.generator(SIG13, 1)) == "<Cl(1,3) e1>"
+        # Equal signatures still combine.
+        assert geometric_product(gen(odd, 1), gen(SIG13, 1)) == Multivector.one(SIG13)
+        assert gen(odd, 2) + gen(SIG13, 2) == 2.0 * gen(SIG13, 2)
+    assert Signature(True, 3).p is True
+
+
+def test_generators_and_one_are_shared_and_immutable():
+    e1 = Multivector.generator(SIG13, 1)
+    assert e1 is Multivector.generator(Signature(1, 3), 1)
+    assert Multivector.one(SIG13) is Multivector.one(Signature(1, 3))
+    for name in ("_terms", "real", "signature"):
+        with pytest.raises(AttributeError):
+            setattr(e1, name, None)
+    e1.terms[1] = 5.0
+    e1.terms.clear()
+    for result in (e1 + 0, e1 - 0, 0 - -e1, e1 * 1.0, e1.prune(0.0), e1.grade(1), e1.odd(), reversion(e1)):
+        assert result._terms is not e1._terms
+    assert ordered_bits(e1) == [(1, "0x1.0000000000000p+0", "0x0.0p+0")] and e1.real
+    with pytest.raises(ValueError, match="out of range"):
+        Multivector.generator(SIG13, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        Multivector.generator(SIG13, 5)
+
+
+@pytest.mark.parametrize("pq", [(0, 0), (1, 0), (1, 3), (2, 2), (4, 1), (0, 7)])
+def test_shared_constants_are_what_the_validating_constructor_builds(pq):
+    sig = Signature(*pq)
+    want = [Multivector(sig, {0: 1.0})] + [Multivector(sig, {1 << i: 1.0}) for i in range(sig.n)]
+    got = [Multivector.one(sig)] + [Multivector.generator(sig, i + 1) for i in range(sig.n)]
+    for g, w in zip(got, want):
+        assert ordered_bits(g) == ordered_bits(w) and g.real is w.real and g.signature is sig
+    zero = Multivector.zero(sig)
+    assert zero == Multivector(sig, {}) and zero.real is True and not zero._terms
 
 
 # -- wedge ---------------------------------------------------------------------
@@ -1341,3 +1426,130 @@ def test_builders_store_what_the_validating_constructor_stores(operands):
         assert same_outcome(got, validated(sig, old_terms)), name
         if isinstance(got, Multivector):
             assert same_outcome(got, Multivector(sig, got._terms)), name
+
+
+# -- numbers in sums: the stored coefficient, not a scalar multivector ---------------
+
+NUMBERS = [
+    0, -0.0, 0.0, 0j, complex(-0.0, -0.0), True, 1, -3, 2**53 + 1, 10**400,
+    0.5, -1e-300, 5e-324, 1e308, -1e308, 2.5 - 1j, 1j, complex(1e308, -1e308),
+    math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0),
+]
+
+
+def old_number_sum(x, c, form):
+    """The parent's x + c, c + x, x - c and c - x: the number became
+    Multivector.scalar(sig, c) first, then took the multivector paths."""
+    s = Multivector.scalar(x.signature, c)
+    return {"x+c": lambda: x + s, "c+x": lambda: x + s, "x-c": lambda: x + (-s), "c-x": lambda: (-x) + s}[form]()
+
+
+def number_outcome(build):
+    try:
+        result = build()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return ordered_bits(result), result.real, result.signature
+
+
+@st.composite
+def number_operands(draw):
+    """An operand as builder_operands draws it, and a number: one of
+    NUMBERS, any int, float or complex (inf and nan included), or the
+    negated or plain scalar part of the operand, which cancels exactly."""
+    x = draw(builder_operands())[0]
+    s0 = x.scalar_part()
+    c = draw(
+        st.one_of(
+            st.sampled_from(NUMBERS),
+            st.integers(-(2**70), 2**70),
+            st.floats(),
+            st.complex_numbers(),
+            st.sampled_from([-s0, s0, -s0.real, s0.real]),
+        )
+    )
+    return x, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(number_operands())
+def test_numbers_in_sums_store_what_the_scalar_path_stored(operands):
+    x, c = operands
+    new = {"x+c": lambda: x + c, "c+x": lambda: c + x, "x-c": lambda: x - c, "c-x": lambda: c - x}
+    for form, build in new.items():
+        got = number_outcome(build)
+        assert got == number_outcome(lambda: old_number_sum(x, c, form)), form
+        if isinstance(c, (float, complex)) and not cmath.isfinite(c):
+            assert got == (ValueError, "non-finite coefficient"), form
+
+
+@pytest.mark.parametrize("c", NUMBERS, ids=repr)
+def test_each_listed_number_stores_what_the_scalar_path_stored(c):
+    local = np.random.default_rng(33)
+    for x in (Multivector.zero(SIG13), random_mv(SIG13, local), 1j * random_mv(SIG13, local)):
+        for form, build in {"x+c": lambda: x + c, "c+x": lambda: c + x, "x-c": lambda: x - c, "c-x": lambda: c - x}.items():
+            assert number_outcome(build) == number_outcome(lambda: old_number_sum(x, c, form)), form
+
+
+# -- closed-form signs against the sign rows they replace ----------------------------
+
+REV_SIGN = (1, 1, -1, -1)  # (-1)^{k(k-1)/2} by k mod 4
+
+
+def old_scalar_product(a, b):
+    """The parent's scalar_product, which read each sign from a sign row."""
+    p, n = a.signature.p, a.signature.n
+    total = 0j
+    for m, ca in a._terms.items():
+        cb = b._terms.get(m)
+        if cb is None:
+            continue
+        total += REV_SIGN[m.bit_count() % 4] * _reorder_sign(p, n, m)[m] * ca * cb
+    return total.real if a.real and b.real else total
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(builder_operands())
+def test_scalar_product_is_the_sign_row_sum_bit_for_bit(operands):
+    a, b = operands
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, want = scalar_product(x, y), old_scalar_product(x, y)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def old_exp_four_dimensions(f):
+    """The parent's n = 4 branches of exp_bivector for a real F whose square
+    is not a scalar, which read the pseudoscalar's signs from its row."""
+    sig = f.signature
+    f2 = geometric_product(f, f)
+    alpha, pseudo = f2.scalar_part().real, 0b1111
+    row = _reorder_sign(sig.p, 4, pseudo)
+    beta = f2.coeff(pseudo).real
+    if row[pseudo] < 0:
+        z = cmath.sqrt(complex(alpha, beta))
+        ch, sh = cmath.cosh(z), (cmath.sinh(z) / z if z else 1 + 0j)
+        c0, c1, s0, s1 = ch.real, ch.imag, sh.real, sh.imag
+    else:
+        cp, sp = mv_module._cosh_sinhc(alpha + beta)
+        cm, sm = mv_module._cosh_sinhc(alpha - beta)
+        c0, c1, s0, s1 = (cp + cm) / 2, (cp - cm) / 2, (sp + sm) / 2, (sp - sm) / 2
+    out = {0: complex(c0), pseudo: complex(c1)}
+    for m, v in f._terms.items():
+        out[m] = out.get(m, 0) + s0 * v
+        out[pseudo ^ m] = out.get(pseudo ^ m, 0) + s1 * row[m] * v
+    return Multivector._own(sig, out)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_four_dimensional_exp_reads_the_sign_rows_signs(p):
+    sig = Signature(p, 4 - p)
+    local = np.random.default_rng(40 + p)
+    masks = bivector_masks(sig)
+    for _ in range(200):
+        size = int(local.integers(2, len(masks) + 1))
+        chosen = local.permutation(masks)[:size].tolist()
+        values = local.normal(size=size) * 10.0 ** float(local.uniform(-3, 0.5))
+        f = Multivector(sig, dict(zip(chosen, values.tolist())))
+        if geometric_product(f, f)._terms.keys() <= {0}:
+            continue
+        assert ordered_bits(exp_bivector(f)) == ordered_bits(old_exp_four_dimensions(f))

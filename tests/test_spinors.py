@@ -380,3 +380,24 @@ def test_recovery_phase_freedom():
     phi = math.atan2(scalar_product(shift.grade(2), g21), shift.scalar_part().real)
     expected = math.cos(phi) + math.sin(phi) * g21
     assert (shift - expected).max_abs() < 1e-8
+
+
+# -- validation happens once ---------------------------------------------------------
+
+
+def test_covariants_and_fierz_suite_construct_no_validated_multivector(monkeypatch):
+    local = np.random.default_rng(21)
+    reps = [random_regular_spinor(local), random_regular_spinor(local, spinorial_frame_of(random_rotor(SIG13, local)))]
+    calls = []
+    init = Multivector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    for d in reps:
+        fierz_residuals(bilinear_covariants(d))
+    assert calls == []
+    one()  # Multivector.scalar still validates
+    assert len(calls) == 1

@@ -28,7 +28,7 @@ from .groups import (
     rotor_between,
 )
 from .matrixrep import matrix_of, standard_gammas
-from .multivector import Multivector, Signature, geometric_product
+from .multivector import Multivector, Signature, SignatureMismatchError, geometric_product
 from .spinors import SIG13, gamma5, gamma_lower, gamma_upper
 
 ETA = (1.0, -1.0, -1.0, -1.0)
@@ -79,6 +79,9 @@ class PlaneWaveDHSF:
             raise DiracError("energy_sign must be +1 or -1")
         if self.p.grades() - {1}:
             raise DiracError("momentum must be grade-1")
+        if self.p.signature != SIG13:
+            sig = self.p.signature
+            raise SignatureMismatchError(f"momentum must be in Cl(1,3), got Cl({sig.p},{sig.q})")
         if any(g % 2 for g in self.psi0.grades()):
             raise DiracError("amplitude must be even")
 
@@ -95,7 +98,8 @@ class PlaneWaveDHSF:
     def phase_at(self, x: Sequence[float]) -> float:
         """p.x = sum of eta_mu p^mu x^mu, summed over p's terms in their
         order and over nonzero x^mu only, from 0.0: the real part of
-        scalar_product(p, x) to the bit.  A non-finite x^mu raises."""
+        scalar_product(p, x) to the bit, for the Cl(1,3) vector p that
+        __post_init__ checked.  A non-finite x^mu raises."""
         xs = [float(x[mu]) for mu in range(4)]
         if not all(map(math.isfinite, xs)):
             raise ValueError("non-finite coefficient")
@@ -129,6 +133,8 @@ class PlaneWaveDHSF:
 def _apply_coframe(
     coframe: Sequence[Multivector] | None, partials: list[Multivector]
 ) -> Multivector:
+    if coframe is not None and len(coframe) != 4:
+        raise DiracError(f"coframe needs 4 vectors, got {len(coframe)}")
     gammas = _COORDINATE_COFRAME if coframe is None else coframe
     return reduce(operator.add, (geometric_product(g, d) for g, d in zip(gammas, partials)))
 

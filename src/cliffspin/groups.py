@@ -76,14 +76,21 @@ class VectorFrame:
         squares = sig.squares
         if len(self.vectors) != sig.n:
             raise FrameError(f"frame needs {sig.n} vectors, got {len(self.vectors)}")
-        # |v.w| <= |v| |w|, so the test is relative to each pair's own size.
+        # A frame computed from a rotor carries rounding errors of the size
+        # of its largest vector s in every vector, so v.w is off by up to
+        # about eps s (|v| + |w|): 6e-5 for b_0.b_0 of a rapidity-14 boost,
+        # 1e-10 for the vectors it leaves alone.  The factor 1e-12 is 30
+        # times the largest such ratio measured (random rotors of rapidity up
+        # to 14 and their products, n <= 6), added to the absolute 1e-9 that
+        # admits the slack ROTOR_TOL leaves in a rotor's frame.
         norms = [v.norm() for v in self.vectors]
+        s = max(norms)
         for i, v in enumerate(self.vectors):
             if v.grades() - {1}:
                 raise FrameError("frame members must be grade-1")
             for j, w in enumerate(self.vectors):
                 want = squares[i] if i == j else 0.0
-                if abs(scalar_product(v, w) - want) > 1e-9 * norms[i] * norms[j]:
+                if abs(scalar_product(v, w) - want) > 1e-9 + 1e-12 * s * (norms[i] + norms[j]):
                     raise FrameError("frame is not g-orthonormal")
 
     @property
@@ -109,12 +116,17 @@ class SpinorialFrame:
     def __post_init__(self) -> None:
         sig = self.u.signature
         uinv = self.u.inverse_mv()
-        # u b u^-1 sums terms of size up to |u|^2 |b|, so its rounding error
-        # scales with that.
-        scale = 1e-8 * self.u.u.norm() ** 2
+        # Checked as b_i = u^{-1} E_i u, whose terms are of size |u|^2, not
+        # as u b_i u^{-1} = E_i, whose terms are of size |u|^2 |b_i|, about
+        # |u|^4 for a boost: at rapidity 14 its rounding error, near 1e-4,
+        # would hide an error of 1e-6 in b_i.  The factor 1e-12 is 70 times
+        # the largest error measured against |u|^2 (as for VectorFrame),
+        # added to the absolute 1e-8 that admits the slack ROTOR_TOL leaves
+        # in u.
+        tol = 1e-8 + 1e-12 * self.u.u.norm() ** 2
         for i, b in enumerate(self.frame.vectors):
-            image = geometric_product(geometric_product(self.u.u, b), uinv)
-            if (image - Multivector.generator(sig, i + 1)).max_abs() > scale * b.norm():
+            pulled = geometric_product(geometric_product(uinv, Multivector.generator(sig, i + 1)), self.u.u)
+            if (pulled - b).max_abs() > tol:
                 raise FrameError("frame does not match u b u^{-1} = fiducial")
 
     @property
@@ -252,13 +264,13 @@ def random_bivector(sig: Signature, rng: np.random.Generator, scale: float = 1.0
     """Bivector with components uniform in [-1,1]; components on blades with
     square +1 (boost planes) are halved to keep exponentials tame."""
     terms: dict[int, complex] = {}
+    one = Multivector.scalar(sig, 1.0)
     for i in range(sig.n):
         for j in range(i + 1, sig.n):
             mask = (1 << i) | (1 << j)
+            b = Multivector.from_mask(sig, mask)
             c = float(rng.uniform(-1.0, 1.0)) * scale
-            # (e_i e_j)^2 = -e_i^2 e_j^2 is +1 when one square is +1 (i < p)
-            # and the other -1.
-            if i < sig.p <= j:
+            if geometric_product(b, b) == one:
                 c *= 0.5
             terms[mask] = c
     return Multivector(sig, terms)

@@ -84,10 +84,10 @@ with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
   the operand is, and scanned otherwise, since a subset of a complex
   operand can be real.
 
-``Signature(p, q)`` with int counts returns one shared instance per pair,
-so the signature tests of every product and sum (``_check_sig``,
-``__eq__``) are identity tests in nearly every call, with the dataclass
-``__eq__`` behind them.  Each signature holds its scalar 1 and generators,
+``Signature(p, q)`` returns one shared instance per pair, its counts
+normalised to int, so the signature tests of every product and sum
+(``_check_sig``, ``__eq__``) pass on identity, with the dataclass ``__eq__``
+behind them.  Each signature holds its scalar 1 and generators,
 built once through ``__init__`` on first use and shared from then on:
 ``Multivector.one`` and ``Multivector.generator`` return them, and
 ``Multivector.zero`` is a trusted empty value.  A Python number in ``+``
@@ -96,8 +96,8 @@ and ``-`` is added as its coefficient, with no scalar multivector.
 So ``__init__`` runs where numbers enter: the public constructors
 ``Multivector(sig, terms)``, ``scalar``, ``blade`` and ``from_mask``
 validate, as do the few values the package builds from outside numbers
-(``inverse``'s solved coefficients, a random bivector, a plane wave's
-momentum).  A tracer that counts ``__init__`` calls counts those, not all
+(``inverse``'s solved coefficients, a random bivector and the blades it
+squares, a plane wave's momentum).  A tracer that counts ``__init__`` calls counts those, not all
 the multivectors built.
 
 The scalar product implemented here is the grade-wise Gram-determinant
@@ -124,8 +124,8 @@ MAX_DIM = 12
 Scalar = complex  # coefficients are stored as machine complex numbers
 
 
-# The shared Signature of each (p, q) with int counts.
-_SIGNATURES: dict[tuple[int, int], "Signature"] = {}
+# The shared Signature of each class and (p, q).
+_SIGNATURES: dict[tuple[type, int, int], "Signature"] = {}
 
 
 class SignatureMismatchError(ValueError):
@@ -140,28 +140,32 @@ class NonInvertibleError(ArithmeticError):
 class Signature:
     """The pair (p, q) fixing the metric diag(+1 x p, -1 x q).
 
-    Signature(p, q) with int p and q returns one shared instance per (p, q),
-    so equal signatures are nearly always the same object; other argument
-    types (bool, numpy integers, subclasses) build an equal instance of
-    their own, and invalid counts raise before anything is shared."""
+    Signature(p, q) returns one shared instance per (p, q), its counts
+    normalised to int (bool and numpy integers included, a float raises
+    TypeError), so equal signatures are the same object; invalid counts
+    raise before anything is shared."""
 
     p: int
     q: int
 
     def __new__(cls, p: int, q: int) -> "Signature":
+        p, q = int(operator.index(p)), int(operator.index(q))
+        if (self := _SIGNATURES.get((cls, p, q))) is not None:
+            return self
         if p < 0 or q < 0:
             raise ValueError("signature counts must be non-negative")
         if p + q > MAX_DIM:
             raise ValueError(f"dimension {p + q} exceeds cap {MAX_DIM}")
-        # Keyed on exact int values only: True == 1, and the dataclass
-        # __init__, which runs again on a shared instance, would store it.
-        shared = cls is Signature and type(p) is int and type(q) is int
-        if shared and (self := _SIGNATURES.get((p, q))) is not None:
-            return self
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        return _SIGNATURES.setdefault((p, q), self) if shared else self
+        return _SIGNATURES.setdefault((cls, p, q), self)
+
+    def __init__(self, p: int, q: int) -> None:
+        # __new__ returns a finished, shared instance; the generated
+        # dataclass __init__ would store the raw counts (True, np.int64(1))
+        # in it.
+        pass
 
     def __reduce__(self):
         # pickle and copy rebuild through __new__, which returns the shared

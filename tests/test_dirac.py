@@ -30,6 +30,7 @@ from cliffspin import (
     zero_potential,
 )
 from cliffspin.dirac import DiracError, asf_projector
+from cliffspin.multivector import SignatureMismatchError
 from cliffspin.spinors import DHSRep, gamma5, gamma_lower
 from finite_difference import spin_dirac_apply_fd
 
@@ -440,6 +441,17 @@ def test_spin_dirac_apply_coframe_argument():
     # D is linear in the coframe: doubling every gamma^mu doubles D psi.
     doubled = [2.0 * g for g in coordinate_coframe()]
     assert spin_dirac_apply(field, x, doubled) == 2.0 * spin_dirac_apply(field, x)
+    for coframe in ([], coordinate_coframe()[:3], coordinate_coframe() + [gen(1)]):
+        with pytest.raises(DiracError, match="coframe needs 4 vectors"):
+            spin_dirac_apply(field, x, coframe)
+
+
+def test_momentum_from_another_algebra_is_rejected():
+    field = planewave_solution(1.1, (0.2, 0.3, -0.4))
+    for pq in ((3, 1), (1, 4), (4, 1)):
+        other = Multivector(Signature(*pq), {1: 1.1, 2: 0.2})
+        with pytest.raises(SignatureMismatchError, match=r"Cl\(1,3\)"):
+            dataclasses.replace(field, p=other)
 
 
 # -- per-field values: computed once, equal to the old per-point formulas ----------------
@@ -539,20 +551,6 @@ def test_per_field_values_are_not_shared_between_fields():
 
 
 # -- validation happens once: residuals at a new point construct nothing validated -----
-
-
-@pytest.fixture
-def validated_constructions(monkeypatch):
-    """The arguments of every Multivector.__init__ call from here on."""
-    calls = []
-    init = Multivector.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Multivector, "__init__", counting_init)
-    return calls
 
 
 @pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())

@@ -249,9 +249,8 @@ def test_large_boosts_give_valid_frames(rapidity, plane):
 
 
 def test_relative_frame_checks_still_reject_wrong_frames():
-    """At unit scale the checks reject what the absolute ones rejected; in a
-    rapidity-10 frame (|b_0| near 1.5e4) they reject errors large against
-    |v||w| and |u|^2 |b|."""
+    """At unit scale the checks reject what the absolute ones rejected, and
+    the reported rapidity-10 rotor gives a frame."""
     fid = fiducial_frame(SIG13).vectors
     with pytest.raises(FrameError, match="g-orthonormal"):
         VectorFrame((fid[0] * (1 + 1e-9),) + fid[1:])
@@ -260,24 +259,39 @@ def test_relative_frame_checks_still_reject_wrong_frames():
     u = Rotor(exp_bivector(Multivector(SIG13, {0b11: 5.0, 0b110: 0.3})))
     vectors = spinorial_frame_of(u).frame.vectors  # raised FrameError before
     with pytest.raises(FrameError, match="g-orthonormal"):
-        VectorFrame((vectors[0] * 1.5,) + vectors[1:])
-    with pytest.raises(FrameError, match="g-orthonormal"):
         VectorFrame((vectors[0] + 1e-3 * vectors[3],) + vectors[1:])
-    turned = Rotor(exp_bivector(Multivector(SIG13, {0b11: 5.0, 0b110: 0.3, 0b1100: 1e-3})))
-    with pytest.raises(FrameError, match="fiducial"):
-        SpinorialFrame(turned, VectorFrame(vectors))
 
 
-@pytest.mark.parametrize("pq", [(1, 3), (3, 1), (2, 2), (0, 4), (4, 1), (2, 4)])
-def test_random_bivector_halves_the_planes_whose_square_is_plus_one(pq):
+# Small turns: a rotation in e2e3 and in e3e4, a boost in e1e2.
+TURNS = [{0b0110: 5e-7}, {0b1100: 5e-7}, {0b0011: 5e-7}]
+
+
+@pytest.mark.parametrize("rapidity", [0.0, 1.0, 6.0, 8.0, 10.0, 12.0, 14.0])
+@pytest.mark.parametrize("plane", BOOST_PLANES, ids=str)
+def test_frame_checks_reject_errors_of_one_part_in_a_million(rapidity, plane):
+    """A rotor turned by 1e-6, or b_0 scaled by 1 + 1e-6, does not match the
+    frame at any rapidity.  b_0 scaled by 1 + 1e-3 is not orthonormal up to
+    rapidity 10; above that, b_0.b_0 rounds by about 1e-16 |b_0|^2, 1e-4 at
+    rapidity 14, and only the rotor can tell."""
+    u = Rotor(exp_bivector(Multivector(SIG13, {m: rapidity / 2 * c for m, c in plane.items()})))
+    b = spinorial_frame_of(u).frame.vectors
+    for turn in TURNS:
+        turned = u * Rotor(exp_bivector(Multivector(SIG13, turn)))
+        with pytest.raises(FrameError, match="fiducial"):
+            SpinorialFrame(turned, VectorFrame(b))
+    with pytest.raises(FrameError):
+        SpinorialFrame(u, VectorFrame((b[0] * (1 + 1e-6),) + b[1:]))
+    if rapidity <= 10.0:
+        with pytest.raises(FrameError, match="g-orthonormal"):
+            VectorFrame((b[0] * (1 + 1e-3),) + b[1:])
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 1), (2, 2), (0, 4)])
+def test_frames_of_rotors_within_rotor_tol_are_valid(pq):
+    """u u~ = 1 + 9e-11 passes the rotor check, so its frame is valid too."""
     sig = Signature(*pq)
-    one = Multivector.one(sig)
-    got, old = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(3):
-        want = {}
-        for i in range(sig.n):
-            for j in range(i + 1, sig.n):
-                b = Multivector.from_mask(sig, (1 << i) | (1 << j))
-                c = float(old.uniform(-1.0, 1.0)) * 0.7
-                want[(1 << i) | (1 << j)] = c * 0.5 if geometric_product(b, b) == one else c
-        assert random_bivector(sig, got, 0.7).terms == Multivector(sig, want).terms
+    u = exp_bivector(random_bivector(sig, np.random.default_rng(8)))
+    slack = Rotor(u * math.sqrt(1 + 9e-11))
+    assert (geometric_product(slack.u, reversion(slack.u)) - 1).max_abs() > 5e-11
+    f = spinorial_frame_of(slack)
+    assert frame_right_action(slack, fiducial_spinorial_frame(sig)) == f

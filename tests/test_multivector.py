@@ -198,21 +198,22 @@ def test_signature_replace_gives_the_shared_instance_of_its_pair():
 def test_invalid_signatures_raise_and_are_never_shared(pq):
     with pytest.raises(ValueError):
         Signature(*pq)
-    assert pq not in mv_module._SIGNATURES
+    assert (Signature, *pq) not in mv_module._SIGNATURES
 
 
-def test_non_int_counts_build_an_equal_signature_of_their_own():
-    for p in (True, np.int64(1)):
-        odd = Signature(p, 3)
-        assert odd is not SIG13
-        assert odd == SIG13 and hash(odd) == hash(SIG13)
-        # The shared Cl(1,3) keeps its int count, as do its constants.
-        assert type(SIG13.p) is int and type(Signature(1, 3).p) is int
-        assert repr(Multivector.generator(SIG13, 1)) == "<Cl(1,3) e1>"
-        # Equal signatures still combine.
-        assert geometric_product(gen(odd, 1), gen(SIG13, 1)) == Multivector.one(SIG13)
-        assert gen(odd, 2) + gen(SIG13, 2) == 2.0 * gen(SIG13, 2)
-    assert Signature(True, 3).p is True
+def test_counts_are_normalised_to_int_and_the_signature_shared():
+    for one in (True, np.int64(1), np.uint8(1)):
+        assert Signature(one, 3) is SIG13
+        assert Signature(3, one) is Signature(3, 1)
+        assert dataclasses.replace(SIG13, q=one) is Signature(1, 1)
+    # The shared Cl(1,3) keeps its int counts, as do its constants.
+    assert type(SIG13.p) is int and type(SIG13.q) is int
+    assert repr(Multivector.generator(SIG13, 1)) == "<Cl(1,3) e1>"
+    for bad in (1.0, np.float64(1), "1", None):
+        with pytest.raises(TypeError):
+            Signature(bad, 3)
+    with pytest.raises(ValueError):
+        Signature(np.int64(-1), 3)
 
 
 def test_generators_and_one_are_shared_and_immutable():

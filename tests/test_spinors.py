@@ -385,17 +385,10 @@ def test_recovery_phase_freedom():
 # -- validation happens once ---------------------------------------------------------
 
 
-def test_covariants_and_fierz_suite_construct_no_validated_multivector(monkeypatch):
+def test_covariants_and_fierz_suite_construct_no_validated_multivector(request):
     local = np.random.default_rng(21)
     reps = [random_regular_spinor(local), random_regular_spinor(local, spinorial_frame_of(random_rotor(SIG13, local)))]
-    calls = []
-    init = Multivector.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    calls = request.getfixturevalue("validated_constructions")
     for d in reps:
         fierz_residuals(bilinear_covariants(d))
     assert calls == []

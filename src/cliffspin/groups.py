@@ -10,6 +10,7 @@ that sign is exactly the 2*pi-rotation memory spinors care about.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -147,7 +148,10 @@ def spinorial_frame_of(u: Rotor) -> SpinorialFrame:
     return SpinorialFrame(u, VectorFrame(vectors))
 
 
+@cache
 def fiducial_spinorial_frame(sig: Signature) -> SpinorialFrame:
+    """The frame (1, E): built and checked once per signature, since
+    signatures are shared instances and frames are immutable."""
     return SpinorialFrame(Rotor(Multivector.one(sig)), fiducial_frame(sig))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .multivector import (
     reversion,
     right_contraction,
     scalar_product,
+    wedge,
 )
 
 SIG13 = Signature(1, 3)
@@ -184,53 +186,66 @@ def _rel(lhs: Multivector, rhs: Multivector) -> float:
     return (lhs - rhs).max_abs() / max(1.0, lhs.max_abs(), rhs.max_abs())
 
 
+def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:
+    """The quadratic covariant identities, each keyed by its name as
+    (lhs, a, b, X, scale): it states lhs = (a + b g5) X.  ops supplies
+    product, wedge, right_contraction, scalar_product, hodge_dual and one,
+    so the same rows are evaluated on multivectors by fierz_residuals and
+    on exact polynomials by tests/test_fierz_proof.py.  A scalar row has
+    b = 0, X = one and the scale of its residual; a multivector row has
+    scale None."""
+    sig, om = sigma, omega
+    sp, one = ops.scalar_product, ops.one
+    starS = ops.hodge_dual(S)
+    JJ = sp(J, J)
+    rho2 = sig**2 + om**2
+    ksk = ops.product(ops.product(K, S), K)
+    return {
+        "J.J = sigma^2 + omega^2": (JJ, rho2, 0, one, JJ),
+        "J.K = 0": (sp(J, K), 0, 0, one, JJ),
+        "J.J = -K.K": (JJ, -sp(K, K), 0, one, JJ),
+        "J^K = -(omega + sigma g5) S": (ops.wedge(J, K), -om, -sig, S, None),
+        "(*S)|_J = -sigma K": (ops.right_contraction(starS, J), -sig, 0, K, None),
+        "(*S)|_K = -sigma J": (ops.right_contraction(starS, K), -sig, 0, J, None),
+        "S.S = sigma^2 - omega^2": (sp(S, S), sig**2 - om**2, 0, one, rho2),
+        "S|_J = omega K": (ops.right_contraction(S, J), om, 0, K, None),
+        "S|_K = omega J": (ops.right_contraction(S, K), om, 0, J, None),
+        "(*S).S = 2 sigma omega": (sp(starS, S), 2 * sig * om, 0, one, rho2),
+        "J S = -(omega + sigma g5) K": (ops.product(J, S), -om, -sig, K, None),
+        "S J = (omega - sigma g5) K": (ops.product(S, J), om, -sig, K, None),
+        "K S = -(omega + sigma g5) J": (ops.product(K, S), -om, -sig, J, None),
+        "S K = (omega - sigma g5) J": (ops.product(S, K), om, -sig, J, None),
+        "S^2 = omega^2 - sigma^2 - 2 sigma omega g5": (
+            ops.product(S, S), om**2 - sig**2, -2 * sig * om, one, None
+        ),
+        "S (K S K) = (J.J)^2": (ops.product(S, ksk), JJ**2, 0, one, None),
+    }
+
+
+# fierz_statements on multivectors, with scalar products read as floats.
+_MULTIVECTOR_OPS = SimpleNamespace(
+    product=geometric_product,
+    wedge=wedge,
+    right_contraction=right_contraction,
+    scalar_product=lambda x, y: complex(scalar_product(x, y)).real,
+    hodge_dual=hodge_dual,
+    one=Multivector.one(SIG13),
+)
+
+
 def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
-    """Max-abs relative residuals of the quadratic covariant identities.
-    tests/test_fierz_proof.py proves each one, in the form stated here, as
-    an exact polynomial identity in the coefficients of a generic spinor."""
-    sig, om = c.sigma, c.omega
-    J, S, K = c.J, c.S, c.K
-    g5 = G5
-    one = Multivector.one(SIG13)
-    starS = hodge_dual(S)
-    JJ = complex(scalar_product(J, J)).real
+    """Relative residuals of the rows of fierz_statements: |lhs - a| over
+    max(1, |scale|) for a scalar row, and the max-abs residual of
+    lhs = (a + b g5) X for a multivector row.  tests/test_fierz_proof.py
+    proves each row as an exact polynomial identity in the coefficients
+    of a generic spinor."""
+    rows = fierz_statements(_MULTIVECTOR_OPS, c.sigma, c.omega, c.J, c.S, c.K)
     res: dict[str, float] = {}
-
-    res["J.J = sigma^2 + omega^2"] = abs(JJ - (sig**2 + om**2)) / max(1.0, abs(JJ))
-    res["J.K = 0"] = abs(complex(scalar_product(J, K)).real) / max(1.0, abs(JJ))
-    res["J.J = -K.K"] = abs(JJ + complex(scalar_product(K, K)).real) / max(1.0, abs(JJ))
-    res["J^K = -(omega + sigma g5) S"] = _rel(
-        J ^ K, -geometric_product(om + sig * g5, S)
-    )
-
-    res["(*S)|_J = -sigma K"] = _rel(right_contraction(starS, J), -sig * K)
-    res["(*S)|_K = -sigma J"] = _rel(right_contraction(starS, K), -sig * J)
-    res["S.S = sigma^2 - omega^2"] = abs(
-        complex(scalar_product(S, S)).real - (sig**2 - om**2)
-    ) / max(1.0, sig**2 + om**2)
-    res["S|_J = omega K"] = _rel(right_contraction(S, J), om * K)
-    res["S|_K = omega J"] = _rel(right_contraction(S, K), om * J)
-    res["(*S).S = 2 sigma omega"] = abs(
-        complex(scalar_product(starS, S)).real - 2 * sig * om
-    ) / max(1.0, sig**2 + om**2)
-
-    res["J S = -(omega + sigma g5) K"] = _rel(
-        geometric_product(J, S), -geometric_product(om + sig * g5, K)
-    )
-    res["S J = (omega - sigma g5) K"] = _rel(
-        geometric_product(S, J), geometric_product(om - sig * g5, K)
-    )
-    res["K S = -(omega + sigma g5) J"] = _rel(
-        geometric_product(K, S), -geometric_product(om + sig * g5, J)
-    )
-    res["S K = (omega - sigma g5) J"] = _rel(
-        geometric_product(S, K), geometric_product(om - sig * g5, J)
-    )
-    res["S^2 = omega^2 - sigma^2 - 2 sigma omega g5"] = _rel(
-        geometric_product(S, S), (om**2 - sig**2) * one - (2 * sig * om) * g5
-    )
-    ksk = geometric_product(geometric_product(K, S), K)
-    res["S (K S K) = (J.J)^2"] = _rel(geometric_product(S, ksk), (JJ**2) * one)
+    for name, (lhs, a, b, X, scale) in rows.items():
+        if scale is not None:
+            res[name] = abs(lhs - a) / max(1.0, abs(scale))
+        else:
+            res[name] = _rel(lhs, a * X if not b else geometric_product(a + b * G5, X))
     return res
 
 

@@ -137,6 +137,14 @@ def test_frame_action_basics():
         assert (a - b).max_abs() == 0.0  # same vector frame
 
 
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (2, 2), (4, 1)])
+def test_fiducial_spinorial_frame_is_built_once_per_signature(pq):
+    sig = Signature(*pq)
+    f = fiducial_spinorial_frame(sig)
+    assert fiducial_spinorial_frame(Signature(*pq)) is f
+    assert f == SpinorialFrame(Rotor(Multivector.scalar(sig, 1.0)), fiducial_frame(sig))
+
+
 def test_frame_eq_and_hash_are_exact():
     u = exp_bivector(Multivector(SIG13, {0b0110: 0.7, 0b0011: 0.2}))
     a = spinorial_frame_of(Rotor(u))

@@ -187,6 +187,38 @@ def test_signature_copies_are_the_shared_instance(copy_of):
     assert type(SIG13.p) is int and (SIG13.p, SIG13.q) == (1, 3)
 
 
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.copy, copy.deepcopy]
+    + [lambda x, k=k: pickle.loads(pickle.dumps(x, protocol=k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_multivectors_and_values_holding_them_copy_and_pickle(copy_of):
+    from cliffspin import (
+        bilinear_covariants,
+        planewave_solution,
+        random_regular_spinor,
+        random_rotor,
+        spinorial_frame_of,
+    )
+
+    x = Multivector(SIG13, {0: 1.5, 0b0110: -2 + 0.25j, 0b1111: 3e-300})
+    y = copy_of(x)
+    assert y == x and list(y.terms) == list(x.terms)
+    assert y.signature is SIG13 and y.real is False and copy_of(x.even()).real is False
+    assert copy_of(Multivector.one(SIG13)).real is True
+
+    rng = np.random.default_rng(4)
+    rotor = random_rotor(SIG13, rng)
+    frame = spinorial_frame_of(rotor)
+    d = random_regular_spinor(rng, frame)
+    field = planewave_solution(1.0, (0.3, -0.2, 0.5))
+    for value in (rotor, frame, d, bilinear_covariants(d), field):
+        assert copy_of(value) == value, type(value).__name__
+    field.projector
+    # The cached projector travels with the field.
+    assert copy_of(field).__dict__ == field.__dict__
+
+
 def test_signature_replace_gives_the_shared_instance_of_its_pair():
     assert dataclasses.replace(SIG13, q=2) is Signature(1, 2)
     with pytest.raises(ValueError):

@@ -25,12 +25,14 @@ from cliffspin import (
     scalar_product,
     spinorial_frame_of,
 )
+from cliffspin.multivector import G5, hodge_dual, right_contraction
 from cliffspin.spinors import (
     ASRep,
     BilinearCovariants,
     DHSRep,
     SingularSpinorError,
     SpinorValueError,
+    _rel,
     exp_beta_gamma5,
     frame_idempotent,
     gamma5,
@@ -190,8 +192,6 @@ def test_identity_suite_random_spinors():
 def test_explicit_quadratic_invariants():
     d = random_regular_spinor(rng)
     c = bilinear_covariants(d)
-    from cliffspin import hodge_dual
-
     assert abs(scalar_product(c.S, c.S) - (c.sigma**2 - c.omega**2)) < 1e-10
     assert abs(scalar_product(hodge_dual(c.S), c.S) - 2 * c.sigma * c.omega) < 1e-10
 
@@ -203,6 +203,66 @@ def test_identity_suite_holds_on_singular_spinor():
     assert len(res) == 16
     for name, r in res.items():
         assert math.isfinite(r) and r <= 1e-12, (name, r)
+
+
+def oracle_fierz_residuals(c):
+    """The hand-written suite that fierz_statements replaced, kept as the
+    oracle for its residuals."""
+    sig, om = c.sigma, c.omega
+    J, S, K = c.J, c.S, c.K
+    g5 = G5
+    one = Multivector.one(SIG13)
+    starS = hodge_dual(S)
+    JJ = complex(scalar_product(J, J)).real
+    res = {}
+
+    res["J.J = sigma^2 + omega^2"] = abs(JJ - (sig**2 + om**2)) / max(1.0, abs(JJ))
+    res["J.K = 0"] = abs(complex(scalar_product(J, K)).real) / max(1.0, abs(JJ))
+    res["J.J = -K.K"] = abs(JJ + complex(scalar_product(K, K)).real) / max(1.0, abs(JJ))
+    res["J^K = -(omega + sigma g5) S"] = _rel(J ^ K, -geometric_product(om + sig * g5, S))
+
+    res["(*S)|_J = -sigma K"] = _rel(right_contraction(starS, J), -sig * K)
+    res["(*S)|_K = -sigma J"] = _rel(right_contraction(starS, K), -sig * J)
+    res["S.S = sigma^2 - omega^2"] = abs(
+        complex(scalar_product(S, S)).real - (sig**2 - om**2)
+    ) / max(1.0, sig**2 + om**2)
+    res["S|_J = omega K"] = _rel(right_contraction(S, J), om * K)
+    res["S|_K = omega J"] = _rel(right_contraction(S, K), om * J)
+    res["(*S).S = 2 sigma omega"] = abs(
+        complex(scalar_product(starS, S)).real - 2 * sig * om
+    ) / max(1.0, sig**2 + om**2)
+
+    res["J S = -(omega + sigma g5) K"] = _rel(
+        geometric_product(J, S), -geometric_product(om + sig * g5, K)
+    )
+    res["S J = (omega - sigma g5) K"] = _rel(
+        geometric_product(S, J), geometric_product(om - sig * g5, K)
+    )
+    res["K S = -(omega + sigma g5) J"] = _rel(
+        geometric_product(K, S), -geometric_product(om + sig * g5, J)
+    )
+    res["S K = (omega - sigma g5) J"] = _rel(
+        geometric_product(S, K), geometric_product(om - sig * g5, J)
+    )
+    res["S^2 = omega^2 - sigma^2 - 2 sigma omega g5"] = _rel(
+        geometric_product(S, S), (om**2 - sig**2) * one - (2 * sig * om) * g5
+    )
+    ksk = geometric_product(geometric_product(K, S), K)
+    res["S (K S K) = (J.J)^2"] = _rel(geometric_product(S, ksk), (JJ**2) * one)
+    return res
+
+
+def test_fierz_residuals_match_the_oracle_bit_for_bit():
+    def hexed(res):
+        return [(name, r.hex()) for name, r in res.items()]
+
+    reps = [DHSRep(FID, one()), DHSRep(FID, singular_psi())]
+    for seed in range(3):
+        local = np.random.default_rng(seed)
+        reps += [random_regular_spinor(local) for _ in range(300)]
+    for d in reps:
+        c = bilinear_covariants(d)
+        assert hexed(fierz_residuals(c)) == hexed(oracle_fierz_residuals(c))
 
 
 def test_regularity_is_scale_relative():

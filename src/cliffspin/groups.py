@@ -1,21 +1,24 @@
 """Clifford group machinery: Pin/Spin membership tests, adjoint actions,
 rotor-to-matrix maps, and spinorial frames.
 
-A spinorial frame is a pair (rotor u, orthonormal vector frame b) with
-u b_i u^{-1} equal to the fiducial frame vector E_i for every i.  Frames with
-rotors u and -u carry the same vector frame but compare as distinct values;
-that sign is exactly the 2*pi-rotation memory spinors care about.
+A spinorial frame is fixed by its rotor u: its vector frame b_i = u^{-1} E_i u
+is derived from u once, when the frame is built, so a frame whose vectors do
+not match its rotor cannot be built.  Equality and hashing read u alone.
+Frames with rotors u and -u carry the same vector frame but compare as
+distinct values; that sign is exactly the 2*pi-rotation memory spinors care
+about.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .multivector import (
     Multivector,
+    NonInvertibleError,
     Signature,
     exp_bivector,
     geometric_product,
@@ -112,23 +115,27 @@ def fiducial_frame(sig: Signature) -> VectorFrame:
 @dataclass(frozen=True)
 class SpinorialFrame:
     u: Rotor
-    frame: VectorFrame
+    frame: VectorFrame = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         sig = self.u.signature
         uinv = self.u.inverse_mv()
-        # Checked as b_i = u^{-1} E_i u, whose terms are of size |u|^2, not
-        # as u b_i u^{-1} = E_i, whose terms are of size |u|^2 |b_i|, about
-        # |u|^4 for a boost: at rapidity 14 its rounding error, near 1e-4,
-        # would hide an error of 1e-6 in b_i.  The factor 1e-12 is 70 times
-        # the largest error measured against |u|^2 (as for VectorFrame),
-        # added to the absolute 1e-8 that admits the slack ROTOR_TOL leaves
-        # in u.
+        # The terms of b_i = u^{-1} E_i u are of size |u|^2, so its non-vector
+        # part is checked against |u|^2.  For n <= 5 that part is rounding
+        # alone, but an even u with u u~ = 1 need not map vectors to vectors
+        # beyond: in Cl(6,0), u = (1 + e1...e6)/sqrt(2) sends e1 to grade 5.
+        # The factor 1e-12 is 70 times the largest error measured against
+        # |u|^2 (as for VectorFrame), added to the absolute 1e-8 that admits
+        # the slack ROTOR_TOL leaves in u.
         tol = 1e-8 + 1e-12 * self.u.u.norm() ** 2
-        for i, b in enumerate(self.frame.vectors):
+        vectors = []
+        for i in range(sig.n):
             pulled = geometric_product(geometric_product(uinv, Multivector.generator(sig, i + 1)), self.u.u)
+            b = pulled.grade(1)
             if (pulled - b).max_abs() > tol:
-                raise FrameError("frame does not match u b u^{-1} = fiducial")
+                raise FrameError("u^{-1} E_i u is not a vector")
+            vectors.append(b)
+        object.__setattr__(self, "frame", VectorFrame(tuple(vectors)))
 
     @property
     def signature(self) -> Signature:
@@ -137,22 +144,14 @@ class SpinorialFrame:
 
 def spinorial_frame_of(u: Rotor) -> SpinorialFrame:
     """Frame reached from the fiducial one by u: b_i = u^{-1} E_i u."""
-    sig = u.signature
-    uinv = u.inverse_mv()
-    vectors = tuple(
-        geometric_product(
-            geometric_product(uinv, Multivector.generator(sig, i + 1)), u.u
-        ).grade(1)
-        for i in range(sig.n)
-    )
-    return SpinorialFrame(u, VectorFrame(vectors))
+    return SpinorialFrame(u)
 
 
 @cache
 def fiducial_spinorial_frame(sig: Signature) -> SpinorialFrame:
     """The frame (1, E): built and checked once per signature, since
     signatures are shared instances and frames are immutable."""
-    return SpinorialFrame(Rotor(Multivector.one(sig)), fiducial_frame(sig))
+    return SpinorialFrame(Rotor(Multivector.one(sig)))
 
 
 # -- actions ------------------------------------------------------------------
@@ -175,7 +174,7 @@ def is_clifford_group(g: Multivector, tol: float = ROTOR_TOL) -> bool:
     sig = g.signature
     try:
         ghat_inv = inverse(grade_involution(g))
-    except Exception:
+    except NonInvertibleError:
         return False
     for i in range(sig.n):
         v = Multivector.generator(sig, i + 1)
@@ -233,14 +232,10 @@ def lorentz_matrix_of(u: Rotor) -> np.ndarray:
 
 
 def frame_right_action(a: Rotor, f: SpinorialFrame) -> SpinorialFrame:
-    """(u, b) -> (u a, a^{-1} b a)."""
+    """(u, b) -> (u a, a^{-1} b a), with the new b derived from u a."""
     if a.signature != f.signature:
         raise FrameError("signature mismatch in frame action")
-    ainv = a.inverse_mv()
-    new_vectors = tuple(
-        geometric_product(geometric_product(ainv, b), a.u).grade(1) for b in f.frame.vectors
-    )
-    return SpinorialFrame(Rotor(geometric_product(f.u.u, a.u)), VectorFrame(new_vectors))
+    return SpinorialFrame(f.u * a)
 
 
 # -- rotor constructions --------------------------------------------------------

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from cliffspin import Multivector
+from cliffspin import Multivector, multivector
 
 
 @pytest.fixture
@@ -14,4 +16,21 @@ def validated_constructions(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Multivector, "__init__", counting_init)
+    return calls
+
+
+@pytest.fixture
+def geometric_products(monkeypatch):
+    """The operands of every geometric_product call from here on, in every
+    cliffspin module that imported it."""
+    calls = []
+    product = multivector.geometric_product
+
+    def counting_product(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cliffspin" and getattr(module, "geometric_product", None) is product:
+            monkeypatch.setattr(module, "geometric_product", counting_product)
     return calls

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from cliffspin import (
     twisted_adjoint,
 )
 from cliffspin.groups import FrameError, NotARotorError, SpinorialFrame, VectorFrame, random_bivector
+from cliffspin.spinors import random_regular_spinor
 
 rng = np.random.default_rng(1)
 
@@ -35,6 +38,21 @@ SIG30 = Signature(3, 0)
 
 def gen(sig, i):
     return Multivector.generator(sig, i)
+
+
+def bits(x):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+def frame_bits(f):
+    return [bits(b) for b in f.frame.vectors]
+
+
+def two_step_frame_vectors(u):
+    """Oracle: b_i = <(u^{-1} E_i) u>_1, one sandwich per vector."""
+    uinv = u.inverse_mv()
+    sig = u.signature
+    return [geometric_product(geometric_product(uinv, gen(sig, i + 1)), u.u).grade(1) for i in range(sig.n)]
 
 
 def test_rotor_validation():
@@ -85,6 +103,14 @@ def test_group_membership():
     assert not is_spin_e(e1)
     assert is_clifford_group(e1)
     assert not is_clifford_group(1 + gen(SIG13, 1))
+
+
+def test_clifford_group_test_rejects_zero_divisors_but_not_wrong_arguments():
+    zero_divisor = 1 + gen(SIG13, 1)  # (1 + e1)(1 - e1) = 0
+    assert not is_clifford_group(zero_divisor)
+    assert not is_spin_e(zero_divisor)
+    with pytest.raises(AttributeError):
+        is_spin_e(random_rotor(SIG13, rng))  # a Rotor, not its element
 
 
 def test_twisted_adjoint_kernel_sign():
@@ -142,7 +168,8 @@ def test_fiducial_spinorial_frame_is_built_once_per_signature(pq):
     sig = Signature(*pq)
     f = fiducial_spinorial_frame(sig)
     assert fiducial_spinorial_frame(Signature(*pq)) is f
-    assert f == SpinorialFrame(Rotor(Multivector.scalar(sig, 1.0)), fiducial_frame(sig))
+    assert f == SpinorialFrame(Rotor(Multivector.scalar(sig, 1.0)))
+    assert frame_bits(f) == [bits(e) for e in fiducial_frame(sig).vectors]
 
 
 def test_frame_eq_and_hash_are_exact():
@@ -252,7 +279,8 @@ def test_large_boosts_give_valid_frames(rapidity, plane):
     u = Rotor(exp_bivector(Multivector(SIG13, {m: rapidity / 2 * c for m, c in plane.items()})))
     f = spinorial_frame_of(u)
     assert f.u is u
-    assert frame_right_action(u, fiducial_spinorial_frame(SIG13)) == SpinorialFrame(u, f.frame)
+    moved = frame_right_action(u, fiducial_spinorial_frame(SIG13))
+    assert moved == SpinorialFrame(u) and frame_bits(moved) == frame_bits(f)
     assert (adjoint(u, f.frame[0]) - gen(SIG13, 1)).max_abs() <= 1e-8 * f.frame[0].norm() ** 2
 
 
@@ -262,8 +290,6 @@ def test_relative_frame_checks_still_reject_wrong_frames():
     fid = fiducial_frame(SIG13).vectors
     with pytest.raises(FrameError, match="g-orthonormal"):
         VectorFrame((fid[0] * (1 + 1e-9),) + fid[1:])
-    with pytest.raises(FrameError, match="fiducial"):
-        SpinorialFrame(Rotor(exp_bivector(Multivector(SIG13, {0b110: 1e-8}))), fiducial_frame(SIG13))
     u = Rotor(exp_bivector(Multivector(SIG13, {0b11: 5.0, 0b110: 0.3})))
     vectors = spinorial_frame_of(u).frame.vectors  # raised FrameError before
     with pytest.raises(FrameError, match="g-orthonormal"):
@@ -277,18 +303,20 @@ TURNS = [{0b0110: 5e-7}, {0b1100: 5e-7}, {0b0011: 5e-7}]
 @pytest.mark.parametrize("rapidity", [0.0, 1.0, 6.0, 8.0, 10.0, 12.0, 14.0])
 @pytest.mark.parametrize("plane", BOOST_PLANES, ids=str)
 def test_frame_checks_reject_errors_of_one_part_in_a_million(rapidity, plane):
-    """A rotor turned by 1e-6, or b_0 scaled by 1 + 1e-6, does not match the
-    frame at any rapidity.  b_0 scaled by 1 + 1e-3 is not orthonormal up to
-    rapidity 10; above that, b_0.b_0 rounds by about 1e-16 |b_0|^2, 1e-4 at
-    rapidity 14, and only the rotor can tell."""
+    """The frame is the two-step oracle's to the bit, and a rotor turned by
+    1e-6 gives a distinct frame, the one the frame action reaches, at any
+    rapidity.  b_0 scaled by 1 + 1e-3 is not orthonormal up to rapidity 10;
+    above that, b_0.b_0 rounds by about 1e-16 |b_0|^2, 1e-4 at rapidity 14,
+    and only the rotor can tell; a frame with such a b_0 cannot be built
+    from its rotor."""
     u = Rotor(exp_bivector(Multivector(SIG13, {m: rapidity / 2 * c for m, c in plane.items()})))
-    b = spinorial_frame_of(u).frame.vectors
+    f = spinorial_frame_of(u)
+    b = f.frame.vectors
+    assert frame_bits(f) == [bits(v) for v in two_step_frame_vectors(u)]
     for turn in TURNS:
-        turned = u * Rotor(exp_bivector(Multivector(SIG13, turn)))
-        with pytest.raises(FrameError, match="fiducial"):
-            SpinorialFrame(turned, VectorFrame(b))
-    with pytest.raises(FrameError):
-        SpinorialFrame(u, VectorFrame((b[0] * (1 + 1e-6),) + b[1:]))
+        t = Rotor(exp_bivector(Multivector(SIG13, turn)))
+        turned = spinorial_frame_of(u * t)
+        assert turned != f and frame_right_action(t, f) == turned
     if rapidity <= 10.0:
         with pytest.raises(FrameError, match="g-orthonormal"):
             VectorFrame((b[0] * (1 + 1e-3),) + b[1:])
@@ -303,3 +331,61 @@ def test_frames_of_rotors_within_rotor_tol_are_valid(pq):
     assert (geometric_product(slack.u, reversion(slack.u)) - 1).max_abs() > 5e-11
     f = spinorial_frame_of(slack)
     assert frame_right_action(slack, fiducial_spinorial_frame(sig)) == f
+
+
+# -- a frame is a function of its rotor ---------------------------------------------------
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (2, 2), (4, 1), (3, 3)])
+def test_frame_vectors_and_actions_match_the_two_step_oracle(pq):
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    fid = fiducial_spinorial_frame(sig)
+    for _ in range(5):
+        u = random_rotor(sig, local)
+        f = spinorial_frame_of(u)
+        assert frame_bits(f) == [bits(b) for b in two_step_frame_vectors(u)]
+        a = random_rotor(sig, local)
+        # On the fiducial frame u = 1 a exactly, so the action gives
+        # <a^{-1} E_i a>_1 to the bit.
+        assert frame_bits(frame_right_action(a, fid)) == [bits(b) for b in two_step_frame_vectors(a)]
+        moved, direct = frame_right_action(a, f), spinorial_frame_of(f.u * a)
+        assert moved == direct and frame_bits(moved) == frame_bits(direct)
+
+
+def test_rotor_whose_sandwich_is_not_a_vector_is_rejected():
+    """In Cl(6,0), u = (1 + I)/sqrt(2) with I = e1...e6 has u u~ = 1, but
+    u^{-1} e1 u = -I e1 has grade 5: no frame has that rotor."""
+    sig = Signature(6, 0)
+    pseudo = Multivector(sig, {0b111111: 1.0})
+    u = Rotor((1 + pseudo) * (1 / math.sqrt(2)))
+    pulled = geometric_product(geometric_product(u.inverse_mv(), gen(sig, 1)), u.u)
+    assert (pulled + geometric_product(pseudo, gen(sig, 1))).max_abs() < 1e-15
+    with pytest.raises(FrameError, match="not a vector"):
+        SpinorialFrame(u)
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (4, 1)])
+def test_a_frame_takes_one_sandwich_per_vector(pq, request):
+    sig = Signature(*pq)
+    u = random_rotor(sig, np.random.default_rng(3))
+    products = request.getfixturevalue("geometric_products")
+    spinorial_frame_of(u)
+    assert len(products) == 2 * sig.n
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.copy, copy.deepcopy]
+    + [lambda x, k=k: pickle.loads(pickle.dumps(x, protocol=k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_frame_copies_restore_the_derived_vectors(copy_of, monkeypatch):
+    local = np.random.default_rng(5)
+    f = spinorial_frame_of(random_rotor(SIG13, local))
+    d = random_regular_spinor(local, f)
+    with monkeypatch.context() as patch:
+        patch.setattr(SpinorialFrame, "__post_init__", lambda self: pytest.fail("re-derived the frame"))
+        f_copy, d_copy = copy_of(f), copy_of(d)
+    for c, value in ((f_copy, f), (d_copy, d)):
+        assert c == value and hash(c) == hash(value)
+    assert frame_bits(f_copy) == frame_bits(f) and frame_bits(d_copy.frame) == frame_bits(f)

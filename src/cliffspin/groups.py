@@ -20,6 +20,7 @@ from .multivector import (
     Multivector,
     NonInvertibleError,
     Signature,
+    _sign_weight,
     exp_bivector,
     geometric_product,
     grade_involution,
@@ -196,16 +197,15 @@ def is_spin(g: Multivector, tol: float = ROTOR_TOL) -> bool:
 
 
 def is_spin_e(g: Multivector, tol: float = ROTOR_TOL) -> bool:
-    if not is_spin(g, tol):
+    """Even, in the Clifford group, and |N(g) - 1| <= tol, which implies
+    is_pin's bound on N(g) since ||x| - 1| <= |x - 1|.  For n <= 5 the
+    identity component is exactly the set of even g with g * reversion(g)
+    = 1, which is checked as well."""
+    if not is_clifford_group(g, tol) or any(k % 2 for k in g.grades()):
         return False
     if abs(complex(norm_N(g)) - 1.0) > tol:
         return False
-    if g.signature.n <= 5:
-        # Cross-check: in low dimensions the identity component is exactly
-        # the set of even g with g * reversion(g) = 1.
-        if (geometric_product(g, reversion(g)) - 1).max_abs() > tol:
-            return False
-    return True
+    return g.signature.n > 5 or (geometric_product(g, reversion(g)) - 1).max_abs() <= tol
 
 
 # -- rotor-to-matrix ----------------------------------------------------------
@@ -263,13 +263,12 @@ def random_bivector(sig: Signature, rng: np.random.Generator, scale: float = 1.0
     """Bivector with components uniform in [-1,1]; components on blades with
     square +1 (boost planes) are halved to keep exponentials tame."""
     terms: dict[int, complex] = {}
-    one = Multivector.scalar(sig, 1.0)
     for i in range(sig.n):
         for j in range(i + 1, sig.n):
             mask = (1 << i) | (1 << j)
-            b = Multivector.from_mask(sig, mask)
             c = float(rng.uniform(-1.0, 1.0)) * scale
-            if geometric_product(b, b) == one:
+            # e_m e_m = (-1)^popcount(m & w) for the weight mask w of m.
+            if not (mask & _sign_weight(sig.p, mask)).bit_count() & 1:
                 c *= 0.5
             terms[mask] = c
     return Multivector(sig, terms)

@@ -12,55 +12,53 @@ so for fixed a, s = (-1)^popcount(b & w) for one weight mask w
 ``_reorder_sign(p, n, a)``, one row of Python ints over all 2^n blades b per
 left blade a, and ``_sign_table(p, n)``, every row of one signature as an
 int8 array (16 MiB at n = 12, where all rows as tuples take 128 MiB).  The
-rows serve only ``_product_loop`` and ``_generate_kernel``; the table serves
-the plans, the blocked path, ``_left_mult_matrix`` and ``classify``.
+rows serve only ``_product_loop``; the table serves the numpy paths that
+work on dense arrays, ``_product_array``, ``_left_mult_matrix`` and
+``classify``.  The compiled paths, ``_generate_kernel`` and ``_build_plan``,
+read each sign as the parity of mb & w and build neither cache.
 ``scalar_product`` reads each sign in closed form, (-1)^popcount(m >> p)
 for reversion(e_m) e_m, and ``exp_bivector`` reads the pseudoscalar's signs
-as parities of its weight mask, so neither builds a row.
+as parities of its weight mask.
 
 The geometric product, the wedge and both contractions share one kernel,
 ``_product``, with four paths, tried in this order.  Each gives the same bits
 and key order as the dict loop ``_product_loop``, which is the tests' oracle
 and, run on polynomial coefficients, the product of the exact Fierz proof.
 
-- Kernels, n <= 4: generated straight-line code.  On the first sight of a key
-  pattern (p, n, left keys in order, right keys in order, filter, both
-  operands real), ``_generate_kernel`` compiles the loop for that pattern
+- Kernels, n <= 4, both operands real: generated straight-line code.  On
+  the first sight of a key pattern (p, n, left keys in order, right keys in
+  order, filter), ``_generate_kernel`` compiles the loop for that pattern
   into one dict literal.  Each output blade's sum keeps the loop's term
   order, written +a_i*b_j or -a_i*b_j for sign +1 or -1, and the blades keep
-  the loop's first-appearance order.  The real variant multiplies the float
-  real parts and returns float sums, which are the loop's real parts to the
-  bit; the complex variant multiplies the stored complexes.  The only
-  difference from the loop is where a zero gets its sign, which the builders
-  below normalise.  A pattern met with real and with complex operands
-  compiles two kernels, each charged to the cache's budget of term pairs
-  covered (2^16).  Cl(1,3)
-  work repeats its patterns: in the perfbench spinor-suite and
-  dirac-planewave workloads (seeds 1-3) at most 7 of 275 to 563 patterns
+  the loop's first-appearance order.  The kernel multiplies the float real
+  parts and returns float sums, which are the loop's real parts to the bit.
+  Each kernel is charged to the cache's budget of term pairs covered
+  (2^16).  Cl(1,3) work repeats its patterns: in the perfbench spinor-suite
+  and dirac-planewave workloads (seeds 1-3) at most 7 of 275 to 563 patterns
   occur only once, spending at most 592 pairs of the budget, and over 99.6 %
   of the n <= 4 product calls meet a pattern seen before.  For n >= 5,
   kernels grow to thousands of pairs and many patterns never repeat.
 - Plans, n >= 5, both operands real, ``_ARRAY_MIN_PAIRS`` to
   ``_PLAN_MAX_PAIRS`` term pairs: ``_product_plan`` looks the key pattern up
-  in an LRU cache of index plans, built from the sign table.  A plan lists
-  the output blades in the loop's first-appearance order and holds one
-  K x M gather index whose column m names blade m's pairs in the loop's
-  order, padded at the end; it indexes [x*y, -(x*y), 0.0], so each pair's
-  sign is folded into its index.  A call is one outer product, one gather
-  and one sum over axis 0, which numpy adds row by row, so each blade's sum
-  is the loop's; a plan with a single column, which numpy would add
-  pairwise, is summed in Python.  Plans are index arrays, not generated code, and the cache
-  evicts the least recently used once they pass ``_PLAN_ENTRY_BUDGET`` index
-  entries: n >= 5 patterns turn over with every operation.
+  in an LRU cache of index plans.  A plan lists the output blades in the
+  loop's first-appearance order and holds one K x M gather index whose
+  column m names blade m's pairs in the loop's order, padded at the end; it
+  indexes [x*y, -(x*y), 0.0], so each pair's sign is folded into its index.
+  A call is one outer product, one gather and one sum over axis 0, which
+  numpy adds row by row, so each blade's sum is the loop's; a plan with a
+  single column, which numpy would add pairwise, is summed in Python.  Plans
+  are index arrays, not generated code, and the cache evicts the least
+  recently used once they pass ``_PLAN_ENTRY_BUDGET`` index entries, so
+  one-off patterns cannot grow it past that.
 - The blocked array path, the same operands above ``_PLAN_MAX_PAIRS`` pairs:
   ``_product_array`` computes each pair's sign * (x * y) as a float array,
   with the filter as a mask, in blocks of left terms.  ``np.add.at`` adds
   each output blade's terms one at a time in the loop's pair order, never
   pairwise, and the blades are emitted in the order of their first pair.
 - Otherwise, and once the kernel budget is spent: the loop itself.  Complex
-  operands stay on it: numpy's complex multiply differs from Python's in the
-  last bit on 44 % of random normal pairs, so its sums would not be the
-  loop's.
+  operands take it at every n: numpy's complex multiply differs from
+  Python's in the last bit on 44 % of random normal pairs, so its sums would
+  not be the loop's, and no perfbench workload multiplies complex operands.
 
 Results that this module builds itself skip the validating
 ``Multivector.__init__`` and go through one of three builders, each told
@@ -68,13 +66,12 @@ what its caller already knows, so that no result is re-walked to find it
 out.  All three store what ``__init__`` would: nonzero finite complex values
 with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
 
-- ``_own(sig, terms, real=None)``: complex values from the loop, the complex
-  kernels, sums and scalings.  It stores 0 + c, drops zeros and rejects a
-  non-finite value, and scans for ``real`` unless the caller passes it: a
-  sum, a scaling by a real number or a loop product of real operands is
-  real.
-- ``_own_real(sig, sums)``: float sums from the real kernels, the plans and
-  the blocked path.  It stores 0j + v, which is 0 + complex(v, 0.0) to the
+- ``_own(sig, terms, real=None)``: complex values from the loop, sums and
+  scalings.  It stores 0 + c, drops zeros and rejects a non-finite value,
+  and scans for ``real`` unless the caller passes it: a sum, a scaling by a
+  real number or a loop product of real operands is real.
+- ``_own_real(sig, sums)``: float sums from the kernels, the plans and the
+  blocked path.  It stores 0j + v, which is 0 + complex(v, 0.0) to the
   bit, drops zeros and rejects a non-finite value after one finiteness test
   of the float sum; ``real`` is True.
 - ``_trusted(sig, terms, real)``: no checks, for results that are clean by
@@ -225,7 +222,9 @@ def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
 def _sign_table(p: int, n: int) -> np.ndarray:
     """Read-only int8 signs of e_a e_b in Cl(p, n - p) at [a, b]: the rows of
     _reorder_sign for every left blade a, one byte per sign (16 MiB at
-    n = 12), built by the same doubling over the bits of each weight mask."""
+    n = 12), built by the same doubling over the bits of each weight mask.
+    Only the numpy paths that index it with dense arrays read it:
+    _product_array, _left_mult_matrix and classify."""
     size = 1 << n
     weights = np.array([_sign_weight(p, a) for a in range(size)])
     table = np.empty((size, size), dtype=np.int8)
@@ -520,28 +519,29 @@ def _product_loop(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, co
     return out
 
 
-def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep, real: bool):
-    """Compile _product_loop for one key pattern into straight-line code.
+def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
+    """Compile _product_loop of two real operands for one key pattern into
+    straight-line code.
 
     Each output blade's sum lists its terms in the loop's order, and the
     blades appear in the loop's first-appearance order.  The source holds
-    only integer masks and positional names a<i>, b<j>.  The real variant
-    multiplies the real parts of the terms: a product of two complexes with
-    zero imaginary parts has real part exactly a*b, and complex sums add
-    their real parts alone, so its float sums are the loop's real parts."""
+    only integer masks and positional names a<i>, b<j>; each sign is the
+    parity of mb & _sign_weight(p, ma).  The kernel multiplies the real
+    parts of the terms: a product of two complexes with zero imaginary parts
+    has real part exactly a*b, and complex sums add their real parts alone,
+    so its float sums are the loop's real parts."""
     sums: dict[int, list[str]] = {}
     for i, ma in enumerate(a_keys):
-        row = _reorder_sign(p, n, ma)
+        w = _sign_weight(p, ma)
         for j, mb in enumerate(b_keys):
             if keep is None or keep(ma, mb):
-                sign = "+" if row[mb] > 0 else "-"
+                sign = "-" if (mb & w).bit_count() & 1 else "+"
                 sums.setdefault(ma ^ mb, []).append(f"{sign}a{i}*b{j}")
     body = ", ".join(f"{m}: {''.join(terms).lstrip('+')}" for m, terms in sums.items())
     a_names = [f"a{i}" for i in range(len(a_keys))]
     b_names = [f"b{j}" for j in range(len(b_keys))]
     lines = [f"{', '.join(a_names)}, = a", f"{', '.join(b_names)}, = b"]
-    if real:
-        lines += [f"{x} = {x}.real" for x in a_names + b_names]
+    lines += [f"{x} = {x}.real" for x in a_names + b_names]
     source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
     source += f"    return {{{body}}}\n"
     local: dict = {}
@@ -555,8 +555,8 @@ _KERNEL_GLOBALS: dict = {}
 
 
 class _KernelCache:
-    """Generated product kernels by (p, n, left keys, right keys, filter,
-    both operands real).
+    """Generated kernels for products of real operands, by (p, n, left
+    keys, right keys, filter).
 
     A pattern is compiled on its first sight.  Each kernel costs the number
     of term pairs it covers, and compiling stops once the costs would pass
@@ -590,10 +590,10 @@ _KERNEL_PAIR_BUDGET = 1 << 16
 _KERNELS = _KernelCache()
 
 
-# Real products with n >= 5 and at least this many term pairs run on the sign
-# table.  Below it numpy's fixed cost per call exceeds the loop's cost per
-# pair: with timeit on n = 5..7 operands the two paths break even at about
-# 100-160 pairs.
+# Real products with n >= 5 and at least this many term pairs take a plan or
+# the blocked path.  Below it numpy's fixed cost per call exceeds the loop's
+# cost per pair: with timeit on n = 5..7 operands the blocked path and the
+# loop break even at about 100-160 pairs.
 _ARRAY_MIN_PAIRS = 128
 # Term pairs per block of left terms on the table path: each temporary of a
 # block holds at most 1 MiB.
@@ -646,16 +646,16 @@ def _build_plan(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
     blades in the loop's first-appearance order, and a K x M int32 gather
     index into [x*y, -(x*y), 0.0], x*y being the P pairs' products in loop
     order.  Column m lists blade m's kept pairs in loop order, each as its
-    pair index k, or k + P where its sign is -1, padded at the end with 2P."""
-    table = _sign_table(p, n)
+    pair index k, or k + P where its sign is -1, padded at the end with 2P.
+    Each sign is the parity of mb & _sign_weight(p, ma)."""
     pairs = len(a_keys) * len(b_keys)
     columns: dict[int, list[int]] = {}
     k = 0
     for ma in a_keys:
-        signs = table[ma].tolist()
+        w = _sign_weight(p, ma)
         for mb in b_keys:
             if keep is None or keep(ma, mb):
-                columns.setdefault(ma ^ mb, []).append(k if signs[mb] > 0 else k + pairs)
+                columns.setdefault(ma ^ mb, []).append(k + pairs if (mb & w).bit_count() & 1 else k)
             k += 1
     if not columns:
         return [], np.empty((0, 0), np.int32)
@@ -720,26 +720,25 @@ def _product_plan(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, fl
 
 
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
-    """_product_loop of a and b, through a generated kernel when one serves
-    their key pattern (n <= 4, neither operand zero), or for real operands
-    with n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, through a cached
-    plan up to _PLAN_MAX_PAIRS pairs and on the blocked sign table above."""
+    """_product_loop of a and b.  Real operands, neither zero, take a
+    generated kernel when one serves their key pattern (n <= 4), or with
+    n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, a cached plan up to
+    _PLAN_MAX_PAIRS pairs and the blocked sign table above.  Complex operands
+    take the loop at every n."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
     at, bt = a._terms, b._terms
     real = a.real and b.real
-    if n <= _KERNEL_MAX_N:
-        if at and bt:
-            key = (p, n, tuple(at), tuple(bt), keep, real)
+    if real and at and bt:
+        if n <= _KERNEL_MAX_N:
+            key = (p, n, tuple(at), tuple(bt), keep)
             kernel = _KERNELS.kernels.get(key) or _KERNELS.compile(key)
             if kernel is not None:
-                if real:
-                    return Multivector._own_real(sig, kernel(at.values(), bt.values()))
-                return Multivector._own(sig, kernel(at.values(), bt.values()))
-    elif real and len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
-        path = _product_plan if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _product_array
-        return Multivector._own_real(sig, path(p, n, at, bt, keep))
+                return Multivector._own_real(sig, kernel(at.values(), bt.values()))
+        elif len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
+            path = _product_plan if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _product_array
+            return Multivector._own_real(sig, path(p, n, at, bt, keep))
     return Multivector._own(sig, _product_loop(p, n, at, bt, keep), True if real else None)
 
 

@@ -27,7 +27,8 @@ from cliffspin import (
     spinorial_frame_of,
     twisted_adjoint,
 )
-from cliffspin.groups import FrameError, NotARotorError, SpinorialFrame, VectorFrame, random_bivector
+from cliffspin import groups as groups_module
+from cliffspin.groups import ROTOR_TOL, FrameError, NotARotorError, SpinorialFrame, VectorFrame, random_bivector
 from cliffspin.spinors import random_regular_spinor
 
 rng = np.random.default_rng(1)
@@ -111,6 +112,65 @@ def test_clifford_group_test_rejects_zero_divisors_but_not_wrong_arguments():
     assert not is_spin_e(zero_divisor)
     with pytest.raises(AttributeError):
         is_spin_e(random_rotor(SIG13, rng))  # a Rotor, not its element
+
+
+def old_is_spin_e(g, tol=ROTOR_TOL):
+    """is_spin_e as is_spin, then N(g) = 1, then g g~ = 1 for n <= 5, as it
+    was written before it computed N(g) once; kept as the oracle."""
+    if not is_spin(g, tol) or abs(complex(norm_N(g)) - 1.0) > tol:
+        return False
+    return g.signature.n > 5 or (geometric_product(g, reversion(g)) - 1).max_abs() <= tol
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (2, 2), (0, 4), (4, 1), (3, 3)], ids=str)
+def test_is_spin_e_computes_N_once_with_the_old_verdicts(monkeypatch, pq):
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    cases = [gen(sig, 1) * gen(sig, 2), gen(sig, 1) * gen(sig, sig.n)]  # N = +-1
+    for _ in range(3):
+        u = random_rotor(sig, local).u
+        even = Multivector(sig, {m: local.normal() for m in range(1 << sig.n) if m.bit_count() % 2 == 0})
+        for scale in (1e-13, 1e-8, 1e-3):
+            cases.append(u + even * scale)
+        cases += [u, u + gen(sig, 1) * 1e-13, 2 * u, -u]
+    want = [old_is_spin_e(g) for g in cases]
+    assert True in want and False in want
+    calls = []
+
+    def counting_norm_N(g):
+        calls.append(g)
+        return norm_N(g)
+
+    monkeypatch.setattr(groups_module, "norm_N", counting_norm_N)
+    for g, verdict in zip(cases, want):
+        calls.clear()
+        assert is_spin_e(g) is verdict
+        # N(g) only for even elements of the Clifford group, and once.
+        assert calls == ([g] if is_clifford_group(g) and not g.odd() else [])
+
+
+def old_random_bivector(sig, rng, scale=1.0):
+    """random_bivector as it tested each blade's square by a product; the oracle."""
+    terms = {}
+    one = Multivector.scalar(sig, 1.0)
+    for i in range(sig.n):
+        for j in range(i + 1, sig.n):
+            mask = (1 << i) | (1 << j)
+            b = Multivector.from_mask(sig, mask)
+            c = float(rng.uniform(-1.0, 1.0)) * scale
+            if geometric_product(b, b) == one:
+                c *= 0.5
+            terms[mask] = c
+    return Multivector(sig, terms)
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 1), (0, 4), (4, 0), (2, 3), (0, 6), (6, 0), (3, 4)], ids=str)
+def test_random_bivector_is_the_old_draw_bit_for_bit(pq):
+    sig = Signature(*pq)
+    for scale in (1.0, 0.3):
+        want = old_random_bivector(sig, np.random.default_rng(list(pq)), scale)
+        got = random_bivector(sig, np.random.default_rng(list(pq)), scale)
+        assert bits(got) == bits(want)
 
 
 def test_twisted_adjoint_kernel_sign():

@@ -878,11 +878,13 @@ def test_kernels_match_the_dict_loop_bit_for_bit(monkeypatch, p, q, complex_coef
         b = shuffled_operand(sig, local, int(local.integers(1, dim + 1)), complex_coeffs)
         for product, keep in PRODUCTS.items():
             want = ordered_bits(loop_product(a, b, keep))
-            key = (sig.p, sig.n, tuple(a._terms), tuple(b._terms), keep, not complex_coeffs)
-            # The first call compiles the pattern; the next two reuse its kernel.
+            key = (sig.p, sig.n, tuple(a._terms), tuple(b._terms), keep)
+            # The first call compiles a real pattern; the next two reuse its
+            # kernel.  Complex operands take the loop and compile nothing.
             for call in range(3):
                 assert ordered_bits(product(a, b)) == want, (product.__name__, call)
-                assert key in cache.kernels
+                assert (key in cache.kernels) is not complex_coeffs
+    assert (cache.kernels == {}) is complex_coeffs
     assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.kernels)
 
 
@@ -896,7 +898,7 @@ def test_kernel_cache_holds_to_its_pair_budget(monkeypatch):
         # Dense and near-dense operands in random key order: 150 new patterns
         # of up to 256 pairs each, many times what the budget holds.
         a = shuffled_operand(sig, local, int(local.integers(8, 17)), False)
-        b = shuffled_operand(sig, local, int(local.integers(8, 17)), True)
+        b = shuffled_operand(sig, local, int(local.integers(8, 17)), False)
         for product, keep in PRODUCTS.items():
             want = ordered_bits(loop_product(a, b, keep))
             for _ in range(2):
@@ -919,39 +921,21 @@ def test_products_above_four_dimensions_never_enter_the_kernel_cache(monkeypatch
     assert cache.kernels == {} and cache.pairs == 0
 
 
-def test_real_and_complex_operands_compile_distinct_kernels(monkeypatch):
+def test_complex_operands_compile_no_kernel_and_match_the_loop(monkeypatch):
     cache = mv_module._KernelCache()
     monkeypatch.setattr(mv_module, "_KERNELS", cache)
     local = np.random.default_rng(5)
-    a = shuffled_operand(SIG13, local, 6, False)
-    b = shuffled_operand(SIG13, local, 5, False)
-    # The same keys in the same order, with imaginary parts.
-    ai = Multivector(SIG13, {m: c + 0.5j for m, c in a._terms.items()})
-    bi = Multivector(SIG13, {m: c - 0.25j for m, c in b._terms.items()})
-    pattern = (SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms))
-    for x, y in ((a, b), (ai, b), (a, bi), (ai, bi)):
-        for product, keep in PRODUCTS.items():
-            assert ordered_bits(product(x, y)) == ordered_bits(loop_product(x, y, keep))
-    # One kernel per filter and realness: any complex operand takes the
-    # complex kernel, and each kernel is charged its 30 pairs.
-    want = {(*pattern, keep, real) for keep in PRODUCTS.values() for real in (True, False)}
-    assert set(cache.kernels) == want
-    assert cache.pairs == 8 * 30
-
-
-def test_kernel_budget_charges_each_realness_of_a_pattern(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
-    monkeypatch.setattr(mv_module, "_KERNEL_PAIR_BUDGET", 30)
-    local = np.random.default_rng(6)
-    a = shuffled_operand(SIG13, local, 6, False)
-    b = shuffled_operand(SIG13, local, 5, False)
-    ai = Multivector(SIG13, {m: c + 0.5j for m, c in a._terms.items()})
-    assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
-    # The real kernel spent the budget, so the complex pattern takes the loop.
-    assert ordered_bits(geometric_product(ai, b)) == ordered_bits(loop_product(ai, b, None))
-    assert list(cache.kernels) == [(SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms), None, True)]
-    assert cache.pairs == 30
+    for sig in (SIG13, SIG20, Signature(0, 1), Signature(4, 0), Signature(1, 2)):
+        a = shuffled_operand(sig, local, min(6, 1 << sig.n), False)
+        b = shuffled_operand(sig, local, min(5, 1 << sig.n), False)
+        # The same keys in the same order, with imaginary parts.
+        ai = Multivector(sig, {m: c + 0.5j for m, c in a._terms.items()})
+        bi = Multivector(sig, {m: c - 0.25j for m, c in b._terms.items()})
+        for x, y in ((ai, b), (a, bi), (ai, bi)):
+            for product, keep in PRODUCTS.items():
+                for _ in range(2):
+                    assert ordered_bits(product(x, y)) == ordered_bits(loop_product(x, y, keep))
+    assert cache.kernels == {} and cache.pairs == 0
 
 
 def test_real_kernels_report_overflow_as_the_loop_does(monkeypatch):
@@ -1127,6 +1111,59 @@ def test_dense_real_products_build_no_sign_rows():
     rows, grew_mib, rows_after = out.stdout.split()
     assert int(rows) == 0 and int(rows_after) == 0
     assert float(grew_mib) <= 32
+
+
+def test_kernels_and_plans_read_no_sign_rows_or_table(monkeypatch):
+    """Compiling reads each sign as the parity of mb & _sign_weight(p, ma):
+    no _reorder_sign row and no _sign_table."""
+    monkeypatch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
+    monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
+    local = np.random.default_rng(13)
+    _reorder_sign.cache_clear()
+    mv_module._sign_table.cache_clear()
+    for pq in ((1, 3), (0, 4), (2, 1), (4, 1), (3, 3), (4, 3)):
+        sig = Signature(*pq)
+        a = drawn_operand(sig, local, "dense", False)
+        b = drawn_operand(sig, local, "sparse" if sig.n > 5 else "dense", False)
+        for product, keep in PRODUCTS.items():
+            want = ordered_bits(loop_product(a, b, keep))
+            _reorder_sign.cache_clear()  # the loop oracle reads rows
+            assert ordered_bits(product(a, b)) == want
+            mv_module._generate_kernel(*plan_key(b, a, keep))
+            mv_module._build_plan(*plan_key(b, a, keep))
+            assert _reorder_sign.cache_info().currsize == 0
+    assert mv_module._KERNELS.kernels and mv_module._PLANS.plans
+    assert mv_module._sign_table.cache_info().currsize == 0
+
+
+def test_first_sparse_real_product_of_cl66_builds_no_sign_table():
+    # A fresh interpreter: the first real Cl(6,6) product of 16 x 16 terms
+    # takes a plan, which reads signs from weight masks, not from the 16 MiB
+    # int8 table of the signature.
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "import cliffspin as cs\n"
+        "from cliffspin.multivector import _reorder_sign, _sign_table\n"
+        "local = np.random.default_rng(0)\n"
+        "sig = cs.Signature(6, 6)\n"
+        "def sparse():\n"
+        "    masks = local.permutation(1 << sig.n)[:16].tolist()\n"
+        "    return cs.Multivector(sig, dict(zip(masks, local.uniform(-1, 1, 16).tolist())))\n"
+        "a, b = sparse(), sparse()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "cs.geometric_product(a, b)\n"
+        "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(_sign_table.cache_info().currsize, _reorder_sign.cache_info().currsize, grew / 1024)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    tables, rows, grew_mib = out.stdout.split()
+    assert int(tables) == 0 and int(rows) == 0
+    assert float(grew_mib) < 4
 
 
 def test_inverse_fast_path_test_is_relative_to_scale(monkeypatch):

@@ -938,6 +938,47 @@ def test_complex_operands_compile_no_kernel_and_match_the_loop(monkeypatch):
     assert cache.kernels == {} and cache.pairs == 0
 
 
+def test_real_and_complex_operands_compile_distinct_kernels(monkeypatch):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    local = np.random.default_rng(5)
+    a = shuffled_operand(SIG13, local, 6, False)
+    b = shuffled_operand(SIG13, local, 5, False)
+    # The same keys in the same order, with imaginary parts.
+    ai = Multivector(SIG13, {m: c + 0.5j for m, c in a._terms.items()})
+    bi = Multivector(SIG13, {m: c - 0.25j for m, c in b._terms.items()})
+    pattern = (SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms))
+    for x, y in ((a, b), (ai, b), (a, bi), (ai, bi)):
+        for product, keep in PRODUCTS.items():
+            assert ordered_bits(product(x, y)) == ordered_bits(loop_product(x, y, keep))
+    # One kernel per filter, compiled by the real operands alone: a complex
+    # operand of the same pattern is not served by the real kernel (which
+    # would drop its imaginary parts) but takes the loop, and each kernel
+    # is charged its 30 pairs.
+    want = {(*pattern, keep) for keep in PRODUCTS.values()}
+    assert set(cache.kernels) == want
+    assert cache.pairs == 4 * 30
+
+
+def test_kernel_budget_charges_each_realness_of_a_pattern(monkeypatch):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    monkeypatch.setattr(mv_module, "_KERNEL_PAIR_BUDGET", 30)
+    local = np.random.default_rng(6)
+    a = shuffled_operand(SIG13, local, 6, False)
+    b = shuffled_operand(SIG13, local, 5, False)
+    ai = Multivector(SIG13, {m: c + 0.5j for m, c in a._terms.items()})
+    # The complex pattern takes the loop and is charged nothing, so the
+    # real kernel after it still finds the whole budget.
+    assert ordered_bits(geometric_product(ai, b)) == ordered_bits(loop_product(ai, b, None))
+    assert cache.kernels == {} and cache.pairs == 0
+    assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
+    # The real kernel spent the budget; the complex pattern still takes the loop.
+    assert ordered_bits(geometric_product(ai, b)) == ordered_bits(loop_product(ai, b, None))
+    assert list(cache.kernels) == [(SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms), None)]
+    assert cache.pairs == 30
+
+
 def test_real_kernels_report_overflow_as_the_loop_does(monkeypatch):
     monkeypatch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
     big = Multivector(SIG13, {1: 1e200, 2: -3e200, 6: 2e200})

@@ -6,15 +6,14 @@ of Minkowski spacetime (natural units, metric +---):
   matrix form:     gamma^mu (i d_mu + q A_mu) Psi - m Psi = 0
 
 with D = gamma^mu d_mu built from the coordinate coframe.  Plane-wave fields
-carry analytic derivatives.
+carry analytic derivatives: D psi = V (psi B) with one vector V per field.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,12 +60,13 @@ _COORDINATE_COFRAME = tuple(
 @dataclass(frozen=True)
 class PlaneWaveDHSF:
     """psi(x) = psi0 * exp(-energy_sign * B * (p.x)) with B the frame's
-    g2 g1 phase bivector (B^2 = -1).
+    g2 g1 phase bivector (B^2 = -1), so d_mu psi = c_mu psi B with
+    c_mu = -s eta_mu p^mu, and D psi = V (psi B) with V = sum_mu c_mu gamma^mu.
 
     The fields are frozen, so what depends on them alone is computed on
-    first use and kept with the field: ``phase_bivector`` B and
-    ``projector``, the ideal-form projector e e' of the frame.  A field made
-    by ``dataclasses.replace`` or a gauge map computes its own."""
+    first use and kept with the field: ``phase_bivector`` B, ``projector``
+    e e' of the ideal form and ``dirac_vector`` V on the coordinate coframe.
+    A field made by ``dataclasses.replace`` or a gauge map computes its own."""
 
     frame: SpinorialFrame
     psi0: Multivector
@@ -95,6 +95,17 @@ class PlaneWaveDHSF:
         """asf_projector(frame), the e e' of the ideal form."""
         return asf_projector(self.frame)
 
+    @cached_property
+    def dirac_vector(self) -> Multivector:
+        """V = sum_mu c_mu gamma^mu on the coordinate coframe."""
+        return self._vector_on(_COORDINATE_COFRAME)
+
+    def _coefficients(self) -> list[float]:
+        return [-self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) for mu in range(4)]
+
+    def _vector_on(self, coframe: Sequence[Multivector]) -> Multivector:
+        return sum((c * g for c, g in zip(self._coefficients(), coframe)), Multivector.zero(SIG13))
+
     def phase_at(self, x: Sequence[float]) -> float:
         """p.x = sum of eta_mu p^mu x^mu, summed over p's terms in their
         order and over nonzero x^mu only, from 0.0: the real part of
@@ -118,25 +129,10 @@ class PlaneWaveDHSF:
         return geometric_product(self.psi0, rot)
 
     def partials(self, x: Sequence[float]) -> list[Multivector]:
-        """[d_0 psi, ..., d_3 psi] at x: d_mu psi = -s p_mu psi(x) B, with
+        """[d_0 psi, ..., d_3 psi] at x: d_mu psi = c_mu psi(x) B, with
         psi(x) B built once for all four indices."""
-        return self._partials_of(self.evaluate(x))
-
-    def _partials_of(self, psi: Multivector) -> list[Multivector]:
-        psi_b = geometric_product(psi, self.phase_bivector)
-        return [
-            -self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) * psi_b
-            for mu in range(4)
-        ]
-
-
-def _apply_coframe(
-    coframe: Sequence[Multivector] | None, partials: list[Multivector]
-) -> Multivector:
-    if coframe is not None and len(coframe) != 4:
-        raise DiracError(f"coframe needs 4 vectors, got {len(coframe)}")
-    gammas = _COORDINATE_COFRAME if coframe is None else coframe
-    return reduce(operator.add, (geometric_product(g, d) for g, d in zip(gammas, partials)))
+        psi_b = geometric_product(self.evaluate(x), self.phase_bivector)
+        return [c * psi_b for c in self._coefficients()]
 
 
 def spin_dirac_apply(
@@ -144,9 +140,12 @@ def spin_dirac_apply(
     x: Sequence[float],
     coframe: Sequence[Multivector] | None = None,
 ) -> Multivector:
-    """Analytic D psi = gamma^mu d_mu psi at x, with the coordinate coframe
-    gamma^mu unless another coframe is given."""
-    return _apply_coframe(coframe, field.partials(x))
+    """Analytic D psi = gamma^mu d_mu psi = V (psi B) at x, V = sum_mu c_mu gamma^mu
+    on the coordinate coframe (dirac_vector) unless another coframe is given."""
+    if coframe is not None and len(coframe) != 4:
+        raise DiracError(f"coframe needs 4 vectors, got {len(coframe)}")
+    v = field.dirac_vector if coframe is None else field._vector_on(coframe)
+    return geometric_product(v, geometric_product(field.evaluate(x), field.phase_bivector))
 
 
 def dhe_residual(
@@ -157,16 +156,15 @@ def dhe_residual(
     left_rotor: Rotor | None = None,
 ) -> Multivector:
     """D psi g2 g1 - m psi g0 + q A psi at x, with the frame's own g2 g1 and
-    g0.  With left_rotor=s the derivative operator uses the transformed
-    coframe s gamma^mu s^{-1} (active left gauge)."""
+    g0 and D psi = V (psi B).  With left_rotor=s the coframe is transported to
+    s gamma^mu s^{-1} (active left gauge), so V becomes s V s^{-1}."""
     psi = field.evaluate(x)
-    coframe = None
-    if left_rotor is not None:
-        s, sinv = left_rotor.u, left_rotor.inverse_mv()
-        coframe = [geometric_product(geometric_product(s, g), sinv) for g in _COORDINATE_COFRAME]
-    dpsi = _apply_coframe(coframe, field._partials_of(psi))
-    g0 = gamma_lower(field.frame, 0)
     g21 = field.phase_bivector
+    v = field.dirac_vector
+    if left_rotor is not None:
+        v = geometric_product(geometric_product(left_rotor.u, v), left_rotor.inverse_mv())
+    dpsi = geometric_product(v, geometric_product(psi, g21))
+    g0 = gamma_lower(field.frame, 0)
     res = geometric_product(dpsi, g21) - m * geometric_product(psi, g0)
     if pot is not None and pot.q_charge != 0.0:
         res = res + pot.q_charge * geometric_product(pot.A, psi)
@@ -242,7 +240,8 @@ def asf_residual(
     proj = field.projector
     psi = field.evaluate(x)
     phi = geometric_product(psi, proj)
-    dphi = _apply_coframe(None, [geometric_product(d, proj) for d in field._partials_of(psi)])
+    dpsi = geometric_product(field.dirac_vector, geometric_product(psi, field.phase_bivector))
+    dphi = geometric_product(dpsi, proj)
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:
         res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), gamma5())
@@ -255,7 +254,7 @@ def asf_residual(
 def matrix_column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> np.ndarray:
     """Column spinor Psi(x): project the fiducial-frame representative with
     the standard spin idempotent and take the first column."""
-    psi_fid = geometric_product(field.evaluate(x), field.frame.u.inverse_mv())
+    psi_fid = geometric_product(field.evaluate(x), field.frame.rotor_inverse)
     return matrix_of(psi_fid)[:, 0].copy()
 
 

@@ -12,7 +12,7 @@ about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -30,6 +30,10 @@ from .multivector import (
     scalar_product,
 )
 
+# An absolute bound on |u reversion(u) - 1|, unlike the checks that scale with
+# their inputs: rotors are not scale-free.  u reversion(u) = 1 is not
+# homogeneous in u (10^k u is no rotor for k != 0), so there is no input scale
+# to divide by; the residual is measured against the unit 1.
 ROTOR_TOL = 1e-10
 
 
@@ -141,6 +145,11 @@ class SpinorialFrame:
     @property
     def signature(self) -> Signature:
         return self.u.signature
+
+    @cached_property
+    def rotor_inverse(self) -> Multivector:
+        """u^{-1}, computed on first use and kept with the frame."""
+        return self.u.inverse_mv()
 
 
 def spinorial_frame_of(u: Rotor) -> SpinorialFrame:

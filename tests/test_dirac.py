@@ -21,6 +21,7 @@ from cliffspin import (
     left_gauge,
     matrix_column_at,
     matrix_dirac_residual,
+    matrix_of,
     planewave_solution,
     random_rotor,
     right_gauge,
@@ -326,11 +327,16 @@ def test_gauge_requires_connected_group():
         right_gauge(field, Rotor(2.0 * Multivector.scalar(SIG13, 1.0)))
 
 
-# -- one psi(x) B per point: exact agreement with a per-index reference -------------------
+# -- D psi = V (psi B): agreement with a four-product reference ---------------------------
 #
-# The reference rebuilds psi(x) and psi(x) B once per derivative index mu, as the
-# residuals did before partials(x) shared one psi(x) B.  The shared form computes
-# the same floating-point expressions, so every coefficient must be equal.
+# The reference rebuilds psi(x) and psi(x) B once per derivative index mu and sums
+# gamma^mu d_mu psi over four products, as the residuals did before they used one
+# vector V per field.  partials(x) computes the same floating-point expressions, so
+# its coefficients must be equal.  The residuals sum the same terms in another
+# order, so they agree within REL_BOUND * max(1, |reference|), 64 machine epsilons
+# of a double; the worst seen over 20 points on each system below was 1.9e-15.
+
+REL_BOUND = 64 * np.finfo(float).eps
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 
@@ -397,20 +403,54 @@ def exactness_systems():
     return out
 
 
+def assert_close(got, ref):
+    assert (got - ref).max_abs() <= REL_BOUND * max(1.0, ref.max_abs())
+
+
+def transported_coframe(s):
+    sinv = s.inverse_mv()
+    return [geometric_product(geometric_product(s.u, g), sinv) for g in coordinate_coframe()]
+
+
 @pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
 def test_shared_partials_match_per_index_reference_exactly(label, field, pot, left_rotor):
     local = np.random.default_rng(7)
-    m = field.m * 1.05  # off shell, so the residuals carry nonzero digits
     for _ in range(3):
         x = [float(v) for v in local.uniform(-5, 5, size=4)]
         assert field.partials(x) == [reference_partial(field, mu, x) for mu in range(4)]
-        assert spin_dirac_apply(field, x) == reference_dirac(field, x, coordinate_coframe())
-        assert dhe_residual(field, pot, m, x) == reference_dhe(field, pot, m, x)
-        assert dhe_residual(field, pot, m, x, left_rotor=left_rotor) == reference_dhe(
-            field, pot, m, x, left_rotor
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_linear_residuals_match_four_product_reference(label, field, pot, left_rotor):
+    local = np.random.default_rng(7)
+    m = field.m * 1.05  # off shell, so the residuals carry nonzero digits
+    for _ in range(20):
+        x = [float(v) for v in local.uniform(-5, 5, size=4)]
+        assert_close(spin_dirac_apply(field, x), reference_dirac(field, x, coordinate_coframe()))
+        assert_close(dhe_residual(field, pot, m, x), reference_dhe(field, pot, m, x))
+        assert_close(
+            dhe_residual(field, pot, m, x, left_rotor=left_rotor),
+            reference_dhe(field, pot, m, x, left_rotor),
         )
-        assert asf_residual(field, pot, m, x) == reference_asf(field, pot, m, x)
+        assert_close(asf_residual(field, pot, m, x), reference_asf(field, pot, m, x))
         assert not dhe_residual(field, pot, m, x).is_zero()
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_spin_dirac_apply_on_transported_coframe(label, field, pot, left_rotor):
+    s = left_rotor if left_rotor is not None else random_rotor(SIG13, np.random.default_rng(5))
+    coframe = transported_coframe(s)
+    local = np.random.default_rng(11)
+    for _ in range(5):
+        x = [float(v) for v in local.uniform(-5, 5, size=4)]
+        dpsi = spin_dirac_apply(field, x, coframe)
+        assert_close(dpsi, reference_dirac(field, x, coframe))
+        # At m = 0 with no potential, dhe_residual(..., left_rotor=s) is
+        # (D psi) g2 g1 with its own D psi = (s V s^{-1})(psi B).
+        inside = dhe_residual(field, None, 0.0, x, left_rotor=s)
+        assert_close(geometric_product(dpsi, field.phase_bivector), inside)
+    with pytest.raises(DiracError, match="coframe needs 4 vectors"):
+        spin_dirac_apply(field, x, coframe[:3])
 
 
 @pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
@@ -444,6 +484,18 @@ def test_spin_dirac_apply_coframe_argument():
     for coframe in ([], coordinate_coframe()[:3], coordinate_coframe() + [gen(1)]):
         with pytest.raises(DiracError, match="coframe needs 4 vectors"):
             spin_dirac_apply(field, x, coframe)
+
+
+def test_matrix_column_reads_the_frames_cached_rotor_inverse():
+    field = right_gauge(planewave_solution(1.1, (0.2, 0.3, -0.4)), random_rotor(SIG13, rng))
+    x = [0.5, -1.0, 2.0, 0.25]
+    frame = field.frame
+    expected = matrix_of(geometric_product(field.evaluate(x), frame.u.inverse_mv()))[:, 0]
+    assert np.array_equal(matrix_column_at(field, x), expected)
+    assert frame.rotor_inverse is frame.rotor_inverse
+    assert frame.rotor_inverse == frame.u.inverse_mv()
+    # Fields in one frame share its inverse.
+    assert planewave_solution(0.7, (0.0, 0.1, 0.0)).frame.rotor_inverse is FID.rotor_inverse
 
 
 def test_momentum_from_another_algebra_is_rejected():

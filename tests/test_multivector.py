@@ -707,11 +707,13 @@ def test_left_mult_matrix_matches_product_exactly():
 
 
 def test_sign_cache_holds_one_row_per_left_blade():
+    # Only the loop reads rows, and complex operands take the loop at every n
+    # (a dense real product here takes a plan and reads none).
     sig = Signature(3, 3)
     dense = Multivector(sig, {m: 1.0 + m % 3 for m in range(1 << sig.n)})
     _reorder_sign.cache_clear()
-    geometric_product(dense, dense)
-    assert _reorder_sign.cache_info().currsize <= 1 << sig.n
+    geometric_product(1j * dense, dense)
+    assert 0 < _reorder_sign.cache_info().currsize <= 1 << sig.n
 
 
 def test_idempotent_not_invertible():

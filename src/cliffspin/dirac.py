@@ -7,13 +7,15 @@ of Minkowski spacetime (natural units, metric +---):
 
 with D = gamma^mu d_mu built from the coordinate coframe.  Plane-wave fields
 carry analytic derivatives: D psi = V (psi B) with one vector V per field.
+The three residuals at one point share psi(x), psi B and D psi, and the
+matrix form applies each gamma matrix as a signed permutation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .groups import (
     is_spin_e,
     rotor_between,
 )
-from .matrixrep import matrix_of, standard_gammas
+from .matrixrep import _blade_columns, _first_column
 from .multivector import Multivector, Signature, SignatureMismatchError, geometric_product
 from .spinors import SIG13, gamma5, gamma_lower, gamma_upper
 
@@ -66,7 +68,12 @@ class PlaneWaveDHSF:
     The fields are frozen, so what depends on them alone is computed on
     first use and kept with the field: ``phase_bivector`` B, ``projector``
     e e' of the ideal form and ``dirac_vector`` V on the coordinate coframe.
-    A field made by ``dataclasses.replace`` or a gauge map computes its own."""
+    A field made by ``dataclasses.replace`` or a gauge map computes its own.
+
+    ``evaluate`` computes psi(x) afresh on every call.  The residuals and
+    ``partials`` read psi(x), psi B and D psi from one module-level slot
+    that keeps them for the most recent (field, x), so the three forms
+    evaluated in turn at one point compute them once."""
 
     frame: SpinorialFrame
     psi0: Multivector
@@ -131,8 +138,33 @@ class PlaneWaveDHSF:
     def partials(self, x: Sequence[float]) -> list[Multivector]:
         """[d_0 psi, ..., d_3 psi] at x: d_mu psi = c_mu psi(x) B, with
         psi(x) B built once for all four indices."""
-        psi_b = geometric_product(self.evaluate(x), self.phase_bivector)
+        psi_b = _point(self, x)[1]
         return [c * psi_b for c in self._coefficients()]
+
+
+# The most recent (field, xs, (psi, psi B, D psi)) that _point computed.  It
+# is written as one tuple and read once, so a concurrent caller can at worst
+# compute a point again; it keeps one field alive, not one point per field.
+_last_point: tuple | None = None
+
+
+def _point(
+    field: PlaneWaveDHSF, x: Sequence[float]
+) -> tuple[Multivector, Multivector, Multivector]:
+    """(psi(x), psi(x) B, V (psi(x) B)) for the field at x.  A call with the
+    same field object and equal coordinates as the one before returns what
+    that call computed.  A non-finite coordinate raises in evaluate before
+    anything is kept, so it raises on every call."""
+    global _last_point
+    xs = tuple(float(x[mu]) for mu in range(4))
+    last = _last_point
+    if last is not None and last[0] is field and last[1] == xs:
+        return last[2]
+    psi = field.evaluate(xs)
+    psi_b = geometric_product(psi, field.phase_bivector)
+    point = (psi, psi_b, geometric_product(field.dirac_vector, psi_b))
+    _last_point = (field, xs, point)
+    return point
 
 
 def spin_dirac_apply(
@@ -144,8 +176,8 @@ def spin_dirac_apply(
     on the coordinate coframe (dirac_vector) unless another coframe is given."""
     if coframe is not None and len(coframe) != 4:
         raise DiracError(f"coframe needs 4 vectors, got {len(coframe)}")
-    v = field.dirac_vector if coframe is None else field._vector_on(coframe)
-    return geometric_product(v, geometric_product(field.evaluate(x), field.phase_bivector))
+    _, psi_b, dpsi = _point(field, x)
+    return dpsi if coframe is None else geometric_product(field._vector_on(coframe), psi_b)
 
 
 def dhe_residual(
@@ -158,12 +190,11 @@ def dhe_residual(
     """D psi g2 g1 - m psi g0 + q A psi at x, with the frame's own g2 g1 and
     g0 and D psi = V (psi B).  With left_rotor=s the coframe is transported to
     s gamma^mu s^{-1} (active left gauge), so V becomes s V s^{-1}."""
-    psi = field.evaluate(x)
+    psi, psi_b, dpsi = _point(field, x)
     g21 = field.phase_bivector
-    v = field.dirac_vector
     if left_rotor is not None:
-        v = geometric_product(geometric_product(left_rotor.u, v), left_rotor.inverse_mv())
-    dpsi = geometric_product(v, geometric_product(psi, g21))
+        v = geometric_product(left_rotor.u, field.dirac_vector)
+        dpsi = geometric_product(geometric_product(v, left_rotor.inverse_mv()), psi_b)
     g0 = gamma_lower(field.frame, 0)
     res = geometric_product(dpsi, g21) - m * geometric_product(psi, g0)
     if pot is not None and pot.q_charge != 0.0:
@@ -238,9 +269,8 @@ def asf_residual(
     the mass term and the charge term both carry the right factor g5.
     """
     proj = field.projector
-    psi = field.evaluate(x)
+    psi, _, dpsi = _point(field, x)
     phi = geometric_product(psi, proj)
-    dpsi = geometric_product(field.dirac_vector, geometric_product(psi, field.phase_bivector))
     dphi = geometric_product(dpsi, proj)
     res = dphi - m * geometric_product(phi, gamma5())
     if pot is not None and pot.q_charge != 0.0:
@@ -251,11 +281,24 @@ def asf_residual(
 # -- matrix form ------------------------------------------------------------------
 
 
+def _column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> list[complex]:
+    return _first_column(geometric_product(_point(field, x)[0], field.frame.rotor_inverse))
+
+
 def matrix_column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> np.ndarray:
-    """Column spinor Psi(x): project the fiducial-frame representative with
-    the standard spin idempotent and take the first column."""
-    psi_fid = geometric_product(field.evaluate(x), field.frame.rotor_inverse)
-    return matrix_of(psi_fid)[:, 0].copy()
+    """Column spinor Psi(x): the first column of matrix_of(psi(x) u^-1), the
+    fiducial-frame representative projected with the standard spin
+    idempotent, summed from the blade table without building the matrix."""
+    return np.array(_column_at(field, x), dtype=complex)
+
+
+@lru_cache(maxsize=1)
+def _upper_gammas() -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """gamma^mu as (row, entry) per column: gamma^0 = gamma_0, gamma^i = -gamma_i."""
+    return tuple(
+        tuple((row, e if mu == 0 else -e) for row, e in _blade_columns()[1 << mu])
+        for mu in range(4)
+    )
 
 
 def matrix_dirac_residual(
@@ -264,21 +307,24 @@ def matrix_dirac_residual(
     m: float,
     x: Sequence[float],
 ) -> np.ndarray:
-    """gamma^mu (i d_mu + q A_mu) Psi - m Psi with analytic d_mu Psi."""
-    rep = standard_gammas()
-    col = matrix_column_at(field, x)
-    res = -m * col
+    """gamma^mu (i d_mu + q A_mu) Psi - m Psi with analytic d_mu Psi.  Each
+    gamma^mu has one entry, +-1 or +-i, per column, so it acts on the column
+    as a signed permutation of Python complex numbers.  Each component is
+    summed in the order of the array form res + gamma^mu @ term, so the
+    result equals that form bit for bit (tests/matrix_oracle.py)."""
+    col = _column_at(field, x)
+    res = [-m * c for c in col]
     q = pot.q_charge if pot is not None else 0.0
-    for mu in range(4):
-        g_upper = rep.gammas[mu] if mu == 0 else -rep.gammas[mu]
+    for mu, gamma in enumerate(_upper_gammas()):
         p_lower = ETA[mu] * field.p.coeff(1 << mu).real
-        d_mu = -1j * field.energy_sign * p_lower * col
-        term = 1j * d_mu
+        k = -1j * field.energy_sign * p_lower
+        term = [1j * (k * c) for c in col]
         if q != 0.0 and pot is not None:
-            a_lower = ETA[mu] * pot.A.coeff(1 << mu).real
-            term = term + q * a_lower * col
-        res = res + g_upper @ term
-    return res
+            qa = q * (ETA[mu] * pot.A.coeff(1 << mu).real)
+            term = [t + qa * c for t, c in zip(term, col)]
+        for (row, e), t in zip(gamma, term):
+            res[row] += e * t
+    return np.array(res, dtype=complex)
 
 
 # -- gauge transformations ----------------------------------------------------------
@@ -293,11 +339,11 @@ def right_gauge(field: PlaneWaveDHSF, s: Rotor) -> PlaneWaveDHSF:
     """psi -> psi s^{-1} with the frame relabeled to (u s^{-1}, s b s^{-1});
     the equation is form-invariant and the residual maps to residual * s^{-1}."""
     _require_spin_e(s)
-    sinv_rotor = Rotor(s.inverse_mv())
-    new_frame = frame_right_action(sinv_rotor, field.frame)
+    sinv = s.inverse_mv()
+    new_frame = frame_right_action(Rotor(sinv), field.frame)
     return PlaneWaveDHSF(
         frame=new_frame,
-        psi0=geometric_product(field.psi0, s.inverse_mv()),
+        psi0=geometric_product(field.psi0, sinv),
         p=field.p,
         m=field.m,
         energy_sign=field.energy_sign,

@@ -7,7 +7,8 @@ The ideal is that of f = (1 + E_0)/2 (1 + i E_1 E_2)/2 in Cl(4,1), with the
 spin basis f_1 = f, f_2 = -E_1 E_3 f, f_3 = E_3 E_0 f, f_4 = E_1 E_0 f.  On
 it the four generators E_mu act by the standard Dirac matrices, which have
 exact +-1 and +-i entries; the matrix of every other blade is the ordered
-product of generator matrices."""
+product of generator matrices.  Every such matrix has one entry per column,
+so matrix_of applies them as signed permutations."""
 
 from __future__ import annotations
 
@@ -97,16 +98,40 @@ def _blade_matrices() -> dict[int, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=1)
+def _blade_columns() -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """_blade_matrices() as signed permutations: per mask, the (row, entry)
+    of the one nonzero entry, +-1 or +-i, in each column."""
+    table = []
+    for M in _blade_matrices().values():
+        rows = [int(np.flatnonzero(M[:, j])[0]) for j in range(4)]
+        table.append(tuple((row, complex(M[row, j])) for j, row in enumerate(rows)))
+    return tuple(table)
+
+
+def _first_column(x: Multivector) -> list[complex]:
+    """Column 0 of matrix_of(x) as four complex sums, in term order from 0j."""
+    columns = _blade_columns()
+    col = [0j] * 4
+    for mask, c in x._terms.items():
+        row, e = columns[mask][0]
+        col[row] += c * e
+    return col
+
+
 def matrix_of(x: Multivector) -> np.ndarray:
     """Representation of Cl(1,3) (real or complexified) on the spin basis of
-    the ideal: a 4x4 complex matrix; an algebra homomorphism."""
+    the ideal: a 4x4 complex matrix; an algebra homomorphism.  Each entry is
+    the sum over x's terms, in their order from 0j, of c times the blade
+    matrix entry: each blade matrix has one entry, +-1 or +-i, per column."""
     if x.signature != SIG13:
         raise RepresentationError("matrix_of expects a Cl(1,3) element")
-    tables = _blade_matrices()
-    M = np.zeros((4, 4), dtype=complex)
-    for mask, c in x.terms.items():
-        M = M + c * tables[mask]
-    return M
+    columns = _blade_columns()
+    M = [[0j] * 4 for _ in range(4)]
+    for mask, c in x._terms.items():
+        for j, (row, e) in enumerate(columns[mask]):
+            M[row][j] += c * e
+    return np.array(M, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -192,6 +217,6 @@ def cds_equivalent(
     column_b = S(u_b^{-1} u_a) column_a."""
     frame_a, col_a = a
     frame_b, col_b = b
-    shift = geometric_product(frame_b.u.inverse_mv(), frame_a.u.u)
+    shift = geometric_product(frame_b.rotor_inverse, frame_a.u.u)
     S = matrix_of(shift)
     return bool(np.max(np.abs(np.asarray(col_b) - S @ np.asarray(col_a))) <= tol)

@@ -129,7 +129,7 @@ def change_frame(s: "DHSRep | ASRep", target: SpinorialFrame):
     """New representative psi' = psi u^{-1} u' for a target frame (u', b')."""
     if target.signature != s.frame.signature:
         raise SpinorValueError("frames of different signature")
-    shift = geometric_product(s.frame.u.inverse_mv(), target.u.u)
+    shift = geometric_product(s.frame.rotor_inverse, target.u.u)
     if isinstance(s, DHSRep):
         return DHSRep(target, geometric_product(s.psi, shift))
     return ASRep(target, geometric_product(s.element, shift))

@@ -30,10 +30,12 @@ from cliffspin import (
     spinorial_frame_of,
     zero_potential,
 )
+from cliffspin import dirac, multivector
 from cliffspin.dirac import DiracError, asf_projector
 from cliffspin.multivector import SignatureMismatchError
 from cliffspin.spinors import DHSRep, gamma5, gamma_lower
 from finite_difference import spin_dirac_apply_fd
+from matrix_oracle import numpy_matrix_column_at, numpy_matrix_dirac_residual
 
 rng = np.random.default_rng(4)
 
@@ -453,8 +455,29 @@ def test_spin_dirac_apply_on_transported_coframe(label, field, pot, left_rotor):
         spin_dirac_apply(field, x, coframe[:3])
 
 
-@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
-def test_each_residual_evaluates_psi_once(label, field, pot, left_rotor, monkeypatch):
+# -- one point, three forms: psi(x), psi B and D psi are computed once per (field, x) ----
+
+
+def clear_point():
+    dirac._last_point = None
+
+
+def fresh(residual, *args, **kwargs):
+    """residual(*args, **kwargs) with nothing kept from an earlier point."""
+    clear_point()
+    return residual(*args, **kwargs)
+
+
+THREE_FORMS = (dhe_residual, asf_residual, matrix_dirac_residual)
+
+
+def outputs_bits(*outs):
+    return [out.tobytes() if isinstance(out, np.ndarray) else bits(out) for out in outs]
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The x of every PlaneWaveDHSF.evaluate call from here on."""
     calls = []
     evaluate = PlaneWaveDHSF.evaluate
 
@@ -463,15 +486,160 @@ def test_each_residual_evaluates_psi_once(label, field, pot, left_rotor, monkeyp
         return evaluate(self, x)
 
     monkeypatch.setattr(PlaneWaveDHSF, "evaluate", counting_evaluate)
+    return calls
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_three_forms_at_one_point_evaluate_psi_once(label, field, pot, left_rotor, evaluations):
     x = [0.3, -1.2, 2.5, 0.7]
+    clear_point()
     for residual in (
         lambda: dhe_residual(field, pot, field.m, x),
         lambda: dhe_residual(field, pot, field.m, x, left_rotor=left_rotor),
         lambda: asf_residual(field, pot, field.m, x),
+        lambda: matrix_dirac_residual(field, pot, field.m, x),
+        lambda: matrix_column_at(field, x),
+        lambda: spin_dirac_apply(field, x),
+        lambda: field.partials(x),
     ):
-        calls.clear()
+        before = len(evaluations)
         residual()
-        assert len(calls) == 1
+        assert len(evaluations) - before <= 1
+    assert len(evaluations) == 1
+
+
+def test_three_forms_at_one_point_take_at_most_nine_products(monkeypatch):
+    field = planewave_solution(1.3, (0.4, -0.7, 0.2))
+    x = [0.3, -1.2, 2.5, 0.7]
+    # The per-field values (B, e e', V) are built at a first point.
+    for residual in THREE_FORMS:
+        residual(field, None, field.m, [1.0, 2.0, 3.0, 4.0])
+    calls = []
+    product = multivector._product
+
+    def counting_product(a, b, keep=None):
+        calls.append(keep)
+        return product(a, b, keep)
+
+    monkeypatch.setattr(multivector, "_product", counting_product)
+    for residual in THREE_FORMS:
+        residual(field, None, field.m, x)
+    # psi(x), psi B and D psi (3), the operator form (2), the ideal form (3)
+    # and psi u^-1 for the column (1); 13 when each form evaluated psi itself.
+    assert len(calls) <= 9
+
+
+def test_point_slot_misses_for_another_field_with_the_same_amplitude():
+    field = planewave_solution(1.3, (0.4, -0.7, 0.2))
+    other = dataclasses.replace(field, p=1.5 * field.p)
+    same = dataclasses.replace(field)
+    x = [0.3, -1.2, 2.5, 0.7]
+    for fld in (other, same):
+        want = [fresh(r, fld, None, field.m, x) for r in THREE_FORMS]
+        clear_point()
+        dhe_residual(field, None, field.m, x)
+        got = [r(fld, None, field.m, x) for r in THREE_FORMS]
+        assert outputs_bits(*got) == outputs_bits(*want)
+        assert dirac._last_point[0] is fld
+    assert outputs_bits(dhe_residual(other, None, field.m, x)) != outputs_bits(
+        fresh(dhe_residual, field, None, field.m, x)
+    )
+
+
+def test_point_slot_misses_at_another_point(evaluations):
+    field = planewave_solution(1.3, (0.4, -0.7, 0.2))
+    x, y = [0.3, -1.2, 2.5, 0.7], [0.3, -1.2, 2.5, 0.75]
+    want = [fresh(r, field, None, field.m, y) for r in THREE_FORMS]
+    clear_point()
+    dhe_residual(field, None, field.m, x)
+    del evaluations[:]
+    got = [r(field, None, field.m, y) for r in THREE_FORMS]
+    assert outputs_bits(*got) == outputs_bits(*want)
+    assert evaluations == [tuple(y)]
+
+
+def test_point_slot_hits_an_equal_point_in_any_sequence_type(evaluations):
+    field = planewave_solution(1.3, (0.4, -0.7, 0.2))
+    x = [0.3, -1.2, 2.5, 0.0]
+    want = [fresh(r, field, None, field.m, x) for r in THREE_FORMS]
+    del evaluations[:]
+    # p.x skips zero coordinates, so -0.0 gives psi(x) to the bit.
+    for point in (list(x), tuple(x), np.array(x), [0.3, -1.2, 2.5, -0.0]):
+        got = [r(field, None, field.m, point) for r in THREE_FORMS]
+        assert outputs_bits(*got) == outputs_bits(*want)
+    assert evaluations == []
+
+
+def test_nan_coordinate_raises_on_every_call():
+    field = planewave_solution(1.3, (0.4, -0.7, 0.2))
+    x = [0.3, -1.2, 2.5, 0.7]
+    want = fresh(dhe_residual, field, None, field.m, x)
+    bad = [0.3, float("nan"), 2.5, 0.7]
+    for _ in range(3):
+        for call in (
+            lambda: dhe_residual(field, None, field.m, bad),
+            lambda: asf_residual(field, None, field.m, bad),
+            lambda: matrix_dirac_residual(field, None, field.m, bad),
+            lambda: spin_dirac_apply(field, bad),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+    # The point before the NaN is still the one kept.
+    assert dirac._last_point[0] is field and dirac._last_point[1] == tuple(x)
+    assert bits(dhe_residual(field, None, field.m, x)) == bits(want)
+
+
+def test_left_gauge_sequence_gives_the_values_of_fresh_points():
+    pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7)
+    s = random_rotor(SIG13, np.random.default_rng(31))
+    local = np.random.default_rng(32)
+    for sign in (1, -1):
+        base = planewave_solution(0.8, (-0.3, 0.1, 0.6), sign=sign, pot=pot)
+        gauged = left_gauge(base, s, pot)
+        for m in (base.m, 1.02 * base.m):
+            x = [float(v) for v in local.uniform(-5, 5, size=4)]
+            want = (
+                fresh(dhe_residual, gauged.field, gauged.pot, m, x, left_rotor=s),
+                fresh(asf_residual, base, pot, m, x),
+                fresh(matrix_dirac_residual, base, pot, m, x),
+            )
+            clear_point()
+            got = (
+                dhe_residual(gauged.field, gauged.pot, m, x, left_rotor=s),
+                asf_residual(base, pot, m, x),
+                matrix_dirac_residual(base, pot, m, x),
+            )
+            assert outputs_bits(*got) == outputs_bits(*want)
+            assert got[2].tobytes() == numpy_matrix_dirac_residual(base, pot, m, x).tobytes()
+            assert_close(got[0], reference_dhe(gauged.field, gauged.pot, m, x, s))
+            assert_close(got[1], reference_asf(base, pot, m, x))
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_matrix_path_matches_the_numpy_loop_bit_for_bit(label, field, pot, left_rotor):
+    local = np.random.default_rng(13)
+    for k in range(20):
+        x = [float(v) for v in local.uniform(-5, 5, size=4)]
+        m = field.m if k % 2 else 1.05 * field.m
+        assert matrix_column_at(field, x).tobytes() == numpy_matrix_column_at(field, x).tobytes()
+        got = matrix_dirac_residual(field, pot, m, x)
+        assert got.dtype == complex and got.shape == (4,)
+        assert got.tobytes() == numpy_matrix_dirac_residual(field, pot, m, x).tobytes()
+
+
+def test_matrix_path_matches_the_numpy_loop_where_entries_vanish():
+    # At rest or along one axis the column has exact zeros, so the residual
+    # has zero entries whose signs come from the order of operations.
+    pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7)
+    for sign in (1, -1):
+        for momentum in ((0.0, 0.0, 0.0), (0.4, 0.0, 0.0), (0.0, 0.0, 1.0)):
+            for p in (None, pot):
+                field = planewave_solution(1.3, momentum, sign=sign, pot=p)
+                for x in ([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, -0.0, 0.0], [0.3, -1.2, 2.5, 0.7]):
+                    for m in (1.3, 0.0, 1.4):
+                        got = matrix_dirac_residual(field, p, m, x)
+                        want = numpy_matrix_dirac_residual(field, p, m, x)
+                        assert got.tobytes() == want.tobytes(), (momentum, x, m)
 
 
 def test_spin_dirac_apply_coframe_argument():

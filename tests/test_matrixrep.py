@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from matrix_oracle import numpy_matrix_of
 
 from cliffspin import (
     Multivector,
     Rotor,
     Signature,
     cds_equivalent,
+    change_frame,
     column_of,
     complex_idempotent_f,
     dhs_matrix,
@@ -21,6 +23,7 @@ from cliffspin import (
 )
 from cliffspin.matrixrep import (
     RepresentationError,
+    _blade_columns,
     _blade_matrices,
     _embedded_blade,
     build_r41,
@@ -285,3 +288,74 @@ def test_matrix_of_is_exactly_multiplicative_on_blades():
         for b in range(16):
             x, y = Multivector.from_mask(SIG13, a), Multivector.from_mask(SIG13, b)
             assert np.array_equal(matrix_of(x) @ matrix_of(y), matrix_of(geometric_product(x, y)))
+
+
+# -- matrix_of as signed permutations: the numpy sum it replaced is the oracle --------
+
+
+def oracle_elements():
+    """The empty element, then seeded real, complex and integer-valued
+    elements on random blade subsets, and real products (whose coefficients
+    are floats, not complex)."""
+    local = np.random.default_rng(22)
+    yield Multivector.zero(SIG13)
+    for i in range(600):
+        masks = [int(m) for m in local.choice(16, size=int(local.integers(1, 17)), replace=False)]
+        kind = i % 4
+        if kind == 0:
+            terms = {m: float(local.normal()) for m in masks}
+        elif kind == 1:
+            terms = {m: complex(local.normal(), local.normal()) for m in masks}
+        elif kind == 2:
+            terms = {m: int(local.integers(-3, 4)) for m in masks}
+        else:
+            terms = {m: float(local.uniform(-2, 2)) for m in masks}
+            yield geometric_product(Multivector(SIG13, terms), Multivector(SIG13, terms))
+        yield Multivector(SIG13, terms)
+
+
+def test_blade_columns_are_the_blade_matrices():
+    columns = _blade_columns()
+    assert columns is _blade_columns()
+    for mask, M in _blade_matrices().items():
+        P = np.zeros((4, 4), dtype=complex)
+        for j, (row, e) in enumerate(columns[mask]):
+            assert e in (1, -1, 1j, -1j)
+            P[row, j] = e
+        assert np.array_equal(P, M)
+
+
+def test_matrix_of_matches_the_numpy_sum_bit_for_bit():
+    count = 0
+    for x in oracle_elements():
+        got = matrix_of(x)
+        assert got.dtype == complex and got.shape == (4, 4)
+        assert got.tobytes() == numpy_matrix_of(x).tobytes(), x
+        count += 1
+    assert count == 751
+
+
+def test_frame_changes_read_the_frames_cached_rotor_inverse(monkeypatch):
+    frame_a = spinorial_frame_of(random_rotor(SIG13, rng))
+    frame_b = spinorial_frame_of(random_rotor(SIG13, rng))
+    d = random_regular_spinor(rng, frame_a)
+    col_a = matrix_of(d.psi)[:, 0]
+    # The parent reversed the frame's rotor at every call.
+    old_psi = geometric_product(d.psi, geometric_product(frame_a.u.inverse_mv(), frame_b.u.u))
+    old_S = matrix_of(geometric_product(frame_b.u.inverse_mv(), frame_a.u.u))
+    reversed_rotors = []
+    inverse_mv = Rotor.inverse_mv
+
+    def counting(self):
+        reversed_rotors.append(self)
+        return inverse_mv(self)
+
+    monkeypatch.setattr(Rotor, "inverse_mv", counting)
+    for _ in range(3):
+        moved = change_frame(d, frame_b)
+        assert [(m, c.real.hex(), c.imag.hex()) for m, c in moved.psi._terms.items()] == [
+            (m, c.real.hex(), c.imag.hex()) for m, c in old_psi._terms.items()
+        ]
+        assert cds_equivalent((frame_a, col_a), (frame_b, old_S @ col_a))
+    # Each frame reverses its rotor once, on first use of rotor_inverse.
+    assert sorted(map(id, reversed_rotors)) == sorted([id(frame_a.u), id(frame_b.u)])

@@ -11,7 +11,8 @@ the blades.  When supp(e) is a XOR-subgroup H with |H| <e>_0 = 1, as for every
 search idempotent, the images blade_m e of a coset of H are +- one another, so
 ``ideal_basis`` keeps the coset minima in ascending order, the greedy span's
 own pick.  Other idempotents keep the span: ``_image_rows`` builds the rows
-from the int8 sign table and ``_real_independent`` reduces them.
+with signs read as parities of the blades' weight masks, and
+``_real_independent`` reduces them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from .multivector import (
     Multivector,
     Signature,
-    _sign_table,
+    _parity_sign,
+    _sign_weight,
     geometric_product,
 )
 
@@ -113,10 +115,10 @@ _IMAGE_BLOCK_ENTRIES = 1 << 19
 
 def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
     """Real coefficient rows of blade_m e for every mask m in ascending order,
-    in blocks from the sign table: blade_m e_j = sign[m, j] e_{m^j} is a
-    single term, so the rows are the products' coefficients exactly."""
+    in blocks: blade_m e_j is the single term sign e_{m^j}, the sign being
+    the parity of j & _sign_weight(p, m), so the rows are the products'
+    coefficients exactly."""
     sig = e.signature
-    table = _sign_table(sig.p, sig.n)
     size = 1 << sig.n
     masks = np.fromiter(e._terms, np.intp, len(e._terms))
     coeffs = np.fromiter(e._terms.values(), complex, masks.size)
@@ -125,9 +127,9 @@ def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
     step = max(1, _IMAGE_BLOCK_ENTRIES // size)
     for start in range(0, size, step):
         blades = np.arange(start, min(start + step, size))[:, None]
-        # blade_m e = sum over the terms j of e: sign[m, j] e_j e_{m^j}.
+        signs = _parity_sign(_sign_weight(sig.p, blades) & masks)
         rows = np.zeros((blades.size, size), dtype=coeffs.dtype)
-        rows[np.arange(blades.size)[:, None], blades ^ masks] = table[blades, masks] * coeffs
+        rows[np.arange(blades.size)[:, None], blades ^ masks] = signs * coeffs
         yield from rows.real
 
 
@@ -250,8 +252,8 @@ def is_primitive(e: Multivector) -> bool:
 
 def _commuting_square_plus_blades(sig: Signature) -> list[int]:
     """Canonical blade masks with square +1, ascending grade then mask."""
-    squares = np.diagonal(_sign_table(sig.p, sig.n))
-    masks = (np.flatnonzero(squares[1:] == 1) + 1).tolist()
+    blades = np.arange(1, 1 << sig.n)
+    masks = blades[_parity_sign(_sign_weight(sig.p, blades) & blades) == 1].tolist()
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
@@ -271,7 +273,6 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
     if seed is not None:
         random.Random(seed).shuffle(candidates)
 
-    signs = _sign_table(p, sig.n)
     e = Multivector.one(sig)
     chosen: list[Multivector] = []
     chosen_masks: list[int] = []
@@ -280,7 +281,8 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         if len(chosen) == target_k:
             break
         # Blades b and c commute when e_b e_c and e_c e_b have one sign.
-        if any(signs[mask, c] != signs[c, mask] for c in chosen_masks):
+        w = _sign_weight(p, mask)
+        if any(((c & w) ^ (mask & _sign_weight(p, c))).bit_count() & 1 for c in chosen_masks):
             continue
         b = Multivector.from_mask(sig, mask)
         cand = geometric_product(e, (1 + b) * 0.5)

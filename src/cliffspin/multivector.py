@@ -7,18 +7,15 @@ generators square to +1, the remaining q square to -1.
 Every blade product goes through one sign rule.  e_a e_b = s * e_{a^b}, where
 s is the parity of the swaps that sort b's factors past a's, times -1 for
 each shared factor that squares to -1.  Both parities are linear in b's bits,
-so for fixed a, s = (-1)^popcount(b & w) for one weight mask w
-(``_sign_weight``).  Two caches hold the signs that mask gives:
-``_reorder_sign(p, n, a)``, one row of Python ints over all 2^n blades b per
-left blade a, and ``_sign_table(p, n)``, every row of one signature as an
-int8 array (16 MiB at n = 12, where all rows as tuples take 128 MiB).  The
-rows serve only ``_product_loop``; the table serves the numpy paths that
-work on dense arrays, ``_product_array``, ``_left_mult_matrix`` and
-``classify``.  The compiled paths, ``_generate_kernel`` and ``_build_plan``,
-read each sign as the parity of mb & w and build neither cache.
-``scalar_product`` reads each sign in closed form, (-1)^popcount(m >> p)
-for reversion(e_m) e_m, and ``exp_bivector`` reads the pseudoscalar's signs
-as parities of its weight mask.
+so for fixed a, s = (-1)^popcount(b & w) for one weight mask w, which
+``_sign_weight`` gives in closed form for an int or an int array.  Every sign
+is read from that mask: the compiled paths and ``exp_bivector`` take the
+parity of Python ints, and the numpy paths, ``_product_array``,
+``_left_mult_matrix`` and ``classify``, take it over arrays with
+``_parity_sign``.  The only cache of signs is the loop's: ``_reorder_sign``
+keeps one row of Python ints over all 2^n blades b for each recent left
+blade a.  ``scalar_product`` reads reversion(e_m) e_m in closed form,
+(-1)^popcount(m >> p).
 
 The geometric product, the wedge and both contractions share one kernel,
 ``_product``, with four paths, tried in this order.  Each gives the same bits
@@ -192,21 +189,31 @@ class Signature:
         return tuple(1 if i < self.p else -1 for i in range(self.n))
 
 
-def _sign_weight(p: int, a: int) -> int:
-    """The weight mask w of left blade a in Cl(p, q):
-    e_a e_b = (-1)^popcount(b & w) e_{a^b} for every blade b."""
+def _sign_weight(p: int, a):
+    """The weight mask w of left blade a in Cl(p, q), for an int a or
+    elementwise for an int array: e_a e_b = (-1)^popcount(b & w) e_{a^b}
+    for every blade b."""
     # Bit j of w is the sign parity that factor j of b contributes: one swap
-    # per factor of a above j, plus one if j is in a and squares to -1.
-    w = a >> p << p
-    rest = a
-    while rest:
-        low = rest & -rest
-        w ^= low - 1
-        rest ^= low
-    return w
+    # per factor of a above j, plus one if j is in a and squares to -1.  The
+    # folds make bit j of x the parity of a's bits j+1 to j+16, which reach
+    # past MAX_DIM; they rebind x, so an array argument is never changed.
+    x = a >> 1
+    x = x ^ (x >> 1)
+    x = x ^ (x >> 2)
+    x = x ^ (x >> 4)
+    x = x ^ (x >> 8)
+    return (a >> p << p) ^ x
 
 
-@lru_cache(maxsize=None)
+def _parity_sign(x: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(x) elementwise, as int8."""
+    # Signed before the 1 - 2 *: an unsigned parity would wrap to 255.
+    return 1 - 2 * (np.bitwise_count(x) & 1).astype(np.int8)
+
+
+# A row per left blade, 2^n Python ints: 512 rows hold every left blade of
+# perfbench's algebra-sweep (320), and at most 16 MiB of rows at n = 12.
+@lru_cache(maxsize=512)
 def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
     """Signs of e_a e_b in Cl(p, n - p) for every blade b, indexed by b."""
     w = _sign_weight(p, a)
@@ -214,27 +221,6 @@ def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
     for j in range(n):
         row = row + ([-s for s in row] if w >> j & 1 else row)
     return tuple(row)
-
-
-# Eight tables hold a five-signature sweep such as perfbench's algebra-sweep,
-# and at most 128 MiB even if all eight are n = 12.
-@lru_cache(maxsize=8)
-def _sign_table(p: int, n: int) -> np.ndarray:
-    """Read-only int8 signs of e_a e_b in Cl(p, n - p) at [a, b]: the rows of
-    _reorder_sign for every left blade a, one byte per sign (16 MiB at
-    n = 12), built by the same doubling over the bits of each weight mask.
-    Only the numpy paths that index it with dense arrays read it:
-    _product_array, _left_mult_matrix and classify."""
-    size = 1 << n
-    weights = np.array([_sign_weight(p, a) for a in range(size)])
-    table = np.empty((size, size), dtype=np.int8)
-    table[:, 0] = 1
-    for j in range(n):
-        # Column b + 2^j (b < 2^j) is column b times (-1)^(bit j of w).
-        flip = (1 - 2 * (weights >> j & 1)).astype(np.int8)
-        np.multiply(table[:, : 1 << j], flip[:, None], out=table[:, 1 << j : 2 << j])
-    table.flags.writeable = False
-    return table
 
 
 def _all_real(values) -> bool:
@@ -595,7 +581,7 @@ _KERNELS = _KernelCache()
 # cost per pair: with timeit on n = 5..7 operands the blocked path and the
 # loop break even at about 100-160 pairs.
 _ARRAY_MIN_PAIRS = 128
-# Term pairs per block of left terms on the table path: each temporary of a
+# Term pairs per block of left terms on the blocked path: each temporary of a
 # block holds at most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
 
@@ -607,15 +593,14 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 @_quiet_overflow
 def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
-    """The real parts of _product_loop of two real operands, computed on the
-    sign table.
+    """The real parts of _product_loop of two real operands, computed on
+    arrays, each sign the parity of mb & _sign_weight(p, ma).
 
     Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
     and np.add.at adds the contributions to each output blade one at a time
     in the loop's pair order, so every sum is the loop's to the bit.  The
     blades come out in the order of their first kept pair, as the loop
     inserts them.  Left terms go in blocks of _ARRAY_BLOCK_PAIRS pairs."""
-    table = _sign_table(p, n)
     ma = np.fromiter(at, np.intp, len(at))
     mb = np.fromiter(bt, np.intp, len(bt))
     xa = np.fromiter(at.values(), complex, len(at)).real
@@ -627,7 +612,7 @@ def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, f
     for start in range(0, ma.size, step):
         a = ma[start : start + step, None]
         blades = a ^ mb
-        values = table[a, mb] * (xa[start : start + step, None] * xb)
+        values = _parity_sign(_sign_weight(p, a) & mb) * (xa[start : start + step, None] * xb)
         order = np.arange(start * mb.size, start * mb.size + blades.size).reshape(blades.shape)
         if keep is None:
             blades, values, order = blades.ravel(), values.ravel(), order.ravel()
@@ -723,8 +708,8 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """_product_loop of a and b.  Real operands, neither zero, take a
     generated kernel when one serves their key pattern (n <= 4), or with
     n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, a cached plan up to
-    _PLAN_MAX_PAIRS pairs and the blocked sign table above.  Complex operands
-    take the loop at every n."""
+    _PLAN_MAX_PAIRS pairs and the blocked array path above.  Complex
+    operands take the loop at every n."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
@@ -940,7 +925,7 @@ def _left_mult_matrix(a: Multivector) -> np.ndarray:
     # adding 0.0 stores no -0.0.
     terms = cols[:, None] ^ cols
     mat = x[terms]
-    mat *= _sign_table(sig.p, sig.n)[terms, cols]
+    mat *= _parity_sign(_sign_weight(sig.p, cols)[terms] & cols)
     mat += 0.0
     return mat
 

@@ -36,7 +36,13 @@ from cliffspin import (
     wedge,
 )
 from cliffspin import multivector as mv_module
-from cliffspin.multivector import _exp_series, _left_mult_matrix, _reorder_sign
+from cliffspin.multivector import (
+    _exp_series,
+    _left_mult_matrix,
+    _parity_sign,
+    _reorder_sign,
+    _sign_weight,
+)
 
 rng = np.random.default_rng(0)
 
@@ -708,12 +714,14 @@ def test_left_mult_matrix_matches_product_exactly():
 
 def test_sign_cache_holds_one_row_per_left_blade():
     # Only the loop reads rows, and complex operands take the loop at every n
-    # (a dense real product here takes a plan and reads none).
-    sig = Signature(3, 3)
-    dense = Multivector(sig, {m: 1.0 + m % 3 for m in range(1 << sig.n)})
+    # (a dense real product here takes a plan and reads none).  The cache
+    # keeps at most 512 rows: a dense Cl(5,5) product reads 1024.
+    for sig in (Signature(3, 3), Signature(5, 5)):
+        dense = Multivector(sig, {m: 1.0 + m % 3 for m in range(1 << sig.n)})
+        _reorder_sign.cache_clear()
+        geometric_product(1j * dense, dense)
+        assert 0 < _reorder_sign.cache_info().currsize <= min(1 << sig.n, 512)
     _reorder_sign.cache_clear()
-    geometric_product(1j * dense, dense)
-    assert 0 < _reorder_sign.cache_info().currsize <= 1 << sig.n
 
 
 def test_idempotent_not_invertible():
@@ -1114,12 +1122,39 @@ def test_complex_products_never_take_the_table_path(monkeypatch, pq):
             assert list(product(a, b)._terms.items()) == list(loop_product(a, b, keep)._terms.items())
 
 
-@pytest.mark.parametrize("n", range(5, 9))
+def loop_sign_weight(p, a):
+    """_sign_weight as a loop over a's bits, kept as the oracle: each factor
+    i of a flips bits 0 to i - 1, and factors that square to -1 set their own."""
+    w = a >> p << p
+    rest = a
+    while rest:
+        low = rest & -rest
+        w ^= low - 1
+        rest ^= low
+    return w
+
+
+def test_sign_weight_is_the_loop_on_ints_and_arrays():
+    # w depends on p and a alone, so a < 2^12 covers every blade at n <= 12.
+    blades = np.arange(1 << mv_module.MAX_DIM)
+    kept = blades.copy()
+    for p in range(mv_module.MAX_DIM + 1):
+        want = [loop_sign_weight(p, a) for a in range(blades.size)]
+        assert [_sign_weight(p, a) for a in range(blades.size)] == want
+        got = _sign_weight(p, blades)
+        assert got.dtype == blades.dtype and got.tolist() == want
+    assert np.array_equal(blades, kept)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
 def test_sign_table_rows_are_the_sign_rule_rows(n):
+    # The numpy readers' signs, _parity_sign(_sign_weight(p, a) & b) over all
+    # blade pairs, are the rows the loop reads.
+    blades = np.arange(1 << n)
     for p in range(n + 1):
-        table = mv_module._sign_table(p, n)
-        assert table.dtype == np.int8 and not table.flags.writeable
-        assert all(tuple(table[a].tolist()) == _reorder_sign(p, n, a) for a in range(1 << n))
+        signs = _parity_sign(_sign_weight(p, blades)[:, None] & blades)
+        assert signs.dtype == np.int8
+        assert all(tuple(signs[a].tolist()) == _reorder_sign(p, n, a) for a in range(1 << n))
     _reorder_sign.cache_clear()
 
 
@@ -1157,13 +1192,12 @@ def test_dense_real_products_build_no_sign_rows():
 
 
 def test_kernels_and_plans_read_no_sign_rows_or_table(monkeypatch):
-    """Compiling reads each sign as the parity of mb & _sign_weight(p, ma):
-    no _reorder_sign row and no _sign_table."""
+    """Compiling reads each sign as the parity of mb & _sign_weight(p, ma),
+    not from a _reorder_sign row."""
     monkeypatch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
     monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
     local = np.random.default_rng(13)
     _reorder_sign.cache_clear()
-    mv_module._sign_table.cache_clear()
     for pq in ((1, 3), (0, 4), (2, 1), (4, 1), (3, 3), (4, 3)):
         sig = Signature(*pq)
         a = drawn_operand(sig, local, "dense", False)
@@ -1176,18 +1210,17 @@ def test_kernels_and_plans_read_no_sign_rows_or_table(monkeypatch):
             mv_module._build_plan(*plan_key(b, a, keep))
             assert _reorder_sign.cache_info().currsize == 0
     assert mv_module._KERNELS.kernels and mv_module._PLANS.plans
-    assert mv_module._sign_table.cache_info().currsize == 0
 
 
 def test_first_sparse_real_product_of_cl66_builds_no_sign_table():
     # A fresh interpreter: the first real Cl(6,6) product of 16 x 16 terms
-    # takes a plan, which reads signs from weight masks, not from the 16 MiB
-    # int8 table of the signature.
+    # takes a plan, which reads signs from weight masks and builds no sign
+    # rows.
     script = (
         "import resource\n"
         "import numpy as np\n"
         "import cliffspin as cs\n"
-        "from cliffspin.multivector import _reorder_sign, _sign_table\n"
+        "from cliffspin.multivector import _reorder_sign\n"
         "local = np.random.default_rng(0)\n"
         "sig = cs.Signature(6, 6)\n"
         "def sparse():\n"
@@ -1197,15 +1230,15 @@ def test_first_sparse_real_product_of_cl66_builds_no_sign_table():
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "cs.geometric_product(a, b)\n"
         "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
-        "print(_sign_table.cache_info().currsize, _reorder_sign.cache_info().currsize, grew / 1024)\n"
+        "print(_reorder_sign.cache_info().currsize, grew / 1024)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    tables, rows, grew_mib = out.stdout.split()
-    assert int(tables) == 0 and int(rows) == 0
+    rows, grew_mib = out.stdout.split()
+    assert int(rows) == 0
     assert float(grew_mib) < 4
 
 
@@ -1308,13 +1341,14 @@ def test_plan_larger_than_the_budget_is_used_but_not_kept(monkeypatch):
 
 
 def old_left_mult_matrix(a):
-    """_left_mult_matrix as one fancy-index update per term, kept as the oracle."""
+    """_left_mult_matrix as one fancy-index update per term, kept as the
+    oracle, with each term's signs from the loop's row."""
     sig = a.signature
-    table = mv_module._sign_table(sig.p, sig.n)
     cols = np.arange(1 << sig.n)
     mat = np.zeros((cols.size, cols.size), dtype=float if a.real else complex)
     for ma, ca in a._terms.items():
-        mat[cols ^ ma, cols] += table[ma] * (ca.real if a.real else ca)
+        row = np.array(_reorder_sign(sig.p, sig.n, ma), np.int8)
+        mat[cols ^ ma, cols] += row * (ca.real if a.real else ca)
     return mat
 
 

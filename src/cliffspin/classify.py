@@ -197,7 +197,7 @@ def ideal_basis(e: Multivector) -> list[Multivector]:
 def _ideal_basis(e: Multivector) -> list[Multivector]:
     masks = _coset_minima(e) or _real_independent(_image_rows(e))
     sig = e.signature
-    return [geometric_product(Multivector.from_mask(sig, m), e) for m in masks]
+    return [geometric_product(Multivector._trusted(sig, {m: 1 + 0j}, True), e) for m in masks]
 
 
 def ideal_real_dim(e: Multivector) -> int:
@@ -284,7 +284,7 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         w = _sign_weight(p, mask)
         if any(((c & w) ^ (mask & _sign_weight(p, c))).bit_count() & 1 for c in chosen_masks):
             continue
-        b = Multivector.from_mask(sig, mask)
+        b = Multivector._trusted(sig, {mask: 1 + 0j}, True)
         cand = geometric_product(e, (1 + b) * 0.5)
         if cand.is_zero():
             continue

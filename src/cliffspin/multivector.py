@@ -18,7 +18,7 @@ blade a.  ``scalar_product`` reads reversion(e_m) e_m in closed form,
 (-1)^popcount(m >> p).
 
 The geometric product, the wedge and both contractions share one kernel,
-``_product``, with four paths, tried in this order.  Each gives the same bits
+``_product``, with three paths, tried in this order.  Each gives the same bits
 and key order as the dict loop ``_product_loop``, which is the tests' oracle
 and, run on polynomial coefficients, the product of the exact Fierz proof.
 
@@ -35,23 +35,17 @@ and, run on polynomial coefficients, the product of the exact Fierz proof.
   occur only once, spending at most 592 pairs of the budget, and over 99.6 %
   of the n <= 4 product calls meet a pattern seen before.  For n >= 5,
   kernels grow to thousands of pairs and many patterns never repeat.
-- Plans, n >= 5, both operands real, ``_ARRAY_MIN_PAIRS`` to
-  ``_PLAN_MAX_PAIRS`` term pairs: ``_product_plan`` looks the key pattern up
-  in an LRU cache of index plans.  A plan lists the output blades in the
-  loop's first-appearance order and holds one K x M gather index whose
-  column m names blade m's pairs in the loop's order, padded at the end; it
-  indexes [x*y, -(x*y), 0.0], so each pair's sign is folded into its index.
-  A call is one outer product, one gather and one sum over axis 0, which
-  numpy adds row by row, so each blade's sum is the loop's; a plan with a
-  single column, which numpy would add pairwise, is summed in Python.  Plans
-  are index arrays, not generated code, and the cache evicts the least
-  recently used once they pass ``_PLAN_ENTRY_BUDGET`` index entries, so
-  one-off patterns cannot grow it past that.
-- The blocked array path, the same operands above ``_PLAN_MAX_PAIRS`` pairs:
-  ``_product_array`` computes each pair's sign * (x * y) as a float array,
-  with the filter as a mask, in blocks of left terms.  ``np.add.at`` adds
-  each output blade's terms one at a time in the loop's pair order, never
-  pairwise, and the blades are emitted in the order of their first pair.
+- Arrays, n >= 5, both operands real, ``_ARRAY_MIN_PAIRS`` term pairs or
+  more: ``_product_array``.  ``_pair_blocks`` splits the key pattern's pairs
+  into blocks of left terms and gives, per block, the kept pairs' positions,
+  output blades and signs, and the blades first met there.  A plan is those
+  blocks for one pattern: patterns up to ``_PLAN_MAX_PAIRS`` pairs keep
+  theirs in an LRU cache of at most ``_PLAN_BYTE_BUDGET`` bytes, so one-off
+  patterns cannot grow it past that, and larger ones are blocked anew on
+  each call.  Per block, the pairs' products sign * (x * y) go into
+  ``np.add.at``, which adds each output blade's terms one at a time in the
+  loop's pair order, never pairwise, and the blades are emitted in the order
+  of their first pair.
 - Otherwise, and once the kernel budget is spent: the loop itself.  Complex
   operands take it at every n: numpy's complex multiply differs from
   Python's in the last bit on 44 % of random normal pairs, so its sums would
@@ -67,10 +61,10 @@ with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
   scalings.  It stores 0 + c, drops zeros and rejects a non-finite value,
   and scans for ``real`` unless the caller passes it: a sum, a scaling by a
   real number or a loop product of real operands is real.
-- ``_own_real(sig, sums)``: float sums from the kernels, the plans and the
-  blocked path.  It stores 0j + v, which is 0 + complex(v, 0.0) to the
-  bit, drops zeros and rejects a non-finite value after one finiteness test
-  of the float sum; ``real`` is True.
+- ``_own_real(sig, sums)``: float sums from the kernels and the array path.
+  It stores 0j + v, which is 0 + complex(v, 0.0) to the bit, drops zeros
+  and rejects a non-finite value after one finiteness test of the float
+  sum; ``real`` is True.
 - ``_trusted(sig, terms, real)``: no checks, for results that are clean by
   construction.  Negation, ``reversion`` and ``grade_involution`` store
   0j - c or c, which equal 0 + (-1 * c) and 0 + (1 * c) to the bit on a
@@ -109,7 +103,7 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -576,140 +570,119 @@ _KERNEL_PAIR_BUDGET = 1 << 16
 _KERNELS = _KernelCache()
 
 
-# Real products with n >= 5 and at least this many term pairs take a plan or
-# the blocked path.  Below it numpy's fixed cost per call exceeds the loop's
-# cost per pair: with timeit on n = 5..7 operands the blocked path and the
-# loop break even at about 100-160 pairs.
+# Real products with n >= 5 and at least this many term pairs take
+# _product_array.  Below it numpy's fixed cost per call is near the loop's
+# whole cost: with timeit on one CPU at n = 5..7, the loop against cached
+# blocks takes 16-25 against 16-29 us at 64 pairs, 22-39 against 16-28 us at
+# 96 and 27-48 against 17-27 us at 128.
 _ARRAY_MIN_PAIRS = 128
-# Term pairs per block of left terms on the blocked path: each temporary of a
-# block holds at most 1 MiB.
+# Term pairs per block of left terms: each float temporary of a block holds at
+# most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
 
-# The array paths report overflow as the loop does, by the ValueError of
+# _product_array reports overflow as the loop does, by the ValueError of
 # Multivector._own_real alone, so numpy's overflow and invalid-value warnings
-# are off inside them.
+# are off inside it.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-@_quiet_overflow
-def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
-    """The real parts of _product_loop of two real operands, computed on
-    arrays, each sign the parity of mb & _sign_weight(p, ma).
-
-    Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
-    and np.add.at adds the contributions to each output blade one at a time
-    in the loop's pair order, so every sum is the loop's to the bit.  The
-    blades come out in the order of their first kept pair, as the loop
-    inserts them.  Left terms go in blocks of _ARRAY_BLOCK_PAIRS pairs."""
-    ma = np.fromiter(at, np.intp, len(at))
-    mb = np.fromiter(bt, np.intp, len(bt))
-    xa = np.fromiter(at.values(), complex, len(at)).real
-    xb = np.fromiter(bt.values(), complex, len(bt)).real
-    sums = np.zeros(1 << n)
-    first = np.full(1 << n, ma.size * mb.size)  # position of each blade's first pair
-    keys = []
+def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
+    """The pairs of _product_loop for one key pattern, in blocks of left
+    terms of _ARRAY_BLOCK_PAIRS pairs.  Each block is (rows, positions,
+    blades, signs, new): the slice of left terms; the flat positions of the
+    kept pairs in the block's rows x b_keys, or None with no filter; their
+    output blades and int8 signs, each the parity of mb & _sign_weight(p, ma);
+    and the blades first met in the block, in the order of their first pair."""
+    ma = np.array(a_keys, np.int32)
+    mb = np.array(b_keys, np.int32)
+    first = np.full(1 << n, ma.size * mb.size, np.int32)  # each blade's first pair
     step = max(1, _ARRAY_BLOCK_PAIRS // mb.size)
     for start in range(0, ma.size, step):
         a = ma[start : start + step, None]
-        blades = a ^ mb
-        values = _parity_sign(_sign_weight(p, a) & mb) * (xa[start : start + step, None] * xb)
-        order = np.arange(start * mb.size, start * mb.size + blades.size).reshape(blades.shape)
+        blades = (a ^ mb).ravel()
+        signs = _parity_sign(_sign_weight(p, a) & mb).ravel()
         if keep is None:
-            blades, values, order = blades.ravel(), values.ravel(), order.ravel()
+            positions, order = None, np.arange(blades.size, dtype=np.int32)
         else:
-            kept = keep(a, mb)
-            blades, values, order = blades[kept], values[kept], order[kept]
-        np.add.at(sums, blades, values)
+            positions = order = np.flatnonzero(keep(a, mb)).astype(np.int32)
+            blades, signs = blades[positions], signs[positions]
+        order = order + start * mb.size
         np.minimum.at(first, blades, order)
-        keys.append(blades[first[blades] == order])
-    keys = np.concatenate(keys)
-    return dict(zip(keys.tolist(), sums[keys].tolist()))
+        yield slice(start, start + step), positions, blades, signs, blades[first[blades] == order]
 
 
-def _build_plan(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
-    """The index plan of _product_loop for one key pattern: the output
-    blades in the loop's first-appearance order, and a K x M int32 gather
-    index into [x*y, -(x*y), 0.0], x*y being the P pairs' products in loop
-    order.  Column m lists blade m's kept pairs in loop order, each as its
-    pair index k, or k + P where its sign is -1, padded at the end with 2P.
-    Each sign is the parity of mb & _sign_weight(p, ma)."""
-    pairs = len(a_keys) * len(b_keys)
-    columns: dict[int, list[int]] = {}
-    k = 0
-    for ma in a_keys:
-        w = _sign_weight(p, ma)
-        for mb in b_keys:
-            if keep is None or keep(ma, mb):
-                columns.setdefault(ma ^ mb, []).append(k + pairs if (mb & w).bit_count() & 1 else k)
-            k += 1
-    if not columns:
-        return [], np.empty((0, 0), np.int32)
-    pad = [2 * pairs] * max(map(len, columns.values()))
-    gather = np.array([col + pad[len(col) :] for col in columns.values()], np.int32)
-    return list(columns), np.ascontiguousarray(gather.T)
+def _plan_bytes(blocks: tuple) -> int:
+    return sum(x.nbytes for block in blocks for x in block[1:] if x is not None)
 
 
 class _PlanCache:
-    """Index plans by (p, n, left keys, right keys, filter), least recently
-    used first out once their gather indices hold more than
-    _PLAN_ENTRY_BUDGET entries, padding included."""
+    """The pair blocks of _pair_blocks by (p, n, left keys, right keys,
+    filter), least recently used first out once their arrays hold more than
+    _PLAN_BYTE_BUDGET bytes."""
 
     def __init__(self):
         self.plans: OrderedDict[tuple, tuple] = OrderedDict()
-        self.entries = 0
+        self.bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, key: tuple):
+    def get(self, key: tuple) -> tuple:
         with self._lock:
             plan = self.plans.get(key)
             if plan is not None:
                 self.plans.move_to_end(key)
                 return plan
-        plan = _build_plan(*key)
-        size = plan[1].size
+        plan = tuple(_pair_blocks(*key))
+        size = _plan_bytes(plan)
         with self._lock:
-            if key not in self.plans and size <= _PLAN_ENTRY_BUDGET:
+            if key not in self.plans and size <= _PLAN_BYTE_BUDGET:
                 self.plans[key] = plan
-                self.entries += size
-                while self.entries > _PLAN_ENTRY_BUDGET:
-                    self.entries -= self.plans.popitem(last=False)[1][1].size
+                self.bytes += size
+                while self.bytes > _PLAN_BYTE_BUDGET:
+                    self.bytes -= _plan_bytes(self.plans.popitem(last=False)[1])
         return plan
 
 
-# Plans serve up to dense Cl(4,3) (2^14 pairs, a 128 x 128 index); larger
-# patterns take _product_array.  The budget of 2^18 int32 entries is 1 MiB;
-# algebra-sweep keeps at most about 92000 in use.
+# Patterns up to dense Cl(4,3) (2^14 pairs, at most 144 KiB of blocks) are
+# cached; larger ones are blocked anew on each call.  The budget is 1 MiB;
+# algebra-sweep keeps at most about 260 KiB in use.
 _PLAN_MAX_PAIRS = 1 << 14
-_PLAN_ENTRY_BUDGET = 1 << 18
+_PLAN_BYTE_BUDGET = 1 << 20
 _PLANS = _PlanCache()
 
 
 @_quiet_overflow
-def _product_plan(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
-    """The real parts of _product_loop of two real operands, through the
-    cached plan of their key pattern: one outer product, one gather and one
-    sum over axis 0."""
-    blades, gather = _PLANS.get((p, n, tuple(at), tuple(bt), keep))
+def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
+    """The real parts of _product_loop of two real operands, computed on
+    arrays from the pair blocks of their key pattern: cached up to
+    _PLAN_MAX_PAIRS pairs, and generated block by block above.
+
+    Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
+    and np.add.at adds the contributions to each output blade one at a time
+    in the loop's pair order, never pairwise, so every sum is the loop's to
+    the bit.  The blades come out in the order of their first kept pair, as
+    the loop inserts them."""
+    key = (p, n, tuple(at), tuple(bt), keep)
+    blocks = _PLANS.get(key) if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _pair_blocks(*key)
     xa = np.fromiter(at.values(), complex, len(at)).real
     xb = np.fromiter(bt.values(), complex, len(bt)).real
-    pairs = xa.size * xb.size
-    source = np.empty(2 * pairs + 1)
-    np.multiply.outer(xa, xb, out=source[:pairs].reshape(xa.size, xb.size))
-    np.negative(source[:pairs], out=source[pairs:-1])
-    source[-1] = 0.0
-    values = source.take(gather)
-    if len(blades) == 1:
-        # numpy adds a single column pairwise; the loop adds in order.
-        return {blades[0]: reduce(operator.add, values[:, 0].tolist())}
-    return dict(zip(blades, values.sum(axis=0).tolist()))
+    sums = np.zeros(1 << n)
+    keys = []
+    for rows, positions, blades, signs, new in blocks:
+        values = (xa[rows, None] * xb).ravel()
+        if positions is not None:
+            values = values[positions]
+        values *= signs
+        np.add.at(sums, blades, values)
+        keys.append(new)
+    keys = np.concatenate(keys)
+    return dict(zip(keys.tolist(), sums[keys].tolist()))
 
 
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """_product_loop of a and b.  Real operands, neither zero, take a
     generated kernel when one serves their key pattern (n <= 4), or with
-    n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, a cached plan up to
-    _PLAN_MAX_PAIRS pairs and the blocked array path above.  Complex
-    operands take the loop at every n."""
+    n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, _product_array.
+    Complex operands take the loop at every n."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
@@ -722,8 +695,7 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
             if kernel is not None:
                 return Multivector._own_real(sig, kernel(at.values(), bt.values()))
         elif len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
-            path = _product_plan if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _product_array
-            return Multivector._own_real(sig, path(p, n, at, bt, keep))
+            return Multivector._own_real(sig, _product_array(p, n, at, bt, keep))
     return Multivector._own(sig, _product_loop(p, n, at, bt, keep), True if real else None)
 
 
@@ -934,7 +906,12 @@ def inverse(a: Multivector) -> Multivector:
     """a^{-1} with a fast path when a * reversion(a) is a nonzero scalar and
     a general path via the 2^n x 2^n left-multiplication linear system.
     The fast path's zero test is relative to |a|^2, the size of a *
-    reversion(a), so it serves a scaled element as it serves the unscaled."""
+    reversion(a), so it serves a scaled element as it serves the unscaled.
+
+    The general path's np.linalg.solve rounds differently with the number of
+    BLAS threads, so its last bits depend on the host's thread settings (a
+    dense Cl(4,3) inverse differs between OPENBLAS_NUM_THREADS=1 and 2).
+    perfbench pins BLAS to one thread."""
     sig = a.signature
     if a.is_zero():
         raise NonInvertibleError("zero element has no inverse")

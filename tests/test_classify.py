@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import tracemalloc
 
@@ -418,3 +419,38 @@ def test_cl66_search_is_small():
         tracemalloc.stop()
     assert desc.division_ring == "R" and len(desc.ideal_basis) == 64
     assert peak < 8 * 2**20
+
+
+def search_digest(seed=None):
+    """sha256 over every output of find_primitive_idempotent for p + q <= 7:
+    each multivector as its realness and (mask, type, real.hex(), imag.hex())
+    terms in key order, and the descriptor's other fields."""
+    digest = hashlib.sha256()
+    for n in range(8):
+        for p in range(n + 1):
+            desc = find_primitive_idempotent(p, n - p, seed=seed)
+            for mv in (desc.idempotent, *desc.ideal_basis, *desc.factors):
+                items = mv._terms.items()
+                terms = [(m, type(c).__name__, c.real.hex(), c.imag.hex()) for m, c in items]
+                digest.update(repr((mv.real, terms)).encode())
+            fields = (desc.k_factors, desc.division_ring, desc.nonsimple_summand)
+            digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+# Digests of the search's output when its blades were built by the validating
+# Multivector.from_mask, for seeds None and 3.
+SEARCH_DIGESTS = {
+    None: "b9a2c6dbcea440efc15a3cb3f242d6dfa05363892c59fd37655591139ccef04d",
+    3: "174eacb6cd1d8a55037cba4c2d11f4c6563bdad74edef73797efedd126592e0d",
+}
+
+
+@pytest.mark.parametrize("seed", list(SEARCH_DIGESTS))
+def test_search_output_is_unchanged_up_to_seven_generators(seed):
+    assert search_digest(seed) == SEARCH_DIGESTS[seed]
+    for b in find_primitive_idempotent(3, 4, seed=seed).factors:
+        ((mask, c),) = b._terms.items()
+        stored = Multivector.from_mask(b.signature, mask)._terms[mask]
+        assert b.real and type(c) is complex
+        assert (c.real.hex(), c.imag.hex()) == (stored.real.hex(), stored.imag.hex())

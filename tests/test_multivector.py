@@ -1004,7 +1004,7 @@ def test_real_kernels_report_overflow_as_the_loop_does(monkeypatch):
     assert ordered_bits(geometric_product(huge, one)) == ordered_bits(huge)
 
 
-# -- the sign table: one int8 table per signature serves real products for n >= 5 ------------
+# -- the array path: pair blocks serve real products for n >= 5 ----------------------------
 
 SIGNATURES_5_TO_8 = [(p, n - p) for n in range(5, 9) for p in range(n + 1)]
 
@@ -1015,19 +1015,35 @@ def table_product(a, b, keep):
     return Multivector._own_real(sig, sums)
 
 
-def plan_product(a, b, keep):
-    sig = a.signature
-    sums = mv_module._product_plan(sig.p, sig.n, a._terms, b._terms, keep)
-    return Multivector._own_real(sig, sums)
+def uncached_product(a, b, keep):
+    """table_product with every pattern blocked anew, as above
+    _PLAN_MAX_PAIRS."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mv_module, "_PLAN_MAX_PAIRS", 0)
+        return table_product(a, b, keep)
 
 
 def plan_key(a, b, keep):
     return (a.signature.p, a.signature.n, tuple(a._terms), tuple(b._terms), keep)
 
 
-def cache_holds_its_entries(cache):
-    assert cache.entries == sum(gather.size for _, gather in cache.plans.values())
-    assert cache.entries <= mv_module._PLAN_ENTRY_BUDGET
+def plan_blades(blocks):
+    """The output blades of a plan, in the order its blocks first meet them."""
+    return [m for block in blocks for m in block[4].tolist()]
+
+
+def cache_holds_its_bytes(cache):
+    """The cache counts the bytes of the arrays it holds, within its budget,
+    and stores blades and positions as int32 and signs as int8."""
+    held = 0
+    for blocks in cache.plans.values():
+        for rows, positions, blades, signs, new in blocks:
+            assert isinstance(rows, slice)
+            assert blades.dtype == new.dtype == np.int32 and signs.dtype == np.int8
+            assert positions is None or positions.dtype == np.int32
+            held += blades.nbytes + signs.nbytes + new.nbytes
+            held += 0 if positions is None else positions.nbytes
+    assert cache.bytes == held <= mv_module._PLAN_BYTE_BUDGET
 
 
 def drawn_operand(sig, local, kind, dyadic):
@@ -1060,14 +1076,14 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
         patch.setattr(mv_module, "_PLANS", cache)
         for product, keep in PRODUCTS.items():
             want = ordered_bits(loop_product(a, b, keep))
-            # Values and key order: from the blocked path, from the plan path
-            # as it builds its plan and as it reads it back, and from the
-            # public product.
-            assert ordered_bits(table_product(a, b, keep)) == want
+            # Values and key order: from the array path as it caches the
+            # pattern's blocks and as it reads them back, from blocks made
+            # anew, and from the public product.
             for call in range(2):
-                assert ordered_bits(plan_product(a, b, keep)) == want, (product.__name__, call)
+                assert ordered_bits(table_product(a, b, keep)) == want, (product.__name__, call)
+            assert ordered_bits(uncached_product(a, b, keep)) == want
             assert ordered_bits(product(a, b)) == want
-        cache_holds_its_entries(cache)
+        cache_holds_its_bytes(cache)
     if dyadic:
         # Every sum of dyadic products is exact, in whatever order it is added.
         exact = _left_mult_matrix(a) @ np.array(b.coefficients()).real
@@ -1076,19 +1092,35 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
 
 @pytest.mark.parametrize("pq", [(3, 2), (0, 7), (4, 4)])
 def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
-    monkeypatch.setattr(mv_module, "_ARRAY_BLOCK_PAIRS", 97)
+    """Cached blocks, as built and as read back, and blocks made anew give
+    the loop's bits, with one block and with blocks of 97 pairs."""
     sig = Signature(*pq)
     local = np.random.default_rng(list(pq))
-    for kinds in (("dense", "dense"), ("sparse", "dense"), ("dense", "single")):
-        a, b = (drawn_operand(sig, local, kind, False) for kind in kinds)
-        for keep in PRODUCTS.values():
-            want = list(loop_product(a, b, keep)._terms.items())
-            assert list(table_product(a, b, keep)._terms.items()) == want
+    for block_pairs in (mv_module._ARRAY_BLOCK_PAIRS, 97):
+        monkeypatch.setattr(mv_module, "_ARRAY_BLOCK_PAIRS", block_pairs)
+        cache = mv_module._PlanCache()
+        monkeypatch.setattr(mv_module, "_PLANS", cache)
+        for kinds in (("dense", "dense"), ("sparse", "dense"), ("dense", "single")):
+            a, b = (drawn_operand(sig, local, kind, False) for kind in kinds)
+            for keep in PRODUCTS.values():
+                want = ordered_bits(loop_product(a, b, keep))
+                for _ in range(2):
+                    assert ordered_bits(table_product(a, b, keep)) == want
+                assert ordered_bits(uncached_product(a, b, keep)) == want
+                key = plan_key(a, b, keep)
+                cached = len(a._terms) * len(b._terms) <= mv_module._PLAN_MAX_PAIRS
+                assert (key in cache.plans) == cached
+                blocks = tuple(mv_module._pair_blocks(*key))
+                assert plan_blades(blocks) == [m for m, *_ in want]
+                assert len(blocks) == -(-len(a._terms) // max(1, block_pairs // len(b._terms)))
+        cache_holds_its_bytes(cache)
 
 
 def test_only_large_real_products_above_four_dimensions_take_the_table_path(monkeypatch):
+    cache = mv_module._PlanCache()
+    monkeypatch.setattr(mv_module, "_PLANS", cache)
     calls = []
-    for name in ("_product_plan", "_product_array"):
+    for name in ("_product_array", "_pair_blocks"):
         path = getattr(mv_module, name)
         record = lambda *args, name=name, path=path: calls.append((name, *args[:2])) or path(*args)
         monkeypatch.setattr(mv_module, name, record)
@@ -1101,7 +1133,9 @@ def test_only_large_real_products_above_four_dimensions_take_the_table_path(monk
     geometric_product(random_mv(SIG13, local), random_mv(SIG13, local))
     big = drawn_operand(Signature(4, 4), local, "dense", False)
     geometric_product(big, big)  # 2^16 pairs: above the plan cap
-    assert calls == [("_product_plan", 3, 6), ("_product_array", 4, 8)]
+    blocked = [("_product_array", 3, 6), ("_pair_blocks", 3, 6)]
+    assert calls == blocked + [("_product_array", 4, 8), ("_pair_blocks", 4, 8)]
+    assert [key[:2] for key in cache.plans] == [(3, 6)]  # the Cl(4,4) blocks are not kept
     assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64 <= mv_module._PLAN_MAX_PAIRS < 256 * 256
 
 
@@ -1112,7 +1146,7 @@ def test_complex_products_never_take_the_table_path(monkeypatch, pq):
         raise AssertionError("complex operands reached the table path")
 
     monkeypatch.setattr(mv_module, "_product_array", refuse)
-    monkeypatch.setattr(mv_module, "_product_plan", refuse)
+    monkeypatch.setattr(mv_module, "_pair_blocks", refuse)
     sig = Signature(*pq)
     local = np.random.default_rng(list(pq))
     real = drawn_operand(sig, local, "dense", False)
@@ -1159,7 +1193,7 @@ def test_sign_table_rows_are_the_sign_rule_rows(n):
 
 
 def test_dense_real_products_build_no_sign_rows():
-    # A fresh interpreter: neither the plans nor the blocked path read the
+    # A fresh interpreter: neither cached nor uncached pair blocks read the
     # rows of _reorder_sign, which are Python-int tuples,
     # 128 MiB for all of Cl(6,6), where its int8 sign table holds 16 MiB.
     script = (
@@ -1207,7 +1241,7 @@ def test_kernels_and_plans_read_no_sign_rows_or_table(monkeypatch):
             _reorder_sign.cache_clear()  # the loop oracle reads rows
             assert ordered_bits(product(a, b)) == want
             mv_module._generate_kernel(*plan_key(b, a, keep))
-            mv_module._build_plan(*plan_key(b, a, keep))
+            tuple(mv_module._pair_blocks(*plan_key(b, a, keep)))
             assert _reorder_sign.cache_info().currsize == 0
     assert mv_module._KERNELS.kernels and mv_module._PLANS.plans
 
@@ -1254,14 +1288,15 @@ def test_inverse_fast_path_test_is_relative_to_scale(monkeypatch):
             assert (geometric_product(a, inverse(a)) - 1).max_abs() < 1e-12
 
 
-# -- index plans: cached gathers serve real n >= 5 products up to dense Cl(4,3) ------------
+# -- plans: cached pair blocks serve real n >= 5 products up to dense Cl(4,3) --------------
 
 
 @pytest.mark.parametrize("pq", [(4, 3), (2, 5), (4, 4)])
 def test_plan_path_adds_a_single_output_blade_in_loop_order(monkeypatch, pq):
     """a _| b of two operands on the same grade-k blades keeps only the pairs
-    with equal blades, so every pair lands on the scalar: one K x 1 column.
-    numpy adds one column pairwise, which the loop does not."""
+    with equal blades, so every pair lands on the scalar.  A sum over an axis
+    would add them pairwise, which the loop does not; np.add.at adds them in
+    pair order."""
     monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
     sig = Signature(*pq)
     grade = sig.n // 2
@@ -1272,11 +1307,13 @@ def test_plan_path_adds_a_single_output_blade_in_loop_order(monkeypatch, pq):
         values = local.normal(size=len(masks)) * 10.0 ** local.integers(-3, 4, len(masks))
         a = Multivector(sig, dict(zip(order, values.tolist())))
         b = Multivector(sig, dict(zip(masks, local.normal(size=len(masks)).tolist())))
-        blades, gather = mv_module._build_plan(*plan_key(a, b, mv_module._left_inner))
-        assert blades == [0] and gather.shape == (len(masks), 1)
+        blocks = tuple(mv_module._pair_blocks(*plan_key(a, b, mv_module._left_inner)))
+        assert plan_blades(blocks) == [0]
+        assert sum(block[2].size for block in blocks) == len(masks)
+        assert not any(block[2].any() for block in blocks)
         want = ordered_bits(loop_product(a, b, mv_module._left_inner))
         assert ordered_bits(left_contraction(a, b)) == want
-        assert ordered_bits(plan_product(a, b, mv_module._left_inner)) == want
+        assert ordered_bits(table_product(a, b, mv_module._left_inner)) == want
 
 
 @pytest.mark.parametrize("pq", [(5, 0), (3, 3), (4, 3)])
@@ -1293,10 +1330,10 @@ def test_plan_path_reports_overflow_as_the_loop_does(monkeypatch, pq):
                 product(big, big)
 
 
-def test_plan_cache_evicts_to_its_entry_budget_and_rebuilds_the_same_bits(monkeypatch):
+def test_plan_cache_evicts_to_its_byte_budget_and_rebuilds_the_same_bits(monkeypatch):
     cache = mv_module._PlanCache()
     monkeypatch.setattr(mv_module, "_PLANS", cache)
-    monkeypatch.setattr(mv_module, "_PLAN_ENTRY_BUDGET", 5000)
+    monkeypatch.setattr(mv_module, "_PLAN_BYTE_BUDGET", 20000)
     local = np.random.default_rng(11)
     seen = []
     for _ in range(30):
@@ -1307,12 +1344,12 @@ def test_plan_cache_evicts_to_its_entry_budget_and_rebuilds_the_same_bits(monkey
             want = ordered_bits(loop_product(a, b, keep))
             assert ordered_bits(product(a, b)) == want
             seen.append((a, b, keep, want))
-            cache_holds_its_entries(cache)
+            cache_holds_its_bytes(cache)
     evicted = [case for case in seen if plan_key(*case[:3]) not in cache.plans]
     assert evicted and cache.plans
     for a, b, keep, want in evicted:
-        assert ordered_bits(plan_product(a, b, keep)) == want
-        cache_holds_its_entries(cache)
+        assert ordered_bits(table_product(a, b, keep)) == want
+        cache_holds_its_bytes(cache)
     # Most recently used last, and a hit moves its plan to the end.
     first = next(iter(cache.plans))
     cache.get(first)
@@ -1324,7 +1361,8 @@ def test_plan_with_no_kept_pair_gives_zero(pq):
     # Every blade holds e1, so no pair is disjoint and the wedge keeps none.
     sig = Signature(*pq)
     a = Multivector(sig, {m: 1.0 + m for m in range(1, 1 << sig.n, 2)})
-    assert mv_module._build_plan(*plan_key(a, a, mv_module._outer))[0] == []
+    blocks = tuple(mv_module._pair_blocks(*plan_key(a, a, mv_module._outer)))
+    assert plan_blades(blocks) == [] and not any(block[2].size for block in blocks)
     assert wedge(a, a).is_zero() and loop_product(a, a, mv_module._outer).is_zero()
     assert not geometric_product(a, a).is_zero()
 
@@ -1332,12 +1370,12 @@ def test_plan_with_no_kept_pair_gives_zero(pq):
 def test_plan_larger_than_the_budget_is_used_but_not_kept(monkeypatch):
     cache = mv_module._PlanCache()
     monkeypatch.setattr(mv_module, "_PLANS", cache)
-    monkeypatch.setattr(mv_module, "_PLAN_ENTRY_BUDGET", 100)
+    monkeypatch.setattr(mv_module, "_PLAN_BYTE_BUDGET", 100)
     local = np.random.default_rng(12)
     sig = Signature(3, 2)
     a, b = (drawn_operand(sig, local, "dense", False) for _ in range(2))
     assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
-    assert cache.plans == {} and cache.entries == 0
+    assert cache.plans == {} and cache.bytes == 0
 
 
 def old_left_mult_matrix(a):
@@ -1450,13 +1488,14 @@ def test_reversion_is_an_anti_automorphism(operands):
 
 
 def test_real_products_above_four_dimensions_overflow_without_numpy_warnings(monkeypatch):
-    """The plan and blocked paths raise the loop's ValueError alone."""
+    """The array path raises the loop's ValueError alone, on cached blocks
+    and on blocks made anew."""
     local = np.random.default_rng(14)
     sig = Signature(3, 2)
     big = drawn_operand(sig, local, "dense", False) * 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for plan_max in (mv_module._PLAN_MAX_PAIRS, 0):  # the plan path, then the blocked path
+        for plan_max in (mv_module._PLAN_MAX_PAIRS, 0):  # cached blocks, then uncached
             monkeypatch.setattr(mv_module, "_PLAN_MAX_PAIRS", plan_max)
             for product in PRODUCTS:
                 with pytest.raises(ValueError, match="^non-finite coefficient$"):

@@ -35,6 +35,7 @@ from .multivector import Multivector, Signature, geometric_product
 from .serialization import (
     format_multivector,
     from_json_dict,
+    to_json,
     to_json_dict,
 )
 from .spinors import (
@@ -177,7 +178,7 @@ def cmd_eval(args) -> int:
     sig = Signature(p, q)
     result = evaluate_source(args.expr, sig)
     if args.json:
-        print(json.dumps(to_json_dict(result)))
+        print(to_json(result))
     else:
         print(format_multivector(result))
     return 0

@@ -13,13 +13,24 @@ order and read a blade as their product: `e3^e1` and `"blades": [3, 1]` are
 Both writers and both readers work from one table set per dimension n
 (``_tables``), built on first use and cached for every n up to MAX_DIM.  It
 holds, for each blade mask, its rank in the canonical order (ascending grade,
-then mask), its name ``e1^e3`` and its 1-based index tuple ``(1, 3)``, and the
-inverse maps from name and from index tuple back to the mask.  The writers
-sort by rank and read each coefficient once.  The readers resolve a blade with
-one lookup; only a miss runs the validating loop, so every error message is
-the loop's.  Text in the writer's own form (single spaces around `+`/`-`, one
-space before a blade) is cut into its terms by one regular-expression split;
-any other text goes through the general term parser.  Both readers sum the checked
+then mask), its name ``e1^e3``, its 1-based index tuple ``(1, 3)`` and its JSON
+term head ``{"blades": [1, 3], "re": ``, and the inverse maps from name and
+from index tuple back to the mask.  The writers sort by rank and read each
+coefficient once, so the float reprs are most of their cost.  ``to_json``
+writes its text directly: per term the head, ``repr`` of each part and the
+closing brace, which are the bytes that ``json.dumps(to_json_dict(mv))``
+writes, since json writes a finite float as its repr and stored coefficients
+are finite.  A real value stores every imaginary part as +0.0, so its
+``"im": 0.0`` is a constant.  ``to_json_dict`` builds the same data for callers
+that embed it in larger JSON.
+
+The readers resolve a blade with one lookup; only a miss runs the validating
+loop, so every error message is the loop's.  ``json.loads`` is the only JSON
+reader; ``from_json_dict`` reads two float parts straight into ``complex``.
+Text in the writer's own form (single spaces around `+`/`-`, one space before
+a blade) is cut into its terms by one regular-expression split, and a real
+coefficient there is read by ``float`` with its separator's sign; any other
+text goes through the general term parser.  Both readers sum the checked
 terms in input order and build the result with ``Multivector._own``.
 """
 
@@ -38,6 +49,7 @@ class _Tables(NamedTuple):
     rank: tuple[int, ...]  # mask -> position in ascending (grade, mask) order
     names: tuple[str, ...]  # mask -> "e1^e3" ("" for the scalar)
     indices: tuple[tuple[int, ...], ...]  # mask -> (1, 3)
+    json_heads: tuple[str, ...]  # mask -> '{"blades": [1, 3], "re": '
     by_name: dict[str, int]
     by_indices: dict[tuple[int, ...], int]
 
@@ -50,13 +62,15 @@ def _tables(n: int) -> _Tables:
     rank = [0] * size
     for r, m in enumerate(sorted(range(size), key=lambda m: (m.bit_count(), m))):
         rank[m] = r
-    return _Tables(
-        tuple(rank), names, indices, dict(zip(names, range(size))), dict(zip(indices, range(size)))
-    )
+    # json.dumps writes a list of ints as "[1, 3]".
+    json_heads = tuple('{"blades": [' + ", ".join(map(str, idx)) + '], "re": ' for idx in indices)
+    by_name, by_indices = dict(zip(names, range(size))), dict(zip(indices, range(size)))
+    return _Tables(tuple(rank), names, indices, json_heads, by_name, by_indices)
 
 
 def _format_number(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    # For finite x, is_integer() is x == int(x).
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 
@@ -67,22 +81,31 @@ def format_multivector(mv: Multivector) -> str:
         return "0"
     tables = _tables(mv.signature.n)
     names = tables.names
-    parts: list[str] = []  # alternating separator and body
+    parts: list[str] = []  # " + <term>" or " - <term>"
     for mask in sorted(terms, key=tables.rank.__getitem__):
         c = terms[mask]
+        x = c.real
         if c.imag != 0.0:
             sep = " + "
-            body = "(" + _format_number(c.real) + ("+" if c.imag >= 0 else "-") + _format_number(
+            body = "(" + _format_number(x) + ("+" if c.imag >= 0 else "-") + _format_number(
                 abs(c.imag)
             ) + "j)"
-        elif c.real < 0:
-            sep, body = " - ", _format_number(-c.real)
         else:
-            sep, body = " + ", _format_number(c.real)
-        if mask:
-            body = names[mask] if body == "1" else body + " " + names[mask]
-        parts += sep, body
-    parts[0] = "-" if parts[0] == " - " else ""
+            # _format_number inlined, with the sign folded into the separator.
+            if x < 0:
+                sep, x = " - ", -x
+            else:
+                sep = " + "
+            if not x.is_integer() or x >= 1e15:
+                body = repr(x)
+            elif x == 1.0 and mask:
+                parts.append(sep + names[mask])  # a bare blade
+                continue
+            else:
+                body = str(int(x))
+        parts.append(sep + body + " " + names[mask] if mask else sep + body)
+    first = parts[0]  # written with no separator, only a minus sign
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(parts)
 
 
@@ -101,7 +124,6 @@ _NUMBER = r"\d+(?:\.\d+)?(?:e[+-]\d+)?"
 _BLADE = r"e\d+(?:\^e\d+)*"
 _TERM = rf"(?:({_NUMBER}|\(-?{_NUMBER}[+-]{_NUMBER}j\))(?: ({_BLADE}))?|({_BLADE}))"
 _CANONICAL_TERM_RE = re.compile(rf"(^-?| [+-] ){_TERM}")
-_SEPARATOR_SIGN = {"": 1, "-": -1, " + ": 1, " - ": -1}
 
 
 class MultivectorParseError(ValueError):
@@ -170,15 +192,21 @@ def _parse_canonical(text: str, tables: _Tables) -> dict[int, complex] | None:
     by_name = tables.by_name
     terms: dict[int, complex] = {}
     for sep, coeff_src, blades, bare in zip(parts[1::5], parts[2::5], parts[3::5], parts[4::5]):
+        # A negative separator negates the term.  Added to a sum that holds
+        # no -0.0 part, as every sum from 0j + term does, that gives the bits
+        # of the product by -1 for finite parts; an infinite part is rejected
+        # as non-finite either way.
         if bare:
-            coeff, blades = 1.0 + 0j, bare
-        else:
+            coeff, blades = (-1.0 if "-" in sep else 1.0), bare
+        elif coeff_src[0] == "(":
             # complex() reads "(1+2j)" as it reads "1+2j".
-            coeff = complex(coeff_src)
+            coeff = -complex(coeff_src) if "-" in sep else complex(coeff_src)
+        else:
+            coeff = -float(coeff_src) if "-" in sep else float(coeff_src)
         mask = by_name.get(blades) if blades else 0
         if mask is None:
             return None
-        terms[mask] = terms.get(mask, 0) + _SEPARATOR_SIGN[sep] * coeff
+        terms[mask] = terms.get(mask, 0j) + coeff
     return terms
 
 
@@ -228,7 +256,18 @@ def to_json_dict(mv: Multivector) -> dict:
 
 
 def to_json(mv: Multivector) -> str:
-    return json.dumps(to_json_dict(mv))
+    """json.dumps(to_json_dict(mv)), written directly."""
+    terms = mv._terms
+    tables = _tables(mv.signature.n)
+    heads = tables.json_heads
+    order = sorted(terms, key=tables.rank.__getitem__)
+    if mv.real:
+        body = ", ".join(['%s%r, "im": 0.0}' % (heads[m], terms[m].real) for m in order])
+    else:
+        body = ", ".join(
+            ['%s%r, "im": %r}' % (heads[m], (c := terms[m]).real, c.imag) for m in order]
+        )
+    return '{"signature": [%d, %d], "terms": [%s]}' % (mv.signature.p, mv.signature.q, body)
 
 
 def _json_int(value, what: str) -> int:
@@ -254,8 +293,7 @@ def _json_mask(blades, n: int) -> tuple[int, bool]:
     return mask, bool(swaps & 1)
 
 
-def _json_coeff(term) -> complex:
-    re_, im = term.get("re", 0.0), term.get("im", 0.0)
+def _json_coeff(re_, im) -> complex:
     # complex() reads true as 1; JSON booleans are not numbers.
     if type(re_) is bool or type(im) is bool:
         name, value = ("re", re_) if type(re_) is bool else ("im", im)
@@ -281,7 +319,11 @@ def from_json_dict(data: dict) -> Multivector:
                 mask = by_indices.get(tuple(blades))
             if mask is None:
                 mask, odd = _json_mask(blades, sig.n)
-            coeff = _json_coeff(term)
+            re_, im = term.get("re", 0.0), term.get("im", 0.0)
+            if type(re_) is float and type(im) is float:
+                coeff = complex(re_, im)
+            else:
+                coeff = _json_coeff(re_, im)
             terms[mask] = terms.get(mask, 0) + (-coeff if odd else coeff)
     except (KeyError, TypeError, AttributeError) as exc:
         raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None

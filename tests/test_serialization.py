@@ -1,6 +1,8 @@
 import json
+import math
 import re
 from functools import partial
+from operator import countOf
 
 import numpy as np
 import pytest
@@ -14,11 +16,15 @@ from cliffspin import (
     geometric_product,
     from_json,
     from_json_dict,
+    left_contraction,
     parse_multivector,
     to_json,
     to_json_dict,
+    wedge,
 )
+from cliffspin import multivector, serialization
 from cliffspin.expressions import evaluate_source
+from cliffspin.multivector import MAX_DIM
 from cliffspin.serialization import MultivectorParseError
 
 SIG13 = Signature(1, 3)
@@ -343,13 +349,88 @@ def _old_from_json_dict(data: dict, sort_sign: bool = False) -> Multivector:
 
 
 def _outcome(read, *args):
-    """A reader's result as its exact (mask, real.hex(), imag.hex()) list in
-    key order, or its exception's type and message."""
+    """A reader's result as its exact (mask, real.hex(), imag.hex(), type)
+    list in key order with its realness, or its exception's type and message."""
     try:
         mv = read(*args)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
-    return mv.signature, [(m, c.real.hex(), c.imag.hex()) for m, c in mv._terms.items()]
+    terms = [(m, c.real.hex(), c.imag.hex(), type(c)) for m, c in mv._terms.items()]
+    return mv.signature, terms, mv.real
+
+
+# -- the readers before coefficients were read directly, kept as oracles --------
+#
+# The canonical text path read every coefficient with complex() and
+# multiplied it by its separator's sign; the JSON reader checked every
+# coefficient's parts in a helper.  Every other step is the module's own.
+
+_HEAD_SEPARATOR_SIGN = {"": 1, "-": -1, " + ": 1, " - ": -1}
+
+
+def _head_parse_canonical(text: str, tables) -> dict[int, complex] | None:
+    parts = serialization._CANONICAL_TERM_RE.split(text)
+    if any(parts[::5]):
+        return None
+    terms: dict[int, complex] = {}
+    for sep, coeff_src, blades, bare in zip(parts[1::5], parts[2::5], parts[3::5], parts[4::5]):
+        if bare:
+            coeff, blades = 1.0 + 0j, bare
+        else:
+            coeff = complex(coeff_src)
+        mask = tables.by_name.get(blades) if blades else 0
+        if mask is None:
+            return None
+        terms[mask] = terms.get(mask, 0) + _HEAD_SEPARATOR_SIGN[sep] * coeff
+    return terms
+
+
+def _head_parse_multivector(text: str, sig: Signature) -> Multivector:
+    text = text.strip()
+    if not text:
+        raise MultivectorParseError("empty multivector text")
+    if text == "0":
+        return Multivector.zero(sig)
+    terms = _head_parse_canonical(text, serialization._tables(sig.n))
+    if terms is None:
+        terms = serialization._parse_terms(text, sig.n)
+    return Multivector._own(sig, terms)
+
+
+def _head_json_coeff(term) -> complex:
+    re_, im = term.get("re", 0.0), term.get("im", 0.0)
+    if type(re_) is bool or type(im) is bool:
+        name, value = ("re", re_) if type(re_) is bool else ("im", im)
+        raise MultivectorParseError(f"coefficient part {name}={value!r} is not a number")
+    return complex(re_, im)
+
+
+def _head_from_json_dict(data: dict) -> Multivector:
+    json_int = serialization._json_int
+    try:
+        try:
+            p, q = data["signature"]
+        except ValueError as exc:
+            raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None
+        sig = Signature(json_int(p, "signature count"), json_int(q, "signature count"))
+        by_indices = serialization._tables(sig.n).by_indices
+        terms: dict[int, complex] = {}
+        for term in data["terms"]:
+            blades = term["blades"]
+            mask, odd = None, False
+            if type(blades) is list and countOf(map(type, blades), int) == len(blades):
+                mask = by_indices.get(tuple(blades))
+            if mask is None:
+                mask, odd = serialization._json_mask(blades, sig.n)
+            coeff = _head_json_coeff(term)
+            terms[mask] = terms.get(mask, 0) + (-coeff if odd else coeff)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None
+    return Multivector._own(sig, terms)
+
+
+def _head_from_json(text: str) -> Multivector:
+    return _head_from_json_dict(json.loads(text))
 
 
 TEXT_ALPHABET = "e0123456789^.+-()jE "
@@ -392,7 +473,9 @@ def reordered_texts(draw):
 def test_parse_matches_old_reader(text, n):
     sig = Signature(n // 2, n - n // 2)
     want = _outcome(partial(_old_parse_multivector, sort_sign=True), text, sig)
-    assert _outcome(parse_multivector, text, sig) == want
+    got = _outcome(parse_multivector, text, sig)
+    assert got == want
+    assert got == _outcome(_head_parse_multivector, text, sig)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +486,9 @@ def test_parse_matches_old_reader(text, n):
 def test_parse_traps_match_old_reader(text):
     sig = Signature(1, 3)
     want = _outcome(partial(_old_parse_multivector, sort_sign=True), text, sig)
-    assert _outcome(parse_multivector, text, sig) == want
+    got = _outcome(parse_multivector, text, sig)
+    assert got == want
+    assert got == _outcome(_head_parse_multivector, text, sig)
 
 
 @pytest.mark.parametrize("order", [(3, 1), (4, 2, 1), (2, 4, 1), (5, 3, 4, 1), (1, 2, 3, 4, 5)])
@@ -478,6 +563,7 @@ def reordered_json_dicts(draw):
 @given(json_dicts() | sparse_multivectors().map(to_json_dict) | reordered_json_dicts())
 def test_from_json_dict_matches_old_reader(data):
     new = _outcome(from_json_dict, data)
+    assert new == _outcome(_head_from_json_dict, data)
     old = _outcome(partial(_old_from_json_dict, sort_sign=True), data)
     if new == old:
         return
@@ -512,3 +598,155 @@ def test_writers_are_byte_identical_to_old_writers(sig, density):
     for mv in (Multivector(sig, terms), Multivector(sig, {m: -c for m, c in terms.items()})):
         assert format_multivector(mv) == _old_format_multivector(mv)
         assert to_json(mv) == json.dumps(_old_to_json_dict(mv))
+
+
+# -- the direct writers against json.dumps and the old writers -----------------
+
+# Floats at the edges of the number forms: the smallest subnormal, near the
+# overflow and underflow, 2^53, and integer values on both sides of 1e15,
+# where the text writer switches from str(int) to repr.
+EDGE_FLOATS = [
+    5e-324, 1e300, 1e-300, 2.0**53, 999999999999999.0, 1e15, 1000000000000002.0, 1.0, 3.0
+]
+EDGE_COEFFS = st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+WRITER_FLOATS = st.one_of(EDGE_COEFFS, FINITE)
+
+
+@st.composite
+def written_values(draw):
+    """Real or complex values, sparse at every n up to MAX_DIM and dense
+    (drawn from a seeded generator, one edge float in four) up to n = 7."""
+    n = draw(st.integers(0, MAX_DIM))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    is_complex = draw(st.booleans())
+    if n <= 7 and draw(st.booleans()):
+        local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = 1 << n
+        parts = local.uniform(-2, 2, size=(size, 2)) * 10.0 ** local.integers(-300, 300, (size, 2))
+        edges = local.choice(EDGE_FLOATS, size=(size, 2)) * local.choice([-1.0, 1.0], (size, 2))
+        parts = np.where(local.random((size, 2)) < 0.25, edges, parts).tolist()
+        terms = {m: complex(x, y) if is_complex else x for m, (x, y) in enumerate(parts)}
+    else:
+        coeffs = st.builds(complex, WRITER_FLOATS, WRITER_FLOATS) if is_complex else WRITER_FLOATS
+        terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1), coeffs, max_size=8))
+    return Multivector(sig, terms)
+
+
+def assert_writers_match(mv):
+    if mv.real:
+        # The invariant behind to_json's constant "im": 0.0.
+        assert all(math.copysign(1.0, c.imag) == 1.0 for c in mv._terms.values())
+    blob = to_json(mv)
+    assert blob == json.dumps(to_json_dict(mv)) == json.dumps(_old_to_json_dict(mv))
+    text = format_multivector(mv)
+    assert text == _old_format_multivector(mv)
+    # The readers give the bits that the readers before them gave.
+    assert _outcome(from_json, blob) == _outcome(_head_from_json, blob)
+    sig = mv.signature
+    assert _outcome(parse_multivector, text, sig) == _outcome(_head_parse_multivector, text, sig)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(written_values())
+def test_writers_match_their_oracles(mv):
+    # Negation and halving store their results through their own builders.
+    for value in (mv, -mv, mv * 0.5, mv * -0.5):
+        assert_writers_match(value)
+
+
+def test_writers_on_the_zero_value():
+    for sig in (Signature(0, 0), Signature(1, 3), Signature(6, 6)):
+        zero = Multivector.zero(sig)
+        assert to_json(zero) == json.dumps(to_json_dict(zero))
+        assert to_json(zero) == f'{{"signature": [{sig.p}, {sig.q}], "terms": []}}'
+        assert_writers_match(zero)
+
+
+def _product_operands(sig, density, is_complex, seed):
+    local = np.random.default_rng(seed)
+    operands = []
+    for _ in range(2):
+        masks = np.flatnonzero(local.random(1 << sig.n) < density).tolist() or [0]
+        values = local.uniform(-2, 2, size=(len(masks), 2))
+        terms = {m: complex(x, y) if is_complex else x for m, (x, y) in zip(masks, values)}
+        operands.append(Multivector(sig, terms))
+    return operands
+
+
+@pytest.mark.parametrize(
+    "path, sig, density, is_complex",
+    [
+        ("kernel", Signature(1, 3), 1.0, False),
+        ("kernel", Signature(2, 2), 0.5, False),
+        ("array", Signature(4, 3), 1.0, False),
+        ("array", Signature(3, 2), 1.0, False),
+        ("loop", Signature(4, 3), 0.06, False),
+        ("loop", Signature(1, 3), 1.0, True),
+        ("loop", Signature(4, 3), 0.5, True),
+    ],
+)
+def test_writers_match_their_oracles_on_each_product_path(
+    monkeypatch, path, sig, density, is_complex
+):
+    calls = []
+    for name in ("_product_array", "_product_loop"):
+        fn = getattr(multivector, name)
+        monkeypatch.setattr(
+            multivector, name, lambda *a, _fn=fn, _name=name: (calls.append(_name), _fn(*a))[1]
+        )
+    # A fresh kernel cache, so that no pair budget spent by other tests
+    # sends the kernel cases to the loop.
+    monkeypatch.setattr(multivector, "_KERNELS", multivector._KernelCache())
+    for seed in range(3):
+        a, b = _product_operands(sig, density, is_complex, seed)
+        products = [geometric_product(a, b), wedge(a, b), left_contraction(a, b)]
+        for value in products:
+            assert value.real == (not is_complex)
+            for derived in (value, -value, value * -0.5, value * 3.0):
+                assert_writers_match(derived)
+    assert set(calls) == (set() if path == "kernel" else {f"_product_{path}"})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 e1 - 1 e1", "-0", "0 - 0 e1 + 0", "-0 e2 - 0 e2", "e1 - e1 + e1", "-e1 - 1 e1",
+     "(0-0j) e1 - (0+0j) e1", "-(1-2j) e1", "1e+999 e1", "1e+999 e1 - 1e+999 e1",
+     "(1e+999+1j) e1 - 1 e1", "0.5 - (-0.5+0j) + 2.5 e1^e2 - 2.5 e1^e2 + 1e-320 e1^e2",
+     "5e-324 e3 - 5e-324 e3 - 5e-324 e3", "1e+300 e4 + 1e+300 e4"],
+)
+def test_canonical_reader_matches_the_old_reader_bit_for_bit(text):
+    sig = Signature(1, 3)
+    assert serialization._parse_canonical(text, serialization._tables(4)) is not None
+    got = _outcome(parse_multivector, text, sig)
+    assert got == _outcome(_head_parse_multivector, text, sig)
+    assert got == _outcome(partial(_old_parse_multivector, sort_sign=True), text, sig)
+
+
+@st.composite
+def canonical_texts(draw):
+    """Text in the writer's own form with repeated blades, zeros and both
+    separators: the direct path reads it."""
+    number = st.one_of(WRITER_FLOATS, st.just(0.0)).map(lambda x: _old_format_number(abs(x)))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(["", "e1", "e2^e3", "e1^e2^e3^e4"]))
+        kind = draw(st.sampled_from(["real", "complex", "bare"] if name else ["real", "complex"]))
+        if kind == "real":
+            body = draw(number) + (" " + name if name else "")
+        elif kind == "complex":
+            body = "(" + ("-" if draw(st.booleans()) else "") + draw(number)
+            body += draw(st.sampled_from("+-")) + draw(number) + "j)" + (" " + name if name else "")
+        else:
+            body = name
+        terms.append(draw(st.sampled_from(["+", "-"])) + " " + body)
+    text = " ".join(terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(canonical_texts())
+def test_canonical_reader_matches_the_old_reader_property(text):
+    sig = Signature(2, 2)
+    assert serialization._parse_canonical(text, serialization._tables(4)) is not None
+    assert _outcome(parse_multivector, text, sig) == _outcome(_head_parse_multivector, text, sig)

@@ -26,7 +26,8 @@ that embed it in larger JSON.
 
 The readers resolve a blade with one lookup; only a miss runs the validating
 loop, so every error message is the loop's.  ``json.loads`` is the only JSON
-reader; ``from_json_dict`` reads two float parts straight into ``complex``.
+reader; ``from_json_dict`` rejects a boolean part and reads the two parts
+straight into ``complex``.
 Text in the writer's own form (single spaces around `+`/`-`, one space before
 a blade) is cut into its terms by one regular-expression split, and a real
 coefficient there is read by ``float`` with its separator's sign; any other
@@ -91,18 +92,14 @@ def format_multivector(mv: Multivector) -> str:
                 abs(c.imag)
             ) + "j)"
         else:
-            # _format_number inlined, with the sign folded into the separator.
             if x < 0:
                 sep, x = " - ", -x
             else:
                 sep = " + "
-            if not x.is_integer() or x >= 1e15:
-                body = repr(x)
-            elif x == 1.0 and mask:
+            body = _format_number(x)
+            if body == "1" and mask:
                 parts.append(sep + names[mask])  # a bare blade
                 continue
-            else:
-                body = str(int(x))
         parts.append(sep + body + " " + names[mask] if mask else sep + body)
     first = parts[0]  # written with no separator, only a minus sign
     parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
@@ -293,14 +290,6 @@ def _json_mask(blades, n: int) -> tuple[int, bool]:
     return mask, bool(swaps & 1)
 
 
-def _json_coeff(re_, im) -> complex:
-    # complex() reads true as 1; JSON booleans are not numbers.
-    if type(re_) is bool or type(im) is bool:
-        name, value = ("re", re_) if type(re_) is bool else ("im", im)
-        raise MultivectorParseError(f"coefficient part {name}={value!r} is not a number")
-    return complex(re_, im)
-
-
 def from_json_dict(data: dict) -> Multivector:
     try:
         try:
@@ -320,10 +309,11 @@ def from_json_dict(data: dict) -> Multivector:
             if mask is None:
                 mask, odd = _json_mask(blades, sig.n)
             re_, im = term.get("re", 0.0), term.get("im", 0.0)
-            if type(re_) is float and type(im) is float:
-                coeff = complex(re_, im)
-            else:
-                coeff = _json_coeff(re_, im)
+            # complex() reads true as 1; JSON booleans are not numbers.
+            if type(re_) is bool or type(im) is bool:
+                name, value = ("re", re_) if type(re_) is bool else ("im", im)
+                raise MultivectorParseError(f"coefficient part {name}={value!r} is not a number")
+            coeff = complex(re_, im)
             terms[mask] = terms.get(mask, 0) + (-coeff if odd else coeff)
     except (KeyError, TypeError, AttributeError) as exc:
         raise MultivectorParseError(f"malformed multivector JSON ({exc!r})") from None

@@ -151,11 +151,14 @@ def test_json_signature_of_wrong_length_is_malformed():
             from_json_dict({"signature": signature, "terms": []})
 
 
-@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("part", ["re", "im", "both"])
 @pytest.mark.parametrize("value", [True, False])
 def test_json_reads_only_numbers(part, value):
-    data = {"signature": [1, 3], "terms": [{"blades": [1], "re": 1.0, part: value}]}
-    message = f"^coefficient part {part}={value} is not a number$"
+    # With both parts boolean, the message names re.
+    parts, named = (("re", "im"), "re") if part == "both" else ((part,), part)
+    term = {"blades": [1], "re": 1.0} | dict.fromkeys(parts, value)
+    data = {"signature": [1, 3], "terms": [term]}
+    message = f"^coefficient part {named}={value} is not a number$"
     with pytest.raises(MultivectorParseError, match=message):
         from_json_dict(data)
 

@@ -138,7 +138,7 @@ class PlaneWaveDHSF:
     def partials(self, x: Sequence[float]) -> list[Multivector]:
         """[d_0 psi, ..., d_3 psi] at x: d_mu psi = c_mu psi(x) B, with
         psi(x) B built once for all four indices."""
-        psi_b = _point(self, x)[1]
+        psi_b = _point(self, x, dirac=False)[1]
         return [c * psi_b for c in self._coefficients()]
 
 
@@ -149,11 +149,12 @@ _last_point: tuple | None = None
 
 
 def _point(
-    field: PlaneWaveDHSF, x: Sequence[float]
-) -> tuple[Multivector, Multivector, Multivector]:
+    field: PlaneWaveDHSF, x: Sequence[float], dirac: bool = True
+) -> tuple[Multivector, Multivector, Multivector | None]:
     """(psi(x), psi(x) B, V (psi(x) B)) for the field at x.  A call with the
     same field object and equal coordinates as the one before returns what
-    that call computed.  A non-finite coordinate raises in evaluate before
+    that call computed; with dirac=False a miss keeps nothing and returns
+    None for D psi.  A non-finite coordinate raises in evaluate before
     anything is kept, so it raises on every call."""
     global _last_point
     xs = tuple(float(x[mu]) for mu in range(4))
@@ -162,6 +163,8 @@ def _point(
         return last[2]
     psi = field.evaluate(xs)
     psi_b = geometric_product(psi, field.phase_bivector)
+    if not dirac:
+        return psi, psi_b, None
     point = (psi, psi_b, geometric_product(field.dirac_vector, psi_b))
     _last_point = (field, xs, point)
     return point
@@ -372,7 +375,7 @@ def left_gauge(
     )
     new_pot = None
     if pot is not None:
-        newA = geometric_product(geometric_product(s.u, pot.A), s.inverse_mv()).grade(1)
+        newA = geometric_product(geometric_product(s.u, pot.A), s.inverse_mv(), grades=(1,))
         new_pot = ConstantPotential(newA, pot.q_charge)
     return GaugedSystem(field=new_field, pot=new_pot, left_rotor=s)
 

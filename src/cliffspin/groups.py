@@ -230,7 +230,7 @@ def lorentz_matrix_of(u: Rotor) -> np.ndarray:
     L = np.zeros((n, n))
     for i in range(n):
         image = geometric_product(
-            geometric_product(u.u, Multivector.generator(sig, i + 1)), uinv
+            geometric_product(u.u, Multivector.generator(sig, i + 1)), uinv, grades=(1,)
         )
         for j in range(n):
             L[j, i] = image.coeff(1 << j).real

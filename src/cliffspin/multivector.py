@@ -712,8 +712,35 @@ def _right_inner(ma, mb):
     return mb & ~ma == 0
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return _product(a, b)
+@lru_cache(maxsize=None)
+def _grade_filter(bits: int):
+    """The pair filter that keeps the blades whose grade k has bit k set in
+    bits: one object per grade set, as kernel and plan keys hold it.  It
+    takes ints, and int arrays as _pair_blocks passes them."""
+    table = np.array([bits >> k & 1 for k in range(MAX_DIM + 1)], bool)
+
+    def keep(ma, mb):
+        x = ma ^ mb
+        return bits >> x.bit_count() & 1 if isinstance(x, int) else table[np.bitwise_count(x)]
+
+    return keep
+
+
+def geometric_product(a: Multivector, b: Multivector, *, grades=None) -> Multivector:
+    """a b, or with grades, the parts of a b of those grades only: each
+    pair whose blade has another grade is skipped, so the kept blades hold
+    the full product's bits in its key order.  An empty grade set gives
+    zero; a grade outside 0..n raises ValueError.  Only the kept blades are
+    checked for a non-finite coefficient, so an overflow in a skipped grade
+    does not raise."""
+    if grades is None:
+        return _product(a, b)
+    n, bits = a.signature.n, 0
+    for k in grades:
+        if not 0 <= k <= n:
+            raise ValueError(f"grade {k} out of range 0..{n}")
+        bits |= 1 << k
+    return _product(a, b, _grade_filter(bits))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -941,5 +968,5 @@ def inverse(a: Multivector) -> Multivector:
 
 def norm_N(a: Multivector) -> complex:
     """N(a) = <conjugation(a) a>_0."""
-    val = geometric_product(conjugation(a), a).scalar_part()
+    val = geometric_product(conjugation(a), a, grades=(0,)).scalar_part()
     return val.real if a.real else val

@@ -9,6 +9,7 @@ element g5 = g^0 g^1 g^2 g^3 is frame-independent under even rotors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from .multivector import (
     G5,
     Multivector,
     Signature,
+    _sign_weight,
     geometric_product,
     hodge_dual,
     reversion,
@@ -148,7 +150,7 @@ def dhs_from_as(a: ASRep) -> DHSRep:
 
 def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
     """(sigma, omega) from psi reversion(psi) = sigma + omega g5."""
-    agg = geometric_product(psi, psit)
+    agg = geometric_product(psi, psit, grades=(0, 4))
     # The grade-4 part is omega * g5, and g5 = -e1e2e3e4.
     return agg.scalar_part().real, -agg.coeff(0b1111).real
 
@@ -161,10 +163,10 @@ def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
     g1 = gamma_upper(d.frame, 1)
     g2 = gamma_upper(d.frame, 2)
     g3 = gamma_upper(d.frame, 3)
-    J = geometric_product(geometric_product(psi, g0), psit)
-    S = geometric_product(geometric_product(psi, geometric_product(g1, g2)), psit)
-    K = geometric_product(geometric_product(psi, g3), psit)
-    return BilinearCovariants(sigma=sigma, omega=omega, J=J.grade(1), S=S.grade(2), K=K.grade(1))
+    J = geometric_product(geometric_product(psi, g0), psit, grades=(1,))
+    S = geometric_product(geometric_product(psi, geometric_product(g1, g2)), psit, grades=(2,))
+    K = geometric_product(geometric_product(psi, g3), psit, grades=(1,))
+    return BilinearCovariants(sigma=sigma, omega=omega, J=J, S=S, K=K)
 
 
 def _regular(sigma: float, omega: float, scale2: float) -> bool:
@@ -182,8 +184,30 @@ def is_regular(d: DHSRep) -> bool:
 # -- identity suite over the covariants ------------------------------------------
 
 
-def _rel(lhs: Multivector, rhs: Multivector) -> float:
-    return (lhs - rhs).max_abs() / max(1.0, lhs.max_abs(), rhs.max_abs())
+def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
+    """max |lhs - rhs| / max(1, |lhs|, |rhs|) for rhs = (a + b g5) X, read
+    from the coefficient dicts.  Each rhs value is the one that building rhs
+    as a multivector stores (a X when b is 0), from the same float
+    operations in the same order: a + b g5 is stored as {1111: -b, 0: a},
+    its scalar dropped when a is 0, so each blade adds its g5 pair first.
+    A non-finite value raises ValueError, as building rhs or lhs - rhs would."""
+    xt = X._terms
+    rhs: dict[int, complex] = {}
+    if b:
+        g, w = G5._terms[0b1111] * complex(b), _sign_weight(1, 0b1111)
+        rhs = {0b1111 ^ m: (-g if (m & w).bit_count() & 1 else g) * c for m, c in xt.items()}
+    if a:
+        s = complex(a)
+        for m, c in xt.items():
+            rhs[m] = rhs.get(m, 0) + s * c
+    lt = lhs._terms
+    diff = [c - rhs.get(m, 0) for m, c in lt.items()]
+    diff += [-r for m, r in rhs.items() if m not in lt]
+    values = [*rhs.values(), *diff]
+    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
+        raise ValueError("non-finite coefficient")
+    top = max(1.0, lhs.max_abs(), max(map(abs, rhs.values()), default=0.0))
+    return max(map(abs, diff), default=0.0) / top
 
 
 def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:
@@ -245,7 +269,7 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
         if scale is not None:
             res[name] = abs(lhs - a) / max(1.0, abs(scale))
         else:
-            res[name] = _rel(lhs, a * X if not b else geometric_product(a + b * G5, X))
+            res[name] = _residual(lhs, a, b, X)
     return res
 
 
@@ -355,8 +379,8 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
     R0 = rotor_between(v0, g0)
     # Pull K back to the rest frame; w3 is unit spacelike, orthogonal to g0.
     w3 = geometric_product(
-        geometric_product(R0.inverse_mv(), (1.0 / rho) * c.K), R0.u
-    ).grade(1)
+        geometric_product(R0.inverse_mv(), (1.0 / rho) * c.K), R0.u, grades=(1,)
+    )
     # For unit spacelike vectors 1 - w.g runs from 0 (antipodal) to 2 (equal).
     if 1.0 - complex(scalar_product(w3, g3)).real >= 1.0:
         R1 = rotor_between(w3, g3)

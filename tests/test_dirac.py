@@ -508,6 +508,27 @@ def test_three_forms_at_one_point_evaluate_psi_once(label, field, pot, left_roto
     assert len(evaluations) == 1
 
 
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_partials_on_a_miss_compute_psi_b_alone_and_keep_nothing(label, field, pot, left_rotor, monkeypatch):
+    x = [0.3, -1.2, 2.5, 0.7]
+    want = [bits(reference_partial(field, mu, x)) for mu in range(4)]
+    psi_b = geometric_product(field.evaluate(x), field.phase_bivector)
+    dpsi = bits(geometric_product(field.dirac_vector, psi_b))
+    calls = []
+    product = multivector._product
+    monkeypatch.setattr(multivector, "_product", lambda a, b, keep=None: calls.append(keep) or product(a, b, keep))
+    clear_point()
+    # A miss: psi(x) and psi B, two products, and no D psi; nothing is kept.
+    assert [bits(d) for d in field.partials(x)] == want
+    assert len(calls) == 2 and dirac._last_point is None
+    # The slot then holds the point of spin_dirac_apply, with its D psi, and
+    # partials read psi B from it.
+    assert bits(spin_dirac_apply(field, x)) == dpsi
+    del calls[:]
+    assert [bits(d) for d in field.partials(x)] == want
+    assert calls == [] and bits(spin_dirac_apply(field, x)) == dpsi
+
+
 def test_three_forms_at_one_point_take_at_most_nine_products(monkeypatch):
     field = planewave_solution(1.3, (0.4, -0.7, 0.2))
     x = [0.3, -1.2, 2.5, 0.7]

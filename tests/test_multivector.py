@@ -1739,3 +1739,95 @@ def test_four_dimensional_exp_reads_the_sign_rows_signs(p):
         if geometric_product(f, f)._terms.keys() <= {0}:
             continue
         assert ordered_bits(exp_bivector(f)) == ordered_bits(old_exp_four_dimensions(f))
+
+
+# -- grade-filtered products: only the grades the caller reads -------------------------------
+
+
+def paths_taken(a, b, grades):
+    """geometric_product(a, b, grades=grades) and the names of the array and
+    loop paths it called, with fresh kernel and plan caches."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
+        patch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
+        for name in ("_product_loop", "_product_array"):
+            path = getattr(mv_module, name)
+            record = lambda *args, name=name, path=path: calls.append(name) or path(*args)
+            patch.setattr(mv_module, name, record)
+        out = geometric_product(a, b, grades=grades)
+    return out, calls
+
+
+def projected_bits(mv, grades):
+    return [bits for bits in ordered_bits(mv) if bits[0].bit_count() in grades]
+
+
+# path -> (signatures, left operand size, right operand size or None for dense,
+# complex operands, the calls paths_taken records)
+FILTER_PATHS = {
+    "kernel": ([(p, n - p) for n in range(5) for p in range(n + 1)], None, None, False, []),
+    "array": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 16, None, False, ["_product_array"]),
+    "loop, complex": ([(1, 3), (2, 1), (3, 2), (0, 6)], None, 7, True, ["_product_loop"]),
+    "loop, small": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 7, 9, False, ["_product_loop"]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(st.sampled_from(sorted(FILTER_PATHS)), st.data())
+def test_grade_filtered_product_is_the_projected_product_bit_for_bit(path, data):
+    signatures, size_a, size_b, complex_coeffs, want_calls = FILTER_PATHS[path]
+    sig = Signature(*data.draw(st.sampled_from(signatures)))
+    grades = data.draw(st.sets(st.integers(0, sig.n)))
+    local = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dim = 1 << sig.n
+    a = shuffled_operand(sig, local, min(size_a or dim, dim), complex_coeffs)
+    b = shuffled_operand(sig, local, min(size_b or dim, dim), complex_coeffs)
+    want = projected_bits(geometric_product(a, b), grades)
+    got, calls = paths_taken(a, b, grades)
+    assert ordered_bits(got) == want
+    assert calls == want_calls
+    if path == "array":
+        # Blocks made anew, above the plan cap, and the cached blocks read back.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mv_module, "_PLAN_MAX_PAIRS", 0)
+            assert ordered_bits(geometric_product(a, b, grades=grades)) == want
+        for _ in range(2):
+            assert ordered_bits(geometric_product(a, b, grades=grades)) == want
+
+
+def test_grade_filters_are_shared_per_grade_set(monkeypatch):
+    cache = mv_module._KernelCache()
+    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+    local = np.random.default_rng(26)
+    a, b = random_mv(SIG13, local), random_mv(SIG13, local)
+    for grades in ((0, 4), [4, 0], {0, 4}, (4, 0, 4)):
+        assert ordered_bits(geometric_product(a, b, grades=grades)) == projected_bits(a * b, {0, 4})
+    assert len([key for key in cache.kernels if key[4] is not None]) == 1
+    # The filter tests ints and int arrays alike.
+    keep = mv_module._grade_filter(0b10001)
+    ma, mb = np.arange(16, dtype=np.int32)[:, None], np.arange(16, dtype=np.int32)
+    assert keep(ma, mb).tolist() == [[bool(keep(x, y)) for y in range(16)] for x in range(16)]
+
+
+def test_grade_filter_empty_set_gives_zero_and_outside_grades_raise():
+    local = np.random.default_rng(27)
+    for sig in (SIG13, Signature(3, 3)):
+        a, b = random_mv(sig, local), random_mv(sig, local)
+        assert geometric_product(a, b, grades=()) == Multivector.zero(sig)
+        for bad in (-1, sig.n + 1):
+            with pytest.raises(ValueError, match=rf"^grade {bad} out of range 0\.\.{sig.n}$"):
+                geometric_product(a, b, grades=(0, bad))
+
+
+def test_grade_filtered_product_checks_only_the_kept_grades_for_overflow():
+    # e1 e1 overflows in the scalar; e1 e2 stays finite in grade 2.
+    big = Multivector(SIG13, {1: 1e200})
+    other = Multivector(SIG13, {1: 1e200, 2: 1.0})
+    for a, b in ((big, other), (big * (1 + 0j) + 1j * big, other)):  # kernel, loop
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            geometric_product(a, b)
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            geometric_product(a, b, grades=(0, 2))
+        kept = geometric_product(a, b, grades=(2,))
+        assert kept == grade_part(loop_product(a, Multivector(SIG13, {2: 1.0}), None), 2)

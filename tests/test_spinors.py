@@ -27,13 +27,15 @@ from cliffspin import (
 )
 from cliffspin.multivector import G5, hodge_dual, right_contraction
 from cliffspin.spinors import (
+    _MULTIVECTOR_OPS,
     ASRep,
     BilinearCovariants,
     DHSRep,
     SingularSpinorError,
     SpinorValueError,
-    _rel,
+    _residual,
     exp_beta_gamma5,
+    fierz_statements,
     frame_idempotent,
     gamma5,
     gamma_upper,
@@ -203,6 +205,56 @@ def test_identity_suite_holds_on_singular_spinor():
     assert len(res) == 16
     for name, r in res.items():
         assert math.isfinite(r) and r <= 1e-12, (name, r)
+
+
+def _rel(lhs, rhs):
+    """The residual of lhs = rhs as fierz_residuals read it before it read
+    the coefficient dicts, kept as the oracle of spinors._residual."""
+    return (lhs - rhs).max_abs() / max(1.0, lhs.max_abs(), rhs.max_abs())
+
+
+def oracle_residual(lhs, a, b, X):
+    return _rel(lhs, a * X if not b else geometric_product(a + b * G5, X))
+
+
+def multivector_rows(c):
+    rows = fierz_statements(_MULTIVECTOR_OPS, c.sigma, c.omega, c.J, c.S, c.K)
+    return [(name, row[:4]) for name, row in rows.items() if row[4] is None]
+
+
+def test_term_by_term_residual_matches_the_multivector_oracle_bit_for_bit():
+    local = np.random.default_rng(26)
+    frames = [spinorial_frame_of(random_rotor(SIG13, local)) for _ in range(30)]
+    reps = [random_regular_spinor(local, frames[i % 30]) for i in range(300)]
+    # beta = 0: psi = rho^(1/2) R, whose omega is often exactly 0, so the
+    # rows with a = -omega or a = omega drop the scalar of a + b g5.
+    reps += [
+        DHSRep(frames[i % 30], geometric_product(1.7**0.5 * exp_beta_gamma5(0.0), random_rotor(SIG13, local).u))
+        for i in range(60)
+    ]
+    # Singular spinors: sigma = omega = 0, so every a and b is 0.
+    reps += [DHSRep(FID, singular_psi()), DHSRep(frames[0], 3.0 * singular_psi())]
+    zero_omega = 0
+    for d in reps:
+        c = bilinear_covariants(d)
+        zero_omega += c.omega == 0.0
+        for name, (lhs, a, b, X) in multivector_rows(c):
+            # Each row as stated, and with a, b or both set to exactly 0.
+            for a_, b_ in ((a, b), (0.0, b), (a, 0.0), (0.0, 0.0)):
+                got, want = _residual(lhs, a_, b_, X), oracle_residual(lhs, a_, b_, X)
+                assert got.hex() == want.hex(), (name, a_, b_)
+    assert zero_omega >= 5
+
+
+def test_term_by_term_residual_raises_where_the_multivector_oracle_does():
+    X = Multivector(SIG13, {1: 1e200, 6: 1.0})
+    lhs = Multivector(SIG13, {1: -1e200, 14: 2.0})
+    for a, b in ((1e200, 0.0), (0.0, 1e200), (1.5, 1e200), (1.7e308, 0.0)):
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            oracle_residual(lhs, a, b, X)
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            _residual(lhs, a, b, X)
+    assert _residual(lhs, 1.0, 0.0, X).hex() == oracle_residual(lhs, 1.0, 0.0, X).hex()
 
 
 def oracle_fierz_residuals(c):

@@ -12,7 +12,7 @@ about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -121,6 +121,7 @@ def fiducial_frame(sig: Signature) -> VectorFrame:
 class SpinorialFrame:
     u: Rotor
     frame: VectorFrame = field(init=False, compare=False)
+    rotor_inverse: Multivector = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         sig = self.u.signature
@@ -141,15 +142,11 @@ class SpinorialFrame:
                 raise FrameError("u^{-1} E_i u is not a vector")
             vectors.append(b)
         object.__setattr__(self, "frame", VectorFrame(tuple(vectors)))
+        object.__setattr__(self, "rotor_inverse", uinv)
 
     @property
     def signature(self) -> Signature:
         return self.u.signature
-
-    @cached_property
-    def rotor_inverse(self) -> Multivector:
-        """u^{-1}, computed on first use and kept with the frame."""
-        return self.u.inverse_mv()
 
 
 def spinorial_frame_of(u: Rotor) -> SpinorialFrame:

@@ -10,7 +10,7 @@ each shared factor that squares to -1.  Both parities are linear in b's bits,
 so for fixed a, s = (-1)^popcount(b & w) for one weight mask w, which
 ``_sign_weight`` gives in closed form for an int or an int array.  Every sign
 is read from that mask: the compiled paths and ``exp_bivector`` take the
-parity of Python ints, and the numpy paths, ``_product_array``,
+parity of Python ints, and the numpy paths, ``_pair_blocks``,
 ``_left_mult_matrix`` and ``classify``, take it over arrays with
 ``_parity_sign``.  The only cache of signs is the loop's: ``_reorder_sign``
 keeps one row of Python ints over all 2^n blades b for each recent left
@@ -18,38 +18,34 @@ blade a.  ``scalar_product`` reads reversion(e_m) e_m in closed form,
 (-1)^popcount(m >> p).
 
 The geometric product, the wedge and both contractions share one kernel,
-``_product``, with three paths, tried in this order.  Each gives the same bits
-and key order as the dict loop ``_product_loop``, which is the tests' oracle
-and, run on polynomial coefficients, the product of the exact Fierz proof.
+``_product``.  Each of its paths gives the same bits and key order as the
+dict loop ``_product_loop``, which is the tests' oracle and, run on
+polynomial coefficients, the product of the exact Fierz proof.
 
-- Kernels, n <= 4, both operands real: generated straight-line code.  On
-  the first sight of a key pattern (p, n, left keys in order, right keys in
-  order, filter), ``_generate_kernel`` compiles the loop for that pattern
-  into one dict literal.  Each output blade's sum keeps the loop's term
-  order, written +a_i*b_j or -a_i*b_j for sign +1 or -1, and the blades keep
-  the loop's first-appearance order.  The kernel multiplies the float real
-  parts and returns float sums, which are the loop's real parts to the bit.
-  Each kernel is charged to the cache's budget of term pairs covered
-  (2^16).  Cl(1,3) work repeats its patterns: in the perfbench spinor-suite
-  and dirac-planewave workloads (seeds 1-3) at most 7 of 275 to 563 patterns
-  occur only once, spending at most 592 pairs of the budget, and over 99.6 %
-  of the n <= 4 product calls meet a pattern seen before.  For n >= 5,
-  kernels grow to thousands of pairs and many patterns never repeat.
-- Arrays, n >= 5, both operands real, ``_ARRAY_MIN_PAIRS`` term pairs or
-  more: ``_product_array``.  ``_pair_blocks`` splits the key pattern's pairs
-  into blocks of left terms and gives, per block, the kept pairs' positions,
-  output blades and signs, and the blades first met there.  A plan is those
-  blocks for one pattern: patterns up to ``_PLAN_MAX_PAIRS`` pairs keep
-  theirs in an LRU cache of at most ``_PLAN_BYTE_BUDGET`` bytes, so one-off
-  patterns cannot grow it past that, and larger ones are blocked anew on
-  each call.  Per block, the pairs' products sign * (x * y) go into
-  ``np.add.at``, which adds each output blade's terms one at a time in the
-  loop's pair order, never pairwise, and the blades are emitted in the order
-  of their first pair.
-- Otherwise, and once the kernel budget is spent: the loop itself.  Complex
-  operands take it at every n: numpy's complex multiply differs from
-  Python's in the last bit on 44 % of random normal pairs, so its sums would
-  not be the loop's, and no perfbench workload multiplies complex operands.
+Real operands with n <= 4, or with ``_ARRAY_MIN_PAIRS`` term pairs or more,
+take compiled forms.  The first sight of a key pattern (p, n, left keys in
+order, right keys in order, filter) compiles a form, a callable from the
+operands' values to the loop's float sums.  For n <= 4 it is generated
+straight-line code: ``_generate_kernel`` writes the loop for the pattern as
+one dict literal, each blade's sum in the loop's term order (+a_i*b_j or
+-a_i*b_j) and the blades in its first-appearance order, over the float real
+parts.  For n >= 5, where a kernel grows to thousands of pairs, it is
+``_sum_blocks`` on the pattern's pair blocks: ``_pair_blocks`` gives, per
+block of left terms, the kept pairs' positions, output blades and signs, and
+the blades first met there, and ``np.add.at`` adds each blade's terms
+sign * (x * y) one at a time in the loop's pair order, never pairwise.
+``_FORMS`` charges each form its term pairs, never evicts, and compiles
+nothing past ``_FORM_PAIR_BUDGET`` pairs or above ``_FORM_MAX_PAIRS`` pairs
+in one pattern; those patterns take blocks made anew (n >= 5) or the loop
+(n <= 4).  A kernel holds about 55 bytes per pair and blocks 3 to 6
+(tracemalloc), so one-off n <= 4 patterns could fill about 7 MiB.  Real work
+repeats its patterns: in the perfbench spinor-suite and dirac-planewave
+workloads over 99.6 % of the n <= 4 product calls meet a pattern seen before.
+
+The loop serves the rest: smaller real products with n >= 5, and complex
+operands at every n.  numpy's complex multiply differs from Python's in the
+last bit on 44 % of random normal pairs, so its sums would not be the
+loop's, and no perfbench workload multiplies complex operands.
 
 Results that this module builds itself skip the validating
 ``Multivector.__init__`` and go through one of three builders, each told
@@ -61,7 +57,7 @@ with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
   scalings.  It stores 0 + c, drops zeros and rejects a non-finite value,
   and scans for ``real`` unless the caller passes it: a sum, a scaling by a
   real number or a loop product of real operands is real.
-- ``_own_real(sig, sums)``: float sums from the kernels and the array path.
+- ``_own_real(sig, sums)``: float sums from the compiled forms and blocks.
   It stores 0j + v, which is 0 + complex(v, 0.0) to the bit, drops zeros
   and rejects a non-finite value after one finiteness test of the float
   sum; ``real`` is True.
@@ -101,9 +97,8 @@ import cmath
 import math
 import operator
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -533,54 +528,22 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
 # global name (a dict per kernel took about 160 bytes).
 _KERNEL_GLOBALS: dict = {}
 
-
-class _KernelCache:
-    """Generated kernels for products of real operands, by (p, n, left
-    keys, right keys, filter).
-
-    A pattern is compiled on its first sight.  Each kernel costs the number
-    of term pairs it covers, and compiling stops once the costs would pass
-    _KERNEL_PAIR_BUDGET; patterns left out are served by _product_loop."""
-
-    def __init__(self):
-        self.kernels: dict[tuple, object] = {}
-        self.pairs = 0
-        self._lock = threading.Lock()
-
-    def compile(self, key: tuple):
-        """The kernel for a key missing from self.kernels, or None once the
-        budget cannot hold it."""
-        cost = len(key[2]) * len(key[3])
-        if self.pairs + cost > _KERNEL_PAIR_BUDGET:
-            return None
-        with self._lock:
-            kernel = self.kernels.get(key)
-            if kernel is None and self.pairs + cost <= _KERNEL_PAIR_BUDGET:
-                kernel = self.kernels[key] = _generate_kernel(*key)
-                self.pairs += cost
-        return kernel
-
-
 # Kernels serve n <= 4, where an operand has at most 16 terms and a kernel at
-# most 256 pairs.  Larger algebras meet many one-off patterns, and compiling a
-# kernel of up to 16384 pairs (n = 7) costs more memory than the pair budget
-# suggests.
+# most 256 pairs, and take about 55 bytes per pair.  Above, a kernel grows to
+# 16384 pairs (n = 7), and pair blocks, 3 to 6 bytes per pair, serve instead.
 _KERNEL_MAX_N = 4
-_KERNEL_PAIR_BUDGET = 1 << 16
-_KERNELS = _KernelCache()
 
-
-# Real products with n >= 5 and at least this many term pairs take
-# _product_array.  Below it numpy's fixed cost per call is near the loop's
-# whole cost: with timeit on one CPU at n = 5..7, the loop against cached
-# blocks takes 16-25 against 16-29 us at 64 pairs, 22-39 against 16-28 us at
-# 96 and 27-48 against 17-27 us at 128.
+# Real products with n >= 5 and at least this many term pairs take pair
+# blocks.  Below it numpy's fixed cost per call is near the loop's whole
+# cost: with timeit on one CPU at n = 5..7, the loop against cached blocks
+# takes 16-25 against 16-29 us at 64 pairs, 22-39 against 16-28 us at 96 and
+# 27-48 against 17-27 us at 128.
 _ARRAY_MIN_PAIRS = 128
 # Term pairs per block of left terms: each float temporary of a block holds at
 # most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
 
-# _product_array reports overflow as the loop does, by the ValueError of
+# _sum_blocks reports overflow as the loop does, by the ValueError of
 # Multivector._own_real alone, so numpy's overflow and invalid-value warnings
 # are off inside it.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
@@ -611,60 +574,18 @@ def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
         yield slice(start, start + step), positions, blades, signs, blades[first[blades] == order]
 
 
-def _plan_bytes(blocks: tuple) -> int:
-    return sum(x.nbytes for block in blocks for x in block[1:] if x is not None)
-
-
-class _PlanCache:
-    """The pair blocks of _pair_blocks by (p, n, left keys, right keys,
-    filter), least recently used first out once their arrays hold more than
-    _PLAN_BYTE_BUDGET bytes."""
-
-    def __init__(self):
-        self.plans: OrderedDict[tuple, tuple] = OrderedDict()
-        self.bytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple:
-        with self._lock:
-            plan = self.plans.get(key)
-            if plan is not None:
-                self.plans.move_to_end(key)
-                return plan
-        plan = tuple(_pair_blocks(*key))
-        size = _plan_bytes(plan)
-        with self._lock:
-            if key not in self.plans and size <= _PLAN_BYTE_BUDGET:
-                self.plans[key] = plan
-                self.bytes += size
-                while self.bytes > _PLAN_BYTE_BUDGET:
-                    self.bytes -= _plan_bytes(self.plans.popitem(last=False)[1])
-        return plan
-
-
-# Patterns up to dense Cl(4,3) (2^14 pairs, at most 144 KiB of blocks) are
-# cached; larger ones are blocked anew on each call.  The budget is 1 MiB;
-# algebra-sweep keeps at most about 260 KiB in use.
-_PLAN_MAX_PAIRS = 1 << 14
-_PLAN_BYTE_BUDGET = 1 << 20
-_PLANS = _PlanCache()
-
-
 @_quiet_overflow
-def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, float]:
-    """The real parts of _product_loop of two real operands, computed on
-    arrays from the pair blocks of their key pattern: cached up to
-    _PLAN_MAX_PAIRS pairs, and generated block by block above.
+def _sum_blocks(n: int, blocks, a, b) -> dict[int, float]:
+    """The real parts of _product_loop of two real operands with values a
+    and b, computed on arrays from the pair blocks of their key pattern.
 
     Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
     and np.add.at adds the contributions to each output blade one at a time
     in the loop's pair order, never pairwise, so every sum is the loop's to
     the bit.  The blades come out in the order of their first kept pair, as
     the loop inserts them."""
-    key = (p, n, tuple(at), tuple(bt), keep)
-    blocks = _PLANS.get(key) if len(at) * len(bt) <= _PLAN_MAX_PAIRS else _pair_blocks(*key)
-    xa = np.fromiter(at.values(), complex, len(at)).real
-    xb = np.fromiter(bt.values(), complex, len(bt)).real
+    xa = np.fromiter(a, complex, len(a)).real
+    xb = np.fromiter(b, complex, len(b)).real
     sums = np.zeros(1 << n)
     keys = []
     for rows, positions, blades, signs, new in blocks:
@@ -678,28 +599,69 @@ def _product_array(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, f
     return dict(zip(keys.tolist(), sums[keys].tolist()))
 
 
+class _FormCache:
+    """Compiled forms of products of real operands, by (p, n, left keys,
+    right keys, filter).  A form maps the operands' values to the loop's
+    float sums: a generated kernel for n <= _KERNEL_MAX_N, and _sum_blocks
+    on the pattern's pair blocks above.
+
+    A pattern is compiled on its first sight.  Each form costs the number of
+    term pairs it covers; a pattern of more than _FORM_MAX_PAIRS pairs, or
+    one that would pass _FORM_PAIR_BUDGET, is not compiled."""
+
+    def __init__(self):
+        self.forms: dict[tuple, object] = {}
+        self.pairs = 0
+        self._lock = threading.Lock()
+
+    def compile(self, key: tuple):
+        """The form for a key missing from self.forms, or None when the cap
+        or the budget leaves it out."""
+        cost = len(key[2]) * len(key[3])
+        if cost > _FORM_MAX_PAIRS or self.pairs + cost > _FORM_PAIR_BUDGET:
+            return None
+        with self._lock:
+            form = self.forms.get(key)
+            if form is None and self.pairs + cost <= _FORM_PAIR_BUDGET:
+                if key[1] <= _KERNEL_MAX_N:
+                    form = _generate_kernel(*key)
+                else:
+                    form = partial(_sum_blocks, key[1], tuple(_pair_blocks(*key)))
+                self.forms[key] = form
+                self.pairs += cost
+        return form
+
+
+# Patterns up to dense Cl(4,3) are compiled.  perfbench's algebra-sweep
+# compiles 92160 pairs in a 15 s run, and fills the budget after about 1000
+# operations; the patterns refused from then on are blocked anew per call.
+_FORM_MAX_PAIRS = 1 << 14
+_FORM_PAIR_BUDGET = 1 << 17
+_FORMS = _FormCache()
+
+
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
-    """_product_loop of a and b.  Real operands, neither zero, take a
-    generated kernel when one serves their key pattern (n <= 4), or with
-    n >= 5 and _ARRAY_MIN_PAIRS term pairs or more, _product_array.
-    Complex operands take the loop at every n."""
+    """_product_loop of a and b.  Real operands, neither zero, with n <= 4 or
+    _ARRAY_MIN_PAIRS term pairs or more take the compiled form of their key
+    pattern.  Past the form cache's cap or budget, n >= 5 takes pair blocks
+    made anew, and n <= 4 the loop.  Complex operands take the loop at every
+    n."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
     at, bt = a._terms, b._terms
     real = a.real and b.real
-    if real and at and bt:
-        if n <= _KERNEL_MAX_N:
-            key = (p, n, tuple(at), tuple(bt), keep)
-            kernel = _KERNELS.kernels.get(key) or _KERNELS.compile(key)
-            if kernel is not None:
-                return Multivector._own_real(sig, kernel(at.values(), bt.values()))
-        elif len(at) * len(bt) >= _ARRAY_MIN_PAIRS:
-            return Multivector._own_real(sig, _product_array(p, n, at, bt, keep))
+    if real and at and bt and (n <= _KERNEL_MAX_N or len(at) * len(bt) >= _ARRAY_MIN_PAIRS):
+        key = (p, n, tuple(at), tuple(bt), keep)
+        form = _FORMS.forms.get(key) or _FORMS.compile(key)
+        if form is not None:
+            return Multivector._own_real(sig, form(at.values(), bt.values()))
+        if n > _KERNEL_MAX_N:
+            return Multivector._own_real(sig, _sum_blocks(n, _pair_blocks(*key), at.values(), bt.values()))
     return Multivector._own(sig, _product_loop(p, n, at, bt, keep), True if real else None)
 
 
-# The filters also take arrays of masks, as _product_array calls them.
+# The filters also take arrays of masks, as _pair_blocks calls them.
 def _outer(ma, mb):
     return ma & mb == 0
 
@@ -715,7 +677,7 @@ def _right_inner(ma, mb):
 @lru_cache(maxsize=None)
 def _grade_filter(bits: int):
     """The pair filter that keeps the blades whose grade k has bit k set in
-    bits: one object per grade set, as kernel and plan keys hold it.  It
+    bits: one object per grade set, as form keys hold it.  It
     takes ints, and int arrays as _pair_blocks passes them."""
     table = np.array([bits >> k & 1 for k in range(MAX_DIM + 1)], bool)
 

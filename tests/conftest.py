@@ -34,3 +34,12 @@ def geometric_products(monkeypatch):
         if name.split(".")[0] == "cliffspin" and getattr(module, "geometric_product", None) is product:
             monkeypatch.setattr(module, "geometric_product", counting_product)
     return calls
+
+
+@pytest.fixture
+def fresh_forms(monkeypatch):
+    """An empty compiled-form cache in place of the shared one, returned, so
+    that no pair budget spent by other tests sends a product past its form."""
+    cache = multivector._FormCache()
+    monkeypatch.setattr(multivector, "_FORMS", cache)
+    return cache

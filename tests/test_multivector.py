@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -877,9 +878,8 @@ def shuffled_operand(sig, rng, size, complex_coeffs):
     "p,q", [(p, n - p) for n in range(5) for p in range(n + 1)], ids=lambda v: str(v)
 )
 @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
-def test_kernels_match_the_dict_loop_bit_for_bit(monkeypatch, p, q, complex_coeffs):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+def test_kernels_match_the_dict_loop_bit_for_bit(fresh_forms, p, q, complex_coeffs):
+    cache = fresh_forms
     sig = Signature(p, q)
     local = np.random.default_rng([p, q, complex_coeffs])
     dim = 1 << sig.n
@@ -893,15 +893,14 @@ def test_kernels_match_the_dict_loop_bit_for_bit(monkeypatch, p, q, complex_coef
             # kernel.  Complex operands take the loop and compile nothing.
             for call in range(3):
                 assert ordered_bits(product(a, b)) == want, (product.__name__, call)
-                assert (key in cache.kernels) is not complex_coeffs
-    assert (cache.kernels == {}) is complex_coeffs
-    assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.kernels)
+                assert (key in cache.forms) is not complex_coeffs
+    assert (cache.forms == {}) is complex_coeffs
+    assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.forms)
 
 
-def test_kernel_cache_holds_to_its_pair_budget(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
-    monkeypatch.setattr(mv_module, "_KERNEL_PAIR_BUDGET", 2000)
+def test_kernel_cache_holds_to_its_pair_budget(fresh_forms, monkeypatch):
+    cache = fresh_forms
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 2000)
     local = np.random.default_rng(3)
     sig = SIG13
     for _ in range(150):
@@ -914,13 +913,12 @@ def test_kernel_cache_holds_to_its_pair_budget(monkeypatch):
             for _ in range(2):
                 assert ordered_bits(product(a, b)) == want
         assert cache.pairs <= 2000
-    assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.kernels)
-    assert 0 < len(cache.kernels) < 150
+    assert cache.pairs == sum(len(k[2]) * len(k[3]) for k in cache.forms)
+    assert 0 < len(cache.forms) < 150
 
 
-def test_products_above_four_dimensions_never_enter_the_kernel_cache(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+def test_products_above_four_dimensions_never_enter_the_kernel_cache(fresh_forms):
+    cache = fresh_forms
     local = np.random.default_rng(4)
     for sig in (Signature(5, 0), Signature(3, 2), Signature(1, 5)):
         a = shuffled_operand(sig, local, 6, False)
@@ -928,12 +926,11 @@ def test_products_above_four_dimensions_never_enter_the_kernel_cache(monkeypatch
         for product in PRODUCTS:
             for _ in range(3):
                 product(a, b)
-    assert cache.kernels == {} and cache.pairs == 0
+    assert cache.forms == {} and cache.pairs == 0
 
 
-def test_complex_operands_compile_no_kernel_and_match_the_loop(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+def test_complex_operands_compile_no_kernel_and_match_the_loop(fresh_forms):
+    cache = fresh_forms
     local = np.random.default_rng(5)
     for sig in (SIG13, SIG20, Signature(0, 1), Signature(4, 0), Signature(1, 2)):
         a = shuffled_operand(sig, local, min(6, 1 << sig.n), False)
@@ -945,12 +942,11 @@ def test_complex_operands_compile_no_kernel_and_match_the_loop(monkeypatch):
             for product, keep in PRODUCTS.items():
                 for _ in range(2):
                     assert ordered_bits(product(x, y)) == ordered_bits(loop_product(x, y, keep))
-    assert cache.kernels == {} and cache.pairs == 0
+    assert cache.forms == {} and cache.pairs == 0
 
 
-def test_real_and_complex_operands_compile_distinct_kernels(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+def test_real_and_complex_operands_compile_distinct_kernels(fresh_forms):
+    cache = fresh_forms
     local = np.random.default_rng(5)
     a = shuffled_operand(SIG13, local, 6, False)
     b = shuffled_operand(SIG13, local, 5, False)
@@ -966,14 +962,13 @@ def test_real_and_complex_operands_compile_distinct_kernels(monkeypatch):
     # would drop its imaginary parts) but takes the loop, and each kernel
     # is charged its 30 pairs.
     want = {(*pattern, keep) for keep in PRODUCTS.values()}
-    assert set(cache.kernels) == want
+    assert set(cache.forms) == want
     assert cache.pairs == 4 * 30
 
 
-def test_kernel_budget_charges_each_realness_of_a_pattern(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
-    monkeypatch.setattr(mv_module, "_KERNEL_PAIR_BUDGET", 30)
+def test_kernel_budget_charges_each_realness_of_a_pattern(fresh_forms, monkeypatch):
+    cache = fresh_forms
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 30)
     local = np.random.default_rng(6)
     a = shuffled_operand(SIG13, local, 6, False)
     b = shuffled_operand(SIG13, local, 5, False)
@@ -981,16 +976,15 @@ def test_kernel_budget_charges_each_realness_of_a_pattern(monkeypatch):
     # The complex pattern takes the loop and is charged nothing, so the
     # real kernel after it still finds the whole budget.
     assert ordered_bits(geometric_product(ai, b)) == ordered_bits(loop_product(ai, b, None))
-    assert cache.kernels == {} and cache.pairs == 0
+    assert cache.forms == {} and cache.pairs == 0
     assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
     # The real kernel spent the budget; the complex pattern still takes the loop.
     assert ordered_bits(geometric_product(ai, b)) == ordered_bits(loop_product(ai, b, None))
-    assert list(cache.kernels) == [(SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms), None)]
+    assert list(cache.forms) == [(SIG13.p, SIG13.n, tuple(a._terms), tuple(b._terms), None)]
     assert cache.pairs == 30
 
 
-def test_real_kernels_report_overflow_as_the_loop_does(monkeypatch):
-    monkeypatch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
+def test_real_kernels_report_overflow_as_the_loop_does(fresh_forms):
     big = Multivector(SIG13, {1: 1e200, 2: -3e200, 6: 2e200})
     for product, keep in PRODUCTS.items():
         with pytest.raises(ValueError, match="^non-finite coefficient$"):
@@ -1009,22 +1003,26 @@ def test_real_kernels_report_overflow_as_the_loop_does(monkeypatch):
 SIGNATURES_5_TO_8 = [(p, n - p) for n in range(5, 9) for p in range(n + 1)]
 
 
+def plan_key(a, b, keep):
+    return (a.signature.p, a.signature.n, tuple(a._terms), tuple(b._terms), keep)
+
+
 def table_product(a, b, keep):
-    sig = a.signature
-    sums = mv_module._product_array(sig.p, sig.n, a._terms, b._terms, keep)
-    return Multivector._own_real(sig, sums)
+    """The pattern's compiled form, as _FORMS compiles it on the first call
+    and reads it back after, or blocks made anew where _FORM_MAX_PAIRS leaves
+    the pattern uncompiled."""
+    key = plan_key(a, b, keep)
+    form = mv_module._FORMS.forms.get(key) or mv_module._FORMS.compile(key)
+    if form is None:
+        return uncached_product(a, b, keep)
+    return Multivector._own_real(a.signature, form(a._terms.values(), b._terms.values()))
 
 
 def uncached_product(a, b, keep):
-    """table_product with every pattern blocked anew, as above
-    _PLAN_MAX_PAIRS."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mv_module, "_PLAN_MAX_PAIRS", 0)
-        return table_product(a, b, keep)
-
-
-def plan_key(a, b, keep):
-    return (a.signature.p, a.signature.n, tuple(a._terms), tuple(b._terms), keep)
+    """_sum_blocks on blocks made anew, as past the form cap or budget."""
+    blocks = mv_module._pair_blocks(*plan_key(a, b, keep))
+    sums = mv_module._sum_blocks(a.signature.n, blocks, a._terms.values(), b._terms.values())
+    return Multivector._own_real(a.signature, sums)
 
 
 def plan_blades(blocks):
@@ -1032,18 +1030,19 @@ def plan_blades(blocks):
     return [m for block in blocks for m in block[4].tolist()]
 
 
-def cache_holds_its_bytes(cache):
-    """The cache counts the bytes of the arrays it holds, within its budget,
-    and stores blades and positions as int32 and signs as int8."""
-    held = 0
-    for blocks in cache.plans.values():
-        for rows, positions, blades, signs, new in blocks:
-            assert isinstance(rows, slice)
-            assert blades.dtype == new.dtype == np.int32 and signs.dtype == np.int8
-            assert positions is None or positions.dtype == np.int32
-            held += blades.nbytes + signs.nbytes + new.nbytes
-            held += 0 if positions is None else positions.nbytes
-    assert cache.bytes == held <= mv_module._PLAN_BYTE_BUDGET
+def cache_holds_its_pairs(cache):
+    """The cache charges each form the term pairs of its key, within its
+    budget; the blocks of n >= 5 forms store blades and positions as int32
+    and signs as int8."""
+    for key, form in cache.forms.items():
+        if key[1] > mv_module._KERNEL_MAX_N:
+            assert form.func is mv_module._sum_blocks and form.args[0] == key[1]
+            for rows, positions, blades, signs, new in form.args[1]:
+                assert isinstance(rows, slice)
+                assert blades.dtype == new.dtype == np.int32 and signs.dtype == np.int8
+                assert positions is None or positions.dtype == np.int32
+    held = sum(len(key[2]) * len(key[3]) for key in cache.forms)
+    assert cache.pairs == held <= mv_module._FORM_PAIR_BUDGET
 
 
 def drawn_operand(sig, local, kind, dyadic):
@@ -1071,9 +1070,9 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
     local = np.random.default_rng(seed)
     a = drawn_operand(sig, local, kind_a, dyadic)
     b = drawn_operand(sig, local, kind_b, dyadic)
-    cache = mv_module._PlanCache()
+    cache = mv_module._FormCache()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mv_module, "_PLANS", cache)
+        patch.setattr(mv_module, "_FORMS", cache)
         for product, keep in PRODUCTS.items():
             want = ordered_bits(loop_product(a, b, keep))
             # Values and key order: from the array path as it caches the
@@ -1083,11 +1082,11 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
                 assert ordered_bits(table_product(a, b, keep)) == want, (product.__name__, call)
             assert ordered_bits(uncached_product(a, b, keep)) == want
             assert ordered_bits(product(a, b)) == want
-        cache_holds_its_bytes(cache)
-    if dyadic:
-        # Every sum of dyadic products is exact, in whatever order it is added.
-        exact = _left_mult_matrix(a) @ np.array(b.coefficients()).real
-        assert table_product(a, b, None) == Multivector(sig, dict(enumerate(exact.tolist())))
+        cache_holds_its_pairs(cache)
+        if dyadic:
+            # Every sum of dyadic products is exact, in whatever order it is added.
+            exact = _left_mult_matrix(a) @ np.array(b.coefficients()).real
+            assert table_product(a, b, None) == Multivector(sig, dict(enumerate(exact.tolist())))
 
 
 @pytest.mark.parametrize("pq", [(3, 2), (0, 7), (4, 4)])
@@ -1098,8 +1097,9 @@ def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
     local = np.random.default_rng(list(pq))
     for block_pairs in (mv_module._ARRAY_BLOCK_PAIRS, 97):
         monkeypatch.setattr(mv_module, "_ARRAY_BLOCK_PAIRS", block_pairs)
-        cache = mv_module._PlanCache()
-        monkeypatch.setattr(mv_module, "_PLANS", cache)
+        # A fresh cache per block size, whose forms hold blocks of that size.
+        cache = mv_module._FormCache()
+        monkeypatch.setattr(mv_module, "_FORMS", cache)
         for kinds in (("dense", "dense"), ("sparse", "dense"), ("dense", "single")):
             a, b = (drawn_operand(sig, local, kind, False) for kind in kinds)
             for keep in PRODUCTS.values():
@@ -1108,21 +1108,21 @@ def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
                     assert ordered_bits(table_product(a, b, keep)) == want
                 assert ordered_bits(uncached_product(a, b, keep)) == want
                 key = plan_key(a, b, keep)
-                cached = len(a._terms) * len(b._terms) <= mv_module._PLAN_MAX_PAIRS
-                assert (key in cache.plans) == cached
+                cached = len(a._terms) * len(b._terms) <= mv_module._FORM_MAX_PAIRS
+                assert (key in cache.forms) == cached
                 blocks = tuple(mv_module._pair_blocks(*key))
                 assert plan_blades(blocks) == [m for m, *_ in want]
                 assert len(blocks) == -(-len(a._terms) // max(1, block_pairs // len(b._terms)))
-        cache_holds_its_bytes(cache)
+        cache_holds_its_pairs(cache)
 
 
-def test_only_large_real_products_above_four_dimensions_take_the_table_path(monkeypatch):
-    cache = mv_module._PlanCache()
-    monkeypatch.setattr(mv_module, "_PLANS", cache)
+def test_only_large_real_products_above_four_dimensions_take_the_table_path(fresh_forms, monkeypatch):
     calls = []
-    for name in ("_product_array", "_pair_blocks"):
+    # Each call is recorded with its n: _pair_blocks takes (p, n, ...) and
+    # _sum_blocks (n, ...).
+    for name, at in (("_pair_blocks", 1), ("_sum_blocks", 0)):
         path = getattr(mv_module, name)
-        record = lambda *args, name=name, path=path: calls.append((name, *args[:2])) or path(*args)
+        record = lambda *args, name=name, path=path, at=at: calls.append((name, args[at])) or path(*args)
         monkeypatch.setattr(mv_module, name, record)
     local = np.random.default_rng(7)
     sig = Signature(3, 3)
@@ -1132,11 +1132,12 @@ def test_only_large_real_products_above_four_dimensions_take_the_table_path(monk
     geometric_product(single, dense)  # 64 pairs: below the threshold
     geometric_product(random_mv(SIG13, local), random_mv(SIG13, local))
     big = drawn_operand(Signature(4, 4), local, "dense", False)
-    geometric_product(big, big)  # 2^16 pairs: above the plan cap
-    blocked = [("_product_array", 3, 6), ("_pair_blocks", 3, 6)]
-    assert calls == blocked + [("_product_array", 4, 8), ("_pair_blocks", 4, 8)]
-    assert [key[:2] for key in cache.plans] == [(3, 6)]  # the Cl(4,4) blocks are not kept
-    assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64 <= mv_module._PLAN_MAX_PAIRS < 256 * 256
+    geometric_product(big, big)  # 2^16 pairs: above the form cap
+    blocked = [("_pair_blocks", 6), ("_sum_blocks", 6)]
+    assert calls == blocked + [("_pair_blocks", 8), ("_sum_blocks", 8)]
+    # The Cl(4,4) blocks are not kept; the Cl(1,3) pattern has a kernel.
+    assert [key[:2] for key in fresh_forms.forms] == [(3, 6), (1, 4)]
+    assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64 <= mv_module._FORM_MAX_PAIRS < 256 * 256
 
 
 @pytest.mark.parametrize("pq", [(5, 0), (2, 4), (3, 4)])
@@ -1145,7 +1146,7 @@ def test_complex_products_never_take_the_table_path(monkeypatch, pq):
     def refuse(*args):
         raise AssertionError("complex operands reached the table path")
 
-    monkeypatch.setattr(mv_module, "_product_array", refuse)
+    monkeypatch.setattr(mv_module, "_sum_blocks", refuse)
     monkeypatch.setattr(mv_module, "_pair_blocks", refuse)
     sig = Signature(*pq)
     local = np.random.default_rng(list(pq))
@@ -1225,11 +1226,9 @@ def test_dense_real_products_build_no_sign_rows():
     assert float(grew_mib) <= 32
 
 
-def test_kernels_and_plans_read_no_sign_rows_or_table(monkeypatch):
+def test_kernels_and_plans_read_no_sign_rows_or_table(fresh_forms):
     """Compiling reads each sign as the parity of mb & _sign_weight(p, ma),
     not from a _reorder_sign row."""
-    monkeypatch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
-    monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
     local = np.random.default_rng(13)
     _reorder_sign.cache_clear()
     for pq in ((1, 3), (0, 4), (2, 1), (4, 1), (3, 3), (4, 3)):
@@ -1243,7 +1242,8 @@ def test_kernels_and_plans_read_no_sign_rows_or_table(monkeypatch):
             mv_module._generate_kernel(*plan_key(b, a, keep))
             tuple(mv_module._pair_blocks(*plan_key(b, a, keep)))
             assert _reorder_sign.cache_info().currsize == 0
-    assert mv_module._KERNELS.kernels and mv_module._PLANS.plans
+    # Both kinds of form were compiled: kernels and pair blocks.
+    assert {key[1] <= mv_module._KERNEL_MAX_N for key in fresh_forms.forms} == {True, False}
 
 
 def test_first_sparse_real_product_of_cl66_builds_no_sign_table():
@@ -1292,12 +1292,11 @@ def test_inverse_fast_path_test_is_relative_to_scale(monkeypatch):
 
 
 @pytest.mark.parametrize("pq", [(4, 3), (2, 5), (4, 4)])
-def test_plan_path_adds_a_single_output_blade_in_loop_order(monkeypatch, pq):
+def test_plan_path_adds_a_single_output_blade_in_loop_order(fresh_forms, pq):
     """a _| b of two operands on the same grade-k blades keeps only the pairs
     with equal blades, so every pair lands on the scalar.  A sum over an axis
     would add them pairwise, which the loop does not; np.add.at adds them in
     pair order."""
-    monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
     sig = Signature(*pq)
     grade = sig.n // 2
     local = np.random.default_rng(list(pq))
@@ -1317,8 +1316,7 @@ def test_plan_path_adds_a_single_output_blade_in_loop_order(monkeypatch, pq):
 
 
 @pytest.mark.parametrize("pq", [(5, 0), (3, 3), (4, 3)])
-def test_plan_path_reports_overflow_as_the_loop_does(monkeypatch, pq):
-    monkeypatch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
+def test_plan_path_reports_overflow_as_the_loop_does(fresh_forms, pq):
     sig = Signature(*pq)
     local = np.random.default_rng(list(pq))
     big = drawn_operand(sig, local, "dense", False) * 1e200
@@ -1330,30 +1328,87 @@ def test_plan_path_reports_overflow_as_the_loop_does(monkeypatch, pq):
                 product(big, big)
 
 
-def test_plan_cache_evicts_to_its_byte_budget_and_rebuilds_the_same_bits(monkeypatch):
-    cache = mv_module._PlanCache()
-    monkeypatch.setattr(mv_module, "_PLANS", cache)
-    monkeypatch.setattr(mv_module, "_PLAN_BYTE_BUDGET", 20000)
-    local = np.random.default_rng(11)
-    seen = []
-    for _ in range(30):
-        sig = Signature(*SIGNATURES_5_TO_8[int(local.integers(6, 21))])  # n = 6..7
-        a = drawn_operand(sig, local, "sparse", False)
-        b = drawn_operand(sig, local, "dense", False)
-        for product, keep in PRODUCTS.items():
-            want = ordered_bits(loop_product(a, b, keep))
+def test_form_budget_is_shared_by_kernels_and_blocks(fresh_forms, monkeypatch):
+    """Cl(1,3) kernels and Cl(3,3) and Cl(4,3) pair blocks spend one pair
+    budget.  Past it, n <= 4 takes the loop and n >= 5 takes blocks made
+    anew; a dense Cl(4,4) pattern, above the form cap, is never compiled."""
+    calls = []
+    for name in ("_product_loop", "_pair_blocks", "_sum_blocks"):
+        path = getattr(mv_module, name)
+        record = lambda *args, name=name, path=path: calls.append(name) or path(*args)
+        monkeypatch.setattr(mv_module, name, record)
+
+    def second_calls(a, b, product, keep):
+        """The paths that the second of two products took, each product
+        checked against the loop."""
+        want = ordered_bits(loop_product(a, b, keep))
+        for _ in range(2):
+            calls.clear()
             assert ordered_bits(product(a, b)) == want
-            seen.append((a, b, keep, want))
-            cache_holds_its_bytes(cache)
-    evicted = [case for case in seen if plan_key(*case[:3]) not in cache.plans]
-    assert evicted and cache.plans
-    for a, b, keep, want in evicted:
-        assert ordered_bits(table_product(a, b, keep)) == want
-        cache_holds_its_bytes(cache)
-    # Most recently used last, and a hit moves its plan to the end.
-    first = next(iter(cache.plans))
-    cache.get(first)
-    assert list(cache.plans)[-1] == first
+        return list(calls)
+
+    local = np.random.default_rng(11)
+    # The whole budget could hold its 2^16 pairs.
+    big = drawn_operand(Signature(4, 4), local, "dense", False)
+    for product, keep in PRODUCTS.items():
+        assert second_calls(big, big, product, keep) == ["_pair_blocks", "_sum_blocks"]
+    assert fresh_forms.forms == {} and fresh_forms.pairs == 0
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 12000)
+    signatures = [SIG13, Signature(3, 3), Signature(4, 3)]
+    compiled, refused = set(), set()
+    for _ in range(24):
+        sig = signatures[int(local.integers(3))]
+        small = sig.n <= mv_module._KERNEL_MAX_N
+        a = drawn_operand(sig, local, "dense", False)
+        b = drawn_operand(sig, local, "dense" if small else "sparse", False)
+        for product, keep in PRODUCTS.items():
+            room = mv_module._FORM_PAIR_BUDGET - fresh_forms.pairs
+            taken = second_calls(a, b, product, keep)
+            if plan_key(a, b, keep) in fresh_forms.forms:
+                compiled.add(small)
+                assert taken == ([] if small else ["_sum_blocks"])
+            else:
+                refused.add(small)
+                assert len(a._terms) * len(b._terms) > room
+                assert taken == (["_product_loop"] if small else ["_pair_blocks", "_sum_blocks"])
+            cache_holds_its_pairs(fresh_forms)
+    assert compiled == refused == {True, False}
+
+
+def test_form_cache_charges_each_key_once_under_threads(fresh_forms, monkeypatch):
+    """Threads that compile the same kernels and pair blocks at once: each
+    key is charged once, the count stays within the budget, and every
+    result is the loop's."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 6000)
+    local = np.random.default_rng(15)
+    cases = []
+    for sig in (SIG13, Signature(3, 3)) * 12:
+        a = drawn_operand(sig, local, "dense", False)
+        b = drawn_operand(sig, local, "dense" if sig.n <= 4 else "sparse", False)
+        cases.append((a, b, ordered_bits(loop_product(a, b, None))))
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(len(cases)):
+                a, b, want = cases[(i + offset) % len(cases)]
+                assert ordered_bits(geometric_product(a, b)) == want
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k % 3,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    cache_holds_its_pairs(fresh_forms)
+    assert 0 < len(fresh_forms.forms) < len(cases)  # the budget left some out
 
 
 @pytest.mark.parametrize("pq", [(3, 2), (4, 3)])
@@ -1365,17 +1420,6 @@ def test_plan_with_no_kept_pair_gives_zero(pq):
     assert plan_blades(blocks) == [] and not any(block[2].size for block in blocks)
     assert wedge(a, a).is_zero() and loop_product(a, a, mv_module._outer).is_zero()
     assert not geometric_product(a, a).is_zero()
-
-
-def test_plan_larger_than_the_budget_is_used_but_not_kept(monkeypatch):
-    cache = mv_module._PlanCache()
-    monkeypatch.setattr(mv_module, "_PLANS", cache)
-    monkeypatch.setattr(mv_module, "_PLAN_BYTE_BUDGET", 100)
-    local = np.random.default_rng(12)
-    sig = Signature(3, 2)
-    a, b = (drawn_operand(sig, local, "dense", False) for _ in range(2))
-    assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
-    assert cache.plans == {} and cache.bytes == 0
 
 
 def old_left_mult_matrix(a):
@@ -1487,16 +1531,17 @@ def test_reversion_is_an_anti_automorphism(operands):
 
 
 
-def test_real_products_above_four_dimensions_overflow_without_numpy_warnings(monkeypatch):
-    """The array path raises the loop's ValueError alone, on cached blocks
-    and on blocks made anew."""
+def test_real_products_above_four_dimensions_overflow_without_numpy_warnings(fresh_forms, monkeypatch):
+    """The array path raises the loop's ValueError alone, on blocks made
+    anew and on a compiled form, as compiled and as read back."""
     local = np.random.default_rng(14)
     sig = Signature(3, 2)
     big = drawn_operand(sig, local, "dense", False) * 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for plan_max in (mv_module._PLAN_MAX_PAIRS, 0):  # cached blocks, then uncached
-            monkeypatch.setattr(mv_module, "_PLAN_MAX_PAIRS", plan_max)
+        cap = mv_module._FORM_MAX_PAIRS
+        for form_max in (0, cap, cap):  # blocks made anew, then the form
+            monkeypatch.setattr(mv_module, "_FORM_MAX_PAIRS", form_max)
             for product in PRODUCTS:
                 with pytest.raises(ValueError, match="^non-finite coefficient$"):
                     product(big, big)
@@ -1746,12 +1791,11 @@ def test_four_dimensional_exp_reads_the_sign_rows_signs(p):
 
 def paths_taken(a, b, grades):
     """geometric_product(a, b, grades=grades) and the names of the array and
-    loop paths it called, with fresh kernel and plan caches."""
+    loop paths it called, with a fresh form cache."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mv_module, "_KERNELS", mv_module._KernelCache())
-        patch.setattr(mv_module, "_PLANS", mv_module._PlanCache())
-        for name in ("_product_loop", "_product_array"):
+        patch.setattr(mv_module, "_FORMS", mv_module._FormCache())
+        for name in ("_product_loop", "_sum_blocks"):
             path = getattr(mv_module, name)
             record = lambda *args, name=name, path=path: calls.append(name) or path(*args)
             patch.setattr(mv_module, name, record)
@@ -1767,7 +1811,7 @@ def projected_bits(mv, grades):
 # complex operands, the calls paths_taken records)
 FILTER_PATHS = {
     "kernel": ([(p, n - p) for n in range(5) for p in range(n + 1)], None, None, False, []),
-    "array": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 16, None, False, ["_product_array"]),
+    "array": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 16, None, False, ["_sum_blocks"]),
     "loop, complex": ([(1, 3), (2, 1), (3, 2), (0, 6)], None, 7, True, ["_product_loop"]),
     "loop, small": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 7, 9, False, ["_product_loop"]),
 }
@@ -1788,22 +1832,23 @@ def test_grade_filtered_product_is_the_projected_product_bit_for_bit(path, data)
     assert ordered_bits(got) == want
     assert calls == want_calls
     if path == "array":
-        # Blocks made anew, above the plan cap, and the cached blocks read back.
+        # Blocks made anew, above the form cap, then the form as it is
+        # compiled and as it is read back.
+        cap = mv_module._FORM_MAX_PAIRS
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mv_module, "_PLAN_MAX_PAIRS", 0)
-            assert ordered_bits(geometric_product(a, b, grades=grades)) == want
-        for _ in range(2):
-            assert ordered_bits(geometric_product(a, b, grades=grades)) == want
+            patch.setattr(mv_module, "_FORMS", mv_module._FormCache())
+            for form_max in (0, cap, cap):
+                patch.setattr(mv_module, "_FORM_MAX_PAIRS", form_max)
+                assert ordered_bits(geometric_product(a, b, grades=grades)) == want
 
 
-def test_grade_filters_are_shared_per_grade_set(monkeypatch):
-    cache = mv_module._KernelCache()
-    monkeypatch.setattr(mv_module, "_KERNELS", cache)
+def test_grade_filters_are_shared_per_grade_set(fresh_forms):
+    cache = fresh_forms
     local = np.random.default_rng(26)
     a, b = random_mv(SIG13, local), random_mv(SIG13, local)
     for grades in ((0, 4), [4, 0], {0, 4}, (4, 0, 4)):
         assert ordered_bits(geometric_product(a, b, grades=grades)) == projected_bits(a * b, {0, 4})
-    assert len([key for key in cache.kernels if key[4] is not None]) == 1
+    assert len([key for key in cache.forms if key[4] is not None]) == 1
     # The filter tests ints and int arrays alike.
     keep = mv_module._grade_filter(0b10001)
     ma, mb = np.arange(16, dtype=np.int32)[:, None], np.arange(16, dtype=np.int32)

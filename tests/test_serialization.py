@@ -690,17 +690,14 @@ def _product_operands(sig, density, is_complex, seed):
     ],
 )
 def test_writers_match_their_oracles_on_each_product_path(
-    monkeypatch, path, sig, density, is_complex
+    fresh_forms, monkeypatch, path, sig, density, is_complex
 ):
     calls = []
-    for name in ("_product_array", "_product_loop"):
+    for name in ("_sum_blocks", "_product_loop"):
         fn = getattr(multivector, name)
         monkeypatch.setattr(
             multivector, name, lambda *a, _fn=fn, _name=name: (calls.append(_name), _fn(*a))[1]
         )
-    # A fresh kernel cache, so that no pair budget spent by other tests
-    # sends the kernel cases to the loop.
-    monkeypatch.setattr(multivector, "_KERNELS", multivector._KernelCache())
     for seed in range(3):
         a, b = _product_operands(sig, density, is_complex, seed)
         products = [geometric_product(a, b), wedge(a, b), left_contraction(a, b)]
@@ -708,7 +705,7 @@ def test_writers_match_their_oracles_on_each_product_path(
             assert value.real == (not is_complex)
             for derived in (value, -value, value * -0.5, value * 3.0):
                 assert_writers_match(derived)
-    assert set(calls) == (set() if path == "kernel" else {f"_product_{path}"})
+    assert set(calls) == {"kernel": set(), "array": {"_sum_blocks"}, "loop": {"_product_loop"}}[path]
 
 
 @pytest.mark.parametrize(

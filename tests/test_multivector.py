@@ -1411,6 +1411,34 @@ def test_form_cache_charges_each_key_once_under_threads(fresh_forms, monkeypatch
     assert 0 < len(fresh_forms.forms) < len(cases)  # the budget left some out
 
 
+def test_plan_cache_evicts_to_its_byte_budget_and_rebuilds_the_same_bits(fresh_forms, monkeypatch):
+    """The form cache's budget counts term pairs and keeps what it saw
+    first: a Cl(6) or Cl(7) pattern past it is left out, not evicted, and its
+    blocks are made anew on every call with the loop's bits.  A hit leaves
+    the cache as it was."""
+    cache = fresh_forms
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 3000)
+    local = np.random.default_rng(11)
+    seen = []
+    for _ in range(30):
+        sig = Signature(*SIGNATURES_5_TO_8[int(local.integers(6, 21))])  # n = 6..7
+        a = drawn_operand(sig, local, "sparse", False)
+        b = drawn_operand(sig, local, "dense", False)
+        for product, keep in PRODUCTS.items():
+            want = ordered_bits(loop_product(a, b, keep))
+            assert ordered_bits(product(a, b)) == want
+            seen.append((a, b, product, keep, want))
+            cache_holds_its_pairs(cache)
+    left_out = [case for case in seen if plan_key(case[0], case[1], case[3]) not in cache.forms]
+    assert left_out and cache.forms
+    held = dict(cache.forms)
+    for a, b, product, keep, want in seen:
+        assert ordered_bits(product(a, b)) == want
+        assert ordered_bits(table_product(a, b, keep)) == want
+    assert cache.forms == held and list(cache.forms) == list(held)
+    cache_holds_its_pairs(cache)
+
+
 @pytest.mark.parametrize("pq", [(3, 2), (4, 3)])
 def test_plan_with_no_kept_pair_gives_zero(pq):
     # Every blade holds e1, so no pair is disjoint and the wedge keeps none.
@@ -1420,6 +1448,18 @@ def test_plan_with_no_kept_pair_gives_zero(pq):
     assert plan_blades(blocks) == [] and not any(block[2].size for block in blocks)
     assert wedge(a, a).is_zero() and loop_product(a, a, mv_module._outer).is_zero()
     assert not geometric_product(a, a).is_zero()
+
+
+def test_plan_larger_than_the_budget_is_used_but_not_kept(fresh_forms, monkeypatch):
+    """A dense Cl(3,2) pattern, 1024 pairs, against a budget of 100: its
+    blocks give the loop's bits and the cache stays empty."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 100)
+    local = np.random.default_rng(12)
+    sig = Signature(3, 2)
+    a, b = (drawn_operand(sig, local, "dense", False) for _ in range(2))
+    for _ in range(2):
+        assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
+    assert fresh_forms.forms == {} and fresh_forms.pairs == 0
 
 
 def old_left_mult_matrix(a):

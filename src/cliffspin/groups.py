@@ -48,29 +48,33 @@ class FrameError(ValueError):
 @dataclass(frozen=True)
 class Rotor:
     u: Multivector
+    inverse: Multivector = field(init=False, compare=False, repr=False)  # reversion(u)
 
     def __post_init__(self) -> None:
         if self.u.grades() and any(g % 2 for g in self.u.grades()):
             raise NotARotorError("rotor must be an even element")
-        uut = geometric_product(self.u, reversion(self.u))
+        inverse = reversion(self.u)
+        uut = geometric_product(self.u, inverse)
         if (uut - 1).max_abs() > ROTOR_TOL:
             raise NotARotorError("rotor must satisfy u * reversion(u) = 1")
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def signature(self) -> Signature:
         return self.u.signature
 
     def inverse_mv(self) -> Multivector:
-        return reversion(self.u)
+        return self.inverse
 
     def __mul__(self, other: "Rotor") -> "Rotor":
         return Rotor(geometric_product(self.u, other.u))
 
     def __neg__(self) -> "Rotor":
-        # Negation is exact, so (-u)(-u~) is u u~ to the bit: the check
-        # this rotor passed holds for its negative too.
+        # Negation is exact, so (-u)(-u~) is u u~ and -u~ is reversion(-u)
+        # to the bit: the check this rotor passed holds for its negative too.
         neg = object.__new__(Rotor)
         object.__setattr__(neg, "u", -self.u)
+        object.__setattr__(neg, "inverse", -self.inverse)
         return neg
 
 

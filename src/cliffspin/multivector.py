@@ -22,25 +22,25 @@ The geometric product, the wedge and both contractions share one kernel,
 dict loop ``_product_loop``, which is the tests' oracle and, run on
 polynomial coefficients, the product of the exact Fierz proof.
 
-Real operands with n <= 4, or with ``_ARRAY_MIN_PAIRS`` term pairs or more,
+Real operands with n <= 4, or with ``_FORM_MIN_PAIRS`` term pairs or more,
 take compiled forms.  The first sight of a key pattern (p, n, left keys in
 order, right keys in order, filter) compiles a form, a callable from the
-operands' values to the loop's float sums.  For n <= 4 it is generated
-straight-line code: ``_generate_kernel`` writes the loop for the pattern as
-one dict literal, each blade's sum in the loop's term order (+a_i*b_j or
--a_i*b_j) and the blades in its first-appearance order, over the float real
-parts.  For n >= 5, where a kernel grows to thousands of pairs, it is
-``_sum_blocks`` on the pattern's pair blocks: ``_pair_blocks`` gives, per
-block of left terms, the kept pairs' positions, output blades and signs, and
-the blades first met there, and ``np.add.at`` adds each blade's terms
-sign * (x * y) one at a time in the loop's pair order, never pairwise.
-``_FORMS`` charges each form its term pairs, never evicts, and compiles
-nothing past ``_FORM_PAIR_BUDGET`` pairs or above ``_FORM_MAX_PAIRS`` pairs
-in one pattern; those patterns take blocks made anew (n >= 5) or the loop
-(n <= 4).  A kernel holds about 55 bytes per pair and blocks 3 to 6
-(tracemalloc), so one-off n <= 4 patterns could fill about 7 MiB.  Real work
-repeats its patterns: in the perfbench spinor-suite and dirac-planewave
-workloads over 99.6 % of the n <= 4 product calls meet a pattern seen before.
+operands' values to the loop's float sums.  A pattern of fewer than
+``_KERNEL_MAX_PAIRS`` pairs, at any n, compiles to straight-line code:
+``_generate_kernel`` writes the loop for the pattern as one dict literal,
+each blade's sum in the loop's term order (+a_i*b_j or -a_i*b_j) and the
+blades in its first-appearance order, over the float real parts.  A larger
+pattern compiles to ``_sum_blocks`` on its pair blocks: ``_pair_blocks``
+gives, per block of left terms, the kept pairs' positions, output blades and
+signs, and the blades first met there, and ``np.add.at`` adds each blade's
+terms sign * (x * y) one at a time in the loop's pair order, never pairwise.
+``_FORMS`` charges each form its term pairs; a new form that would pass
+``_FORM_PAIR_BUDGET`` drops the oldest forms until it fits.  Only a pattern
+above ``_FORM_MAX_PAIRS`` pairs, or the whole budget, takes blocks made anew.
+A kernel holds about 55 bytes per pair and blocks 3 to 6 (tracemalloc), so a
+full budget holds at most about 7 MiB.  Real work repeats its patterns: over
+99.6 % of perfbench's n <= 4 product calls, and 21755 algebra-sweep products
+of 64 to 1023 pairs on 250 patterns per 15 s run.
 
 The loop serves the rest: smaller real products with n >= 5, and complex
 operands at every n.  numpy's complex multiply differs from Python's in the
@@ -528,17 +528,17 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
 # global name (a dict per kernel took about 160 bytes).
 _KERNEL_GLOBALS: dict = {}
 
-# Kernels serve n <= 4, where an operand has at most 16 terms and a kernel at
-# most 256 pairs, and take about 55 bytes per pair.  Above, a kernel grows to
-# 16384 pairs (n = 7), and pair blocks, 3 to 6 bytes per pair, serve instead.
+# Every real pattern with n <= 4, at most 16 x 16 terms, is compiled; above,
+# only patterns of _FORM_MIN_PAIRS pairs or more.  Without that floor
+# algebra-sweep read 0.75-0.81x ops/s: its patterns under 64 pairs are
+# mostly one-off and cost more to compile than they return.
 _KERNEL_MAX_N = 4
-
-# Real products with n >= 5 and at least this many term pairs take pair
-# blocks.  Below it numpy's fixed cost per call is near the loop's whole
-# cost: with timeit on one CPU at n = 5..7, the loop against cached blocks
-# takes 16-25 against 16-29 us at 64 pairs, 22-39 against 16-28 us at 96 and
-# 27-48 against 17-27 us at 128.
-_ARRAY_MIN_PAIRS = 128
+_FORM_MIN_PAIRS = 64
+# Patterns of fewer term pairs compile to kernels, about 55 bytes per pair;
+# larger ones to pair blocks, 3 to 6 bytes per pair, where a kernel would
+# grow to 16384 pairs (dense n = 7).  A cap of 128 gave algebra-sweep the
+# same median but a 4.5 % longer tail.
+_KERNEL_MAX_PAIRS = 1024
 # Term pairs per block of left terms: each float temporary of a block holds at
 # most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
@@ -602,12 +602,15 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, float]:
 class _FormCache:
     """Compiled forms of products of real operands, by (p, n, left keys,
     right keys, filter).  A form maps the operands' values to the loop's
-    float sums: a generated kernel for n <= _KERNEL_MAX_N, and _sum_blocks
-    on the pattern's pair blocks above.
+    float sums: a generated kernel for a pattern of fewer than
+    _KERNEL_MAX_PAIRS term pairs, and _sum_blocks on the pattern's pair
+    blocks for a larger one.
 
     A pattern is compiled on its first sight.  Each form costs the number of
-    term pairs it covers; a pattern of more than _FORM_MAX_PAIRS pairs, or
-    one that would pass _FORM_PAIR_BUDGET, is not compiled."""
+    term pairs it covers, and the forms held cost at most _FORM_PAIR_BUDGET:
+    a new form drops the oldest ones, in insertion order, until it fits.  A
+    pattern of more than _FORM_MAX_PAIRS pairs, or more than the whole
+    budget, is not compiled."""
 
     def __init__(self):
         self.forms: dict[tuple, object] = {}
@@ -615,26 +618,30 @@ class _FormCache:
         self._lock = threading.Lock()
 
     def compile(self, key: tuple):
-        """The form for a key missing from self.forms, or None when the cap
-        or the budget leaves it out."""
+        """The form for a key missing from self.forms, or None for a pattern
+        that the cap or the whole budget leaves out."""
         cost = len(key[2]) * len(key[3])
-        if cost > _FORM_MAX_PAIRS or self.pairs + cost > _FORM_PAIR_BUDGET:
+        if cost > min(_FORM_MAX_PAIRS, _FORM_PAIR_BUDGET):
             return None
         with self._lock:
             form = self.forms.get(key)
-            if form is None and self.pairs + cost <= _FORM_PAIR_BUDGET:
-                if key[1] <= _KERNEL_MAX_N:
+            if form is None:
+                if cost < _KERNEL_MAX_PAIRS:
                     form = _generate_kernel(*key)
                 else:
                     form = partial(_sum_blocks, key[1], tuple(_pair_blocks(*key)))
+                while self.pairs + cost > _FORM_PAIR_BUDGET:
+                    oldest = next(iter(self.forms))
+                    del self.forms[oldest]
+                    self.pairs -= len(oldest[2]) * len(oldest[3])
                 self.forms[key] = form
                 self.pairs += cost
         return form
 
 
 # Patterns up to dense Cl(4,3) are compiled.  perfbench's algebra-sweep
-# compiles 92160 pairs in a 15 s run, and fills the budget after about 1000
-# operations; the patterns refused from then on are blocked anew per call.
+# compiles 105088 pairs in a 15 s run and fills the budget within 60 s; a
+# 120 s run compiles 2004 forms and drops 1489 of them, oldest first.
 _FORM_MAX_PAIRS = 1 << 14
 _FORM_PAIR_BUDGET = 1 << 17
 _FORMS = _FormCache()
@@ -642,22 +649,20 @@ _FORMS = _FormCache()
 
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """_product_loop of a and b.  Real operands, neither zero, with n <= 4 or
-    _ARRAY_MIN_PAIRS term pairs or more take the compiled form of their key
-    pattern.  Past the form cache's cap or budget, n >= 5 takes pair blocks
-    made anew, and n <= 4 the loop.  Complex operands take the loop at every
-    n."""
+    _FORM_MIN_PAIRS term pairs or more take the compiled form of their key
+    pattern, or blocks made anew for a pattern that the form cache leaves
+    out.  Complex operands take the loop at every n."""
     a._check_sig(b)
     sig = a.signature
     p, n = sig.p, sig.n
     at, bt = a._terms, b._terms
     real = a.real and b.real
-    if real and at and bt and (n <= _KERNEL_MAX_N or len(at) * len(bt) >= _ARRAY_MIN_PAIRS):
+    if real and at and bt and (n <= _KERNEL_MAX_N or len(at) * len(bt) >= _FORM_MIN_PAIRS):
         key = (p, n, tuple(at), tuple(bt), keep)
         form = _FORMS.forms.get(key) or _FORMS.compile(key)
         if form is not None:
             return Multivector._own_real(sig, form(at.values(), bt.values()))
-        if n > _KERNEL_MAX_N:
-            return Multivector._own_real(sig, _sum_blocks(n, _pair_blocks(*key), at.values(), bt.values()))
+        return Multivector._own_real(sig, _sum_blocks(n, _pair_blocks(*key), at.values(), bt.values()))
     return Multivector._own(sig, _product_loop(p, n, at, bt, keep), True if real else None)
 
 

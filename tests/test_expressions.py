@@ -227,7 +227,9 @@ def test_round_trip_unicode_printing():
 # -- the lexer, parser and evaluator before the operator tables, kept as oracles ----------
 #
 # Unchanged apart from the names, including the number branch for a leading
-# '.', which never ran: '.' is taken as an operator first.
+# '.', which never ran: '.' is taken as an operator first, and apart from the
+# rejection of a literal too large for a float, which the parser reports as a
+# bad number by design (test_a_number_too_large_for_a_float_is_a_bad_number).
 
 _OLD_UNICODE_OPS = {"∧": "^", "⌟": "_|", "⌞": "|_", "·": "."}
 _OLD_SINGLE_OPS = "+-*^.()"
@@ -268,6 +270,8 @@ def _old_tokenize(src: str) -> list[tuple[str, object, int]]:
                     j += 1
             try:
                 value = float(src[i:j])
+                if not math.isfinite(value):
+                    raise ValueError
             except ValueError:
                 raise ExpressionError(f"bad number {src[i:j]!r}", i) from None
             tokens.append(("num", value, i))

@@ -324,6 +324,30 @@ def test_negated_rotor_skips_the_check_it_already_passed(monkeypatch, pq):
         assert isinstance(minus, Rotor) and minus.u == -u.u and -minus == u
 
 
+def ordered_bits(mv):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in mv.terms.items()]
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (4, 1), (3, 3)])
+def test_rotor_keeps_the_reversion_its_check_computed(monkeypatch, pq):
+    """u^{-1} is the reversion of u that the rotor check computed, kept at
+    construction and negated with u, to the bit; equality, hashing and repr
+    read u alone."""
+    sig = Signature(*pq)
+    local = np.random.default_rng([7, *pq])
+    for _ in range(5):
+        u = Rotor(exp_bivector(random_bivector(sig, local)))
+        twin = Rotor(Multivector(sig, u.u.terms))
+        minus = -u
+        for rotor in (u, twin, minus, -minus, copy.copy(u), pickle.loads(pickle.dumps(minus))):
+            assert ordered_bits(rotor.inverse_mv()) == ordered_bits(reversion(rotor.u))
+        assert twin == u and hash(twin) == hash(u) and minus != u
+        assert repr(u) == f"Rotor(u={u.u!r})"
+        with monkeypatch.context() as patch:
+            patch.setattr(groups_module, "reversion", lambda a: pytest.fail("reversed u again"))
+            assert u.inverse_mv() is u.inverse_mv() is u.inverse
+
+
 # -- frame checks relative to their inputs ----------------------------------------------
 
 

@@ -1,13 +1,17 @@
 import cmath
 import copy
 import dataclasses
+import gc
 import math
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1008,9 +1012,9 @@ def plan_key(a, b, keep):
 
 
 def table_product(a, b, keep):
-    """The pattern's compiled form, as _FORMS compiles it on the first call
-    and reads it back after, or blocks made anew where _FORM_MAX_PAIRS leaves
-    the pattern uncompiled."""
+    """The pattern's compiled form, a kernel or pair blocks, as _FORMS
+    compiles it on the first call and reads it back after, or blocks made
+    anew where _FORM_MAX_PAIRS leaves the pattern uncompiled."""
     key = plan_key(a, b, keep)
     form = mv_module._FORMS.forms.get(key) or mv_module._FORMS.compile(key)
     if form is None:
@@ -1030,12 +1034,20 @@ def plan_blades(blocks):
     return [m for block in blocks for m in block[4].tolist()]
 
 
+def is_kernel(form):
+    """Whether a compiled form is a generated kernel, not pair blocks."""
+    return getattr(form, "__name__", None) == "kernel"
+
+
 def cache_holds_its_pairs(cache):
     """The cache charges each form the term pairs of its key, within its
-    budget; the blocks of n >= 5 forms store blades and positions as int32
+    budget; a pattern of fewer than _KERNEL_MAX_PAIRS pairs holds a kernel,
+    and a larger one pair blocks that store blades and positions as int32
     and signs as int8."""
     for key, form in cache.forms.items():
-        if key[1] > mv_module._KERNEL_MAX_N:
+        if len(key[2]) * len(key[3]) < mv_module._KERNEL_MAX_PAIRS:
+            assert is_kernel(form)
+        else:
             assert form.func is mv_module._sum_blocks and form.args[0] == key[1]
             for rows, positions, blades, signs, new in form.args[1]:
                 assert isinstance(rows, slice)
@@ -1075,9 +1087,10 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
         patch.setattr(mv_module, "_FORMS", cache)
         for product, keep in PRODUCTS.items():
             want = ordered_bits(loop_product(a, b, keep))
-            # Values and key order: from the array path as it caches the
-            # pattern's blocks and as it reads them back, from blocks made
-            # anew, and from the public product.
+            # Values and key order: from the pattern's form (a kernel under
+            # _KERNEL_MAX_PAIRS pairs, pair blocks from there) as it is
+            # compiled and as it is read back, from blocks made anew, and
+            # from the public product.
             for call in range(2):
                 assert ordered_bits(table_product(a, b, keep)) == want, (product.__name__, call)
             assert ordered_bits(uncached_product(a, b, keep)) == want
@@ -1091,13 +1104,15 @@ def test_table_path_matches_the_dict_loop_bit_for_bit(pq, kind_a, kind_b, dyadic
 
 @pytest.mark.parametrize("pq", [(3, 2), (0, 7), (4, 4)])
 def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
-    """Cached blocks, as built and as read back, and blocks made anew give
-    the loop's bits, with one block and with blocks of 97 pairs."""
+    """Compiled forms, as built and as read back, and blocks made anew give
+    the loop's bits, with one block and with blocks of 97 pairs.  The sparse
+    Cl(3,2) patterns and the dense x single ones compile to kernels, the
+    rest to pair blocks."""
     sig = Signature(*pq)
     local = np.random.default_rng(list(pq))
     for block_pairs in (mv_module._ARRAY_BLOCK_PAIRS, 97):
         monkeypatch.setattr(mv_module, "_ARRAY_BLOCK_PAIRS", block_pairs)
-        # A fresh cache per block size, whose forms hold blocks of that size.
+        # A fresh cache per block size, whose block forms hold blocks of that size.
         cache = mv_module._FormCache()
         monkeypatch.setattr(mv_module, "_FORMS", cache)
         for kinds in (("dense", "dense"), ("sparse", "dense"), ("dense", "single")):
@@ -1114,6 +1129,7 @@ def test_table_path_keeps_loop_order_across_blocks(monkeypatch, pq):
                 assert plan_blades(blocks) == [m for m, *_ in want]
                 assert len(blocks) == -(-len(a._terms) // max(1, block_pairs // len(b._terms)))
         cache_holds_its_pairs(cache)
+        assert {is_kernel(form) for form in cache.forms.values()} == {True, False}
 
 
 def test_only_large_real_products_above_four_dimensions_take_the_table_path(fresh_forms, monkeypatch):
@@ -1128,16 +1144,110 @@ def test_only_large_real_products_above_four_dimensions_take_the_table_path(fres
     sig = Signature(3, 3)
     dense = drawn_operand(sig, local, "dense", False)
     single = drawn_operand(sig, local, "single", False)
-    geometric_product(dense, dense)
-    geometric_product(single, dense)  # 64 pairs: below the threshold
+    sparse = Multivector(sig, {m: 0.5 + m for m in range(1, 64, 2)})  # 32 terms
+    geometric_product(dense, dense)  # 4096 pairs: pair blocks
+    geometric_product(single, dense)  # 64 pairs: a kernel
+    geometric_product(single, sparse)  # 32 pairs: the loop
     geometric_product(random_mv(SIG13, local), random_mv(SIG13, local))
     big = drawn_operand(Signature(4, 4), local, "dense", False)
     geometric_product(big, big)  # 2^16 pairs: above the form cap
     blocked = [("_pair_blocks", 6), ("_sum_blocks", 6)]
     assert calls == blocked + [("_pair_blocks", 8), ("_sum_blocks", 8)]
-    # The Cl(4,4) blocks are not kept; the Cl(1,3) pattern has a kernel.
-    assert [key[:2] for key in fresh_forms.forms] == [(3, 6), (1, 4)]
-    assert 64 < mv_module._ARRAY_MIN_PAIRS <= 64 * 64 <= mv_module._FORM_MAX_PAIRS < 256 * 256
+    # The Cl(4,4) blocks are not kept; the 64-pair Cl(3,3) pattern and the
+    # Cl(1,3) pattern have kernels.
+    assert [key[:2] for key in fresh_forms.forms] == [(3, 6), (3, 6), (1, 4)]
+    assert [is_kernel(form) for form in fresh_forms.forms.values()] == [False, True, True]
+    assert mv_module._FORM_MIN_PAIRS == 64 < mv_module._KERNEL_MAX_PAIRS <= 64 * 64
+    assert 64 * 64 <= mv_module._FORM_MAX_PAIRS < 256 * 256
+
+
+@st.composite
+def kernel_patterns(draw):
+    """Two real operands of one signature with n = 5..7 whose pattern has 64
+    to 1023 term pairs, in random key order, with dyadic (k/8) or normal
+    values, and a product: one of the four, or a grade-filtered product."""
+    sig = Signature(*draw(st.sampled_from(SIGNATURES_5_TO_8[:21])))  # n = 5..7
+    dim = 1 << sig.n
+    size_a = draw(st.integers(2, dim))
+    size_b = draw(st.integers(max(1, -(-64 // size_a)), min(dim, 1023 // size_a)))
+    dyadic = draw(st.booleans())
+    local = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    a, b = (drawn_operand(sig, local, "dense", dyadic) for _ in range(2))
+    a = Multivector(sig, dict(list(a._terms.items())[:size_a]))
+    b = Multivector(sig, dict(list(b._terms.items())[:size_b]))
+    products = list(PRODUCTS.items())
+    choice = draw(st.integers(0, len(products)))
+    if choice < len(products):
+        product, keep = products[choice]
+    else:
+        grades = draw(st.sets(st.integers(0, sig.n), min_size=1))
+        product = partial(geometric_product, grades=grades)
+        keep = mv_module._grade_filter(sum(1 << k for k in grades))
+    return a, b, product, keep, dyadic
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(kernel_patterns())
+def test_kernels_above_four_dimensions_match_the_dict_loop_bit_for_bit(pattern):
+    a, b, product, keep, dyadic = pattern
+    assert 64 <= len(a._terms) * len(b._terms) < mv_module._KERNEL_MAX_PAIRS
+    want = ordered_bits(loop_product(a, b, keep))
+    cache = mv_module._FormCache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mv_module, "_FORMS", cache)
+        for call in range(2):  # compiled, then read back
+            got = product(a, b)
+            assert ordered_bits(got) == want, call
+    key = plan_key(a, b, keep)
+    assert list(cache.forms) == [key] and is_kernel(cache.forms[key])
+    if dyadic:
+        # On fractions the loop's sums are exact, and every partial sum of
+        # dyadic products of k/8 values is a float: the kernel's sums are
+        # the exact ones.
+        sig = a.signature
+        exact = mv_module._product_loop(
+            sig.p, sig.n, *({m: Fraction(c.real) for m, c in x._terms.items()} for x in (a, b)), keep
+        )
+        assert [(m, complex(v)) for m, v in exact.items() if v] == list(got._terms.items())
+
+
+@pytest.mark.parametrize(
+    "pq, sizes, path",
+    [
+        ((1, 3), (1, 1), "kernel"),
+        ((4, 3), (7, 9), "loop"),
+        ((4, 3), (8, 8), "kernel"),
+        ((4, 3), (31, 33), "kernel"),
+        ((4, 3), (32, 32), "blocks"),
+    ],
+    ids=["n4-1", "n7-63", "n7-64", "n7-1023", "n7-1024"],
+)
+def test_real_products_take_their_path_by_pair_count(fresh_forms, monkeypatch, pq, sizes, path):
+    """Every real pattern with n <= 4 compiles to a kernel.  Above, a
+    pattern of fewer than 64 pairs takes the loop, one of 64 to 1023 pairs a
+    kernel and a larger one pair blocks; each form compiles once."""
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(sizes))
+    a, b = (shuffled_operand(sig, local, size, False) for size in sizes)
+    wants = {product: ordered_bits(loop_product(a, b, keep)) for product, keep in PRODUCTS.items()}
+    calls = []
+    for name in ("_product_loop", "_generate_kernel", "_pair_blocks", "_sum_blocks"):
+        fn = getattr(mv_module, name)
+        record = lambda *args, name=name, fn=fn: calls.append(name) or fn(*args)
+        monkeypatch.setattr(mv_module, name, record)
+    taken = {
+        "loop": ["_product_loop", "_product_loop"],
+        "kernel": ["_generate_kernel"],
+        "blocks": ["_pair_blocks", "_sum_blocks", "_sum_blocks"],
+    }[path]
+    for product, want in wants.items():
+        calls.clear()
+        for _ in range(2):
+            assert ordered_bits(product(a, b)) == want
+        assert calls == taken, product.__name__
+    assert [is_kernel(form) for form in fresh_forms.forms.values()] == {
+        "loop": [], "kernel": [True] * 4, "blocks": [False] * 4
+    }[path]
 
 
 @pytest.mark.parametrize("pq", [(5, 0), (2, 4), (3, 4)])
@@ -1242,8 +1352,10 @@ def test_kernels_and_plans_read_no_sign_rows_or_table(fresh_forms):
             mv_module._generate_kernel(*plan_key(b, a, keep))
             tuple(mv_module._pair_blocks(*plan_key(b, a, keep)))
             assert _reorder_sign.cache_info().currsize == 0
-    # Both kinds of form were compiled: kernels and pair blocks.
-    assert {key[1] <= mv_module._KERNEL_MAX_N for key in fresh_forms.forms} == {True, False}
+    # Both kinds of form were compiled, kernels and pair blocks, and kernels
+    # at n >= 5 among them.
+    assert {is_kernel(form) for form in fresh_forms.forms.values()} == {True, False}
+    assert any(key[1] >= 5 and is_kernel(form) for key, form in fresh_forms.forms.items())
 
 
 def test_first_sparse_real_product_of_cl66_builds_no_sign_table():
@@ -1328,10 +1440,32 @@ def test_plan_path_reports_overflow_as_the_loop_does(fresh_forms, pq):
                 product(big, big)
 
 
+def compiles(monkeypatch):
+    """The keys of every form compiled from here on: one _generate_kernel
+    or _pair_blocks call each, as long as no pattern takes blocks made anew."""
+    keys = []
+    for name in ("_generate_kernel", "_pair_blocks"):
+        path = getattr(mv_module, name)
+        record = lambda *args, path=path: keys.append(args) or path(*args)
+        monkeypatch.setattr(mv_module, name, record)
+    return keys
+
+
+def holds_the_newest(cache, compiled):
+    """The cache holds the forms compiled last, in compile order, and the
+    one compiled before them would not have fit beside them."""
+    held = list(cache.forms)
+    assert held == compiled[len(compiled) - len(held):]
+    if len(held) < len(compiled):
+        older = compiled[len(compiled) - len(held) - 1]
+        assert cache.pairs + len(older[2]) * len(older[3]) > mv_module._FORM_PAIR_BUDGET
+
+
 def test_form_budget_is_shared_by_kernels_and_blocks(fresh_forms, monkeypatch):
-    """Cl(1,3) kernels and Cl(3,3) and Cl(4,3) pair blocks spend one pair
-    budget.  Past it, n <= 4 takes the loop and n >= 5 takes blocks made
-    anew; a dense Cl(4,4) pattern, above the form cap, is never compiled."""
+    """Cl(1,3) kernels, and Cl(3,3) and Cl(4,3) kernels and pair blocks,
+    spend one pair budget.  Past it, a new form drops the oldest ones, so
+    every pattern is compiled and read back; a dense Cl(4,4) pattern, above
+    the form cap, is never compiled and takes blocks made anew."""
     calls = []
     for name in ("_product_loop", "_pair_blocks", "_sum_blocks"):
         path = getattr(mv_module, name)
@@ -1355,37 +1489,38 @@ def test_form_budget_is_shared_by_kernels_and_blocks(fresh_forms, monkeypatch):
     assert fresh_forms.forms == {} and fresh_forms.pairs == 0
     monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 12000)
     signatures = [SIG13, Signature(3, 3), Signature(4, 3)]
-    compiled, refused = set(), set()
+    compiled, kinds = [], set()
     for _ in range(24):
         sig = signatures[int(local.integers(3))]
-        small = sig.n <= mv_module._KERNEL_MAX_N
         a = drawn_operand(sig, local, "dense", False)
-        b = drawn_operand(sig, local, "dense" if small else "sparse", False)
+        b = drawn_operand(sig, local, "dense" if sig.n <= 4 else "sparse", False)
         for product, keep in PRODUCTS.items():
-            room = mv_module._FORM_PAIR_BUDGET - fresh_forms.pairs
+            key = plan_key(a, b, keep)
             taken = second_calls(a, b, product, keep)
-            if plan_key(a, b, keep) in fresh_forms.forms:
-                compiled.add(small)
-                assert taken == ([] if small else ["_sum_blocks"])
-            else:
-                refused.add(small)
-                assert len(a._terms) * len(b._terms) > room
-                assert taken == (["_product_loop"] if small else ["_pair_blocks", "_sum_blocks"])
+            compiled.append(key)
+            form = fresh_forms.forms[key]
+            kinds.add((sig.n <= mv_module._KERNEL_MAX_N, is_kernel(form)))
+            assert taken == ([] if is_kernel(form) else ["_sum_blocks"])
             cache_holds_its_pairs(fresh_forms)
-    assert compiled == refused == {True, False}
+            holds_the_newest(fresh_forms, compiled)
+    assert kinds == {(True, True), (False, True), (False, False)}
+    assert len(fresh_forms.forms) < len(compiled)  # the budget dropped some
 
 
 def test_form_cache_charges_each_key_once_under_threads(fresh_forms, monkeypatch):
-    """Threads that compile the same kernels and pair blocks at once: each
-    key is charged once, the count stays within the budget, and every
-    result is the loop's."""
-    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 6000)
+    """Threads that compile the same kernels and pair blocks at once, with
+    a budget that holds under a third of them, so that forms are dropped and
+    compiled again: each key held is charged once, the count stays within
+    the budget, and every result is the loop's."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 4000)
     local = np.random.default_rng(15)
     cases = []
-    for sig in (SIG13, Signature(3, 3)) * 12:
+    for sig in (SIG13, Signature(3, 3), Signature(4, 3)) * 8:
         a = drawn_operand(sig, local, "dense", False)
         b = drawn_operand(sig, local, "dense" if sig.n <= 4 else "sparse", False)
         cases.append((a, b, ordered_bits(loop_product(a, b, None))))
+    assert sum(len(a._terms) * len(b._terms) for a, b, _ in cases) > 3 * 4000
+    keys = compiles(monkeypatch)
     errors = []
 
     def work(offset):
@@ -1408,16 +1543,20 @@ def test_form_cache_charges_each_key_once_under_threads(fresh_forms, monkeypatch
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and errors == []
     cache_holds_its_pairs(fresh_forms)
-    assert 0 < len(fresh_forms.forms) < len(cases)  # the budget left some out
+    holds_the_newest(fresh_forms, keys)
+    assert {is_kernel(form) for form in fresh_forms.forms.values()} == {True, False}
+    # Forms were dropped and compiled again.
+    assert 0 < len(fresh_forms.forms) < len(cases) < len(keys)
 
 
 def test_plan_cache_evicts_to_its_byte_budget_and_rebuilds_the_same_bits(fresh_forms, monkeypatch):
-    """The form cache's budget counts term pairs and keeps what it saw
-    first: a Cl(6) or Cl(7) pattern past it is left out, not evicted, and its
-    blocks are made anew on every call with the loop's bits.  A hit leaves
-    the cache as it was."""
+    """The form cache's budget counts term pairs, and a new form drops the
+    oldest ones until it fits: Cl(6) and Cl(7) patterns past it are kept
+    newest first, and a pattern dropped and seen again is compiled anew with
+    the loop's bits.  A hit leaves the cache as it was."""
     cache = fresh_forms
     monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 3000)
+    keys = compiles(monkeypatch)
     local = np.random.default_rng(11)
     seen = []
     for _ in range(30):
@@ -1429,14 +1568,85 @@ def test_plan_cache_evicts_to_its_byte_budget_and_rebuilds_the_same_bits(fresh_f
             assert ordered_bits(product(a, b)) == want
             seen.append((a, b, product, keep, want))
             cache_holds_its_pairs(cache)
-    left_out = [case for case in seen if plan_key(case[0], case[1], case[3]) not in cache.forms]
-    assert left_out and cache.forms
+            holds_the_newest(cache, keys)
+    dropped = [case for case in seen if plan_key(case[0], case[1], case[3]) not in cache.forms]
+    assert dropped and cache.forms
     held = dict(cache.forms)
+    for a, b, product, keep, want in seen[-len(held):]:
+        assert plan_key(a, b, keep) in held
+        assert ordered_bits(product(a, b)) == want
+    assert cache.forms == held and list(cache.forms) == list(held)
     for a, b, product, keep, want in seen:
         assert ordered_bits(product(a, b)) == want
         assert ordered_bits(table_product(a, b, keep)) == want
-    assert cache.forms == held and list(cache.forms) == list(held)
-    cache_holds_its_pairs(cache)
+        cache_holds_its_pairs(cache)
+        holds_the_newest(cache, keys)
+    assert len(keys) > len(set(keys))  # dropped patterns were compiled again
+
+
+def test_form_cache_drops_its_oldest_forms_first(fresh_forms, monkeypatch):
+    """Insertion order, not use: a hit does not move a form, and a new form
+    drops the oldest ones until it fits, no more.  A dropped pattern seen
+    again gives the same bits, and a pattern above the whole budget takes
+    blocks made anew and leaves the cache as it was."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 1000)
+    local = np.random.default_rng(29)
+    patterns = []
+    for size in (16, 15, 14, 16, 16):  # 256, 240, 224, 256 and 256 pairs
+        a = shuffled_operand(SIG13, local, size, False)
+        b = shuffled_operand(SIG13, local, 16, False)
+        patterns.append((a, b, ordered_bits(geometric_product(a, b))))
+    keys = [plan_key(a, b, None) for a, b, _ in patterns]
+    assert list(fresh_forms.forms) == keys[1:] and fresh_forms.pairs == 976
+    assert ordered_bits(geometric_product(*patterns[1][:2])) == patterns[1][2]  # a hit
+    # 640 pairs: drops the three oldest, 240 + 224 + 256 pairs, and keeps
+    # the newest, 256 pairs.
+    a = drawn_operand(Signature(3, 3), local, "dense", False)
+    b = Multivector(a.signature, {m: 1.0 - m / 8 for m in range(0, 30, 3)})
+    assert len(a._terms) * len(b._terms) == 640
+    assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
+    assert list(fresh_forms.forms) == [keys[4], plan_key(a, b, None)]
+    assert fresh_forms.pairs == 256 + 640
+    # The first pattern, dropped when the fifth came, compiles again.
+    assert ordered_bits(geometric_product(*patterns[0][:2])) == patterns[0][2]
+    assert list(fresh_forms.forms) == [plan_key(a, b, None), keys[0]]
+    cache_holds_its_pairs(fresh_forms)
+    # 1024 pairs, above the whole budget but within the cap.
+    held = dict(fresh_forms.forms)
+    big = drawn_operand(Signature(3, 2), local, "dense", False)
+    for _ in range(2):
+        assert ordered_bits(geometric_product(big, big)) == ordered_bits(loop_product(big, big, None))
+    assert fresh_forms.forms == held and list(fresh_forms.forms) == list(held)
+    assert fresh_forms.pairs == 640 + 256
+
+
+def test_kernels_above_four_dimensions_hold_a_bounded_number_of_bytes_per_pair(fresh_forms, monkeypatch):
+    """A budget of 2^14 pairs filled, and passed, with n >= 5 kernels of 64
+    to 1023 pairs holds under 60 bytes per pair (tracemalloc; 51 measured
+    with Python 3.11), so that a change to the generated code cannot grow
+    the full cache unseen: a kernel that kept its source would hold 62.
+    Pair blocks hold 3 to 6."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 1 << 14)
+    local = np.random.default_rng(31)
+    patterns = []
+    for pq, sizes in (((3, 2), (8, 8)), ((3, 3), (16, 30)), ((4, 3), (8, 16)), ((2, 5), (31, 33))):
+        for _ in range(12):
+            patterns.append([shuffled_operand(Signature(*pq), local, size, False) for size in sizes])
+    assert sum(len(a._terms) * len(b._terms) for a, b in patterns) > 1 << 14
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a, b in patterns:
+            geometric_product(a, b)
+        del a, b
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(map(is_kernel, fresh_forms.forms.values()))
+    assert (1 << 14) - 1023 < fresh_forms.pairs <= 1 << 14
+    assert held / fresh_forms.pairs < 60
 
 
 @pytest.mark.parametrize("pq", [(3, 2), (4, 3)])
@@ -1452,14 +1662,21 @@ def test_plan_with_no_kept_pair_gives_zero(pq):
 
 def test_plan_larger_than_the_budget_is_used_but_not_kept(fresh_forms, monkeypatch):
     """A dense Cl(3,2) pattern, 1024 pairs, against a budget of 100: its
-    blocks give the loop's bits and the cache stays empty."""
+    blocks, made anew on each call, give the loop's bits, and the cache
+    keeps the 64-pair kernel it held, dropping nothing."""
     monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 100)
     local = np.random.default_rng(12)
     sig = Signature(3, 2)
     a, b = (drawn_operand(sig, local, "dense", False) for _ in range(2))
+    two = Multivector(sig, {6: 0.5, 1: -1.25})
+    assert ordered_bits(geometric_product(two, b)) == ordered_bits(loop_product(two, b, None))
+    held = dict(fresh_forms.forms)
+    assert list(held) == [plan_key(two, b, None)] and fresh_forms.pairs == 64
+    keys = compiles(monkeypatch)
     for _ in range(2):
         assert ordered_bits(geometric_product(a, b)) == ordered_bits(loop_product(a, b, None))
-    assert fresh_forms.forms == {} and fresh_forms.pairs == 0
+    assert keys == [plan_key(a, b, None)] * 2  # blocks made anew
+    assert fresh_forms.forms == held and fresh_forms.pairs == 64
 
 
 def old_left_mult_matrix(a):
@@ -1851,7 +2068,8 @@ def projected_bits(mv, grades):
 # complex operands, the calls paths_taken records)
 FILTER_PATHS = {
     "kernel": ([(p, n - p) for n in range(5) for p in range(n + 1)], None, None, False, []),
-    "array": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 16, None, False, ["_sum_blocks"]),
+    "kernel, large": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 8, 16, False, []),
+    "array": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 32, None, False, ["_sum_blocks"]),
     "loop, complex": ([(1, 3), (2, 1), (3, 2), (0, 6)], None, 7, True, ["_product_loop"]),
     "loop, small": ([(p, n - p) for n in range(5, 8) for p in range(n + 1)], 7, 9, False, ["_product_loop"]),
 }
@@ -1871,7 +2089,7 @@ def test_grade_filtered_product_is_the_projected_product_bit_for_bit(path, data)
     got, calls = paths_taken(a, b, grades)
     assert ordered_bits(got) == want
     assert calls == want_calls
-    if path == "array":
+    if path != "kernel":
         # Blocks made anew, above the form cap, then the form as it is
         # compiled and as it is read back.
         cap = mv_module._FORM_MAX_PAIRS

@@ -20,6 +20,7 @@ from .multivector import (
     Multivector,
     NonInvertibleError,
     Signature,
+    _max_gap,
     _sign_weight,
     exp_bivector,
     geometric_product,
@@ -51,11 +52,10 @@ class Rotor:
     inverse: Multivector = field(init=False, compare=False, repr=False)  # reversion(u)
 
     def __post_init__(self) -> None:
-        if self.u.grades() and any(g % 2 for g in self.u.grades()):
+        if any(m.bit_count() & 1 for m in self.u._terms):
             raise NotARotorError("rotor must be an even element")
         inverse = reversion(self.u)
-        uut = geometric_product(self.u, inverse)
-        if (uut - 1).max_abs() > ROTOR_TOL:
+        if _max_gap(geometric_product(self.u, inverse), 1) > ROTOR_TOL:
             raise NotARotorError("rotor must satisfy u * reversion(u) = 1")
         object.__setattr__(self, "inverse", inverse)
 
@@ -142,7 +142,7 @@ class SpinorialFrame:
         for i in range(sig.n):
             pulled = geometric_product(geometric_product(uinv, Multivector.generator(sig, i + 1)), self.u.u)
             b = pulled.grade(1)
-            if (pulled - b).max_abs() > tol:
+            if _max_gap(pulled, b) > tol:
                 raise FrameError("u^{-1} E_i u is not a vector")
             vectors.append(b)
         object.__setattr__(self, "frame", VectorFrame(tuple(vectors)))
@@ -190,7 +190,7 @@ def is_clifford_group(g: Multivector, tol: float = ROTOR_TOL) -> bool:
     for i in range(sig.n):
         v = Multivector.generator(sig, i + 1)
         image = geometric_product(geometric_product(g, v), ghat_inv)
-        if (image - image.grade(1)).max_abs() > tol:
+        if _max_gap(image, image.grade(1)) > tol:
             return False
     return True
 
@@ -215,7 +215,7 @@ def is_spin_e(g: Multivector, tol: float = ROTOR_TOL) -> bool:
         return False
     if abs(complex(norm_N(g)) - 1.0) > tol:
         return False
-    return g.signature.n > 5 or (geometric_product(g, reversion(g)) - 1).max_abs() <= tol
+    return g.signature.n > 5 or _max_gap(geometric_product(g, reversion(g)), 1) <= tol
 
 
 # -- rotor-to-matrix ----------------------------------------------------------

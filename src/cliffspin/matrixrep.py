@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import Rotor, SpinorialFrame, is_spin_e
-from .multivector import Multivector, Signature, geometric_product
+from .multivector import Multivector, Signature, _max_gap, geometric_product
 
 SIG13 = Signature(1, 3)
 SIG41 = Signature(4, 1)
@@ -177,9 +177,7 @@ def column_of(element: Multivector, tol: float = 1e-10) -> np.ndarray:
     """First-column extraction for elements of the complexified minimal
     ideal (x f = x)."""
     f = complex_idempotent_f()
-    if (geometric_product(element, f) - element).max_abs() > tol * max(
-        1.0, element.max_abs()
-    ):
+    if _max_gap(geometric_product(element, f), element) > tol * max(1.0, element.max_abs()):
         raise RepresentationError("element is not in the ideal of f")
     return matrix_of(element)[:, 0].copy()
 

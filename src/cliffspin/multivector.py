@@ -25,22 +25,14 @@ polynomial coefficients, the product of the exact Fierz proof.
 Real operands with n <= 4, or with ``_FORM_MIN_PAIRS`` term pairs or more,
 take compiled forms.  The first sight of a key pattern (p, n, left keys in
 order, right keys in order, filter) compiles a form, a callable from the
-operands' values to the loop's float sums.  A pattern of fewer than
-``_KERNEL_MAX_PAIRS`` pairs, at any n, compiles to straight-line code:
-``_generate_kernel`` writes the loop for the pattern as one dict literal,
-each blade's sum in the loop's term order (+a_i*b_j or -a_i*b_j) and the
-blades in its first-appearance order, over the float real parts.  A larger
-pattern compiles to ``_sum_blocks`` on its pair blocks: ``_pair_blocks``
-gives, per block of left terms, the kept pairs' positions, output blades and
-signs, and the blades first met there, and ``np.add.at`` adds each blade's
-terms sign * (x * y) one at a time in the loop's pair order, never pairwise.
-``_FORMS`` charges each form its term pairs; a new form that would pass
-``_FORM_PAIR_BUDGET`` drops the oldest forms until it fits.  Only a pattern
-above ``_FORM_MAX_PAIRS`` pairs, or the whole budget, takes blocks made anew.
-A kernel holds about 55 bytes per pair and blocks 3 to 6 (tracemalloc), so a
-full budget holds at most about 7 MiB.  Real work repeats its patterns: over
-99.6 % of perfbench's n <= 4 product calls, and 21755 algebra-sweep products
-of 64 to 1023 pairs on 250 patterns per 15 s run.
+operands' values to the loop's stored values: ``_generate_kernel``'s
+straight-line code for a pattern of fewer than ``_KERNEL_MAX_PAIRS`` pairs,
+at any n, and ``_sum_blocks`` on the pattern's ``_pair_blocks`` for a larger
+one.  ``_FORMS`` holds them, within a budget of term pairs (``_FormCache``).
+A kernel holds about 51 bytes per pair above n = 4, 70 at n <= 4, and blocks
+3 to 6 (tracemalloc), so a full budget holds about 9 MiB.  Real work repeats
+its patterns: over 99.6 % of perfbench's n <= 4 product calls, and 21755
+algebra-sweep products of 64 to 1023 pairs on 250 patterns per 15 s run.
 
 The loop serves the rest: smaller real products with n >= 5, and complex
 operands at every n.  numpy's complex multiply differs from Python's in the
@@ -48,26 +40,26 @@ last bit on 44 % of random normal pairs, so its sums would not be the
 loop's, and no perfbench workload multiplies complex operands.
 
 Results that this module builds itself skip the validating
-``Multivector.__init__`` and go through one of three builders, each told
-what its caller already knows, so that no result is re-walked to find it
-out.  All three store what ``__init__`` would: nonzero finite complex values
-with no -0.0 part, and ``real`` exactly when no imaginary part is nonzero.
+``Multivector.__init__`` and go through one of two builders, each told what
+its caller already knows, so that no result is re-walked to find it out.
+Both store what ``__init__`` would: nonzero finite complex values with no
+-0.0 part, and ``real`` exactly when no imaginary part is nonzero.
 
 - ``_own(sig, terms, real=None)``: complex values from the loop, sums and
   scalings.  It stores 0 + c, drops zeros and rejects a non-finite value,
   and scans for ``real`` unless the caller passes it: a sum, a scaling by a
   real number or a loop product of real operands is real.
-- ``_own_real(sig, sums)``: float sums from the compiled forms and blocks.
-  It stores 0j + v, which is 0 + complex(v, 0.0) to the bit, drops zeros
-  and rejects a non-finite value after one finiteness test of the float
-  sum; ``real`` is True.
 - ``_trusted(sig, terms, real)``: no checks, for results that are clean by
-  construction.  Negation, ``reversion`` and ``grade_involution`` store
+  construction.  A compiled form stores each nonzero float sum v as 0j + v,
+  which is 0 + complex(v, 0.0) to the bit, and rejects a non-finite one;
+  ``real`` is True.  Negation, ``reversion`` and ``grade_involution`` store
   0j - c or c, which equal 0 + (-1 * c) and 0 + (1 * c) to the bit on a
   stored value, and keep the operand's ``real``.  ``grade_part``, ``even``,
   ``odd`` and ``prune`` keep some of the stored values; they are real if
   the operand is, and scanned otherwise, since a subset of a complex
   operand can be real.
+
+Checks read max |x_m - y_m| with ``_max_gap``, without building x - y.
 
 ``Signature(p, q)`` returns one shared instance per pair, its counts
 normalised to int, so the signature tests of every product and sum
@@ -263,16 +255,6 @@ class Multivector:
         return cls._trusted(signature, clean, _all_real(values) if real is None else real)
 
     @classmethod
-    def _own_real(cls, signature: Signature, sums: dict[int, float]) -> "Multivector":
-        """Builder for the float sums of a real computation, whose complex
-        counterparts have zero imaginary parts: each nonzero v is stored as
-        0j + v, which is 0 + complex(v, 0.0) to the bit."""
-        values = sums.values()
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            raise ValueError("non-finite coefficient")
-        return cls._trusted(signature, {m: 0j + v for m, v in sums.items() if v}, True)
-
-    @classmethod
     def _trusted(cls, signature: Signature, terms: dict[int, complex], real: bool) -> "Multivector":
         """No checks: terms must already be stored values, nonzero and finite
         complex numbers with no -0.0 part, and real their realness."""
@@ -375,7 +357,7 @@ class Multivector:
         return hash((self.signature, frozenset(self._terms.items())))
 
     def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
+        return _max_gap(self, other) <= tol
 
     def __repr__(self) -> str:
         from .serialization import format_multivector
@@ -471,6 +453,22 @@ class Multivector:
         return _subset(self, {m: c for m, c in self._terms.items() if abs(c) > tol})
 
 
+def _max_gap(x: Multivector, y) -> float:
+    """(x - y).max_abs() for y a multivector, a dict of stored values or a
+    number, read from the terms: a blade absent from one side reads 0, and
+    a difference too large for a float raises ValueError, as x - y does."""
+    if isinstance(y, Multivector):
+        x._check_sig(y)
+        y = y._terms
+    gaps = dict(x._terms)
+    for m, c in y.items() if isinstance(y, dict) else ((0, complex(y)),):
+        gaps[m] = gaps[m] - c if m in gaps else c
+    values = gaps.values()
+    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
+        raise ValueError("non-finite coefficient")
+    return max(map(abs, values), default=0.0)
+
+
 def _subset(a: Multivector, terms: dict[int, complex]) -> Multivector:
     """Some of a's stored terms: clean as they are, real if a is, and
     scanned otherwise, since a subset of a complex operand can be real."""
@@ -496,7 +494,7 @@ def _product_loop(p: int, n: int, at: dict, bt: dict, keep=None) -> dict[int, co
 
 def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
     """Compile _product_loop of two real operands for one key pattern into
-    straight-line code.
+    straight-line code that returns the loop's stored values.
 
     Each output blade's sum lists its terms in the loop's order, and the
     blades appear in the loop's first-appearance order.  The source holds
@@ -504,7 +502,11 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
     parity of mb & _sign_weight(p, ma).  The kernel multiplies the real
     parts of the terms: a product of two complexes with zero imaginary parts
     has real part exactly a*b, and complex sums add their real parts alone,
-    so its float sums are the loop's real parts."""
+    so its float sums are the loop's real parts.
+
+    With n <= _KERNEL_MAX_N each nonzero sum s<m> is stored as 0j + s<m> in
+    the kernel; above, a dict literal of the sums goes to _stored, since a
+    branch per blade doubled the compile time of kernels often run once."""
     sums: dict[int, list[str]] = {}
     for i, ma in enumerate(a_keys):
         w = _sign_weight(p, ma)
@@ -512,21 +514,38 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
             if keep is None or keep(ma, mb):
                 sign = "-" if (mb & w).bit_count() & 1 else "+"
                 sums.setdefault(ma ^ mb, []).append(f"{sign}a{i}*b{j}")
-    body = ", ".join(f"{m}: {''.join(terms).lstrip('+')}" for m, terms in sums.items())
+    terms = {m: "".join(t).lstrip("+") for m, t in sums.items()}
     a_names = [f"a{i}" for i in range(len(a_keys))]
     b_names = [f"b{j}" for j in range(len(b_keys))]
     lines = [f"{', '.join(a_names)}, = a", f"{', '.join(b_names)}, = b"]
     lines += [f"{x} = {x}.real" for x in a_names + b_names]
+    if n > _KERNEL_MAX_N:
+        lines.append("return _stored({" + ", ".join(f"{m}: {t}" for m, t in terms.items()) + "})")
+    else:
+        lines += [f"s{m} = {t}" for m, t in terms.items()] + ["out = {}"]
+        lines += [f"if s{m}: out[{m}] = 0j + s{m}" for m in terms]
+        if terms:
+            total, names = " + ".join(f"s{m}" for m in terms), ", ".join(f"s{m}" for m in terms)
+            lines.append(f"if not _isfinite({total}) and not all(map(_isfinite, ({names},))):")
+            lines.append('    raise ValueError("non-finite coefficient")')
+        lines.append("return out")
     source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
-    source += f"    return {{{body}}}\n"
     local: dict = {}
     exec(source, _KERNEL_GLOBALS, local)
     return local["kernel"]
 
 
-# The globals of every kernel: one dict for all, since no kernel reads a
-# global name (a dict per kernel took about 160 bytes).
-_KERNEL_GLOBALS: dict = {}
+def _stored(sums: dict[int, float]) -> dict[int, complex]:
+    """Each nonzero float sum v as 0j + v, 0 + complex(v, 0.0) to the bit; a
+    non-finite total, which finite sums can reach, checks each sum."""
+    values = sums.values()
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError("non-finite coefficient")
+    return {m: 0j + v for m, v in sums.items() if v}
+
+
+# The globals of every kernel, one dict for all: a dict per kernel took 160 B.
+_KERNEL_GLOBALS = {"_isfinite": math.isfinite, "_stored": _stored}
 
 # Every real pattern with n <= 4, at most 16 x 16 terms, is compiled; above,
 # only patterns of _FORM_MIN_PAIRS pairs or more.  Without that floor
@@ -534,7 +553,7 @@ _KERNEL_GLOBALS: dict = {}
 # mostly one-off and cost more to compile than they return.
 _KERNEL_MAX_N = 4
 _FORM_MIN_PAIRS = 64
-# Patterns of fewer term pairs compile to kernels, about 55 bytes per pair;
+# Patterns of fewer term pairs compile to kernels, about 51 bytes per pair;
 # larger ones to pair blocks, 3 to 6 bytes per pair, where a kernel would
 # grow to 16384 pairs (dense n = 7).  A cap of 128 gave algebra-sweep the
 # same median but a 4.5 % longer tail.
@@ -544,8 +563,8 @@ _KERNEL_MAX_PAIRS = 1024
 _ARRAY_BLOCK_PAIRS = 1 << 17
 
 # _sum_blocks reports overflow as the loop does, by the ValueError of
-# Multivector._own_real alone, so numpy's overflow and invalid-value warnings
-# are off inside it.
+# _stored alone, so numpy's overflow and invalid-value warnings are off
+# inside it.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -575,9 +594,9 @@ def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
 
 
 @_quiet_overflow
-def _sum_blocks(n: int, blocks, a, b) -> dict[int, float]:
-    """The real parts of _product_loop of two real operands with values a
-    and b, computed on arrays from the pair blocks of their key pattern.
+def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
+    """The stored values of _product_loop of two real operands with values
+    a and b, computed on arrays from the pair blocks of their key pattern.
 
     Pair (i, j) contributes sign * (x_i * y_j), which is the loop's value,
     and np.add.at adds the contributions to each output blade one at a time
@@ -596,13 +615,13 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, float]:
         np.add.at(sums, blades, values)
         keys.append(new)
     keys = np.concatenate(keys)
-    return dict(zip(keys.tolist(), sums[keys].tolist()))
+    return _stored(dict(zip(keys.tolist(), sums[keys].tolist())))
 
 
 class _FormCache:
     """Compiled forms of products of real operands, by (p, n, left keys,
     right keys, filter).  A form maps the operands' values to the loop's
-    float sums: a generated kernel for a pattern of fewer than
+    stored values: a generated kernel for a pattern of fewer than
     _KERNEL_MAX_PAIRS term pairs, and _sum_blocks on the pattern's pair
     blocks for a larger one.
 
@@ -652,18 +671,18 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     _FORM_MIN_PAIRS term pairs or more take the compiled form of their key
     pattern, or blocks made anew for a pattern that the form cache leaves
     out.  Complex operands take the loop at every n."""
-    a._check_sig(b)
     sig = a.signature
-    p, n = sig.p, sig.n
-    at, bt = a._terms, b._terms
+    if sig is not b.signature:
+        a._check_sig(b)
+    n, at, bt = sig.n, a._terms, b._terms
     real = a.real and b.real
     if real and at and bt and (n <= _KERNEL_MAX_N or len(at) * len(bt) >= _FORM_MIN_PAIRS):
-        key = (p, n, tuple(at), tuple(bt), keep)
+        key = (sig.p, n, tuple(at), tuple(bt), keep)
         form = _FORMS.forms.get(key) or _FORMS.compile(key)
-        if form is not None:
-            return Multivector._own_real(sig, form(at.values(), bt.values()))
-        return Multivector._own_real(sig, _sum_blocks(n, _pair_blocks(*key), at.values(), bt.values()))
-    return Multivector._own(sig, _product_loop(p, n, at, bt, keep), True if real else None)
+        if form is None:
+            form = partial(_sum_blocks, n, _pair_blocks(*key))
+        return Multivector._trusted(sig, form(at.values(), bt.values()), True)
+    return Multivector._own(sig, _product_loop(sig.p, n, at, bt, keep), True if real else None)
 
 
 # The filters also take arrays of masks, as _pair_blocks calls them.
@@ -912,9 +931,7 @@ def inverse(a: Multivector) -> Multivector:
     ar = reversion(a)
     s = geometric_product(a, ar)
     s0 = s.scalar_part()
-    if abs(s0) > 1e-14 * a.norm() ** 2 and (
-        (s - s0).max_abs() <= 1e-14 * abs(s0)
-    ):
+    if abs(s0) > 1e-14 * a.norm() ** 2 and _max_gap(s, s0) <= 1e-14 * abs(s0):
         cand = ar * (1.0 / s0)
         if geometric_product(a, cand).approx_eq(Multivector.one(sig), 1e-12):
             return cand
@@ -927,7 +944,7 @@ def inverse(a: Multivector) -> Multivector:
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError("singular element (zero divisor)") from exc
     cand = Multivector(sig, {m: c for m, c in enumerate(sol.tolist()) if c != 0})
-    residual = (geometric_product(a, cand) - Multivector.one(sig)).max_abs()
+    residual = _max_gap(geometric_product(a, cand), 1)
     if residual > 1e-9 * max(1.0, a.max_abs() * cand.max_abs()):
         raise NonInvertibleError(f"singular element (inverse residual {residual:.3g})")
     return cand

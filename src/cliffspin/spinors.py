@@ -9,7 +9,6 @@ element g5 = g^0 g^1 g^2 g^3 is frame-independent under even rotors.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -27,6 +26,7 @@ from .multivector import (
     G5,
     Multivector,
     Signature,
+    _max_gap,
     _sign_weight,
     geometric_product,
     hodge_dual,
@@ -94,8 +94,7 @@ class ASRep:
         # Relative to the element's own size, so a uniform rescaling of the
         # element keeps the verdict.
         e = frame_idempotent(self.frame)
-        scale = self.element.max_abs()
-        if (geometric_product(self.element, e) - self.element).max_abs() > 1e-9 * scale:
+        if _max_gap(geometric_product(self.element, e), self.element) > 1e-9 * self.element.max_abs():
             raise SpinorValueError("element is not in the frame's left ideal")
 
 
@@ -190,7 +189,8 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
     as a multivector stores (a X when b is 0), from the same float
     operations in the same order: a + b g5 is stored as {1111: -b, 0: a},
     its scalar dropped when a is 0, so each blade adds its g5 pair first.
-    A non-finite value raises ValueError, as building rhs or lhs - rhs would."""
+    lhs is finite, so a non-finite rhs value is a non-finite gap, which
+    raises ValueError, as building rhs or lhs - rhs would."""
     xt = X._terms
     rhs: dict[int, complex] = {}
     if b:
@@ -200,14 +200,8 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
         s = complex(a)
         for m, c in xt.items():
             rhs[m] = rhs.get(m, 0) + s * c
-    lt = lhs._terms
-    diff = [c - rhs.get(m, 0) for m, c in lt.items()]
-    diff += [-r for m, r in rhs.items() if m not in lt]
-    values = [*rhs.values(), *diff]
-    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
-        raise ValueError("non-finite coefficient")
-    top = max(1.0, lhs.max_abs(), max(map(abs, rhs.values()), default=0.0))
-    return max(map(abs, diff), default=0.0) / top
+    gap = _max_gap(lhs, rhs)
+    return gap / max(1.0, lhs.max_abs(), max(map(abs, rhs.values()), default=0.0))
 
 
 def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:

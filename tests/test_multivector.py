@@ -1019,14 +1019,14 @@ def table_product(a, b, keep):
     form = mv_module._FORMS.forms.get(key) or mv_module._FORMS.compile(key)
     if form is None:
         return uncached_product(a, b, keep)
-    return Multivector._own_real(a.signature, form(a._terms.values(), b._terms.values()))
+    return Multivector._trusted(a.signature, form(a._terms.values(), b._terms.values()), True)
 
 
 def uncached_product(a, b, keep):
     """_sum_blocks on blocks made anew, as past the form cap or budget."""
     blocks = mv_module._pair_blocks(*plan_key(a, b, keep))
-    sums = mv_module._sum_blocks(a.signature.n, blocks, a._terms.values(), b._terms.values())
-    return Multivector._own_real(a.signature, sums)
+    terms = mv_module._sum_blocks(a.signature.n, blocks, a._terms.values(), b._terms.values())
+    return Multivector._trusted(a.signature, terms, True)
 
 
 def plan_blades(blocks):
@@ -2134,3 +2134,104 @@ def test_grade_filtered_product_checks_only_the_kept_grades_for_overflow():
             geometric_product(a, b, grades=(0, 2))
         kept = geometric_product(a, b, grades=(2,))
         assert kept == grade_part(loop_product(a, Multivector(SIG13, {2: 1.0}), None), 2)
+
+
+# -- compiled forms return stored values, as the loop's builder stores them ----------------
+
+
+def every_path(a, b, keep):
+    """_product on a fresh pattern and on its compiled form, the form as
+    the cache holds it, blocks made anew and the loop: each as its stored
+    bits in key order, or the message of the ValueError it raised."""
+
+    def outcome(build):
+        try:
+            return ordered_bits(build())
+        except ValueError as exc:
+            return str(exc)
+
+    first, again = (outcome(lambda: mv_module._product(a, b, keep)) for _ in range(2))
+    return [
+        first,
+        again,
+        outcome(lambda: table_product(a, b, keep)),
+        outcome(lambda: uncached_product(a, b, keep)),
+        outcome(lambda: loop_product(a, b, keep)),
+    ]
+
+
+# path -> (signature, left size, right size): a kernel with n <= 4, a kernel
+# of 64 pairs above four dimensions, and pair blocks of 1024 pairs.
+FORM_PATHS = {
+    "kernel": (SIG13, 4, 4),
+    "kernel, n = 5": (Signature(3, 2), 8, 8),
+    "blocks": (Signature(3, 2), 32, 32),
+}
+
+
+def form_operands(path, left, right):
+    """Operands of the path's size on its first blades, valued by mask."""
+    sig, na, nb = FORM_PATHS[path]
+    a = Multivector(sig, {m: left(m) for m in range(na)})
+    b = Multivector(sig, {m: right(m) for m in range(nb)})
+    return a, b
+
+
+@pytest.mark.parametrize("path", FORM_PATHS)
+def test_forms_keep_finite_blades_whose_sum_overflows(fresh_forms, path):
+    """b's blades at 1e308 pass through 1 * b: each is finite, their float
+    sum is not, and nothing raises."""
+    a, b = form_operands(path, lambda m: 1e-300 if m else 1.0, lambda m: 1e308)
+    outcomes = every_path(a, b, None)
+    assert outcomes == [outcomes[-1]] * 5
+    assert sum(c.real for c in loop_product(a, b, None)._terms.values()) == math.inf
+    assert [is_kernel(form) for form in fresh_forms.forms.values()] == [path != "blocks"]
+
+
+@pytest.mark.parametrize("path", FORM_PATHS)
+def test_forms_raise_on_one_overflowing_blade_and_not_on_a_skipped_one(fresh_forms, path):
+    a, b = form_operands(path, lambda m: 1.0 if m else 1e200, lambda m: 1.0 if m else 1e200)
+    assert every_path(a, b, None) == ["non-finite coefficient"] * 5
+    # Only the scalar overflows; under grades=(2,) it is skipped.
+    kept = every_path(a, b, mv_module._grade_filter(1 << 2))
+    assert kept == [kept[-1]] * 5 and kept[-1] and {m.bit_count() for m, _, _ in kept[-1]} == {2}
+
+
+@pytest.mark.parametrize("path", FORM_PATHS)
+def test_forms_give_nothing_for_a_filter_that_keeps_no_pair(fresh_forms, path):
+    """Every blade holds e1, so no pair is disjoint and the wedge is {}."""
+    sig, na, nb = FORM_PATHS[path]
+    sig = Signature(4, 3) if path == "blocks" else sig  # 32 odd blades of Cl(3,2) are too few
+    odd = [m for m in range(1 << sig.n) if m & 1]
+    a = Multivector(sig, {m: 1.0 + m for m in odd[:na]})
+    b = Multivector(sig, {m: 2.0 - m for m in odd[-nb:]})
+    assert every_path(a, b, mv_module._outer) == [[]] * 5
+    assert [is_kernel(form) for form in fresh_forms.forms.values()] == [path != "blocks"]
+
+
+def test_vector_squared_cancels_its_bivector_sums_to_nothing(fresh_forms):
+    """v v holds six bivector sums x_i x_j - x_j x_i = 0 exactly: the kernel
+    stores none of them, and the scalar comes first, as in the loop."""
+    v = Multivector(SIG13, {1: 0.3, 2: -1.7, 4: 2.5, 8: 0.1})
+    kernel = mv_module._generate_kernel(*plan_key(v, v, None))
+    sums = list(kernel(v._terms.values(), v._terms.values()))
+    assert sums == [0]
+    outcomes = every_path(v, v, None)
+    assert outcomes == [outcomes[-1]] * 5 and [m for m, _, _ in outcomes[-1]] == [0]
+
+
+def test_single_term_forms_store_what_the_loop_stores(fresh_forms):
+    cases = [
+        ({5: 1.5}, {6: -2.0}),  # e_5 e_6 = -e_3 in Cl(1,3)
+        ({1: 1e-200}, {2: -1e-200}),  # underflows to -0.0: stored as nothing
+        ({3: 1e200}, {3: 1e200}),  # overflows
+        ({0: -0.5}, {15: 3.0}),
+    ]
+    for at, bt in cases:
+        a, b = Multivector(SIG13, at), Multivector(SIG13, bt)
+        for keep in PRODUCTS.values():
+            outcomes = every_path(a, b, keep)
+            assert outcomes == [outcomes[-1]] * 5, (at, bt, keep)
+    assert every_path(*(Multivector(SIG13, t) for t in cases[1]), None) == [[]] * 5
+    stored = mv_module._product(Multivector(SIG13, {5: 1.5}), Multivector(SIG13, {6: -2.0}))
+    assert [type(c) for c in stored._terms.values()] == [complex] and stored.real

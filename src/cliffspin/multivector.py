@@ -29,10 +29,15 @@ operands' values to the loop's stored values: ``_generate_kernel``'s
 straight-line code for a pattern of fewer than ``_KERNEL_MAX_PAIRS`` pairs,
 at any n, and ``_sum_blocks`` on the pattern's ``_pair_blocks`` for a larger
 one.  ``_FORMS`` holds them, within a budget of term pairs (``_FormCache``).
-A kernel holds about 51 bytes per pair above n = 4, 70 at n <= 4, and blocks
-3 to 6 (tracemalloc), so a full budget holds about 9 MiB.  Real work repeats
-its patterns: over 99.6 % of perfbench's n <= 4 product calls, and 21755
-algebra-sweep products of 64 to 1023 pairs on 250 patterns per 15 s run.
+With n <= 4 each pattern has its own kernel.  Above, a kernel names no mask
+and is compiled once per structure, the operand lengths and each output's
+signed term pairs, and a pattern's form binds its masks to it
+(``_shared_form``); the kernel lives as long as some form that binds it.
+A kernel holds about 52 bytes per pair above n = 4 when no structure
+repeats, 70 at n <= 4, and blocks 3 to 6 (tracemalloc), so a full budget
+holds about 9 MiB.  Real work repeats its patterns: over 99.6 % of
+perfbench's n <= 4 product calls, and 21755 algebra-sweep products of 64 to
+1023 pairs on 250 patterns, of 45 structures, per 15 s run.
 
 The loop serves the rest: smaller real products with n >= 5, and complex
 operands at every n.  numpy's complex multiply differs from Python's in the
@@ -89,8 +94,10 @@ import cmath
 import math
 import operator
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -498,15 +505,17 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
 
     Each output blade's sum lists its terms in the loop's order, and the
     blades appear in the loop's first-appearance order.  The source holds
-    only integer masks and positional names a<i>, b<j>; each sign is the
-    parity of mb & _sign_weight(p, ma).  The kernel multiplies the real
-    parts of the terms: a product of two complexes with zero imaginary parts
-    has real part exactly a*b, and complex sums add their real parts alone,
-    so its float sums are the loop's real parts.
+    only positional names a<i>, b<j> and, with n <= _KERNEL_MAX_N, integer
+    masks; each sign is the parity of mb & _sign_weight(p, ma).  The kernel
+    multiplies the real parts of the terms: a product of two complexes with
+    zero imaginary parts has real part exactly a*b, and complex sums add
+    their real parts alone, so its float sums are the loop's real parts.
 
     With n <= _KERNEL_MAX_N each nonzero sum s<m> is stored as 0j + s<m> in
-    the kernel; above, a dict literal of the sums goes to _stored, since a
-    branch per blade doubled the compile time of kernels often run once."""
+    the kernel, one kernel per pattern.  Above, _shared_form compiles one
+    kernel per structure of patterns, and each form binds its masks."""
+    if n > _KERNEL_MAX_N:
+        return _shared_form(p, a_keys, b_keys, keep)
     sums: dict[int, list[str]] = {}
     for i, ma in enumerate(a_keys):
         w = _sign_weight(p, ma)
@@ -515,33 +524,71 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
                 sign = "-" if (mb & w).bit_count() & 1 else "+"
                 sums.setdefault(ma ^ mb, []).append(f"{sign}a{i}*b{j}")
     terms = {m: "".join(t).lstrip("+") for m, t in sums.items()}
-    a_names = [f"a{i}" for i in range(len(a_keys))]
-    b_names = [f"b{j}" for j in range(len(b_keys))]
+    lines = [f"s{m} = {t}" for m, t in terms.items()] + ["out = {}"]
+    lines += [f"if s{m}: out[{m}] = 0j + s{m}" for m in terms]
+    if terms:
+        total, names = " + ".join(f"s{m}" for m in terms), ", ".join(f"s{m}" for m in terms)
+        lines.append(f"if not _isfinite({total}) and not all(map(_isfinite, ({names},))):")
+        lines.append('    raise ValueError("non-finite coefficient")')
+    lines.append("return out")
+    return _compile_kernel("a, b", len(a_keys), len(b_keys), lines)
+
+
+def _shared_form(p: int, a_keys: tuple, b_keys: tuple, keep):
+    """The n > _KERNEL_MAX_N form of _generate_kernel: partial(kernel,
+    masks), where kernel(M, a, b) hands the tuple of its sums to _stored
+    with the output masks M; a store and a branch per blade doubled the
+    compile time of kernels often run once.  The kernel names no mask, so
+    it serves every pattern of its structure, the operand lengths and each
+    output's signed (i, j) terms in order.  _SHARED_KERNELS finds it by the
+    structure's code; the source is built only when the code misses."""
+    nb = len(b_keys)
+    sums: dict[int, list[int]] = {}
+    for i, ma in enumerate(a_keys):
+        w = _sign_weight(p, ma)
+        for j, mb in enumerate(b_keys):
+            if keep is None or keep(ma, mb):
+                term = i * nb + j | (_SIGN_BIT if (mb & w).bit_count() & 1 else 0)
+                m = ma ^ mb
+                if m in sums:
+                    sums[m].append(term)
+                else:
+                    sums[m] = [term | _FIRST_BIT]
+    code = (len(a_keys), nb, np.fromiter(chain.from_iterable(sums.values()), np.uint16).tobytes())
+    kernel = _SHARED_KERNELS.get(code)
+    if kernel is None:
+        pair = _SIGN_BIT - 1
+
+        def text(term):
+            i, j = divmod(term & pair, nb)
+            return f"{'-' if term & _SIGN_BIT else '+'}a{i}*b{j}"
+
+        texts = ("".join(map(text, t)).lstrip("+") for t in sums.values())
+        body = ["return _stored(M, (" + "".join(f"{t}, " for t in texts) + "))"]
+        kernel = _SHARED_KERNELS[code] = _compile_kernel("M, a, b", len(a_keys), nb, body)
+    return partial(kernel, tuple(sums))
+
+
+def _compile_kernel(params: str, na: int, nb: int, body: list[str]):
+    """The function kernel(params) that reads the operands' values a<i>,
+    b<j> as floats, then runs the lines of body."""
+    a_names = [f"a{i}" for i in range(na)]
+    b_names = [f"b{j}" for j in range(nb)]
     lines = [f"{', '.join(a_names)}, = a", f"{', '.join(b_names)}, = b"]
-    lines += [f"{x} = {x}.real" for x in a_names + b_names]
-    if n > _KERNEL_MAX_N:
-        lines.append("return _stored({" + ", ".join(f"{m}: {t}" for m, t in terms.items()) + "})")
-    else:
-        lines += [f"s{m} = {t}" for m, t in terms.items()] + ["out = {}"]
-        lines += [f"if s{m}: out[{m}] = 0j + s{m}" for m in terms]
-        if terms:
-            total, names = " + ".join(f"s{m}" for m in terms), ", ".join(f"s{m}" for m in terms)
-            lines.append(f"if not _isfinite({total}) and not all(map(_isfinite, ({names},))):")
-            lines.append('    raise ValueError("non-finite coefficient")')
-        lines.append("return out")
-    source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
+    lines += [f"{x} = {x}.real" for x in a_names + b_names] + body
+    source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
     local: dict = {}
     exec(source, _KERNEL_GLOBALS, local)
     return local["kernel"]
 
 
-def _stored(sums: dict[int, float]) -> dict[int, complex]:
-    """Each nonzero float sum v as 0j + v, 0 + complex(v, 0.0) to the bit; a
-    non-finite total, which finite sums can reach, checks each sum."""
-    values = sums.values()
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+def _stored(masks, sums) -> dict[int, complex]:
+    """Each nonzero float sum v, with the mask at its position in masks, as
+    0j + v, 0 + complex(v, 0.0) to the bit; a non-finite total, which
+    finite sums can reach, checks each sum."""
+    if not math.isfinite(sum(sums)) and not all(map(math.isfinite, sums)):
         raise ValueError("non-finite coefficient")
-    return {m: 0j + v for m, v in sums.items() if v}
+    return {m: 0j + v for m, v in zip(masks, sums) if v}
 
 
 # The globals of every kernel, one dict for all: a dict per kernel took 160 B.
@@ -553,11 +600,16 @@ _KERNEL_GLOBALS = {"_isfinite": math.isfinite, "_stored": _stored}
 # mostly one-off and cost more to compile than they return.
 _KERNEL_MAX_N = 4
 _FORM_MIN_PAIRS = 64
-# Patterns of fewer term pairs compile to kernels, about 51 bytes per pair;
+# Patterns of fewer term pairs compile to kernels, about 52 bytes per pair;
 # larger ones to pair blocks, 3 to 6 bytes per pair, where a kernel would
 # grow to 16384 pairs (dense n = 7).  A cap of 128 gave algebra-sweep the
 # same median but a 4.5 % longer tail.
 _KERNEL_MAX_PAIRS = 1024
+# A structure code holds each kernel term i * len(b) + j, under
+# _KERNEL_MAX_PAIRS, in 2 bytes, with a bit for a minus sign and one for an
+# output's first term.
+_SIGN_BIT = 1 << (_KERNEL_MAX_PAIRS - 1).bit_length()
+_FIRST_BIT = _SIGN_BIT << 1
 # Term pairs per block of left terms: each float temporary of a block holds at
 # most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
@@ -615,7 +667,7 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
         np.add.at(sums, blades, values)
         keys.append(new)
     keys = np.concatenate(keys)
-    return _stored(dict(zip(keys.tolist(), sums[keys].tolist())))
+    return _stored(keys.tolist(), sums[keys].tolist())
 
 
 class _FormCache:
@@ -623,7 +675,10 @@ class _FormCache:
     right keys, filter).  A form maps the operands' values to the loop's
     stored values: a generated kernel for a pattern of fewer than
     _KERNEL_MAX_PAIRS term pairs, and _sum_blocks on the pattern's pair
-    blocks for a larger one.
+    blocks for a larger one.  Above n = _KERNEL_MAX_N the kernel is shared
+    by the patterns of one structure, and the form is partial(kernel,
+    masks), as a blocks form is partial(_sum_blocks, n, blocks); a shared
+    kernel goes with the last form that binds it.
 
     A pattern is compiled on its first sight.  Each form costs the number of
     term pairs it covers, and the forms held cost at most _FORM_PAIR_BUDGET:
@@ -664,6 +719,10 @@ class _FormCache:
 _FORM_MAX_PAIRS = 1 << 14
 _FORM_PAIR_BUDGET = 1 << 17
 _FORMS = _FormCache()
+# The n > _KERNEL_MAX_N kernels by structure code, each kept only while a
+# form binds it, so the pair budget bounds them too.  Only _shared_form
+# reads and writes it, called by _generate_kernel under the form cache's lock.
+_SHARED_KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -1035,8 +1036,9 @@ def plan_blades(blocks):
 
 
 def is_kernel(form):
-    """Whether a compiled form is a generated kernel, not pair blocks."""
-    return getattr(form, "__name__", None) == "kernel"
+    """Whether a compiled form is a generated kernel, not pair blocks: an
+    n <= 4 kernel, or a shared n >= 5 kernel bound to its masks."""
+    return getattr(getattr(form, "func", form), "__name__", None) == "kernel"
 
 
 def cache_holds_its_pairs(cache):
@@ -1647,6 +1649,114 @@ def test_kernels_above_four_dimensions_hold_a_bounded_number_of_bytes_per_pair(f
     assert all(map(is_kernel, fresh_forms.forms.values()))
     assert (1 << 14) - 1023 < fresh_forms.pairs <= 1 << 14
     assert held / fresh_forms.pairs < 60
+
+
+# -- n >= 5 kernels: one per structure, bound to each pattern's masks ----------------------
+
+SIG60 = Signature(6, 0)
+
+
+def low_operand(local, masks):
+    """A Cl(6,0) operand on the given blades of e1..e5, in their order."""
+    return Multivector(SIG60, {int(m): float(local.normal()) for m in masks})
+
+
+def moved_up(a):
+    """a with each e_i read as e_{i+1}: every mask doubles, and in Cl(6,0)
+    every sign, filter verdict and first appearance stays, so a product's
+    pattern keeps its structure and changes its masks."""
+    return Multivector(a.signature, {m << 1: c for m, c in a._terms.items()})
+
+
+def test_patterns_of_one_structure_share_one_kernel(fresh_forms):
+    """Each form binds one shared kernel to its own masks and gives the
+    loop's bits in its key order: unfiltered, filtered, and with a filter
+    that keeps no pair."""
+    local = np.random.default_rng(37)
+    a, b = (low_operand(local, local.permutation(32)[:8]) for _ in range(2))
+    odd = [m for m in range(32) if m & 1]  # every blade holds e1: no pair is disjoint
+    a_odd, b_odd = (low_operand(local, local.permutation(odd)[:8]) for _ in range(2))
+    cases = [(a, b, keep) for keep in (*PRODUCTS.values(), mv_module._grade_filter(0b10101))]
+    cases.append((a_odd, b_odd, mv_module._outer))
+    kernels = set()
+    for x, y, keep in cases:
+        forms = []
+        for u, v in ((x, y), (moved_up(x), moved_up(y))):
+            want = ordered_bits(loop_product(u, v, keep))
+            for _ in range(2):  # compiled, then read back
+                assert ordered_bits(mv_module._product(u, v, keep)) == want
+            forms.append(fresh_forms.forms[plan_key(u, v, keep)])
+        low, high = forms
+        assert is_kernel(low) and low.func is high.func
+        assert high.args == (tuple(m << 1 for m in low.args[0]),)
+        kernels.add(low.func)
+    assert ordered_bits(wedge(a_odd, b_odd)) == [] and low.args == ((),)
+    assert len(kernels) == len(cases) and kernels <= set(mv_module._SHARED_KERNELS.values())
+
+
+def test_structures_that_group_the_same_terms_apart_do_not_share(fresh_forms):
+    """In Cl(5,0), (e5 + e1e4) ^ (e1e4 + e5) keeps two pairs and sums them
+    on one blade, while (e5 + e2) _| (e1e4e5 + e2e3e4) keeps the same two
+    pairs, with the same signs, and puts them on two: two kernels."""
+    sig = Signature(5, 0)
+    outer = (Multivector(sig, {16: 1.5, 9: -0.5}), Multivector(sig, {9: 0.25, 16: 2.0}))
+    inner = (Multivector(sig, {16: 1.5, 2: -0.5}), Multivector(sig, {25: 0.25, 14: 2.0}))
+    cases = [(*outer, mv_module._outer), (*inner, mv_module._left_inner)]
+    forms = []
+    for a, b, keep in cases:
+        form = mv_module._generate_kernel(*plan_key(a, b, keep))
+        got = Multivector._trusted(sig, form(a._terms.values(), b._terms.values()), True)
+        assert ordered_bits(got) == ordered_bits(loop_product(a, b, keep))
+        forms.append(form)
+    assert [len(ordered_bits(loop_product(*case))) for case in cases] == [1, 2]
+    assert forms[0].func is not forms[1].func
+
+
+def test_a_shared_kernel_goes_with_the_last_form_that_binds_it(fresh_forms, monkeypatch):
+    """Under a budget of 200 pairs, two 64-pair patterns of one structure
+    hold one kernel.  Dropping the first leaves it to the second; dropping
+    the second releases it and takes it out of _SHARED_KERNELS."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 200)
+    local = np.random.default_rng(41)
+    a, b = (low_operand(local, local.permutation(32)[:8]) for _ in range(2))
+    c, d, e, f = (low_operand(local, local.permutation(64)[:9]) for _ in range(4))
+    geometric_product(a, b)
+    geometric_product(moved_up(a), moved_up(b))
+    kernel = weakref.ref(fresh_forms.forms[plan_key(a, b, None)].func)
+    codes = [code for code, shared in mv_module._SHARED_KERNELS.items() if shared is kernel()]
+    assert len(codes) == 1
+    geometric_product(c, d)  # 81 pairs: drops the first pattern
+    gc.collect()
+    assert plan_key(a, b, None) not in fresh_forms.forms
+    assert kernel() is not None and mv_module._SHARED_KERNELS.get(codes[0]) is kernel()
+    geometric_product(e, f)  # drops the second
+    gc.collect()
+    assert len(fresh_forms.forms) == 2
+    assert kernel() is None and codes[0] not in mv_module._SHARED_KERNELS
+
+
+def test_a_dropped_pattern_of_a_live_structure_compiles_no_source(fresh_forms, monkeypatch):
+    """A pattern dropped by the budget and met again while another pattern
+    of its structure still holds the kernel gets a form on that kernel, with
+    no exec, and the loop's bits."""
+    monkeypatch.setattr(mv_module, "_FORM_PAIR_BUDGET", 200)
+    local = np.random.default_rng(43)
+    a, b = (low_operand(local, local.permutation(32)[:8]) for _ in range(2))
+    c, d = (low_operand(local, local.permutation(64)[:9]) for _ in range(2))
+    want = ordered_bits(loop_product(a, b, None))
+    geometric_product(a, b)
+    geometric_product(moved_up(a), moved_up(b))
+    kernel = fresh_forms.forms[plan_key(a, b, None)].func
+    geometric_product(c, d)  # drops the first pattern
+    assert plan_key(a, b, None) not in fresh_forms.forms
+
+    def refuse(*args):
+        raise AssertionError("compiled a kernel source")
+
+    monkeypatch.setattr(mv_module, "exec", refuse, raising=False)
+    keys = compiles(monkeypatch)
+    assert ordered_bits(geometric_product(a, b)) == want
+    assert keys == [plan_key(a, b, None)] and fresh_forms.forms[keys[0]].func is kernel
 
 
 @pytest.mark.parametrize("pq", [(3, 2), (4, 3)])

@@ -14,7 +14,7 @@ matrix form applies each gamma matrix as a signed permutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -30,7 +30,7 @@ from .groups import (
 )
 from .matrixrep import _blade_columns, _first_column
 from .multivector import Multivector, Signature, SignatureMismatchError, geometric_product
-from .spinors import SIG13, gamma5, gamma_lower, gamma_upper
+from .spinors import SIG13, frame_idempotent, gamma5, gamma_lower, gamma_upper
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 
@@ -243,10 +243,8 @@ def planewave_solution(
 
 def asf_projector(frame: SpinorialFrame) -> Multivector:
     """e e' = (1 + g0)/2 (1 + g3 g0)/2 from the frame's own vectors."""
-    g0 = gamma_lower(frame, 0)
-    g3 = gamma_lower(frame, 3)
-    e = (1 + g0) * 0.5
-    ep = (1 + geometric_product(g3, g0)) * 0.5
+    e = frame_idempotent(frame)
+    ep = (1 + geometric_product(gamma_lower(frame, 3), gamma_lower(frame, 0))) * 0.5
     return geometric_product(e, ep)
 
 
@@ -344,13 +342,7 @@ def right_gauge(field: PlaneWaveDHSF, s: Rotor) -> PlaneWaveDHSF:
     _require_spin_e(s)
     sinv = s.inverse_mv()
     new_frame = frame_right_action(Rotor(sinv), field.frame)
-    return PlaneWaveDHSF(
-        frame=new_frame,
-        psi0=geometric_product(field.psi0, sinv),
-        p=field.p,
-        m=field.m,
-        energy_sign=field.energy_sign,
-    )
+    return replace(field, frame=new_frame, psi0=geometric_product(field.psi0, sinv))
 
 
 @dataclass(frozen=True)
@@ -366,18 +358,11 @@ def left_gauge(
     """Active transformation psi -> s psi, A -> s A s^{-1}, with the
     derivative operator transported to s gamma^mu s^{-1} d_mu."""
     _require_spin_e(s)
-    new_field = PlaneWaveDHSF(
-        frame=field.frame,
-        psi0=geometric_product(s.u, field.psi0),
-        p=field.p,
-        m=field.m,
-        energy_sign=field.energy_sign,
-    )
-    new_pot = None
+    new_field = replace(field, psi0=geometric_product(s.u, field.psi0))
     if pot is not None:
         newA = geometric_product(geometric_product(s.u, pot.A), s.inverse_mv(), grades=(1,))
-        new_pot = ConstantPotential(newA, pot.q_charge)
-    return GaugedSystem(field=new_field, pot=new_pot, left_rotor=s)
+        pot = replace(pot, A=newA)
+    return GaugedSystem(field=new_field, pot=pot, left_rotor=s)
 
 
 def both_gauge(
@@ -386,8 +371,4 @@ def both_gauge(
     """Simultaneous transformation: psi -> s psi s^{-1} with the frame
     relabeled, A -> s A s^{-1}, operator transported as in left_gauge."""
     sys_left = left_gauge(field, s, pot)
-    return GaugedSystem(
-        field=right_gauge(sys_left.field, s),
-        pot=sys_left.pot,
-        left_rotor=s,
-    )
+    return replace(sys_left, field=right_gauge(sys_left.field, s))

@@ -28,16 +28,19 @@ order, right keys in order, filter) compiles a form, a callable from the
 operands' values to the loop's stored values: ``_generate_kernel``'s
 straight-line code for a pattern of fewer than ``_KERNEL_MAX_PAIRS`` pairs,
 at any n, and ``_sum_blocks`` on the pattern's ``_pair_blocks`` for a larger
-one.  ``_FORMS`` holds them, within a budget of term pairs (``_FormCache``).
+one.  ``_FORMS`` holds them, within a budget of term pairs (``_FormCache``)
+that charges each form its pairs and no fewer than ``_FORM_MIN_PAIRS``.
 With n <= 4 each pattern has its own kernel.  Above, a kernel names no mask
 and is compiled once per structure, the operand lengths and each output's
 signed term pairs, and a pattern's form binds its masks to it
 (``_shared_form``); the kernel lives as long as some form that binds it.
 A kernel holds about 52 bytes per pair above n = 4 when no structure
-repeats, 70 at n <= 4, and blocks 3 to 6 (tracemalloc), so a full budget
-holds about 9 MiB.  Real work repeats its patterns: over 99.6 % of
-perfbench's n <= 4 product calls, and 21755 algebra-sweep products of 64 to
-1023 pairs on 250 patterns, of 45 structures, per 15 s run.
+repeats, 70 at n <= 4, and blocks 3 to 6 (tracemalloc).  An n <= 4 kernel
+of one pair still holds 1.3 kB, 21 bytes per charged pair, so a full
+budget holds about 9 MiB whatever the pattern sizes.  Real work repeats
+its patterns: over 99.6 % of perfbench's n <= 4 product calls, and 21755
+algebra-sweep products of 64 to 1023 pairs on 250 patterns, of 45
+structures, per 15 s run.
 
 The loop serves the rest: smaller real products with n >= 5, and complex
 operands at every n.  numpy's complex multiply differs from Python's in the
@@ -166,12 +169,6 @@ class Signature:
     def n(self) -> int:
         return self.p + self.q
 
-    def square(self, i: int) -> int:
-        """Square of generator with 0-based index i."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"generator index {i} out of range for n={self.n}")
-        return 1 if i < self.p else -1
-
     @property
     def squares(self) -> tuple[int, ...]:
         return tuple(1 if i < self.p else -1 for i in range(self.n))
@@ -209,6 +206,22 @@ def _reorder_sign(p: int, n: int, a: int) -> tuple[int, ...]:
     for j in range(n):
         row = row + ([-s for s in row] if w >> j & 1 else row)
     return tuple(row)
+
+
+def _blade_of(indices: Iterable[int], n: int) -> tuple[int, bool]:
+    """The mask of the blade of generators with 1-based indices, in any
+    order, checked index by index, and whether sorting them takes an odd
+    number of swaps."""
+    mask, swaps = 0, 0
+    for i in indices:
+        if not 1 <= i <= n:
+            raise ValueError(f"generator e{i} out of range for n={n}")
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"repeated generator e{i}")
+        swaps += (mask >> i).bit_count()  # earlier generators above e_i
+        mask |= bit
+    return mask, bool(swaps & 1)
 
 
 def _all_real(values) -> bool:
@@ -305,15 +318,11 @@ class Multivector:
     @classmethod
     def blade(cls, sig: Signature, indices: Iterable[int], coeff: complex = 1.0) -> "Multivector":
         """coeff times the product of distinct generators, given by 1-based
-        indices in any order; each swap that sorts them flips the sign."""
-        mask, swaps = 0, 0
-        for i in indices:
-            bit = 1 << (i - 1)
-            if mask & bit:
-                raise ValueError("repeated generator index in blade")
-            swaps += (mask >> i).bit_count()  # earlier generators above e_i
-            mask |= bit
-        return cls(sig, {mask: -coeff if swaps & 1 else coeff})
+        indices in any order; each swap that sorts them flips the sign.  An
+        index outside 1..n raises ValueError "generator e<i> out of range for
+        n=<n>", and a repeated one "repeated generator e<i>"."""
+        mask, odd = _blade_of(indices, sig.n)
+        return cls(sig, {mask: -coeff if odd else coeff})
 
     @classmethod
     def from_mask(cls, sig: Signature, mask: int, coeff: complex = 1.0) -> "Multivector":
@@ -596,8 +605,10 @@ _KERNEL_GLOBALS = {"_isfinite": math.isfinite, "_stored": _stored}
 
 # Every real pattern with n <= 4, at most 16 x 16 terms, is compiled; above,
 # only patterns of _FORM_MIN_PAIRS pairs or more.  Without that floor
-# algebra-sweep read 0.75-0.81x ops/s: its patterns under 64 pairs are
-# mostly one-off and cost more to compile than they return.
+# algebra-sweep's patterns under 64 pairs, mostly one-off and of few shared
+# structures, made 1373 compile calls and 98 kernel sources per 100
+# operations instead of 117 and 28, for 1.4-1.7 MiB more peak RSS and no
+# faster operations.  It is also the least pairs a form is charged.
 _KERNEL_MAX_N = 4
 _FORM_MIN_PAIRS = 64
 # Patterns of fewer term pairs compile to kernels, about 52 bytes per pair;
@@ -670,6 +681,12 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
     return _stored(keys.tolist(), sums[keys].tolist())
 
 
+def _charge(key: tuple) -> int:
+    """The pairs the form cache charges for a key pattern: its term pairs,
+    and no fewer than _FORM_MIN_PAIRS."""
+    return max(len(key[2]) * len(key[3]), _FORM_MIN_PAIRS)
+
+
 class _FormCache:
     """Compiled forms of products of real operands, by (p, n, left keys,
     right keys, filter).  A form maps the operands' values to the loop's
@@ -681,10 +698,11 @@ class _FormCache:
     kernel goes with the last form that binds it.
 
     A pattern is compiled on its first sight.  Each form costs the number of
-    term pairs it covers, and the forms held cost at most _FORM_PAIR_BUDGET:
-    a new form drops the oldest ones, in insertion order, until it fits.  A
-    pattern of more than _FORM_MAX_PAIRS pairs, or more than the whole
-    budget, is not compiled."""
+    term pairs it covers, and no fewer than _FORM_MIN_PAIRS (_charge), since
+    a kernel's code object holds 1.3 kB even for one pair.  The forms held
+    cost at most _FORM_PAIR_BUDGET: a new form drops the oldest ones, in
+    insertion order, until it fits.  A pattern of more than _FORM_MAX_PAIRS
+    pairs, or costing more than the whole budget, is not compiled."""
 
     def __init__(self):
         self.forms: dict[tuple, object] = {}
@@ -694,7 +712,9 @@ class _FormCache:
     def compile(self, key: tuple):
         """The form for a key missing from self.forms, or None for a pattern
         that the cap or the whole budget leaves out."""
-        cost = len(key[2]) * len(key[3])
+        cost = _charge(key)
+        # cost and the raw pair count pass _FORM_MAX_PAIRS and
+        # _KERNEL_MAX_PAIRS together, as both lie above _FORM_MIN_PAIRS.
         if cost > min(_FORM_MAX_PAIRS, _FORM_PAIR_BUDGET):
             return None
         with self._lock:
@@ -707,7 +727,7 @@ class _FormCache:
                 while self.pairs + cost > _FORM_PAIR_BUDGET:
                     oldest = next(iter(self.forms))
                     del self.forms[oldest]
-                    self.pairs -= len(oldest[2]) * len(oldest[3])
+                    self.pairs -= _charge(oldest)
                 self.forms[key] = form
                 self.pairs += cost
         return form

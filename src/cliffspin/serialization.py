@@ -25,9 +25,10 @@ are finite.  A real value stores every imaginary part as +0.0, so its
 that embed it in larger JSON.
 
 The readers resolve a blade with one lookup; only a miss runs the validating
-loop, so every error message is the loop's.  ``json.loads`` is the only JSON
-reader; ``from_json_dict`` rejects a boolean part and reads the two parts
-straight into ``complex``.
+loop, so every error message is the loop's.  The text reader's loop is
+``Multivector.blade``'s, ``_blade_of``; the JSON reader's also type-checks
+each index.  ``json.loads`` is the only JSON reader; ``from_json_dict``
+rejects a boolean part and reads the two parts straight into ``complex``.
 Text in the writer's own form (single spaces around `+`/`-`, one space before
 a blade) is cut into its terms by one regular-expression split, and a real
 coefficient there is read by ``float`` with its separator's sign; any other
@@ -43,7 +44,7 @@ from functools import lru_cache
 from operator import countOf
 from typing import NamedTuple
 
-from .multivector import MAX_DIM, Multivector, Signature
+from .multivector import MAX_DIM, Multivector, Signature, _blade_of
 
 
 class _Tables(NamedTuple):
@@ -161,22 +162,6 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
     return terms
 
 
-def _text_mask(blades: str, n: int) -> tuple[int, bool]:
-    """The mask of a blade as `e<i>^e<j>...` text, checked index by index,
-    and whether sorting its generators takes an odd number of swaps."""
-    mask, swaps = 0, 0
-    for name in blades.replace(" ", "").split("^"):
-        idx = int(name[1:])
-        if not 1 <= idx <= n:
-            raise MultivectorParseError(f"generator e{idx} out of range for n={n}")
-        bit = 1 << (idx - 1)
-        if mask & bit:
-            raise MultivectorParseError(f"repeated generator e{idx}")
-        swaps += (mask >> idx).bit_count()  # earlier generators above e<idx>
-        mask |= bit
-    return mask, bool(swaps & 1)
-
-
 def _parse_canonical(text: str, tables: _Tables) -> dict[int, complex] | None:
     """The summed terms of text in the writer's own form whose blades are all
     canonical names; None for any other text."""
@@ -222,7 +207,12 @@ def _parse_terms(text: str, n: int) -> dict[int, complex]:
                 coeff = complex(coeff_src.strip("()").replace(" ", ""))
             except ValueError as exc:
                 raise MultivectorParseError(f"bad coefficient: {coeff_src!r}") from exc
-        mask, odd = _text_mask(m.group("blades"), n) if m.group("blades") else (0, False)
+        blades = m.group("blades")
+        indices = [int(e[1:]) for e in blades.replace(" ", "").split("^")] if blades else ()
+        try:
+            mask, odd = _blade_of(indices, n)
+        except ValueError as exc:
+            raise MultivectorParseError(str(exc)) from None
         terms[mask] = terms.get(mask, 0) + (-sign if odd else sign) * coeff
     return terms
 

@@ -35,6 +35,12 @@ def test_idempotent_output(capsys):
     assert "ideal dimension over K: 2" in out
 
 
+def test_idempotent_notes_an_algebra_that_splits(capsys):
+    code, out, _ = run(capsys, "idempotent", "--p", "2", "--q", "1")
+    assert code == 0
+    assert out.endswith("\nnote: algebra splits as a direct sum; idempotent lives in one summand\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,8 +2,10 @@
 rotor-to-matrix maps, and spinorial frames.
 
 A spinorial frame is fixed by its rotor u: its vector frame b_i = u^{-1} E_i u
-is derived from u once, when the frame is built, so a frame whose vectors do
-not match its rotor cannot be built.  Equality and hashing read u alone.
+is derived from u, and checked, the first time ``frame`` is read, and kept from
+then on, so a frame's vectors always match its rotor.  Above n = 5 they are
+derived when the frame is built, since an even u with u u~ = 1 need not map
+vectors to vectors there.  Equality and hashing read u alone.
 Frames with rotors u and -u carry the same vector frame but compare as
 distinct values; that sign is exactly the 2*pi-rotation memory spinors care
 about.
@@ -12,7 +14,7 @@ about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -124,12 +126,18 @@ def fiducial_frame(sig: Signature) -> VectorFrame:
 @dataclass(frozen=True)
 class SpinorialFrame:
     u: Rotor
-    frame: VectorFrame = field(init=False, compare=False)
     rotor_inverse: Multivector = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rotor_inverse", self.u.inverse_mv())
+        if self.u.signature.n > 5:
+            self.frame  # noqa: B018 - derived now, so a sandwich that is no vector raises here
+
+    @cached_property
+    def frame(self) -> VectorFrame:
+        """The vectors b_i = u^{-1} E_i u, derived and checked on first use."""
         sig = self.u.signature
-        uinv = self.u.inverse_mv()
+        uinv = self.rotor_inverse
         # The terms of b_i = u^{-1} E_i u are of size |u|^2, so its non-vector
         # part is checked against |u|^2.  For n <= 5 that part is rounding
         # alone, but an even u with u u~ = 1 need not map vectors to vectors
@@ -145,8 +153,7 @@ class SpinorialFrame:
             if _max_gap(pulled, b) > tol:
                 raise FrameError("u^{-1} E_i u is not a vector")
             vectors.append(b)
-        object.__setattr__(self, "frame", VectorFrame(tuple(vectors)))
-        object.__setattr__(self, "rotor_inverse", uinv)
+        return VectorFrame(tuple(vectors))
 
     @property
     def signature(self) -> Signature:

@@ -9,12 +9,14 @@ s is the parity of the swaps that sort b's factors past a's, times -1 for
 each shared factor that squares to -1.  Both parities are linear in b's bits,
 so for fixed a, s = (-1)^popcount(b & w) for one weight mask w, which
 ``_sign_weight`` gives in closed form for an int or an int array.  Every sign
-is read from that mask: the compiled paths and ``exp_bivector`` take the
-parity of Python ints, and the numpy paths, ``_pair_blocks``,
-``_left_mult_matrix`` and ``classify``, take it over arrays with
-``_parity_sign``.  The only cache of signs is the loop's: ``_reorder_sign``
-keeps one row of Python ints over all 2^n blades b for each recent left
-blade a.  ``scalar_product`` reads reversion(e_m) e_m in closed form,
+is read from that mask: the compiled paths take the parity of Python ints,
+and the numpy paths, ``_pair_blocks``, ``_left_mult_matrix`` and
+``classify``, take it over arrays with ``_parity_sign``.  For fixed b the
+parity is likewise linear in a, with ``_right_sign_weight``'s mask:
+``_times_blade`` reads it to multiply by one blade as a signed permutation
+of the terms, for the covariants, ``hodge_dual`` and ``exp_bivector``.  The
+only cache of signs is the loop's: ``_reorder_sign`` keeps one row of
+Python ints over all 2^n blades b for each recent left blade a.  ``scalar_product`` reads reversion(e_m) e_m in closed form,
 (-1)^popcount(m >> p).
 
 The geometric product, the wedge and both contractions share one kernel,
@@ -190,6 +192,21 @@ def _sign_weight(p: int, a):
     return (a >> p << p) ^ x
 
 
+def _right_sign_weight(p: int, b: int) -> int:
+    """The weight mask v of right blade b in Cl(p, q): e_a e_b =
+    (-1)^popcount(a & v) e_{a^b} for every blade a, the parity of
+    b & _sign_weight(p, a), read from one mask for all a."""
+    # Bit j of v is the sign parity that factor j of a contributes: one swap
+    # per factor of b below j, plus one if j is in b and squares to -1.  The
+    # folds make bit j of x the parity of b's bits j-16 to j-1.
+    x = b << 1
+    x ^= x << 1
+    x ^= x << 2
+    x ^= x << 4
+    x ^= x << 8
+    return (b >> p << p) ^ x
+
+
 def _parity_sign(x: np.ndarray) -> np.ndarray:
     """(-1)^popcount(x) elementwise, as int8."""
     # Signed before the 1 - 2 *: an unsigned parity would wrap to 255.
@@ -310,9 +327,10 @@ class Multivector:
 
     @classmethod
     def generator(cls, sig: Signature, index: int) -> "Multivector":
-        """Basis vector e_index with 1-based index, shared per signature."""
+        """Basis vector e_index with 1-based index, shared per signature.  An
+        index outside 1..n raises _blade_of's ValueError."""
         if not 1 <= index <= sig.n:
-            raise ValueError(f"generator index {index} out of range 1..{sig.n}")
+            _blade_of((index,), sig.n)
         return sig._constants[1][index - 1]
 
     @classmethod
@@ -764,6 +782,17 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
     return Multivector._own(sig, _product_loop(sig.p, n, at, bt, keep), True if real else None)
 
 
+def _times_blade(x: Multivector, k: int, s: float = 1.0) -> Multivector:
+    """x (s e_k) for the blade mask k and s = 1 or -1, as a signed
+    permutation of x's terms, with no product call.  The keys keep x's
+    order, and each value is c or 0j - c, as the involutions store them:
+    the bits that geometric_product(x, s e_k) stores."""
+    w = _right_sign_weight(x.signature.p, k)
+    flip = s < 0
+    terms = {m ^ k: 0j - c if ((m & w).bit_count() & 1) ^ flip else c for m, c in x._terms.items()}
+    return Multivector._trusted(x.signature, terms, x.real)
+
+
 # The filters also take arrays of masks, as _pair_blocks calls them.
 def _outer(ma, mb):
     return ma & mb == 0
@@ -883,7 +912,7 @@ def hodge_dual(a: Multivector) -> Multivector:
     sig = a.signature
     if (sig.p, sig.q) != (1, 3):
         raise SignatureMismatchError("hodge_dual is defined for signature (1,3) only")
-    return geometric_product(reversion(a), G5)
+    return _times_blade(reversion(a), 0b1111, -1.0)
 
 
 # -- exponential and inverse -------------------------------------------------
@@ -947,12 +976,12 @@ def exp_bivector(f: Multivector) -> Multivector:
             c0, c1, s0, s1 = (cp + cm) / 2, (cp - cm) / 2, (sp + sm) / 2, (sp - sm) / 2
     except OverflowError as exc:
         raise ValueError(f"non-finite coefficient in exp_bivector (|F| = {f.norm():.3g})") from exc
-    # exp F = c0 + c1 I + s0 F + s1 I F, with I e_m = sign e_{pseudo ^ m}.
+    # exp F = c0 + c1 I + s0 F + s1 I F, with I F = F I at n = 4 a signed
+    # permutation of F's terms.
     out = {0: complex(c0), pseudo: complex(c1)}
-    for m, v in f._terms.items():
+    for (m, v), (mi, vi) in zip(f._terms.items(), _times_blade(f, pseudo)._terms.items()):
         out[m] = out.get(m, 0) + s0 * v
-        sign = -1 if (m & w).bit_count() & 1 else 1
-        out[pseudo ^ m] = out.get(pseudo ^ m, 0) + s1 * sign * v
+        out[mi] = out.get(mi, 0) + s1 * vi
     return Multivector._own(sig, out)
 
 

@@ -5,6 +5,13 @@ them, and the canonical (density / duality-angle / rotor) decomposition.
 Index conventions: a spinorial frame's vectors b_0..b_3 are the lower-index
 frame vectors; the upper-index ones are g^0 = b_0 and g^i = -b_i.  The volume
 element g5 = g^0 g^1 g^2 g^3 is frame-independent under even rotors.
+
+A DHSF is a class of pairs (Xi_u, psi_u) with psi_u' = psi_u u^{-1} u', so
+the covariants and the recovery work on its fiducial representative
+psi_0 = psi_u u~, where the upper-index gammas are the single blades e1, -e2,
+-e3 and -e4: psi b_mu reversion(psi) = psi_0 E_mu reversion(psi_0).  A
+frame's own vectors are read only by the algebraic spinors, their
+mother-spinor basis and the Dirac forms.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .multivector import (
     Signature,
     _max_gap,
     _sign_weight,
+    _times_blade,
     geometric_product,
     hodge_dual,
     reversion,
@@ -37,6 +45,7 @@ from .multivector import (
 )
 
 SIG13 = Signature(1, 3)
+_ONE = Multivector.one(SIG13)
 REGULARITY_EPS2 = 1e-20
 
 
@@ -154,17 +163,24 @@ def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
     return agg.scalar_part().real, -agg.coeff(0b1111).real
 
 
+def _fiducial_psi(psi: Multivector, frame: SpinorialFrame) -> Multivector:
+    """psi u~, the representative in the fiducial frame of psi in frame u;
+    psi itself when u = 1."""
+    return psi if frame.u.u == _ONE else geometric_product(psi, frame.rotor_inverse)
+
+
 def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
+    """sigma + omega g5 = psi reversion(psi), and J, S, K = psi_0 E
+    reversion(psi_0) for E = e1, e2e3 and -e4, the fiducial g^0, g^1 g^2 and
+    g^3, with psi_0 = psi u~ (module docstring)."""
     psi = d.psi
     psit = reversion(psi)
     sigma, omega = _sigma_omega(psi, psit)
-    g0 = gamma_upper(d.frame, 0)
-    g1 = gamma_upper(d.frame, 1)
-    g2 = gamma_upper(d.frame, 2)
-    g3 = gamma_upper(d.frame, 3)
-    J = geometric_product(geometric_product(psi, g0), psit, grades=(1,))
-    S = geometric_product(geometric_product(psi, geometric_product(g1, g2)), psit, grades=(2,))
-    K = geometric_product(geometric_product(psi, g3), psit, grades=(1,))
+    psi0 = _fiducial_psi(psi, d.frame)
+    psi0t = psit if psi0 is psi else reversion(psi0)
+    J = geometric_product(_times_blade(psi0, 0b0001), psi0t, grades=(1,))
+    S = geometric_product(_times_blade(psi0, 0b0110), psi0t, grades=(2,))
+    K = geometric_product(_times_blade(psi0, 0b1000, -1.0), psi0t, grades=(1,))
     return BilinearCovariants(sigma=sigma, omega=omega, J=J, S=S, K=K)
 
 
@@ -247,7 +263,7 @@ _MULTIVECTOR_OPS = SimpleNamespace(
     right_contraction=right_contraction,
     scalar_product=lambda x, y: complex(scalar_product(x, y)).real,
     hodge_dual=hodge_dual,
-    one=Multivector.one(SIG13),
+    one=_ONE,
 )
 
 
@@ -360,15 +376,17 @@ def mother_spinor_assemble(
 
 def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHSRep:
     """Some psi' whose covariants equal c; unique up to a right phase factor
-    e^{g2 g1 phi}.  Requires regular covariants."""
+    e^{g2 g1 phi}.  Requires regular covariants.  It recovers psi_0 with the
+    fiducial gammas and returns psi_0 u in the frame (u, b)."""
     if not _regular(c.sigma, c.omega, c.J.norm() ** 2):
         raise SingularSpinorError("recovery unsupported for singular covariants")
     rho = math.sqrt(c.sigma**2 + c.omega**2)
     beta = math.atan2(c.omega, c.sigma) + 0.0
-    g0 = gamma_upper(frame, 0)
-    g1 = gamma_upper(frame, 1)
-    g2 = gamma_upper(frame, 2)
-    g3 = gamma_upper(frame, 3)
+    fiducial = fiducial_spinorial_frame(SIG13)
+    g0 = gamma_upper(fiducial, 0)
+    g1 = gamma_upper(fiducial, 1)
+    g2 = gamma_upper(fiducial, 2)
+    g3 = gamma_upper(fiducial, 3)
     v0 = (1.0 / rho) * c.J
     R0 = rotor_between(v0, g0)
     # Pull K back to the rest frame; w3 is unit spacelike, orthogonal to g0.
@@ -384,5 +402,5 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
         gk = max((g1, g2), key=lambda g: 1.0 - complex(scalar_product(w3, g)).real)
         R1 = rotor_between(w3, gk) * rotor_between(gk, g3)
     R = R0 * R1
-    psi = geometric_product(rho**0.5 * exp_beta_gamma5(beta / 2), R.u)
-    return DHSRep(frame, psi)
+    psi0 = geometric_product(rho**0.5 * exp_beta_gamma5(beta / 2), R.u)
+    return DHSRep(frame, psi0 if frame.u.u == _ONE else geometric_product(psi0, frame.u.u))

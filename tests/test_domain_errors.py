@@ -111,6 +111,12 @@ ERRORS = {
     "blade of generator e5": (
         lambda: Multivector.blade(SIG13, [5]), ValueError, "generator e5 out of range for n=4"
     ),
+    "generator e0": (
+        lambda: Multivector.generator(SIG13, 0), ValueError, "generator e0 out of range for n=4"
+    ),
+    "generator e5": (
+        lambda: Multivector.generator(SIG13, 5), ValueError, "generator e5 out of range for n=4"
+    ),
     "blade of a repeated generator": (
         lambda: Multivector.blade(SIG13, [2, 2]), ValueError, "repeated generator e2"
     ),

@@ -11,9 +11,9 @@ and its wedge and contraction pass the package's own ``_outer`` and
 ``_right_inner`` filters.  Each identity is then an equality of polynomials
 in the a_i.
 
-The fiducial frame covers every spinorial frame: in a frame (u, b) the
-covariants of psi are those of psi u^{-1} in the fiducial frame, and
-psi u^{-1} is again a generic even element.
+The fiducial frame covers every spinorial frame: bilinear_covariants
+computes the covariants of psi in a frame (u, b) as those of psi u^{-1}
+in the fiducial frame, and psi u^{-1} is again a generic even element.
 
 The identities are those of P. Lounesto, Clifford Algebras and Spinors
 (2nd ed.), ch. 12, and J. P. Crawford, J. Math. Phys. 26, 1439 (1985).

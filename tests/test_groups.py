@@ -451,11 +451,32 @@ def test_rotor_whose_sandwich_is_not_a_vector_is_rejected():
 
 @pytest.mark.parametrize("pq", [(1, 3), (3, 0), (4, 1)])
 def test_a_frame_takes_one_sandwich_per_vector(pq, request):
+    """With n <= 5 a frame derives its vectors when they are first read, one
+    sandwich each, and keeps them."""
     sig = Signature(*pq)
     u = random_rotor(sig, np.random.default_rng(3))
     products = request.getfixturevalue("geometric_products")
-    spinorial_frame_of(u)
+    f = spinorial_frame_of(u)
+    assert len(products) == 0
+    vectors = f.frame
     assert len(products) == 2 * sig.n
+    assert f.frame is vectors and len(products) == 2 * sig.n
+
+
+def test_a_rapidity_14_frame_derives_its_vectors_at_first_use():
+    u = Rotor(exp_bivector(Multivector(SIG13, {0b0011: 7.0})))
+    f = spinorial_frame_of(u)
+    assert frame_bits(f) == [bits(b) for b in two_step_frame_vectors(u)]
+
+
+def test_a_cl60_rotor_that_is_no_frame_raises_at_construction():
+    """Above n = 5 the vectors are derived when the frame is built, so the
+    rotor of test_rotor_whose_sandwich_is_not_a_vector_is_rejected raises
+    in SpinorialFrame(u) itself, before anything reads the frame."""
+    sig = Signature(6, 0)
+    u = Rotor((1 + Multivector(sig, {0b111111: 1.0})) * (1 / math.sqrt(2)))
+    with pytest.raises(FrameError, match="not a vector"):
+        SpinorialFrame(u)
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,9 @@ from cliffspin.multivector import (
     _left_mult_matrix,
     _parity_sign,
     _reorder_sign,
+    _right_sign_weight,
     _sign_weight,
+    _times_blade,
 )
 
 rng = np.random.default_rng(0)
@@ -1297,6 +1299,31 @@ def test_sign_weight_is_the_loop_on_ints_and_arrays():
         got = _sign_weight(p, blades)
         assert got.dtype == blades.dtype and got.tolist() == want
     assert np.array_equal(blades, kept)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_right_sign_weight_gives_the_sign_rule_column(n):
+    # e_a e_b = (-1)^popcount(a & v(b)) = (-1)^popcount(b & w(a)) for all a, b.
+    blades = np.arange(1 << n)
+    for p in range(n + 1):
+        signs = _parity_sign(_sign_weight(p, blades)[:, None] & blades)
+        right = np.array([_right_sign_weight(p, b) for b in range(1 << n)])
+        assert np.array_equal(_parity_sign(blades[:, None] & right), signs)
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (2, 2), (4, 1), (3, 3)])
+def test_a_product_by_one_blade_is_the_product_to_the_bit(pq):
+    sig = Signature(*pq)
+    local = np.random.default_rng(list(pq))
+    for _ in range(40):
+        x = random_mv(sig, local)
+        x = Multivector(sig, {m: c for m, c in x._terms.items() if local.random() < 0.5})
+        if local.random() < 0.3:
+            x = x * complex(1.0, float(local.normal()))
+        for k in map(int, local.integers(0, 1 << sig.n, size=4)):
+            for s in (1.0, -1.0):
+                got, want = _times_blade(x, k, s), geometric_product(x, Multivector(sig, {k: s}))
+                assert ordered_bits(got) == ordered_bits(want) and got.real == want.real
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -64,10 +64,6 @@ SIG13 = Signature(1, 3)
 FID = fiducial_spinorial_frame(SIG13)
 EPS = 2.0**-52
 MAX_RAPIDITY = 14.0
-# The covariants and the recovery multiply by the frame's vectors, of size
-# |u|^2: from rapidity 5.2 the recovery's rotors fail their own checks, and
-# from about 12 the moved covariants fail their J.J check.
-COVARIANT_MAX_RAPIDITY = 4.0
 # as_from_dhs builds an ASRep, whose ideal check rejects its own product
 # psi e from about rapidity 8.4 (see the strict xfail below).
 AS_MAX_RAPIDITY = 8.0
@@ -158,7 +154,6 @@ def boost(rapidity, mask=0b0011):
 ONE = Rotor(Multivector.one(SIG13))
 PSI0 = geometric_product(exp_beta_gamma5(0.4), boost(0.3, 0b0101).u)
 HARD = boost(14.0)
-SOFT = boost(COVARIANT_MAX_RAPIDITY)
 
 
 def in_frame(psi0, u):
@@ -184,10 +179,10 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=
 
 
 @SETTINGS
-@given(classes(), rotors(COVARIANT_MAX_RAPIDITY), rotors(COVARIANT_MAX_RAPIDITY))
-@example(PSI0, ONE, SOFT)
-@example(PSI0, SOFT, boost(-COVARIANT_MAX_RAPIDITY))
-@example(PSI0, SOFT, Rotor(-SOFT.u))
+@given(classes(), rotors(), rotors())
+@example(PSI0, ONE, HARD)
+@example(PSI0, HARD, boost(-14.0))
+@example(PSI0, HARD, Rotor(-HARD.u))
 def test_covariants_are_unchanged_by_a_frame_change(psi0, u, v):
     d = in_frame(psi0, u)
     moved = change_frame(d, spinorial_frame_of(v))
@@ -224,17 +219,17 @@ def test_as_from_dhs_commutes_with_a_frame_change(psi0, u, v):
 
 
 @SETTINGS
-@given(classes(), rotors(COVARIANT_MAX_RAPIDITY))
+@given(classes(), rotors())
 @example(PSI0, ONE)
-@example(PSI0, SOFT)
-@example(Multivector.one(SIG13), SOFT)
+@example(PSI0, HARD)
+@example(Multivector.one(SIG13), HARD)
 def test_recovery_round_trips_in_any_frame(psi0, u):
     c = bilinear_covariants(DHSRep(FID, psi0))
     frame = spinorial_frame_of(u)
     recovered = recover_from_covariants(c, frame)
     assert recovered.frame == frame
-    # The recovery works with the frame's vectors, of size |u|^2.
-    assert covariant_gap(bilinear_covariants(recovered), c) <= 64 * EPS * size(c) * u.u.norm() ** 4
+    # psi_0 u carries the rounding of a product of size |psi_0| |u|.
+    assert covariant_gap(bilinear_covariants(recovered), c) <= 64 * EPS * size(c) * u.u.norm() ** 2
 
 
 @pytest.mark.xfail(strict=True, raises=SpinorValueError, reason="known fault: ideal check not scaled by |u|^2")

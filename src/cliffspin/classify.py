@@ -133,7 +133,7 @@ def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
         yield from rows.real
 
 
-def _real_independent(rows: Iterable[np.ndarray], tol: float = 1e-9) -> list[int]:
+def _real_independent(rows: Iterable[np.ndarray]) -> list[int]:
     """Indices of the rows, in order, that are not in the real span of the
     rows kept before them: incremental Gaussian elimination, pivoting on the
     largest entry, with a pivot tolerance."""
@@ -145,7 +145,7 @@ def _real_independent(rows: Iterable[np.ndarray], tol: float = 1e-9) -> list[int
             if w[piv] != 0.0:
                 w = w - row * w[piv]
         idx = int(np.argmax(np.abs(w)))
-        if abs(w[idx]) <= tol:
+        if abs(w[idx]) <= 1e-9:
             continue
         basis.append(w / w[idx])
         pivots.append(idx)

@@ -29,8 +29,8 @@ from .groups import (
     rotor_between,
 )
 from .matrixrep import _blade_columns, _first_column
-from .multivector import Multivector, Signature, SignatureMismatchError, geometric_product
-from .spinors import SIG13, frame_idempotent, gamma5, gamma_lower, gamma_upper
+from .multivector import G5, Multivector, SignatureMismatchError, geometric_product
+from .spinors import SIG13, frame_idempotent, gamma_lower
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 
@@ -70,10 +70,10 @@ class PlaneWaveDHSF:
     e e' of the ideal form and ``dirac_vector`` V on the coordinate coframe.
     A field made by ``dataclasses.replace`` or a gauge map computes its own.
 
-    ``evaluate`` computes psi(x) afresh on every call.  The residuals and
-    ``partials`` read psi(x), psi B and D psi from one module-level slot
-    that keeps them for the most recent (field, x), so the three forms
-    evaluated in turn at one point compute them once."""
+    ``evaluate`` computes psi(x) afresh on every call.  The residuals,
+    ``spin_dirac_apply`` and ``partials`` read psi(x), psi B and D psi from
+    one module-level slot that keeps them for the most recent (field, x), so
+    all of them evaluated in turn at one point compute the three once."""
 
     frame: SpinorialFrame
     psi0: Multivector
@@ -105,13 +105,11 @@ class PlaneWaveDHSF:
     @cached_property
     def dirac_vector(self) -> Multivector:
         """V = sum_mu c_mu gamma^mu on the coordinate coframe."""
-        return self._vector_on(_COORDINATE_COFRAME)
+        terms = zip(self._coefficients(), _COORDINATE_COFRAME)
+        return sum((c * g for c, g in terms), Multivector.zero(SIG13))
 
     def _coefficients(self) -> list[float]:
         return [-self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) for mu in range(4)]
-
-    def _vector_on(self, coframe: Sequence[Multivector]) -> Multivector:
-        return sum((c * g for c, g in zip(self._coefficients(), coframe)), Multivector.zero(SIG13))
 
     def phase_at(self, x: Sequence[float]) -> float:
         """p.x = sum of eta_mu p^mu x^mu, summed over p's terms in their
@@ -138,7 +136,7 @@ class PlaneWaveDHSF:
     def partials(self, x: Sequence[float]) -> list[Multivector]:
         """[d_0 psi, ..., d_3 psi] at x: d_mu psi = c_mu psi(x) B, with
         psi(x) B built once for all four indices."""
-        psi_b = _point(self, x, dirac=False)[1]
+        psi_b = _point(self, x)[1]
         return [c * psi_b for c in self._coefficients()]
 
 
@@ -148,14 +146,12 @@ class PlaneWaveDHSF:
 _last_point: tuple | None = None
 
 
-def _point(
-    field: PlaneWaveDHSF, x: Sequence[float], dirac: bool = True
-) -> tuple[Multivector, Multivector, Multivector | None]:
+def _point(field: PlaneWaveDHSF, x: Sequence[float]) -> tuple[Multivector, Multivector, Multivector]:
     """(psi(x), psi(x) B, V (psi(x) B)) for the field at x.  A call with the
     same field object and equal coordinates as the one before returns what
-    that call computed; with dirac=False a miss keeps nothing and returns
-    None for D psi.  A non-finite coordinate raises in evaluate before
-    anything is kept, so it raises on every call."""
+    that call computed; a miss computes all three and keeps them.  A
+    non-finite coordinate raises in evaluate before anything is kept, so it
+    raises on every call."""
     global _last_point
     xs = tuple(float(x[mu]) for mu in range(4))
     last = _last_point
@@ -163,24 +159,15 @@ def _point(
         return last[2]
     psi = field.evaluate(xs)
     psi_b = geometric_product(psi, field.phase_bivector)
-    if not dirac:
-        return psi, psi_b, None
     point = (psi, psi_b, geometric_product(field.dirac_vector, psi_b))
     _last_point = (field, xs, point)
     return point
 
 
-def spin_dirac_apply(
-    field: PlaneWaveDHSF,
-    x: Sequence[float],
-    coframe: Sequence[Multivector] | None = None,
-) -> Multivector:
-    """Analytic D psi = gamma^mu d_mu psi = V (psi B) at x, V = sum_mu c_mu gamma^mu
-    on the coordinate coframe (dirac_vector) unless another coframe is given."""
-    if coframe is not None and len(coframe) != 4:
-        raise DiracError(f"coframe needs 4 vectors, got {len(coframe)}")
-    _, psi_b, dpsi = _point(field, x)
-    return dpsi if coframe is None else geometric_product(field._vector_on(coframe), psi_b)
+def spin_dirac_apply(field: PlaneWaveDHSF, x: Sequence[float]) -> Multivector:
+    """Analytic D psi = gamma^mu d_mu psi = V (psi B) at x, with V = sum_mu
+    c_mu gamma^mu on the coordinate coframe (dirac_vector)."""
+    return _point(field, x)[2]
 
 
 def dhe_residual(
@@ -197,7 +184,7 @@ def dhe_residual(
     g21 = field.phase_bivector
     if left_rotor is not None:
         v = geometric_product(left_rotor.u, field.dirac_vector)
-        dpsi = geometric_product(geometric_product(v, left_rotor.inverse_mv()), psi_b)
+        dpsi = geometric_product(geometric_product(v, left_rotor.inverse), psi_b)
     g0 = gamma_lower(field.frame, 0)
     res = geometric_product(dpsi, g21) - m * geometric_product(psi, g0)
     if pot is not None and pot.q_charge != 0.0:
@@ -228,7 +215,7 @@ def planewave_solution(
     if sign == 1:
         psi0 = R.u
     else:
-        psi0 = geometric_product(R.u, gamma5())
+        psi0 = geometric_product(R.u, G5)
     # The amplitude condition is (sign*p + qA) psi0 = m psi0 g0, giving the
     # phase momentum p = sign * (kin_sign * pi - q A) with kin_sign = sign.
     if pot is None or pot.q_charge == 0.0:
@@ -255,7 +242,7 @@ def asf_residual(
     x: Sequence[float],
 ) -> Multivector:
     """D Phi - m Phi g5 + q A Phi g5 at x, with Phi = psi e e' and g5 the
-    volume element gamma5() = g^0 g^1 g^2 g^3 = -g0 g1 g2 g3.
+    volume element G5 = g^0 g^1 g^2 g^3 = -g0 g1 g2 g3.
 
     The form is the operator form right-multiplied by e e' and then by g5,
     so this residual is dhe_residual(...) e e' g5.  With e = (1 + g0)/2 and
@@ -273,9 +260,9 @@ def asf_residual(
     psi, _, dpsi = _point(field, x)
     phi = geometric_product(psi, proj)
     dphi = geometric_product(dpsi, proj)
-    res = dphi - m * geometric_product(phi, gamma5())
+    res = dphi - m * geometric_product(phi, G5)
     if pot is not None and pot.q_charge != 0.0:
-        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), gamma5())
+        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), G5)
     return res
 
 
@@ -283,7 +270,7 @@ def asf_residual(
 
 
 def _column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> list[complex]:
-    return _first_column(geometric_product(_point(field, x)[0], field.frame.rotor_inverse))
+    return _first_column(geometric_product(_point(field, x)[0], field.frame.u.inverse))
 
 
 def matrix_column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> np.ndarray:
@@ -340,7 +327,7 @@ def right_gauge(field: PlaneWaveDHSF, s: Rotor) -> PlaneWaveDHSF:
     """psi -> psi s^{-1} with the frame relabeled to (u s^{-1}, s b s^{-1});
     the equation is form-invariant and the residual maps to residual * s^{-1}."""
     _require_spin_e(s)
-    sinv = s.inverse_mv()
+    sinv = s.inverse
     new_frame = frame_right_action(Rotor(sinv), field.frame)
     return replace(field, frame=new_frame, psi0=geometric_product(field.psi0, sinv))
 
@@ -360,7 +347,7 @@ def left_gauge(
     _require_spin_e(s)
     new_field = replace(field, psi0=geometric_product(s.u, field.psi0))
     if pot is not None:
-        newA = geometric_product(geometric_product(s.u, pot.A), s.inverse_mv(), grades=(1,))
+        newA = geometric_product(geometric_product(s.u, pot.A), s.inverse, grades=(1,))
         pot = replace(pot, A=newA)
     return GaugedSystem(field=new_field, pot=pot, left_rotor=s)
 

@@ -36,7 +36,8 @@ from .multivector import (
 # An absolute bound on |u reversion(u) - 1|, unlike the checks that scale with
 # their inputs: rotors are not scale-free.  u reversion(u) = 1 is not
 # homogeneous in u (10^k u is no rotor for k != 0), so there is no input scale
-# to divide by; the residual is measured against the unit 1.
+# to divide by; the residual is measured against the unit 1.  The Clifford
+# group, Pin, Spin and Spin^e tests read the same bound.
 ROTOR_TOL = 1e-10
 
 
@@ -64,9 +65,6 @@ class Rotor:
     @property
     def signature(self) -> Signature:
         return self.u.signature
-
-    def inverse_mv(self) -> Multivector:
-        return self.inverse
 
     def __mul__(self, other: "Rotor") -> "Rotor":
         return Rotor(geometric_product(self.u, other.u))
@@ -125,11 +123,11 @@ def fiducial_frame(sig: Signature) -> VectorFrame:
 
 @dataclass(frozen=True)
 class SpinorialFrame:
+    """The frame (u, b) fixed by the rotor u; u^{-1} is ``u.inverse``."""
+
     u: Rotor
-    rotor_inverse: Multivector = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rotor_inverse", self.u.inverse_mv())
         if self.u.signature.n > 5:
             self.frame  # noqa: B018 - derived now, so a sandwich that is no vector raises here
 
@@ -137,7 +135,7 @@ class SpinorialFrame:
     def frame(self) -> VectorFrame:
         """The vectors b_i = u^{-1} E_i u, derived and checked on first use."""
         sig = self.u.signature
-        uinv = self.rotor_inverse
+        uinv = self.u.inverse
         # The terms of b_i = u^{-1} E_i u are of size |u|^2, so its non-vector
         # part is checked against |u|^2.  For n <= 5 that part is rounding
         # alone, but an even u with u u~ = 1 need not map vectors to vectors
@@ -188,7 +186,7 @@ def twisted_adjoint(g: Multivector, x: Multivector) -> Multivector:
 # -- group membership ---------------------------------------------------------
 
 
-def is_clifford_group(g: Multivector, tol: float = ROTOR_TOL) -> bool:
+def is_clifford_group(g: Multivector) -> bool:
     sig = g.signature
     try:
         ghat_inv = inverse(grade_involution(g))
@@ -197,32 +195,32 @@ def is_clifford_group(g: Multivector, tol: float = ROTOR_TOL) -> bool:
     for i in range(sig.n):
         v = Multivector.generator(sig, i + 1)
         image = geometric_product(geometric_product(g, v), ghat_inv)
-        if _max_gap(image, image.grade(1)) > tol:
+        if _max_gap(image, image.grade(1)) > ROTOR_TOL:
             return False
     return True
 
 
-def is_pin(g: Multivector, tol: float = ROTOR_TOL) -> bool:
-    if not is_clifford_group(g, tol):
+def is_pin(g: Multivector) -> bool:
+    if not is_clifford_group(g):
         return False
     n = norm_N(g)
-    return abs(abs(complex(n).real) - 1.0) <= tol and abs(complex(n).imag) <= tol
+    return abs(abs(complex(n).real) - 1.0) <= ROTOR_TOL and abs(complex(n).imag) <= ROTOR_TOL
 
 
-def is_spin(g: Multivector, tol: float = ROTOR_TOL) -> bool:
-    return is_pin(g, tol) and not any(k % 2 for k in g.grades())
+def is_spin(g: Multivector) -> bool:
+    return is_pin(g) and not any(k % 2 for k in g.grades())
 
 
-def is_spin_e(g: Multivector, tol: float = ROTOR_TOL) -> bool:
-    """Even, in the Clifford group, and |N(g) - 1| <= tol, which implies
-    is_pin's bound on N(g) since ||x| - 1| <= |x - 1|.  For n <= 5 the
-    identity component is exactly the set of even g with g * reversion(g)
+def is_spin_e(g: Multivector) -> bool:
+    """Even, in the Clifford group, and |N(g) - 1| <= ROTOR_TOL, which
+    implies is_pin's bound on N(g) since ||x| - 1| <= |x - 1|.  For n <= 5
+    the identity component is exactly the set of even g with g * reversion(g)
     = 1, which is checked as well."""
-    if not is_clifford_group(g, tol) or any(k % 2 for k in g.grades()):
+    if not is_clifford_group(g) or any(k % 2 for k in g.grades()):
         return False
-    if abs(complex(norm_N(g)) - 1.0) > tol:
+    if abs(complex(norm_N(g)) - 1.0) > ROTOR_TOL:
         return False
-    return g.signature.n > 5 or _max_gap(geometric_product(g, reversion(g)), 1) <= tol
+    return g.signature.n > 5 or _max_gap(geometric_product(g, reversion(g)), 1) <= ROTOR_TOL
 
 
 # -- rotor-to-matrix ----------------------------------------------------------
@@ -234,7 +232,7 @@ def lorentz_matrix_of(u: Rotor) -> np.ndarray:
         raise NotARotorError("lorentz_matrix_of requires a Spin^e element")
     sig = u.signature
     n = sig.n
-    uinv = u.inverse_mv()
+    uinv = u.inverse
     L = np.zeros((n, n))
     for i in range(n):
         image = geometric_product(
@@ -276,14 +274,14 @@ def rotor_between(v: Multivector, w: Multivector) -> Rotor:
     return Rotor(r * (1.0 / denom ** 0.5))
 
 
-def random_bivector(sig: Signature, rng: np.random.Generator, scale: float = 1.0) -> Multivector:
+def random_bivector(sig: Signature, rng: np.random.Generator) -> Multivector:
     """Bivector with components uniform in [-1,1]; components on blades with
     square +1 (boost planes) are halved to keep exponentials tame."""
     terms: dict[int, complex] = {}
     for i in range(sig.n):
         for j in range(i + 1, sig.n):
             mask = (1 << i) | (1 << j)
-            c = float(rng.uniform(-1.0, 1.0)) * scale
+            c = float(rng.uniform(-1.0, 1.0))
             # e_m e_m = (-1)^popcount(m & w) for the weight mask w of m.
             if not (mask & _sign_weight(sig.p, mask)).bit_count() & 1:
                 c *= 0.5
@@ -291,5 +289,5 @@ def random_bivector(sig: Signature, rng: np.random.Generator, scale: float = 1.0
     return Multivector(sig, terms)
 
 
-def random_rotor(sig: Signature, rng: np.random.Generator, scale: float = 1.0) -> Rotor:
-    return Rotor(exp_bivector(random_bivector(sig, rng, scale)))
+def random_rotor(sig: Signature, rng: np.random.Generator) -> Rotor:
+    return Rotor(exp_bivector(random_bivector(sig, rng)))

@@ -173,13 +173,13 @@ def complex_idempotent_f() -> Multivector:
     return geometric_product((1 + e0) * 0.5, (1 + 1j * e12) * 0.5)
 
 
-def column_of(element: Multivector, tol: float = 1e-10) -> np.ndarray:
+def column_of(element: Multivector) -> np.ndarray:
     """First-column extraction for elements of the complexified minimal
     ideal (x f = x)."""
     f = complex_idempotent_f()
-    if _max_gap(geometric_product(element, f), element) > tol * max(1.0, element.max_abs()):
+    if _max_gap(geometric_product(element, f), element) > 1e-10 * max(1.0, element.max_abs()):
         raise RepresentationError("element is not in the ideal of f")
-    return matrix_of(element)[:, 0].copy()
+    return np.array(_first_column(element), dtype=complex)
 
 
 def dhs_matrix(psi: Multivector) -> np.ndarray:
@@ -187,7 +187,9 @@ def dhs_matrix(psi: Multivector) -> np.ndarray:
     complex components of its ideal projection."""
     if any(g % 2 for g in psi.grades()):
         raise RepresentationError("dhs_matrix expects an even element")
-    p1, p2, p3, p4 = matrix_of(psi)[:, 0]
+    if psi.signature != SIG13:
+        raise RepresentationError("dhs_matrix expects a Cl(1,3) element")
+    p1, p2, p3, p4 = _first_column(psi)
     c = np.conj
     return np.array(
         [
@@ -206,15 +208,11 @@ def s_of_rotor(u: Rotor) -> np.ndarray:
     return matrix_of(u.u)
 
 
-def cds_equivalent(
-    a: tuple[SpinorialFrame, np.ndarray],
-    b: tuple[SpinorialFrame, np.ndarray],
-    tol: float = 1e-10,
-) -> bool:
+def cds_equivalent(a: tuple[SpinorialFrame, np.ndarray], b: tuple[SpinorialFrame, np.ndarray]) -> bool:
     """Whether (frame, column) pairs represent the same covariant spinor:
     column_b = S(u_b^{-1} u_a) column_a."""
     frame_a, col_a = a
     frame_b, col_b = b
-    shift = geometric_product(frame_b.rotor_inverse, frame_a.u.u)
+    shift = geometric_product(frame_b.u.inverse, frame_a.u.u)
     S = matrix_of(shift)
-    return bool(np.max(np.abs(np.asarray(col_b) - S @ np.asarray(col_a))) <= tol)
+    return bool(np.max(np.abs(np.asarray(col_b) - S @ np.asarray(col_a))) <= 1e-10)

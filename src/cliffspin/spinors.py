@@ -57,10 +57,6 @@ class SpinorValueError(ValueError):
     pass
 
 
-def gamma5() -> Multivector:
-    return G5
-
-
 def gamma_lower(frame: SpinorialFrame, mu: int) -> Multivector:
     return frame.frame.vectors[mu]
 
@@ -139,7 +135,7 @@ def change_frame(s: "DHSRep | ASRep", target: SpinorialFrame):
     """New representative psi' = psi u^{-1} u' for a target frame (u', b')."""
     if target.signature != s.frame.signature:
         raise SpinorValueError("frames of different signature")
-    shift = geometric_product(s.frame.rotor_inverse, target.u.u)
+    shift = geometric_product(s.frame.u.inverse, target.u.u)
     if isinstance(s, DHSRep):
         return DHSRep(target, geometric_product(s.psi, shift))
     return ASRep(target, geometric_product(s.element, shift))
@@ -166,7 +162,7 @@ def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
 def _fiducial_psi(psi: Multivector, frame: SpinorialFrame) -> Multivector:
     """psi u~, the representative in the fiducial frame of psi in frame u;
     psi itself when u = 1."""
-    return psi if frame.u.u == _ONE else geometric_product(psi, frame.rotor_inverse)
+    return psi if frame.u.u == _ONE else geometric_product(psi, frame.u.inverse)
 
 
 def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
@@ -391,7 +387,7 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
     R0 = rotor_between(v0, g0)
     # Pull K back to the rest frame; w3 is unit spacelike, orthogonal to g0.
     w3 = geometric_product(
-        geometric_product(R0.inverse_mv(), (1.0 / rho) * c.K), R0.u, grades=(1,)
+        geometric_product(R0.inverse, (1.0 / rho) * c.K), R0.u, grades=(1,)
     )
     # For unit spacelike vectors 1 - w.g runs from 0 (antipodal) to 2 (equal).
     if 1.0 - complex(scalar_product(w3, g3)).real >= 1.0:

@@ -22,7 +22,7 @@ def numpy_matrix_of(x):
 
 
 def numpy_matrix_column_at(field, x):
-    psi_fid = geometric_product(field.evaluate(x), field.frame.u.inverse_mv())
+    psi_fid = geometric_product(field.evaluate(x), field.frame.u.inverse)
     return numpy_matrix_of(psi_fid)[:, 0].copy()
 
 

@@ -32,8 +32,8 @@ from cliffspin import (
 )
 from cliffspin import dirac, multivector
 from cliffspin.dirac import DiracError, asf_projector
-from cliffspin.multivector import SignatureMismatchError
-from cliffspin.spinors import DHSRep, gamma5, gamma_lower
+from cliffspin.multivector import G5, SignatureMismatchError
+from cliffspin.spinors import DHSRep, gamma_lower
 from finite_difference import spin_dirac_apply_fd
 from matrix_oracle import numpy_matrix_column_at, numpy_matrix_dirac_residual
 
@@ -103,7 +103,7 @@ def test_rest_solution_is_identity_amplitude():
     field = planewave_solution(1.0, (0.0, 0.0, 0.0))
     assert (field.psi0 - 1).max_abs() < 1e-12
     field_neg = planewave_solution(1.0, (0.0, 0.0, 0.0), sign=-1)
-    assert (field_neg.psi0 - gamma5()).max_abs() < 1e-12
+    assert (field_neg.psi0 - G5).max_abs() < 1e-12
 
 
 def test_bad_arguments_rejected():
@@ -208,7 +208,7 @@ def test_three_forms_agree_over_charge_potential_sign_and_momentum():
                     assert max(residuals) <= 1e-13 * scale, (q, sign, momentum, residuals)
                     off = dhe_residual(field, pot, 1.1 * m, x)
                     projected = geometric_product(
-                        geometric_product(off, asf_projector(field.frame)), gamma5()
+                        geometric_product(off, asf_projector(field.frame)), G5
                     )
                     ideal = asf_residual(field, pot, 1.1 * m, x)
                     assert ideal.max_abs() > 1e-3 * scale
@@ -249,7 +249,7 @@ def test_right_gauge_residual_law():
         moved = right_gauge(field, s)
         for x in random_points(2):
             lhs = dhe_residual(moved, pot, off, x)
-            rhs = geometric_product(dhe_residual(field, pot, off, x), s.inverse_mv())
+            rhs = geometric_product(dhe_residual(field, pot, off, x), s.inverse)
             assert (lhs - rhs).max_abs() < 1e-9
 
 
@@ -315,7 +315,7 @@ def test_both_gauge_composes():
             combined.field, combined.pot, off, x, left_rotor=combined.left_rotor
         )
         base = dhe_residual(field, pot, off, x)
-        rhs = geometric_product(geometric_product(s.u, base), s.inverse_mv())
+        rhs = geometric_product(geometric_product(s.u, base), s.inverse)
         assert (lhs - rhs).max_abs() < 1e-9
 
 
@@ -364,7 +364,7 @@ def reference_dirac(field, x, coframe):
 def reference_dhe(field, pot, m, x, left_rotor=None):
     coframe = coordinate_coframe()
     if left_rotor is not None:
-        s, sinv = left_rotor.u, left_rotor.inverse_mv()
+        s, sinv = left_rotor.u, left_rotor.inverse
         coframe = [geometric_product(geometric_product(s, g), sinv) for g in coframe]
     psi = field.evaluate(x)
     dpsi = reference_dirac(field, x, coframe)
@@ -382,9 +382,9 @@ def reference_asf(field, pot, m, x):
     dphi = Multivector.zero(SIG13)
     for mu, g in enumerate(coordinate_coframe()):
         dphi = dphi + geometric_product(g, geometric_product(reference_partial(field, mu, x), proj))
-    res = dphi - m * geometric_product(phi, gamma5())
+    res = dphi - m * geometric_product(phi, G5)
     if pot is not None and pot.q_charge != 0.0:
-        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), gamma5())
+        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), G5)
     return res
 
 
@@ -410,7 +410,7 @@ def assert_close(got, ref):
 
 
 def transported_coframe(s):
-    sinv = s.inverse_mv()
+    sinv = s.inverse
     return [geometric_product(geometric_product(s.u, g), sinv) for g in coordinate_coframe()]
 
 
@@ -445,14 +445,11 @@ def test_spin_dirac_apply_on_transported_coframe(label, field, pot, left_rotor):
     local = np.random.default_rng(11)
     for _ in range(5):
         x = [float(v) for v in local.uniform(-5, 5, size=4)]
-        dpsi = spin_dirac_apply(field, x, coframe)
-        assert_close(dpsi, reference_dirac(field, x, coframe))
+        dpsi = reference_dirac(field, x, coframe)
         # At m = 0 with no potential, dhe_residual(..., left_rotor=s) is
         # (D psi) g2 g1 with its own D psi = (s V s^{-1})(psi B).
         inside = dhe_residual(field, None, 0.0, x, left_rotor=s)
-        assert_close(geometric_product(dpsi, field.phase_bivector), inside)
-    with pytest.raises(DiracError, match="coframe needs 4 vectors"):
-        spin_dirac_apply(field, x, coframe[:3])
+        assert_close(inside, geometric_product(dpsi, field.phase_bivector))
 
 
 # -- one point, three forms: psi(x), psi B and D psi are computed once per (field, x) ----
@@ -510,6 +507,8 @@ def test_three_forms_at_one_point_evaluate_psi_once(label, field, pot, left_roto
 
 @pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
 def test_partials_on_a_miss_compute_psi_b_alone_and_keep_nothing(label, field, pot, left_rotor, monkeypatch):
+    """partials reads the point slot as every other reader does: a miss
+    computes psi(x), psi B and D psi and keeps them."""
     x = [0.3, -1.2, 2.5, 0.7]
     want = [bits(reference_partial(field, mu, x)) for mu in range(4)]
     psi_b = geometric_product(field.evaluate(x), field.phase_bivector)
@@ -518,15 +517,14 @@ def test_partials_on_a_miss_compute_psi_b_alone_and_keep_nothing(label, field, p
     product = multivector._product
     monkeypatch.setattr(multivector, "_product", lambda a, b, keep=None: calls.append(keep) or product(a, b, keep))
     clear_point()
-    # A miss: psi(x) and psi B, two products, and no D psi; nothing is kept.
+    # A miss: psi(x), psi B and D psi, three products, and the point is kept.
     assert [bits(d) for d in field.partials(x)] == want
-    assert len(calls) == 2 and dirac._last_point is None
-    # The slot then holds the point of spin_dirac_apply, with its D psi, and
-    # partials read psi B from it.
-    assert bits(spin_dirac_apply(field, x)) == dpsi
+    assert len(calls) == 3 and dirac._last_point[0] is field
+    # spin_dirac_apply then reads D psi from the slot, and partials psi B.
     del calls[:]
+    assert bits(spin_dirac_apply(field, x)) == dpsi
     assert [bits(d) for d in field.partials(x)] == want
-    assert calls == [] and bits(spin_dirac_apply(field, x)) == dpsi
+    assert calls == []
 
 
 def test_three_forms_at_one_point_take_at_most_nine_products(monkeypatch):
@@ -663,28 +661,14 @@ def test_matrix_path_matches_the_numpy_loop_where_entries_vanish():
                         assert got.tobytes() == want.tobytes(), (momentum, x, m)
 
 
-def test_spin_dirac_apply_coframe_argument():
-    field = planewave_solution(1.1, (0.2, 0.3, -0.4))
-    x = [0.5, -1.0, 2.0, 0.25]
-    assert spin_dirac_apply(field, x, coordinate_coframe()) == spin_dirac_apply(field, x)
-    # D is linear in the coframe: doubling every gamma^mu doubles D psi.
-    doubled = [2.0 * g for g in coordinate_coframe()]
-    assert spin_dirac_apply(field, x, doubled) == 2.0 * spin_dirac_apply(field, x)
-    for coframe in ([], coordinate_coframe()[:3], coordinate_coframe() + [gen(1)]):
-        with pytest.raises(DiracError, match="coframe needs 4 vectors"):
-            spin_dirac_apply(field, x, coframe)
-
-
 def test_matrix_column_reads_the_frames_cached_rotor_inverse():
     field = right_gauge(planewave_solution(1.1, (0.2, 0.3, -0.4)), random_rotor(SIG13, rng))
     x = [0.5, -1.0, 2.0, 0.25]
     frame = field.frame
-    expected = matrix_of(geometric_product(field.evaluate(x), frame.u.inverse_mv()))[:, 0]
+    expected = matrix_of(geometric_product(field.evaluate(x), frame.u.inverse))[:, 0]
     assert np.array_equal(matrix_column_at(field, x), expected)
-    assert frame.rotor_inverse is frame.rotor_inverse
-    assert frame.rotor_inverse == frame.u.inverse_mv()
     # Fields in one frame share its inverse.
-    assert planewave_solution(0.7, (0.0, 0.1, 0.0)).frame.rotor_inverse is FID.rotor_inverse
+    assert planewave_solution(0.7, (0.0, 0.1, 0.0)).frame.u.inverse is FID.u.inverse
 
 
 def test_momentum_from_another_algebra_is_rejected():

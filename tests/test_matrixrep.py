@@ -17,10 +17,13 @@ from cliffspin import (
     matrix_of,
     random_regular_spinor,
     random_rotor,
+    reversion,
     s_of_rotor,
     spinorial_frame_of,
     standard_gammas,
 )
+from cliffspin import groups as groups_module
+from cliffspin import spinors as spinors_module
 from cliffspin.matrixrep import (
     RepresentationError,
     _blade_columns,
@@ -193,6 +196,36 @@ def test_dhs_matrix_rejects_odd():
         dhs_matrix(gen(1))
 
 
+def old_dhs_matrix(psi):
+    """dhs_matrix as it read the column from matrix_of; the oracle."""
+    p1, p2, p3, p4 = matrix_of(psi)[:, 0]
+    c = np.conj
+    rows = [
+        [p1, -c(p2), p3, c(p4)],
+        [p2, c(p1), p4, -c(p3)],
+        [p3, c(p4), p1, -c(p2)],
+        [p4, -c(p3), p2, c(p1)],
+    ]
+    return np.array(rows, dtype=complex)
+
+
+def test_columns_are_the_first_column_of_matrix_of_bit_for_bit():
+    """column_of and dhs_matrix read the first column with _first_column;
+    matrix_of(x)[:, 0] is the oracle, on sparse and dense, real and complex
+    elements of the ideal of f, and on even elements."""
+    local = np.random.default_rng(41)
+    f = complex_idempotent_f()
+    even = [m for m in range(16) if m.bit_count() % 2 == 0]
+    for k in range(200):
+        value = (lambda: local.uniform(-1, 1)) if k % 2 else (lambda: complex(*local.uniform(-1, 1, 2)))
+        x = geometric_product(Multivector(SIG13, {m: value() for m in range(16) if local.random() < 0.7}), f)
+        assert column_of(x).tobytes() == matrix_of(x)[:, 0].copy().tobytes()
+        psi = Multivector(SIG13, {m: value() for m in even if local.random() < 0.7})
+        assert dhs_matrix(psi).tobytes() == old_dhs_matrix(psi).tobytes()
+    with pytest.raises(RepresentationError, match=r"^dhs_matrix expects a Cl\(1,3\) element$"):
+        dhs_matrix(Multivector.one(Signature(3, 0)))
+
+
 # -- rotor spin matrices ---------------------------------------------------------------------
 
 
@@ -218,8 +251,8 @@ def test_cds_equivalence():
     chi = random_regular_spinor(rng).psi
     frame_a = spinorial_frame_of(random_rotor(SIG13, rng))
     frame_b = spinorial_frame_of(random_rotor(SIG13, rng))
-    col_a = matrix_of(geometric_product(frame_a.u.inverse_mv(), chi))[:, 0]
-    col_b = matrix_of(geometric_product(frame_b.u.inverse_mv(), chi))[:, 0]
+    col_a = matrix_of(geometric_product(frame_a.u.inverse, chi))[:, 0]
+    col_b = matrix_of(geometric_product(frame_b.u.inverse, chi))[:, 0]
     assert cds_equivalent((frame_a, col_a), (frame_b, col_b))
     assert not cds_equivalent((frame_a, col_a), (frame_b, col_b + 0.01))
     # same frame, same column: trivially equivalent
@@ -340,23 +373,16 @@ def test_frame_changes_read_the_frames_cached_rotor_inverse(monkeypatch):
     frame_b = spinorial_frame_of(random_rotor(SIG13, rng))
     d = random_regular_spinor(rng, frame_a)
     col_a = matrix_of(d.psi)[:, 0]
-    # The parent reversed the frame's rotor at every call.
-    old_psi = geometric_product(d.psi, geometric_product(frame_a.u.inverse_mv(), frame_b.u.u))
-    old_S = matrix_of(geometric_product(frame_b.u.inverse_mv(), frame_a.u.u))
-    reversed_rotors = []
-    inverse_mv = Rotor.inverse_mv
-
-    def counting(self):
-        reversed_rotors.append(self)
-        return inverse_mv(self)
-
-    monkeypatch.setattr(Rotor, "inverse_mv", counting)
+    # The reversions of the two rotors, computed afresh.
+    old_psi = geometric_product(d.psi, geometric_product(reversion(frame_a.u.u), frame_b.u.u))
+    old_S = matrix_of(geometric_product(reversion(frame_b.u.u), frame_a.u.u))
+    # Each rotor reversed itself when it was checked, so no frame change
+    # reverses one.
+    for module in (groups_module, spinors_module):
+        monkeypatch.setattr(module, "reversion", lambda a: pytest.fail("reversed a rotor again"))
     for _ in range(3):
         moved = change_frame(d, frame_b)
         assert [(m, c.real.hex(), c.imag.hex()) for m, c in moved.psi._terms.items()] == [
             (m, c.real.hex(), c.imag.hex()) for m, c in old_psi._terms.items()
         ]
         assert cds_equivalent((frame_a, col_a), (frame_b, old_S @ col_a))
-    # Each frame reversed its rotor when it was built, so no frame change
-    # reverses one.
-    assert reversed_rotors == []

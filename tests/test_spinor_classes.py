@@ -100,7 +100,7 @@ def oracle_recover_from_covariants(c, frame):
     v0 = (1.0 / rho) * c.J
     R0 = rotor_between(v0, g0)
     w3 = geometric_product(
-        geometric_product(R0.inverse_mv(), (1.0 / rho) * c.K), R0.u, grades=(1,)
+        geometric_product(R0.inverse, (1.0 / rho) * c.K), R0.u, grades=(1,)
     )
     if 1.0 - complex(scalar_product(w3, g3)).real >= 1.0:
         R1 = rotor_between(w3, g3)
@@ -293,7 +293,7 @@ def test_moved_frame_covariants_are_nearer_the_exact_ones_than_the_oracles():
     errors, oracle_errors, fierz, oracle_fierz = [], [], [], []
     for _ in range(300):
         d = random_regular_spinor(local, spinorial_frame_of(random_rotor(SIG13, local)))
-        psi0 = exact_product(exact(d.psi), exact(d.frame.rotor_inverse))
+        psi0 = exact_product(exact(d.psi), exact(d.frame.u.inverse))
         psi0t = {m: -c if m.bit_count() & 2 else c for m, c in psi0.items()}
         want = {
             name: {m: c for m, c in exact_product(exact_product(psi0, blade), psi0t).items() if m.bit_count() == k}

@@ -37,7 +37,6 @@ from cliffspin.spinors import (
     exp_beta_gamma5,
     fierz_statements,
     frame_idempotent,
-    gamma5,
     gamma_upper,
     is_regular,
 )

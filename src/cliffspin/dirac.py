@@ -7,8 +7,20 @@ of Minkowski spacetime (natural units, metric +---):
 
 with D = gamma^mu d_mu built from the coordinate coframe.  Plane-wave fields
 carry analytic derivatives: D psi = V (psi B) with one vector V per field.
-The three residuals at one point share psi(x), psi B and D psi, and the
-matrix form applies each gamma matrix as a signed permutation.
+
+A field in the frame Xi_u is the class of psi = psi_0 u (spinors module
+docstring), and the frame's vectors are g_mu = u~ E_mu u.  So psi g_mu =
+(psi_0 E_mu) u, psi g2 g1 = (psi_0 E_2 E_1) u and psi e e' = (psi_0 P_0) u,
+with P_0 the fiducial frame's e e': each residual in Xi_u is the fiducial
+residual of psi_0 times u.  The forms compute on psi_0(x) with the fixed
+blades E_0 = e1, E_2 E_1 = -e2e3 and g5 = -e1e2e3e4 (``_times_blade``, no
+product) and P_0, and never derive a moved frame's vectors.  In a moved
+frame each term is multiplied by u before the terms are summed: near the
+mass shell the summed residual is rounding alone, so its blades would change
+from point to point, and each new key set compiles a new kernel.  The
+three residuals at one point share psi_0(x), psi_0(x) E_2 E_1 and
+D psi_0 = V (psi_0(x) E_2 E_1), and the matrix form applies each gamma
+matrix as a signed permutation of psi_0(x)'s first column.
 """
 
 from __future__ import annotations
@@ -29,10 +41,16 @@ from .groups import (
     rotor_between,
 )
 from .matrixrep import _blade_columns, _first_column
-from .multivector import G5, Multivector, SignatureMismatchError, geometric_product
-from .spinors import SIG13, frame_idempotent, gamma_lower
+from .multivector import G5, Multivector, SignatureMismatchError, _times_blade, geometric_product
+from .spinors import SIG13, _ONE, _fiducial_psi, frame_idempotent, gamma_lower
 
 ETA = (1.0, -1.0, -1.0, -1.0)
+
+# The fixed blades the forms multiply by, as (mask, sign) for _times_blade:
+# E_0 = e1, E_2 E_1 = e3 e2 = -e2e3 and g5 = G5 = -e1e2e3e4.
+_E0 = (0b0001, 1.0)
+_E21 = (0b0110, -1.0)
+_G5 = (0b1111, -1.0)
 
 
 class DiracError(ValueError):
@@ -53,27 +71,27 @@ def zero_potential() -> ConstantPotential:
     return ConstantPotential(Multivector.zero(SIG13), 0.0)
 
 
-# The coordinate coframe gamma^mu: g^0 = e1, g^i = -e_{i+1}.
-_COORDINATE_COFRAME = tuple(
-    Multivector.generator(SIG13, mu + 1) * (1.0 if mu == 0 else -1.0) for mu in range(4)
-)
-
-
 @dataclass(frozen=True)
 class PlaneWaveDHSF:
     """psi(x) = psi0 * exp(-energy_sign * B * (p.x)) with B the frame's
     g2 g1 phase bivector (B^2 = -1), so d_mu psi = c_mu psi B with
     c_mu = -s eta_mu p^mu, and D psi = V (psi B) with V = sum_mu c_mu gamma^mu.
 
+    In the frame u, B = u~ E_2 E_1 u, so the fiducial representative is
+    psi_0(x) = psi(x) u~ = cos(p.x) a_0 - s sin(p.x) (a_0 E_2 E_1) with
+    a_0 = psi0 u~, and every form is computed on it (module docstring).
+
     The fields are frozen, so what depends on them alone is computed on
-    first use and kept with the field: ``phase_bivector`` B, ``projector``
-    e e' of the ideal form and ``dirac_vector`` V on the coordinate coframe.
-    A field made by ``dataclasses.replace`` or a gauge map computes its own.
+    first use and kept with the field: ``dirac_vector`` V on the coordinate
+    coframe, ``_amplitude`` (a_0, a_0 E_2 E_1), with a_0 psi0 itself when
+    u = 1, and ``_rotor``, u or None when u = 1.  A field made by
+    ``dataclasses.replace`` or a gauge map computes its own.
 
     ``evaluate`` computes psi(x) afresh on every call.  The residuals,
-    ``spin_dirac_apply`` and ``partials`` read psi(x), psi B and D psi from
-    one module-level slot that keeps them for the most recent (field, x), so
-    all of them evaluated in turn at one point compute the three once."""
+    ``spin_dirac_apply`` and ``partials`` read psi_0(x), psi_0(x) E_2 E_1
+    and D psi_0 from one module-level slot that keeps them for the most
+    recent (field, x), so all of them evaluated in turn at one point compute
+    the three once."""
 
     frame: SpinorialFrame
     psi0: Multivector
@@ -93,20 +111,23 @@ class PlaneWaveDHSF:
             raise DiracError("amplitude must be even")
 
     @cached_property
-    def phase_bivector(self) -> Multivector:
-        """B = g2 g1 of the field's frame."""
-        return geometric_product(gamma_lower(self.frame, 2), gamma_lower(self.frame, 1))
-
-    @cached_property
-    def projector(self) -> Multivector:
-        """asf_projector(frame), the e e' of the ideal form."""
-        return asf_projector(self.frame)
-
-    @cached_property
     def dirac_vector(self) -> Multivector:
-        """V = sum_mu c_mu gamma^mu on the coordinate coframe."""
-        terms = zip(self._coefficients(), _COORDINATE_COFRAME)
-        return sum((c * g for c, g in terms), Multivector.zero(SIG13))
+        """V = sum_mu c_mu gamma^mu on the coordinate coframe gamma^0 = e1,
+        gamma^i = -e_{i+1}: the stored values of that sum, built in one dict."""
+        c0, c1, c2, c3 = self._coefficients()
+        terms = {1: 0j + c0, 2: 0j - c1, 4: 0j - c2, 8: 0j - c3}
+        return Multivector._trusted(SIG13, {m: c for m, c in terms.items() if c}, True)
+
+    @cached_property
+    def _amplitude(self) -> tuple[Multivector, Multivector]:
+        """(a_0, a_0 E_2 E_1) with a_0 = psi0 u~."""
+        a0 = _fiducial_psi(self.psi0, self.frame)
+        return a0, _times_blade(a0, *_E21)
+
+    @cached_property
+    def _rotor(self) -> Multivector | None:
+        """The frame's rotor u, or None when u = 1."""
+        return None if self.frame.u.u == _ONE else self.frame.u.u
 
     def _coefficients(self) -> list[float]:
         return [-self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) for mu in range(4)]
@@ -126,48 +147,99 @@ class PlaneWaveDHSF:
                 theta += ETA[mu] * c.real * xs[mu]
         return theta
 
-    def evaluate(self, x: Sequence[float]) -> Multivector:
+    def _fiducial_at(self, x: Sequence[float]) -> Multivector:
+        """psi_0(x) = cos(theta) a_0 - s sin(theta) (a_0 E_2 E_1), theta = p.x,
+        with no product.  Each value is the sum of the two scaled terms of
+        its blade, so it holds the bits of psi0 (cos(theta) - s sin(theta) B)
+        in the fiducial frame; its keys are a_0's, then a_0 E_2 E_1's new ones."""
         theta = self.phase_at(x)
-        B = self.phase_bivector
-        # exp(-s*B*theta) = cos(theta) - s*sin(theta) B, since B^2 = -1
-        rot = math.cos(theta) - self.energy_sign * math.sin(theta) * B
-        return geometric_product(self.psi0, rot)
+        a0, a0b = self._amplitude
+        c, t = math.cos(theta), -self.energy_sign * math.sin(theta)
+        terms = {m: c * v for m, v in a0._terms.items()}
+        for m, v in a0b._terms.items():
+            terms[m] = terms[m] + t * v if m in terms else t * v
+        return Multivector._own(SIG13, terms, True if a0.real else None)
+
+    def evaluate(self, x: Sequence[float]) -> Multivector:
+        """psi(x) = psi_0(x) u."""
+        return _times_u(self, self._fiducial_at(x))
 
     def partials(self, x: Sequence[float]) -> list[Multivector]:
         """[d_0 psi, ..., d_3 psi] at x: d_mu psi = c_mu psi(x) B, with
-        psi(x) B built once for all four indices."""
-        psi_b = _point(self, x)[1]
+        psi(x) B = (psi_0(x) E_2 E_1) u built once for all four indices."""
+        psi_b = _times_u(self, _point(self, x)[1])
         return [c * psi_b for c in self._coefficients()]
 
 
-# The most recent (field, xs, (psi, psi B, D psi)) that _point computed.  It
-# is written as one tuple and read once, so a concurrent caller can at worst
-# compute a point again; it keeps one field alive, not one point per field.
+def _times_u(field: PlaneWaveDHSF, x: Multivector) -> Multivector:
+    """x u for the field's frame u, or x itself when u = 1."""
+    u = field._rotor
+    return x if u is None else geometric_product(x, u)
+
+
+# The most recent (field, xs, (psi_0, psi_0 E_2 E_1, D psi_0)) that _point
+# computed.  It is written as one tuple and read once, so a concurrent caller
+# can at worst compute a point again; it keeps one field alive, not one point
+# per field.
 _last_point: tuple | None = None
 
 
 def _point(field: PlaneWaveDHSF, x: Sequence[float]) -> tuple[Multivector, Multivector, Multivector]:
-    """(psi(x), psi(x) B, V (psi(x) B)) for the field at x.  A call with the
-    same field object and equal coordinates as the one before returns what
-    that call computed; a miss computes all three and keeps them.  A
-    non-finite coordinate raises in evaluate before anything is kept, so it
-    raises on every call."""
+    """(psi_0(x), psi_0(x) E_2 E_1, V (psi_0(x) E_2 E_1)) for the field at x.
+    A call with the same field object and equal coordinates as the one
+    before returns what that call computed; a miss computes all three and
+    keeps them.  A non-finite coordinate raises in phase_at before anything
+    is kept, so it raises on every call."""
     global _last_point
     xs = tuple(float(x[mu]) for mu in range(4))
     last = _last_point
     if last is not None and last[0] is field and last[1] == xs:
         return last[2]
-    psi = field.evaluate(xs)
-    psi_b = geometric_product(psi, field.phase_bivector)
+    psi = field._fiducial_at(xs)
+    psi_b = _times_blade(psi, *_E21)
     point = (psi, psi_b, geometric_product(field.dirac_vector, psi_b))
     _last_point = (field, xs, point)
     return point
 
 
+# The most recent (field, rotor, s V s^{-1}) that _transported computed; a
+# slot like _last_point's, read by the left-gauged operator form.
+_last_transport: tuple | None = None
+
+
+def _transported(field: PlaneWaveDHSF, s: Rotor) -> Multivector:
+    """(s V) s^{-1}, the field's V on the coframe s gamma^mu s^{-1}, kept for
+    the most recent (field, s) objects."""
+    global _last_transport
+    last = _last_transport
+    if last is not None and last[0] is field and last[1] is s:
+        return last[2]
+    v = geometric_product(geometric_product(s.u, field.dirac_vector), s.inverse)
+    _last_transport = (field, s, v)
+    return v
+
+
+def _residual(
+    field: PlaneWaveDHSF, pot: ConstantPotential | None, m: float, terms: list[Multivector]
+) -> Multivector:
+    """t0 - m t1 + q t2 for the fiducial terms [t0, t1, t2] (t2 only when
+    charged), each first multiplied by the frame's u when u != 1, so that the
+    products see the terms' own key sets."""
+    terms = [_times_u(field, t) for t in terms]
+    res = terms[0] - m * terms[1]
+    if len(terms) > 2:
+        res = res + pot.q_charge * terms[2]
+    return res
+
+
+def _charged(pot: ConstantPotential | None) -> bool:
+    return pot is not None and pot.q_charge != 0.0
+
+
 def spin_dirac_apply(field: PlaneWaveDHSF, x: Sequence[float]) -> Multivector:
-    """Analytic D psi = gamma^mu d_mu psi = V (psi B) at x, with V = sum_mu
-    c_mu gamma^mu on the coordinate coframe (dirac_vector)."""
-    return _point(field, x)[2]
+    """Analytic D psi = gamma^mu d_mu psi = V (psi B) = (D psi_0) u at x, with
+    V = sum_mu c_mu gamma^mu on the coordinate coframe (dirac_vector)."""
+    return _times_u(field, _point(field, x)[2])
 
 
 def dhe_residual(
@@ -177,19 +249,17 @@ def dhe_residual(
     x: Sequence[float],
     left_rotor: Rotor | None = None,
 ) -> Multivector:
-    """D psi g2 g1 - m psi g0 + q A psi at x, with the frame's own g2 g1 and
-    g0 and D psi = V (psi B).  With left_rotor=s the coframe is transported to
-    s gamma^mu s^{-1} (active left gauge), so V becomes s V s^{-1}."""
+    """D psi g2 g1 - m psi g0 + q A psi at x, computed as
+    ((D psi_0) E_2 E_1 - m psi_0 E_0 + q A psi_0) u.  With left_rotor=s the
+    coframe is transported to s gamma^mu s^{-1} (active left gauge), so V
+    becomes s V s^{-1}."""
     psi, psi_b, dpsi = _point(field, x)
-    g21 = field.phase_bivector
     if left_rotor is not None:
-        v = geometric_product(left_rotor.u, field.dirac_vector)
-        dpsi = geometric_product(geometric_product(v, left_rotor.inverse), psi_b)
-    g0 = gamma_lower(field.frame, 0)
-    res = geometric_product(dpsi, g21) - m * geometric_product(psi, g0)
-    if pot is not None and pot.q_charge != 0.0:
-        res = res + pot.q_charge * geometric_product(pot.A, psi)
-    return res
+        dpsi = geometric_product(_transported(field, left_rotor), psi_b)
+    terms = [_times_blade(dpsi, *_E21), _times_blade(psi, *_E0)]
+    if _charged(pot):
+        terms.append(geometric_product(pot.A, psi))
+    return _residual(field, pot, m, terms)
 
 
 def planewave_solution(
@@ -235,6 +305,12 @@ def asf_projector(frame: SpinorialFrame) -> Multivector:
     return geometric_product(e, ep)
 
 
+@lru_cache(maxsize=1)
+def _fiducial_projector() -> Multivector:
+    """P_0 = asf_projector of the fiducial frame, (1 + E_0)/2 (1 + E_3 E_0)/2."""
+    return asf_projector(fiducial_spinorial_frame(SIG13))
+
+
 def asf_residual(
     field: PlaneWaveDHSF,
     pot: ConstantPotential | None,
@@ -255,28 +331,32 @@ def asf_residual(
     The operator form times e e' reads -(D Phi) g5 - m Phi + q A Phi = 0.
     Right-multiplying by g5, with g5^2 = -1, gives the form above, in which
     the mass term and the charge term both carry the right factor g5.
+
+    In the frame u, e e' = u~ P_0 u and g5 commutes with u, so Phi =
+    (psi_0 P_0) u and the residual is computed as
+    ((D psi_0) P_0 - m Phi_0 g5 + q (A Phi_0) g5) u with Phi_0 = psi_0 P_0.
     """
-    proj = field.projector
+    proj = _fiducial_projector()
     psi, _, dpsi = _point(field, x)
     phi = geometric_product(psi, proj)
-    dphi = geometric_product(dpsi, proj)
-    res = dphi - m * geometric_product(phi, G5)
-    if pot is not None and pot.q_charge != 0.0:
-        res = res + pot.q_charge * geometric_product(geometric_product(pot.A, phi), G5)
-    return res
+    terms = [geometric_product(dpsi, proj), _times_blade(phi, *_G5)]
+    if _charged(pot):
+        terms.append(_times_blade(geometric_product(pot.A, phi), *_G5))
+    return _residual(field, pot, m, terms)
 
 
 # -- matrix form ------------------------------------------------------------------
 
 
 def _column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> list[complex]:
-    return _first_column(geometric_product(_point(field, x)[0], field.frame.u.inverse))
+    return _first_column(_point(field, x)[0])
 
 
 def matrix_column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> np.ndarray:
-    """Column spinor Psi(x): the first column of matrix_of(psi(x) u^-1), the
-    fiducial-frame representative projected with the standard spin
-    idempotent, summed from the blade table without building the matrix."""
+    """Column spinor Psi(x): the first column of matrix_of(psi_0(x)), the
+    fiducial-frame representative psi(x) u^-1 projected with the standard
+    spin idempotent, summed from the blade table without building the
+    matrix."""
     return np.array(_column_at(field, x), dtype=complex)
 
 

@@ -14,10 +14,11 @@ and the numpy paths, ``_pair_blocks``, ``_left_mult_matrix`` and
 ``classify``, take it over arrays with ``_parity_sign``.  For fixed b the
 parity is likewise linear in a, with ``_right_sign_weight``'s mask:
 ``_times_blade`` reads it to multiply by one blade as a signed permutation
-of the terms, for the covariants, ``hodge_dual`` and ``exp_bivector``.  The
-only cache of signs is the loop's: ``_reorder_sign`` keeps one row of
-Python ints over all 2^n blades b for each recent left blade a.  ``scalar_product`` reads reversion(e_m) e_m in closed form,
-(-1)^popcount(m >> p).
+of the terms, for the covariants, the Dirac forms' E_0, E_2 E_1 and g5,
+``hodge_dual`` and ``exp_bivector``.  The only cache of signs is the
+loop's: ``_reorder_sign`` keeps one row of Python ints over all 2^n blades b
+for each recent left blade a.  ``scalar_product`` reads reversion(e_m) e_m
+in closed form, (-1)^popcount(m >> p).
 
 The geometric product, the wedge and both contractions share one kernel,
 ``_product``.  Each of its paths gives the same bits and key order as the

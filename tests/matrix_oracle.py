@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cliffspin import geometric_product, standard_gammas
+from cliffspin import standard_gammas
 from cliffspin.matrixrep import _blade_matrices
 
 ETA = (1.0, -1.0, -1.0, -1.0)
@@ -22,8 +22,9 @@ def numpy_matrix_of(x):
 
 
 def numpy_matrix_column_at(field, x):
-    psi_fid = geometric_product(field.evaluate(x), field.frame.u.inverse)
-    return numpy_matrix_of(psi_fid)[:, 0].copy()
+    """Column 0 of the matrix of the field's fiducial representative psi_0(x)
+    = psi(x) u^-1, the element the matrix path reads."""
+    return numpy_matrix_of(field._fiducial_at(x))[:, 0].copy()
 
 
 def numpy_matrix_dirac_residual(field, pot, m, x):

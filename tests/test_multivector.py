@@ -228,8 +228,8 @@ def test_multivectors_and_values_holding_them_copy_and_pickle(copy_of):
     field = planewave_solution(1.0, (0.3, -0.2, 0.5))
     for value in (rotor, frame, d, bilinear_covariants(d), field):
         assert copy_of(value) == value, type(value).__name__
-    field.projector
-    # The cached projector travels with the field.
+    field._amplitude
+    # The cached amplitude travels with the field.
     assert copy_of(field).__dict__ == field.__dict__
 
 

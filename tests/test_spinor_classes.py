@@ -50,6 +50,7 @@ from cliffspin import (
 from cliffspin.groups import NotARotorError, rotor_between
 from cliffspin.multivector import _product_loop
 from cliffspin.spinors import (
+    ASRep,
     BilinearCovariants,
     DHSRep,
     SingularSpinorError,
@@ -64,9 +65,6 @@ SIG13 = Signature(1, 3)
 FID = fiducial_spinorial_frame(SIG13)
 EPS = 2.0**-52
 MAX_RAPIDITY = 14.0
-# as_from_dhs builds an ASRep, whose ideal check rejects its own product
-# psi e from about rapidity 8.4 (see the strict xfail below).
-AS_MAX_RAPIDITY = 8.0
 BOOSTS = (0b0011, 0b0101, 0b1001)  # e1e2, e1e3, e1e4 square to +1
 TURNS = (0b0110, 0b1010, 0b1100)  # e2e3, e2e4, e3e4 square to -1
 
@@ -205,8 +203,11 @@ def test_frame_changes_compose(psi0, u, v, w):
 
 
 @SETTINGS
-@given(classes(), rotors(AS_MAX_RAPIDITY), rotors(AS_MAX_RAPIDITY))
+@given(classes(), rotors(), rotors())
 @example(PSI0, boost(8.0), boost(-8.0, 0b1001))
+@example(PSI0, HARD, boost(-14.0, 0b1001))
+@example(PSI0, ONE, HARD)
+@example(PSI0, HARD, ONE)
 def test_as_from_dhs_commutes_with_a_frame_change(psi0, u, v):
     d = in_frame(psi0, u)
     target = spinorial_frame_of(v)
@@ -232,12 +233,30 @@ def test_recovery_round_trips_in_any_frame(psi0, u):
     assert covariant_gap(bilinear_covariants(recovered), c) <= 64 * EPS * size(c) * u.u.norm() ** 2
 
 
-@pytest.mark.xfail(strict=True, raises=SpinorValueError, reason="known fault: ideal check not scaled by |u|^2")
 def test_as_from_dhs_in_a_frame_of_rapidity_10():
-    """ASRep checks |phi e - phi| against 1e-9 |phi|, but the rounding of
-    phi e grows with |e|, of size |u|^2 in frame u: from about rapidity 8.4
-    the check rejects psi e, the element as_from_dhs builds."""
-    as_from_dhs(in_frame(PSI0, boost(10.0)))
+    """ASRep bounds |phi e - phi| by the sizes of phi and e, and e is of size
+    |u|^2 in frame u, so psi e, the element as_from_dhs builds on psi_0 = psi
+    u~, passes the check at rapidity 10 (the bound 1e-9 |phi| rejected it
+    from about rapidity 8.4)."""
+    a = as_from_dhs(in_frame(PSI0, boost(10.0)))
+    assert a.frame == spinorial_frame_of(boost(10.0))
+
+
+@pytest.mark.parametrize("rapidity", [0.0, 8.0, 14.0])
+def test_an_element_1e_6_off_the_ideal_is_rejected(rapidity):
+    """An element of the frame's ideal plus 1e-6 of its size from the
+    complementary ideal Cl (1 - e) is rejected in every frame; the element
+    itself, and its multiples at any scale, pass."""
+    u = boost(rapidity, 0b0101)
+    frame = spinorial_frame_of(u)
+    phi = as_from_dhs(in_frame(PSI0, u)).element
+    # PSI0 (1 - E_0)/2 u lies in Cl (1 - e) for e = u~ (1 + E_0)/2 u.
+    other = geometric_product(geometric_product(PSI0, (1 - Multivector.generator(SIG13, 1)) * 0.5), u.u)
+    off = phi + (1e-6 * phi.norm() / other.norm()) * other
+    for scale in (1e-6, 1.0, 1e6):
+        ASRep(frame, scale * phi)
+        with pytest.raises(SpinorValueError, match="left ideal"):
+            ASRep(frame, scale * off)
 
 
 # -- the kept oracles -----------------------------------------------------------------

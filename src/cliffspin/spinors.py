@@ -11,9 +11,10 @@ the covariants and the recovery work on its fiducial representative
 psi_0 = psi_u u~, where the upper-index gammas are the single blades e1, -e2,
 -e3 and -e4: psi b_mu reversion(psi) = psi_0 E_mu reversion(psi_0).  So do
 the algebraic element psi e = (psi_0 e_0) u of ``as_from_dhs`` and an
-algebraic spinor's frame change, with e_0 = (1 + E_0)/2, and the Dirac forms
-(dirac module).  A frame's own vectors are read only by the ideal check of
-the algebraic spinors, their mother-spinor basis and ``asf_projector``.
+algebraic spinor's frame change, with e_0 = (1 + E_0)/2, the mother-spinor
+basis u~ S_i u and the Dirac forms (dirac module).  A frame's own vectors
+are read only by the ideal check of the algebraic spinors and
+``asf_projector``.
 """
 
 from __future__ import annotations
@@ -359,30 +360,40 @@ def random_regular_spinor(
 # -- mother-spinor expansion -------------------------------------------------------
 
 
+def _fiducial_mother_basis() -> tuple[list[Multivector], Multivector]:
+    """The fiducial frame's mother-spinor basis and its unit E_2 E_1."""
+    b0, b1, b2, b3 = (Multivector.generator(SIG13, i + 1) for i in range(4))
+    return [
+        _E0_IDEMPOTENT,
+        geometric_product(geometric_product(b3, b1), _E0_IDEMPOTENT),
+        geometric_product(geometric_product(b3, b0), _E0_IDEMPOTENT),
+        geometric_product(geometric_product(b1, b0), _E0_IDEMPOTENT),
+    ], geometric_product(b2, b1)
+
+
+def _sandwich(x: Multivector, frame: SpinorialFrame) -> Multivector:
+    """u~ x u for the frame u, the image of a fiducial x; x when u = 1."""
+    if frame.u.u == _ONE:
+        return x
+    return geometric_product(geometric_product(frame.u.inverse, x), frame.u.u)
+
+
 def mother_spinor_basis(frame: SpinorialFrame) -> list[Multivector]:
     """s_1 = e, s_2 = b3 b1 e, s_3 = b3 b0 e, s_4 = b1 b0 e, with
-    e = (1 + b0)/2 from the frame's own vectors."""
-    b0, b1, _, b3 = frame.frame.vectors
-    e = frame_idempotent(frame)
-    return [
-        e,
-        geometric_product(geometric_product(b3, b1), e),
-        geometric_product(geometric_product(b3, b0), e),
-        geometric_product(geometric_product(b1, b0), e),
-    ]
+    e = (1 + b0)/2: each is u~ S_i u for the fiducial S_i of the fixed
+    blades, so it lies in the frame's ideal up to the rounding of the
+    sandwich rather than of three products by the frame's vectors."""
+    return [_sandwich(x, frame) for x in _fiducial_mother_basis()[0]]
 
 
 def mother_spinor_expand(phi: ASRep) -> list[tuple[float, float]]:
     """Coefficients (a_i, b_i) with phi = sum (a_i + b_i b2 b1) s_i; the
     formally-complex unit b2 b1 is kept as a real-algebra factor."""
-    frame = phi.frame
-    basis = mother_spinor_basis(frame)
-    b0, b1, b2, b3 = frame.frame.vectors
-    unit = geometric_product(b2, b1)
+    basis, unit = _fiducial_mother_basis()
     columns = []
     for s in basis:
-        columns.append(s)
-        columns.append(geometric_product(unit, s))
+        columns.append(_sandwich(s, phi.frame))
+        columns.append(_sandwich(geometric_product(unit, s), phi.frame))
     A = np.array([col.coefficients() for col in columns]).real.T
     rhs = np.array(phi.element.coefficients()).real
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
@@ -395,13 +406,13 @@ def mother_spinor_expand(phi: ASRep) -> list[tuple[float, float]]:
 def mother_spinor_assemble(
     coeffs: list[tuple[float, float]], frame: SpinorialFrame
 ) -> ASRep:
-    basis = mother_spinor_basis(frame)
-    _, b1, b2, _ = frame.frame.vectors
-    unit = geometric_product(b2, b1)
+    """sum (a_i + b_i b2 b1) s_i, summed on the fiducial basis and carried
+    to the frame by one sandwich."""
+    basis, unit = _fiducial_mother_basis()
     total = Multivector.zero(SIG13)
     for (a, b), s in zip(coeffs, basis):
         total = total + a * s + b * geometric_product(unit, s)
-    return ASRep(frame, total)
+    return ASRep(frame, _sandwich(total, frame))
 
 
 # -- recovery from covariants --------------------------------------------------------

@@ -14,7 +14,8 @@ docstring), and the frame's vectors are g_mu = u~ E_mu u.  So psi g_mu =
 with P_0 the fiducial frame's e e': each residual in Xi_u is the fiducial
 residual of psi_0 times u.  The forms compute on psi_0(x) with the fixed
 blades E_0 = e1, E_2 E_1 = -e2e3 and g5 = -e1e2e3e4 (``_times_blade``, no
-product) and P_0, and never derive a moved frame's vectors.  In a moved
+product) and P_0, and never derive a moved frame's vectors; the maps by u
+are the groups module's ``_to_fiducial`` and ``_from_fiducial``.  In a moved
 frame each term is multiplied by u before the terms are summed: near the
 mass shell the summed residual is rounding alone, so its blades would change
 from point to point, and each new key set compiles a new kernel.  The
@@ -35,6 +36,9 @@ import numpy as np
 from .groups import (
     Rotor,
     SpinorialFrame,
+    _carry,
+    _from_fiducial,
+    _to_fiducial,
     fiducial_spinorial_frame,
     frame_right_action,
     is_spin_e,
@@ -42,7 +46,7 @@ from .groups import (
 )
 from .matrixrep import _blade_columns, _first_column
 from .multivector import G5, Multivector, SignatureMismatchError, _times_blade, geometric_product
-from .spinors import SIG13, _ONE, _fiducial_psi, frame_idempotent, gamma_lower
+from .spinors import _E0_IDEMPOTENT, SIG13
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 
@@ -83,9 +87,9 @@ class PlaneWaveDHSF:
 
     The fields are frozen, so what depends on them alone is computed on
     first use and kept with the field: ``dirac_vector`` V on the coordinate
-    coframe, ``_amplitude`` (a_0, a_0 E_2 E_1), with a_0 psi0 itself when
-    u = 1, and ``_rotor``, u or None when u = 1.  A field made by
-    ``dataclasses.replace`` or a gauge map computes its own.
+    coframe and ``_amplitude`` (a_0, a_0 E_2 E_1), with a_0 psi0 itself when
+    u = 1.  A field made by ``dataclasses.replace`` or a gauge map computes
+    its own.
 
     ``evaluate`` computes psi(x) afresh on every call.  The residuals,
     ``spin_dirac_apply`` and ``partials`` read psi_0(x), psi_0(x) E_2 E_1
@@ -104,9 +108,10 @@ class PlaneWaveDHSF:
             raise DiracError("energy_sign must be +1 or -1")
         if self.p.grades() - {1}:
             raise DiracError("momentum must be grade-1")
-        if self.p.signature != SIG13:
-            sig = self.p.signature
-            raise SignatureMismatchError(f"momentum must be in Cl(1,3), got Cl({sig.p},{sig.q})")
+        for name, x in (("momentum", self.p), ("amplitude", self.psi0), ("frame", self.frame)):
+            sig = x.signature
+            if sig != SIG13:
+                raise SignatureMismatchError(f"{name} must be in Cl(1,3), got Cl({sig.p},{sig.q})")
         if any(g % 2 for g in self.psi0.grades()):
             raise DiracError("amplitude must be even")
 
@@ -121,13 +126,8 @@ class PlaneWaveDHSF:
     @cached_property
     def _amplitude(self) -> tuple[Multivector, Multivector]:
         """(a_0, a_0 E_2 E_1) with a_0 = psi0 u~."""
-        a0 = _fiducial_psi(self.psi0, self.frame)
+        a0 = _to_fiducial(self.psi0, self.frame)
         return a0, _times_blade(a0, *_E21)
-
-    @cached_property
-    def _rotor(self) -> Multivector | None:
-        """The frame's rotor u, or None when u = 1."""
-        return None if self.frame.u.u == _ONE else self.frame.u.u
 
     def _coefficients(self) -> list[float]:
         return [-self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) for mu in range(4)]
@@ -162,19 +162,13 @@ class PlaneWaveDHSF:
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         """psi(x) = psi_0(x) u."""
-        return _times_u(self, self._fiducial_at(x))
+        return _from_fiducial(self._fiducial_at(x), self.frame)
 
     def partials(self, x: Sequence[float]) -> list[Multivector]:
         """[d_0 psi, ..., d_3 psi] at x: d_mu psi = c_mu psi(x) B, with
         psi(x) B = (psi_0(x) E_2 E_1) u built once for all four indices."""
-        psi_b = _times_u(self, _point(self, x)[1])
+        psi_b = _from_fiducial(_point(self, x)[1], self.frame)
         return [c * psi_b for c in self._coefficients()]
-
-
-def _times_u(field: PlaneWaveDHSF, x: Multivector) -> Multivector:
-    """x u for the field's frame u, or x itself when u = 1."""
-    u = field._rotor
-    return x if u is None else geometric_product(x, u)
 
 
 # The most recent (field, xs, (psi_0, psi_0 E_2 E_1, D psi_0)) that _point
@@ -223,9 +217,9 @@ def _residual(
     field: PlaneWaveDHSF, pot: ConstantPotential | None, m: float, terms: list[Multivector]
 ) -> Multivector:
     """t0 - m t1 + q t2 for the fiducial terms [t0, t1, t2] (t2 only when
-    charged), each first multiplied by the frame's u when u != 1, so that the
-    products see the terms' own key sets."""
-    terms = [_times_u(field, t) for t in terms]
+    charged), each first carried to the frame as t u (``_from_fiducial``,
+    t itself when u = 1), so that the products see the terms' own key sets."""
+    terms = [_from_fiducial(t, field.frame) for t in terms]
     res = terms[0] - m * terms[1]
     if len(terms) > 2:
         res = res + pot.q_charge * terms[2]
@@ -239,7 +233,7 @@ def _charged(pot: ConstantPotential | None) -> bool:
 def spin_dirac_apply(field: PlaneWaveDHSF, x: Sequence[float]) -> Multivector:
     """Analytic D psi = gamma^mu d_mu psi = V (psi B) = (D psi_0) u at x, with
     V = sum_mu c_mu gamma^mu on the coordinate coframe (dirac_vector)."""
-    return _times_u(field, _point(field, x)[2])
+    return _from_fiducial(_point(field, x)[2], field.frame)
 
 
 def dhe_residual(
@@ -280,8 +274,7 @@ def planewave_solution(
     p0 = math.sqrt(m * m + p1 * p1 + p2 * p2 + p3 * p3)
     pi = Multivector(SIG13, {1: p0, 2: p1, 4: p2, 8: p3})
     v = (1.0 / m) * pi
-    g0 = gamma_lower(frame, 0)
-    R = rotor_between(v, g0)
+    R = rotor_between(v, Multivector.generator(SIG13, 1))
     if sign == 1:
         psi0 = R.u
     else:
@@ -299,16 +292,16 @@ def planewave_solution(
 
 
 def asf_projector(frame: SpinorialFrame) -> Multivector:
-    """e e' = (1 + g0)/2 (1 + g3 g0)/2 from the frame's own vectors."""
-    e = frame_idempotent(frame)
-    ep = (1 + geometric_product(gamma_lower(frame, 3), gamma_lower(frame, 0))) * 0.5
-    return geometric_product(e, ep)
+    """e e' = (1 + g0)/2 (1 + g3 g0)/2 for the frame's vectors g_mu =
+    u~ E_mu u, computed as u~ P_0 u."""
+    return _carry(_fiducial_projector(), frame)
 
 
 @lru_cache(maxsize=1)
 def _fiducial_projector() -> Multivector:
-    """P_0 = asf_projector of the fiducial frame, (1 + E_0)/2 (1 + E_3 E_0)/2."""
-    return asf_projector(fiducial_spinorial_frame(SIG13))
+    """P_0 = (1 + E_0)/2 (1 + E_3 E_0)/2, the fiducial frame's e e'."""
+    e0, e3 = Multivector.generator(SIG13, 1), Multivector.generator(SIG13, 4)
+    return geometric_product(_E0_IDEMPOTENT, (1 + geometric_product(e3, e0)) * 0.5)
 
 
 def asf_residual(

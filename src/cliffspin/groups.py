@@ -1,11 +1,13 @@
 """Clifford group machinery: Pin/Spin membership tests, adjoint actions,
 rotor-to-matrix maps, and spinorial frames.
 
-A spinorial frame is fixed by its rotor u: its vector frame b_i = u^{-1} E_i u
-is derived from u, and checked, the first time ``frame`` is read, and kept from
-then on, so a frame's vectors always match its rotor.  Above n = 5 they are
-derived when the frame is built, since an even u with u u~ = 1 need not map
-vectors to vectors there.  Equality and hashing read u alone.
+A spinorial frame is fixed by its rotor u, and every object in it is the
+fiducial one moved by u: a spinor psi_0 u, and its vectors, idempotent and
+projector u~ X u, as ``_to_fiducial``, ``_from_fiducial`` and ``_carry``
+compute for every module.  The vectors b_i = u~ E_i u are derived, and
+checked, the first time ``frame`` is read (when the frame is built above
+n = 5, where an even u with u u~ = 1 need not map vectors to vectors), and
+no function of the package reads them.  Equality and hashing read u alone.
 Frames with rotors u and -u carry the same vector frame but compare as
 distinct values; that sign is exactly the 2*pi-rotation memory spinors care
 about.
@@ -81,14 +83,17 @@ class Rotor:
 @dataclass(frozen=True)
 class VectorFrame:
     vectors: tuple[Multivector, ...]
+    signature: Signature = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.vectors:
+        vectors = self.vectors
+        if not vectors:
             raise FrameError("empty frame")
-        sig = self.vectors[0].signature
+        sig = vectors[0].signature
+        object.__setattr__(self, "signature", sig)
         squares = sig.squares
-        if len(self.vectors) != sig.n:
-            raise FrameError(f"frame needs {sig.n} vectors, got {len(self.vectors)}")
+        if len(vectors) != sig.n:
+            raise FrameError(f"frame needs {sig.n} vectors, got {len(vectors)}")
         # A frame computed from a rotor carries rounding errors of the size
         # of its largest vector s in every vector, so v.w is off by up to
         # about eps s (|v| + |w|): 6e-5 for b_0.b_0 of a rapidity-14 boost,
@@ -96,25 +101,15 @@ class VectorFrame:
         # times the largest such ratio measured (random rotors of rapidity up
         # to 14 and their products, n <= 6), added to the absolute 1e-9 that
         # admits the slack ROTOR_TOL leaves in a rotor's frame.
-        norms = [v.norm() for v in self.vectors]
+        norms = [v.norm() for v in vectors]
         s = max(norms)
-        for i, v in enumerate(self.vectors):
+        for i, v in enumerate(vectors):
             if v.grades() - {1}:
                 raise FrameError("frame members must be grade-1")
-            for j, w in enumerate(self.vectors):
+            for j, w in enumerate(vectors):
                 want = squares[i] if i == j else 0.0
                 if abs(scalar_product(v, w) - want) > 1e-9 + 1e-12 * s * (norms[i] + norms[j]):
                     raise FrameError("frame is not g-orthonormal")
-
-    @property
-    def signature(self) -> Signature:
-        return self.vectors[0].signature
-
-    def __getitem__(self, i: int) -> Multivector:
-        return self.vectors[i]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 def fiducial_frame(sig: Signature) -> VectorFrame:
@@ -126,16 +121,18 @@ class SpinorialFrame:
     """The frame (u, b) fixed by the rotor u; u^{-1} is ``u.inverse``."""
 
     u: Rotor
+    _rotor: Multivector | None = field(init=False, compare=False, repr=False)  # u, or None when u = 1
 
     def __post_init__(self) -> None:
-        if self.u.signature.n > 5:
+        u = self.u.u
+        object.__setattr__(self, "_rotor", None if u == Multivector.one(u.signature) else u)
+        if u.signature.n > 5:
             self.frame  # noqa: B018 - derived now, so a sandwich that is no vector raises here
 
     @cached_property
     def frame(self) -> VectorFrame:
         """The vectors b_i = u^{-1} E_i u, derived and checked on first use."""
         sig = self.u.signature
-        uinv = self.u.inverse
         # The terms of b_i = u^{-1} E_i u are of size |u|^2, so its non-vector
         # part is checked against |u|^2.  For n <= 5 that part is rounding
         # alone, but an even u with u u~ = 1 need not map vectors to vectors
@@ -146,7 +143,7 @@ class SpinorialFrame:
         tol = 1e-8 + 1e-12 * self.u.u.norm() ** 2
         vectors = []
         for i in range(sig.n):
-            pulled = geometric_product(geometric_product(uinv, Multivector.generator(sig, i + 1)), self.u.u)
+            pulled = _carry(Multivector.generator(sig, i + 1), self)
             b = pulled.grade(1)
             if _max_gap(pulled, b) > tol:
                 raise FrameError("u^{-1} E_i u is not a vector")
@@ -156,6 +153,33 @@ class SpinorialFrame:
     @property
     def signature(self) -> Signature:
         return self.u.signature
+
+
+# -- the class map psi = psi_0 u ------------------------------------------------
+
+
+def _unmoved(x: Multivector, f: SpinorialFrame) -> Multivector:
+    """x itself for the frame u = 1, after the signature check that the
+    product by u it skips would have made."""
+    x._check_sig(f.u.u)
+    return x
+
+
+def _to_fiducial(x: Multivector, f: SpinorialFrame) -> Multivector:
+    """x u~: the fiducial representative of x in the frame u."""
+    return _unmoved(x, f) if f._rotor is None else geometric_product(x, f.u.inverse)
+
+
+def _from_fiducial(x: Multivector, f: SpinorialFrame) -> Multivector:
+    """x u: the representative in the frame u of the fiducial x."""
+    return _unmoved(x, f) if f._rotor is None else geometric_product(x, f._rotor)
+
+
+def _carry(x: Multivector, f: SpinorialFrame) -> Multivector:
+    """u~ x u: the image in the frame u of the fiducial frame's x."""
+    if f._rotor is None:
+        return _unmoved(x, f)
+    return geometric_product(geometric_product(f.u.inverse, x), f._rotor)
 
 
 def spinorial_frame_of(u: Rotor) -> SpinorialFrame:

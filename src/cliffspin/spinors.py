@@ -11,16 +11,19 @@ the covariants and the recovery work on its fiducial representative
 psi_0 = psi_u u~, where the upper-index gammas are the single blades e1, -e2,
 -e3 and -e4: psi b_mu reversion(psi) = psi_0 E_mu reversion(psi_0).  So do
 the algebraic element psi e = (psi_0 e_0) u of ``as_from_dhs`` and an
-algebraic spinor's frame change, with e_0 = (1 + E_0)/2, the mother-spinor
-basis u~ S_i u and the Dirac forms (dirac module).  A frame's own vectors
-are read only by the ideal check of the algebraic spinors and
-``asf_projector``.
+algebraic spinor's frame change, with e_0 = (1 + E_0)/2, and the Dirac forms
+(dirac module).  What belongs to the frame itself, its idempotent
+e = u~ e_0 u and its mother-spinor basis u~ S_i u, is the fiducial one
+carried by u.  The maps psi_0 -> psi_0 u and X -> u~ X u are the groups
+module's ``_from_fiducial`` and ``_carry``; no function here derives a
+frame's vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +31,9 @@ import numpy as np
 from .groups import (
     Rotor,
     SpinorialFrame,
+    _carry,
+    _from_fiducial,
+    _to_fiducial,
     fiducial_spinorial_frame,
     random_rotor,
     rotor_between,
@@ -50,14 +56,19 @@ from .multivector import (
 SIG13 = Signature(1, 3)
 _ONE = Multivector.one(SIG13)
 REGULARITY_EPS2 = 1e-20
-# The fiducial frame's spinor-projector e_0 = (1 + E_0)/2.
+# The fiducial frame's spinor-projector e_0 = (1 + E_0)/2, and its
+# upper-index gammas g^mu: e1, -e2, -e3 and -e4.
 _E0_IDEMPOTENT = (1 + Multivector.generator(SIG13, 1)) * 0.5
+_FIDUCIAL_GAMMAS = tuple(
+    g if mu == 0 else -g for mu, g in enumerate(Multivector.generator(SIG13, i + 1) for i in range(4))
+)
 _EPS = 2.0**-52
 # The ideal check's bound, in units of eps |phi|_1 |e|_1 (ASRep): the
 # elements that as_from_dhs and change_frame built for 600 random classes, in
-# frames of boost rapidity up to 14, reached 0.32 of them; an element 1e-6
+# frames of boost rapidity up to 14, reached 0.8 of them; an element 1e-6
 # off the ideal, relative to its size, lay over 1200 of them away at
-# rapidity 14.
+# rapidity 14.  mother_spinor_expand's fit reads the same bound in units of
+# eps max_i sum_j |A_ij| |x_j|, where 16000 random classes reached 50.
 IDEAL_ROUNDINGS = 64
 
 
@@ -69,18 +80,9 @@ class SpinorValueError(ValueError):
     pass
 
 
-def gamma_lower(frame: SpinorialFrame, mu: int) -> Multivector:
-    return frame.frame.vectors[mu]
-
-
-def gamma_upper(frame: SpinorialFrame, mu: int) -> Multivector:
-    v = frame.frame.vectors[mu]
-    return v if mu == 0 else -v
-
-
 def frame_idempotent(frame: SpinorialFrame) -> Multivector:
-    """The frame's spinor-projector e = (1 + b_0)/2."""
-    return (1 + gamma_lower(frame, 0)) * 0.5
+    """The frame's spinor-projector e = (1 + b_0)/2, computed as u~ e_0 u."""
+    return _carry(_E0_IDEMPOTENT, frame)
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def _as_in_frame(x: Multivector, frame: SpinorialFrame, target: SpinorialFrame) 
     """ASRep(target, (x u~ e_0) u') for x in the frame u: computed on the
     fiducial representative x u~, with the fixed blade E_0 in place of the
     frame's b_0."""
-    phi = geometric_product(_fiducial_psi(x, frame), _E0_IDEMPOTENT)
+    phi = geometric_product(_to_fiducial(x, frame), _E0_IDEMPOTENT)
     return ASRep(target, _from_fiducial(phi, target))
 
 
@@ -187,18 +189,6 @@ def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
     return agg.scalar_part().real, -agg.coeff(0b1111).real
 
 
-def _fiducial_psi(psi: Multivector, frame: SpinorialFrame) -> Multivector:
-    """psi u~, the representative in the fiducial frame of psi in frame u;
-    psi itself when u = 1."""
-    return psi if frame.u.u == _ONE else geometric_product(psi, frame.u.inverse)
-
-
-def _from_fiducial(psi0: Multivector, frame: SpinorialFrame) -> Multivector:
-    """psi_0 u, the representative in frame u of psi_0 in the fiducial
-    frame; psi_0 itself when u = 1."""
-    return psi0 if frame.u.u == _ONE else geometric_product(psi0, frame.u.u)
-
-
 def _abs_sum(x: Multivector) -> float:
     return sum(map(abs, x._terms.values()))
 
@@ -210,7 +200,7 @@ def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
     psi = d.psi
     psit = reversion(psi)
     sigma, omega = _sigma_omega(psi, psit)
-    psi0 = _fiducial_psi(psi, d.frame)
+    psi0 = _to_fiducial(psi, d.frame)
     psi0t = psit if psi0 is psi else reversion(psi0)
     J = geometric_product(_times_blade(psi0, 0b0001), psi0t, grades=(1,))
     S = geometric_product(_times_blade(psi0, 0b0110), psi0t, grades=(2,))
@@ -360,22 +350,18 @@ def random_regular_spinor(
 # -- mother-spinor expansion -------------------------------------------------------
 
 
-def _fiducial_mother_basis() -> tuple[list[Multivector], Multivector]:
-    """The fiducial frame's mother-spinor basis and its unit E_2 E_1."""
+@cache
+def _fiducial_mother_basis() -> tuple[tuple[Multivector, Multivector], ...]:
+    """The fiducial mother-spinor basis S_i, each with E_2 E_1 S_i."""
     b0, b1, b2, b3 = (Multivector.generator(SIG13, i + 1) for i in range(4))
-    return [
+    unit = geometric_product(b2, b1)
+    basis = [
         _E0_IDEMPOTENT,
         geometric_product(geometric_product(b3, b1), _E0_IDEMPOTENT),
         geometric_product(geometric_product(b3, b0), _E0_IDEMPOTENT),
         geometric_product(geometric_product(b1, b0), _E0_IDEMPOTENT),
-    ], geometric_product(b2, b1)
-
-
-def _sandwich(x: Multivector, frame: SpinorialFrame) -> Multivector:
-    """u~ x u for the frame u, the image of a fiducial x; x when u = 1."""
-    if frame.u.u == _ONE:
-        return x
-    return geometric_product(geometric_product(frame.u.inverse, x), frame.u.u)
+    ]
+    return tuple((s, geometric_product(unit, s)) for s in basis)
 
 
 def mother_spinor_basis(frame: SpinorialFrame) -> list[Multivector]:
@@ -383,22 +369,22 @@ def mother_spinor_basis(frame: SpinorialFrame) -> list[Multivector]:
     e = (1 + b0)/2: each is u~ S_i u for the fiducial S_i of the fixed
     blades, so it lies in the frame's ideal up to the rounding of the
     sandwich rather than of three products by the frame's vectors."""
-    return [_sandwich(x, frame) for x in _fiducial_mother_basis()[0]]
+    return [_carry(s, frame) for s, _ in _fiducial_mother_basis()]
 
 
 def mother_spinor_expand(phi: ASRep) -> list[tuple[float, float]]:
     """Coefficients (a_i, b_i) with phi = sum (a_i + b_i b2 b1) s_i; the
-    formally-complex unit b2 b1 is kept as a real-algebra factor."""
-    basis, unit = _fiducial_mother_basis()
-    columns = []
-    for s in basis:
-        columns.append(_sandwich(s, phi.frame))
-        columns.append(_sandwich(geometric_product(unit, s), phi.frame))
+    formally-complex unit b2 b1 is kept as a real-algebra factor.  The fit
+    A x = phi over the columns u~ S_i u and u~ E_2 E_1 S_i u is accepted
+    within IDEAL_ROUNDINGS eps max_i sum_j |A_ij| |x_j|, the rounding of A x
+    (the columns are of size |u|^2); ASRep's check rejects an element near
+    the ideal but not in it, which the fit can absorb."""
+    columns = [_carry(x, phi.frame) for pair in _fiducial_mother_basis() for x in pair]
     A = np.array([col.coefficients() for col in columns]).real.T
     rhs = np.array(phi.element.coefficients()).real
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     resid = A @ sol - rhs
-    if np.max(np.abs(resid)) > 1e-9 * max(1.0, np.max(np.abs(rhs))):
+    if np.max(np.abs(resid)) > IDEAL_ROUNDINGS * _EPS * np.max(np.abs(A) @ np.abs(sol)):
         raise SpinorValueError("element is outside the spanned ideal")
     return [(float(sol[2 * i]), float(sol[2 * i + 1])) for i in range(4)]
 
@@ -408,11 +394,10 @@ def mother_spinor_assemble(
 ) -> ASRep:
     """sum (a_i + b_i b2 b1) s_i, summed on the fiducial basis and carried
     to the frame by one sandwich."""
-    basis, unit = _fiducial_mother_basis()
     total = Multivector.zero(SIG13)
-    for (a, b), s in zip(coeffs, basis):
-        total = total + a * s + b * geometric_product(unit, s)
-    return ASRep(frame, _sandwich(total, frame))
+    for (a, b), (s, unit_s) in zip(coeffs, _fiducial_mother_basis()):
+        total = total + a * s + b * unit_s
+    return ASRep(frame, _carry(total, frame))
 
 
 # -- recovery from covariants --------------------------------------------------------
@@ -426,11 +411,7 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
         raise SingularSpinorError("recovery unsupported for singular covariants")
     rho = math.sqrt(c.sigma**2 + c.omega**2)
     beta = math.atan2(c.omega, c.sigma) + 0.0
-    fiducial = fiducial_spinorial_frame(SIG13)
-    g0 = gamma_upper(fiducial, 0)
-    g1 = gamma_upper(fiducial, 1)
-    g2 = gamma_upper(fiducial, 2)
-    g3 = gamma_upper(fiducial, 3)
+    g0, g1, g2, g3 = _FIDUCIAL_GAMMAS
     v0 = (1.0 / rho) * c.J
     R0 = rotor_between(v0, g0)
     # Pull K back to the rest frame; w3 is unit spacelike, orthogonal to g0.

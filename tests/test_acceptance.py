@@ -33,7 +33,8 @@ from cliffspin import (
     standard_gammas,
 )
 from cliffspin.classify import _RING_REAL_DIM, is_idempotent
-from cliffspin.spinors import DHSRep, gamma_upper
+from cliffspin.spinors import DHSRep
+from frame_oracle import gamma_upper
 from finite_difference import spin_dirac_apply_fd
 
 SIG13 = Signature(1, 3)

@@ -36,8 +36,9 @@ from cliffspin.dirac import DiracError, asf_projector
 from cliffspin.groups import NotARotorError
 from cliffspin.matrixrep import _first_column
 from cliffspin.multivector import G5, SignatureMismatchError
-from cliffspin.spinors import DHSRep, gamma_lower
+from cliffspin.spinors import DHSRep
 from finite_difference import spin_dirac_apply_fd
+from frame_oracle import gamma_lower
 from matrix_oracle import numpy_matrix_column_at, numpy_matrix_dirac_residual
 
 rng = np.random.default_rng(4)
@@ -386,7 +387,7 @@ def oracle_dhe(field, pot, m, x, left_rotor=None):
 
 
 def oracle_asf(field, pot, m, x):
-    proj = asf_projector(field.frame)
+    proj = old_projector(field.frame)
     psi, _, dpsi = oracle_point(field, x)
     phi = geometric_product(psi, proj)
     res = geometric_product(dpsi, proj) - m * geometric_product(phi, G5)
@@ -605,7 +606,7 @@ def reference_dhe(field, pot, m, x, left_rotor=None):
 
 
 def reference_asf(field, pot, m, x):
-    proj = asf_projector(field.frame)
+    proj = old_projector(field.frame)
     phi = geometric_product(oracle_evaluate(field, x), proj)
     dphi = Multivector.zero(SIG13)
     for mu, g in enumerate(coordinate_coframe()):
@@ -635,7 +636,7 @@ def exactness_systems():
 
 def assert_close(got, ref, field=None):
     """Within REL_BOUND of ref, or within moved_bound for a field in a moved frame."""
-    if field is not None and field._rotor is not None:
+    if field is not None and field.frame._rotor is not None:
         assert (got - ref).max_abs() <= moved_bound(field)
     else:
         assert (got - ref).max_abs() <= REL_BOUND * max(1.0, ref.max_abs())
@@ -652,7 +653,7 @@ def test_shared_partials_match_per_index_reference_exactly(label, field, pot, le
     for _ in range(3):
         x = [float(v) for v in local.uniform(-5, 5, size=4)]
         want = [reference_partial(field, mu, x) for mu in range(4)]
-        if field._rotor is None:
+        if field.frame._rotor is None:
             assert field.partials(x) == want
         else:
             for got, ref in zip(field.partials(x), want):
@@ -759,7 +760,7 @@ def test_partials_on_a_miss_compute_psi_b_alone_and_keep_nothing(label, field, p
     moved frame partials and spin_dirac_apply each multiply by u.  (The
     name, kept so the test id stays stable, states an older mechanism.)"""
     x = [0.3, -1.2, 2.5, 0.7]
-    moved = field._rotor is not None
+    moved = field.frame._rotor is not None
     field.evaluate(x)  # builds the per-field a_0
     clear_point()
     del products[:]
@@ -1003,7 +1004,14 @@ def phase_cases(draw):
 @given(phase_cases())
 def test_per_field_values_match_the_old_per_point_formulas(case):
     field, points = case
-    assert bits(asf_projector(field.frame)) == bits(old_projector(field.frame))
+    # asf_projector is u~ P_0 u, so in a moved frame it rounds apart from the
+    # product of the frame's vectors (2.2 of these units at worst over 600
+    # random_rotor frames).
+    if field.frame._rotor is None:
+        assert bits(asf_projector(field.frame)) == bits(old_projector(field.frame))
+    else:
+        gap = (asf_projector(field.frame) - old_projector(field.frame)).max_abs()
+        assert gap <= K_MOVED * EPS * field.frame.u.u.norm() ** 2
     assert bits(dirac._fiducial_projector()) == bits(old_projector(FID))
     assert bits(field.dirac_vector) == bits(old_dirac_vector(field))
     assert field._amplitude is field._amplitude
@@ -1019,9 +1027,9 @@ def test_per_field_values_are_not_shared_between_fields():
     s = random_rotor(SIG13, np.random.default_rng(12))
     moved = right_gauge(field, s)
     replaced = dataclasses.replace(field, frame=moved.frame)
-    assert field._rotor is None and field._amplitude[0] is field.psi0
+    assert field.frame._rotor is None and field._amplitude[0] is field.psi0
     for other in (moved, replaced):
-        assert other._rotor == moved.frame.u.u
+        assert other.frame._rotor == moved.frame.u.u
         assert other._amplitude[0] == geometric_product(other.psi0, moved.frame.u.inverse) != field.psi0
     # The amplitude's fiducial representative is the field's own: psi0 u~.
     assert (moved._amplitude[0] - field.psi0).max_abs() <= moved_bound(field) * s.u.norm() ** 2

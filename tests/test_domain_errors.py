@@ -7,7 +7,7 @@ import re
 import pytest
 
 from cliffspin import Multivector, Signature, parse_multivector
-from cliffspin.dirac import DiracError, PlaneWaveDHSF
+from cliffspin.dirac import DiracError, PlaneWaveDHSF, asf_projector
 from cliffspin.expressions import ast_to_text, evaluate
 from cliffspin.groups import (
     FrameError,
@@ -20,14 +20,17 @@ from cliffspin.groups import (
     rotor_between,
 )
 from cliffspin.matrixrep import RepresentationError, matrix_of
+from cliffspin.multivector import SignatureMismatchError
 from cliffspin.serialization import MultivectorParseError, from_json_dict
-from cliffspin.spinors import ASRep, DHSRep, SpinorValueError, change_frame
+from cliffspin.spinors import ASRep, DHSRep, SpinorValueError, change_frame, frame_idempotent
 
 SIG13 = Signature(1, 3)
 SIG30 = Signature(3, 0)
+SIG31 = Signature(3, 1)
 SIG60 = Signature(6, 0)
 FRAME13 = fiducial_spinorial_frame(SIG13)
 FRAME30 = fiducial_spinorial_frame(SIG30)
+FRAME31 = fiducial_spinorial_frame(SIG31)
 
 
 def e(sig, *indices):
@@ -54,6 +57,22 @@ ERRORS = {
     ),
     "plane wave odd amplitude": (
         lambda: plane_wave(psi0=e(SIG13, 1)), DiracError, "amplitude must be even"
+    ),
+    "plane wave amplitude outside Cl(1,3)": (
+        lambda: plane_wave(psi0=Multivector.one(SIG31)),
+        SignatureMismatchError,
+        "amplitude must be in Cl(1,3), got Cl(3,1)",
+    ),
+    "plane wave frame outside Cl(1,3)": (
+        lambda: plane_wave(frame=FRAME31),
+        SignatureMismatchError,
+        "frame must be in Cl(1,3), got Cl(3,1)",
+    ),
+    "ideal-form projector of a Cl(3,1) frame": (
+        lambda: asf_projector(FRAME31), SignatureMismatchError, "Cl(1,3) vs Cl(3,1)"
+    ),
+    "spinor idempotent of a Cl(3,1) frame": (
+        lambda: frame_idempotent(FRAME31), SignatureMismatchError, "Cl(1,3) vs Cl(3,1)"
     ),
     "empty vector frame": (lambda: VectorFrame(()), FrameError, "empty frame"),
     "vector frame of too few vectors": (

@@ -29,7 +29,7 @@ from sympy import ZZ, ring
 
 from cliffspin import DHSRep, Multivector, bilinear_covariants, fiducial_spinorial_frame
 from cliffspin.multivector import G5, _outer, _product_loop, _right_inner
-from cliffspin.spinors import SIG13, fierz_statements, gamma_upper
+from cliffspin.spinors import _FIDUCIAL_GAMMAS, SIG13, fierz_statements
 
 P, N = SIG13.p, SIG13.n
 FID = fiducial_spinorial_frame(SIG13)
@@ -80,7 +80,7 @@ def exact(mv: Multivector) -> dict:
 
 ONE = {0: 1}
 g5 = exact(G5)
-g = [exact(gamma_upper(FID, mu)) for mu in range(4)]
+g = [exact(gamma) for gamma in _FIDUCIAL_GAMMAS]
 
 
 def hodge_dual(x):

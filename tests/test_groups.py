@@ -365,7 +365,8 @@ def test_large_boosts_give_valid_frames(rapidity, plane):
     assert f.u is u
     moved = frame_right_action(u, fiducial_spinorial_frame(SIG13))
     assert moved == SpinorialFrame(u) and frame_bits(moved) == frame_bits(f)
-    assert (adjoint(u, f.frame[0]) - gen(SIG13, 1)).max_abs() <= 1e-8 * f.frame[0].norm() ** 2
+    b0 = f.frame.vectors[0]
+    assert (adjoint(u, b0) - gen(SIG13, 1)).max_abs() <= 1e-8 * b0.norm() ** 2
 
 
 def test_relative_frame_checks_still_reject_wrong_frames():

@@ -78,3 +78,66 @@ def test_names_the_runner_reads_resolve(file, module, name, attribute):
     assert name in (PERFBENCH / file).read_text()
     value = getattr(importlib.import_module(f"cliffspin.{module}"), name)
     assert callable(getattr(value, attribute) if attribute else value)
+
+
+def cs_chains(path: Path) -> list[str]:
+    """Every attribute chain rooted at the name ``cs`` in a perfbench file,
+    dotted (``cs.spinors.exp_beta_gamma5``), in its code and in the string
+    constants that parse as code, such as a workload's warm-up."""
+    tree = ast.parse(path.read_text())
+    trees = [tree]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "cs." in node.value:
+            try:
+                trees.append(ast.parse(node.value))
+            except SyntaxError:  # prose, not code
+                pass
+    chains = set()
+    for t in trees:
+        for node in ast.walk(t):
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if names and isinstance(node, ast.Name) and node.id == "cs":
+                chains.add(".".join(["cs", *reversed(names)]))
+    return sorted(chains)
+
+
+WORKLOAD_CHAINS = cs_chains(PERFBENCH / "workloads.py")
+# The package's submodules that workloads.py imports itself, such as
+# cliffspin.expressions, which the package does not import.
+WORKLOAD_IMPORTS = [
+    alias.name
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text()))
+    if isinstance(node, ast.Import)
+    for alias in node.names
+    if alias.name.startswith("cliffspin.")
+]
+
+
+def test_the_walk_finds_chains_in_code_and_in_warm_ups():
+    assert WORKLOAD_IMPORTS == ["cliffspin.expressions"]
+    assert {"cs.spinors.exp_beta_gamma5", "cs.Multivector.zero", "cs.matrixrep._blade_matrices"} <= set(
+        WORKLOAD_CHAINS
+    )
+
+
+@pytest.mark.parametrize("chain", WORKLOAD_CHAINS)
+def test_workload_names_resolve_on_the_package(chain):
+    for module in WORKLOAD_IMPORTS:
+        importlib.import_module(module)
+    value = importlib.import_module("cliffspin")
+    for name in chain.split(".")[1:]:
+        value = getattr(value, name)
+
+
+def test_the_frame_vectors_the_benchmark_reads_resolve():
+    """perfbench's reference operator form reads ``fld.frame.frame.vectors``;
+    no function of the package reads a frame's vectors, so this is the one
+    reader of ``SpinorialFrame.frame``."""
+    assert "fld.frame.frame.vectors" in (PERFBENCH / "workloads.py").read_text()
+    groups = importlib.import_module("cliffspin.groups")
+    sig = importlib.import_module("cliffspin").Signature(1, 3)
+    vectors = groups.fiducial_spinorial_frame(sig).frame.vectors
+    assert [v._terms for v in vectors] == [{1 << i: 1} for i in range(4)]

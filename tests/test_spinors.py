@@ -37,9 +37,9 @@ from cliffspin.spinors import (
     exp_beta_gamma5,
     fierz_statements,
     frame_idempotent,
-    gamma_upper,
     is_regular,
 )
+from frame_oracle import gamma_upper
 
 rng = np.random.default_rng(2)
 

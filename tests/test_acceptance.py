@@ -33,9 +33,8 @@ from cliffspin import (
     standard_gammas,
 )
 from cliffspin.classify import _RING_REAL_DIM, is_idempotent
-from cliffspin.spinors import DHSRep
-from frame_oracle import gamma_upper
 from finite_difference import spin_dirac_apply_fd
+from frame_oracle import gamma_upper
 
 SIG13 = Signature(1, 3)
 

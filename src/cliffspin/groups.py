@@ -5,9 +5,10 @@ A spinorial frame is fixed by its rotor u, and every object in it is the
 fiducial one moved by u: a spinor psi_0 u, and its vectors, idempotent and
 projector u~ X u, as ``_to_fiducial``, ``_from_fiducial`` and ``_carry``
 compute for every module.  The vectors b_i = u~ E_i u are derived, and
-checked, the first time ``frame`` is read (when the frame is built above
-n = 5, where an even u with u u~ = 1 need not map vectors to vectors), and
-no function of the package reads them.  Equality and hashing read u alone.
+checked, the first time ``frame`` is read, and no function of the package
+reads them.  ``Rotor`` itself checks that u E_i u~ is a vector above n = 5,
+where an even u with u u~ = 1 need not map vectors to vectors, so every
+rotor is a frame's.  Equality and hashing read u alone.
 Frames with rotors u and -u carry the same vector frame but compare as
 distinct values; that sign is exactly the 2*pi-rotation memory spinors care
 about.
@@ -57,11 +58,22 @@ class Rotor:
     inverse: Multivector = field(init=False, compare=False, repr=False)  # reversion(u)
 
     def __post_init__(self) -> None:
-        if any(m.bit_count() & 1 for m in self.u._terms):
+        u = self.u
+        if any(m.bit_count() & 1 for m in u._terms):
             raise NotARotorError("rotor must be an even element")
-        inverse = reversion(self.u)
-        if _max_gap(geometric_product(self.u, inverse), 1) > ROTOR_TOL:
+        inverse = reversion(u)
+        if _max_gap(geometric_product(u, inverse), 1) > ROTOR_TOL:
             raise NotARotorError("rotor must satisfy u * reversion(u) = 1")
+        sig = u.signature
+        if sig.n > 5:
+            # For n <= 5 an even u with u u~ = 1 maps vectors to vectors, but
+            # not beyond: in Cl(6,0), u = (1 + e1...e6)/sqrt(2) sends e1 to
+            # grade 5.  So there u E_i u~ is checked for each generator.
+            tol = _vector_tol(u)
+            for i in range(sig.n):
+                image = geometric_product(geometric_product(u, Multivector.generator(sig, i + 1)), inverse)
+                if _max_gap(image, image.grade(1)) > tol:
+                    raise NotARotorError("rotor must map vectors to vectors: u E_i reversion(u)")
         object.__setattr__(self, "inverse", inverse)
 
     @property
@@ -78,6 +90,15 @@ class Rotor:
         object.__setattr__(neg, "u", -self.u)
         object.__setattr__(neg, "inverse", -self.inverse)
         return neg
+
+
+def _vector_tol(u: Multivector) -> float:
+    """The bound on the non-vector part of u E_i u~ or u~ E_i u.  Its terms
+    are of size |u|^2, so the part is checked against |u|^2: the factor
+    1e-12 is 70 times the largest error measured against |u|^2 (as for
+    VectorFrame), added to the absolute 1e-8 that admits the slack ROTOR_TOL
+    leaves in u."""
+    return 1e-8 + 1e-12 * u.norm() ** 2
 
 
 @dataclass(frozen=True)
@@ -126,21 +147,12 @@ class SpinorialFrame:
     def __post_init__(self) -> None:
         u = self.u.u
         object.__setattr__(self, "_rotor", None if u == Multivector.one(u.signature) else u)
-        if u.signature.n > 5:
-            self.frame  # noqa: B018 - derived now, so a sandwich that is no vector raises here
 
     @cached_property
     def frame(self) -> VectorFrame:
         """The vectors b_i = u^{-1} E_i u, derived and checked on first use."""
         sig = self.u.signature
-        # The terms of b_i = u^{-1} E_i u are of size |u|^2, so its non-vector
-        # part is checked against |u|^2.  For n <= 5 that part is rounding
-        # alone, but an even u with u u~ = 1 need not map vectors to vectors
-        # beyond: in Cl(6,0), u = (1 + e1...e6)/sqrt(2) sends e1 to grade 5.
-        # The factor 1e-12 is 70 times the largest error measured against
-        # |u|^2 (as for VectorFrame), added to the absolute 1e-8 that admits
-        # the slack ROTOR_TOL leaves in u.
-        tol = 1e-8 + 1e-12 * self.u.u.norm() ** 2
+        tol = _vector_tol(self.u.u)
         vectors = []
         for i in range(sig.n):
             pulled = _carry(Multivector.generator(sig, i + 1), self)

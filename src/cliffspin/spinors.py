@@ -17,6 +17,11 @@ e = u~ e_0 u and its mother-spinor basis u~ S_i u, is the fiducial one
 carried by u.  The maps psi_0 -> psi_0 u and X -> u~ X u are the groups
 module's ``_from_fiducial`` and ``_carry``; no function here derives a
 frame's vectors.
+
+The recovery reads psi_0 back from J and K as two rank-one columns of the
+even subalgebra Cl+(1,3) = M(2,C), with no rotor, up to the class's right
+phase e^{E3E2 phi}, for regular and singular covariants alike
+(``recover_from_covariants``).
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .groups import (
     _to_fiducial,
     fiducial_spinorial_frame,
     random_rotor,
-    rotor_between,
 )
 from .multivector import (
     G5,
@@ -56,12 +60,8 @@ from .multivector import (
 SIG13 = Signature(1, 3)
 _ONE = Multivector.one(SIG13)
 REGULARITY_EPS2 = 1e-20
-# The fiducial frame's spinor-projector e_0 = (1 + E_0)/2, and its
-# upper-index gammas g^mu: e1, -e2, -e3 and -e4.
+# The fiducial frame's spinor-projector e_0 = (1 + E_0)/2.
 _E0_IDEMPOTENT = (1 + Multivector.generator(SIG13, 1)) * 0.5
-_FIDUCIAL_GAMMAS = tuple(
-    g if mu == 0 else -g for mu, g in enumerate(Multivector.generator(SIG13, i + 1) for i in range(4))
-)
 _EPS = 2.0**-52
 # The ideal check's bound, in units of eps |phi|_1 |e|_1 (ASRep): the
 # elements that as_from_dhs and change_frame built for 600 random classes, in
@@ -402,30 +402,63 @@ def mother_spinor_assemble(
 
 # -- recovery from covariants --------------------------------------------------------
 
+# P_+- = (1 +- sigma3)/2 for sigma3 = E3 E0 = e4e1 = -e1e4: the recovery reads
+# the columns psi_0 P_+- off J e1 +- (-K e1) = 2 psi_0 P_+- psi_0^dagger.
+_COLUMN_PROJECTORS = {s: Multivector(SIG13, {0: 0.5, 0b1001: -0.5 * s}) for s in (1, -1)}
+
+
+def _column(M: Multivector, s: int) -> Multivector:
+    """psi_0 P_s times a unit phase e^{g5 a}, from M = 2 psi_0 P_s psi_0^dagger,
+    or zero for an empty column.  In Cl+(1,3) = M(2,C), M is the rank-one
+    Hermitian 2 v v^dagger of the column v = psi_0 P_s.  Of X = 1 and
+    X = sigma1 = e2e1, the one with the larger c^2 = <(X P_s)^dagger M X P_s>_0
+    gives M X P_s / (2c) = v times a unit phase; in exact arithmetic c^2 is
+    positive for one of them unless v = 0.  c^2 = <M X P_s X^dagger>_0 is a scalar product with P_-s
+    (X = 1) or P_s (X = sigma1): the diagonal of M."""
+    d1 = scalar_product(_COLUMN_PROJECTORS[-s], M)
+    d2 = scalar_product(_COLUMN_PROJECTORS[s], M)
+    c2 = max(d1, d2)
+    if c2 <= 0.0:
+        return Multivector.zero(SIG13)
+    Y = M if d1 >= d2 else _times_blade(M, 0b0011, -1.0)
+    return geometric_product(Y, _COLUMN_PROJECTORS[s]) * (0.5 / math.sqrt(c2))
+
+
+def _euclid(x: Multivector, y: Multivector) -> float:
+    """The Euclidean inner product of two real coefficient vectors."""
+    yt = y._terms
+    return sum(c * yt.get(m, 0) for m, c in x._terms.items()).real
+
 
 def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHSRep:
-    """Some psi' whose covariants equal c; unique up to a right phase factor
-    e^{g2 g1 phi}.  Requires regular covariants.  It recovers psi_0 with the
-    fiducial gammas and returns psi_0 u in the frame (u, b)."""
-    if not _regular(c.sigma, c.omega, c.J.norm() ** 2):
-        raise SingularSpinorError("recovery unsupported for singular covariants")
-    rho = math.sqrt(c.sigma**2 + c.omega**2)
-    beta = math.atan2(c.omega, c.sigma) + 0.0
-    g0, g1, g2, g3 = _FIDUCIAL_GAMMAS
-    v0 = (1.0 / rho) * c.J
-    R0 = rotor_between(v0, g0)
-    # Pull K back to the rest frame; w3 is unit spacelike, orthogonal to g0.
-    w3 = geometric_product(
-        geometric_product(R0.inverse, (1.0 / rho) * c.K), R0.u, grades=(1,)
-    )
-    # For unit spacelike vectors 1 - w.g runs from 0 (antipodal) to 2 (equal).
-    if 1.0 - complex(scalar_product(w3, g3)).real >= 1.0:
-        R1 = rotor_between(w3, g3)
+    """Some psi' whose covariants equal c, regular or singular; unique up to
+    a right phase factor e^{g2 g1 phi} (E3 E2 in the fiducial frame).  It
+    recovers psi_0 with the fiducial gammas and returns psi_0 u in the frame
+    (u, b).
+
+    With psi^dagger = e1 reversion(psi) e1, J e1 = psi_0 psi_0^dagger and
+    -K e1 = psi_0 sigma3 psi_0^dagger, so J e1 -+ K e1 = 2 psi_0 P_+- psi_0^dagger
+    are rank one, and each gives the column psi_0 P_+- up to a phase
+    (``_column``).  Their sum is psi_0 e^{g5 alpha} e^{E3E2 phi}, which has
+    the covariants J and K.  The central phase e^{g5 alpha} turns
+    sigma + omega g5 = psi_0 reversion(psi_0) into e^{2 alpha g5} times
+    itself, and S into e^{2 alpha g5} S, so alpha is read from sigma and
+    omega for a regular spinor, from S for a singular one, and is free when
+    S = 0 as well.  No rotor is built, so no rotor check bounds the input:
+    covariants that carry the rounding of a frame of any rapidity are
+    accepted, and zero covariants give psi' = 0."""
+    A = _times_blade(c.J, 0b0001)
+    C = _times_blade(c.K, 0b0001, -1.0)
+    psi0 = _column(A + C, 1) + _column(A - C, -1)
+    if _regular(c.sigma, c.omega, c.J.norm() ** 2):
+        # (sigma' + omega' i)(sigma - omega i) = rho^2 e^{2 alpha i}
+        sigma, omega = _sigma_omega(psi0, reversion(psi0))
+        x, y = sigma * c.sigma + omega * c.omega, omega * c.sigma - sigma * c.omega
     else:
-        # w3 is in the far hemisphere from g3, where the one-plane rotor loses
-        # digits as w3 nears -g3: go through the nearer of g1 and g2.
-        gk = max((g1, g2), key=lambda g: 1.0 - complex(scalar_product(w3, g)).real)
-        R1 = rotor_between(w3, gk) * rotor_between(gk, g3)
-    R = R0 * R1
-    psi0 = geometric_product(rho**0.5 * exp_beta_gamma5(beta / 2), R.u)
+        # S' = (cos 2 alpha + sin 2 alpha g5) S, and S g5 is orthogonal to S.
+        S = geometric_product(_times_blade(psi0, 0b0110), reversion(psi0), grades=(2,))
+        x, y = _euclid(S, c.S), _euclid(S, _times_blade(c.S, 0b1111, -1.0))
+    alpha = 0.5 * math.atan2(y, x)
+    if alpha:
+        psi0 = geometric_product(psi0, exp_beta_gamma5(-alpha))
     return DHSRep(frame, _from_fiducial(psi0, frame))

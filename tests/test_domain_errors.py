@@ -43,9 +43,12 @@ def plane_wave(**changes):
 
 
 def not_spin_e_rotor():
-    """(1 + e1...e6)/sqrt(2) in Cl(6,0): a rotor, since e1...e6 squares to
-    -1 and is its own reversion's negative, but not in the Clifford group."""
-    return Rotor((Multivector.one(SIG60) + e(SIG60, 1, 2, 3, 4, 5, 6)) * (1 / math.sqrt(2)))
+    """(1 + d I)/sqrt(1 + d^2) in Cl(6,0), with I = e1...e6 and d = 2e-9:
+    u u~ = 1, and u e1 u~ has a grade-5 part of 2 d = 4e-9.  Rotor's vector
+    check admits that, below its bound 1e-8 + 1e-12 |u|^2, but
+    is_clifford_group bounds it by ROTOR_TOL = 1e-10."""
+    d = 2e-9
+    return Rotor((Multivector.one(SIG60) + d * e(SIG60, 1, 2, 3, 4, 5, 6)) * (1 / math.sqrt(1 + d * d)))
 
 
 ERRORS = {
@@ -97,6 +100,11 @@ ERRORS = {
         lambda: rotor_between(e(SIG13, 1), e(SIG13, 2)),
         ValueError,
         "rotor_between needs unit vectors of equal square sign",
+    ),
+    "rotor outside the Clifford group": (
+        lambda: Rotor((Multivector.one(SIG60) + e(SIG60, 1, 2, 3, 4, 5, 6)) * (1 / math.sqrt(2))),
+        NotARotorError,
+        "rotor must map vectors to vectors: u E_i reversion(u)",
     ),
     "Lorentz matrix outside Spin^e": (
         lambda: lorentz_matrix_of(not_spin_e_rotor()),

@@ -15,6 +15,10 @@ The fiducial frame covers every spinorial frame: bilinear_covariants
 computes the covariants of psi in a frame (u, b) as those of psi u^{-1}
 in the fiducial frame, and psi u^{-1} is again a generic even element.
 
+The recovery's two rank-one factorizations, J e1 -+ K e1 = 2 psi P_+-
+psi^dagger, and the action of a central phase e^{alpha g5} on the
+covariants are proven in the same way.
+
 The identities are those of P. Lounesto, Clifford Algebras and Spinors
 (2nd ed.), ch. 12, and J. P. Crawford, J. Math. Phys. 26, 1439 (1985).
 """
@@ -29,7 +33,7 @@ from sympy import ZZ, ring
 
 from cliffspin import DHSRep, Multivector, bilinear_covariants, fiducial_spinorial_frame
 from cliffspin.multivector import G5, _outer, _product_loop, _right_inner
-from cliffspin.spinors import _FIDUCIAL_GAMMAS, SIG13, fierz_statements
+from cliffspin.spinors import _COLUMN_PROJECTORS, SIG13, fierz_statements
 
 P, N = SIG13.p, SIG13.n
 FID = fiducial_spinorial_frame(SIG13)
@@ -80,7 +84,8 @@ def exact(mv: Multivector) -> dict:
 
 ONE = {0: 1}
 g5 = exact(G5)
-g = [exact(gamma) for gamma in _FIDUCIAL_GAMMAS]
+# The fiducial upper-index gammas e1, -e2, -e3 and -e4.
+g = [exact(s * Multivector.generator(SIG13, i + 1)) for i, s in enumerate((1, -1, -1, -1))]
 
 
 def hodge_dual(x):
@@ -160,6 +165,39 @@ def test_evaluator_matches_bilinear_covariants():
     assert (c.sigma, c.omega) == (SIGMA(*values), OMEGA(*values))
     for got, want in ((c.J, J), (c.S, S), (c.K, K)):
         assert got == Multivector(SIG13, at(want))
+
+
+def dagger(x):
+    """x^dagger = e1 reversion(x) e1, the Hermitian adjoint of Cl+(1,3) = M(2,C)."""
+    return product(product(g[0], reversion(x)), g[0])
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_recovery_columns_are_rank_one_factors(s):
+    # J e1 - s K e1 = 2 psi P_s psi^dagger, with the recovery's own P_s.
+    lhs = add(product(J, g[0]), product(K, g[0]), -s)
+    rhs = product(product(PSI, exact(2 * _COLUMN_PROJECTORS[s])), dagger(PSI))
+    assert lhs and not add(lhs, rhs, -1)
+
+
+def test_a_central_phase_turns_sigma_omega_and_s_and_keeps_j_and_k():
+    """For psi' = psi (c + s g5), which is psi e^{alpha g5} at c = cos(alpha)
+    and s = sin(alpha): psi' reversion(psi') and S' are e^{2 alpha g5} =
+    c^2 - s^2 + 2 c s g5 times psi reversion(psi) and S, and J' and K' are
+    (c^2 + s^2) J and K, as polynomials in psi's coefficients, c and s."""
+    _, *coeffs, c, s = ring("b0:8,c,s", ZZ)
+    psi = dict(zip(EVEN, coeffs))
+    (sigma, omega, j, S_, k), _ = covariants(psi)
+    (sigma2, omega2, j2, S2, k2), _ = covariants(product(psi, add({0: c}, g5, s)))
+    double = add({0: c**2 - s**2}, g5, 2 * c * s)
+    norm = {0: c**2 + s**2}
+    for got, want in (
+        (add({0: sigma2}, g5, omega2), product(double, add({0: sigma}, g5, omega))),
+        (S2, product(double, S_)),
+        (j2, product(norm, j)),
+        (k2, product(norm, k)),
+    ):
+        assert got and not add(got, want, -1)
 
 
 def test_package_import_does_not_load_sympy():

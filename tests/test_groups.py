@@ -440,14 +440,16 @@ def test_frame_vectors_and_actions_match_the_two_step_oracle(pq):
 
 def test_rotor_whose_sandwich_is_not_a_vector_is_rejected():
     """In Cl(6,0), u = (1 + I)/sqrt(2) with I = e1...e6 has u u~ = 1, but
-    u^{-1} e1 u = -I e1 has grade 5: no frame has that rotor."""
+    u^{-1} e1 u = -I e1 has grade 5: no frame has that rotor, and Rotor
+    refuses it."""
     sig = Signature(6, 0)
     pseudo = Multivector(sig, {0b111111: 1.0})
-    u = Rotor((1 + pseudo) * (1 / math.sqrt(2)))
-    pulled = geometric_product(geometric_product(u.inverse, gen(sig, 1)), u.u)
+    u = (1 + pseudo) * (1 / math.sqrt(2))
+    assert (geometric_product(u, reversion(u)) - 1).max_abs() < 1e-15
+    pulled = geometric_product(geometric_product(reversion(u), gen(sig, 1)), u)
     assert (pulled + geometric_product(pseudo, gen(sig, 1))).max_abs() < 1e-15
-    with pytest.raises(FrameError, match="not a vector"):
-        SpinorialFrame(u)
+    with pytest.raises(NotARotorError, match="vectors to vectors"):
+        Rotor(u)
 
 
 @pytest.mark.parametrize("pq", [(1, 3), (3, 0), (4, 1)])
@@ -471,13 +473,16 @@ def test_a_rapidity_14_frame_derives_its_vectors_at_first_use():
 
 
 def test_a_cl60_rotor_that_is_no_frame_raises_at_construction():
-    """Above n = 5 the vectors are derived when the frame is built, so the
-    rotor of test_rotor_whose_sandwich_is_not_a_vector_is_rejected raises
-    in SpinorialFrame(u) itself, before anything reads the frame."""
+    """Above n = 5 Rotor checks u E_i u~ for each generator, so the element
+    of test_rotor_whose_sandwich_is_not_a_vector_is_rejected raises at
+    Rotor(u), before any frame is built, and a frame above n = 5 derives
+    no vector until its frame is read."""
     sig = Signature(6, 0)
-    u = Rotor((1 + Multivector(sig, {0b111111: 1.0})) * (1 / math.sqrt(2)))
-    with pytest.raises(FrameError, match="not a vector"):
-        SpinorialFrame(u)
+    with pytest.raises(NotARotorError, match="vectors to vectors"):
+        Rotor((1 + Multivector(sig, {0b111111: 1.0})) * (1 / math.sqrt(2)))
+    f = SpinorialFrame(random_rotor(sig, np.random.default_rng(6)))
+    assert "frame" not in vars(f)
+    assert len(f.frame.vectors) == 6
 
 
 @pytest.mark.parametrize(

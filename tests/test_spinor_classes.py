@@ -13,7 +13,9 @@ The frames are exp(F) for a bivector F of boost rapidity up to
 (|u u~ - 1| above the absolute ``ROTOR_TOL``, which rounding reaches near
 rapidity 14) is no frame and is discarded.  A class is drawn by its
 fiducial representative psi_0 = rho^{1/2} e^{beta g5 / 2} R, and stands in
-frame u as psi_0 u.
+frame u as psi_0 u.  Singular classes are drawn as psi_0 = a (1 + n)/2 for
+a Gaussian even a and a unit n = n_k sigma_k of the even subalgebra, with
+sigma_k = E_k E_0: dipoles (S = 0) for n = sigma3, flag-dipoles otherwise.
 
 The covariants and the recovery as they were computed before they moved to
 the fiducial representative, with products by the frame's derived vectors,
@@ -61,7 +63,7 @@ from cliffspin import (
 )
 from cliffspin.dirac import asf_projector
 from cliffspin.groups import NotARotorError, rotor_between
-from cliffspin.multivector import _product_loop
+from cliffspin.multivector import _product_loop, inverse
 from cliffspin.spinors import (
     ASRep,
     BilinearCovariants,
@@ -185,6 +187,21 @@ def size(c):
     return max(c.J.max_abs(), c.S.max_abs(), c.K.max_abs())
 
 
+EVEN = [m for m in range(16) if not m.bit_count() & 1]
+SIGMA3 = Multivector(SIG13, {0b1001: -1.0})  # E3 E0 = e4e1
+
+
+def singular_class(local, n=None):
+    """a (1 + n)/2 for a Gaussian even a, and n = SIGMA3 or, if None, a
+    random unit n_1 sigma_1 + n_2 sigma_2 + n_3 sigma_3."""
+    if n is None:
+        v = local.normal(size=3)
+        v /= np.linalg.norm(v)
+        n = Multivector(SIG13, {0b0011: -v[0], 0b0101: -v[1], 0b1001: -v[2]})
+    a = Multivector(SIG13, {m: float(local.normal()) for m in EVEN})
+    return geometric_product(a, (1 + n) * 0.5)
+
+
 # -- the class laws -------------------------------------------------------------------
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -245,6 +262,73 @@ def test_recovery_round_trips_in_any_frame(psi0, u):
     assert recovered.frame == frame
     # psi_0 u carries the rounding of a product of size |psi_0| |u|.
     assert covariant_gap(bilinear_covariants(recovered), c) <= 64 * EPS * size(c) * u.u.norm() ** 2
+
+
+@SETTINGS
+@given(classes(), rotors())
+@example(PSI0, HARD)
+@example(PSI0, boost(14.0, 0b0101))
+@example(PSI0, boost(-14.0, 0b1001))
+def test_recovery_round_trips_for_covariants_computed_in_a_moved_frame(psi0, u):
+    """The covariants of psi_0 u in frame u carry rounding of size eps
+    |u|^2, which no rotor check bounds any more: the recovered spinor has
+    those covariants to the same order (the worst of 1200 classes at boost
+    rapidity 10 to 14 in the three planes reached 3.2 of the units below)."""
+    frame = spinorial_frame_of(u)
+    c = bilinear_covariants(in_frame(psi0, u))
+    recovered = recover_from_covariants(c, frame)
+    assert recovered.frame == frame
+    assert covariant_gap(bilinear_covariants(recovered), c) <= 16 * EPS * size(c) * u.u.norm() ** 2
+
+
+@pytest.mark.parametrize("plane", BOOSTS)
+def test_recovery_holds_at_rapidity_14_in_every_boost_plane(plane):
+    """Recovery through rotor_between raised NotARotorError for 13 to 18 of
+    these 100 classes per plane, whose covariants' rounding at eps |u|^2
+    passed its unit check but not ROTOR_TOL."""
+    local = np.random.default_rng([36, plane])
+    u = boost(14.0, plane)
+    frame = spinorial_frame_of(u)
+    for _ in range(100):
+        c = bilinear_covariants(in_frame(random_regular_spinor(local).psi, u))
+        recovered = recover_from_covariants(c, frame)
+        assert covariant_gap(bilinear_covariants(recovered), c) <= 16 * EPS * size(c) * u.u.norm() ** 2
+
+
+def test_fiducial_recovery_is_within_8_eps_of_the_covariants():
+    """Over 2000 regular classes the recovered spinor's covariants are
+    within 8 eps |J| of the covariants it was recovered from (the worst of
+    5000 reached 3.4)."""
+    local = np.random.default_rng(36)
+    for _ in range(2000):
+        c = bilinear_covariants(random_regular_spinor(local))
+        assert covariant_gap(bilinear_covariants(recover_from_covariants(c, FID)), c) <= 8 * EPS * c.J.max_abs()
+
+
+@pytest.mark.parametrize("kind", ["dipole", "flag-dipole"])
+def test_singular_covariants_round_trip(kind):
+    """psi_0 = a (1 + n)/2 is singular: sigma = omega = 0, and S = 0 as well
+    for n = sigma3.  The recovery, which refused every such spinor while it
+    built rotors, returns a spinor with those covariants.  The worst of
+    two sets of 5000 draws reached 4.1 of the units below for dipoles and
+    37 for flag-dipoles: as n nears +-sigma3 one column of psi_0 shrinks,
+    and S, sigma and omega, which pair the two columns, carry its error
+    relative to its own size."""
+    local = np.random.default_rng(37)
+    for _ in range(300):
+        c = bilinear_covariants(DHSRep(FID, singular_class(local, SIGMA3 if kind == "dipole" else None)))
+        assert not _regular(c.sigma, c.omega, c.J.norm() ** 2)
+        assert (c.S.max_abs() <= 16 * EPS * size(c)) == (kind == "dipole")
+        recovered = recover_from_covariants(c, FID)
+        assert covariant_gap(bilinear_covariants(recovered), c) <= 64 * EPS * size(c)
+
+
+@pytest.mark.parametrize("u", [ONE, HARD], ids=["fiducial", "rapidity-14"])
+def test_zero_covariants_recover_the_zero_spinor(u):
+    frame = spinorial_frame_of(u)
+    c = bilinear_covariants(DHSRep(frame, Multivector.zero(SIG13)))
+    recovered = recover_from_covariants(c, frame)
+    assert recovered.frame == frame and recovered.psi.is_zero()
 
 
 def test_as_from_dhs_in_a_frame_of_rapidity_10():
@@ -332,13 +416,27 @@ def covariant_bits(c):
     return [c.sigma.hex(), c.omega.hex(), bits(c.J), bits(c.S), bits(c.K)]
 
 
+def right_phase_gap(psi, ref):
+    """max |psi - ref e^{E3E2 phi}|, for the phi read off ref^{-1} psi; the
+    e2e3 coefficient of e^{E3E2 phi} = cos phi - sin phi e2e3 is -sin phi."""
+    X = geometric_product(inverse(ref), psi)
+    phi = math.atan2(-X.coeff(0b0110).real, X.scalar_part().real)
+    turn = Multivector(SIG13, {0: math.cos(phi), 0b0110: -math.sin(phi)})
+    return (psi - geometric_product(ref, turn)).max_abs()
+
+
 def test_fiducial_covariants_and_recovery_match_the_oracles_bit_for_bit():
+    """The covariants are the oracle's to the bit.  The recovered spinor is
+    the oracle's up to the class's right phase e^{E3E2 phi}, to 32 eps
+    |psi| (the worst of 2000 reached 7.5), since the two recoveries build
+    different members of the class."""
     local = np.random.default_rng(32)
     for _ in range(300):
         d = random_regular_spinor(local)
         c = bilinear_covariants(d)
         assert covariant_bits(c) == covariant_bits(oracle_bilinear_covariants(d))
-        assert bits(recover_from_covariants(c, FID).psi) == bits(oracle_recover_from_covariants(c, FID).psi)
+        want = oracle_recover_from_covariants(c, FID).psi
+        assert right_phase_gap(recover_from_covariants(c, FID).psi, want) <= 32 * EPS * want.max_abs()
 
 
 def test_moved_frame_covariants_are_within_8_eps_of_the_oracle():

@@ -25,6 +25,7 @@ from cliffspin import (
     scalar_product,
     spinorial_frame_of,
 )
+from cliffspin import multivector
 from cliffspin.multivector import G5, hodge_dual, right_contraction
 from cliffspin.spinors import (
     _MULTIVECTOR_OPS,
@@ -146,9 +147,10 @@ def test_singular_spinor_detected():
     assert agg.scalar_part() == 0.0 and agg.coeff(0b1111) == 0.0
     with pytest.raises(SingularSpinorError):
         canonical_decompose(d)
+    # The recovery accepts singular covariants and round-trips them.
     c = bilinear_covariants(d)
-    with pytest.raises(SingularSpinorError):
-        recover_from_covariants(c, FID)
+    rec = bilinear_covariants(recover_from_covariants(c, FID))
+    assert covariant_gap(rec, c) <= 64 * 2.0**-52 * c.J.max_abs()
 
 
 def test_frame_covariance_of_aggregates():
@@ -476,6 +478,22 @@ def test_recover_keeps_digits_in_random_frames():
         c = bilinear_covariants(random_regular_spinor(local, frame))
         worst = max(worst, covariant_gap(bilinear_covariants(recover_from_covariants(c, frame)), c))
     assert worst < 1e-13
+
+
+def test_recovery_makes_at_most_6_products_and_no_rotor(monkeypatch):
+    """One fiducial-frame recovery of a dense spinor reads two rank-one
+    columns and a central phase: a bounded number of products and no rotor
+    check, so a recovery that builds rotors again fails here."""
+    psi = Multivector(SIG13, {m: 0.3 + 0.1 * m for m in range(16) if not m.bit_count() & 1})
+    c = bilinear_covariants(DHSRep(FID, psi))
+    products, rotors = [], []
+    product, check = multivector._product, Rotor.__post_init__
+    monkeypatch.setattr(multivector, "_product", lambda *args: products.append(args) or product(*args))
+    monkeypatch.setattr(Rotor, "__post_init__", lambda self: rotors.append(self) or check(self))
+    recover_from_covariants(c, FID)
+    assert 0 < len(products) <= 6 and not rotors
+    Rotor(Multivector.one(SIG13))
+    assert len(rotors) == 1  # the counter sees a rotor check
 
 
 def test_recovery_phase_freedom():

@@ -20,8 +20,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .multivector import (
     Multivector,
@@ -30,6 +29,9 @@ from .multivector import (
     _sign_weight,
     geometric_product,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RING_BY_PQ_MOD8 = {
     0: "R",
@@ -118,6 +120,8 @@ def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
     in blocks: blade_m e_j is the single term sign e_{m^j}, the sign being
     the parity of j & _sign_weight(p, m), so the rows are the products'
     coefficients exactly."""
+    import numpy as np
+
     sig = e.signature
     size = 1 << sig.n
     masks = np.fromiter(e._terms, np.intp, len(e._terms))
@@ -137,6 +141,8 @@ def _real_independent(rows: Iterable[np.ndarray]) -> list[int]:
     """Indices of the rows, in order, that are not in the real span of the
     rows kept before them: incremental Gaussian elimination, pivoting on the
     largest entry, with a pivot tolerance."""
+    import numpy as np
+
     basis: list[np.ndarray] = []
     pivots: list[int] = []
     kept: list[int] = []
@@ -252,6 +258,8 @@ def is_primitive(e: Multivector) -> bool:
 
 def _commuting_square_plus_blades(sig: Signature) -> list[int]:
     """Canonical blade masks with square +1, ascending grade then mask."""
+    import numpy as np
+
     blades = np.arange(1, 1 << sig.n)
     masks = blades[_parity_sign(_sign_weight(sig.p, blades) & blades) == 1].tolist()
     return sorted(masks, key=lambda m: (m.bit_count(), m))

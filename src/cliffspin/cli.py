@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .classify import (
     classify,
@@ -74,6 +72,8 @@ def cmd_idempotent(args) -> int:
 
 
 def cmd_fierz(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     worst: dict[str, float] = {}
     for _ in range(args.trials):
@@ -90,6 +90,8 @@ def cmd_fierz(args) -> int:
 
 
 def cmd_planewave(args) -> int:
+    import numpy as np
+
     pot = None
     if args.charge:
         A = Multivector(
@@ -124,6 +126,8 @@ def cmd_planewave(args) -> int:
 
 
 def cmd_verify_rep(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     worst_m = 0.0
     worst_s = 0.0

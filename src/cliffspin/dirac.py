@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .groups import (
     Rotor,
@@ -47,6 +45,9 @@ from .groups import (
 from .matrixrep import _blade_columns, _first_column
 from .multivector import G5, Multivector, SignatureMismatchError, _times_blade, geometric_product
 from .spinors import _E0_IDEMPOTENT, SIG13
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 
@@ -350,6 +351,8 @@ def matrix_column_at(field: PlaneWaveDHSF, x: Sequence[float]) -> np.ndarray:
     fiducial-frame representative psi(x) u^-1 projected with the standard
     spin idempotent, summed from the blade table without building the
     matrix."""
+    import numpy as np
+
     return np.array(_column_at(field, x), dtype=complex)
 
 
@@ -373,6 +376,8 @@ def matrix_dirac_residual(
     as a signed permutation of Python complex numbers.  Each component is
     summed in the order of the array form res + gamma^mu @ term, so the
     result equals that form bit for bit (tests/matrix_oracle.py)."""
+    import numpy as np
+
     col = _column_at(field, x)
     res = [-m * c for c in col]
     q = pot.q_charge if pot is not None else 0.0

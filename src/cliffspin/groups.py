@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .multivector import (
     Multivector,
@@ -35,6 +34,9 @@ from .multivector import (
     reversion,
     scalar_product,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # An absolute bound on |u reversion(u) - 1|, unlike the checks that scale with
 # their inputs: rotors are not scale-free.  u reversion(u) = 1 is not
@@ -264,6 +266,8 @@ def is_spin_e(g: Multivector) -> bool:
 
 def lorentz_matrix_of(u: Rotor) -> np.ndarray:
     """Matrix L with u E_i u^{-1} = L[j,i] E_j over the fiducial frame."""
+    import numpy as np
+
     if not is_spin_e(u.u):
         raise NotARotorError("lorentz_matrix_of requires a Spin^e element")
     sig = u.signature

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import Rotor, SpinorialFrame, is_spin_e
 from .multivector import Multivector, Signature, _max_gap, geometric_product
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SIG13 = Signature(1, 3)
 SIG41 = Signature(4, 1)
@@ -87,6 +89,8 @@ def _blade_matrices() -> dict[int, np.ndarray]:
     """4x4 complex matrix of each Cl(1,3) basis blade: the ordered product of
     the Dirac matrices of its generators.  The Dirac matrices are monomial,
     so every product is exact."""
+    import numpy as np
+
     gens = standard_gammas().gammas
     tables: dict[int, np.ndarray] = {}
     for mask in range(16):
@@ -102,6 +106,8 @@ def _blade_matrices() -> dict[int, np.ndarray]:
 def _blade_columns() -> tuple[tuple[tuple[int, complex], ...], ...]:
     """_blade_matrices() as signed permutations: per mask, the (row, entry)
     of the one nonzero entry, +-1 or +-i, in each column."""
+    import numpy as np
+
     table = []
     for M in _blade_matrices().values():
         rows = [int(np.flatnonzero(M[:, j])[0]) for j in range(4)]
@@ -124,6 +130,8 @@ def matrix_of(x: Multivector) -> np.ndarray:
     the ideal: a 4x4 complex matrix; an algebra homomorphism.  Each entry is
     the sum over x's terms, in their order from 0j, of c times the blade
     matrix entry: each blade matrix has one entry, +-1 or +-i, per column."""
+    import numpy as np
+
     if x.signature != SIG13:
         raise RepresentationError("matrix_of expects a Cl(1,3) element")
     columns = _blade_columns()
@@ -142,6 +150,8 @@ class GammaRep:
 
 @lru_cache(maxsize=1)
 def _build_standard_gammas() -> GammaRep:
+    import numpy as np
+
     g0 = np.diag([1, 1, -1, -1]).astype(complex)
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -176,6 +186,8 @@ def complex_idempotent_f() -> Multivector:
 def column_of(element: Multivector) -> np.ndarray:
     """First-column extraction for elements of the complexified minimal
     ideal (x f = x)."""
+    import numpy as np
+
     f = complex_idempotent_f()
     if _max_gap(geometric_product(element, f), element) > 1e-10 * max(1.0, element.max_abs()):
         raise RepresentationError("element is not in the ideal of f")
@@ -185,6 +197,8 @@ def column_of(element: Multivector) -> np.ndarray:
 def dhs_matrix(psi: Multivector) -> np.ndarray:
     """The structured matrix of an even representative, built from the four
     complex components of its ideal projection."""
+    import numpy as np
+
     if any(g % 2 for g in psi.grades()):
         raise RepresentationError("dhs_matrix expects an even element")
     if psi.signature != SIG13:
@@ -211,6 +225,8 @@ def s_of_rotor(u: Rotor) -> np.ndarray:
 def cds_equivalent(a: tuple[SpinorialFrame, np.ndarray], b: tuple[SpinorialFrame, np.ndarray]) -> bool:
     """Whether (frame, column) pairs represent the same covariant spinor:
     column_b = S(u_b^{-1} u_a) column_a."""
+    import numpy as np
+
     frame_a, col_a = a
     frame_b, col_b = b
     shift = geometric_product(frame_b.u.inverse, frame_a.u.u)

@@ -72,6 +72,11 @@ Both store what ``__init__`` would: nonzero finite complex values with no
 
 Checks read max |x_m - y_m| with ``_max_gap``, without building x - y.
 
+The numpy paths import numpy on first use: ``_pair_blocks``,
+``_sum_blocks``, ``_shared_form``, ``_parity_sign``, ``_left_mult_matrix``,
+the array branch of a grade filter and ``inverse``'s general path.  Real
+products with n <= 4 and the loop never load it.
+
 ``Signature(p, q)`` returns one shared instance per pair, its counts
 normalised to int, so the signature tests of every product and sum
 (``_check_sig``, ``__eq__``) pass on identity, with the dataclass ``__eq__``
@@ -104,9 +109,10 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_DIM = 12
 
@@ -210,6 +216,8 @@ def _right_sign_weight(p: int, b: int) -> int:
 
 def _parity_sign(x: np.ndarray) -> np.ndarray:
     """(-1)^popcount(x) elementwise, as int8."""
+    import numpy as np
+
     # Signed before the 1 - 2 *: an unsigned parity would wrap to 255.
     return 1 - 2 * (np.bitwise_count(x) & 1).astype(np.int8)
 
@@ -570,6 +578,8 @@ def _shared_form(p: int, a_keys: tuple, b_keys: tuple, keep):
     it serves every pattern of its structure, the operand lengths and each
     output's signed (i, j) terms in order.  _SHARED_KERNELS finds it by the
     structure's code; the source is built only when the code misses."""
+    import numpy as np
+
     nb = len(b_keys)
     sums: dict[int, list[int]] = {}
     for i, ma in enumerate(a_keys):
@@ -644,11 +654,6 @@ _FIRST_BIT = _SIGN_BIT << 1
 # most 1 MiB.
 _ARRAY_BLOCK_PAIRS = 1 << 17
 
-# _sum_blocks reports overflow as the loop does, by the ValueError of
-# _stored alone, so numpy's overflow and invalid-value warnings are off
-# inside it.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
 
 def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
     """The pairs of _product_loop for one key pattern, in blocks of left
@@ -657,6 +662,8 @@ def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
     kept pairs in the block's rows x b_keys, or None with no filter; their
     output blades and int8 signs, each the parity of mb & _sign_weight(p, ma);
     and the blades first met in the block, in the order of their first pair."""
+    import numpy as np
+
     ma = np.array(a_keys, np.int32)
     mb = np.array(b_keys, np.int32)
     first = np.full(1 << n, ma.size * mb.size, np.int32)  # each blade's first pair
@@ -675,7 +682,6 @@ def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
         yield slice(start, start + step), positions, blades, signs, blades[first[blades] == order]
 
 
-@_quiet_overflow
 def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
     """The stored values of _product_loop of two real operands with values
     a and b, computed on arrays from the pair blocks of their key pattern.
@@ -684,18 +690,23 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
     and np.add.at adds the contributions to each output blade one at a time
     in the loop's pair order, never pairwise, so every sum is the loop's to
     the bit.  The blades come out in the order of their first kept pair, as
-    the loop inserts them."""
+    the loop inserts them.  Overflow is reported as the loop reports it, by
+    the ValueError of _stored alone, so numpy's overflow and invalid-value
+    warnings are off."""
+    import numpy as np
+
     xa = np.fromiter(a, complex, len(a)).real
     xb = np.fromiter(b, complex, len(b)).real
     sums = np.zeros(1 << n)
     keys = []
-    for rows, positions, blades, signs, new in blocks:
-        values = (xa[rows, None] * xb).ravel()
-        if positions is not None:
-            values = values[positions]
-        values *= signs
-        np.add.at(sums, blades, values)
-        keys.append(new)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, positions, blades, signs, new in blocks:
+            values = (xa[rows, None] * xb).ravel()
+            if positions is not None:
+                values = values[positions]
+            values *= signs
+            np.add.at(sums, blades, values)
+            keys.append(new)
     keys = np.concatenate(keys)
     return _stored(keys.tolist(), sums[keys].tolist())
 
@@ -811,12 +822,17 @@ def _right_inner(ma, mb):
 def _grade_filter(bits: int):
     """The pair filter that keeps the blades whose grade k has bit k set in
     bits: one object per grade set, as form keys hold it.  It
-    takes ints, and int arrays as _pair_blocks passes them."""
-    table = np.array([bits >> k & 1 for k in range(MAX_DIM + 1)], bool)
+    takes ints, and int arrays as _pair_blocks passes them; only an array
+    reads numpy."""
 
     def keep(ma, mb):
         x = ma ^ mb
-        return bits >> x.bit_count() & 1 if isinstance(x, int) else table[np.bitwise_count(x)]
+        if isinstance(x, int):
+            return bits >> x.bit_count() & 1
+        import numpy as np
+
+        table = np.array([bits >> k & 1 for k in range(MAX_DIM + 1)], bool)
+        return table[np.bitwise_count(x)]
 
     return keep
 
@@ -1011,6 +1027,8 @@ def _exp_series(f: Multivector) -> Multivector:
 
 def _left_mult_matrix(a: Multivector) -> np.ndarray:
     """The 2^n x 2^n matrix of x -> a x on dense coefficient vectors."""
+    import numpy as np
+
     sig = a.signature
     cols = np.arange(1 << sig.n)
     x = np.array(a.coefficients())
@@ -1044,6 +1062,8 @@ def inverse(a: Multivector) -> Multivector:
         cand = ar * (1.0 / s0)
         if geometric_product(a, cand).approx_eq(Multivector.one(sig), 1e-12):
             return cand
+    import numpy as np
+
     mat = _left_mult_matrix(a)
     dim = 1 << sig.n
     rhs = np.zeros(dim, dtype=mat.dtype)

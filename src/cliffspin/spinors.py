@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import (
     Rotor,
@@ -56,6 +55,9 @@ from .multivector import (
     scalar_product,
     wedge,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SIG13 = Signature(1, 3)
 _ONE = Multivector.one(SIG13)
@@ -257,7 +259,8 @@ def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:
     starS = ops.hodge_dual(S)
     JJ = sp(J, J)
     rho2 = sig**2 + om**2
-    ksk = ops.product(ops.product(K, S), K)
+    ks = ops.product(K, S)
+    ksk = ops.product(ks, K)
     return {
         "J.J = sigma^2 + omega^2": (JJ, rho2, 0, one, JJ),
         "J.K = 0": (sp(J, K), 0, 0, one, JJ),
@@ -271,7 +274,7 @@ def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:
         "(*S).S = 2 sigma omega": (sp(starS, S), 2 * sig * om, 0, one, rho2),
         "J S = -(omega + sigma g5) K": (ops.product(J, S), -om, -sig, K, None),
         "S J = (omega - sigma g5) K": (ops.product(S, J), om, -sig, K, None),
-        "K S = -(omega + sigma g5) J": (ops.product(K, S), -om, -sig, J, None),
+        "K S = -(omega + sigma g5) J": (ks, -om, -sig, J, None),
         "S K = (omega - sigma g5) J": (ops.product(S, K), om, -sig, J, None),
         "S^2 = omega^2 - sigma^2 - 2 sigma omega g5": (
             ops.product(S, S), om**2 - sig**2, -2 * sig * om, one, None
@@ -379,6 +382,8 @@ def mother_spinor_expand(phi: ASRep) -> list[tuple[float, float]]:
     within IDEAL_ROUNDINGS eps max_i sum_j |A_ij| |x_j|, the rounding of A x
     (the columns are of size |u|^2); ASRep's check rejects an element near
     the ideal but not in it, which the fit can absorb."""
+    import numpy as np
+
     columns = [_carry(x, phi.frame) for pair in _fiducial_mother_basis() for x in pair]
     A = np.array([col.coefficients() for col in columns]).real.T
     rhs = np.array(phi.element.coefficients()).real

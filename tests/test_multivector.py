@@ -2292,6 +2292,20 @@ def test_grade_filters_are_shared_per_grade_set(fresh_forms):
     assert keep(ma, mb).tolist() == [[bool(keep(x, y)) for y in range(16)] for x in range(16)]
 
 
+def test_grade_filter_branches_agree_on_every_grade_set():
+    """The array branch builds its own table of the grade set: on int32 mask
+    arrays, shaped as _pair_blocks passes them, it gives the int branch's
+    results as bools, for every grade set of every n <= 7."""
+    for n in range(8):
+        ma = np.arange(1 << n, dtype=np.int32)[:, None]
+        mb = np.array(sorted({0, 0b1010101 % (1 << n), (1 << n) - 1}), np.int32)
+        for bits in range(1 << (n + 1)):
+            keep = mv_module._grade_filter(bits)
+            got = keep(ma, mb)
+            want = [[bool(keep(x, y)) for y in mb.tolist()] for x in ma[:, 0].tolist()]
+            assert got.dtype == bool and got.tolist() == want, (n, bits)
+
+
 def test_grade_filter_empty_set_gives_zero_and_outside_grades_raise():
     local = np.random.default_rng(27)
     for sig in (SIG13, Signature(3, 3)):

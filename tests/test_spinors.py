@@ -318,6 +318,17 @@ def test_fierz_residuals_match_the_oracle_bit_for_bit():
         assert hexed(fierz_residuals(c)) == hexed(oracle_fierz_residuals(c))
 
 
+def test_fierz_residuals_make_at_most_12_products(monkeypatch):
+    """The suite's rows need 12 products, K S once for its own row and for
+    K S K, so a suite that computes a product twice fails here."""
+    c = bilinear_covariants(random_regular_spinor(np.random.default_rng(4)))
+    products = []
+    product = multivector._product
+    monkeypatch.setattr(multivector, "_product", lambda *args: products.append(args) or product(*args))
+    fierz_residuals(c)
+    assert 0 < len(products) <= 12
+
+
 def test_regularity_is_scale_relative():
     d = random_regular_spinor(np.random.default_rng(5))
     tiny = DHSRep(FID, 1e-6 * d.psi)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .multivector import (
@@ -257,12 +258,19 @@ def is_primitive(e: Multivector) -> bool:
 
 
 def _commuting_square_plus_blades(sig: Signature) -> list[int]:
-    """Canonical blade masks with square +1, ascending grade then mask."""
-    import numpy as np
+    """Canonical blade masks with square +1, ascending grade then mask: a
+    new list on each call, which the seeded search shuffles in place."""
+    return list(_square_plus_blades(sig.p, sig.n))
 
-    blades = np.arange(1, 1 << sig.n)
-    masks = blades[_parity_sign(_sign_weight(sig.p, blades) & blades) == 1].tolist()
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+@cache
+def _square_plus_blades(p: int, n: int) -> tuple[int, ...]:
+    """The masks of _commuting_square_plus_blades: e_m e_m = +1 when
+    m & _sign_weight(p, m) has even parity.  Read on Python ints, with no
+    numpy, and kept per signature: at n = 7 the int parity takes longer
+    than numpy's, and algebra sweeps search on every operation."""
+    masks = [m for m in range(1, 1 << n) if not (_sign_weight(p, m) & m).bit_count() & 1]
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealDescriptor:

@@ -22,6 +22,12 @@ from point to point, and each new key set compiles a new kernel.  The
 three residuals at one point share psi_0(x), psi_0(x) E_2 E_1 and
 D psi_0 = V (psi_0(x) E_2 E_1), and the matrix form applies each gamma
 matrix as a signed permutation of psi_0(x)'s first column.
+
+The operator and ideal residuals each end in the sum t0 - m t1 + q t2 of
+their terms in the frame.  Real terms are summed on floats in one pass that
+builds one multivector (``_real_residual``), with the bits and key order of
+the chain of Multivector operators t0 - m*t1 + q*t2, which complex terms
+take.
 """
 
 from __future__ import annotations
@@ -43,7 +49,14 @@ from .groups import (
     rotor_between,
 )
 from .matrixrep import _blade_columns, _first_column
-from .multivector import G5, Multivector, SignatureMismatchError, _times_blade, geometric_product
+from .multivector import (
+    G5,
+    Multivector,
+    SignatureMismatchError,
+    _stored,
+    _times_blade,
+    geometric_product,
+)
 from .spinors import _E0_IDEMPOTENT, SIG13
 
 if TYPE_CHECKING:
@@ -219,12 +232,42 @@ def _residual(
 ) -> Multivector:
     """t0 - m t1 + q t2 for the fiducial terms [t0, t1, t2] (t2 only when
     charged), each first carried to the frame as t u (``_from_fiducial``,
-    t itself when u = 1), so that the products see the terms' own key sets."""
+    t itself when u = 1), so that the products see the terms' own key sets.
+
+    Real terms with an int or float m and q are summed on floats by
+    ``_real_residual``; complex ones take the operator chain
+    t0 - m*t1 + q*t2, whose bits and key order the float sum keeps."""
     terms = [_from_fiducial(t, field.frame) for t in terms]
+    q = pot.q_charge if len(terms) > 2 else 0.0
+    if all(t.real for t in terms) and isinstance(m, (int, float)) and isinstance(q, (int, float)):
+        return _real_residual(float(m), float(q), *terms)
     res = terms[0] - m * terms[1]
     if len(terms) > 2:
-        res = res + pot.q_charge * terms[2]
+        res = res + q * terms[2]
     return res
+
+
+def _real_residual(
+    m: float, q: float, t0: Multivector, t1: Multivector, t2: Multivector | None = None
+) -> Multivector:
+    """t0 - m t1 + q t2 of real terms in one pass over their dicts, built
+    once.  Each value is t0's (or 0.0), minus m x, plus q z: the stored
+    values of the operator chain, since a + (-b) is a - b in IEEE 754,
+    negation is exact and 0.0 - y is -y for y nonzero.  The sums that are
+    exactly 0 are dropped before q t2 is added, as the chain's t0 - m t1
+    drops them, so a key that q t2 brings back comes last, as in the chain.
+    A value that overflows stays non-finite to the end, where ``_stored``
+    raises the chain's ValueError."""
+    out = {k: c.real for k, c in t0._terms.items()}
+    get = out.get
+    for k, c in t1._terms.items():
+        out[k] = get(k, 0.0) - m * c.real
+    if t2 is not None:
+        out = {k: v for k, v in out.items() if v}
+        get = out.get
+        for k, c in t2._terms.items():
+            out[k] = get(k, 0.0) + q * c.real
+    return Multivector._trusted(t0.signature, _stored(out, out.values()), True)
 
 
 def _charged(pot: ConstantPotential | None) -> bool:

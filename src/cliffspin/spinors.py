@@ -232,7 +232,13 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
     operations in the same order: a + b g5 is stored as {1111: -b, 0: a},
     its scalar dropped when a is 0, so each blade adds its g5 pair first.
     lhs is finite, so a non-finite rhs value is a non-finite gap, which
-    raises ValueError, as building rhs or lhs - rhs would."""
+    raises ValueError, as building rhs or lhs - rhs would.
+
+    Real lhs and X with an int or float a and b, every row of a real
+    spinor, are read on floats by ``_real_residual``; the complex reading
+    below is its oracle."""
+    if lhs.real and X.real and isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return _real_residual(lhs, a, b, X)
     xt = X._terms
     rhs: dict[int, complex] = {}
     if b:
@@ -244,6 +250,36 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
             rhs[m] = rhs.get(m, 0) + s * c
     gap = _max_gap(lhs, rhs)
     return gap / max(1.0, lhs.max_abs(), max(map(abs, rhs.values()), default=0.0))
+
+
+# The sign of the g5 pair of blade m in (b g5) X: g5 = -e1e2e3e4, and
+# e_1111 e_m = (-1)^popcount(m & w) e_{1111 ^ m} with w its weight mask.
+_G5_SIGNS = tuple(1.0 if (m & _sign_weight(1, 0b1111)).bit_count() & 1 else -1.0 for m in range(16))
+
+
+def _real_residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
+    """_residual of real lhs and X on floats, to the bit.  Every value of
+    the complex reading has a zero imaginary part and the real part formed
+    here: the g5 pair of x is +-(b x), the a term a x, and |v + 0j| = |v|.
+    Only moduli are read, so the sign of a zero is never seen.  A
+    non-finite gap raises ValueError, as in the complex reading."""
+    xt = X._terms
+    if b:
+        rhs = {0b1111 ^ m: _G5_SIGNS[m] * (b * c.real) for m, c in xt.items()}
+        if a:
+            get = rhs.get
+            for m, c in xt.items():
+                rhs[m] = get(m, 0.0) + a * c.real
+    else:
+        rhs = {m: a * c.real for m, c in xt.items()} if a else {}
+    gaps = {m: c.real for m, c in lhs._terms.items()}
+    scale = max((1.0, *map(abs, gaps.values()), *map(abs, rhs.values())))
+    for m, v in rhs.items():
+        gaps[m] = gaps[m] - v if m in gaps else v
+    values = gaps.values()
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError("non-finite coefficient")
+    return max((0.0, *map(abs, values))) / scale
 
 
 def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:

@@ -33,7 +33,7 @@ from cliffspin import (
 )
 from cliffspin import dirac, multivector
 from cliffspin.dirac import DiracError, asf_projector
-from cliffspin.groups import NotARotorError
+from cliffspin.groups import NotARotorError, _from_fiducial
 from cliffspin.matrixrep import _first_column
 from cliffspin.multivector import G5, SignatureMismatchError
 from cliffspin.spinors import DHSRep
@@ -1051,3 +1051,137 @@ def test_residuals_at_a_new_point_construct_no_validated_multivector(
     assert validated_constructions == []
     planewave_solution(field.m, (0.1, 0.2, 0.3))  # builds its momentum through __init__
     assert len(validated_constructions) == 1
+
+
+# -- real residuals are summed on floats, with the operator chain's bits ---------
+
+
+def chain_residual(field, pot, m, terms):
+    """t0 - m t1 + q t2 through the Multivector operators, each term first
+    carried to the frame: the oracle of dirac._residual's float sum."""
+    terms = [_from_fiducial(t, field.frame) for t in terms]
+    res = terms[0] - m * terms[1]
+    if len(terms) > 2:
+        res = res + pot.q_charge * terms[2]
+    return res
+
+
+@pytest.fixture
+def residual_sums(monkeypatch):
+    """(dirac._residual's value, the chain's value) for every residual summed
+    from here on."""
+    calls = []
+    residual = dirac._residual
+
+    def paired(field, pot, m, terms):
+        got = residual(field, pot, m, terms)
+        calls.append((got, chain_residual(field, pot, m, terms)))
+        return got
+
+    monkeypatch.setattr(dirac, "_residual", paired)
+    return calls
+
+
+@pytest.mark.parametrize("label,field,pot,left_rotor", exactness_systems())
+def test_real_residuals_are_the_operator_chain_bit_for_bit(label, field, pot, left_rotor, residual_sums):
+    """Fiducial and moved frames, with and without charge, on and off the
+    mass shell, with an int mass too."""
+    for x in random_points(4) + [[0.0, 0.0, 0.0, 0.0]]:
+        for m in (field.m, 1.05 * field.m, 2):
+            dhe_residual(field, pot, m, x)
+            dhe_residual(field, pot, m, x, left_rotor=left_rotor)
+            asf_residual(field, pot, m, x)
+    assert len(residual_sums) == 45
+    for got, want in residual_sums:
+        assert got.real and bits(got) == bits(want)
+
+
+FIELD_AT_REST = planewave_solution(1.0, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "terms,m,q,keys",
+    [
+        # t0 = m t1 at e1: the chain's t0 - m t1 drops it, and q t2 adds it back last.
+        (({1: 2.0, 2: 3.0}, {1: 1.0, 4: 1.0}, {1: 1.0, 8: 0.5}), 2.0, 0.5, [2, 4, 1, 8]),
+        # t0 = m t1 at e1 with no charge: the key is dropped.
+        (({1: 2.0, 2: 3.0}, {1: 1.0, 4: 1.0}), 2, None, [2, 4]),
+        # m x underflows to 0 at e2 and q z at e8: neither adds its key.
+        (({1: 1.0}, {2: 1e-300, 4: 0.5}, {8: 1e-300}), 1e-300, 1e-300, [1, 4]),
+        # Values that cancel in the charge term.
+        (({1: 1.0}, {2: 1.0}, {1: -2.0, 2: 4.0}), 1.0, 0.5, [2]),
+    ],
+)
+def test_float_sum_keeps_the_chain_s_keys_and_bits(terms, m, q, keys):
+    pot = None if q is None else ConstantPotential(gen(1), q)
+    ts = [Multivector(SIG13, t) for t in terms]
+    got = dirac._residual(FIELD_AT_REST, pot, m, ts)
+    assert bits(got) == bits(chain_residual(FIELD_AT_REST, pot, m, ts))
+    assert list(got._terms) == keys
+
+
+@pytest.mark.parametrize(
+    "terms,m,q",
+    [
+        (({1: 1.0}, {1: 1e300}), 1e300, None),  # m x overflows
+        (({1: 1.7e308}, {1: -1.0}), 1e308, None),  # t0 - m x overflows
+        (({1: 1.0}, {1: 1.0}, {2: 1e300}), 1.0, 1e300),  # q z overflows after a drop
+    ],
+)
+def test_float_sum_raises_where_the_chain_does(terms, m, q):
+    pot = None if q is None else ConstantPotential(gen(1), q)
+    ts = [Multivector(SIG13, t) for t in terms]
+    for residual in (dirac._residual, chain_residual):
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            residual(FIELD_AT_REST, pot, m, ts)
+
+
+def test_complex_amplitudes_take_the_chain(residual_sums):
+    psi0 = Multivector(SIG13, {0: 0.6 + 0.8j, 0b0011: 0.3j, 0b0110: -0.2, 0b1111: 0.1 - 0.4j})
+    pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7)
+    wave = planewave_solution(1.3, (0.4, -0.7, 0.2))
+    s = random_rotor(SIG13, np.random.default_rng(38))
+    for frame in (FID, spinorial_frame_of(s)):
+        field = dataclasses.replace(wave, frame=frame, psi0=psi0)
+        for x in random_points(3):
+            for p in (None, pot):
+                dhe_residual(field, p, field.m, x)
+                asf_residual(field, p, field.m, x)
+    assert len(residual_sums) == 24
+    for got, want in residual_sums:
+        assert not got.real and bits(got) == bits(want)
+
+
+@pytest.fixture
+def built_values(monkeypatch):
+    """One entry per Multivector built from here on: through __init__, or
+    through _trusted, which _own, the operators and the products end in."""
+    calls = []
+    init, trusted = Multivector.__init__, Multivector._trusted.__func__
+
+    def counting_init(self, *args):
+        calls.append("init")
+        init(self, *args)
+
+    def counting_trusted(cls, *args):
+        calls.append("trusted")
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    monkeypatch.setattr(Multivector, "_trusted", classmethod(counting_trusted))
+    return calls
+
+
+@pytest.mark.parametrize("charged", [False, True])
+def test_fiducial_residuals_build_one_value_past_their_terms(charged, built_values):
+    """On a warm point the operator form builds its two or three terms and
+    the ideal form its three or five values, and each sum builds one more.
+    The operator chain built three values for the sum, five with charge."""
+    pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7) if charged else None
+    field = planewave_solution(1.3, (0.4, -0.7, 0.2), pot=pot)
+    x = [0.3, -1.2, 2.5, 0.7]
+    for residual, most in ((dhe_residual, 3 + charged), (asf_residual, 4 + 2 * charged)):
+        residual(field, pot, field.m, x)  # warms the point slot and P_0
+        del built_values[:]
+        residual(field, pot, field.m, x)
+        assert 0 < len(built_values) <= most, residual.__name__

@@ -34,6 +34,8 @@ CASES = {
         "assert cli.main(['eval', '--sig', '1,3', 'rev(e1^e2)*g0']) == 0\n"
         "assert cli.main(['decompose', '--in', sys.argv[1]]) == 0\n"
     ),
+    # n <= 4: the search reads the square +1 blades on Python ints.
+    "idempotent": "from cliffspin import cli\nassert cli.main(['idempotent', '--p', '1', '--q', '3']) == 0\n",
 }
 
 

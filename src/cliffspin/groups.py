@@ -26,6 +26,7 @@ from .multivector import (
     Signature,
     _max_gap,
     _sign_weight,
+    _times_blade,
     exp_bivector,
     geometric_product,
     grade_involution,
@@ -225,15 +226,19 @@ def twisted_adjoint(g: Multivector, x: Multivector) -> Multivector:
 
 
 def is_clifford_group(g: Multivector) -> bool:
-    sig = g.signature
+    """Whether g is invertible and each image (g E_i) ghat^{-1}, with ghat
+    the grade involution of g, is a vector within ROTOR_TOL.  g E_i is
+    _times_blade's signed permutation, and only the image's other grades
+    are formed: their largest coefficient is the gap between the image and
+    its vector part."""
+    n = g.signature.n
     try:
         ghat_inv = inverse(grade_involution(g))
     except NonInvertibleError:
         return False
-    for i in range(sig.n):
-        v = Multivector.generator(sig, i + 1)
-        image = geometric_product(geometric_product(g, v), ghat_inv)
-        if _max_gap(image, image.grade(1)) > ROTOR_TOL:
+    others = [k for k in range(n + 1) if k != 1]
+    for i in range(n):
+        if geometric_product(_times_blade(g, 1 << i), ghat_inv, grades=others).max_abs() > ROTOR_TOL:
             return False
     return True
 

@@ -15,10 +15,10 @@ and the numpy paths, ``_pair_blocks``, ``_left_mult_matrix`` and
 parity is likewise linear in a, with ``_right_sign_weight``'s mask:
 ``_times_blade`` reads it to multiply by one blade as a signed permutation
 of the terms, for the covariants, the Dirac forms' E_0, E_2 E_1 and g5,
-``hodge_dual`` and ``exp_bivector``.  The only cache of signs is the
-loop's: ``_reorder_sign`` keeps one row of Python ints over all 2^n blades b
-for each recent left blade a.  ``scalar_product`` reads reversion(e_m) e_m
-in closed form, (-1)^popcount(m >> p).
+``hodge_dual``, ``exp_bivector`` and ``is_clifford_group``.  The only cache
+of signs is the loop's: ``_reorder_sign`` keeps one row of Python ints over
+all 2^n blades b for each recent left blade a.  ``scalar_product`` reads
+reversion(e_m) e_m in closed form, (-1)^popcount(m >> p).
 
 The geometric product, the wedge and both contractions share one kernel,
 ``_product``.  Each of its paths gives the same bits and key order as the
@@ -54,7 +54,13 @@ Results that this module builds itself skip the validating
 ``Multivector.__init__`` and go through one of two builders, each told what
 its caller already knows, so that no result is re-walked to find it out.
 Both store what ``__init__`` would: nonzero finite complex values with no
--0.0 part, and ``real`` exactly when no imaginary part is nonzero.
+-0.0 part, and ``real`` exactly when no imaginary part is nonzero.  Every
+builder, ``__init__`` included, stores the three slots through the slot
+descriptors' own ``__set__``, bound once at import, past the raising
+``__setattr__``; ``object.__setattr__`` would look each slot up by name.
+The builders are classmethods read from the class at each call, so a
+tracer that patches ``Multivector._trusted`` sees every value that is not
+validated.
 
 - ``_own(sig, terms, real=None)``: complex values from the loop, sums and
   scalings.  It stores 0 + c, drops zeros and rejects a non-finite value,
@@ -80,18 +86,20 @@ products with n <= 4 and the loop never load it.
 ``Signature(p, q)`` returns one shared instance per pair, its counts
 normalised to int, so the signature tests of every product and sum
 (``_check_sig``, ``__eq__``) pass on identity, with the dataclass ``__eq__``
-behind them.  Each signature holds its scalar 1 and generators,
-built once through ``__init__`` on first use and shared from then on:
-``Multivector.one`` and ``Multivector.generator`` return them, and
-``Multivector.zero`` is a trusted empty value.  A Python number in ``+``
-and ``-`` is added as its coefficient, with no scalar multivector.
+behind them.  ``n`` = p + q is stored by ``__new__`` as a field outside
+``==``, hash, repr, pickle and ``replace``, since every product reads it.
+Each signature holds its scalar 1 and generators, built once through
+``__init__`` on first use and shared from then on: ``Multivector.one`` and
+``Multivector.generator`` return them, and ``Multivector.zero`` is a
+trusted empty value.  A Python number in ``+`` and ``-`` is added as its
+coefficient, with no scalar multivector.
 
 So ``__init__`` runs where numbers enter: the public constructors
 ``Multivector(sig, terms)``, ``scalar``, ``blade`` and ``from_mask``
 validate, as do the few values the package builds from outside numbers
 (``inverse``'s solved coefficients, a random bivector and the blades it
-squares, a plane wave's momentum).  A tracer that counts ``__init__`` calls counts those, not all
-the multivectors built.
+squares, a plane wave's momentum).  A tracer that counts ``__init__``
+calls counts those, not all the multivectors built.
 
 The scalar product implemented here is the grade-wise Gram-determinant
 pairing, equal to the scalar part of (reversion(a) * b).  Note that this
@@ -106,7 +114,7 @@ import math
 import operator
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -142,6 +150,8 @@ class Signature:
 
     p: int
     q: int
+    # p + q, stored by __new__; out of ==, hash, repr, pickle and replace.
+    n: int = field(init=False, compare=False, repr=False)
 
     def __new__(cls, p: int, q: int) -> "Signature":
         p, q = int(operator.index(p)), int(operator.index(q))
@@ -154,6 +164,7 @@ class Signature:
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", p + q)
         return _SIGNATURES.setdefault((cls, p, q), self)
 
     def __init__(self, p: int, q: int) -> None:
@@ -173,10 +184,6 @@ class Signature:
         through the validating constructor."""
         one = Multivector(self, {0: 1.0})
         return one, tuple(Multivector(self, {1 << i: 1.0}) for i in range(self.n))
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q
 
     @property
     def squares(self) -> tuple[int, ...]:
@@ -264,7 +271,7 @@ class Multivector:
     __slots__ = ("signature", "_terms", "real")
 
     def __init__(self, signature: Signature, terms: Mapping[int, complex] | None = None):
-        object.__setattr__(self, "signature", signature)
+        _set_signature(self, signature)
         clean: dict[int, complex] = {}
         limit = 1 << signature.n
         for mask, coeff in (terms or {}).items():
@@ -281,8 +288,8 @@ class Multivector:
                 clean[mask] = clean.get(mask, 0) + c
                 if clean[mask] == 0:
                     del clean[mask]
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "real", _all_real(clean.values()))
+        _set_terms(self, clean)
+        _set_real(self, _all_real(clean.values()))
 
     @classmethod
     def _own(
@@ -304,11 +311,10 @@ class Multivector:
     def _trusted(cls, signature: Signature, terms: dict[int, complex], real: bool) -> "Multivector":
         """No checks: terms must already be stored values, nonzero and finite
         complex numbers with no -0.0 part, and real their realness."""
-        self = object.__new__(cls)
-        _set = object.__setattr__
-        _set(self, "signature", signature)
-        _set(self, "_terms", terms)
-        _set(self, "real", real)
+        self = _new(cls)
+        _set_signature(self, signature)
+        _set_terms(self, terms)
+        _set_real(self, real)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -494,6 +500,13 @@ class Multivector:
 
     def prune(self, tol: float) -> "Multivector":
         return _subset(self, {m: c for m, c in self._terms.items() if abs(c) > tol})
+
+
+# The slots' own descriptors, past the raising __setattr__.
+_new = object.__new__
+_set_signature = Multivector.signature.__set__
+_set_terms = Multivector._terms.__set__
+_set_real = Multivector.real.__set__
 
 
 def _max_gap(x: Multivector, y) -> float:

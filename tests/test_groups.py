@@ -7,6 +7,7 @@ import pytest
 
 from cliffspin import (
     Multivector,
+    NonInvertibleError,
     Rotor,
     Signature,
     adjoint,
@@ -15,6 +16,8 @@ from cliffspin import (
     fiducial_spinorial_frame,
     frame_right_action,
     geometric_product,
+    grade_involution,
+    inverse,
     is_clifford_group,
     is_pin,
     is_spin,
@@ -122,10 +125,13 @@ def old_is_spin_e(g):
     return g.signature.n > 5 or (geometric_product(g, reversion(g)) - 1).max_abs() <= ROTOR_TOL
 
 
-@pytest.mark.parametrize("pq", [(1, 3), (3, 0), (2, 2), (0, 4), (4, 1), (3, 3)], ids=str)
-def test_is_spin_e_computes_N_once_with_the_old_verdicts(monkeypatch, pq):
-    sig = Signature(*pq)
-    local = np.random.default_rng(list(pq))
+SPIN_E_SIGNATURES = [(1, 3), (3, 0), (2, 2), (0, 4), (4, 1), (3, 3)]
+
+
+def spin_e_draws(sig):
+    """Rotors, their multiples and rotors off by 1e-13 to 1e-3, with the
+    verdicts of is_spin_e on both sides of each bound."""
+    local = np.random.default_rng([sig.p, sig.q])
     cases = [gen(sig, 1) * gen(sig, 2), gen(sig, 1) * gen(sig, sig.n)]  # N = +-1
     for _ in range(3):
         u = random_rotor(sig, local).u
@@ -133,6 +139,13 @@ def test_is_spin_e_computes_N_once_with_the_old_verdicts(monkeypatch, pq):
         for scale in (1e-13, 1e-8, 1e-3):
             cases.append(u + even * scale)
         cases += [u, u + gen(sig, 1) * 1e-13, 2 * u, -u]
+    return cases
+
+
+@pytest.mark.parametrize("pq", SPIN_E_SIGNATURES, ids=str)
+def test_is_spin_e_computes_N_once_with_the_old_verdicts(monkeypatch, pq):
+    sig = Signature(*pq)
+    cases = spin_e_draws(sig)
     want = [old_is_spin_e(g) for g in cases]
     assert True in want and False in want
     calls = []
@@ -147,6 +160,64 @@ def test_is_spin_e_computes_N_once_with_the_old_verdicts(monkeypatch, pq):
         assert is_spin_e(g) is verdict
         # N(g) only for even elements of the Clifford group, and once.
         assert calls == ([g] if is_clifford_group(g) and not g.odd() else [])
+
+
+def old_is_clifford_group(g):
+    """is_clifford_group as it formed each whole image (g e_i) ghat^{-1} by
+    two products and measured its gap to its vector part; the oracle."""
+    sig = g.signature
+    try:
+        ghat_inv = inverse(grade_involution(g))
+    except NonInvertibleError:
+        return False
+    for i in range(sig.n):
+        image = geometric_product(geometric_product(g, gen(sig, i + 1)), ghat_inv)
+        if (image - image.grade(1)).max_abs() > ROTOR_TOL:
+            return False
+    return True
+
+
+def clifford_group_draws(sig, local):
+    """Odd, complex and zero-divisor elements, and versors scaled off the
+    group's bound, in sig."""
+    n = sig.n
+    dense = lambda k: Multivector(sig, {m: local.normal() for m in range(1 << n) if m.bit_count() % 2 == k})
+    cases = []
+    for _ in range(4):
+        u = random_rotor(sig, local).u
+        v = Multivector(sig, {1 << i: local.normal() for i in range(n)})
+        odd = geometric_product(u, v)  # an odd versor
+        cases += [odd, odd * 3.0, odd + dense(1) * 1e-12, odd + dense(1) * 1e-6, odd + dense(0) * 1e-9]
+        cases += [u * 1j, odd * (0.6 + 0.8j), u + dense(0) * 1e-7j, dense(1) + dense(0) * 1j]
+        cases += [u + dense(0) * 1e-12, u + dense(0) * 1e-3, dense(0), dense(1)]
+    e1, e2 = gen(sig, 1), gen(sig, 2)
+    cases += [1 + e1, e1 + e2 * e2 * e1, (1 + e1) * u, 1 + geometric_product(e1, gen(sig, n)) * 1j]
+    return cases
+
+
+@pytest.mark.parametrize("pq", [(4, 1), (3, 2)] + SPIN_E_SIGNATURES, ids=str)
+def test_clifford_group_verdicts_are_the_whole_image_verdicts(monkeypatch, pq):
+    """Forming only the image's non-vector grades, with g e_i as a signed
+    permutation, keeps every verdict of is_clifford_group, and so of is_pin
+    and is_spin_e, which read it."""
+    sig = Signature(*pq)
+    cases = spin_e_draws(sig) + clifford_group_draws(sig, np.random.default_rng([sig.p, sig.q, 7]))
+    got = [(is_clifford_group(g), is_pin(g), is_spin_e(g)) for g in cases]
+    monkeypatch.setattr(groups_module, "is_clifford_group", old_is_clifford_group)
+    want = [(old_is_clifford_group(g), is_pin(g), is_spin_e(g)) for g in cases]
+    assert got == want
+    verdicts = [v[0] for v in want]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (4, 1), (3, 2)], ids=str)
+def test_clifford_group_still_raises_where_the_whole_image_raised(pq):
+    sig = Signature(*pq)
+    for g in (gen(sig, 1) * 1e200, (1 + gen(sig, 1) * gen(sig, 2)) * 1e160):
+        with pytest.raises(ValueError, match="non-finite"):
+            old_is_clifford_group(g)
+        with pytest.raises(ValueError, match="non-finite"):
+            is_clifford_group(g)
 
 
 def old_random_bivector(sig, rng):

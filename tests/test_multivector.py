@@ -187,6 +187,13 @@ def test_signature_is_shared_per_int_pair():
     assert SIG13 == Signature(1, 3) and hash(SIG13) == hash(Signature(1, 3))
     assert {SIG13: "x"}[Signature(1, 3)] == "x"
     assert repr(SIG13) == "Signature(p=1, q=3)"
+    # n is stored, and neither compared nor hashed: == and hash read (p, q).
+    for p in range(mv_module.MAX_DIM + 1):
+        for q in range(mv_module.MAX_DIM + 1 - p):
+            sig = Signature(p, q)
+            assert sig.n == p + q and type(sig.n) is int
+            assert hash(sig) == hash((p, q))
+    assert [f.name for f in dataclasses.fields(Signature) if f.compare] == ["p", "q"]
 
 
 @pytest.mark.parametrize(
@@ -198,7 +205,7 @@ def test_signature_copies_are_the_shared_instance(copy_of):
     assert copy_of(SIG13) is SIG13
     assert copy_of(Signature(0, 0)) is Signature(0, 0)
     # A copy writes nothing back into the shared instance.
-    assert type(SIG13.p) is int and (SIG13.p, SIG13.q) == (1, 3)
+    assert type(SIG13.p) is int and (SIG13.p, SIG13.q, SIG13.n) == (1, 3, 4)
 
 
 @pytest.mark.parametrize(
@@ -235,9 +242,13 @@ def test_multivectors_and_values_holding_them_copy_and_pickle(copy_of):
 
 def test_signature_replace_gives_the_shared_instance_of_its_pair():
     assert dataclasses.replace(SIG13, q=2) is Signature(1, 2)
+    assert dataclasses.replace(SIG13, q=2).n == 3
     with pytest.raises(ValueError):
         dataclasses.replace(SIG13, p=-1)
-    assert (SIG13.p, SIG13.q) == (1, 3)
+    # n is derived, so replace refuses it.
+    with pytest.raises(ValueError):
+        dataclasses.replace(SIG13, n=5)
+    assert (SIG13.p, SIG13.q, SIG13.n) == (1, 3, 4)
 
 
 @pytest.mark.parametrize("pq", [(-1, 3), (2, -1), (7, 6), (13, 0)])
@@ -266,9 +277,13 @@ def test_generators_and_one_are_shared_and_immutable():
     e1 = Multivector.generator(SIG13, 1)
     assert e1 is Multivector.generator(Signature(1, 3), 1)
     assert Multivector.one(SIG13) is Multivector.one(Signature(1, 3))
-    for name in ("_terms", "real", "signature"):
-        with pytest.raises(AttributeError):
-            setattr(e1, name, None)
+    # Values built past __init__, by the slot descriptors, keep the guard.
+    x, r = Multivector(SIG13, {0: 1.0, 3: 2.0, 6: -1.5j}), Multivector(SIG13, {0: 1.0, 3: 2.0})
+    built = (x * x, r * r, geometric_product(r, x, grades=(2,)), _times_blade(x, 0b0101, -1.0), reversion(x), -x, x + 1)
+    for value in (e1, Multivector.zero(SIG13)) + built:
+        for name in ("_terms", "real", "signature", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
     e1.terms[1] = 5.0
     e1.terms.clear()
     for result in (e1 + 0, e1 - 0, 0 - -e1, e1 * 1.0, e1.prune(0.0), e1.grade(1), e1.odd(), reversion(e1)):

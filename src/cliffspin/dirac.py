@@ -24,10 +24,12 @@ D psi_0 = V (psi_0(x) E_2 E_1), and the matrix form applies each gamma
 matrix as a signed permutation of psi_0(x)'s first column.
 
 The operator and ideal residuals each end in the sum t0 - m t1 + q t2 of
-their terms in the frame.  Real terms are summed on floats in one pass that
-builds one multivector (``_real_residual``), with the bits and key order of
-the chain of Multivector operators t0 - m*t1 + q*t2, which complex terms
-take.
+their terms in the frame, summed on floats in one pass that builds one
+multivector (``_real_residual``), with the bits and key order of the chain
+of Multivector operators t0 - m*t1 + q*t2.  The terms are real, since the
+amplitude, momentum, potential and charge are (``PlaneWaveDHSF`` and
+``ConstantPotential`` refuse complex ones); only the matrix form is
+complex.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from numbers import Real
 from typing import TYPE_CHECKING, Sequence
 
 from .groups import (
@@ -83,6 +86,10 @@ class ConstantPotential:
     def __post_init__(self) -> None:
         if self.A.grades() - {1}:
             raise DiracError("potential must be grade-1")
+        if not self.A.real:
+            raise DiracError("potential must be real")
+        if not isinstance(self.q_charge, Real):
+            raise DiracError("charge must be a real number")
 
 
 def zero_potential() -> ConstantPotential:
@@ -128,6 +135,10 @@ class PlaneWaveDHSF:
                 raise SignatureMismatchError(f"{name} must be in Cl(1,3), got Cl({sig.p},{sig.q})")
         if any(g % 2 for g in self.psi0.grades()):
             raise DiracError("amplitude must be even")
+        if not self.psi0.real:
+            raise DiracError("amplitude must be real")
+        if not self.p.real:
+            raise DiracError("momentum must be real")
 
     @cached_property
     def dirac_vector(self) -> Multivector:
@@ -148,9 +159,9 @@ class PlaneWaveDHSF:
 
     def phase_at(self, x: Sequence[float]) -> float:
         """p.x = sum of eta_mu p^mu x^mu, summed over p's terms in their
-        order and over nonzero x^mu only, from 0.0: the real part of
-        scalar_product(p, x) to the bit, for the Cl(1,3) vector p that
-        __post_init__ checked.  A non-finite x^mu raises."""
+        order and over nonzero x^mu only, from 0.0: scalar_product(p, x) to
+        the bit, for the real Cl(1,3) vector p that __post_init__ checked.
+        A non-finite x^mu raises."""
         xs = [float(x[mu]) for mu in range(4)]
         if not all(map(math.isfinite, xs)):
             raise ValueError("non-finite coefficient")
@@ -172,7 +183,7 @@ class PlaneWaveDHSF:
         terms = {m: c * v for m, v in a0._terms.items()}
         for m, v in a0b._terms.items():
             terms[m] = terms[m] + t * v if m in terms else t * v
-        return Multivector._own(SIG13, terms, True if a0.real else None)
+        return Multivector._own(SIG13, terms, True)
 
     def evaluate(self, x: Sequence[float]) -> Multivector:
         """psi(x) = psi_0(x) u."""
@@ -232,19 +243,11 @@ def _residual(
 ) -> Multivector:
     """t0 - m t1 + q t2 for the fiducial terms [t0, t1, t2] (t2 only when
     charged), each first carried to the frame as t u (``_from_fiducial``,
-    t itself when u = 1), so that the products see the terms' own key sets.
-
-    Real terms with an int or float m and q are summed on floats by
-    ``_real_residual``; complex ones take the operator chain
-    t0 - m*t1 + q*t2, whose bits and key order the float sum keeps."""
+    t itself when u = 1), so that the products see the terms' own key sets,
+    and summed on floats by ``_real_residual``."""
     terms = [_from_fiducial(t, field.frame) for t in terms]
     q = pot.q_charge if len(terms) > 2 else 0.0
-    if all(t.real for t in terms) and isinstance(m, (int, float)) and isinstance(q, (int, float)):
-        return _real_residual(float(m), float(q), *terms)
-    res = terms[0] - m * terms[1]
-    if len(terms) > 2:
-        res = res + q * terms[2]
-    return res
+    return _real_residual(float(m), float(q), *terms)
 
 
 def _real_residual(

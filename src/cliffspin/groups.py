@@ -6,9 +6,9 @@ fiducial one moved by u: a spinor psi_0 u, and its vectors, idempotent and
 projector u~ X u, as ``_to_fiducial``, ``_from_fiducial`` and ``_carry``
 compute for every module.  The vectors b_i = u~ E_i u are derived, and
 checked, the first time ``frame`` is read, and no function of the package
-reads them.  ``Rotor`` itself checks that u E_i u~ is a vector above n = 5,
-where an even u with u u~ = 1 need not map vectors to vectors, so every
-rotor is a frame's.  Equality and hashing read u alone.
+reads them.  ``Rotor`` refuses a complex u, and checks that u E_i u~ is a
+vector above n = 5, where an even u with u u~ = 1 need not map vectors to
+vectors, so every rotor is a real frame's.  Equality and hashing read u alone.
 Frames with rotors u and -u carry the same vector frame but compare as
 distinct values; that sign is exactly the 2*pi-rotation memory spinors care
 about.
@@ -62,21 +62,18 @@ class Rotor:
 
     def __post_init__(self) -> None:
         u = self.u
+        if not u.real:
+            raise NotARotorError("rotor must be real")
         if any(m.bit_count() & 1 for m in u._terms):
             raise NotARotorError("rotor must be an even element")
         inverse = reversion(u)
         if _max_gap(geometric_product(u, inverse), 1) > ROTOR_TOL:
             raise NotARotorError("rotor must satisfy u * reversion(u) = 1")
-        sig = u.signature
-        if sig.n > 5:
-            # For n <= 5 an even u with u u~ = 1 maps vectors to vectors, but
-            # not beyond: in Cl(6,0), u = (1 + e1...e6)/sqrt(2) sends e1 to
-            # grade 5.  So there u E_i u~ is checked for each generator.
-            tol = _vector_tol(u)
-            for i in range(sig.n):
-                image = geometric_product(geometric_product(u, Multivector.generator(sig, i + 1)), inverse)
-                if _max_gap(image, image.grade(1)) > tol:
-                    raise NotARotorError("rotor must map vectors to vectors: u E_i reversion(u)")
+        # For n <= 5 an even u with u u~ = 1 maps vectors to vectors, but not
+        # beyond: in Cl(6,0), u = (1 + e1...e6)/sqrt(2) sends e1 to grade 5.
+        # So there u E_i u~ is checked for each generator.
+        if u.signature.n > 5 and not _maps_vectors_to_vectors(u, inverse, _vector_tol(u)):
+            raise NotARotorError("rotor must map vectors to vectors: u E_i reversion(u)")
         object.__setattr__(self, "inverse", inverse)
 
     @property
@@ -93,6 +90,19 @@ class Rotor:
         object.__setattr__(neg, "u", -self.u)
         object.__setattr__(neg, "inverse", -self.inverse)
         return neg
+
+
+def _maps_vectors_to_vectors(g: Multivector, ginv: Multivector, tol: float) -> bool:
+    """Whether each image (g E_i) ginv is a vector within tol.  g E_i is
+    _times_blade's signed permutation, and only the image's other grades
+    are formed: their largest coefficient is the gap between the image and
+    its vector part."""
+    n = g.signature.n
+    others = [k for k in range(n + 1) if k != 1]
+    for i in range(n):
+        if geometric_product(_times_blade(g, 1 << i), ginv, grades=others).max_abs() > tol:
+            return False
+    return True
 
 
 def _vector_tol(u: Multivector) -> float:
@@ -227,20 +237,12 @@ def twisted_adjoint(g: Multivector, x: Multivector) -> Multivector:
 
 def is_clifford_group(g: Multivector) -> bool:
     """Whether g is invertible and each image (g E_i) ghat^{-1}, with ghat
-    the grade involution of g, is a vector within ROTOR_TOL.  g E_i is
-    _times_blade's signed permutation, and only the image's other grades
-    are formed: their largest coefficient is the gap between the image and
-    its vector part."""
-    n = g.signature.n
+    the grade involution of g, is a vector within ROTOR_TOL."""
     try:
         ghat_inv = inverse(grade_involution(g))
     except NonInvertibleError:
         return False
-    others = [k for k in range(n + 1) if k != 1]
-    for i in range(n):
-        if geometric_product(_times_blade(g, 1 << i), ghat_inv, grades=others).max_abs() > ROTOR_TOL:
-            return False
-    return True
+    return _maps_vectors_to_vectors(g, ghat_inv, ROTOR_TOL)
 
 
 def is_pin(g: Multivector) -> bool:
@@ -275,14 +277,10 @@ def lorentz_matrix_of(u: Rotor) -> np.ndarray:
 
     if not is_spin_e(u.u):
         raise NotARotorError("lorentz_matrix_of requires a Spin^e element")
-    sig = u.signature
-    n = sig.n
-    uinv = u.inverse
+    n = u.signature.n
     L = np.zeros((n, n))
     for i in range(n):
-        image = geometric_product(
-            geometric_product(u.u, Multivector.generator(sig, i + 1)), uinv, grades=(1,)
-        )
+        image = geometric_product(_times_blade(u.u, 1 << i), u.inverse, grades=(1,))
         for j in range(n):
             L[j, i] = image.coeff(1 << j).real
     return L

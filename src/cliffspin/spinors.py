@@ -22,6 +22,11 @@ The recovery reads psi_0 back from J and K as two rank-one columns of the
 even subalgebra Cl+(1,3) = M(2,C), with no rotor, up to the class's right
 phase e^{E3E2 phi}, for regular and singular covariants alike
 (``recover_from_covariants``).
+
+Spinors are real: ``DHSRep``, ``ASRep`` and ``BilinearCovariants`` refuse a
+complex value, as ``Rotor`` does, so every function here computes on real
+multivectors and reads scalars as floats.  Complex numbers enter only
+through the matrix representation (matrixrep module).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from numbers import Real
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -97,6 +103,8 @@ class DHSRep:
     def __post_init__(self) -> None:
         if self.psi.signature != SIG13 or self.frame.signature != SIG13:
             raise SpinorValueError("operator spinors live in Cl(1,3)")
+        if not self.psi.real:
+            raise SpinorValueError("representative must be real")
         if any(g % 2 for g in self.psi.grades()):
             raise SpinorValueError("representative must be even (grades 0, 2, 4)")
 
@@ -112,6 +120,8 @@ class ASRep:
     def __post_init__(self) -> None:
         if self.element.signature != SIG13 or self.frame.signature != SIG13:
             raise SpinorValueError("algebraic spinors live in Cl(1,3)")
+        if not self.element.real:
+            raise SpinorValueError("element must be real")
         # phi e rounds at eps times the sizes of its factors, and |e| grows
         # as |u|^2 in the frame u, so the bound is IDEAL_ROUNDINGS eps
         # |phi|_1 |e|_1 (sums of absolute values): a uniform rescaling of the
@@ -131,6 +141,10 @@ class BilinearCovariants:
     K: Multivector
 
     def __post_init__(self) -> None:
+        if not (self.J.real and self.S.real and self.K.real):
+            raise SpinorValueError("J, S and K must be real")
+        if not (isinstance(self.sigma, Real) and isinstance(self.omega, Real)):
+            raise SpinorValueError("sigma and omega must be real numbers")
         # Relative to the covariants' own squared scale, so a uniform
         # rescaling of the spinor keeps the verdict.
         scale = max(self.J.max_abs() ** 2, self.sigma**2 + self.omega**2)
@@ -225,44 +239,21 @@ def is_regular(d: DHSRep) -> bool:
 # -- identity suite over the covariants ------------------------------------------
 
 
-def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
-    """max |lhs - rhs| / max(1, |lhs|, |rhs|) for rhs = (a + b g5) X, read
-    from the coefficient dicts.  Each rhs value is the one that building rhs
-    as a multivector stores (a X when b is 0), from the same float
-    operations in the same order: a + b g5 is stored as {1111: -b, 0: a},
-    its scalar dropped when a is 0, so each blade adds its g5 pair first.
-    lhs is finite, so a non-finite rhs value is a non-finite gap, which
-    raises ValueError, as building rhs or lhs - rhs would.
-
-    Real lhs and X with an int or float a and b, every row of a real
-    spinor, are read on floats by ``_real_residual``; the complex reading
-    below is its oracle."""
-    if lhs.real and X.real and isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return _real_residual(lhs, a, b, X)
-    xt = X._terms
-    rhs: dict[int, complex] = {}
-    if b:
-        g, w = G5._terms[0b1111] * complex(b), _sign_weight(1, 0b1111)
-        rhs = {0b1111 ^ m: (-g if (m & w).bit_count() & 1 else g) * c for m, c in xt.items()}
-    if a:
-        s = complex(a)
-        for m, c in xt.items():
-            rhs[m] = rhs.get(m, 0) + s * c
-    gap = _max_gap(lhs, rhs)
-    return gap / max(1.0, lhs.max_abs(), max(map(abs, rhs.values()), default=0.0))
-
-
 # The sign of the g5 pair of blade m in (b g5) X: g5 = -e1e2e3e4, and
 # e_1111 e_m = (-1)^popcount(m & w) e_{1111 ^ m} with w its weight mask.
 _G5_SIGNS = tuple(1.0 if (m & _sign_weight(1, 0b1111)).bit_count() & 1 else -1.0 for m in range(16))
 
 
-def _real_residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
-    """_residual of real lhs and X on floats, to the bit.  Every value of
-    the complex reading has a zero imaginary part and the real part formed
-    here: the g5 pair of x is +-(b x), the a term a x, and |v + 0j| = |v|.
-    Only moduli are read, so the sign of a zero is never seen.  A
-    non-finite gap raises ValueError, as in the complex reading."""
+def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
+    """max |lhs - rhs| / max(1, |lhs|, |rhs|) for rhs = (a + b g5) X, read
+    on floats from the coefficient dicts of the real lhs and X.  Each rhs
+    value is the one that building rhs as a multivector stores (a X when b
+    is 0), from the same float operations in the same order: a + b g5 is
+    stored as {1111: -b, 0: a}, its scalar dropped when a is 0, so each
+    blade adds its g5 pair +-(b x) first, then a x.  Only moduli are read,
+    so the sign of a zero is never seen.  lhs is finite, so a non-finite
+    rhs value is a non-finite gap, which raises ValueError, as building rhs
+    or lhs - rhs would."""
     xt = X._terms
     if b:
         rhs = {0b1111 ^ m: _G5_SIGNS[m] * (b * c.real) for m, c in xt.items()}
@@ -319,12 +310,12 @@ def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:
     }
 
 
-# fierz_statements on multivectors, with scalar products read as floats.
+# fierz_statements on multivectors; scalar products of real covariants are floats.
 _MULTIVECTOR_OPS = SimpleNamespace(
     product=geometric_product,
     wedge=wedge,
     right_contraction=right_contraction,
-    scalar_product=lambda x, y: complex(scalar_product(x, y)).real,
+    scalar_product=scalar_product,
     hodge_dual=hodge_dual,
     one=_ONE,
 )

@@ -261,3 +261,21 @@ def test_decompose_blade_index_out_of_range_is_domain_error(capsys, tmp_path, id
     path.write_text(json.dumps({"psi": psi}))
     needle = f"error: generator e{idx} out of range for n=4\n"
     assert_domain_error(*run(capsys, "decompose", "--in", str(path)), needle)
+
+
+COMPLEX_PSI = {"signature": [1, 3], "terms": [{"blades": [], "re": 0.0, "im": 1.0}]}
+COMPLEX_ROTOR = {"signature": [1, 3], "terms": [{"blades": [1, 2, 3, 4], "re": 0.0, "im": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "data,needle",
+    [
+        ({"psi": COMPLEX_PSI}, "error: representative must be real\n"),
+        ({"psi": to_json_dict(Multivector.scalar(SIG13, 1.0)), "rotor": COMPLEX_ROTOR}, "error: rotor must be real\n"),
+    ],
+    ids=["psi", "rotor"],
+)
+def test_decompose_complex_spinor_is_domain_error(capsys, tmp_path, data, needle):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    assert_domain_error(*run(capsys, "decompose", "--in", str(path)), needle)

@@ -966,10 +966,10 @@ def phase_outcome(phase, field, x):
 @st.composite
 def phase_cases(draw):
     """A field (on shell, charged, gauged, or hand-made with p in any key
-    order, complex or huge) and points whose coordinates are often 0, -0.0,
+    order or huge) and points whose coordinates are often 0, -0.0,
     tiny, huge or not finite."""
     local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["plain", "charged", "right", "left", "p order", "complex p", "huge p"]))
+    kind = draw(st.sampled_from(["plain", "charged", "right", "left", "p order", "huge p"]))
     m = float(local.uniform(0.3, 3.0))
     momentum = [float(v) for v in local.normal(size=3) * 10.0 ** local.integers(-3, 3)]
     sign = int(local.choice([1, -1]))
@@ -983,9 +983,7 @@ def phase_cases(draw):
     elif kind != "plain" and kind != "charged":
         masks = [int(v) for v in local.permutation([1, 2, 4, 8])[: int(local.integers(1, 5))]]
         values = local.normal(size=len(masks))
-        if kind == "complex p":
-            values = values + 1j * local.normal(size=len(masks))
-        elif kind == "huge p":
+        if kind == "huge p":
             values = values * 1e300
         p = Multivector(SIG13, dict(zip(masks, values.tolist())))
         field = PlaneWaveDHSF(frame=spinorial_frame_of(s), psi0=s.u, p=p, m=m, energy_sign=sign)
@@ -1136,8 +1134,10 @@ def test_float_sum_raises_where_the_chain_does(terms, m, q):
             residual(FIELD_AT_REST, pot, m, ts)
 
 
-def test_complex_amplitudes_take_the_chain(residual_sums):
-    psi0 = Multivector(SIG13, {0: 0.6 + 0.8j, 0b0011: 0.3j, 0b0110: -0.2, 0b1111: 0.1 - 0.4j})
+def test_off_shell_amplitudes_are_the_operator_chain_bit_for_bit(residual_sums):
+    """A hand-made amplitude that solves no equation, in the fiducial and a
+    moved frame, with and without charge."""
+    psi0 = Multivector(SIG13, {0: 0.6, 0b0011: 0.3, 0b0110: -0.2, 0b1111: 0.1})
     pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7)
     wave = planewave_solution(1.3, (0.4, -0.7, 0.2))
     s = random_rotor(SIG13, np.random.default_rng(38))
@@ -1149,7 +1149,8 @@ def test_complex_amplitudes_take_the_chain(residual_sums):
                 asf_residual(field, p, field.m, x)
     assert len(residual_sums) == 24
     for got, want in residual_sums:
-        assert not got.real and bits(got) == bits(want)
+        assert got.real and bits(got) == bits(want)
+        assert got.max_abs() > 0.1  # off shell: no term cancels to rounding
 
 
 @pytest.fixture

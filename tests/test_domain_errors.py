@@ -1,13 +1,15 @@
 """Each domain error that the other tests never raise: a call outside a
 function's domain, the exception it raises and its whole message."""
 
+import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cliffspin import Multivector, Signature, parse_multivector
-from cliffspin.dirac import DiracError, PlaneWaveDHSF, asf_projector
+from cliffspin.dirac import ConstantPotential, DiracError, PlaneWaveDHSF, asf_projector, planewave_solution
 from cliffspin.expressions import ast_to_text, evaluate
 from cliffspin.groups import (
     FrameError,
@@ -17,12 +19,23 @@ from cliffspin.groups import (
     fiducial_spinorial_frame,
     frame_right_action,
     lorentz_matrix_of,
+    random_rotor,
     rotor_between,
+    spinorial_frame_of,
 )
 from cliffspin.matrixrep import RepresentationError, matrix_of
 from cliffspin.multivector import SignatureMismatchError
 from cliffspin.serialization import MultivectorParseError, from_json_dict
-from cliffspin.spinors import ASRep, DHSRep, SpinorValueError, change_frame, frame_idempotent
+from cliffspin.spinors import (
+    ASRep,
+    DHSRep,
+    SpinorValueError,
+    as_from_dhs,
+    bilinear_covariants,
+    change_frame,
+    frame_idempotent,
+    random_regular_spinor,
+)
 
 SIG13 = Signature(1, 3)
 SIG30 = Signature(3, 0)
@@ -173,6 +186,70 @@ ERRORS = {
 def test_call_outside_its_domain_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# i e1e2e3e4 is even with u u~ = 1 in Cl(1,3): a complex rotor that passes
+# every other rotor check.
+COMPLEX_ROTOR = 1j * e(SIG13, 1, 2, 3, 4)
+COVARIANTS = bilinear_covariants(DHSRep(FRAME13, Multivector.one(SIG13)))
+# Three values that were accepted before the refusals, and read wrongly:
+# - mother_spinor_expand fitted this element's real part alone, and the
+#   assembled coefficients landed 0.47 from (1 + i) phi, of size 0.67;
+# - with A + 0.3i e2 on the wave that solves A, the operator and ideal
+#   residuals read 0.21 and 0.056 at x = (0.3, -1.2, 2.5, 0.7), where the
+#   matrix form read 2.2e-16;
+# - a momentum (1 + 0.5i) p gave the phase of p to the bit.
+_rng = np.random.default_rng(2)
+_frame = spinorial_frame_of(random_rotor(SIG13, _rng))
+ALGEBRAIC = as_from_dhs(random_regular_spinor(_rng, _frame))
+POTENTIAL = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1, 4: 0.05, 8: 0.3}), 0.7)
+WAVE = planewave_solution(1.3, (0.4, -0.7, 0.2), pot=POTENTIAL)
+
+# Spinor-side values are real: a valid value of each type, the fields that
+# make it complex, and the refusal.
+COMPLEX_VALUES = {
+    "rotor": (Rotor(Multivector.one(SIG13)), {"u": COMPLEX_ROTOR}, NotARotorError, "rotor must be real"),
+    "operator spinor": (
+        DHSRep(FRAME13, Multivector.one(SIG13)),
+        {"psi": 1j * Multivector.one(SIG13)},
+        SpinorValueError,
+        "representative must be real",
+    ),
+    "algebraic spinor": (
+        ALGEBRAIC, {"element": (1 + 1j) * ALGEBRAIC.element}, SpinorValueError, "element must be real"
+    ),
+    "current J": (COVARIANTS, {"J": 1j * COVARIANTS.J}, SpinorValueError, "J, S and K must be real"),
+    "bivector S": (COVARIANTS, {"S": 1j * COVARIANTS.S}, SpinorValueError, "J, S and K must be real"),
+    "current K": (COVARIANTS, {"K": 1j * COVARIANTS.K}, SpinorValueError, "J, S and K must be real"),
+    "complex sigma": (
+        COVARIANTS, {"sigma": 1 + 0j}, SpinorValueError, "sigma and omega must be real numbers"
+    ),
+    "complex omega": (
+        COVARIANTS, {"omega": 0.5j}, SpinorValueError, "sigma and omega must be real numbers"
+    ),
+    "plane wave amplitude": (
+        WAVE, {"psi0": (0.6 + 0.8j) * WAVE.psi0}, DiracError, "amplitude must be real"
+    ),
+    "plane wave momentum": (WAVE, {"p": (1 + 0.5j) * WAVE.p}, DiracError, "momentum must be real"),
+    "potential": (
+        POTENTIAL, {"A": POTENTIAL.A + 0.3j * e(SIG13, 2)}, DiracError, "potential must be real"
+    ),
+    "charge": (POTENTIAL, {"q_charge": 0.7 + 0j}, DiracError, "charge must be a real number"),
+}
+
+
+def build_directly(value, **changes):
+    """type(value)(...) from value's init fields, with changes applied."""
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+    return type(value)(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build", [build_directly, dataclasses.replace], ids=["direct", "replace"])
+@pytest.mark.parametrize("value,changes,error,message", COMPLEX_VALUES.values(), ids=COMPLEX_VALUES)
+def test_spinor_side_values_refuse_complex_fields(build, value, changes, error, message):
+    assert build(value) == value
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(value, **changes)
 
 
 def test_rev_is_reversion():

@@ -32,6 +32,7 @@ from cliffspin import (
 )
 from cliffspin import groups as groups_module
 from cliffspin.groups import ROTOR_TOL, FrameError, NotARotorError, SpinorialFrame, VectorFrame, random_bivector
+from cliffspin.multivector import _max_gap
 from cliffspin.spinors import random_regular_spinor
 
 rng = np.random.default_rng(1)
@@ -195,19 +196,84 @@ def clifford_group_draws(sig, local):
     return cases
 
 
-@pytest.mark.parametrize("pq", [(4, 1), (3, 2)] + SPIN_E_SIGNATURES, ids=str)
+def old_rotor_refusal(u):
+    """Rotor's checks as they formed each whole image (u E_i) u~ above n = 5
+    by two products and measured its gap to its vector part: the message
+    that Rotor(u) raised, or None; the oracle."""
+    if any(m.bit_count() & 1 for m in u._terms):
+        return "rotor must be an even element"
+    inv = reversion(u)
+    if _max_gap(geometric_product(u, inv), 1) > ROTOR_TOL:
+        return "rotor must satisfy u * reversion(u) = 1"
+    sig = u.signature
+    if sig.n > 5:
+        tol = groups_module._vector_tol(u)
+        for i in range(sig.n):
+            image = geometric_product(geometric_product(u, gen(sig, i + 1)), inv)
+            if _max_gap(image, image.grade(1)) > tol:
+                return "rotor must map vectors to vectors: u E_i reversion(u)"
+    return None
+
+
+def rotor_refusal(u):
+    try:
+        Rotor(u)
+    except NotARotorError as exc:
+        return str(exc)
+    return None
+
+
+def near_rotors(sig, local):
+    """(1 + d B)/|1 + d B| for the 6-blade B = e1...e6, which sends e1 to
+    grade 5 by 2d/(1 - d^2 B^2) with u u~ = 1, on both sides of Rotor's
+    vector bound 1e-8 + 1e-12 |u|^2 (d near 5e-9), alone and times random
+    rotors."""
+    B = Multivector.blade(sig, range(1, 7))
+    b2 = geometric_product(B, B).scalar_part().real
+    cases = []
+    for d in (0.0, 1e-9, 4.9e-9, 4.99e-9, 5.01e-9, 5.1e-9, 1e-8, 1e-4, 0.3):
+        w = (1 + d * B) * (1 / math.sqrt(1 - d * d * b2))
+        r = random_rotor(sig, local).u
+        cases += [w, geometric_product(r, w), geometric_product(w, r), w + B * 1e-9]
+    return cases
+
+
+@pytest.mark.parametrize("pq", [(4, 1), (3, 2)] + SPIN_E_SIGNATURES + [(6, 0), (4, 3)], ids=str)
 def test_clifford_group_verdicts_are_the_whole_image_verdicts(monkeypatch, pq):
     """Forming only the image's non-vector grades, with g e_i as a signed
     permutation, keeps every verdict of is_clifford_group, and so of is_pin
-    and is_spin_e, which read it."""
+    and is_spin_e, which read it; above n = 5 it keeps Rotor's verdicts on
+    near-rotors, which read it with their own bound."""
     sig = Signature(*pq)
-    cases = spin_e_draws(sig) + clifford_group_draws(sig, np.random.default_rng([sig.p, sig.q, 7]))
+    local = np.random.default_rng([sig.p, sig.q, 7])
+    if sig.n > 5:
+        rotors = near_rotors(sig, local)
+        refusals = [rotor_refusal(u) for u in rotors]
+        assert refusals == [old_rotor_refusal(u) for u in rotors]
+        assert None in refusals and "rotor must map vectors to vectors: u E_i reversion(u)" in refusals
+    cases = spin_e_draws(sig) + clifford_group_draws(sig, local)
     got = [(is_clifford_group(g), is_pin(g), is_spin_e(g)) for g in cases]
     monkeypatch.setattr(groups_module, "is_clifford_group", old_is_clifford_group)
     want = [(old_is_clifford_group(g), is_pin(g), is_spin_e(g)) for g in cases]
     assert got == want
     verdicts = [v[0] for v in want]
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("pq", [(1, 3), (3, 1), (2, 2), (4, 1)], ids=str)
+def test_lorentz_matrix_is_the_two_product_matrix_bit_for_bit(pq):
+    """u E_i read as _times_blade's signed permutation keeps every entry of
+    L as the product by the generator made it."""
+    sig = Signature(*pq)
+    local = np.random.default_rng([sig.p, sig.q, 11])
+    for _ in range(20):
+        u = random_rotor(sig, local)
+        want = np.zeros((sig.n, sig.n))
+        for i in range(sig.n):
+            image = geometric_product(geometric_product(u.u, gen(sig, i + 1)), u.inverse, grades=(1,))
+            for j in range(sig.n):
+                want[j, i] = image.coeff(1 << j).real
+        assert lorentz_matrix_of(u).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pq", [(1, 3), (4, 1), (3, 2)], ids=str)

@@ -126,9 +126,7 @@ def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
     sig = e.signature
     size = 1 << sig.n
     masks = np.fromiter(e._terms, np.intp, len(e._terms))
-    coeffs = np.fromiter(e._terms.values(), complex, masks.size)
-    if e.real:
-        coeffs = coeffs.real
+    coeffs = np.array(list(e._terms.values()))
     step = max(1, _IMAGE_BLOCK_ENTRIES // size)
     for start in range(0, size, step):
         blades = np.arange(start, min(start + step, size))[:, None]
@@ -204,7 +202,7 @@ def ideal_basis(e: Multivector) -> list[Multivector]:
 def _ideal_basis(e: Multivector) -> list[Multivector]:
     masks = _coset_minima(e) or _real_independent(_image_rows(e))
     sig = e.signature
-    return [geometric_product(Multivector._trusted(sig, {m: 1 + 0j}, True), e) for m in masks]
+    return [geometric_product(Multivector._trusted(sig, {m: 1.0}, True), e) for m in masks]
 
 
 def ideal_real_dim(e: Multivector) -> int:
@@ -212,7 +210,7 @@ def ideal_real_dim(e: Multivector) -> int:
     _require_idempotent(e, "ideal_real_dim")
     if not e.real:
         return len(_real_independent(_image_rows(e)))
-    return _trace_dim(e.signature, e.scalar_part().real, "ideal_real_dim")
+    return _trace_dim(e.signature, e.scalar_part(), "ideal_real_dim")
 
 
 def ideal_dim_over_K(e: Multivector) -> int:
@@ -241,9 +239,9 @@ def _division_ring(e: Multivector) -> str:
     sig = e.signature
     # I^2 is (-1)^(n(n-1)/2) from reordering, times the q squares -1.
     i_square = (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q)
-    central = e.scalar_part().real ** 2
+    central = e.scalar_part() ** 2
     if sig.n % 2:
-        central += i_square * e.coeff((1 << sig.n) - 1).real ** 2
+        central += i_square * e.coeff((1 << sig.n) - 1) ** 2
     d = _trace_dim(sig, central, "division_ring_of")
     if d == 2 and i_square == 1:
         raise ClassificationError("2-dimensional eCle is split, not a division ring")
@@ -300,7 +298,7 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
         w = _sign_weight(p, mask)
         if any(((c & w) ^ (mask & _sign_weight(p, c))).bit_count() & 1 for c in chosen_masks):
             continue
-        b = Multivector._trusted(sig, {mask: 1 + 0j}, True)
+        b = Multivector._trusted(sig, {mask: 1.0}, True)
         cand = geometric_product(e, (1 + b) * 0.5)
         if cand.is_zero():
             continue

@@ -78,6 +78,12 @@ class DiracError(ValueError):
     pass
 
 
+def _require_finite_real(x, what: str) -> None:
+    """Refuse x unless it is a finite real number and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, Real) or not math.isfinite(x):
+        raise DiracError(f"{what} must be a finite real number")
+
+
 @dataclass(frozen=True)
 class ConstantPotential:
     A: Multivector
@@ -88,8 +94,7 @@ class ConstantPotential:
             raise DiracError("potential must be grade-1")
         if not self.A.real:
             raise DiracError("potential must be real")
-        if not isinstance(self.q_charge, Real):
-            raise DiracError("charge must be a real number")
+        _require_finite_real(self.q_charge, "charge")
 
 
 def zero_potential() -> ConstantPotential:
@@ -127,6 +132,9 @@ class PlaneWaveDHSF:
     def __post_init__(self) -> None:
         if self.energy_sign not in (1, -1):
             raise DiracError("energy_sign must be +1 or -1")
+        _require_finite_real(self.m, "mass")
+        if self.m <= 0:
+            raise DiracError("mass must be positive")
         if self.p.grades() - {1}:
             raise DiracError("momentum must be grade-1")
         for name, x in (("momentum", self.p), ("amplitude", self.psi0), ("frame", self.frame)):
@@ -145,8 +153,7 @@ class PlaneWaveDHSF:
         """V = sum_mu c_mu gamma^mu on the coordinate coframe gamma^0 = e1,
         gamma^i = -e_{i+1}: the stored values of that sum, built in one dict."""
         c0, c1, c2, c3 = self._coefficients()
-        terms = {1: 0j + c0, 2: 0j - c1, 4: 0j - c2, 8: 0j - c3}
-        return Multivector._trusted(SIG13, {m: c for m, c in terms.items() if c}, True)
+        return Multivector._own(SIG13, {1: c0, 2: -c1, 4: -c2, 8: -c3}, True)
 
     @cached_property
     def _amplitude(self) -> tuple[Multivector, Multivector]:
@@ -155,7 +162,7 @@ class PlaneWaveDHSF:
         return a0, _times_blade(a0, *_E21)
 
     def _coefficients(self) -> list[float]:
-        return [-self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu).real) for mu in range(4)]
+        return [-self.energy_sign * (ETA[mu] * self.p.coeff(1 << mu)) for mu in range(4)]
 
     def phase_at(self, x: Sequence[float]) -> float:
         """p.x = sum of eta_mu p^mu x^mu, summed over p's terms in their
@@ -169,7 +176,7 @@ class PlaneWaveDHSF:
         for mask, c in self.p._terms.items():
             mu = mask.bit_length() - 1
             if xs[mu] != 0.0:
-                theta += ETA[mu] * c.real * xs[mu]
+                theta += ETA[mu] * c * xs[mu]
         return theta
 
     def _fiducial_at(self, x: Sequence[float]) -> Multivector:
@@ -261,15 +268,15 @@ def _real_residual(
     drops them, so a key that q t2 brings back comes last, as in the chain.
     A value that overflows stays non-finite to the end, where ``_stored``
     raises the chain's ValueError."""
-    out = {k: c.real for k, c in t0._terms.items()}
+    out = dict(t0._terms)
     get = out.get
     for k, c in t1._terms.items():
-        out[k] = get(k, 0.0) - m * c.real
+        out[k] = get(k, 0.0) - m * c
     if t2 is not None:
         out = {k: v for k, v in out.items() if v}
         get = out.get
         for k, c in t2._terms.items():
-            out[k] = get(k, 0.0) + q * c.real
+            out[k] = get(k, 0.0) + q * c
     return Multivector._trusted(t0.signature, _stored(out, out.values()), True)
 
 
@@ -428,11 +435,11 @@ def matrix_dirac_residual(
     res = [-m * c for c in col]
     q = pot.q_charge if pot is not None else 0.0
     for mu, gamma in enumerate(_upper_gammas()):
-        p_lower = ETA[mu] * field.p.coeff(1 << mu).real
+        p_lower = ETA[mu] * field.p.coeff(1 << mu)
         k = -1j * field.energy_sign * p_lower
         term = [1j * (k * c) for c in col]
         if q != 0.0 and pot is not None:
-            qa = q * (ETA[mu] * pot.A.coeff(1 << mu).real)
+            qa = q * (ETA[mu] * pot.A.coeff(1 << mu))
             term = [t + qa * c for t, c in zip(term, col)]
         for (row, e), t in zip(gamma, term):
             res[row] += e * t

@@ -282,7 +282,7 @@ def lorentz_matrix_of(u: Rotor) -> np.ndarray:
     for i in range(n):
         image = geometric_product(_times_blade(u.u, 1 << i), u.inverse, grades=(1,))
         for j in range(n):
-            L[j, i] = image.coeff(1 << j).real
+            L[j, i] = image.coeff(1 << j)
     return L
 
 

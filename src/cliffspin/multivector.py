@@ -50,31 +50,31 @@ operands at every n.  numpy's complex multiply differs from Python's in the
 last bit on 44 % of random normal pairs, so its sums would not be the
 loop's, and no perfbench workload multiplies complex operands.
 
+Every stored coefficient is nonzero and finite with no -0.0 part: a Python
+float on a real multivector and a Python complex on a complex one, with
+``real`` exactly when no imaginary part is nonzero.  Only this module's
+builders enforce that rule; other modules hand over and read plain numbers.
 Results that this module builds itself skip the validating
 ``Multivector.__init__`` and go through one of two builders, each told what
 its caller already knows, so that no result is re-walked to find it out.
-Both store what ``__init__`` would: nonzero finite complex values with no
--0.0 part, and ``real`` exactly when no imaginary part is nonzero.  Every
-builder, ``__init__`` included, stores the three slots through the slot
-descriptors' own ``__set__``, bound once at import, past the raising
+Every builder, ``__init__`` included, stores the three slots through the
+slot descriptors' own ``__set__``, bound once at import, past the raising
 ``__setattr__``; ``object.__setattr__`` would look each slot up by name.
 The builders are classmethods read from the class at each call, so a
 tracer that patches ``Multivector._trusted`` sees every value that is not
 validated.
 
-- ``_own(sig, terms, real=None)``: complex values from the loop, sums and
-  scalings.  It stores 0 + c, drops zeros and rejects a non-finite value,
-  and scans for ``real`` unless the caller passes it: a sum, a scaling by a
+- ``_own(sig, terms, real=None)``: values from the loop, sums, scalings and
+  subsets of a complex operand.  It stores c.real for a real result and
+  0j + c for a complex one, drops zeros and rejects a non-finite value, and
+  scans for ``real`` unless the caller passes it: a sum, a scaling by a
   real number or a loop product of real operands is real.
 - ``_trusted(sig, terms, real)``: no checks, for results that are clean by
-  construction.  A compiled form stores each nonzero float sum v as 0j + v,
-  which is 0 + complex(v, 0.0) to the bit, and rejects a non-finite one;
-  ``real`` is True.  Negation, ``reversion`` and ``grade_involution`` store
-  0j - c or c, which equal 0 + (-1 * c) and 0 + (1 * c) to the bit on a
-  stored value, and keep the operand's ``real``.  ``grade_part``, ``even``,
-  ``odd`` and ``prune`` keep some of the stored values; they are real if
-  the operand is, and scanned otherwise, since a subset of a complex
-  operand can be real.
+  construction.  A compiled form stores each nonzero float sum and rejects
+  a non-finite one; ``real`` is True.  Negation, the involutions and
+  ``_times_blade`` store 0.0 - c or c and keep the operand's ``real``.
+  ``grade_part``, ``even``, ``odd`` and ``prune`` of a real operand keep
+  some of its stored values.
 
 Checks read max |x_m - y_m| with ``_max_gap``, without building x - y.
 
@@ -123,9 +123,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_DIM = 12
-
-Scalar = complex  # coefficients are stored as machine complex numbers
-
 
 # The shared Signature of each class and (p, q).
 _SIGNATURES: dict[tuple[type, int, int], "Signature"] = {}
@@ -288,29 +285,35 @@ class Multivector:
                 clean[mask] = clean.get(mask, 0) + c
                 if clean[mask] == 0:
                     del clean[mask]
-        _set_terms(self, clean)
-        _set_real(self, _all_real(clean.values()))
+        real = _all_real(clean.values())
+        _set_terms(self, {m: c.real for m, c in clean.items()} if real else clean)
+        _set_real(self, real)
 
     @classmethod
     def _own(
         cls, signature: Signature, terms: dict[int, complex], real: bool | None = None
     ) -> "Multivector":
-        """Builder for complex values computed in this module: masks in range.
-        Stores 0 + c as __init__ does, so no part is -0.0, drops zeros and
-        rejects non-finite values.  A caller that knows the result is real
-        passes real=True, and the scan for an imaginary part is skipped."""
-        clean = {m: 0 + c for m, c in terms.items() if c}
+        """Builder for values computed in this module: masks in range.
+        Stores c.real for a real result and 0j + c, no part -0.0, for a
+        complex one; drops zeros and rejects non-finite values.  A caller
+        that knows the result is real passes real=True, skipping the scan."""
+        if real is None:
+            real = _all_real(terms.values())
+        if real:
+            clean = {m: c.real for m, c in terms.items() if c}
+        else:
+            clean = {m: 0j + c for m, c in terms.items() if c}
         values = clean.values()
         # A sum of finite terms can overflow, so a non-finite sum is only a
         # hint; each term is checked before rejecting.
         if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
             raise ValueError("non-finite coefficient")
-        return cls._trusted(signature, clean, _all_real(values) if real is None else real)
+        return cls._trusted(signature, clean, real)
 
     @classmethod
     def _trusted(cls, signature: Signature, terms: dict[int, complex], real: bool) -> "Multivector":
         """No checks: terms must already be stored values, nonzero and finite
-        complex numbers with no -0.0 part, and real their realness."""
+        with no -0.0 part, floats exactly when real."""
         self = _new(cls)
         _set_signature(self, signature)
         _set_terms(self, terms)
@@ -368,10 +371,10 @@ class Multivector:
         return dict(self._terms)
 
     def coeff(self, mask: int) -> complex:
-        return self._terms.get(mask, 0j)
+        return self._terms.get(mask, 0.0 if self.real else 0j)
 
     def scalar_part(self) -> complex:
-        return self._terms.get(0, 0j)
+        return self._terms.get(0, 0.0 if self.real else 0j)
 
     def grades(self) -> set[int]:
         return {m.bit_count() for m in self._terms}
@@ -388,7 +391,7 @@ class Multivector:
 
     def coefficients(self) -> "list[complex]":
         """Dense coefficient list over all 2^n blades in mask order."""
-        dense = [0j] * (1 << self.signature.n)
+        dense = [0.0 if self.real else 0j] * (1 << self.signature.n)
         for mask, c in self._terms.items():
             dense[mask] = c
         return dense
@@ -437,15 +440,15 @@ class Multivector:
 
     def _add_scalar(self, c: complex) -> "Multivector":
         """self + c for a number c: the sum with the scalar multivector of c,
-        to the bit.  _own stores 0 + (s + c), so a -0.0 part of c changes
-        nothing; it drops a zero sum and rejects a non-finite one."""
+        to the bit.  A real self adds c.real when c has no imaginary part;
+        _own drops a zero sum and rejects a non-finite one."""
+        real = self.real and not c.imag
         out = dict(self._terms)
-        out[0] = out.get(0, 0) + c
-        return Multivector._own(self.signature, out, True if self.real and not c.imag else None)
+        out[0] = out.get(0, 0) + (c.real if real else c)
+        return Multivector._own(self.signature, out, True if real else None)
 
     def __neg__(self):
-        # 0j - c is 0 + (-c) to the bit, and a stored c has no -0.0 part.
-        terms = {m: 0j - c for m, c in self._terms.items()}
+        terms = {m: 0.0 - c for m, c in self._terms.items()}
         return Multivector._trusted(self.signature, terms, self.real)
 
     def __sub__(self, other):
@@ -461,10 +464,10 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             s = complex(other)
-            # (x + 0j)(y + 0j) has a zero imaginary part.
-            real = True if self.real and not s.imag else None
+            real = self.real and not s.imag
+            s = s.real if real else s
             terms = {m: c * s for m, c in self._terms.items()}
-            return Multivector._own(self.signature, terms, real)
+            return Multivector._own(self.signature, terms, True if real else None)
         if not isinstance(other, Multivector):
             return NotImplemented
         return geometric_product(self, other)
@@ -526,9 +529,10 @@ def _max_gap(x: Multivector, y) -> float:
 
 
 def _subset(a: Multivector, terms: dict[int, complex]) -> Multivector:
-    """Some of a's stored terms: clean as they are, real if a is, and
-    scanned otherwise, since a subset of a complex operand can be real."""
-    return Multivector._trusted(a.signature, terms, a.real or _all_real(terms.values()))
+    """Some of a's stored terms; a subset of a complex operand can be real."""
+    if a.real:
+        return Multivector._trusted(a.signature, terms, True)
+    return Multivector._own(a.signature, terms)
 
 
 # -- products ---------------------------------------------------------------
@@ -555,14 +559,11 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
     Each output blade's sum lists its terms in the loop's order, and the
     blades appear in the loop's first-appearance order.  The source holds
     only positional names a<i>, b<j> and, with n <= _KERNEL_MAX_N, integer
-    masks; each sign is the parity of mb & _sign_weight(p, ma).  The kernel
-    multiplies the real parts of the terms: a product of two complexes with
-    zero imaginary parts has real part exactly a*b, and complex sums add
-    their real parts alone, so its float sums are the loop's real parts.
+    masks; each sign is the parity of mb & _sign_weight(p, ma).
 
-    With n <= _KERNEL_MAX_N each nonzero sum s<m> is stored as 0j + s<m> in
-    the kernel, one kernel per pattern.  Above, _shared_form compiles one
-    kernel per structure of patterns, and each form binds its masks."""
+    With n <= _KERNEL_MAX_N each nonzero sum s<m> is stored in the kernel,
+    one kernel per pattern.  Above, _shared_form compiles one kernel per
+    structure of patterns, and each form binds its masks."""
     if n > _KERNEL_MAX_N:
         return _shared_form(p, a_keys, b_keys, keep)
     sums: dict[int, list[str]] = {}
@@ -574,7 +575,7 @@ def _generate_kernel(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
                 sums.setdefault(ma ^ mb, []).append(f"{sign}a{i}*b{j}")
     terms = {m: "".join(t).lstrip("+") for m, t in sums.items()}
     lines = [f"s{m} = {t}" for m, t in terms.items()] + ["out = {}"]
-    lines += [f"if s{m}: out[{m}] = 0j + s{m}" for m in terms]
+    lines += [f"if s{m}: out[{m}] = s{m}" for m in terms]
     if terms:
         total, names = " + ".join(f"s{m}" for m in terms), ", ".join(f"s{m}" for m in terms)
         lines.append(f"if not _isfinite({total}) and not all(map(_isfinite, ({names},))):")
@@ -621,25 +622,23 @@ def _shared_form(p: int, a_keys: tuple, b_keys: tuple, keep):
 
 
 def _compile_kernel(params: str, na: int, nb: int, body: list[str]):
-    """The function kernel(params) that reads the operands' values a<i>,
-    b<j> as floats, then runs the lines of body."""
-    a_names = [f"a{i}" for i in range(na)]
-    b_names = [f"b{j}" for j in range(nb)]
-    lines = [f"{', '.join(a_names)}, = a", f"{', '.join(b_names)}, = b"]
-    lines += [f"{x} = {x}.real" for x in a_names + b_names] + body
+    """The function kernel(params) that unpacks the operands' float values
+    into a<i> and b<j>, then runs the lines of body."""
+    a_names = ", ".join(f"a{i}" for i in range(na))
+    b_names = ", ".join(f"b{j}" for j in range(nb))
+    lines = [f"{a_names}, = a", f"{b_names}, = b", *body]
     source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
     local: dict = {}
     exec(source, _KERNEL_GLOBALS, local)
     return local["kernel"]
 
 
-def _stored(masks, sums) -> dict[int, complex]:
-    """Each nonzero float sum v, with the mask at its position in masks, as
-    0j + v, 0 + complex(v, 0.0) to the bit; a non-finite total, which
-    finite sums can reach, checks each sum."""
+def _stored(masks, sums) -> dict[int, float]:
+    """Each nonzero float sum, with the mask at its position in masks; a
+    non-finite total, which finite sums can reach, checks each sum."""
     if not math.isfinite(sum(sums)) and not all(map(math.isfinite, sums)):
         raise ValueError("non-finite coefficient")
-    return {m: 0j + v for m, v in zip(masks, sums) if v}
+    return {m: v for m, v in zip(masks, sums) if v}
 
 
 # The globals of every kernel, one dict for all: a dict per kernel took 160 B.
@@ -695,7 +694,7 @@ def _pair_blocks(p: int, n: int, a_keys: tuple, b_keys: tuple, keep):
         yield slice(start, start + step), positions, blades, signs, blades[first[blades] == order]
 
 
-def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
+def _sum_blocks(n: int, blocks, a, b) -> dict[int, float]:
     """The stored values of _product_loop of two real operands with values
     a and b, computed on arrays from the pair blocks of their key pattern.
 
@@ -708,8 +707,8 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, complex]:
     warnings are off."""
     import numpy as np
 
-    xa = np.fromiter(a, complex, len(a)).real
-    xb = np.fromiter(b, complex, len(b)).real
+    xa = np.fromiter(a, float, len(a))
+    xb = np.fromiter(b, float, len(b))
     sums = np.zeros(1 << n)
     keys = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -810,11 +809,11 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
 def _times_blade(x: Multivector, k: int, s: float = 1.0) -> Multivector:
     """x (s e_k) for the blade mask k and s = 1 or -1, as a signed
     permutation of x's terms, with no product call.  The keys keep x's
-    order, and each value is c or 0j - c, as the involutions store them:
+    order, and each value is c or 0.0 - c, as the involutions store them:
     the bits that geometric_product(x, s e_k) stores."""
     w = _right_sign_weight(x.signature.p, k)
     flip = s < 0
-    terms = {m ^ k: 0j - c if ((m & w).bit_count() & 1) ^ flip else c for m, c in x._terms.items()}
+    terms = {m ^ k: 0.0 - c if ((m & w).bit_count() & 1) ^ flip else c for m, c in x._terms.items()}
     return Multivector._trusted(x.signature, terms, x.real)
 
 
@@ -886,7 +885,7 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
     """Grade-wise Gram-determinant pairing; equals <reversion(a) b>_0."""
     a._check_sig(b)
     p = a.signature.p
-    total = 0j
+    total = 0.0 if a.real and b.real else 0j
     for m, ca in a._terms.items():
         cb = b._terms.get(m)
         if cb is None:
@@ -894,8 +893,6 @@ def scalar_product(a: Multivector, b: Multivector) -> complex:
         # reversion(e_m) e_m is the product of m's generator squares.
         sign = -1 if (m >> p).bit_count() & 1 else 1
         total += sign * ca * cb
-    if a.real and b.real:
-        return total.real
     return total
 
 
@@ -908,20 +905,19 @@ def grade_part(a: Multivector, k: int) -> Multivector:
 # -- involutions ------------------------------------------------------------
 
 
-# Sign flips are written 0j - c, which is 0 + (-1 * c) to the bit, and sign +1
-# keeps the stored c, which is 0 + (1 * c) to the bit: a stored c is finite,
-# nonzero and has no -0.0 part.
+# Sign flips are written 0.0 - c: -c on a float, and 0j - c, which is
+# 0 + (-1 * c) to the bit, on a complex; sign +1 keeps the stored c.
 
 
 def grade_involution(a: Multivector) -> Multivector:
     """(-1)^k on grade k."""
-    terms = {m: 0j - c if m.bit_count() & 1 else c for m, c in a._terms.items()}
+    terms = {m: 0.0 - c if m.bit_count() & 1 else c for m, c in a._terms.items()}
     return Multivector._trusted(a.signature, terms, a.real)
 
 
 def reversion(a: Multivector) -> Multivector:
     """(-1)^(k(k-1)/2) on grade k: negative where k mod 4 is 2 or 3."""
-    terms = {m: 0j - c if m.bit_count() & 2 else c for m, c in a._terms.items()}
+    terms = {m: 0.0 - c if m.bit_count() & 2 else c for m, c in a._terms.items()}
     return Multivector._trusted(a.signature, terms, a.real)
 
 
@@ -987,14 +983,14 @@ def exp_bivector(f: Multivector) -> Multivector:
     scalar_square = f2._terms.keys() <= {0}
     if n > 4 and not scalar_square:
         return _exp_series(f)
-    alpha = f2.scalar_part().real
+    alpha = f2.scalar_part()
     try:
         if scalar_square:
             c, s = _cosh_sinhc(alpha)
-            return Multivector._own(sig, {0: complex(c), **{m: s * v for m, v in f._terms.items()}})
+            return Multivector._own(sig, {0: c, **{m: s * v for m, v in f._terms.items()}}, True)
         pseudo = (1 << n) - 1
         w = _sign_weight(sig.p, pseudo)
-        beta = f2.coeff(pseudo).real
+        beta = f2.coeff(pseudo)
         if (pseudo & w).bit_count() & 1:
             z = cmath.sqrt(complex(alpha, beta))
             ch = cmath.cosh(z)
@@ -1008,11 +1004,11 @@ def exp_bivector(f: Multivector) -> Multivector:
         raise ValueError(f"non-finite coefficient in exp_bivector (|F| = {f.norm():.3g})") from exc
     # exp F = c0 + c1 I + s0 F + s1 I F, with I F = F I at n = 4 a signed
     # permutation of F's terms.
-    out = {0: complex(c0), pseudo: complex(c1)}
+    out = {0: c0, pseudo: c1}
     for (m, v), (mi, vi) in zip(f._terms.items(), _times_blade(f, pseudo)._terms.items()):
         out[m] = out.get(m, 0) + s0 * v
         out[mi] = out.get(mi, 0) + s1 * vi
-    return Multivector._own(sig, out)
+    return Multivector._own(sig, out, True)
 
 
 def _exp_series(f: Multivector) -> Multivector:
@@ -1045,7 +1041,6 @@ def _left_mult_matrix(a: Multivector) -> np.ndarray:
     sig = a.signature
     cols = np.arange(1 << sig.n)
     x = np.array(a.coefficients())
-    x = x.real if a.real else x
     # Entry (r, c) is the one term ma = r ^ c, times the sign of e_ma e_c;
     # adding 0.0 stores no -0.0.
     terms = cols[:, None] ^ cols
@@ -1094,5 +1089,4 @@ def inverse(a: Multivector) -> Multivector:
 
 def norm_N(a: Multivector) -> complex:
     """N(a) = <conjugation(a) a>_0."""
-    val = geometric_product(conjugation(a), a, grades=(0,)).scalar_part()
-    return val.real if a.real else val
+    return geometric_product(conjugation(a), a, grades=(0,)).scalar_part()

@@ -202,7 +202,7 @@ def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
     """(sigma, omega) from psi reversion(psi) = sigma + omega g5."""
     agg = geometric_product(psi, psit, grades=(0, 4))
     # The grade-4 part is omega * g5, and g5 = -e1e2e3e4.
-    return agg.scalar_part().real, -agg.coeff(0b1111).real
+    return agg.scalar_part(), -agg.coeff(0b1111)
 
 
 def _abs_sum(x: Multivector) -> float:
@@ -256,14 +256,14 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
     or lhs - rhs would."""
     xt = X._terms
     if b:
-        rhs = {0b1111 ^ m: _G5_SIGNS[m] * (b * c.real) for m, c in xt.items()}
+        rhs = {0b1111 ^ m: _G5_SIGNS[m] * (b * c) for m, c in xt.items()}
         if a:
             get = rhs.get
             for m, c in xt.items():
-                rhs[m] = get(m, 0.0) + a * c.real
+                rhs[m] = get(m, 0.0) + a * c
     else:
-        rhs = {m: a * c.real for m, c in xt.items()} if a else {}
-    gaps = {m: c.real for m, c in lhs._terms.items()}
+        rhs = {m: a * c for m, c in xt.items()} if a else {}
+    gaps = dict(lhs._terms)
     scale = max((1.0, *map(abs, gaps.values()), *map(abs, rhs.values())))
     for m, v in rhs.items():
         gaps[m] = gaps[m] - v if m in gaps else v
@@ -412,8 +412,8 @@ def mother_spinor_expand(phi: ASRep) -> list[tuple[float, float]]:
     import numpy as np
 
     columns = [_carry(x, phi.frame) for pair in _fiducial_mother_basis() for x in pair]
-    A = np.array([col.coefficients() for col in columns]).real.T
-    rhs = np.array(phi.element.coefficients()).real
+    A = np.array([col.coefficients() for col in columns]).T
+    rhs = np.array(phi.element.coefficients())
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     resid = A @ sol - rhs
     if np.max(np.abs(resid)) > IDEAL_ROUNDINGS * _EPS * np.max(np.abs(A) @ np.abs(sol)):
@@ -459,7 +459,7 @@ def _column(M: Multivector, s: int) -> Multivector:
 def _euclid(x: Multivector, y: Multivector) -> float:
     """The Euclidean inner product of two real coefficient vectors."""
     yt = y._terms
-    return sum(c * yt.get(m, 0) for m, c in x._terms.items()).real
+    return sum(c * yt.get(m, 0) for m, c in x._terms.items())
 
 
 def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHSRep:

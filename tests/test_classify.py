@@ -439,10 +439,11 @@ def search_digest(seed=None):
 
 
 # Digests of the search's output when its blades were built by the validating
-# Multivector.from_mask, for seeds None and 3.
+# Multivector.from_mask, for seeds None and 3, with real values stored as
+# floats.
 SEARCH_DIGESTS = {
-    None: "b9a2c6dbcea440efc15a3cb3f242d6dfa05363892c59fd37655591139ccef04d",
-    3: "174eacb6cd1d8a55037cba4c2d11f4c6563bdad74edef73797efedd126592e0d",
+    None: "c762246227d0c474b3d32c6013790251d7ddffe6200834c8e20ee7465a6d128e",
+    3: "9a3e3b2b5c026cae46626abe70132eea7aca2233188b9fe9db79663d82e47c53",
 }
 
 
@@ -452,5 +453,5 @@ def test_search_output_is_unchanged_up_to_seven_generators(seed):
     for b in find_primitive_idempotent(3, 4, seed=seed).factors:
         ((mask, c),) = b._terms.items()
         stored = Multivector.from_mask(b.signature, mask)._terms[mask]
-        assert b.real and type(c) is complex
+        assert b.real and type(c) is float
         assert (c.real.hex(), c.imag.hex()) == (stored.real.hex(), stored.imag.hex())

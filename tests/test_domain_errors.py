@@ -234,7 +234,7 @@ COMPLEX_VALUES = {
     "potential": (
         POTENTIAL, {"A": POTENTIAL.A + 0.3j * e(SIG13, 2)}, DiracError, "potential must be real"
     ),
-    "charge": (POTENTIAL, {"q_charge": 0.7 + 0j}, DiracError, "charge must be a real number"),
+    "charge": (POTENTIAL, {"q_charge": 0.7 + 0j}, DiracError, "charge must be a finite real number"),
 }
 
 
@@ -250,6 +250,31 @@ def test_spinor_side_values_refuse_complex_fields(build, value, changes, error, 
     assert build(value) == value
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(value, **changes)
+
+
+# A plane wave's mass is a finite real number above 0 and a potential's charge
+# a finite real number, neither a bool: the field, its value and the refusal.
+SCALAR_FIELDS = {
+    "mass nan": ("m", math.nan, "mass must be a finite real number"),
+    "mass inf": ("m", math.inf, "mass must be a finite real number"),
+    "mass complex": ("m", 1 + 0.5j, "mass must be a finite real number"),
+    "mass string": ("m", "x", "mass must be a finite real number"),
+    "mass bool": ("m", True, "mass must be a finite real number"),
+    "mass negative": ("m", -1.0, "mass must be positive"),
+    "mass zero": ("m", 0.0, "mass must be positive"),
+    "charge inf": ("q_charge", math.inf, "charge must be a finite real number"),
+    "charge nan": ("q_charge", math.nan, "charge must be a finite real number"),
+    "charge string": ("q_charge", "x", "charge must be a finite real number"),
+    "charge bool": ("q_charge", True, "charge must be a finite real number"),
+}
+
+
+@pytest.mark.parametrize("build", [build_directly, dataclasses.replace], ids=["direct", "replace"])
+@pytest.mark.parametrize("name,value,message", SCALAR_FIELDS.values(), ids=SCALAR_FIELDS)
+def test_plane_wave_scalars_are_finite_real_numbers(build, name, value, message):
+    owner = WAVE if name == "m" else POTENTIAL
+    with pytest.raises(DiracError, match=f"^{re.escape(message)}$"):
+        build(owner, **{name: value})
 
 
 def test_rev_is_reversion():

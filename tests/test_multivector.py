@@ -28,6 +28,7 @@ from cliffspin import (
     conjugation,
     exp_bivector,
     format_multivector,
+    from_json,
     geometric_product,
     grade_involution,
     grade_part,
@@ -35,6 +36,7 @@ from cliffspin import (
     inverse,
     left_contraction,
     norm_N,
+    parse_multivector,
     reversion,
     right_contraction,
     scalar_product,
@@ -788,8 +790,18 @@ def bits(mv):
 
 
 def internal_results(a, b):
+    """The result of every builder path on operands a and b.  Real products
+    take an n <= 4 kernel, a shared n > 4 kernel (Cl(4,1), Cl(0,5)) or pair
+    blocks (Cl(3,3)); vector products above n = 4, and complex operands,
+    take the loop.  The readers, the complex values whose grade, even part
+    or pruned part is real, and a * 1j * 1j reach the cases where _own
+    stores a complex input as floats."""
+    sig = a.signature
+    # For a real a, its even part is real and its odd part imaginary.
+    mixed = a.even() + 1j * a.odd()
     return {
         "product": geometric_product(a, b),
+        "vector_product": geometric_product(a.grade(1), b.grade(1)),
         "wedge": wedge(a, b),
         "left_contraction": left_contraction(a, b),
         "right_contraction": right_contraction(a, b),
@@ -799,6 +811,9 @@ def internal_results(a, b):
         "negation": -a,
         "scaled": a * -0.75,
         "scaled_imaginary": a * 1j,
+        "imaginary_squared": a * 1j * 1j,
+        "scalar_added": a + 0.5,
+        "complex_scalar_added": a + (0.5 + 0j),
         "reversion": reversion(a),
         "grade_involution": grade_involution(a),
         "conjugation": conjugation(a),
@@ -806,13 +821,29 @@ def internal_results(a, b):
         "even": a.even(),
         "odd": a.odd(),
         "pruned": a.prune(0.5),
+        "mixed_grade_2": mixed.grade(2),
+        "mixed_even": mixed.even(),
+        "mixed_pruned": (a.even() + 1e-9j * a.odd()).prune(1e-6),
+        # n <= 3, n = 4 with I^2 = -1 or +1, or the series above n = 4 and
+        # for a complex F.
+        "exp_bivector": exp_bivector(a.grade(2)),
+        "inverse": inverse(a),
+        "pickled": pickle.loads(pickle.dumps(a)),
+        # A real value's JSON holds "im": 0.0 for every term.
+        "json_read": from_json(to_json(a)),
+        "text_read": parse_multivector(format_multivector(a), sig),
+        "text_read_zero_imaginary": parse_multivector("(1+0j) e1", sig),
     }
 
 
-@pytest.mark.parametrize("p,q", [(1, 3), (4, 1), (0, 5), (3, 3)])
+@pytest.mark.parametrize("p,q", [(1, 3), (4, 1), (0, 5), (3, 3), (1, 2), (2, 2)])
 @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
 def test_internal_results_match_public_constructor(p, q, complex_coeffs):
+    """Every builder stores what __init__ stores: floats on a real value and
+    complexes on a complex one."""
     sig = Signature(p, q)
+    one, one_complex = Multivector(sig, {0: 1.0}), Multivector(sig, {0: 1 + 0j})
+    assert one == one_complex and hash(one) == hash(one_complex)
     local = np.random.default_rng(p * 10 + q + 100 * complex_coeffs)
     for _ in range(6):
         a = random_operand(sig, local, complex_coeffs)
@@ -824,7 +855,8 @@ def test_internal_results_match_public_constructor(p, q, complex_coeffs):
             # Same bits too: no -0.0 part survives where __init__ would store +0.0.
             assert bits(result) == bits(rebuilt), name
             assert all(c != 0 for c in result.terms.values()), name
-            assert all(type(c) is complex for c in result.terms.values()), name
+            stored = float if result.real else complex
+            assert all(type(c) is stored for c in result.terms.values()), name
 
 
 def test_exact_cancellation_leaves_no_terms():
@@ -855,12 +887,12 @@ def test_trusted_path_accepts_terms_whose_sum_overflows():
         assert all(math.isfinite(abs(c)) for c in result.terms.values())
 
 
-def test_numpy_scalars_are_stored_as_python_complex():
+def test_numpy_scalars_scale_a_real_value_to_python_floats():
     e1 = gen(SIG13, 1)
     for s in (np.float64(2), np.int64(2), np.complex128(2), np.float32(2)):
         for scaled in (e1 * s, s * e1):
             assert scaled == 2 * e1
-            assert all(type(c) is complex for c in scaled.terms.values())
+            assert all(type(c) is float for c in scaled.terms.values())
 
 
 # -- generated product kernels: bit-identical to the dict loop ---------------------------
@@ -2039,10 +2071,11 @@ def outcome(build):
         result = build()
     except ValueError as exc:
         return exc
-    # Clean as __init__ stores terms: complex, nonzero, finite, no -0.0 part,
-    # and real exactly when no imaginary part is nonzero.
+    # Clean as __init__ stores terms: nonzero, finite, no -0.0 part, real
+    # exactly when no imaginary part is nonzero, and floats exactly when real.
+    stored = float if result.real else complex
     for c in result._terms.values():
-        assert type(c) is complex and c != 0 and math.isfinite(abs(c))
+        assert type(c) is stored and c != 0 and math.isfinite(abs(c))
         assert math.copysign(1.0, c.real) == 1.0 or c.real != 0
         assert math.copysign(1.0, c.imag) == 1.0 or c.imag != 0
     assert result.real == all(c.imag == 0 for c in result._terms.values())
@@ -2428,6 +2461,18 @@ def test_vector_squared_cancels_its_bivector_sums_to_nothing(fresh_forms):
     assert outcomes == [outcomes[-1]] * 5 and [m for m, _, _ in outcomes[-1]] == [0]
 
 
+def test_kernels_read_and_store_floats(fresh_forms):
+    """A real operand's values are floats, so no kernel, n <= 4 or shared,
+    reads .real or stores 0j + s."""
+    for sig in (SIG13, Signature(3, 2)):
+        a = Multivector(sig, {m: 1.0 + m for m in range(16)})
+        kernel = mv_module._generate_kernel(*plan_key(a, a, None))
+        code = getattr(kernel, "func", kernel).__code__
+        assert "real" not in code.co_names
+        assert not any(isinstance(c, complex) for c in code.co_consts)
+        assert all(type(c) is float for c in geometric_product(a, a)._terms.values())
+
+
 def test_single_term_forms_store_what_the_loop_stores(fresh_forms):
     cases = [
         ({5: 1.5}, {6: -2.0}),  # e_5 e_6 = -e_3 in Cl(1,3)
@@ -2442,4 +2487,4 @@ def test_single_term_forms_store_what_the_loop_stores(fresh_forms):
             assert outcomes == [outcomes[-1]] * 5, (at, bt, keep)
     assert every_path(*(Multivector(SIG13, t) for t in cases[1]), None) == [[]] * 5
     stored = mv_module._product(Multivector(SIG13, {5: 1.5}), Multivector(SIG13, {6: -2.0}))
-    assert [type(c) for c in stored._terms.values()] == [complex] and stored.real
+    assert [type(c) for c in stored._terms.values()] == [float] and stored.real

@@ -238,7 +238,7 @@ def near_rotors(sig, local):
     return cases
 
 
-@pytest.mark.parametrize("pq", [(3, 2)] + SPIN_E_SIGNATURES + [(6, 0), (4, 3)], ids=str)
+@pytest.mark.parametrize("pq", [(4, 1), (3, 2)] + SPIN_E_SIGNATURES + [(6, 0), (4, 3)], ids=str)
 def test_clifford_group_verdicts_are_the_whole_image_verdicts(monkeypatch, pq):
     """Forming only the image's non-vector grades, with g e_i as a signed
     permutation, keeps every verdict of is_clifford_group, and so of is_pin

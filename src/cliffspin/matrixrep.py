@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .groups import Rotor, SpinorialFrame, is_spin_e
+from .groups import Rotor, SpinorialFrame
 from .multivector import Multivector, Signature, _max_gap, geometric_product
 
 if TYPE_CHECKING:
@@ -217,8 +217,8 @@ def dhs_matrix(psi: Multivector) -> np.ndarray:
 
 
 def s_of_rotor(u: Rotor) -> np.ndarray:
-    if not is_spin_e(u.u):
-        raise RepresentationError("s_of_rotor requires a Spin^e element")
+    """S(u) = matrix_of(u): in Cl(1,3) Spin^e is the set of even u with
+    u u~ = 1, which ``Rotor`` checks; matrix_of refuses other signatures."""
     return matrix_of(u.u)
 
 

@@ -16,12 +16,22 @@ order, an array by dtype, shape and bytes, a float by ``float.hex``.  The
 paths hashed here load no numpy linear algebra, so the bits do not depend on
 BLAS threads.  A change that alters these bits by design updates
 ``PINNED_SHA256`` and says so in CHANGES.md.
+
+Run as a script, ``python tests/test_bit_identity.py`` prints the full
+digest and then one digest per part: the spinor calculus and the plain,
+right-gauged, left-gauged and charged plane waves, so a pin update shows
+which part moved.
 """
 
 import dataclasses
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cliffspin import (
     ConstantPotential,
@@ -49,7 +59,7 @@ from cliffspin import (
 from cliffspin.groups import random_bivector
 
 SIG13 = Signature(1, 3)
-PINNED_SHA256 = "febbda453e0b17a54023ffc3ea5301494da5d9ab69bab2bcb6a9e4b3d6b268b1"
+PINNED_SHA256 = "022160e147d96bdf9878714e97af7343f199806fbcd784172a71487c35157750"
 
 
 def canonical(x):
@@ -92,6 +102,7 @@ def spinor_outputs():
 
 
 def dirac_outputs():
+    """(kind, outputs) for each point of each plane wave."""
     rng = np.random.default_rng(1)
     for kind in ("plain", "right", "left", "charged"):
         m = float(rng.uniform(0.5, 2.0))
@@ -110,19 +121,28 @@ def dirac_outputs():
                 field, left = gauged.field, gauged.left_rotor
         for _ in range(3):
             x = [float(v) for v in rng.uniform(-5.0, 5.0, size=4)]
-            yield (
+            yield kind, (
                 dhe_residual(field, pot, m, x, left_rotor=left),
                 asf_residual(wave, pot, m, x),
                 matrix_dirac_residual(wave, pot, m, x),
             )
 
 
-def output_sha256() -> str:
-    digest = hashlib.sha256()
-    for out in (*spinor_outputs(), *dirac_outputs()):
-        digest.update(repr(canonical(out)).encode())
-    return digest.hexdigest()
+def digests() -> dict[str, str]:
+    """The sha256 of every output in turn under "full", then that of each
+    part's outputs: "spinor calculus", "plain", "right", "left", "charged"."""
+    full, parts = hashlib.sha256(), {}
+    for part, out in (*(("spinor calculus", out) for out in spinor_outputs()), *dirac_outputs()):
+        data = repr(canonical(out)).encode()
+        full.update(data)
+        parts.setdefault(part, hashlib.sha256()).update(data)
+    return {"full": full.hexdigest(), **{part: d.hexdigest() for part, d in parts.items()}}
 
 
 def test_spinor_calculus_and_dirac_forms_keep_their_bits():
-    assert output_sha256() == PINNED_SHA256
+    assert digests()["full"] == PINNED_SHA256
+
+
+if __name__ == "__main__":
+    for part, digest in digests().items():
+        print(f"{part}: {digest}")

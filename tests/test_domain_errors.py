@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from cliffspin import Multivector, Signature, parse_multivector
-from cliffspin.dirac import ConstantPotential, DiracError, PlaneWaveDHSF, asf_projector, planewave_solution
+from cliffspin.dirac import (
+    ConstantPotential,
+    DiracError,
+    PlaneWaveDHSF,
+    asf_projector,
+    asf_residual,
+    dhe_residual,
+    matrix_dirac_residual,
+    planewave_solution,
+)
 from cliffspin.expressions import ast_to_text, evaluate
 from cliffspin.groups import (
     FrameError,
@@ -252,8 +261,9 @@ def test_spinor_side_values_refuse_complex_fields(build, value, changes, error, 
         build(value, **changes)
 
 
-# A plane wave's mass is a finite real number above 0 and a potential's charge
-# a finite real number, neither a bool: the field, its value and the refusal.
+# A plane wave's mass is a finite real number above 0, its energy sign +1 or -1
+# and a potential's charge a finite real number, none of them a bool: the
+# field, its value and the refusal.
 SCALAR_FIELDS = {
     "mass nan": ("m", math.nan, "mass must be a finite real number"),
     "mass inf": ("m", math.inf, "mass must be a finite real number"),
@@ -266,15 +276,23 @@ SCALAR_FIELDS = {
     "charge nan": ("q_charge", math.nan, "charge must be a finite real number"),
     "charge string": ("q_charge", "x", "charge must be a finite real number"),
     "charge bool": ("q_charge", True, "charge must be a finite real number"),
+    "energy sign bool": ("energy_sign", True, "energy_sign must be +1 or -1"),
 }
 
 
 @pytest.mark.parametrize("build", [build_directly, dataclasses.replace], ids=["direct", "replace"])
 @pytest.mark.parametrize("name,value,message", SCALAR_FIELDS.values(), ids=SCALAR_FIELDS)
 def test_plane_wave_scalars_are_finite_real_numbers(build, name, value, message):
-    owner = WAVE if name == "m" else POTENTIAL
+    owner = POTENTIAL if name == "q_charge" else WAVE
     with pytest.raises(DiracError, match=f"^{re.escape(message)}$"):
         build(owner, **{name: value})
+
+
+@pytest.mark.parametrize("mass", [1 + 0.5j, math.nan, True, "x"], ids=["complex", "nan", "bool", "string"])
+@pytest.mark.parametrize("residual", [dhe_residual, asf_residual, matrix_dirac_residual], ids=lambda f: f.__name__)
+def test_residual_masses_are_finite_real_numbers(residual, mass):
+    with pytest.raises(DiracError, match="^mass must be a finite real number$"):
+        residual(WAVE, POTENTIAL, mass, [0.3, -1.2, 2.5, 0.7])
 
 
 def test_rev_is_reversion():

@@ -12,6 +12,7 @@ from cliffspin import (
     complex_idempotent_f,
     dhs_matrix,
     embed_j,
+    exp_bivector,
     fiducial_spinorial_frame,
     geometric_product,
     matrix_of,
@@ -237,6 +238,19 @@ def test_s_of_rotor_homomorphism_and_sign():
         assert np.max(np.abs(diff)) < 1e-12
     u = random_rotor(SIG13, rng)
     assert np.max(np.abs(s_of_rotor(-u) + s_of_rotor(u))) == 0.0
+
+
+def test_s_of_rotor_accepts_a_rotor_that_is_spin_e_refuses():
+    """A boost of rapidity about 11.5 is a Rotor, hence in Spin^e, though
+    is_spin_e bounds its images' terms of size |u|^2 = 5.1e4 by an absolute
+    ROTOR_TOL.  S is a homomorphism on it within 16 eps |u| |v| (the worst of
+    these products reached 0.75 of that), |u| |v| = |u|^2 for v = u~."""
+    u = Rotor(exp_bivector(Multivector(SIG13, {0b0011: 3.0, 0b0101: 3.5, 0b1001: -3.5, 0b0110: 0.7})))
+    assert not groups_module.is_spin_e(u.u)
+    local = np.random.default_rng(9)
+    for v in [Rotor(u.inverse)] + [random_rotor(SIG13, local) for _ in range(5)]:
+        diff = s_of_rotor(u * v) - s_of_rotor(u) @ s_of_rotor(v)
+        assert np.max(np.abs(diff)) <= 16 * np.finfo(float).eps * u.u.norm() * v.u.norm()
 
 
 def test_s_of_rotor_accepts_minus_one():

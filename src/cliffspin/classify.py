@@ -120,7 +120,8 @@ def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
     """Real coefficient rows of blade_m e for every mask m in ascending order,
     in blocks: blade_m e_j is the single term sign e_{m^j}, the sign being
     the parity of j & _sign_weight(p, m), so the rows are the products'
-    coefficients exactly."""
+    coefficients exactly.  A complex e's row is its real parts followed by
+    its imaginary parts, so the rows' real span is that of the products."""
     import numpy as np
 
     sig = e.signature
@@ -133,7 +134,7 @@ def _image_rows(e: Multivector) -> Iterator[np.ndarray]:
         signs = _parity_sign(_sign_weight(sig.p, blades) & masks)
         rows = np.zeros((blades.size, size), dtype=coeffs.dtype)
         rows[np.arange(blades.size)[:, None], blades ^ masks] = signs * coeffs
-        yield from rows.real
+        yield from rows if e.real else np.hstack((rows.real, rows.imag))
 
 
 def _real_independent(rows: Iterable[np.ndarray]) -> list[int]:
@@ -255,18 +256,13 @@ def is_primitive(e: Multivector) -> bool:
     return ideal_dim_over_K(e) == classify(sig.p, sig.q).m
 
 
-def _commuting_square_plus_blades(sig: Signature) -> list[int]:
-    """Canonical blade masks with square +1, ascending grade then mask: a
-    new list on each call, which the seeded search shuffles in place."""
-    return list(_square_plus_blades(sig.p, sig.n))
-
-
 @cache
 def _square_plus_blades(p: int, n: int) -> tuple[int, ...]:
-    """The masks of _commuting_square_plus_blades: e_m e_m = +1 when
-    m & _sign_weight(p, m) has even parity.  Read on Python ints, with no
-    numpy, and kept per signature: at n = 7 the int parity takes longer
-    than numpy's, and algebra sweeps search on every operation."""
+    """Canonical blade masks with square +1, ascending grade then mask:
+    e_m e_m = +1 when m & _sign_weight(p, m) has even parity.  Read on
+    Python ints, with no numpy, and kept per signature: at n = 7 the int
+    parity takes longer than numpy's, and algebra sweeps search on every
+    operation."""
     masks = [m for m in range(1, 1 << n) if not (_sign_weight(p, m) & m).bit_count() & 1]
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
@@ -283,7 +279,7 @@ def find_primitive_idempotent(p: int, q: int, seed: int | None = None) -> IdealD
     if target_k < 0:
         raise ClassificationError("negative factor count; bookkeeping failed")
 
-    candidates = _commuting_square_plus_blades(sig)
+    candidates = list(_square_plus_blades(p, sig.n))  # the seeded search shuffles it
     if seed is not None:
         random.Random(seed).shuffle(candidates)
 

@@ -27,7 +27,7 @@ from .dirac import (
     planewave_solution,
 )
 from .expressions import evaluate_source
-from .groups import random_rotor
+from .groups import Rotor, SpinorialFrame, random_rotor
 from .matrixrep import matrix_of, s_of_rotor, standard_gammas
 from .multivector import Multivector, Signature, geometric_product
 from .serialization import (
@@ -164,9 +164,7 @@ def cmd_decompose(args) -> int:
     psi = from_json_dict(data["psi"])
     frame = fiducial_spinorial_frame(SIG13)
     if "rotor" in data:
-        from .groups import Rotor, spinorial_frame_of
-
-        frame = spinorial_frame_of(Rotor(from_json_dict(data["rotor"])))
+        frame = SpinorialFrame(Rotor(from_json_dict(data["rotor"])))
     factors = canonical_decompose(DHSRep(frame, psi))
     print(f"rho: {factors.rho!r}")
     print(f"beta: {factors.beta!r}")

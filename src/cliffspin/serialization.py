@@ -13,16 +13,17 @@ order and read a blade as their product: `e3^e1` and `"blades": [3, 1]` are
 Both writers and both readers work from one table set per dimension n
 (``_tables``), built on first use and cached for every n up to MAX_DIM.  It
 holds, for each blade mask, its rank in the canonical order (ascending grade,
-then mask), its name ``e1^e3``, its 1-based index tuple ``(1, 3)`` and its JSON
-term head ``{"blades": [1, 3], "re": ``, and the inverse maps from name and
-from index tuple back to the mask.  The writers sort by rank and read each
-coefficient once, so the float reprs are most of their cost.  ``to_json``
-writes its text directly: per term the head, ``repr`` of each part and the
-closing brace, which are the bytes that ``json.dumps(to_json_dict(mv))``
-writes, since json writes a finite float as its repr and stored coefficients
-are finite.  A real value stores every imaginary part as +0.0, so its
-``"im": 0.0`` is a constant.  ``to_json_dict`` builds the same data for callers
-that embed it in larger JSON.
+then mask), its name ``e1^e3`` and its JSON term head
+``{"blades": [1, 3], "re": ``, and the inverse maps from name and from
+1-based index tuple ``(1, 3)`` back to the mask.  The writers sort by rank and
+read each coefficient once, so the float reprs are most of their cost.
+``to_json`` writes its text directly: per term the head, ``repr`` of each part
+and the closing brace, which are the bytes that ``json.dumps`` writes for the
+same data, since json writes a finite float as its repr and stored
+coefficients are finite.  A real value stores every imaginary part as +0.0,
+so its ``"im": 0.0`` is a constant.  ``to_json_dict`` is
+``json.loads(to_json(mv))``, for callers that embed the data in larger JSON:
+one writer serves both.
 
 The readers resolve a blade with one lookup; only a miss runs the validating
 loop, so every error message is the loop's.  The text reader's loop is
@@ -50,10 +51,9 @@ from .multivector import MAX_DIM, Multivector, Signature, _blade_of
 class _Tables(NamedTuple):
     rank: tuple[int, ...]  # mask -> position in ascending (grade, mask) order
     names: tuple[str, ...]  # mask -> "e1^e3" ("" for the scalar)
-    indices: tuple[tuple[int, ...], ...]  # mask -> (1, 3)
     json_heads: tuple[str, ...]  # mask -> '{"blades": [1, 3], "re": '
     by_name: dict[str, int]
-    by_indices: dict[tuple[int, ...], int]
+    by_indices: dict[tuple[int, ...], int]  # (1, 3) -> mask
 
 
 @lru_cache(maxsize=MAX_DIM + 1)
@@ -67,7 +67,7 @@ def _tables(n: int) -> _Tables:
     # json.dumps writes a list of ints as "[1, 3]".
     json_heads = tuple('{"blades": [' + ", ".join(map(str, idx)) + '], "re": ' for idx in indices)
     by_name, by_indices = dict(zip(names, range(size))), dict(zip(indices, range(size)))
-    return _Tables(tuple(rank), names, indices, json_heads, by_name, by_indices)
+    return _Tables(tuple(rank), names, json_heads, by_name, by_indices)
 
 
 def _format_number(x: float) -> str:
@@ -230,20 +230,12 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
 
 
 def to_json_dict(mv: Multivector) -> dict:
-    terms = mv._terms
-    tables = _tables(mv.signature.n)
-    indices = tables.indices
-    return {
-        "signature": [mv.signature.p, mv.signature.q],
-        "terms": [
-            {"blades": list(indices[mask]), "re": (c := terms[mask]).real, "im": c.imag}
-            for mask in sorted(terms, key=tables.rank.__getitem__)
-        ],
-    }
+    """The data of to_json(mv), for callers that embed it in larger JSON."""
+    return json.loads(to_json(mv))
 
 
 def to_json(mv: Multivector) -> str:
-    """json.dumps(to_json_dict(mv)), written directly."""
+    """The JSON text of mv, written directly: json.dumps's bytes for its data."""
     terms = mv._terms
     tables = _tables(mv.signature.n)
     heads = tables.json_heads

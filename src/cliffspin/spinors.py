@@ -88,6 +88,14 @@ class SpinorValueError(ValueError):
     pass
 
 
+def _require_finite_real(x, what: str, error: type[ValueError]) -> None:
+    """Refuse x with error unless it is a finite real number and not a bool.
+    The Dirac residuals check their mass at every call, so a float skips the
+    isinstance tests (isinstance(x, Real) alone takes 0.4 us on x86_64)."""
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, Real)) or not math.isfinite(x):
+        raise error(f"{what} must be a finite real number")
+
+
 def frame_idempotent(frame: SpinorialFrame) -> Multivector:
     """The frame's spinor-projector e = (1 + b_0)/2, computed as u~ e_0 u."""
     return _carry(_E0_IDEMPOTENT, frame)
@@ -143,8 +151,8 @@ class BilinearCovariants:
     def __post_init__(self) -> None:
         if not (self.J.real and self.S.real and self.K.real):
             raise SpinorValueError("J, S and K must be real")
-        if not (isinstance(self.sigma, Real) and isinstance(self.omega, Real)):
-            raise SpinorValueError("sigma and omega must be real numbers")
+        _require_finite_real(self.sigma, "sigma", SpinorValueError)
+        _require_finite_real(self.omega, "omega", SpinorValueError)
         # Relative to the covariants' own squared scale, so a uniform
         # rescaling of the spinor keeps the verdict.
         scale = max(self.J.max_abs() ** 2, self.sigma**2 + self.omega**2)
@@ -159,6 +167,12 @@ class CanonicalFactors:
     rho: float
     beta: float
     R: Rotor
+
+    def __post_init__(self) -> None:
+        _require_finite_real(self.rho, "rho", SpinorValueError)
+        _require_finite_real(self.beta, "beta", SpinorValueError)
+        if self.rho <= 0:
+            raise SpinorValueError("rho must be positive")
 
 
 # -- frame changes and the two representations ---------------------------------

@@ -379,8 +379,8 @@ def test_square_plus_blades_read_from_the_sign_table(p, q):
         if geometric_product(Multivector.from_mask(sig, m), Multivector.from_mask(sig, m)) == one
     ]
     want = sorted(squares, key=lambda m: (m.bit_count(), m))
-    got = classify_module._commuting_square_plus_blades(sig)
-    assert got == want and all(type(m) is int for m in got)
+    got = classify_module._square_plus_blades(p, sig.n)
+    assert list(got) == want and all(type(m) is int for m in got)
 
 
 def test_image_rows_match_products_in_small_blocks(monkeypatch):
@@ -398,6 +398,26 @@ def test_non_real_idempotents_keep_the_span():
     assert ideal_real_dim(e) == len(ideal_basis(e)) == 16
     with pytest.raises(ClassificationError, match="real idempotent"):
         division_ring_of(e)
+
+
+def stacked_rank(mvs):
+    """Rank over R of complex multivectors, each read as its real parts
+    followed by its imaginary parts, by SVD."""
+    rows = np.array([x.coefficients() for x in mvs])
+    return int(np.linalg.matrix_rank(np.hstack((rows.real, rows.imag))))
+
+
+def test_complex_idempotents_span_their_imaginary_parts():
+    """e = (1 + e1)/2 + i (e2 - e1e2)/2 is exactly idempotent.  The real
+    parts of its blade images span 8 dimensions, and the images span 16:
+    the span reads the imaginary parts too."""
+    e1, e2 = Multivector.generator(SIG13, 1), Multivector.generator(SIG13, 2)
+    e = (1 + e1) * 0.5 + 1j * (e2 - geometric_product(e1, e2)) * 0.5
+    assert geometric_product(e, e) == e
+    assert real_rank(blade_images(e)) == 8
+    assert ideal_real_dim(e) == len(ideal_basis(e)) == stacked_rank(blade_images(e)) == 16
+    half = (1 + 1j * e2) * 0.5
+    assert ideal_real_dim(half) == stacked_rank(blade_images(half)) == 16
 
 
 def test_trace_that_is_not_an_integer_is_rejected():

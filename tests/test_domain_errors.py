@@ -9,24 +9,31 @@ import numpy as np
 import pytest
 
 from cliffspin import Multivector, Signature, parse_multivector
+from cliffspin import dirac, groups, spinors
 from cliffspin.dirac import (
     ConstantPotential,
     DiracError,
+    GaugedSystem,
     PlaneWaveDHSF,
     asf_projector,
     asf_residual,
     dhe_residual,
+    left_gauge,
     matrix_dirac_residual,
     planewave_solution,
+    right_gauge,
 )
 from cliffspin.expressions import ast_to_text, evaluate
 from cliffspin.groups import (
     FrameError,
     NotARotorError,
     Rotor,
+    SpinorialFrame,
     VectorFrame,
+    fiducial_frame,
     fiducial_spinorial_frame,
     frame_right_action,
+    is_spin_e,
     lorentz_matrix_of,
     random_rotor,
     rotor_between,
@@ -37,10 +44,13 @@ from cliffspin.multivector import SignatureMismatchError
 from cliffspin.serialization import MultivectorParseError, from_json_dict
 from cliffspin.spinors import (
     ASRep,
+    BilinearCovariants,
+    CanonicalFactors,
     DHSRep,
     SpinorValueError,
     as_from_dhs,
     bilinear_covariants,
+    canonical_decompose,
     change_frame,
     frame_idempotent,
     random_regular_spinor,
@@ -93,6 +103,16 @@ ERRORS = {
         SignatureMismatchError,
         "frame must be in Cl(1,3), got Cl(3,1)",
     ),
+    "potential outside Cl(1,3)": (
+        lambda: ConstantPotential(e(SIG31, 1), 0.5),
+        SignatureMismatchError,
+        "potential must be in Cl(1,3), got Cl(3,1)",
+    ),
+    "right gauge by a Cl(3,1) rotor": (
+        lambda: right_gauge(plane_wave(), Rotor(Multivector.one(SIG31))),
+        SignatureMismatchError,
+        "Cl(1,3) vs Cl(3,1)",
+    ),
     "ideal-form projector of a Cl(3,1) frame": (
         lambda: asf_projector(FRAME31), SignatureMismatchError, "Cl(1,3) vs Cl(3,1)"
     ),
@@ -128,11 +148,6 @@ ERRORS = {
         NotARotorError,
         "rotor must map vectors to vectors: u E_i reversion(u)",
     ),
-    "Lorentz matrix outside Spin^e": (
-        lambda: lorentz_matrix_of(not_spin_e_rotor()),
-        NotARotorError,
-        "lorentz_matrix_of requires a Spin^e element",
-    ),
     "matrix outside Cl(1,3)": (
         lambda: matrix_of(e(SIG30, 1)), RepresentationError, "matrix_of expects a Cl(1,3) element"
     ),
@@ -145,6 +160,11 @@ ERRORS = {
         lambda: ASRep(FRAME30, Multivector.one(SIG30)),
         SpinorValueError,
         "algebraic spinors live in Cl(1,3)",
+    ),
+    "canonical factors of density 0": (
+        lambda: CanonicalFactors(0.0, 0.0, Rotor(Multivector.one(SIG13))),
+        SpinorValueError,
+        "rho must be positive",
     ),
     "frame change across signatures": (
         lambda: change_frame(DHSRep(FRAME13, Multivector.one(SIG13)), FRAME30),
@@ -197,6 +217,14 @@ def test_call_outside_its_domain_raises(call, error, message):
         call()
 
 
+def test_lorentz_matrix_reads_a_rotor_that_is_spin_e_refuses():
+    """Rotor's check is the only proof that u is a rotor: lorentz_matrix_of
+    gives the matrix of a Rotor that is_spin_e refuses."""
+    u = not_spin_e_rotor()
+    assert not is_spin_e(u.u)
+    assert np.max(np.abs(lorentz_matrix_of(u) - np.eye(6))) <= 1e-15
+
+
 # i e1e2e3e4 is even with u u~ = 1 in Cl(1,3): a complex rotor that passes
 # every other rotor check.
 COMPLEX_ROTOR = 1j * e(SIG13, 1, 2, 3, 4)
@@ -231,10 +259,10 @@ COMPLEX_VALUES = {
     "bivector S": (COVARIANTS, {"S": 1j * COVARIANTS.S}, SpinorValueError, "J, S and K must be real"),
     "current K": (COVARIANTS, {"K": 1j * COVARIANTS.K}, SpinorValueError, "J, S and K must be real"),
     "complex sigma": (
-        COVARIANTS, {"sigma": 1 + 0j}, SpinorValueError, "sigma and omega must be real numbers"
+        COVARIANTS, {"sigma": 1 + 0j}, SpinorValueError, "sigma must be a finite real number"
     ),
     "complex omega": (
-        COVARIANTS, {"omega": 0.5j}, SpinorValueError, "sigma and omega must be real numbers"
+        COVARIANTS, {"omega": 0.5j}, SpinorValueError, "omega must be a finite real number"
     ),
     "plane wave amplitude": (
         WAVE, {"psi0": (0.6 + 0.8j) * WAVE.psi0}, DiracError, "amplitude must be real"
@@ -259,6 +287,62 @@ def test_spinor_side_values_refuse_complex_fields(build, value, changes, error, 
     assert build(value) == value
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(value, **changes)
+
+
+# Every public value type of the spinor side, one valid value each.  Their
+# numeric fields are read from dataclasses.fields, so a field added later is
+# tried too, and a value type added later fails the census below.
+SPINOR_SIDE = (groups, spinors, dirac)
+VALUES = {
+    Rotor: Rotor(Multivector.one(SIG13)),
+    VectorFrame: fiducial_frame(SIG13),
+    SpinorialFrame: FRAME13,
+    DHSRep: DHSRep(FRAME13, Multivector.one(SIG13)),
+    ASRep: ALGEBRAIC,
+    BilinearCovariants: COVARIANTS,
+    CanonicalFactors: canonical_decompose(DHSRep(FRAME13, Multivector.one(SIG13))),
+    ConstantPotential: POTENTIAL,
+    PlaneWaveDHSF: WAVE,
+    GaugedSystem: left_gauge(WAVE, Rotor(Multivector.one(SIG13)), POTENTIAL),
+}
+ERROR_OF_MODULE = {spinors.__name__: SpinorValueError, dirac.__name__: DiracError}
+NUMERIC_FIELDS = [
+    (cls, f.name) for cls in VALUES for f in dataclasses.fields(cls) if f.init and f.type in ("float", "int")
+]
+# nan, inf, a bool, a string, and the valid value as a complex.
+BAD_NUMBERS = {
+    "nan": lambda valid: math.nan,
+    "inf": lambda valid: math.inf,
+    "bool": lambda valid: True,
+    "string": lambda valid: "x",
+    "complex": complex,
+}
+
+
+def test_every_spinor_side_value_type_has_a_value():
+    public = {
+        cls
+        for module in SPINOR_SIDE
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert public == set(VALUES)
+    assert {(cls.__name__, name) for cls, name in NUMERIC_FIELDS} == {
+        ("BilinearCovariants", "sigma"), ("BilinearCovariants", "omega"),
+        ("CanonicalFactors", "rho"), ("CanonicalFactors", "beta"),
+        ("ConstantPotential", "q_charge"), ("PlaneWaveDHSF", "m"), ("PlaneWaveDHSF", "energy_sign"),
+    }
+
+
+@pytest.mark.parametrize("build", [build_directly, dataclasses.replace], ids=["direct", "replace"])
+@pytest.mark.parametrize("bad", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+@pytest.mark.parametrize("cls,name", NUMERIC_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in NUMERIC_FIELDS])
+def test_numeric_fields_refuse_what_is_no_finite_real_number(build, bad, cls, name):
+    value = VALUES[cls]
+    assert build(value) == value
+    with pytest.raises(ERROR_OF_MODULE[cls.__module__], match=r"^\w+ must be "):
+        build(value, **{name: bad(getattr(value, name))})
 
 
 # A plane wave's mass is a finite real number above 0, its energy sign +1 or -1

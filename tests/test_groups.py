@@ -348,6 +348,24 @@ def test_lorentz_matrix_preserves_metric_and_is_homomorphism():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def test_lorentz_matrix_reads_every_rapidity_12_boost():
+    """lorentz_matrix_of trusts its Rotor, so it gives a matrix for the
+    rapidity-12 boosts that is_spin_e refuses: that check bounds the image
+    terms, of size |u|^2 = cosh 12, by the absolute ROTOR_TOL.  L preserves
+    the metric within 16 eps |u|^4; the worst of these reached 2.6 of that."""
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    local = np.random.default_rng(12)
+    refused = 0
+    for _ in range(100):
+        n = local.normal(size=3)
+        n *= 6.0 / np.linalg.norm(n)
+        u = Rotor(exp_bivector(Multivector(SIG13, {0b0011: n[0], 0b0101: n[1], 0b1001: n[2]})))
+        refused += not is_spin_e(u.u)
+        L = lorentz_matrix_of(u)
+        assert np.max(np.abs(L.T @ eta @ L - eta)) <= 16 * np.finfo(float).eps * u.u.norm() ** 4
+    assert refused > 50
+
+
 def test_frame_action_basics():
     f = fiducial_spinorial_frame(SIG13)
     one = Rotor(Multivector.scalar(SIG13, 1.0))

@@ -7,6 +7,11 @@ of Minkowski spacetime (natural units, metric +---):
 
 with D = gamma^mu d_mu built from the coordinate coframe.  Plane-wave fields
 carry analytic derivatives: D psi = V (psi B) with one vector V per field.
+``planewave_solution`` writes the amplitude out from the momentum: the boost
+R = (1 + v E_0)/sqrt(2 (1 + v0)) that takes E_0 to v = pi/m, with the bits
+of ``groups.rotor_between(v, E_0)``, and R g5 for negative energy.  Only
+``Rotor``'s check u u~ = 1 bounds the boost; its absolute tolerance refuses
+some boosts from |p|/m of about 7e5 on, by rounding of size eps |p|/m.
 
 A field in the frame Xi_u is the class of psi = psi_0 u (spinors module
 docstring), and the frame's vectors are g_mu = u~ E_mu u.  So psi g_mu =
@@ -52,11 +57,9 @@ from .groups import (
     _from_fiducial,
     _to_fiducial,
     fiducial_spinorial_frame,
-    rotor_between,
 )
 from .matrixrep import _blade_columns, _first_column
 from .multivector import (
-    G5,
     Multivector,
     SignatureMismatchError,
     _stored,
@@ -116,7 +119,8 @@ class PlaneWaveDHSF:
     coframe and ``_amplitude`` (a_0, a_0 E_2 E_1), with a_0 psi0 itself when
     u = 1.  A field made by ``dataclasses.replace`` or ``left_gauge``
     computes its own amplitude; ``right_gauge`` keeps the field's, since a
-    right gauge leaves psi u~ as it was.
+    right gauge leaves psi u~ as it was.  Both gauge maps keep the field's
+    V, which depends on p and the energy sign alone.
 
     ``evaluate`` computes psi(x) afresh on every call.  The residuals,
     ``spin_dirac_apply`` and ``partials`` read psi_0(x), psi_0(x) E_2 E_1
@@ -132,7 +136,9 @@ class PlaneWaveDHSF:
 
     def __post_init__(self) -> None:
         sign = self.energy_sign
-        if isinstance(sign, bool) or not isinstance(sign, Integral) or sign not in (1, -1):
+        # An int skips the isinstance tests, as _require_finite_real's float does.
+        integral = type(sign) is int or not isinstance(sign, bool) and isinstance(sign, Integral)
+        if not integral or sign not in (1, -1):
             raise DiracError("energy_sign must be +1 or -1")
         _require_finite_real(self.m, "mass", DiracError)
         if self.m <= 0:
@@ -141,7 +147,7 @@ class PlaneWaveDHSF:
             raise DiracError("momentum must be grade-1")
         for name, x in (("momentum", self.p), ("amplitude", self.psi0), ("frame", self.frame)):
             sig = x.signature
-            if sig != SIG13:
+            if sig is not SIG13:  # equal signatures are one shared instance
                 raise SignatureMismatchError(f"{name} must be in Cl(1,3), got Cl({sig.p},{sig.q})")
         if any(g % 2 for g in self.psi0.grades()):
             raise DiracError("amplitude must be even")
@@ -321,7 +327,11 @@ def planewave_solution(
 ) -> PlaneWaveDHSF:
     """Plane wave in the fiducial frame with kinetic momentum on the mass
     shell: pi^0 = +sqrt(m^2 + |p|^2).  For a constant potential the phase
-    momentum is shifted so the equation still holds exactly."""
+    momentum is shifted so the equation still holds exactly.  The boost R
+    that takes E_0 to v = pi/m is written blade by blade from v E_0 = v0 -
+    v1 e1e2 - v2 e1e3 - v3 e1e4, with the float operations and key order of
+    ``rotor_between(v, E_0)``."""
+    _require_finite_real(m, "mass", DiracError)
     if m <= 0:
         raise DiracError("mass must be positive")
     if sign not in (1, -1):
@@ -330,12 +340,12 @@ def planewave_solution(
     p1, p2, p3 = (float(c) for c in spatial_momentum)
     p0 = math.sqrt(m * m + p1 * p1 + p2 * p2 + p3 * p3)
     pi = Multivector(SIG13, {1: p0, 2: p1, 4: p2, 8: p3})
-    v = (1.0 / m) * pi
-    R = rotor_between(v, Multivector.generator(SIG13, 1))
-    if sign == 1:
-        psi0 = R.u
-    else:
-        psi0 = geometric_product(R.u, G5)
+    k = 1.0 / m
+    v0, v1, v2, v3 = p0 * k, p1 * k, p2 * k, p3 * k
+    s = 1.0 / (2.0 * (1.0 + v0)) ** 0.5
+    boost = {0: (v0 + 1) * s, 0b0011: (0.0 - v1) * s, 0b0101: (0.0 - v2) * s, 0b1001: (0.0 - v3) * s}
+    R = Rotor(Multivector._own(SIG13, boost, True))
+    psi0 = R.u if sign == 1 else _times_blade(R.u, *_G5)
     # The amplitude condition is (sign*p + qA) psi0 = m psi0 g0, giving the
     # phase momentum p = sign * (kin_sign * pi - q A) with kin_sign = sign.
     if pot is None or pot.q_charge == 0.0:
@@ -478,8 +488,11 @@ def left_gauge(
     field: PlaneWaveDHSF, s: Rotor, pot: ConstantPotential | None = None
 ) -> GaugedSystem:
     """Active transformation psi -> s psi, A -> s A s^{-1}, with the
-    derivative operator transported to s gamma^mu s^{-1} d_mu."""
+    derivative operator transported to s gamma^mu s^{-1} d_mu.  The new
+    field keeps the field's ``dirac_vector``, which depends on p and the
+    energy sign alone, and computes its own ``_amplitude``."""
     new_field = replace(field, psi0=geometric_product(s.u, field.psi0))
+    new_field.__dict__["dirac_vector"] = field.dirac_vector
     if pot is not None:
         newA = geometric_product(geometric_product(s.u, pot.A), s.inverse, grades=(1,))
         pot = replace(pot, A=newA)

@@ -108,6 +108,15 @@ def test_planewave_with_potential(capsys):
     assert code == 0
 
 
+def test_planewave_with_a_large_boost(capsys):
+    """|p|/m near 1e4 built no field, and the command exited 2."""
+    code, out, err = run(
+        capsys, "planewave", "--mass", "1", "--px", "1e4", "--py", "3e3", "--pz=-2e3", "--points", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("t,x,y,z,dhe_res,asf_res,matrix_res\n")
+
+
 def test_verify_rep(capsys):
     code, out, _ = run(capsys, "verify-rep", "--trials", "20")
     assert code == 0

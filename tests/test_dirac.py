@@ -33,7 +33,7 @@ from cliffspin import (
 )
 from cliffspin import dirac, multivector
 from cliffspin.dirac import DiracError, asf_projector
-from cliffspin.groups import NotARotorError, _from_fiducial, is_spin_e
+from cliffspin.groups import NotARotorError, _from_fiducial, _to_fiducial, is_spin_e, rotor_between
 from cliffspin.matrixrep import _first_column
 from cliffspin.multivector import G5, SignatureMismatchError
 from cliffspin.spinors import DHSRep
@@ -1245,3 +1245,96 @@ def test_fiducial_residuals_build_one_value_past_their_terms(charged, built_valu
         del built_values[:]
         residual(field, pot, field.m, x)
         assert 0 < len(built_values) <= most, residual.__name__
+
+
+# -- the amplitude in closed form: rotor_between's bits, one product -------------------
+
+
+def rotor_between_solution(m, spatial_momentum, sign=1, pot=None):
+    """(psi0, p) as planewave_solution built them through rotor_between(v, E_0)
+    and the product R G5: the oracle of the closed form."""
+    p1, p2, p3 = (float(c) for c in spatial_momentum)
+    p0 = math.sqrt(m * m + p1 * p1 + p2 * p2 + p3 * p3)
+    pi = Multivector(SIG13, {1: p0, 2: p1, 4: p2, 8: p3})
+    R = rotor_between((1.0 / m) * pi, gen(1))
+    psi0 = R.u if sign == 1 else geometric_product(R.u, G5)
+    p = pi if pot is None or pot.q_charge == 0.0 else pi - float(sign) * pot.q_charge * pot.A
+    return psi0, p
+
+
+def closed_form_cases(n=400):
+    """(m, spatial momentum, sign, potential): both signs, charged and
+    uncharged, zero and -0.0 components, |p|/m from 1e-3 to 1e3."""
+    local = np.random.default_rng(44)
+    cases = []
+    for _ in range(n):
+        m = float(10 ** local.uniform(-2, 2))
+        ratio = float(10 ** local.uniform(-3, 3))
+        direction = local.normal(size=3)
+        momentum = [float(c) for c in direction / np.linalg.norm(direction) * m * ratio]
+        for i in range(3):
+            momentum[i] = [momentum[i], 0.0, -0.0][int(local.choice(3, p=[0.6, 0.2, 0.2]))]
+        pot = None
+        if local.uniform() < 0.5:
+            A = Multivector(SIG13, dict(zip((1, 2, 4, 8), map(float, local.normal(size=4)))))
+            pot = ConstantPotential(A, float(local.choice([0.0, local.normal()])))
+        cases.append((m, tuple(momentum), int(local.choice([1, -1])), pot))
+    return cases
+
+
+def test_closed_form_amplitude_is_rotor_between_s_to_the_bit():
+    for m, momentum, sign, pot in closed_form_cases():
+        field = planewave_solution(m, momentum, sign=sign, pot=pot)
+        psi0, p = rotor_between_solution(m, momentum, sign, pot)
+        assert bits(field.psi0) == bits(psi0) and bits(field.p) == bits(p), (m, momentum, sign)
+
+
+@pytest.mark.parametrize("charged", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_plane_wave_solution_takes_one_product(sign, charged, products):
+    """Rotor's u u~ check is the one product; R g5 is a signed permutation.
+    The fiducial frame is warm: FID built it at import."""
+    pot = ConstantPotential(Multivector(SIG13, {1: 0.2, 2: -0.1}), 0.7) if charged else None
+    planewave_solution(1.3, (0.4, -0.7, 0.2), sign=sign, pot=pot)
+    assert len(products) == 1
+
+
+def test_left_gauge_keeps_v_and_computes_its_own_amplitude():
+    """V depends on p and the energy sign alone, so a left-gauged field holds
+    the field's own V; its amplitude psi0' u~ is new and computed on use."""
+    s = random_rotor(SIG13, np.random.default_rng(13))
+    for field in (
+        planewave_solution(1.2, (0.3, -0.5, 0.1)),
+        right_gauge(planewave_solution(0.8, (-0.2, 0.6, 0.4), sign=-1), s),
+    ):
+        moved = left_gauge(field, s).field
+        assert moved.dirac_vector is field.dirac_vector
+        assert moved.dirac_vector == dataclasses.replace(moved).dirac_vector
+        assert "_amplitude" not in vars(moved)
+        assert moved._amplitude is not field._amplitude
+        assert moved._amplitude[0] == _to_fiducial(moved.psi0, moved.frame)
+
+
+BOOST_DIRECTIONS = [(1.0, 0.0, 0.0), (1e4, 3e3, -2e3)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("direction", BOOST_DIRECTIONS, ids=["x", "oblique"])
+@pytest.mark.parametrize("k", range(7))
+def test_boosts_up_to_a_million_masses_build_and_solve(k, direction, sign):
+    """|p|/m = 10^k builds: rotor_between's absolute unit check refused
+    1e4 and 1e5 along x, and 1e4 to 1e6 along the oblique direction, by
+    cancellation in v.v.  The operator residual stays within 16 eps
+    |psi0|^2 (m + |p|_1)."""
+    m = 0.7
+    norm = math.sqrt(sum(c * c for c in direction))
+    field = planewave_solution(m, [10.0**k * m * c / norm for c in direction], sign=sign)
+    scale = 16 * EPS * field.psi0.max_abs() ** 2 * (m + sum(abs(c) for c in field.p._terms.values()))
+    for x in ([0.3, -1.2, 2.5, 0.7], [0.0, 0.0, 0.0, 0.0], [1e-3, 2.0, -0.5, 0.1]):
+        assert dhe_residual(field, None, m, x).max_abs() <= scale
+
+
+def test_the_boost_is_bounded_by_the_rotor_check_alone():
+    assert planewave_solution(1.0, (1e4, 3e3, -2e3)).p.coeff(2) == 1e4
+    with pytest.raises(NotARotorError, match="u \\* reversion\\(u\\) = 1"):
+        planewave_solution(1.0, (3e6, 0.0, 0.0))

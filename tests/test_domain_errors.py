@@ -379,6 +379,16 @@ def test_residual_masses_are_finite_real_numbers(residual, mass):
         residual(WAVE, POTENTIAL, mass, [0.3, -1.2, 2.5, 0.7])
 
 
+@pytest.mark.parametrize(
+    "mass", [math.nan, math.inf, 1 + 0j, "x", True], ids=["nan", "inf", "complex", "string", "bool"]
+)
+def test_plane_wave_solution_masses_are_finite_real_numbers(mass):
+    """A nan mass raised the constructor's bare ValueError, and a complex or
+    string one the TypeError of m <= 0."""
+    with pytest.raises(DiracError, match="^mass must be a finite real number$"):
+        planewave_solution(mass, (0.4, -0.7, 0.2))
+
+
 def test_rev_is_reversion():
     x = Multivector(SIG13, {0: 1.0, 1: 2.0, 3: 3.0, 7: 4.0, 15: 5.0})
     assert x.rev()._terms == {0: 1.0, 1: 2.0, 3: -3.0, 7: -4.0, 15: 5.0}

@@ -293,15 +293,21 @@ def frame_right_action(a: Rotor, f: SpinorialFrame) -> SpinorialFrame:
 
 
 def rotor_between(v: Multivector, w: Multivector) -> Rotor:
-    """Rotor R with R w R^{-1} = v, for unit vectors v, w of equal square sign."""
+    """Rotor R with R w R^{-1} = v, for real unit vectors v, w of equal
+    square sign.  v.v is a sum of terms +-c^2 and rounds at eps times the
+    sum of the c^2, which grows as the square of a boost's |p|/m, so each
+    unit check is relative to the sum of the squared terms that formed it."""
     if v.grades() - {1} or w.grades() - {1}:
         raise ValueError("rotor_between needs grade-1 inputs")
-    sv = scalar_product(v, v)
-    sw = scalar_product(w, w)
-    if abs(abs(complex(sv).real) - 1) > 1e-9 or abs(complex(sv) - complex(sw)) > 1e-9:
+    if not (v.real and w.real):
+        raise ValueError("rotor_between needs real vectors")
+    sv, sw = scalar_product(v, v), scalar_product(w, w)
+    vv = sum(c * c for c in v._terms.values())
+    ww = sum(c * c for c in w._terms.values())
+    if abs(abs(sv) - 1) > 1e-9 * vv or abs(sv - sw) > 1e-9 * (vv + ww):
         raise ValueError("rotor_between needs unit vectors of equal square sign")
-    s = 1 if complex(sv).real > 0 else -1
-    dot = complex(scalar_product(v, w)).real
+    s = 1 if sv > 0 else -1
+    dot = scalar_product(v, w)
     denom = 2.0 * (1.0 + dot) if s == 1 else 2.0 * (1.0 - dot)
     if denom <= 1e-12:
         raise ValueError("v + w is null; use a two-step construction")

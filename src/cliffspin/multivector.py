@@ -14,8 +14,9 @@ and the numpy paths, ``_pair_blocks``, ``_left_mult_matrix`` and
 ``classify``, take it over arrays with ``_parity_sign``.  For fixed b the
 parity is likewise linear in a, with ``_right_sign_weight``'s mask:
 ``_times_blade`` reads it to multiply by one blade as a signed permutation
-of the terms, for the covariants, the Dirac forms' E_0, E_2 E_1 and g5,
-``hodge_dual``, ``exp_bivector`` and ``is_clifford_group``.  The only cache
+of the terms, for the recovery from covariants, the Dirac forms' E_0,
+E_2 E_1 and g5, ``hodge_dual``, ``exp_bivector`` and ``is_clifford_group``,
+and ``_generate_quadratic`` folds the same signs into its terms.  The only cache
 of signs is the loop's: ``_reorder_sign`` keeps one row of Python ints over
 all 2^n blades b for each recent left blade a.  ``scalar_product`` reads
 reversion(e_m) e_m in closed form, (-1)^popcount(m >> p).
@@ -44,6 +45,15 @@ budget holds about 9 MiB whatever the pattern sizes.  Real work repeats
 its patterns: over 99.6 % of perfbench's n <= 4 product calls, and 21755
 algebra-sweep products of 64 to 1023 pairs on 250 patterns, of 45
 structures, per 15 s run.
+
+The spinor covariants are quadratic forms x (s e_k) reversion(x) of one
+real x with n <= 4, and ``_quadratic_forms`` computes several of them with
+no product call: ``_generate_quadratic`` compiles, per key pattern of x and
+tuple of specs (k, s, grades), one kernel that reads x's values once and
+gives each spec the bits and key order of
+geometric_product(_times_blade(x, k, s), reversion(x), grades=grades).
+``_FORMS`` holds these kernels too, by (p, n, keys, specs), each charged
+len(keys)^2 pairs per spec under the same budget.
 
 The loop serves the rest: smaller real products with n >= 5, and complex
 operands at every n.  numpy's complex multiply differs from Python's in the
@@ -621,12 +631,53 @@ def _shared_form(p: int, a_keys: tuple, b_keys: tuple, keep):
     return partial(kernel, tuple(sums))
 
 
+def _generate_quadratic(p: int, n: int, keys: tuple, specs: tuple):
+    """Compile, for one key pattern of a real x with n <= _KERNEL_MAX_N,
+    the quadratic forms x (s e_k) reversion(x) of each spec (k, s, grades)
+    into one kernel that reads x's values once and returns a tuple of
+    stored-value dicts, one per spec: those of
+    geometric_product(_times_blade(x, k, s), reversion(x), grades=grades).
+
+    Each sum lists that product's kept pairs (i, j) in its order, x_i times
+    x_j, and each blade comes at its first kept pair.  The signs of
+    _times_blade, reversion and the blade product are folded into the term:
+    they flip nonzero stored values, exactly, so every term and every sum
+    has that product's bits.  One finite check covers every sum."""
+    lines, stores, names = [], [], []
+    for o, (k, s, grades) in enumerate(specs):
+        bits = 0
+        for g in grades:
+            bits |= 1 << g
+        v = _right_sign_weight(p, k)
+        sums: dict[int, list[str]] = {}
+        for i, mi in enumerate(keys):
+            ma = mi ^ k
+            w = _sign_weight(p, ma)
+            flip = ((mi & v).bit_count() & 1) ^ (s < 0)
+            for j, mj in enumerate(keys):
+                m = ma ^ mj
+                if bits >> m.bit_count() & 1:
+                    # x_i's sign in x s e_k, x_j's in reversion(x), the product's.
+                    minus = flip ^ (mj.bit_count() >> 1 & 1) ^ ((mj & w).bit_count() & 1)
+                    sums.setdefault(m, []).append(f"{'-' if minus else '+'}a{i}*a{j}")
+        lines += [f"s{o}_{m} = {''.join(t).lstrip('+')}" for m, t in sums.items()]
+        stores.append(f"o{o} = {{}}")
+        stores += [f"if s{o}_{m}: o{o}[{m}] = s{o}_{m}" for m in sums]
+        names += [f"s{o}_{m}" for m in sums]
+    lines += stores
+    if names:
+        lines.append(f"if not _isfinite({' + '.join(names)}) and not all(map(_isfinite, ({', '.join(names)},))):")
+        lines.append('    raise ValueError("non-finite coefficient")')
+    lines.append("return " + "".join(f"o{o}, " for o in range(len(specs))))
+    return _compile_kernel("a", len(keys), 0, lines)
+
+
 def _compile_kernel(params: str, na: int, nb: int, body: list[str]):
     """The function kernel(params) that unpacks the operands' float values
-    into a<i> and b<j>, then runs the lines of body."""
-    a_names = ", ".join(f"a{i}" for i in range(na))
-    b_names = ", ".join(f"b{j}" for j in range(nb))
-    lines = [f"{a_names}, = a", f"{b_names}, = b", *body]
+    into a<i> and b<j>, an operand of no values into nothing, then runs the
+    lines of body."""
+    lines = [f"{', '.join(f'{v}{i}' for i in range(count))}, = {v}" for v, count in (("a", na), ("b", nb)) if count]
+    lines += body
     source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
     local: dict = {}
     exec(source, _KERNEL_GLOBALS, local)
@@ -724,8 +775,11 @@ def _sum_blocks(n: int, blocks, a, b) -> dict[int, float]:
 
 
 def _charge(key: tuple) -> int:
-    """The pairs the form cache charges for a key pattern: its term pairs,
+    """The pairs the form cache charges for a key: a product pattern's term
+    pairs, len(keys)^2 per spec for a quadratic key (p, n, keys, specs),
     and no fewer than _FORM_MIN_PAIRS."""
+    if len(key) == 4:
+        return max(len(key[2]) ** 2 * len(key[3]), _FORM_MIN_PAIRS)
     return max(len(key[2]) * len(key[3]), _FORM_MIN_PAIRS)
 
 
@@ -737,7 +791,9 @@ class _FormCache:
     blocks for a larger one.  Above n = _KERNEL_MAX_N the kernel is shared
     by the patterns of one structure, and the form is partial(kernel,
     masks), as a blocks form is partial(_sum_blocks, n, blocks); a shared
-    kernel goes with the last form that binds it.
+    kernel goes with the last form that binds it.  Quadratic forms of one
+    real operand, by (p, n, keys, specs), are _generate_quadratic's kernels
+    (_quadratic_forms).
 
     A pattern is compiled on its first sight.  Each form costs the number of
     term pairs it covers, and no fewer than _FORM_MIN_PAIRS (_charge), since
@@ -762,7 +818,9 @@ class _FormCache:
         with self._lock:
             form = self.forms.get(key)
             if form is None:
-                if cost < _KERNEL_MAX_PAIRS:
+                if len(key) == 4:
+                    form = _generate_quadratic(*key)
+                elif cost < _KERNEL_MAX_PAIRS:
                     form = _generate_kernel(*key)
                 else:
                     form = partial(_sum_blocks, key[1], tuple(_pair_blocks(*key)))
@@ -804,6 +862,22 @@ def _product(a: Multivector, b: Multivector, keep=None) -> Multivector:
             form = partial(_sum_blocks, n, _pair_blocks(*key))
         return Multivector._trusted(sig, form(at.values(), bt.values()), True)
     return Multivector._own(sig, _product_loop(sig.p, n, at, bt, keep), True if real else None)
+
+
+def _quadratic_forms(x: Multivector, specs: tuple) -> tuple[Multivector, ...]:
+    """geometric_product(_times_blade(x, k, s), reversion(x), grades=grades)
+    for each spec (k, s, grades), to the bit and in key order, for a real x
+    with n <= _KERNEL_MAX_N: one compiled kernel per key pattern and specs
+    (_generate_quadratic), held in _FORMS under its pair budget, with no
+    product call.  A non-finite sum raises ValueError."""
+    sig = x.signature
+    if not x.real or sig.n > _KERNEL_MAX_N:
+        raise ValueError(f"quadratic forms need a real multivector with n <= {_KERNEL_MAX_N}")
+    key = (sig.p, sig.n, tuple(x._terms), specs)
+    # The budget holds any n <= 4 key of up to 64 specs; past that, compile uncached.
+    form = _FORMS.forms.get(key) or _FORMS.compile(key) or _generate_quadratic(*key)
+    trusted = Multivector._trusted
+    return tuple([trusted(sig, out, True) for out in form(x._terms.values())])
 
 
 def _times_blade(x: Multivector, k: int, s: float = 1.0) -> Multivector:

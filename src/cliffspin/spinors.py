@@ -18,6 +18,14 @@ carried by u.  The maps psi_0 -> psi_0 u and X -> u~ X u are the groups
 module's ``_from_fiducial`` and ``_carry``; no function here derives a
 frame's vectors.
 
+The covariants are quadratic forms in the spinor, sigma + omega g5 =
+psi reversion(psi) and J, S, K = psi_0 E reversion(psi_0), each read off a
+kernel that ``multivector._quadratic_forms`` compiles once per key pattern:
+one kernel call gives all five in the fiducial frame, two in a moved one,
+with the bits and key order of the grade-filtered products they replace
+and no product call.  Regularity, the canonical decomposition and the
+recovery read sigma and omega, and the recovery S, the same way.
+
 The recovery reads psi_0 back from J and K as two rank-one columns of the
 even subalgebra Cl+(1,3) = M(2,C), with no rotor, up to the class's right
 phase e^{E3E2 phi}, for regular and singular covariants alike
@@ -48,15 +56,14 @@ from .groups import (
     random_rotor,
 )
 from .multivector import (
-    G5,
     Multivector,
     Signature,
     _max_gap,
+    _quadratic_forms,
     _sign_weight,
     _times_blade,
     geometric_product,
     hodge_dual,
-    reversion,
     right_contraction,
     scalar_product,
     wedge,
@@ -212,10 +219,18 @@ def dhs_from_as(a: ASRep) -> DHSRep:
 # -- bilinear covariants --------------------------------------------------------
 
 
-def _sigma_omega(psi: Multivector, psit: Multivector) -> tuple[float, float]:
-    """(sigma, omega) from psi reversion(psi) = sigma + omega g5."""
-    agg = geometric_product(psi, psit, grades=(0, 4))
-    # The grade-4 part is omega * g5, and g5 = -e1e2e3e4.
+# The quadratic forms x (s E) reversion(x) of the covariants, as
+# _quadratic_forms' specs (E, s, grades): psi reversion(psi) = sigma + omega g5
+# (E = 1), and J, S, K = psi_0 E reversion(psi_0) for E = e1, e2e3 and -e4, the
+# fiducial g^0, g^1 g^2 and g^3.
+_SIGMA_OMEGA_FORM = ((0, 1.0, (0, 4)),)
+_JSK_FORMS = ((0b0001, 1.0, (1,)), (0b0110, 1.0, (2,)), (0b1000, -1.0, (1,)))
+_COVARIANT_FORMS = _SIGMA_OMEGA_FORM + _JSK_FORMS
+
+
+def _sigma_omega(agg: Multivector) -> tuple[float, float]:
+    """(sigma, omega) from agg = psi reversion(psi) = sigma + omega g5."""
+    # The grade-4 part is omega * g5, and g5 = -e1e2e3e4: an absent one reads -0.0.
     return agg.scalar_part(), -agg.coeff(0b1111)
 
 
@@ -226,15 +241,19 @@ def _abs_sum(x: Multivector) -> float:
 def bilinear_covariants(d: DHSRep) -> BilinearCovariants:
     """sigma + omega g5 = psi reversion(psi), and J, S, K = psi_0 E
     reversion(psi_0) for E = e1, e2e3 and -e4, the fiducial g^0, g^1 g^2 and
-    g^3, with psi_0 = psi u~ (module docstring)."""
+    g^3, with psi_0 = psi u~ (module docstring).  Each is a quadratic form
+    read by one compiled kernel (_quadratic_forms), with the bits and key
+    order of the grade-filtered product (psi_0 E) reversion(psi_0): in the
+    fiducial frame psi_0 is psi and one kernel call gives all five, and in
+    a moved frame the product psi u~ is the only one."""
     psi = d.psi
-    psit = reversion(psi)
-    sigma, omega = _sigma_omega(psi, psit)
     psi0 = _to_fiducial(psi, d.frame)
-    psi0t = psit if psi0 is psi else reversion(psi0)
-    J = geometric_product(_times_blade(psi0, 0b0001), psi0t, grades=(1,))
-    S = geometric_product(_times_blade(psi0, 0b0110), psi0t, grades=(2,))
-    K = geometric_product(_times_blade(psi0, 0b1000, -1.0), psi0t, grades=(1,))
+    if psi0 is psi:
+        agg, J, S, K = _quadratic_forms(psi, _COVARIANT_FORMS)
+    else:
+        (agg,) = _quadratic_forms(psi, _SIGMA_OMEGA_FORM)
+        J, S, K = _quadratic_forms(psi0, _JSK_FORMS)
+    sigma, omega = _sigma_omega(agg)
     return BilinearCovariants(sigma=sigma, omega=omega, J=J, S=S, K=K)
 
 
@@ -246,7 +265,7 @@ def _regular(sigma: float, omega: float, scale2: float) -> bool:
 
 
 def is_regular(d: DHSRep) -> bool:
-    sigma, omega = _sigma_omega(d.psi, reversion(d.psi))
+    sigma, omega = _sigma_omega(*_quadratic_forms(d.psi, _SIGMA_OMEGA_FORM))
     return _regular(sigma, omega, d.psi.norm() ** 4)
 
 
@@ -265,9 +284,10 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
     is 0), from the same float operations in the same order: a + b g5 is
     stored as {1111: -b, 0: a}, its scalar dropped when a is 0, so each
     blade adds its g5 pair +-(b x) first, then a x.  Only moduli are read,
-    so the sign of a zero is never seen.  lhs is finite, so a non-finite
-    rhs value is a non-finite gap, which raises ValueError, as building rhs
-    or lhs - rhs would."""
+    so the sign of a zero is never seen.  The gaps and the scale are read in
+    one pass over lhs and one over rhs.  lhs is finite, so a non-finite gap
+    comes from rhs, and it raises ValueError, as building rhs or lhs - rhs
+    would."""
     xt = X._terms
     if b:
         rhs = {0b1111 ^ m: _G5_SIGNS[m] * (b * c) for m, c in xt.items()}
@@ -277,14 +297,27 @@ def _residual(lhs: Multivector, a: float, b: float, X: Multivector) -> float:
                 rhs[m] = get(m, 0.0) + a * c
     else:
         rhs = {m: a * c for m, c in xt.items()} if a else {}
-    gaps = dict(lhs._terms)
-    scale = max((1.0, *map(abs, gaps.values()), *map(abs, rhs.values())))
+    lt = lhs._terms
+    scale, worst = 1.0, 0.0
+    for m, c in lt.items():
+        c = abs(c)
+        if c > scale:
+            scale = c
+        if c > worst and m not in rhs:
+            worst = c
+    get = lt.get
     for m, v in rhs.items():
-        gaps[m] = gaps[m] - v if m in gaps else v
-    values = gaps.values()
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-        raise ValueError("non-finite coefficient")
-    return max((0.0, *map(abs, values))) / scale
+        c = get(m)
+        gap = abs(v if c is None else c - v)
+        v = abs(v)
+        if v > scale:
+            scale = v
+        # Written so that a NaN gap, which compares False, is not skipped.
+        if not gap <= worst:
+            if not gap < math.inf:
+                raise ValueError("non-finite coefficient")
+            worst = gap
+    return worst / scale
 
 
 def fierz_statements(ops, sigma, omega, J, S, K) -> dict[str, tuple]:
@@ -355,12 +388,13 @@ def fierz_residuals(c: BilinearCovariants) -> dict[str, float]:
 
 
 def exp_beta_gamma5(beta: float) -> Multivector:
-    """e^{beta g5} = cos(beta) + sin(beta) g5, since g5^2 = -1."""
-    return math.cos(beta) + math.sin(beta) * G5
+    """e^{beta g5} = cos(beta) + sin(beta) g5, since g5^2 = -1, with
+    g5 = -e1e2e3e4: the keys and bits of math.cos(beta) + math.sin(beta) * G5."""
+    return Multivector._own(SIG13, {0b1111: -math.sin(beta), 0: math.cos(beta)}, True)
 
 
 def canonical_decompose(d: DHSRep) -> CanonicalFactors:
-    sigma, omega = _sigma_omega(d.psi, reversion(d.psi))
+    sigma, omega = _sigma_omega(*_quadratic_forms(d.psi, _SIGMA_OMEGA_FORM))
     if not _regular(sigma, omega, d.psi.norm() ** 4):
         raise SingularSpinorError(
             "psi * reversion(psi) = 0: singular spinor, no canonical decomposition"
@@ -498,11 +532,11 @@ def recover_from_covariants(c: BilinearCovariants, frame: SpinorialFrame) -> DHS
     psi0 = _column(A + C, 1) + _column(A - C, -1)
     if _regular(c.sigma, c.omega, c.J.norm() ** 2):
         # (sigma' + omega' i)(sigma - omega i) = rho^2 e^{2 alpha i}
-        sigma, omega = _sigma_omega(psi0, reversion(psi0))
+        sigma, omega = _sigma_omega(*_quadratic_forms(psi0, _SIGMA_OMEGA_FORM))
         x, y = sigma * c.sigma + omega * c.omega, omega * c.sigma - sigma * c.omega
     else:
         # S' = (cos 2 alpha + sin 2 alpha g5) S, and S g5 is orthogonal to S.
-        S = geometric_product(_times_blade(psi0, 0b0110), reversion(psi0), grades=(2,))
+        _, S, _ = _quadratic_forms(psi0, _JSK_FORMS)
         x, y = _euclid(S, c.S), _euclid(S, _times_blade(c.S, 0b1111, -1.0))
     alpha = 0.5 * math.atan2(y, x)
     if alpha:

@@ -1334,6 +1334,17 @@ def test_boosts_up_to_a_million_masses_build_and_solve(k, direction, sign):
         assert dhe_residual(field, None, m, x).max_abs() <= scale
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("px", [1e4, 1e5])
+def test_rotor_between_builds_large_boosts_with_the_closed_form_s_bits(px, sign):
+    """rotor_between's unit checks are relative to the squared terms of v.v,
+    so at m = 1 it builds p = (1e4, 0, 0) and (1e5, 0, 0), which its absolute
+    check refused by cancellation, and gives planewave_solution's amplitude."""
+    field = planewave_solution(1.0, (px, 0.0, 0.0), sign=sign)
+    psi0, p = rotor_between_solution(1.0, (px, 0.0, 0.0), sign)
+    assert bits(field.psi0) == bits(psi0) and bits(field.p) == bits(p)
+
+
 def test_the_boost_is_bounded_by_the_rotor_check_alone():
     assert planewave_solution(1.0, (1e4, 3e3, -2e3)).p.coeff(2) == 1e4
     with pytest.raises(NotARotorError, match="u \\* reversion\\(u\\) = 1"):

@@ -138,6 +138,11 @@ ERRORS = {
         ValueError,
         "rotor_between needs grade-1 inputs",
     ),
+    "rotor between complex vectors": (
+        lambda: rotor_between(Multivector(SIG13, {1: 1.0, 2: 1e-3j}), e(SIG13, 1)),
+        ValueError,
+        "rotor_between needs real vectors",
+    ),
     "rotor between unequal squares": (
         lambda: rotor_between(e(SIG13, 1), e(SIG13, 2)),
         ValueError,

@@ -15,6 +15,11 @@ The fiducial frame covers every spinorial frame: bilinear_covariants
 computes the covariants of psi in a frame (u, b) as those of psi u^{-1}
 in the fiducial frame, and psi u^{-1} is again a generic even element.
 
+bilinear_covariants reads the covariants from kernels that
+``multivector._generate_quadratic`` compiles; run on the polynomial
+coefficients, those kernels give exactly the covariants proven here, so
+the proofs cover the code that runs.
+
 The recovery's two rank-one factorizations, J e1 -+ K e1 = 2 psi P_+-
 psi^dagger, and the action of a central phase e^{alpha g5} on the
 covariants are proven in the same way.
@@ -26,14 +31,21 @@ The identities are those of P. Lounesto, Clifford Algebras and Spinors
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
 from sympy import ZZ, ring
 
 from cliffspin import DHSRep, Multivector, bilinear_covariants, fiducial_spinorial_frame
-from cliffspin.multivector import G5, _outer, _product_loop, _right_inner
-from cliffspin.spinors import _COLUMN_PROJECTORS, SIG13, fierz_statements
+from cliffspin.multivector import G5, _generate_quadratic, _outer, _product_loop, _right_inner
+from cliffspin.spinors import (
+    _COLUMN_PROJECTORS,
+    _COVARIANT_FORMS,
+    _JSK_FORMS,
+    _SIGMA_OMEGA_FORM,
+    SIG13,
+    fierz_statements,
+)
 
 P, N = SIG13.p, SIG13.n
 FID = fiducial_spinorial_frame(SIG13)
@@ -165,6 +177,24 @@ def test_evaluator_matches_bilinear_covariants():
     assert (c.sigma, c.omega) == (SIGMA(*values), OMEGA(*values))
     for got, want in ((c.J, J), (c.S, S), (c.K, K)):
         assert got == Multivector(SIG13, at(want))
+
+
+def exact_kernel(specs):
+    """The kernel that bilinear_covariants runs for a dense spinor, with its
+    finite check, which reads floats, off."""
+    kernel = _generate_quadratic(P, N, tuple(PSI), specs)
+    return FunctionType(kernel.__code__, {"_isfinite": lambda v: True})
+
+
+def test_the_generated_covariant_kernels_give_the_exact_covariants():
+    """The fiducial frame's one kernel for sigma, omega, J, S and K, and a
+    moved frame's two, one on psi and one on psi u~ (again generic), run
+    on the generic spinor's polynomial coefficients."""
+    agg, j, s, k = exact_kernel(_COVARIANT_FORMS)(PSI.values())
+    assert (agg.get(0, 0), -agg.get(0b1111, 0), j, s, k) == (SIGMA, OMEGA, J, S, K)
+    assert agg.keys() <= {0, 0b1111}
+    assert exact_kernel(_SIGMA_OMEGA_FORM)(PSI.values()) == (agg,)
+    assert exact_kernel(_JSK_FORMS)(PSI.values()) == (J, S, K)
 
 
 def dagger(x):

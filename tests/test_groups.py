@@ -447,6 +447,16 @@ def test_rotor_between_spacelike():
     assert is_spin_e(r.u)
 
 
+def test_rotor_between_refuses_vectors_off_unit_relative_to_their_terms():
+    """The unit checks are relative to the sum of the squared terms, about 1
+    for these, so a vector 1e-6 off unit is still refused."""
+    g0, g1, g3 = gen(SIG13, 1), gen(SIG13, 2), gen(SIG13, 4)
+    boost = (g0 + 0.6 * g1) * (1.0 / 0.8)
+    for v, w in (((1 + 1e-6) * g0, g0), (boost * (1 + 1e-6), g0), ((1 - 1e-6) * g1, g3), (g1, (1 + 1e-6) * g3)):
+        with pytest.raises(ValueError, match="unit vectors of equal square sign"):
+            rotor_between(v, w)
+
+
 def test_rotor_between_null_sum_rejected():
     g1 = gen(SIG13, 2)
     with pytest.raises(ValueError):

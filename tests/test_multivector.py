@@ -1059,6 +1059,95 @@ def test_real_kernels_report_overflow_as_the_loop_does(fresh_forms):
     assert ordered_bits(geometric_product(huge, one)) == ordered_bits(huge)
 
 
+# -- quadratic forms: x (s e_k) reversion(x) from one kernel, as products give them ------
+
+
+def quadratic_by_products(x, specs):
+    """The path that _quadratic_forms replaces: one grade-filtered product per spec."""
+    return [geometric_product(_times_blade(x, k, s), reversion(x), grades=grades) for k, s, grades in specs]
+
+
+@st.composite
+def quadratic_cases(draw):
+    """A real x in Cl(p,q), n <= 4, of an empty, single-term, sparse or dense
+    key pattern in random key order, and 1 to 4 specs (k, s, grades) with
+    any blade, sign and grade set, the empty set included."""
+    n = draw(st.integers(0, 4))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    dim = 1 << n
+    kind = draw(st.sampled_from(["empty", "single", "sparse", "dense"]))
+    size = {"empty": 0, "single": 1, "dense": dim}.get(kind) or draw(st.integers(1, dim))
+    masks = draw(st.permutations(range(dim)))[:size]
+    # Dyadic values make some sums cancel to an exact zero, which is dropped.
+    value = st.sampled_from([0.5, -1.0, 2.0, -0.25]) | st.floats(-1e3, 1e3).filter(bool)
+    x = Multivector(sig, {m: draw(value) for m in masks})
+    spec = st.tuples(
+        st.integers(0, dim - 1), st.sampled_from([1.0, -1.0]), st.lists(st.integers(0, n), unique=True).map(tuple)
+    )
+    return x, tuple(draw(st.lists(spec, min_size=1, max_size=4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(quadratic_cases())
+def test_quadratic_forms_are_the_grade_filtered_products_to_the_bit(case):
+    x, specs = case
+    want = [ordered_bits(y) for y in quadratic_by_products(x, specs)]
+    for _ in range(2):  # compiling, then the cached kernel
+        assert [ordered_bits(y) for y in mv_module._quadratic_forms(x, specs)] == want
+
+
+def test_quadratic_forms_report_overflow_as_the_products_do(fresh_forms):
+    # x0^2 overflows on grade 0; the grade-2 cross terms stay finite.
+    x = Multivector(SIG13, {0: 1e200, 0b0110: 1e-200})
+    for specs in (((0, 1.0, (0,)),), ((0b0110, -1.0, (2,)), (0, 1.0, (0, 2)))):
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            quadratic_by_products(x, specs)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^non-finite coefficient$"):
+                mv_module._quadratic_forms(x, specs)
+    # An overflow in a grade that no spec keeps does not raise.
+    specs = ((0, 1.0, (2,)),)
+    assert [ordered_bits(y) for y in mv_module._quadratic_forms(x, specs)] == [
+        ordered_bits(y) for y in quadratic_by_products(x, specs)
+    ]
+    # Finite sums whose total overflows are kept, as each product keeps them.
+    big = Multivector(SIG13, {0: 1.3e154})
+    specs = ((0, 1.0, (0,)), (0, -1.0, (0,)))
+    got = mv_module._quadratic_forms(big, specs)
+    assert [ordered_bits(y) for y in got] == [ordered_bits(y) for y in quadratic_by_products(big, specs)]
+    assert got[0].scalar_part() == 1.3e154**2
+
+
+def test_quadratic_forms_are_compiled_once_into_the_form_cache(fresh_forms, monkeypatch):
+    """Each key pattern and spec tuple compiles one kernel, held in _FORMS and
+    charged len(keys)^2 pairs per spec, at least _FORM_MIN_PAIRS."""
+    cache = fresh_forms
+    compiled = []
+    generate = mv_module._generate_quadratic
+    monkeypatch.setattr(mv_module, "_generate_quadratic", lambda *key: compiled.append(key) or generate(*key))
+    local = np.random.default_rng(45)
+    dense = shuffled_operand(SIG13, local, 16, False)
+    sparse = shuffled_operand(SIG13, local, 3, False)
+    specs = ((0, 1.0, (0, 4)), (0b0001, 1.0, (1,)), (0b0110, 1.0, (2,)), (0b1000, -1.0, (1,)))
+    for _ in range(3):
+        for x in (dense, sparse):
+            mv_module._quadratic_forms(x, specs)
+    keys = [(1, 4, tuple(x._terms), specs) for x in (dense, sparse)]
+    assert compiled == keys and list(cache.forms) == keys
+    assert cache.pairs == 16 * 16 * 4 + 64
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Multivector(SIG13, {0: 1.0, 0b0110: 1j}), Multivector(Signature(3, 2), {0: 1.0})],
+    ids=["complex", "n5"],
+)
+def test_quadratic_forms_take_only_real_operands_with_n_up_to_4(x):
+    with pytest.raises(ValueError, match="real multivector with n <= 4"):
+        mv_module._quadratic_forms(x, ((0, 1.0, (0,)),))
+
+
 # -- the array path: pair blocks serve real products for n >= 5 ----------------------------
 
 SIGNATURES_5_TO_8 = [(p, n - p) for n in range(5, 9) for p in range(n + 1)]

@@ -91,7 +91,7 @@ TURNS = (0b0110, 0b1010, 0b1100)  # e2e3, e2e4, e3e4 square to -1
 def oracle_bilinear_covariants(d):
     psi = d.psi
     psit = reversion(psi)
-    sigma, omega = _sigma_omega(psi, psit)
+    sigma, omega = _sigma_omega(geometric_product(psi, psit, grades=(0, 4)))
     g0 = gamma_upper(d.frame, 0)
     g1 = gamma_upper(d.frame, 1)
     g2 = gamma_upper(d.frame, 2)

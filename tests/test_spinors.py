@@ -305,6 +305,26 @@ def oracle_fierz_residuals(c):
     return res
 
 
+@pytest.mark.parametrize(
+    "lhs,a,b,X",
+    [
+        # An inf rhs value, after a larger finite gap on a blade rhs lacks.
+        ({0b0110: 5.0, 1: 1.0}, math.inf, 0.0, {1: 1.0}),
+        # A NaN rhs value there: a > comparison would skip its gap.
+        ({0b0110: 5.0, 1: 1.0}, math.nan, 0.0, {1: 1.0}),
+        # A NaN from inf - inf: the g5 pair b x overflows, then a x does.
+        ({0b0110: 5.0}, -1e200, 1e200, {1: 1e200, 0b1110: 1e200}),
+    ],
+    ids=["inf", "nan", "inf-inf"],
+)
+def test_term_by_term_residual_raises_on_inf_and_nan_rows(lhs, a, b, X):
+    lhs, X = Multivector(SIG13, lhs), Multivector(SIG13, X)
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        oracle_residual(lhs, a, b, X)
+    with pytest.raises(ValueError, match="^non-finite coefficient$"):
+        _residual(lhs, a, b, X)
+
+
 def test_fierz_residuals_match_the_oracle_bit_for_bit():
     def hexed(res):
         return [(name, r.hex()) for name, r in res.items()]
@@ -327,6 +347,42 @@ def test_fierz_residuals_make_at_most_12_products(monkeypatch):
     monkeypatch.setattr(multivector, "_product", lambda *args: products.append(args) or product(*args))
     fierz_residuals(c)
     assert 0 < len(products) <= 12
+
+
+def test_covariants_make_no_product_but_the_frame_move(monkeypatch):
+    """sigma, omega, J, S and K come from compiled quadratic forms: no product
+    in the fiducial frame, and only psi u~ in a moved frame.  Regularity and
+    the canonical decomposition read sigma and omega with no product."""
+    local = np.random.default_rng(45)
+    frame = spinorial_frame_of(random_rotor(SIG13, local))
+    fiducial, moved = random_regular_spinor(local), random_regular_spinor(local, frame)
+    products = []
+    product = multivector._product
+    monkeypatch.setattr(multivector, "_product", lambda a, b, keep=None: products.append((a, b, keep)) or product(a, b, keep))
+    bilinear_covariants(fiducial)
+    assert is_regular(fiducial) and is_regular(moved)
+    assert products == []
+    bilinear_covariants(moved)
+    assert products == [(moved.psi, frame.u.inverse, None)]
+    del products[:]
+    factors = canonical_decompose(fiducial)
+    # (rho^-1/2 e^{-beta g5/2}) psi and the Rotor check of its result.
+    assert len(products) == 2 and products[0][1] is fiducial.psi
+    assert factors.rho > 0
+
+
+def test_exp_beta_gamma5_stores_the_bits_of_the_multivector_sum():
+    local = np.random.default_rng(45)
+    betas = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 5e-324, -5e-324, 2.2e-308, 1e300]
+    betas += [float(b) for b in local.uniform(-10.0, 10.0, 2000)]
+    for beta in betas:
+        want = math.cos(beta) + math.sin(beta) * G5
+        got = exp_beta_gamma5(beta)
+        assert [(m, c.hex()) for m, c in got._terms.items()] == [(m, c.hex()) for m, c in want._terms.items()], beta
+        assert got.real and got == want
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            exp_beta_gamma5(beta)
 
 
 def test_regularity_is_scale_relative():
